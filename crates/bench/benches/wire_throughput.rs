@@ -13,11 +13,12 @@
 //! [`ActorFederation`]: nearpeer_core::ActorFederation
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use nearpeer_bench::wire::{build_service, world, FrameConn};
+use nearpeer_bench::wire::{build_service, serve_connection, world, FrameConn};
 use nearpeer_bench::SyntheticJoins;
 use nearpeer_core::protocol::Message;
 use nearpeer_core::{PeerId, ServerConfig, WireService};
 use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 const PEERS: u64 = 100_000;
@@ -26,27 +27,18 @@ const QUERIES_PER_ITER: u64 = 1_000;
 const WINDOW: u64 = 256;
 const K: u16 = 5;
 
-/// Serves `service` on a loopback listener — `nearpeerd`'s serve loop
-/// without the shutdown plumbing (the bench process just exits).
+/// Serves `service` on a loopback listener with `nearpeerd`'s own serve
+/// loop; nobody raises the shutdown flag (the bench process just exits).
 fn spawn_server(service: Arc<dyn WireService>) -> SocketAddr {
     let listener = TcpListener::bind("127.0.0.1:0").expect("loopback bind");
     let addr = listener.local_addr().expect("bound");
+    let shutdown = Arc::new(AtomicBool::new(false));
     std::thread::spawn(move || {
         for stream in listener.incoming() {
             let Ok(stream) = stream else { continue };
             let service = Arc::clone(&service);
-            std::thread::spawn(move || {
-                let Ok(mut conn) = FrameConn::new(stream) else {
-                    return;
-                };
-                while let Ok(Some(msg)) = conn.recv() {
-                    if let Some(reply) = service.handle(msg) {
-                        if conn.send(&reply).is_err() {
-                            return;
-                        }
-                    }
-                }
-            });
+            let shutdown = Arc::clone(&shutdown);
+            std::thread::spawn(move || serve_connection(stream, service, shutdown, addr, None));
         }
     });
     addr

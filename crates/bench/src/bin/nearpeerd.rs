@@ -9,7 +9,9 @@
 //!
 //! Transport rules (see [`nearpeer_bench::wire::serve_connection`]):
 //! partial reads reassemble; a malformed frame is skipped (the codec
-//! consumed it); an oversized length prefix drops the connection; idle
+//! consumed it); an oversized length prefix drops the connection;
+//! replies and pushes leave through one ordered per-connection queue,
+//! written before the loop blocks, at a small byte bound and on exit; idle
 //! eviction counts byte progress, not completed frames; standing
 //! subscriptions get server-initiated `DeltaPush` frames on their own
 //! connection; a `Shutdown` frame is acked, then the daemon stops
@@ -174,7 +176,7 @@ fn main() {
             });
         }
     }
-    let mut handles = Vec::new();
+    let mut handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
     for stream in listener.incoming() {
         if shutdown.load(Ordering::Acquire) {
             break;
@@ -183,6 +185,9 @@ fn main() {
             Ok(s) => s,
             Err(_) => continue,
         };
+        // Keep only live connections: a long-running daemon must not hold
+        // one handle per connection it ever accepted.
+        handles.retain(|h| !h.is_finished());
         let service = Arc::clone(&service);
         let shutdown = Arc::clone(&shutdown);
         let idle = (args.idle_secs > 0).then(|| Duration::from_secs(args.idle_secs));

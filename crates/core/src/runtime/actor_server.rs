@@ -127,6 +127,8 @@ pub struct ActorServer {
     /// shard read guards (the registry's host callbacks take both); no
     /// path takes `subs` while holding `claims`.
     subs: Mutex<SubscriptionRegistry>,
+    /// The registry's pending-delta count, readable without `subs`.
+    sub_queue_depth: Arc<Gauge>,
     /// Wall-clock origin for subscription rate limiting.
     started: Instant,
 }
@@ -206,6 +208,7 @@ impl ActorServer {
             ));
             write_txs.push(tx);
         }
+        let subs = SubscriptionRegistry::new();
         Ok(Self {
             shared,
             claims: Mutex::new(HashMap::new()),
@@ -213,7 +216,8 @@ impl ActorServer {
             workers,
             epoch: AtomicU64::new(0),
             handovers: AtomicU64::new(0),
-            subs: Mutex::new(SubscriptionRegistry::new()),
+            sub_queue_depth: subs.queue_depth(),
+            subs: Mutex::new(subs),
             started: Instant::now(),
         })
     }
@@ -617,7 +621,17 @@ impl ActorServer {
 
     /// Drains up to `max` rate-limit-eligible deltas queued for `client`,
     /// priority first (handover > expiry > join), FIFO within a class.
+    ///
+    /// Every serve-loop iteration of every connection calls this, so with
+    /// nothing queued for anyone it returns without the `subs` mutex or a
+    /// clock read. `Relaxed` suffices for that gate: the deltas themselves
+    /// are only read under the mutex, and the count was raised under it
+    /// before the churn op that queued them returned, which is before its
+    /// reply (and so any later fencing request) exists.
     pub fn drain_deltas(&self, client: u64, max: usize, out: &mut Vec<NeighborDelta>) {
+        if self.sub_queue_depth.get() == 0 {
+            return;
+        }
         let now = self.sub_now_ms();
         self.subs
             .lock()

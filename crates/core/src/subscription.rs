@@ -568,6 +568,14 @@ impl SubscriptionRegistry {
         }
     }
 
+    /// The live count of undrained pending deltas, summed over every
+    /// client. It is raised before the registry call that queued a delta
+    /// returns, so a host that serializes the registry behind a lock can
+    /// read this first and skip the lock (and [`Self::drain`]) at zero.
+    pub fn queue_depth(&self) -> Arc<Gauge> {
+        self.counters.queue_depth.clone()
+    }
+
     /// Counter snapshot. Safe under a concurrent scrape: every field is
     /// one atomic read, and `queue_depth` saturates rather than
     /// underflowing, so the snapshot never shows an inverted pair.

@@ -89,6 +89,12 @@ impl BytesMut {
         }
     }
 
+    /// Drops every byte, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.data.clear();
+        self.head = 0;
+    }
+
     /// Appends a slice.
     pub fn extend_from_slice(&mut self, src: &[u8]) {
         self.data.extend_from_slice(src);
@@ -287,6 +293,16 @@ mod tests {
             "backing store kept {} bytes",
             b.data.len()
         );
+    }
+
+    #[test]
+    fn clear_drops_read_and_unread_bytes() {
+        let mut b = BytesMut::from(&[1, 2, 3, 4][..]);
+        b.advance(1);
+        b.clear();
+        assert!(b.is_empty());
+        b.put_u8(9);
+        assert_eq!(&b[..], &[9]);
     }
 
     #[test]
