@@ -1,23 +1,19 @@
 //! Churn throughput: a W3 join/leave/fail trace replayed onto the
-//! directory through the three churn paths — one facade call per event,
-//! per-epoch batches, or per-epoch batches absorbed shard-parallel.
+//! directory in per-epoch batches.
 //!
 //! Measures the directory-maintenance cost of churn (lease opens,
 //! renewals piggybacked on the register path, heartbeat rounds, batched
 //! departures and epoch-bucketed expiry sweeps), the workload the
-//! slab-backed lease arena targets. All three paths produce identical
-//! directory state (`tests/determinism.rs`); the headline numbers live in
-//! `BENCH_churn.json` at the repository root.
+//! slab-backed lease arena targets.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use nearpeer_bench::experiments::churn::{run_soak, ChurnReplayMode, ChurnSoakConfig};
+use nearpeer_bench::experiments::churn::{run_soak, ChurnSoakConfig};
 
-fn soak_config(peers: usize, mode: ChurnReplayMode) -> ChurnSoakConfig {
+fn soak_config(peers: usize) -> ChurnSoakConfig {
     ChurnSoakConfig {
         peers,
         cycles: 2, // cycle 2 rejoins departed peers: the renewal path
         arrival_rate: peers as f64 / 20.0,
-        mode,
         ..ChurnSoakConfig::smoke()
     }
 }
@@ -26,16 +22,10 @@ fn bench_churn_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("churn_throughput");
     group.sample_size(10);
     for &peers in &[2_000usize, 10_000] {
-        for (name, mode) in [
-            ("sequential", ChurnReplayMode::Sequential),
-            ("batched", ChurnReplayMode::Batched),
-            ("shard_parallel", ChurnReplayMode::ShardParallel),
-        ] {
-            let cfg = soak_config(peers, mode);
-            group.bench_with_input(BenchmarkId::new(name, peers), &cfg, |b, cfg| {
-                b.iter(|| run_soak(cfg, 7));
-            });
-        }
+        let cfg = soak_config(peers);
+        group.bench_with_input(BenchmarkId::new("batched", peers), &cfg, |b, cfg| {
+            b.iter(|| run_soak(cfg, 7));
+        });
     }
     group.finish();
 }

@@ -1,13 +1,10 @@
-//! Join throughput: sequential `register` loop vs `register_batch` vs
-//! shard-parallel construction over the directory shards.
+//! Join throughput: sequential `register` loop vs `register_batch`.
 //!
 //! Measures the server-side cost of absorbing a whole swarm of newcomers
 //! (synthetic tree-consistent paths across several landmarks, no tracing),
-//! the workload the directory sharding refactor targets. The headline
-//! numbers live in `BENCH_join.json` at the repository root.
+//! the workload the directory sharding refactor targets.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
-use nearpeer_bench::register_shard_parallel;
 use nearpeer_core::{ManagementServer, PeerId, PeerPath, ServerConfig};
 use nearpeer_topology::RouterId;
 
@@ -46,7 +43,7 @@ fn joins(n: usize) -> Vec<(PeerId, PeerPath)> {
     (0..n as u64).map(synthetic_join).collect()
 }
 
-/// The pre-refactor protocol: one register (insert + answer) per newcomer.
+/// The paper's protocol: one register (insert + answer) per newcomer.
 fn build_sequential(batch: Vec<(PeerId, PeerPath)>) -> ManagementServer {
     let mut server = fresh_server();
     for (peer, path) in batch {
@@ -65,15 +62,6 @@ fn build_batched(batch: Vec<(PeerId, PeerPath)>) -> ManagementServer {
     server
 }
 
-/// Shard-parallel: one scoped thread per landmark shard for the inserts,
-/// then concurrent `&self` join answers — the swarm builder's
-/// [`register_shard_parallel`] path.
-fn build_parallel(batch: Vec<(PeerId, PeerPath)>) -> ManagementServer {
-    let mut server = fresh_server();
-    register_shard_parallel(&mut server, batch).expect("unique synthetic ids");
-    server
-}
-
 fn bench_join_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("join_throughput");
     group.sample_size(10);
@@ -85,7 +73,6 @@ fn bench_join_throughput(c: &mut Criterion) {
                 build_sequential as fn(Vec<(PeerId, PeerPath)>) -> ManagementServer,
             ),
             ("batched", build_batched),
-            ("shard_parallel", build_parallel),
         ] {
             group.bench_with_input(BenchmarkId::new(name, n), &n, |b, _| {
                 b.iter_batched(|| batch.clone(), build, BatchSize::LargeInput);

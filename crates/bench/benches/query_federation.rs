@@ -5,8 +5,7 @@
 //! index, the 4-region federation answers through the routing front door
 //! — home region plus bridge-ranked foreign regions, with the
 //! cross-region fill riding the global landmark distance matrix. A
-//! fanout-limited variant shows the recall/fan-out trade. Headline
-//! numbers live in `BENCH_federation.json` at the repository root.
+//! fanout-limited variant shows the recall/fan-out trade.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nearpeer_bench::{FederatedSwarm, SyntheticJoins};

@@ -1,16 +1,12 @@
 //! Round-1 trace throughput: sequential vs parallel tracing through the
-//! shared route oracle, default (one destination tree per trace) vs
-//! `exact_hop_rtts` (one tree per distinct intermediate router) pricing.
+//! shared route oracle.
 //!
 //! Measures the full round-1 pipeline of a swarm build — landmark-tree
 //! arena precompute, closest-landmark selection, then every peer's
 //! simulated traceroute — the phase that dominated `scale_smoke` before the
 //! oracle became shareable. `sequential` forces one worker;
 //! `parallel` uses `available_parallelism` workers over peer chunks (on a
-//! single-core host the two coincide). The `exact-*` rows run the same
-//! pipeline with `TraceConfig::exact_hop_rtts`, which is what *every* trace
-//! cost before the annotated-route path existed — see `BENCH_trace.json`
-//! for recorded numbers and the host they came from.
+//! single-core host the two coincide).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nearpeer_bench::trace_round1;
@@ -25,21 +21,9 @@ const SEED: u64 = 42;
 
 /// One cold round 1: arena precompute + landmark selection + all traces.
 /// Returns the traced hop total so the work cannot be optimised away.
-fn round1(
-    topo: &Topology,
-    landmarks: &[RouterId],
-    peers: &[RouterId],
-    threads: usize,
-    exact_hop_rtts: bool,
-) -> usize {
+fn round1(topo: &Topology, landmarks: &[RouterId], peers: &[RouterId], threads: usize) -> usize {
     let oracle = RouteOracle::with_destinations(topo, landmarks);
-    let tracer = Tracer::new(
-        &oracle,
-        TraceConfig {
-            exact_hop_rtts,
-            ..TraceConfig::default()
-        },
-    );
+    let tracer = Tracer::new(&oracle, TraceConfig::default());
     let jobs: Vec<(RouterId, RouterId)> = peers
         .iter()
         .map(|&attach| {
@@ -72,14 +56,9 @@ fn bench_trace_throughput(c: &mut Criterion) {
     group.sample_size(10);
     for &n in &[1_000usize, 10_000] {
         let peers = &access[..n];
-        for (name, threads, exact) in [
-            ("sequential", 1usize, false),
-            ("parallel", auto, false),
-            ("exact-sequential", 1usize, true),
-            ("exact-parallel", auto, true),
-        ] {
+        for (name, threads) in [("sequential", 1usize), ("parallel", auto)] {
             group.bench_with_input(BenchmarkId::new(name, n), &n, |b, _| {
-                b.iter(|| round1(&topo, &landmarks, peers, threads, exact));
+                b.iter(|| round1(&topo, &landmarks, peers, threads));
             });
         }
     }

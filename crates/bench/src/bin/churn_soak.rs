@@ -1,7 +1,7 @@
 //! Churn soak: replay a W3 join/leave/fail trace at 10⁵–10⁶ peers through
 //! the directory's batched lease path — slab-backed lease arenas, renewal
 //! piggybacked on `register_batch_renewing`, `leave_batch` departures and
-//! epoch-bucketed `expire_stale_batch` sweeps — and report sustained
+//! epoch-bucketed `expire_stale` sweeps — and report sustained
 //! events/sec.
 //!
 //! This is the CI guard for the million-peer churn refactor: if lease
@@ -14,20 +14,17 @@
 //!
 //! ```sh
 //! cargo run --release -p nearpeer-bench --bin churn_soak -- \
-//!     [--peers N] [--events N] [--mode seq|batch|parallel] \
-//!     [--expire-every K] [--sweep-expiry] [--budget-secs S] [--seed S]
+//!     [--peers N] [--events N] [--expire-every K] [--sweep-expiry] \
+//!     [--adaptive] [--budget-secs S] [--seed S]
 //! ```
 
-use nearpeer_bench::experiments::churn::{
-    run_soak, ChurnReplayMode, ChurnSoakConfig, ChurnSoakResult,
-};
+use nearpeer_bench::experiments::churn::{run_soak, ChurnSoakConfig, ChurnSoakResult};
 use nearpeer_core::AdaptiveLeaseConfig;
 use std::time::Instant;
 
 struct Args {
     peers: usize,
     events: u64,
-    mode: ChurnReplayMode,
     expire_every: u64,
     sweep_expiry: bool,
     adaptive: bool,
@@ -39,7 +36,6 @@ fn parse_args() -> Result<Args, String> {
     let mut out = Args {
         peers: 100_000,
         events: 200_000,
-        mode: ChurnReplayMode::Batched,
         expire_every: 4,
         sweep_expiry: false,
         adaptive: false,
@@ -57,14 +53,6 @@ fn parse_args() -> Result<Args, String> {
             "--events" => {
                 let v = value("--events")?;
                 out.events = v.parse().map_err(|_| format!("bad --events value {v}"))?;
-            }
-            "--mode" => {
-                out.mode = match value("--mode")?.as_str() {
-                    "seq" | "sequential" => ChurnReplayMode::Sequential,
-                    "batch" | "batched" => ChurnReplayMode::Batched,
-                    "parallel" | "shard-parallel" => ChurnReplayMode::ShardParallel,
-                    other => return Err(format!("unknown --mode {other}")),
-                };
             }
             "--expire-every" => {
                 let v = value("--expire-every")?;
@@ -89,9 +77,8 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 return Err(
-                    "usage: [--peers N] [--events N] [--mode seq|batch|parallel] \
-                            [--expire-every K] [--sweep-expiry] [--adaptive] \
-                            [--budget-secs S] [--seed S]"
+                    "usage: [--peers N] [--events N] [--expire-every K] [--sweep-expiry] \
+                            [--adaptive] [--budget-secs S] [--seed S]"
                         .into(),
                 )
             }
@@ -113,7 +100,6 @@ fn config_for(args: &Args) -> ChurnSoakConfig {
         // steady-state share of live peers is scale-independent.
         arrival_rate: (args.peers as f64 / 100.0).max(10.0),
         expire_every: args.expire_every,
-        mode: args.mode,
         ..ChurnSoakConfig::smoke()
     };
     if args.adaptive {
@@ -130,22 +116,13 @@ fn config_for(args: &Args) -> ChurnSoakConfig {
     cfg
 }
 
-fn mode_name(mode: ChurnReplayMode) -> &'static str {
-    match mode {
-        ChurnReplayMode::Sequential => "sequential",
-        ChurnReplayMode::Batched => "batched",
-        ChurnReplayMode::ShardParallel => "shard-parallel",
-    }
-}
-
 fn print_result(r: &ChurnSoakResult) {
     let c = r.counters;
     println!(
-        "churn_soak: {} peers x {} cycle(s), {} mode, expire every {} epochs: \
+        "churn_soak: {} peers x {} cycle(s), expire every {} epochs: \
          {} events in {:.2}s = {:.0} events/sec",
         r.config.peers,
         r.config.cycles,
-        mode_name(r.config.mode),
         r.config.expire_every,
         c.events,
         r.elapsed_secs,

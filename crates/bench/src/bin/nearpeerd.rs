@@ -5,7 +5,8 @@
 //! one thread per connection runs a frame-reassembly loop and feeds
 //! decoded messages to the shared [`nearpeer_core::WireService`]. The
 //! world is the synthetic landmark layout (`--landmarks N` routers, all
-//! 4 hops apart), matching what `wire_loadgen` mirrors locally.
+//! 4 hops apart), matching what [`nearpeer_bench::wire::Mirror`] models
+//! for the `crates/perf` load generator.
 //!
 //! Transport rules (see [`nearpeer_bench::wire::serve_connection`]):
 //! partial reads reassemble; a malformed frame is skipped (the codec
@@ -46,7 +47,7 @@ struct Args {
 }
 
 impl Args {
-    fn parse() -> Result<Self, String> {
+    fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut out = Self {
             listen: "127.0.0.1:4700".into(),
             landmarks: 8,
@@ -57,7 +58,7 @@ impl Args {
             slow_query_us: 0,
             no_timing: false,
         };
-        let mut iter = std::env::args().skip(1);
+        let mut iter = args.into_iter();
         while let Some(arg) = iter.next() {
             let mut value = |flag: &str| iter.next().ok_or(format!("{flag} needs a value"));
             match arg.as_str() {
@@ -111,7 +112,7 @@ impl Args {
 }
 
 fn main() {
-    let args = match Args::parse() {
+    let args = match Args::parse(std::env::args().skip(1)) {
         Ok(args) => args,
         Err(msg) => {
             eprintln!("{msg}");
@@ -177,13 +178,28 @@ fn main() {
         }
     }
     let mut handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
+    let mut accept_failing = false;
     for stream in listener.incoming() {
         if shutdown.load(Ordering::Acquire) {
             break;
         }
         let stream = match stream {
-            Ok(s) => s,
-            Err(_) => continue,
+            Ok(s) => {
+                accept_failing = false;
+                s
+            }
+            Err(e) => {
+                // Out of descriptors (one thread and one socket per
+                // connection makes EMFILE reachable), `accept` fails at
+                // once on every call: back off instead of spinning, and
+                // say so once per burst.
+                if !accept_failing {
+                    accept_failing = true;
+                    eprintln!("nearpeerd: accept failed ({e}); retrying every 50 ms");
+                }
+                std::thread::sleep(Duration::from_millis(50));
+                continue;
+            }
         };
         // Keep only live connections: a long-running daemon must not hold
         // one handle per connection it ever accepted.
@@ -202,4 +218,42 @@ fn main() {
         let _ = handle.join();
     }
     eprintln!("nearpeerd: drained, exiting");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Args;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        Args::parse(line.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn every_flag_parses_and_bad_shapes_are_refused() {
+        let d = parse("").unwrap();
+        assert_eq!((d.landmarks, d.regions, d.neighbor_count), (8, 1, 5));
+        assert_eq!((d.idle_secs, d.stats_every, d.slow_query_us), (300, 0, 0));
+        assert!(!d.no_timing);
+
+        let a = parse(
+            "--listen 127.0.0.1:0 --landmarks 8 --regions 4 --neighbor-count 7 \
+             --idle-secs 0 --stats-every 10 --slow-query-us 10000 --no-timing",
+        )
+        .unwrap();
+        assert_eq!(a.listen, "127.0.0.1:0");
+        assert_eq!((a.landmarks, a.regions, a.neighbor_count), (8, 4, 7));
+        assert_eq!(
+            (a.idle_secs, a.stats_every, a.slow_query_us),
+            (0, 10, 10_000)
+        );
+        assert!(a.no_timing);
+
+        let err = |line: &str| parse(line).err().expect("must be refused");
+        assert!(err("--landmarks 2 --regions 3").contains("cannot exceed"));
+        assert!(err("--regions 0").contains(">= 1"));
+        assert!(err("--stats-every").contains("needs a value"));
+        assert!(err("--slow-query-us fast").contains("bad --slow-query-us"));
+        assert!(err("--idle-secs -1").contains("bad --idle-secs"));
+        assert!(err("--wat").contains("unknown argument"));
+    }
 }

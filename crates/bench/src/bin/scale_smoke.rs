@@ -1,25 +1,24 @@
 //! Scale smoke test: build a 10k-peer swarm — parallel round-1 tracing
-//! through the shared route oracle, then the batched, shard-parallel
-//! directory path — inside a wall-clock budget.
+//! through the shared route oracle, then one batched registration —
+//! inside a wall-clock budget.
 //!
-//! This is the CI guard for the scaling refactors: if shard-parallel
-//! construction or parallel tracing regresses (accidental serialisation,
+//! This is the CI guard for the scaling refactors: if batched
+//! registration or parallel tracing regresses (accidental serialisation,
 //! quadratic descent, lost batching), the budget blows and CI goes red. The
 //! trace-phase vs register-phase wall-clock split is printed so a regression
 //! report says *which* round slowed down, and the oracle's tree accounting
-//! is both printed and asserted: the default trace path must build
-//! O(landmarks) trees — `lazy_trees_built == 0` — and the trace phase must
-//! fit its own (generous) wall-clock budget. Run it in release mode; the
-//! budgets catch order-of-magnitude regressions, not noise. Both parallel
-//! paths degrade gracefully to their sequential equivalents on a
-//! single-core runner.
+//! is both printed and asserted: tracing must build O(landmarks) trees —
+//! `lazy_trees_built == 0` — and the trace phase must fit its own
+//! (generous) wall-clock budget. Run it in release mode; the budgets catch
+//! order-of-magnitude regressions, not noise. Parallel tracing degrades
+//! gracefully to the sequential loop on a single-core runner.
 //!
 //! ```sh
 //! cargo run --release -p nearpeer-bench --bin scale_smoke -- \
 //!     [--peers N] [--budget-secs S] [--trace-budget-secs S] [--trace-threads T]
 //! ```
 
-use nearpeer_bench::{oracle_stats_line, BuildStrategy, Swarm, SwarmConfig};
+use nearpeer_bench::{oracle_stats_line, Swarm, SwarmConfig};
 use nearpeer_topology::generators::{mapper, MapperConfig};
 use std::time::Instant;
 
@@ -99,7 +98,6 @@ fn main() {
     let config = SwarmConfig {
         n_peers: args.peers,
         n_landmarks: 8,
-        build: BuildStrategy::ShardParallel,
         trace_threads: args.trace_threads,
         ..SwarmConfig::default()
     };
@@ -115,7 +113,7 @@ fn main() {
 
     let report = swarm.server.report();
     println!(
-        "scale_smoke: topology {} routers in {:.2?}, {}-peer swarm built shard-parallel in {:.2?}",
+        "scale_smoke: topology {} routers in {:.2?}, {}-peer swarm built in {:.2?}",
         topo.n_routers(),
         topo_elapsed,
         swarm.peers.len(),
@@ -155,12 +153,12 @@ fn main() {
         );
         std::process::exit(1);
     }
-    // The default trace path prices every hop off the landmark arena: a
+    // Tracing prices every hop off the landmark arena: a
     // single lazily built tree means someone reintroduced a per-hop (or
     // otherwise off-arena) oracle call into round 1.
     if swarm.phases.oracle.lazy_trees_built != 0 {
         eprintln!(
-            "scale_smoke: default trace path built {} lazy trees (expected 0 — \
+            "scale_smoke: tracing built {} lazy trees (expected 0 — \
              round 1 must run out of the O(landmarks) arena)",
             swarm.phases.oracle.lazy_trees_built
         );
@@ -179,7 +177,7 @@ fn main() {
     let total = t0.elapsed();
     if total.as_secs() > args.budget_secs {
         eprintln!(
-            "scale_smoke: took {:.2?}, budget {}s — shard-parallel construction regressed",
+            "scale_smoke: took {:.2?}, budget {}s — swarm construction regressed",
             total, args.budget_secs
         );
         std::process::exit(1);

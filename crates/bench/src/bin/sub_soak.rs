@@ -1,6 +1,6 @@
 //! Subscription soak: sustain standing "watch my k nearest" queries over
 //! a replayed churn trace, verifying every pushed delta against a
-//! re-polled answer, and write `BENCH_subs.json`.
+//! re-polled answer, and write `target/experiments/subs/result.json`.
 //!
 //! Two phases run back to back on the in-process [`ManagementServer`]:
 //! the **soak** (drain every window, parity-check every delta, measure
@@ -178,7 +178,7 @@ fn check_storm(r: &SubSoakResult) -> Result<(), String> {
     Ok(())
 }
 
-/// The `BENCH_subs.json` shape: both phases side by side.
+/// The `result.json` shape: both phases side by side.
 #[derive(Serialize)]
 struct Manifest {
     soak: SubSoakResult,
@@ -231,9 +231,9 @@ fn main() {
                 storm,
                 total_secs: total.as_secs_f64(),
             };
-            match writer.write_json("BENCH_subs.json", &manifest) {
+            match writer.write_json("result.json", &manifest) {
                 Ok(path) => println!("sub_soak: wrote {}", path.display()),
-                Err(e) => eprintln!("sub_soak: cannot write BENCH_subs.json: {e}"),
+                Err(e) => eprintln!("sub_soak: cannot write result.json: {e}"),
             }
         }
         Err(e) => eprintln!("sub_soak: cannot open output dir: {e}"),

@@ -17,7 +17,7 @@ use nearpeer_probe::{TraceConfig, Tracer};
 use nearpeer_routing::{bfs_distances, RouteOracle};
 use nearpeer_topology::generators::{mapper, MapperConfig};
 use nearpeer_topology::RouterId;
-use nearpeer_workloads::{ArrivalProcess, ChurnConfig, ChurnEventKind, ChurnTrace};
+use nearpeer_workloads::{ArrivalProcess, ChurnConfig, ChurnEvent, ChurnEventKind, ChurnTrace};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -300,33 +300,16 @@ pub fn run(config: &ChurnStudyConfig, seed: u64) -> ChurnStudyResult {
     }
 }
 
-// --- Million-peer churn soak (the batched/shard-parallel lease path). ---
+// --- Million-peer churn soak (the batched lease path). ---
 
-use crate::swarm::{
-    auto_build_threads, churn_epoch_shard_parallel, expire_stale_shard_parallel,
-    renew_shard_parallel, SyntheticJoins,
-};
+use crate::swarm::SyntheticJoins;
 use nearpeer_core::SweepStats;
 use std::time::Instant;
 
-/// How churn events are fed to the directory during a soak replay. All
-/// three paths produce **identical directory state and counters** for the
-/// same trace seed (`tests/determinism.rs` pins this).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ChurnReplayMode {
-    /// One facade call per event — the deployed protocol's shape.
-    Sequential,
-    /// One `register_batch_renewing` + one `leave_batch` call per epoch
-    /// window; expiry via `expire_stale_batch`.
-    Batched,
-    /// Per-epoch batches absorbed by each landmark shard on its own
-    /// crossbeam scoped thread (adaptive: degenerates to `Batched` on
-    /// single-core hosts).
-    ShardParallel,
-}
-
 /// Soak parameters: a W3 churn trace replayed onto a synthetic swarm at
-/// populations where simulated tracing is prohibitive.
+/// populations where simulated tracing is prohibitive. Every epoch window
+/// reaches the directory as one `register_batch_renewing`, one
+/// `leave_batch` and one `renew_batch` call.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ChurnSoakConfig {
     /// Peers per trace cycle.
@@ -356,11 +339,6 @@ pub struct ChurnSoakConfig {
     /// `renew_batch`). Must be < `max_age`, or live peers' leases lapse
     /// between heartbeats.
     pub heartbeat_every: u64,
-    /// Replay mode.
-    pub mode: ChurnReplayMode,
-    /// Worker threads for [`ChurnReplayMode::ShardParallel`]; `None` picks
-    /// `available_parallelism`.
-    pub threads: Option<usize>,
     /// Adaptive lease lengths for the directory (per-peer `max_age` from
     /// the session EWMA, capped to the configured band); `None` = the
     /// uniform `max_age` lease.
@@ -368,7 +346,7 @@ pub struct ChurnSoakConfig {
 }
 
 impl ChurnSoakConfig {
-    /// The CI smoke shape: 10⁵ peers, one cycle, batched.
+    /// The CI smoke shape: 10⁵ peers, one cycle.
     pub fn smoke() -> Self {
         Self {
             peers: 100_000,
@@ -381,8 +359,6 @@ impl ChurnSoakConfig {
             expire_every: 4,
             max_age: 8,
             heartbeat_every: 4,
-            mode: ChurnReplayMode::Batched,
-            threads: None,
             adaptive: None,
         }
     }
@@ -400,16 +376,13 @@ impl ChurnSoakConfig {
             expire_every: 3,
             max_age: 5,
             heartbeat_every: 2,
-            mode: ChurnReplayMode::Batched,
-            threads: None,
             adaptive: None,
         }
     }
 }
 
 /// Event dispositions accumulated over a soak replay. Deterministic per
-/// `(config-minus-mode, seed)`: all three replay modes produce the same
-/// numbers.
+/// `(config, seed)`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ChurnSoakCounters {
     /// Fresh registrations (lease opened).
@@ -459,11 +432,79 @@ pub struct ChurnSoakResult {
     pub sweep_buckets: u64,
 }
 
+/// Feeds one epoch window to the directory: the window's trace events,
+/// then the heartbeat round of `beats`.
+type ApplyEpoch =
+    fn(&mut ManagementServer, &SyntheticJoins, &[ChurnEvent], &[PeerId], &mut ChurnSoakCounters);
+
+/// One `register_batch_renewing`, one `leave_batch` and one `renew_batch`
+/// call per epoch window.
+fn apply_batched(
+    server: &mut ManagementServer,
+    gen: &SyntheticJoins,
+    events: &[ChurnEvent],
+    beats: &[PeerId],
+    counters: &mut ChurnSoakCounters,
+) {
+    let mut joins: Vec<(PeerId, PeerPath)> = Vec::new();
+    let mut leave_ids: Vec<PeerId> = Vec::new();
+    for ev in events {
+        match ev.kind {
+            ChurnEventKind::Join => joins.push(gen.join(ev.peer as u64)),
+            ChurnEventKind::Leave => leave_ids.push(PeerId(ev.peer as u64)),
+            ChurnEventKind::Fail => counters.fails += 1,
+        }
+    }
+    let out = server.register_batch_renewing(joins);
+    counters.joins += out.joined as u64;
+    counters.renewals += out.renewed as u64;
+    counters.rejected += out.rejected as u64;
+    counters.leaves += server.leave_batch(&leave_ids) as u64;
+    counters.heartbeats += server.renew_batch(beats) as u64;
+}
+
+/// One facade call per event and per heartbeat — the deployed protocol's
+/// shape.
+fn apply_per_event(
+    server: &mut ManagementServer,
+    gen: &SyntheticJoins,
+    events: &[ChurnEvent],
+    beats: &[PeerId],
+    counters: &mut ChurnSoakCounters,
+) {
+    for ev in events {
+        apply_batched(server, gen, std::slice::from_ref(ev), &[], counters);
+    }
+    for beat in beats {
+        apply_batched(server, gen, &[], std::slice::from_ref(beat), counters);
+    }
+}
+
 /// Runs a churn soak and also hands back the populated server, so callers
-/// (the determinism suite) can compare directory state across modes.
+/// (the determinism suite) can inspect the directory state it leaves.
 pub fn run_soak_with_server(
     cfg: &ChurnSoakConfig,
     seed: u64,
+) -> (ChurnSoakResult, ManagementServer) {
+    replay(cfg, seed, apply_batched)
+}
+
+/// The reference the batched replay is checked against: the same trace,
+/// heartbeat rounds and sweeps, with every event and heartbeat its own
+/// facade call. `tests/determinism.rs` asserts both leave identical
+/// directories; no binary replays this way.
+#[doc(hidden)]
+pub fn run_soak_per_event_reference(
+    cfg: &ChurnSoakConfig,
+    seed: u64,
+) -> (ChurnSoakResult, ManagementServer) {
+    replay(cfg, seed, apply_per_event)
+}
+
+fn replay(
+    cfg: &ChurnSoakConfig,
+    seed: u64,
+    apply: ApplyEpoch,
 ) -> (ChurnSoakResult, ManagementServer) {
     let gen = SyntheticJoins::new(cfg.n_landmarks);
     let mut server = gen.server(ServerConfig {
@@ -484,7 +525,6 @@ pub fn run_soak_with_server(
         seed,
     );
     let width = (trace.span_us() / cfg.epochs_per_cycle.max(1) as u64).max(1);
-    let threads = cfg.threads.unwrap_or_else(auto_build_threads);
     assert!(cfg.expire_every >= 1, "expiry cadence must be >= 1 epoch");
     assert!(
         cfg.heartbeat_every >= 1 && cfg.heartbeat_every < cfg.max_age,
@@ -492,10 +532,9 @@ pub fn run_soak_with_server(
     );
     let mut counters = ChurnSoakCounters::default();
     let mut peak = 0usize;
-    // Heartbeat bookkeeping, driven by the trace alone (identical across
-    // replay modes): which peers are nominally alive, and one stride
-    // group per heartbeat phase so each epoch renews ~1/stride of the
-    // population.
+    // Heartbeat bookkeeping, driven by the trace alone: which peers are
+    // nominally alive, and one stride group per heartbeat phase so each
+    // epoch renews ~1/stride of the population.
     let mut alive = vec![false; cfg.peers];
     let mut grouped = vec![false; cfg.peers];
     let mut groups: Vec<Vec<usize>> = (0..cfg.heartbeat_every).map(|_| Vec::new()).collect();
@@ -517,76 +556,18 @@ pub fn run_soak_with_server(
                     ChurnEventKind::Leave | ChurnEventKind::Fail => alive[ev.peer] = false,
                 }
             }
-            match cfg.mode {
-                ChurnReplayMode::Sequential => {
-                    for ev in events {
-                        let peer = PeerId(ev.peer as u64);
-                        match ev.kind {
-                            ChurnEventKind::Join => {
-                                let out =
-                                    server.register_batch_renewing(vec![gen.join(ev.peer as u64)]);
-                                counters.joins += out.joined as u64;
-                                counters.renewals += out.renewed as u64;
-                                counters.rejected += out.rejected as u64;
-                            }
-                            ChurnEventKind::Leave => {
-                                counters.leaves += server.leave_batch(&[peer]) as u64;
-                            }
-                            ChurnEventKind::Fail => counters.fails += 1,
-                        }
-                    }
-                }
-                ChurnReplayMode::Batched | ChurnReplayMode::ShardParallel => {
-                    let mut joins: Vec<(PeerId, PeerPath)> = Vec::new();
-                    let mut leave_ids: Vec<PeerId> = Vec::new();
-                    for ev in events {
-                        match ev.kind {
-                            ChurnEventKind::Join => joins.push(gen.join(ev.peer as u64)),
-                            ChurnEventKind::Leave => leave_ids.push(PeerId(ev.peer as u64)),
-                            ChurnEventKind::Fail => counters.fails += 1,
-                        }
-                    }
-                    let (out, left) = if cfg.mode == ChurnReplayMode::Batched {
-                        let out = server.register_batch_renewing(joins);
-                        let left = server.leave_batch(&leave_ids);
-                        (out, left)
-                    } else {
-                        churn_epoch_shard_parallel(&mut server, joins, &leave_ids, threads)
-                            .expect("synthetic ids are landmark-stable")
-                    };
-                    counters.joins += out.joined as u64;
-                    counters.renewals += out.renewed as u64;
-                    counters.rejected += out.rejected as u64;
-                    counters.leaves += left as u64;
-                }
-            }
-            // Heartbeat round: this epoch's stride group of live peers
-            // renews (before the sweep — a peer checking in this epoch
-            // must not be expired by it).
+            // This epoch's stride group of live peers heartbeats after
+            // the events and before the sweep — a peer checking in this
+            // epoch must not be expired by it.
             let phase = (counters.epochs % cfg.heartbeat_every) as usize;
             let beats: Vec<PeerId> = groups[phase]
                 .iter()
                 .filter(|&&p| alive[p])
                 .map(|&p| PeerId(p as u64))
                 .collect();
-            counters.heartbeats += match cfg.mode {
-                ChurnReplayMode::Sequential => beats
-                    .iter()
-                    .map(|&p| server.renew_batch(&[p]))
-                    .sum::<usize>(),
-                ChurnReplayMode::Batched => server.renew_batch(&beats),
-                ChurnReplayMode::ShardParallel => {
-                    renew_shard_parallel(&mut server, &beats, threads)
-                }
-            } as u64;
+            apply(&mut server, &gen, events, &beats, &mut counters);
             if counters.epochs % cfg.expire_every == 0 {
-                let expired = match cfg.mode {
-                    ChurnReplayMode::ShardParallel => {
-                        expire_stale_shard_parallel(&mut server, cfg.max_age, threads)
-                    }
-                    _ => server.expire_stale_batch(cfg.max_age),
-                };
-                counters.expired += expired.len() as u64;
+                counters.expired += server.expire_stale(cfg.max_age).len() as u64;
             }
             peak = peak.max(server.peer_count());
         }
@@ -689,18 +670,11 @@ mod tests {
 
     #[test]
     fn soak_modes_agree_at_small_scale() {
-        let mut cfg = ChurnSoakConfig::quick();
+        let cfg = ChurnSoakConfig::quick();
         let base = run_soak(&cfg, 3);
-        cfg.mode = ChurnReplayMode::Sequential;
-        let seq = run_soak(&cfg, 3);
-        cfg.mode = ChurnReplayMode::ShardParallel;
-        cfg.threads = Some(3);
-        let par = run_soak(&cfg, 3);
+        let (seq, _) = run_soak_per_event_reference(&cfg, 3);
         assert_eq!(seq.counters, base.counters);
-        assert_eq!(par.counters, base.counters);
         assert_eq!(seq.final_population, base.final_population);
-        assert_eq!(par.final_population, base.final_population);
         assert_eq!(seq.peak_population, base.peak_population);
-        assert_eq!(par.peak_population, base.peak_population);
     }
 }

@@ -136,7 +136,7 @@ impl DeltaLatency {
     }
 }
 
-/// Soak output, written to `BENCH_subs.json` by the `sub_soak` binary.
+/// Soak output, written to `result.json` by the `sub_soak` binary.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SubSoakResult {
     /// Configuration used.
@@ -275,7 +275,7 @@ pub fn run_sub_soak(cfg: &SubSoakConfig, seed: u64) -> SubSoakResult {
             server.renew_batch(&sub_ids);
         }
         if epochs % cfg.expire_every == 0 {
-            server.expire_stale_batch(cfg.max_age);
+            server.expire_stale(cfg.max_age);
         }
         if !cfg.storm {
             server.set_sub_clock_ms((idx + 1) * width / 1_000);

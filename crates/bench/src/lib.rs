@@ -18,7 +18,7 @@
 //! | —  | `churn_soak` | 10⁵–10⁶-peer churn replay through the batched lease path |
 //! | —  | `federation_soak` | N-region churn + mobility replay through the federation front door |
 //! | —  | `sub_soak` | standing-subscription soak: delta parity, latency CDF, coalescing under storms |
-//! | —  | `sub_loadgen` | wire-level subscription client: SubAck/DeltaPush parity against `nearpeerd` |
+//! | —  | `nearpeerd` | the wire daemon (`wire`); its load generator and oracle live in `crates/perf` |
 //!
 //! Binaries print the paper-style table, an ASCII rendition of the figure,
 //! and write CSV + a JSON manifest under `target/experiments/<name>/`
@@ -40,8 +40,6 @@ pub use federation::{synthetic_federation, synthetic_move_landmark, FederatedSwa
 pub use output::ExperimentWriter;
 pub use runner::run_parallel;
 pub use swarm::{
-    churn_epoch_shard_parallel, expire_stale_shard_parallel, oracle_stats_line,
-    register_shard_parallel, registry_stats_line, renew_shard_parallel, subs_stats_line,
-    sweep_trace_threads, trace_round1, BuildPhases, BuildStrategy, Swarm, SwarmConfig,
-    SyntheticJoins,
+    oracle_stats_line, registry_stats_line, subs_stats_line, sweep_trace_threads, trace_round1,
+    BuildPhases, Swarm, SwarmConfig, SyntheticJoins,
 };

@@ -12,10 +12,11 @@
 //!   ([`RouteOracle::with_destinations`]). Every peer's trace seeds its own
 //!   RNG (`seed ^ i·0x9E37_79B9`), so the traced paths and probe costs are
 //!   bit-identical to a sequential run — `tests/determinism.rs` pins this.
-//! * **Round 2 (registration)** supports three [`BuildStrategy`]s over the
-//!   same traced paths — one join at a time (the paper's protocol), one
-//!   batched call, or shard-parallel (crossbeam scoped threads, one per
-//!   landmark shard) — all producing identical directory state.
+//! * **Round 2 (registration)** is one
+//!   [`ManagementServer::register_batch`] call over the traced paths:
+//!   inserts grouped by landmark, every join answered against the full
+//!   swarm. The directory state equals what one `register` per peer (the
+//!   paper's protocol) leaves behind — pinned in `nearpeer-core`.
 
 use nearpeer_core::landmarks::{place_landmarks, PlacementPolicy};
 use nearpeer_core::{
@@ -30,24 +31,6 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
-
-/// How the traced paths are fed into the management server.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BuildStrategy {
-    /// One `register` call per peer, as the deployed protocol would: each
-    /// join is answered against the population registered so far.
-    Sequential,
-    /// One `register_batch` call: inserts grouped by landmark (amortised
-    /// tree descent), answers computed against the full swarm.
-    Batched,
-    /// Shard-parallel: every landmark's shard inserts its own batch on a
-    /// crossbeam scoped thread, then join answers are computed by
-    /// concurrent `&self` queries. The default — it is the layering this
-    /// refactor exists for, and produces the same directory state as the
-    /// other two.
-    #[default]
-    ShardParallel,
-}
 
 /// Swarm-building parameters.
 #[derive(Debug, Clone)]
@@ -64,11 +47,6 @@ pub struct SwarmConfig {
     pub trace: TraceConfig,
     /// Enables the server's cross-landmark fallback.
     pub cross_landmark_fallback: bool,
-    /// Registration strategy. Round-1 tracing is parallel either way (the
-    /// shared route oracle is the ground truth, and per-peer trace seeds
-    /// make the results independent of thread count); this only picks how
-    /// the traced paths are fed to the server.
-    pub build: BuildStrategy,
     /// Worker threads for round-1 tracing; `None` picks
     /// `available_parallelism` (falling back to sequential tracing on
     /// single-core hosts). `Some(1)` forces the sequential path — the
@@ -85,7 +63,6 @@ impl Default for SwarmConfig {
             neighbor_count: 5,
             trace: TraceConfig::default(),
             cross_landmark_fallback: true,
-            build: BuildStrategy::default(),
             trace_threads: None,
         }
     }
@@ -249,29 +226,15 @@ impl<'t> Swarm<'t> {
         );
 
         // Round 2: feed the paths to the server.
-        match config.build {
-            BuildStrategy::Sequential => {
-                for (peer, path) in joins {
-                    server
-                        .register(peer, path)
-                        .map_err(|e| format!("register {peer}: {e}"))?;
-                }
-            }
-            BuildStrategy::Batched => {
-                for (result, &peer) in server.register_batch(joins).iter().zip(&peers) {
-                    result
-                        .as_ref()
-                        .map_err(|e| format!("register {peer}: {e}"))?;
-                }
-            }
-            BuildStrategy::ShardParallel => {
-                register_shard_parallel(&mut server, joins)?;
-            }
+        for (result, &peer) in server.register_batch(joins).iter().zip(&peers) {
+            result
+                .as_ref()
+                .map_err(|e| format!("register {peer}: {e}"))?;
         }
-        // The default trace path reads everything off the landmark arena;
-        // only `exact_hop_rtts` (or ad-hoc callers) populate the lazy
-        // cache, and that cache is both capped and dropped here — keep
-        // only the landmark arena on the stored oracle.
+        // Tracing reads everything off the landmark arena; only ad-hoc
+        // lookups populate the lazy cache, and that cache is both capped
+        // and dropped here — keep only the landmark arena on the stored
+        // oracle.
         let oracle_stats = oracle.stats();
         oracle.discard_lazy_trees();
         Ok(Self {
@@ -368,12 +331,11 @@ pub fn subs_stats_line(stats: &SubscriptionStats) -> String {
     })
 }
 
-/// Worker count for the adaptive build paths (round-1 tracing when
-/// [`SwarmConfig::trace_threads`] is unset, and shard-parallel
-/// registration): one per core, degenerating to the sequential/batched
-/// path on single-core hosts — where scoped threads would only add spawn
+/// Worker count for round-1 tracing when [`SwarmConfig::trace_threads`]
+/// is unset: one per core, degenerating to the sequential path on
+/// single-core hosts — where scoped threads would only add spawn
 /// overhead — and, conservatively, when `available_parallelism` errors.
-pub(crate) fn auto_build_threads() -> usize {
+fn auto_build_threads() -> usize {
     std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1)
@@ -428,9 +390,8 @@ pub fn trace_round1(
             })
             .collect();
     }
-    // Contiguous chunks, like the register-phase query workers: a trace is
-    // tens of microseconds, so per-item dispatch through a channel would
-    // dominate the traces themselves.
+    // Contiguous chunks: a trace is tens of microseconds, so per-item
+    // dispatch through a channel would dominate the traces themselves.
     let chunk = jobs.len().div_ceil(threads.min(jobs.len()));
     let mut results: Vec<Option<TraceResult>> = vec![None; jobs.len()];
     crossbeam::thread::scope(|scope| {
@@ -461,73 +422,6 @@ pub fn trace_round1(
     results
 }
 
-/// Registers a batch of joins shard-parallel: group by landmark, insert
-/// each group on its own crossbeam scoped thread (disjoint
-/// [`nearpeer_core::DirectoryShard`]s share nothing), then compute one join
-/// answer per peer through the server's concurrent `&self` query path — so
-/// stats and answers match what the sequential protocol would have produced
-/// against the full swarm. Used by [`BuildStrategy::ShardParallel`] and the
-/// `join_throughput` bench.
-pub fn register_shard_parallel(
-    server: &mut ManagementServer,
-    joins: Vec<(PeerId, PeerPath)>,
-) -> Result<(), String> {
-    let threads = auto_build_threads();
-    if threads <= 1 {
-        // Single-core host: scoped threads would only add spawn overhead.
-        // The batched path produces identical directory state and stats
-        // (one insert and one answered query per peer).
-        for result in server.register_batch(joins) {
-            result.map_err(|e| e.to_string())?;
-        }
-        return Ok(());
-    }
-    let epoch = server.epoch();
-    let n = joins.len();
-    let mut groups: Vec<Vec<(PeerId, PeerPath)>> =
-        (0..server.landmarks().len()).map(|_| Vec::new()).collect();
-    let mut query_order: Vec<PeerId> = Vec::with_capacity(n);
-    for (peer, path) in joins {
-        let lm = server
-            .landmark_at_router(path.landmark_router())
-            .ok_or_else(|| format!("{peer} traced to a non-landmark router"))?;
-        query_order.push(peer);
-        groups[lm.index()].push((peer, path));
-    }
-    let inserted: usize = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = server
-            .shards_mut()
-            .iter_mut()
-            .zip(groups)
-            .map(|(shard, items)| scope.spawn(move |_| shard.insert_batch(items, epoch)))
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).sum()
-    })
-    .expect("scoped shard builders never panic");
-    if inserted != n {
-        return Err(format!(
-            "shard-parallel build inserted {inserted} of {n} peers (duplicate ids?)"
-        ));
-    }
-    let k = server.config().neighbor_count;
-    let server = &*server;
-    // Contiguous chunks instead of a work queue: each answer is
-    // microseconds, so per-item dispatch would dominate the queries.
-    let chunk = query_order.len().div_ceil(threads).max(1);
-    crossbeam::thread::scope(|scope| {
-        for slice in query_order.chunks(chunk) {
-            scope.spawn(move |_| {
-                for &peer in slice {
-                    let _answered = server.neighbors_of(peer, k).is_ok();
-                    debug_assert!(_answered, "{peer} was inserted above");
-                }
-            });
-        }
-    })
-    .expect("query workers never panic");
-    Ok(())
-}
-
 /// Synthetic tree-consistent join generator for populations where the
 /// simulated round-1 traceroutes are prohibitive (the churn soak's
 /// 10⁵–10⁶ peers; tracing runs at ~10³ peers/s on one core).
@@ -537,8 +431,8 @@ pub fn register_shard_parallel(
 /// tree, interning and the router index realistically), each peer gets a
 /// unique access router, and distinct landmarks never collide. A peer's
 /// landmark and path are **pure functions of its id** — a peer that
-/// leaves and rejoins re-traces to the same landmark, which is what makes
-/// the shard-parallel churn path's per-landmark grouping safe.
+/// leaves and rejoins re-traces to the same landmark, so a rejoin before
+/// expiry renews the lease instead of being refused as a handover.
 #[derive(Debug, Clone, Copy)]
 pub struct SyntheticJoins {
     n_landmarks: u32,
@@ -623,136 +517,6 @@ impl SyntheticJoins {
             .collect();
         ManagementServer::new(routers, dist, config)
     }
-}
-
-/// Applies one epoch's churn batch **shard-parallel**: join/renewal items
-/// are grouped by landmark and absorbed by each shard on its own crossbeam
-/// scoped thread ([`nearpeer_core::DirectoryShard::absorb_batch`] — fresh
-/// peers insert, registered peers renew their lease at `epoch`), and every
-/// shard thread also removes its own members from the shared `leaves`
-/// list. Returns the summed per-shard outcome plus the leave count.
-///
-/// Like [`ManagementServer::shards_mut`] itself, this bypasses the
-/// facade's cross-shard checks: **callers must guarantee a peer id never
-/// targets two different landmarks** (true for [`SyntheticJoins`], where
-/// the landmark is a pure function of the id) and that super-peers are
-/// disabled. `threads <= 1` degenerates to the facade's batched calls,
-/// which produce identical directory state.
-pub fn churn_epoch_shard_parallel(
-    server: &mut ManagementServer,
-    joins: Vec<(PeerId, PeerPath)>,
-    leaves: &[PeerId],
-    threads: usize,
-) -> Result<(nearpeer_core::ChurnBatchOutcome, usize), String> {
-    debug_assert!(
-        server.super_peer_directory().is_none(),
-        "shard-parallel churn bypasses super-peer maintenance"
-    );
-    if threads <= 1 {
-        let absorbed = server.register_batch_renewing(joins);
-        let left = server.leave_batch(leaves);
-        return Ok((absorbed, left));
-    }
-    let epoch = server.epoch();
-    let mut groups: Vec<Vec<(PeerId, PeerPath)>> =
-        (0..server.landmarks().len()).map(|_| Vec::new()).collect();
-    let mut rejected = 0usize;
-    for (peer, path) in joins {
-        match server.landmark_at_router(path.landmark_router()) {
-            Some(lm) => groups[lm.index()].push((peer, path)),
-            None => rejected += 1,
-        }
-    }
-    let (absorbed, left) = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = server
-            .shards_mut()
-            .iter_mut()
-            .zip(groups)
-            .map(|(shard, items)| {
-                scope.spawn(move |_| {
-                    let absorbed = shard.absorb_batch(items, epoch);
-                    let left = shard.remove_batch(leaves).len();
-                    (absorbed, left)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).fold(
-            (nearpeer_core::ChurnBatchOutcome::default(), 0usize),
-            |(mut acc, left_acc), (a, left)| {
-                acc.joined += a.joined;
-                acc.renewed += a.renewed;
-                acc.rejected += a.rejected;
-                (acc, left_acc + left)
-            },
-        )
-    })
-    .expect("scoped churn workers never panic");
-    Ok((
-        nearpeer_core::ChurnBatchOutcome {
-            joined: absorbed.joined,
-            renewed: absorbed.renewed,
-            rejected: absorbed.rejected + rejected,
-        },
-        left,
-    ))
-}
-
-/// Shard-parallel heartbeat round: every shard renews its own members of
-/// `peers` at the current epoch on its own scoped thread. Returns the
-/// number renewed — the same observable as
-/// [`ManagementServer::renew_batch`]. Same caller contract as
-/// [`churn_epoch_shard_parallel`].
-pub fn renew_shard_parallel(
-    server: &mut ManagementServer,
-    peers: &[PeerId],
-    threads: usize,
-) -> usize {
-    if threads <= 1 {
-        return server.renew_batch(peers);
-    }
-    let epoch = server.epoch();
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = server
-            .shards_mut()
-            .iter_mut()
-            .map(|shard| scope.spawn(move |_| shard.renew_batch(peers, epoch)))
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).sum()
-    })
-    .expect("scoped renewal workers never panic")
-}
-
-/// Shard-parallel lease expiry: every shard sweeps its epoch-bucketed
-/// arena on its own scoped thread; results merge into one ascending id
-/// list — the same observable as
-/// [`ManagementServer::expire_stale_batch`]. Same caller contract as
-/// [`churn_epoch_shard_parallel`] (no super-peers).
-pub fn expire_stale_shard_parallel(
-    server: &mut ManagementServer,
-    max_age: u64,
-    threads: usize,
-) -> Vec<PeerId> {
-    debug_assert!(server.super_peer_directory().is_none());
-    if threads <= 1 {
-        return server.expire_stale_batch(max_age);
-    }
-    let now = server.epoch();
-    let mut expired: Vec<PeerId> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = server
-            .shards_mut()
-            .iter_mut()
-            // expire_epoch (not the raw cutoff sweep) so per-shard
-            // adaptive lease lengths behave identically to the facade.
-            .map(|shard| scope.spawn(move |_| shard.expire_epoch(now, max_age).expired))
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap())
-            .collect()
-    })
-    .expect("scoped expiry workers never panic");
-    expired.sort_unstable();
-    expired
 }
 
 #[cfg(test)]
@@ -891,73 +655,6 @@ mod tests {
         assert_eq!((again.joined, again.renewed), (0, 60));
         for i in 0..60u64 {
             assert_eq!(server.landmark_of(PeerId(i)), Some(gen.landmark_of(i)));
-        }
-    }
-
-    #[test]
-    fn shard_parallel_churn_epoch_matches_facade() {
-        let gen = SyntheticJoins::new(4);
-        let joins: Vec<_> = (0..120u64).map(|i| gen.join(i)).collect();
-        let leaves: Vec<PeerId> = (0..40u64).map(PeerId).collect();
-
-        let mut facade = gen.server(ServerConfig::default());
-        let fa = facade.register_batch_renewing(joins.clone());
-        let fl = facade.leave_batch(&leaves);
-        facade.advance_epoch();
-        for _ in 0..3 {
-            facade.advance_epoch();
-        }
-        let fe = facade.expire_stale_batch(2);
-
-        for threads in [2, 5] {
-            let mut par = gen.server(ServerConfig::default());
-            let (pa, pl) = churn_epoch_shard_parallel(&mut par, joins.clone(), &leaves, threads)
-                .expect("synthetic ids are landmark-stable");
-            assert_eq!(pa, fa, "threads={threads}");
-            assert_eq!(pl, fl);
-            for _ in 0..4 {
-                par.advance_epoch();
-            }
-            let pe = expire_stale_shard_parallel(&mut par, 2, threads);
-            assert_eq!(pe, fe);
-            assert_eq!(par.peer_count(), facade.peer_count());
-            assert_eq!(par.report().per_landmark, facade.report().per_landmark);
-        }
-    }
-
-    #[test]
-    fn build_strategies_produce_identical_directories() {
-        let topo = tiny_topo();
-        let build = |strategy: BuildStrategy| {
-            let cfg = SwarmConfig {
-                n_peers: 50,
-                n_landmarks: 3,
-                build: strategy,
-                ..Default::default()
-            };
-            Swarm::build(&topo, &cfg, 7).unwrap()
-        };
-        let seq = build(BuildStrategy::Sequential);
-        let bat = build(BuildStrategy::Batched);
-        let par = build(BuildStrategy::ShardParallel);
-        // Snapshot before the comparison queries below bump the counters.
-        let s = seq.server.report();
-        for other in [&bat, &par] {
-            assert_eq!(other.landmarks, seq.landmarks);
-            assert_eq!(other.attachment, seq.attachment);
-            let o = other.server.report();
-            assert_eq!(o.peers, s.peers);
-            assert_eq!(o.indexed_routers, s.indexed_routers);
-            assert_eq!(o.per_landmark, s.per_landmark, "same trees per shard");
-            assert_eq!(o.stats.joins, s.stats.joins);
-            assert_eq!(o.stats.queries, s.stats.queries, "one answer per join");
-            for &peer in &seq.peers {
-                assert_eq!(
-                    other.server.neighbors_of(peer, 5).unwrap(),
-                    seq.server.neighbors_of(peer, 5).unwrap(),
-                    "{peer}"
-                );
-            }
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Shared plumbing for the wire binaries (`nearpeerd`, `wire_loadgen`).
+//! Shared plumbing for the wire binaries (`nearpeerd`, `crates/perf`).
 //!
 //! Both sides of the socket rebuild the same deterministic world from
 //! `(n_landmarks, regions)` — the [`SyntheticJoins`] landmark layout
@@ -577,6 +577,7 @@ fn queue_pushes(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nearpeer_core::telemetry::find_metric;
     use nearpeer_core::LandmarkId;
     use std::net::TcpListener;
 
@@ -657,17 +658,20 @@ mod tests {
         (conn, shutdown, handle)
     }
 
+    /// The server's telemetry registry, scraped over the connection.
+    fn scrape(conn: &mut FrameConn) -> String {
+        conn.send(&Message::StatsRequest { nonce: 0 }).unwrap();
+        match conn.recv().unwrap() {
+            Some(Message::StatsReply { text, .. }) => text,
+            other => panic!("expected StatsReply, got {other:?}"),
+        }
+    }
+
     /// `wire_writes_total` as the server's own scrape reports it: every
     /// write this connection's serve loop finished before it rendered the
     /// reply, so not the write that carries the `StatsReply` itself.
     fn scrape_writes(conn: &mut FrameConn) -> u64 {
-        conn.send(&Message::StatsRequest { nonce: 0 }).unwrap();
-        match conn.recv().unwrap() {
-            Some(Message::StatsReply { text, .. }) => {
-                nearpeer_core::telemetry::find_metric(&text, "wire_writes_total").unwrap_or(0)
-            }
-            other => panic!("expected StatsReply, got {other:?}"),
-        }
+        find_metric(&scrape(conn), "wire_writes_total").unwrap_or(0)
     }
 
     /// Registers peers `0..n` one round trip at a time.
@@ -720,12 +724,21 @@ mod tests {
         for nonce in 0..N {
             expect_query_reply(&mut conn, nonce);
         }
+        let text = scrape(&mut conn);
         // Minus the write that carried the first scrape's reply.
-        let writes = scrape_writes(&mut conn) - before - 1;
+        let writes = find_metric(&text, "wire_writes_total").unwrap() - before - 1;
         assert!(
             (1..N).contains(&writes),
             "{N} pipelined replies took {writes} writes"
         );
+        // The same scrape accounts for every reply the client verified,
+        // and the serve loop timed them.
+        assert_eq!(
+            find_metric(&text, "wire_frames_total{kind=\"query-request\"}"),
+            Some(N)
+        );
+        let timed = find_metric(&text, "wire_serve_us_count{kind=\"query-request\"}");
+        assert!(timed > Some(0), "serve histogram is empty: {timed:?}");
         drop(conn);
         server.join().unwrap();
     }

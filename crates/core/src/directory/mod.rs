@@ -19,8 +19,8 @@
 //! genuinely cross-landmark state (bridge distances, super-peer regions,
 //! aggregate counters) to itself. Batched joins
 //! ([`crate::ManagementServer::register_batch`]) group newcomers by
-//! landmark and amortise the tree descent; disjoint shards can be built
-//! from different threads via [`crate::ManagementServer::shards_mut`].
+//! landmark and amortise the tree descent; [`crate::runtime::ActorServer`]
+//! gives every shard its own mailbox thread.
 
 mod adaptive;
 mod lease_arena;

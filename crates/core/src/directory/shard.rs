@@ -46,7 +46,7 @@ pub struct ShardAbsorb {
 /// one contiguous allocation with epoch-bucketed expiry (was three per-peer
 /// `HashMap`s before the churn refactor). Shards never reference each
 /// other, so distinct shards can be **mutated from different threads**
-/// (`&mut` access via [`crate::ManagementServer::shards_mut`]) and
+/// (one mailbox thread per shard in [`crate::runtime::ActorServer`]) and
 /// **queried concurrently** (every read takes `&self`). Cross-landmark
 /// concerns — neighbor-list merging, bridge-estimate fills, super-peer
 /// regions — live in the [`crate::ManagementServer`] facade.
@@ -224,7 +224,7 @@ impl DirectoryShard {
 
     /// Shard peers last seen strictly before `cutoff` — read-only
     /// diagnostic (O(peers) slab scan). The expiring path is
-    /// [`Self::expire_stale_batch`], whose epoch-bucketed sweep is linear
+    /// [`Self::expire_before`], whose epoch-bucketed sweep is linear
     /// in the lease activity being retired instead.
     pub fn stale_peers(&self, cutoff: u64) -> Vec<PeerId> {
         self.leases.stale(cutoff)
@@ -520,17 +520,17 @@ impl DirectoryShard {
     /// Uniform-lease semantics — adaptive TTLs and forwarding tombstones
     /// are served by [`Self::expire_epoch`] (this method still retires
     /// lapsed tombstones, silently).
-    pub fn expire_stale_batch(&mut self, cutoff: u64) -> Vec<PeerId> {
+    pub fn expire_before(&mut self, cutoff: u64) -> Vec<PeerId> {
         let outcome = self.leases_sweep_uniform(cutoff);
         self.finish_sweep(outcome).expired
     }
 
     /// The epoch-bucketed expiry sweep at heartbeat epoch `now` with
-    /// default lease length `max_age` — the entry point the facade (and
-    /// the shard-parallel churn drivers) use:
+    /// default lease length `max_age` — the entry point the facade and
+    /// the shard actors use:
     ///
     /// * without adaptive leases this is exactly
-    ///   [`Self::expire_stale_batch`] at `cutoff = now - max_age`;
+    ///   [`Self::expire_before`] at `cutoff = now - max_age`;
     /// * with adaptive leases each peer expires at its **own** deadline
     ///   (`last_seen + derived ttl`, see [`AdaptiveLeaseConfig`]), with
     ///   `max_age` as the default for peers without history;
@@ -714,7 +714,7 @@ mod tests {
         s.insert(PeerId(1), path(&[4, 2, 1, 0]), 0).unwrap();
         s.insert(PeerId(2), path(&[5, 2, 1, 0]), 0).unwrap();
         s.heartbeat(PeerId(1), 4);
-        let expired = s.expire_stale_batch(3);
+        let expired = s.expire_before(3);
         assert_eq!(expired, vec![PeerId(2)]);
         assert_eq!(s.len(), 1);
         assert_eq!(s.tree().n_peers(), 1);
@@ -752,7 +752,7 @@ mod tests {
     }
 
     #[test]
-    fn expire_epoch_matches_expire_stale_batch_without_adaptive() {
+    fn expire_epoch_matches_expire_before_without_adaptive() {
         let build = || {
             let mut s = shard();
             s.insert(PeerId(1), path(&[4, 2, 1, 0]), 0).unwrap();
@@ -764,8 +764,8 @@ mod tests {
         let mut b = build();
         assert_eq!(
             a.expire_epoch(6, 3).expired,
-            b.expire_stale_batch(3),
-            "expire_epoch(now, max_age) == expire_stale_batch(now - max_age)"
+            b.expire_before(3),
+            "expire_epoch(now, max_age) == expire_before(now - max_age)"
         );
         assert_eq!(a.len(), b.len());
     }

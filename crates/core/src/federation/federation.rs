@@ -306,8 +306,8 @@ impl Federation {
         &self.regions[id.index()]
     }
 
-    /// Mutable access to one region (the `shards_mut` idiom one level up;
-    /// see [`Region::server_mut`] for the caller contract).
+    /// Mutable access to one region (see [`Region::server_mut`] for the
+    /// caller contract).
     pub fn region_mut(&mut self, id: RegionId) -> &mut Region {
         &mut self.regions[id.index()]
     }

@@ -59,7 +59,7 @@ impl Region {
     }
 
     /// Mutable access to the region's server, for **region-parallel
-    /// construction and replay** (the `shards_mut` idiom one level up):
+    /// construction and replay**:
     /// distinct regions share nothing, so builders may feed each region's
     /// batch directly. Callers take over the federation's cross-region
     /// invariant — a peer id registered in at most one region — for the

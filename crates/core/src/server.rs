@@ -24,8 +24,7 @@ use crate::telemetry::{Counter, Histogram, SlowQueryRecord, TelemetryRegistry};
 use nearpeer_routing::RouteOracle;
 use nearpeer_topology::{RouterId, Topology};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Server tuning.
@@ -212,8 +211,7 @@ struct QueryCounters {
 /// Concurrency contract: every read (`neighbors_of`, `closest_to_path`,
 /// `report`, the [`Self::index`] view) takes `&self`, so a populated server
 /// can be queried from any number of threads. Writes take `&mut self` and
-/// route to the owning shard; [`Self::shards_mut`] additionally exposes the
-/// shards themselves so disjoint shards can be *built* in parallel.
+/// route to the owning shard.
 pub struct ManagementServer {
     config: ServerConfig,
     landmark_routers: Vec<RouterId>,
@@ -222,11 +220,9 @@ pub struct ManagementServer {
     landmark_dist: Vec<Vec<u32>>,
     shards: Vec<DirectoryShard>,
     /// Facade-level peer→shard map: one hash probe per lookup instead of
-    /// one per shard. The facade's own write methods keep it coherent;
-    /// [`Self::shards_mut`] marks it dirty and the next lookup rebuilds it
-    /// from the shards (interior-mutable so lookups stay `&self`).
-    peer_shard: RwLock<HashMap<PeerId, u32>>,
-    peer_shard_dirty: AtomicBool,
+    /// one per shard. Every write path (and [`Self::recover`]) keeps it
+    /// equal to the shards' membership; nothing else can write a shard.
+    peer_shard: HashMap<PeerId, u32>,
     super_peers: Option<SuperPeerDirectory>,
     counters: QueryCounters,
     handovers: u64,
@@ -283,8 +279,7 @@ impl ManagementServer {
             landmark_by_router,
             landmark_dist,
             shards,
-            peer_shard: RwLock::new(HashMap::new()),
-            peer_shard_dirty: AtomicBool::new(false),
+            peer_shard: HashMap::new(),
             counters: QueryCounters::default(),
             handovers: 0,
             landmark_routers,
@@ -400,22 +395,6 @@ impl ManagementServer {
         &self.shards
     }
 
-    /// Mutable access to the per-landmark shards, for **shard-parallel
-    /// construction**: distinct shards share nothing, so disjoint `&mut`
-    /// slices of this can be handed to scoped threads, each inserting its
-    /// own landmark's batch (see `nearpeer-bench`'s swarm builder).
-    ///
-    /// The facade's own write methods keep cross-shard invariants (a peer
-    /// id registered in at most one shard); callers of this API take over
-    /// that responsibility for the peers they insert. Join/leave stats stay
-    /// correct automatically (they are derived from shard counters), and
-    /// the facade's peer→shard map is marked stale here and rebuilt from
-    /// the shards on the next lookup.
-    pub fn shards_mut(&mut self) -> &mut [DirectoryShard] {
-        *self.peer_shard_dirty.get_mut() = true;
-        &mut self.shards
-    }
-
     /// The landmark a peer registered under.
     pub fn landmark_of(&self, peer: PeerId) -> Option<LandmarkId> {
         self.shard_idx_of(peer).map(|i| LandmarkId(i as u32))
@@ -443,47 +422,8 @@ impl ManagementServer {
     }
 
     /// One hash probe per lookup against the facade-level peer→shard map.
-    /// (Historically this probed every shard — O(#shards) — because a
-    /// facade map would desynchronise under [`Self::shards_mut`] parallel
-    /// construction; the map now survives that by going stale there and
-    /// lazily rebuilding from the shards, which stay the ground truth.)
     fn shard_idx_of(&self, peer: PeerId) -> Option<usize> {
-        if self.peer_shard_dirty.load(Ordering::Acquire) {
-            let mut map = self.peer_shard.write().expect("peer map poisoned");
-            // Double-checked: another reader may have rebuilt while this
-            // one waited on the write lock.
-            if self.peer_shard_dirty.load(Ordering::Acquire) {
-                map.clear();
-                for (i, shard) in self.shards.iter().enumerate() {
-                    for p in shard.peers() {
-                        map.insert(p, i as u32);
-                    }
-                }
-                self.peer_shard_dirty.store(false, Ordering::Release);
-            }
-            return map.get(&peer).map(|&i| i as usize);
-        }
-        self.peer_shard
-            .read()
-            .expect("peer map poisoned")
-            .get(&peer)
-            .map(|&i| i as usize)
-    }
-
-    /// Records `peer`'s shard in the facade map (write paths only).
-    fn map_insert(&mut self, peer: PeerId, shard: usize) {
-        self.peer_shard
-            .get_mut()
-            .expect("peer map poisoned")
-            .insert(peer, shard as u32);
-    }
-
-    /// Drops `peer` from the facade map (write paths only).
-    fn map_remove(&mut self, peer: PeerId) {
-        self.peer_shard
-            .get_mut()
-            .expect("peer map poisoned")
-            .remove(&peer);
+        self.peer_shard.get(&peer).map(|&i| i as usize)
     }
 
     fn landmark_for_path(&self, path: &PeerPath) -> Result<LandmarkId, CoreError> {
@@ -518,7 +458,7 @@ impl ManagementServer {
         }
         let epoch = self.epoch;
         self.shards[landmark.index()].insert(peer, path, epoch)?;
-        self.map_insert(peer, landmark.index());
+        self.peer_shard.insert(peer, landmark.index() as u32);
         let path = self.shards[landmark.index()]
             .path_of(peer)
             .expect("just inserted");
@@ -580,7 +520,7 @@ impl ManagementServer {
             }
         }
         for &(_, peer, landmark) in &accepted {
-            self.map_insert(peer, landmark.index());
+            self.peer_shard.insert(peer, landmark.index() as u32);
         }
         if let Some(dir) = self.super_peers.as_mut() {
             let shards = &self.shards;
@@ -621,7 +561,7 @@ impl ManagementServer {
             return Err(CoreError::UnknownPeer(peer));
         };
         self.shards[idx].remove(peer);
-        self.map_remove(peer);
+        self.peer_shard.remove(&peer);
         if let Some(dir) = self.super_peers.as_mut() {
             dir.on_deregister(peer);
         }
@@ -644,7 +584,7 @@ impl ManagementServer {
         };
         let epoch = self.epoch;
         self.shards[idx].remove_forwarding(peer, to_region, epoch);
-        self.map_remove(peer);
+        self.peer_shard.remove(&peer);
         if let Some(dir) = self.super_peers.as_mut() {
             dir.on_deregister(peer);
         }
@@ -692,39 +632,29 @@ impl ManagementServer {
     /// failed peers leave the directory (the staleness W3 measures without
     /// it). Expiries count as leaves.
     ///
-    /// Since the lease-arena refactor this *is* the batched sweep
-    /// ([`Self::expire_stale_batch`]): epoch buckets below the cutoff are
-    /// retired linearly instead of scanning every lease.
+    /// Every shard sweeps its epoch-bucketed lease arena once (cost linear
+    /// in the lease activity being retired, no per-peer full-map scans),
+    /// then the per-shard results merge into one list. With adaptive
+    /// leases on, each peer expires at its own derived deadline instead,
+    /// `max_age` being the default for history-less peers.
     pub fn expire_stale(&mut self, max_age: u64) -> Vec<PeerId> {
-        self.expire_stale_batch(max_age)
-    }
-
-    /// Batched expiry: every shard sweeps its epoch-bucketed lease arena
-    /// once (cost linear in the lease activity being retired, no per-peer
-    /// full-map scans), then the per-shard results merge into one
-    /// ascending id list. Semantically identical to the historical
-    /// `expire_stale` (with adaptive leases on, each peer expires at its
-    /// own derived deadline instead, `max_age` being the default for
-    /// history-less peers); expiries count as leaves.
-    pub fn expire_stale_batch(&mut self, max_age: u64) -> Vec<PeerId> {
         self.expire_stale_full(max_age).expired
     }
 
-    /// [`Self::expire_stale_batch`] with the federation-aware split: the
+    /// [`Self::expire_stale`] with the federation-aware split: the
     /// same sweep also retires forwarding tombstones whose retention
     /// (`max_age`) lapsed and reports them separately — those peers
     /// *moved* to another region's server, they did not fail.
     pub fn expire_stale_full(&mut self, max_age: u64) -> crate::directory::ShardSweep {
         let now = self.epoch;
         let mut out = crate::directory::ShardSweep::default();
-        let map = self.peer_shard.get_mut().expect("peer map poisoned");
         for shard in &mut self.shards {
             let sweep = shard.expire_epoch(now, max_age);
             for &peer in &sweep.expired {
-                map.remove(&peer);
+                self.peer_shard.remove(&peer);
             }
             for &(peer, _) in &sweep.moved {
-                map.remove(&peer);
+                self.peer_shard.remove(&peer);
             }
             out.expired.extend(sweep.expired);
             out.moved.extend(sweep.moved);
@@ -765,11 +695,10 @@ impl ManagementServer {
     /// leaves.
     pub fn leave_batch(&mut self, peers: &[PeerId]) -> usize {
         let mut all_removed: Vec<PeerId> = Vec::new();
-        let map = self.peer_shard.get_mut().expect("peer map poisoned");
         for shard in &mut self.shards {
             let removed = shard.remove_batch(peers);
             for &peer in &removed {
-                map.remove(&peer);
+                self.peer_shard.remove(&peer);
             }
             if let Some(dir) = self.super_peers.as_mut() {
                 for &peer in &removed {
@@ -834,7 +763,7 @@ impl ManagementServer {
             }
         }
         for &(peer, landmark) in &fresh {
-            self.map_insert(peer, landmark.index());
+            self.peer_shard.insert(peer, landmark.index() as u32);
         }
         if let Some(dir) = self.super_peers.as_mut() {
             let shards = &self.shards;
@@ -863,7 +792,7 @@ impl ManagementServer {
         // Not `deregister`: a relocation is no session end, so the
         // adaptive-lease EWMA must not absorb the dwell time.
         self.shards[idx].remove_moved(peer);
-        self.map_remove(peer);
+        self.peer_shard.remove(&peer);
         if let Some(dir) = self.super_peers.as_mut() {
             dir.on_deregister(peer);
         }
@@ -1246,6 +1175,7 @@ impl ManagementServer {
         }
         // Per-shard sections, validated against the landmark set.
         let mut shards = Vec::with_capacity(n);
+        let mut peer_shard = HashMap::new();
         for (i, &router) in landmark_routers.iter().enumerate() {
             let shard = DirectoryShard::persist_decode(&mut r, adaptive_leases)?;
             if shard.landmark() != LandmarkId(i as u32) || shard.tree().root() != router {
@@ -1254,6 +1184,7 @@ impl ManagementServer {
                 ))
                 .into());
             }
+            peer_shard.extend(shard.peers().map(|p| (p, i as u32)));
             shards.push(shard);
         }
         if r.remaining() != 0 {
@@ -1265,13 +1196,11 @@ impl ManagementServer {
         }
         let mut server = Self::new(landmark_routers, landmark_dist, config);
         server.shards = shards;
+        server.peer_shard = peer_shard;
         server.epoch = epoch;
         server.handovers = handovers;
         server.counters.queries.set(queries);
         server.counters.cross_landmark_fills.set(fills);
-        // The facade peer→shard map lazily rebuilds from the restored
-        // shards on the first lookup.
-        *server.peer_shard_dirty.get_mut() = true;
         let mut report = RecoveryReport {
             snapshot_bytes: snapshot.len(),
             ..RecoveryReport::default()
@@ -1809,57 +1738,14 @@ mod tests {
         }
     }
 
-    #[test]
-    fn shard_parallel_build_equals_sequential() {
-        let joins: Vec<(PeerId, PeerPath)> = (0..40u64)
-            .map(|i| {
-                let lm = i % 2;
-                let p = if lm == 0 {
-                    path(&[1000 + i as u32, 2 + (i % 3) as u32, 1, 0])
-                } else {
-                    path(&[1000 + i as u32, 105 + (i % 3) as u32, 101, 100])
-                };
-                (PeerId(i), p)
-            })
-            .collect();
-        let mut seq = two_landmark_server(ServerConfig::default());
-        for (p, path) in joins.clone() {
-            seq.register(p, path).unwrap();
-        }
-
-        let mut par = two_landmark_server(ServerConfig::default());
-        let epoch = par.epoch();
-        let mut groups: Vec<Vec<(PeerId, PeerPath)>> = vec![Vec::new(), Vec::new()];
-        for (p, path) in joins {
-            let lm = par.landmark_at_router(path.landmark_router()).unwrap();
-            groups[lm.index()].push((p, path));
-        }
-        std::thread::scope(|scope| {
-            for (shard, items) in par.shards_mut().iter_mut().zip(groups) {
-                scope.spawn(move || shard.insert_batch(items, epoch));
-            }
-        });
-        assert_eq!(par.peer_count(), seq.peer_count());
-        assert_eq!(par.stats().joins, seq.stats().joins);
-        for p in 0..40u64 {
-            assert_eq!(
-                par.neighbors_of(PeerId(p), 4).unwrap(),
-                seq.neighbors_of(PeerId(p), 4).unwrap(),
-                "peer {p}"
-            );
-        }
-        assert_eq!(
-            par.report().per_landmark,
-            seq.report().per_landmark,
-            "tree shapes must match"
-        );
-    }
-
     /// The facade peer→shard map must give the same answer as probing
-    /// every shard — after `shards_mut` parallel construction (which
-    /// bypasses the facade's write methods) and after every kind of churn.
+    /// every shard after every kind of churn, on a server built by the
+    /// write paths and on one returned by `recover` (which fills the map
+    /// from the decoded shards, then replays the journal through the same
+    /// write paths).
     #[test]
     fn peer_shard_map_agrees_with_probe() {
+        use crate::directory::persist::journal::append_op;
         fn probe(srv: &ManagementServer, p: PeerId) -> Option<usize> {
             srv.shards().iter().position(|s| s.contains(p))
         }
@@ -1875,25 +1761,16 @@ mod tests {
         }
 
         let mut srv = two_landmark_server(ServerConfig::default());
-        let epoch = srv.epoch();
-        let mut groups: Vec<Vec<(PeerId, PeerPath)>> = vec![Vec::new(), Vec::new()];
         for i in 0..40u64 {
-            let (lm, p) = if i % 2 == 0 {
-                (0, path(&[1000 + i as u32, 2, 1, 0]))
+            let p = if i % 2 == 0 {
+                path(&[1000 + i as u32, 2, 1, 0])
             } else {
-                (1, path(&[1000 + i as u32, 105, 101, 100]))
+                path(&[1000 + i as u32, 105, 101, 100])
             };
-            groups[lm].push((PeerId(i), p));
+            srv.register(PeerId(i), p).unwrap();
         }
-        std::thread::scope(|scope| {
-            for (shard, items) in srv.shards_mut().iter_mut().zip(groups) {
-                scope.spawn(move || shard.insert_batch(items, epoch));
-            }
-        });
-        // Lookups right after the parallel build see the rebuilt map.
         check(&srv, 0..50);
 
-        // Every churn path keeps the map coherent without a rebuild.
         srv.deregister(PeerId(0)).unwrap();
         srv.handover(PeerId(1), path(&[999, 2, 1, 0])).unwrap();
         srv.deregister_forwarding(PeerId(3), 7).unwrap();
@@ -1908,12 +1785,46 @@ mod tests {
             (PeerId(53), path(&[994, 2, 1, 0])),
             (PeerId(50), path(&[998, 2, 1, 0])), // renewal
         ]);
+        // Taken while most peers are still leased, so `recover` has a
+        // populated map to fill.
+        let snapshot = srv.snapshot_bytes().unwrap();
         for _ in 0..6 {
             srv.advance_epoch();
             srv.renew_batch(&[PeerId(5), PeerId(6)]);
         }
         srv.expire_stale(3);
         check(&srv, 0..60);
+
+        let mut journal = Vec::new();
+        for op in [
+            JournalOp::Handover {
+                peer: PeerId(7),
+                path: path(&[993, 2, 1, 0]),
+            },
+            JournalOp::DeregisterForwarding {
+                peer: PeerId(8),
+                to_region: 2,
+            },
+            JournalOp::LeaveBatch(vec![PeerId(9), PeerId(10)]),
+            JournalOp::AdvanceEpoch,
+            JournalOp::AdvanceEpoch,
+            JournalOp::RenewBatch((5..30).map(PeerId).collect()),
+            JournalOp::ExpireStale { max_age: 1 },
+        ] {
+            append_op(&mut journal, &op);
+        }
+        let (mut back, _) = ManagementServer::recover(&snapshot, &journal).unwrap();
+        assert_eq!(back.landmark_of(PeerId(7)), Some(LandmarkId(0)));
+        assert_eq!(back.peer_count(), 22, "5..30 minus 8, 9 and 10");
+        check(&back, 0..60);
+        // And the recovered server keeps the map through further churn.
+        back.handover(PeerId(11), path(&[991, 2, 1, 0])).unwrap();
+        back.advance_epoch();
+        back.advance_epoch();
+        back.renew_batch(&[PeerId(11)]);
+        back.expire_stale(1);
+        assert_eq!(back.peer_count(), 1);
+        check(&back, 0..60);
     }
 
     #[test]

@@ -332,7 +332,6 @@ enum Op {
     RenewBatch(Vec<u8>),
     AdvanceEpoch,
     ExpireStale { max_age: u8 },
-    ExpireStaleBatch { max_age: u8 },
     Query { peer: u8, k: u8 },
 }
 
@@ -367,9 +366,6 @@ fn arb_op() -> impl Strategy<Value = Op> {
             .prop_map(|ps| Op::RenewBatch(ps.into_iter().map(|p| p % 24).collect())),
         Just(Op::AdvanceEpoch),
         any::<u8>().prop_map(|max_age| Op::ExpireStale {
-            max_age: max_age % 6
-        }),
-        any::<u8>().prop_map(|max_age| Op::ExpireStaleBatch {
             max_age: max_age % 6
         }),
         (any::<u8>(), 1u8..8).prop_map(|(peer, k)| Op::Query { peer: peer % 24, k }),
@@ -487,12 +483,6 @@ proptest! {
                 Op::ExpireStale { max_age } => {
                     prop_assert_eq!(
                         server.expire_stale(max_age as u64),
-                        reference.expire_stale(max_age as u64)
-                    );
-                }
-                Op::ExpireStaleBatch { max_age } => {
-                    prop_assert_eq!(
-                        server.expire_stale_batch(max_age as u64),
                         reference.expire_stale(max_age as u64)
                     );
                 }

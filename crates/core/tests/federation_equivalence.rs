@@ -226,7 +226,7 @@ proptest! {
                 }
                 Op::Expire { max_age } => {
                     let sweep = fed.expire_stale(max_age as u64);
-                    let want = single.expire_stale_batch(max_age as u64);
+                    let want = single.expire_stale(max_age as u64);
                     prop_assert_eq!(sweep.expired_ids(), want, "silent expiries");
                     // A swept tombstone and a silent expiry for the same
                     // peer may coexist (move, then fail later in the new

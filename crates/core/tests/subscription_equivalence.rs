@@ -69,7 +69,7 @@ enum Op {
     LeaveBatch(Vec<u8>),
     Handover(JoinSpec),
     AdvanceEpoch,
-    ExpireStaleBatch {
+    ExpireStale {
         max_age: u8,
     },
     Subscribe {
@@ -110,7 +110,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
             .prop_map(|ps| Op::LeaveBatch(ps.into_iter().map(|p| p % 24).collect())),
         arb_spec().prop_map(Op::Handover),
         Just(Op::AdvanceEpoch),
-        any::<u8>().prop_map(|max_age| Op::ExpireStaleBatch {
+        any::<u8>().prop_map(|max_age| Op::ExpireStale {
             max_age: max_age % 4
         }),
         (any::<u8>(), 1u8..6).prop_map(|(peer, k)| Op::Subscribe { peer: peer % 24, k }),
@@ -183,8 +183,8 @@ proptest! {
                 Op::AdvanceEpoch => {
                     server.advance_epoch();
                 }
-                Op::ExpireStaleBatch { max_age } => {
-                    server.expire_stale_batch(max_age as u64);
+                Op::ExpireStale { max_age } => {
+                    server.expire_stale(max_age as u64);
                 }
                 Op::Subscribe { peer, k } => {
                     let peer = PeerId(peer as u64);

@@ -14,9 +14,10 @@
 //!   newcomers trace concurrently through one shared tracer with results
 //!   bit-identical to a sequential run. A trace prices every TTL off the
 //!   **one** tree rooted at its destination
-//!   (`RouteOracle::route_annotated`); the hop-rooted per-hop-tree model
-//!   survives behind [`TraceConfig::exact_hop_rtts`]. Bulk callers reuse
-//!   [`TraceScratch`] buffers via [`Tracer::trace_with_scratch`];
+//!   (`RouteOracle::route_annotated`), so a 10k-peer round 1 builds
+//!   O(landmarks) trees instead of one per distinct intermediate router.
+//!   Bulk callers reuse [`TraceScratch`] buffers via
+//!   [`Tracer::trace_with_scratch`];
 //! * per-probe cost accounting (probes sent, elapsed time) so the
 //!   setup-delay experiments can compare against coordinate systems;
 //! * fault injection: anonymous routers (no ICMP reply) and probe loss with

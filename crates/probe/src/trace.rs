@@ -23,22 +23,6 @@ pub struct TraceConfig {
     /// Fixed per-probe processing overhead added to the wire RTT, in
     /// microseconds (packet construction, ICMP generation).
     pub per_probe_overhead_us: u64,
-    /// Price each hop's RTT through a shortest-path tree **rooted at the
-    /// hop** (`RouteOracle::rtt_us(source, hop)`) instead of off the
-    /// destination tree's latency prefix.
-    ///
-    /// Off by default: the default path reads the whole trace — routers
-    /// *and* RTTs — from the one tree rooted at the destination
-    /// (`RouteOracle::route_annotated`), so a 10k-peer round 1 builds
-    /// O(landmarks) trees instead of one per distinct intermediate router.
-    /// The two modes agree on the router sequence, reachability, and the
-    /// destination's RTT always, and on every hop RTT whenever hop-shortest
-    /// paths are unique; under equal-hop-count ties the hop-rooted tree may
-    /// pick an equally short path with a *different latency* than the
-    /// route's own prefix. Turn this on only when per-hop RTTs must match
-    /// the hop-rooted model exactly (it rebuilds the lazy-tree cost the
-    /// default path exists to avoid).
-    pub exact_hop_rtts: bool,
 }
 
 impl Default for TraceConfig {
@@ -49,7 +33,6 @@ impl Default for TraceConfig {
             loss_probability: 0.0,
             anonymous_probability: 0.0,
             per_probe_overhead_us: 200,
-            exact_hop_rtts: false,
         }
     }
 }
@@ -208,16 +191,13 @@ impl<'o, 't> Tracer<'o, 't> {
             let router = hop.router;
             let is_dst = router == destination;
             // RTT to the hop: twice the one-way latency prefix along the
-            // route — already carried by the annotated hop. The exact mode
-            // re-derives it from a tree rooted at the hop instead (see
-            // `TraceConfig::exact_hop_rtts` for when the two differ).
-            let hop_rtt = if self.config.exact_hop_rtts {
-                self.oracle
-                    .rtt_us(source, router)
-                    .expect("hop on a connected route")
-            } else {
-                hop.prefix_latency_us * 2
-            };
+            // route — already carried by the annotated hop. Whenever
+            // hop-shortest paths are unique this equals
+            // `RouteOracle::rtt_us(source, router)` from a tree rooted at
+            // the hop (`tests/trace_properties.rs`); under equal-hop-count
+            // ties that tree may pick an equally short path with a
+            // different latency than the route's own prefix.
+            let hop_rtt = hop.prefix_latency_us * 2;
             let mut answered = false;
             for _ in 0..self.config.probes_per_hop.max(1) {
                 probes_sent += 1;

@@ -16,7 +16,7 @@
 //!   RTT estimates (used by the traceroute simulation and the coordinate
 //!   baselines). The oracle is `Send + Sync`: an eager arena of trees for
 //!   the destinations known up front (landmarks) plus a lock-striped,
-//!   hard-capped lazy cache ([`OracleConfig`]), so a whole swarm's round-1
+//!   hard-capped lazy cache, so a whole swarm's round-1
 //!   traceroutes run concurrently against one shared oracle with
 //!   bit-identical results to a sequential run. [`OracleStats`] counts the
 //!   trees actually built.
@@ -37,7 +37,7 @@ mod oracle;
 mod spt;
 
 pub use bfs::{bfs_distances, bfs_distances_bounded, hop_distance, multi_source_bfs};
-pub use oracle::{OracleConfig, OracleStats, RouteOracle};
+pub use oracle::{OracleStats, RouteOracle};
 pub use spt::{
     shortest_path_tree, shortest_path_tree_with_scratch, CsrGraph, RouteHop, ShortestPathTree,
     SptMetric, SptScratch,

@@ -16,32 +16,18 @@ const LAZY_STRIPES: usize = 16;
 /// not pin `threads` × three n-entry arrays forever.
 const SCRATCH_POOL_CAP: usize = 8;
 
-/// Tuning for a [`RouteOracle`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OracleConfig {
-    /// Hard cap on lazily memoised destination trees (the eager arena is
-    /// exempt — its destinations were asked for by name). At the cap a
-    /// second-chance (clock) sweep evicts a tree not consulted since the
-    /// hand last passed, so hot destinations survive while one-off lookups
-    /// recycle among themselves. Trees are pure functions of the topology:
-    /// eviction can change rebuild *work*, never an answer. `0` means
-    /// unbounded (the pre-cap behaviour).
-    ///
-    /// Sizing: each tree holds three n-router arrays (~16 bytes per
-    /// router), so the default of 1024 caps the cache near 400 MB on a
-    /// 24k-router map — roomy for ad-hoc `route()` callers, an order of
-    /// magnitude below what an uncapped `exact_hop_rtts` trace run used to
-    /// pin.
-    pub max_lazy_trees: usize,
-}
-
-impl Default for OracleConfig {
-    fn default() -> Self {
-        Self {
-            max_lazy_trees: 1024,
-        }
-    }
-}
+/// Hard cap on lazily memoised destination trees (the eager arena is
+/// exempt — its destinations were asked for by name). At the cap a
+/// second-chance (clock) sweep evicts a tree not consulted since the hand
+/// last passed, so hot destinations survive while one-off lookups recycle
+/// among themselves. Trees are pure functions of the topology: eviction
+/// can change rebuild *work*, never an answer.
+///
+/// Sizing: each tree holds three n-router arrays (~16 bytes per router),
+/// so 1024 caps the cache near 400 MB on a 24k-router map — roomy for
+/// ad-hoc `route()` callers, bounded for ones that look up arbitrary
+/// destinations.
+const MAX_LAZY_TREES: usize = 1024;
 
 /// A point-in-time snapshot of one oracle's tree accounting
 /// ([`RouteOracle::stats`]): how many shortest-path trees were built
@@ -68,7 +54,7 @@ pub struct OracleStats {
     /// Tree builds that reused a warm scratch instead of allocating fresh
     /// build buffers.
     pub scratch_reuses: u64,
-    /// Lazy trees evicted by the [`OracleConfig::max_lazy_trees`] clock.
+    /// Lazy trees evicted by the cache cap's second-chance clock.
     pub lazy_evictions: u64,
 }
 
@@ -195,8 +181,8 @@ impl LazyStripe {
 /// * a lock-striped lazy cache for every other destination, where trees are
 ///   computed outside the stripe lock and the first insert wins. Trees are
 ///   deterministic, so a lost race wastes a little work but can never
-///   change an answer. The cache is hard-capped
-///   ([`OracleConfig::max_lazy_trees`]) with second-chance eviction.
+///   change an answer. The cache is hard-capped (1024 trees) with
+///   second-chance eviction.
 ///
 /// All trees are `Arc<ShortestPathTree>`, built through a CSR-packed
 /// adjacency view with pooled [`SptScratch`] buffers, and accounted in
@@ -227,7 +213,9 @@ pub struct RouteOracle<'t> {
     topo: &'t Topology,
     /// Flat adjacency packing, built once; every tree build sweeps this.
     csr: CsrGraph,
-    config: OracleConfig,
+    /// Lazy-cache cap: [`MAX_LAZY_TREES`] outside this module's tests
+    /// (`0` = unbounded).
+    max_lazy_trees: usize,
     /// Immutable after construction; read without locking.
     arena: HashMap<RouterId, Arc<ShortestPathTree>>,
     /// Stripe `dst.0 % LAZY_STRIPES` owns destination `dst`.
@@ -266,30 +254,6 @@ impl<'t> RouteOracle<'t> {
     pub fn with_destinations_threads(
         topo: &'t Topology,
         destinations: &[RouterId],
-        threads: usize,
-    ) -> Self {
-        Self::with_config_threads(topo, destinations, OracleConfig::default(), threads)
-    }
-
-    /// [`RouteOracle::with_destinations`] with an explicit
-    /// [`OracleConfig`].
-    pub fn with_config(
-        topo: &'t Topology,
-        destinations: &[RouterId],
-        config: OracleConfig,
-    ) -> Self {
-        let auto = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        Self::with_config_threads(topo, destinations, config, auto)
-    }
-
-    /// The fully explicit constructor: destinations, config and worker
-    /// count.
-    pub fn with_config_threads(
-        topo: &'t Topology,
-        destinations: &[RouterId],
-        config: OracleConfig,
         threads: usize,
     ) -> Self {
         let csr = CsrGraph::new(topo);
@@ -359,7 +323,7 @@ impl<'t> RouteOracle<'t> {
         Self {
             topo,
             csr,
-            config,
+            max_lazy_trees: MAX_LAZY_TREES,
             arena,
             lazy: (0..LAZY_STRIPES)
                 .map(|_| RwLock::new(LazyStripe::default()))
@@ -374,9 +338,13 @@ impl<'t> RouteOracle<'t> {
         self.topo
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> OracleConfig {
-        self.config
+    /// An arena-less oracle whose lazy cache holds `cap` trees.
+    #[cfg(test)]
+    fn with_lazy_cap(topo: &'t Topology, cap: usize) -> Self {
+        Self {
+            max_lazy_trees: cap,
+            ..Self::new(topo)
+        }
     }
 
     /// A snapshot of the oracle's tree-accounting counters.
@@ -438,10 +406,10 @@ impl<'t> RouteOracle<'t> {
 
     /// Lazy-cache cells each stripe may hold (`0` = unbounded).
     fn per_stripe_cap(&self) -> usize {
-        if self.config.max_lazy_trees == 0 {
+        if self.max_lazy_trees == 0 {
             0
         } else {
-            self.config.max_lazy_trees.div_ceil(LAZY_STRIPES).max(1)
+            self.max_lazy_trees.div_ceil(LAZY_STRIPES).max(1)
         }
     }
 
@@ -462,10 +430,9 @@ impl<'t> RouteOracle<'t> {
 
     /// Drops every lazily memoised tree, keeping only the eager arena.
     ///
-    /// The lazy cache is already capped ([`OracleConfig::max_lazy_trees`]),
-    /// but callers that retain the oracle after a bulk workload (the swarm
-    /// builder does) call this to shed even that; the trees are rebuilt on
-    /// demand if asked again.
+    /// The lazy cache is already capped, but callers that retain the
+    /// oracle after a bulk workload (the swarm builder does) call this to
+    /// shed even that; the trees are rebuilt on demand if asked again.
     pub fn discard_lazy_trees(&mut self) {
         for stripe in &self.lazy {
             stripe.write().expect("oracle stripe poisoned").clear();
@@ -486,9 +453,7 @@ impl<'t> RouteOracle<'t> {
     /// `2 × prefix_latency_us`. Where shortest paths are unique this
     /// equals [`RouteOracle::rtt_us`]`(src, hop)`; under equal-hop-count
     /// ties the per-hop tree rooted at the intermediate router may pick a
-    /// different (equally shortest) path with a different latency — see
-    /// `TraceConfig::exact_hop_rtts` in `nearpeer-probe` for the mode that
-    /// preserves the per-hop-tree semantics.
+    /// different (equally shortest) path with a different latency.
     pub fn route_annotated(&self, src: RouterId, dst: RouterId) -> Option<Vec<RouteHop>> {
         self.tree_to(dst).annotated_path_to_root(src)
     }
@@ -709,8 +674,7 @@ mod tests {
     #[test]
     fn lazy_cache_respects_the_cap() {
         let t = regular::grid(5, 5); // 25 routers
-        let cfg = OracleConfig { max_lazy_trees: 16 };
-        let oracle = RouteOracle::with_config(&t, &[], cfg);
+        let oracle = RouteOracle::with_lazy_cap(&t, 16);
         for dst in t.routers() {
             let _ = oracle.route(RouterId(0), dst);
         }
@@ -735,8 +699,7 @@ mod tests {
         let t = regular::line(40);
         // One stripe cell at a time forces every insert to consider
         // eviction.
-        let cfg = OracleConfig { max_lazy_trees: 32 };
-        let oracle = RouteOracle::with_config(&t, &[], cfg);
+        let oracle = RouteOracle::with_lazy_cap(&t, 32);
         let hot = RouterId(0);
         let _ = oracle.route(RouterId(1), hot);
         let built_hot = oracle.stats().lazy_trees_built;
@@ -762,8 +725,7 @@ mod tests {
     #[test]
     fn zero_cap_is_unbounded() {
         let t = regular::grid(5, 5);
-        let cfg = OracleConfig { max_lazy_trees: 0 };
-        let oracle = RouteOracle::with_config(&t, &[], cfg);
+        let oracle = RouteOracle::with_lazy_cap(&t, 0);
         for dst in t.routers() {
             let _ = oracle.route(RouterId(0), dst);
         }

@@ -173,10 +173,9 @@ proptest! {
         let dst = RouterId(((pick / n) % n) as u32);
         let oracle = RouteOracle::new(&topo);
         let annotated = oracle.route_annotated(src, dst).expect("trees are connected");
-        // On a tree every path is unique, so the per-hop-tree RTT (what
-        // `TraceConfig::exact_hop_rtts` prices from) must equal the doubled
-        // destination-tree prefix at EVERY hop — the two trace modes agree
-        // hop for hop exactly when shortest paths are tie-free.
+        // On a tree every path is unique, so the RTT from a tree rooted
+        // at the hop must equal the doubled destination-tree prefix (what
+        // a trace prices from) at EVERY hop.
         for hop in &annotated {
             prop_assert_eq!(
                 hop.prefix_latency_us * 2,

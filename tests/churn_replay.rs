@@ -149,8 +149,7 @@ fn churn_trace_replay_through_the_wire() {
 // family): epoch 0 must be a universal no-op, and a lease renewed in the
 // same epoch it was opened must live exactly as long as an unrenewed one —
 // the duplicate heartbeat must neither expire it early nor double-report
-// it. Pinned on both the legacy `expire_stale` entry point and the
-// epoch-bucketed `expire_stale_batch` sweep behind it.
+// it.
 
 use nearpeer::core::LandmarkId;
 use nearpeer::topology::RouterId;
@@ -179,7 +178,6 @@ fn expiry_at_epoch_zero_is_a_noop_for_any_max_age() {
             srv.expire_stale(max_age).is_empty(),
             "epoch 0 expiry with max_age {max_age} must expire nobody"
         );
-        assert!(srv.expire_stale_batch(max_age).is_empty());
     }
     assert_eq!(srv.peer_count(), 2);
 }
@@ -223,13 +221,13 @@ fn renewal_in_the_expiry_epoch_survives_the_sweep() {
     // lease must survive even though its *original* bucket note sits
     // below the cutoff.
     srv.heartbeat(PeerId(1)).unwrap();
-    assert!(srv.expire_stale_batch(2).is_empty());
+    assert!(srv.expire_stale(2).is_empty());
     assert_eq!(srv.peer_count(), 1);
     // And it still expires once the renewed epoch itself lapses.
     for _ in 0..3 {
         srv.advance_epoch();
     }
-    assert_eq!(srv.expire_stale_batch(2), vec![PeerId(1)]);
+    assert_eq!(srv.expire_stale(2), vec![PeerId(1)]);
 }
 
 #[test]

@@ -10,7 +10,9 @@ use nearpeer::probe::{TraceConfig, Tracer};
 use nearpeer::routing::RouteOracle;
 use nearpeer::topology::generators::{mapper, MapperConfig};
 use nearpeer::topology::{io, RouterId, Topology};
-use nearpeer_bench::experiments::churn::{run_soak_with_server, ChurnReplayMode, ChurnSoakConfig};
+use nearpeer_bench::experiments::churn::{
+    run_soak_per_event_reference, run_soak_with_server, ChurnSoakConfig,
+};
 use nearpeer_bench::experiments::federation::{
     run_federation_soak_with_state, FederationSoakConfig,
 };
@@ -122,72 +124,17 @@ fn parallel_round1_is_bit_identical_to_sequential() {
     }
 }
 
-/// The default (destination-tree prefix) and `exact_hop_rtts`
-/// (per-hop-tree) pricing modes must be **structurally identical** on
-/// every topology: same router sequence, same reachability, same probe
-/// accounting. Only per-hop `rtt_us`/`elapsed_us` may differ, and only
-/// under shortest-path ties. 2 seeds × 2 topologies, across thread counts.
-#[test]
-fn default_and_exact_trace_modes_are_structurally_identical() {
-    let topologies = [
-        mapper(&MapperConfig::tiny(), 3).expect("tiny map"),
-        mapper(&MapperConfig::with_access(40, 120), 8).expect("wide map"),
-    ];
-    for (t_idx, topo) in topologies.iter().enumerate() {
-        for seed in [5u64, 99] {
-            let oracle = RouteOracle::new(topo);
-            let default_tracer = Tracer::new(&oracle, TraceConfig::default());
-            let exact_tracer = Tracer::new(
-                &oracle,
-                TraceConfig {
-                    exact_hop_rtts: true,
-                    ..TraceConfig::default()
-                },
-            );
-            let target = topo
-                .routers()
-                .max_by_key(|&r| topo.degree(r))
-                .expect("non-empty topology");
-            let jobs: Vec<(RouterId, RouterId)> = topo
-                .access_routers()
-                .into_iter()
-                .map(|src| (src, target))
-                .collect();
-            for threads in [1usize, 4] {
-                let default_run = trace_round1(&default_tracer, &jobs, seed, threads);
-                let exact_run = trace_round1(&exact_tracer, &jobs, seed, threads);
-                for (i, (d, e)) in default_run.iter().zip(&exact_run).enumerate() {
-                    let label =
-                        format!("topology {t_idx}, seed {seed}, threads {threads}, job {i}");
-                    let (d, e) = (
-                        d.as_ref().expect("connected"),
-                        e.as_ref().expect("connected"),
-                    );
-                    assert_eq!(d.router_path(), e.router_path(), "{label}");
-                    assert_eq!(d.destination_reached, e.destination_reached, "{label}");
-                    assert_eq!(d.probes_sent, e.probes_sent, "{label}");
-                    assert_eq!(d.hops.len(), e.hops.len(), "{label}");
-                    for (dh, eh) in d.hops.iter().zip(&e.hops) {
-                        assert_eq!((dh.ttl, dh.router), (eh.ttl, eh.router), "{label}");
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Churn replay must be a pure function of the trace seed, not of the
-/// batching strategy: feeding the same `ChurnTrace` through the
-/// sequential path (one facade call per event), the batched path
-/// (per-epoch `register_batch_renewing`/`leave_batch`/
-/// `expire_stale_batch`) and the shard-parallel path (per-landmark scoped
-/// threads over `shards_mut`, at several forced worker counts) must leave
-/// **identical directory state** — peers, paths, leases, per-landmark
-/// trees, join/leave stats — and identical `BENCH_churn`-style counters.
+/// batching: feeding the same `ChurnTrace` through the batched replay
+/// (per-epoch `register_batch_renewing`/`leave_batch`/`renew_batch`, what
+/// every soak runs) and through the per-event reference (one facade call
+/// per event and per heartbeat) must leave **identical directory state**
+/// — peers, paths, leases, per-landmark trees, join/leave stats — and
+/// identical soak counters.
 #[test]
 fn churn_replay_modes_produce_identical_directories() {
     for seed in [5u64, 21] {
-        let base = ChurnSoakConfig {
+        let cfg = ChurnSoakConfig {
             peers: 300,
             cycles: 2,
             mean_lifetime_secs: 30.0,
@@ -198,50 +145,36 @@ fn churn_replay_modes_produce_identical_directories() {
             expire_every: 3,
             max_age: 5,
             heartbeat_every: 2,
-            mode: ChurnReplayMode::Sequential,
-            threads: None,
             adaptive: None,
         };
-        let (seq_result, seq_server) = run_soak_with_server(&base, seed);
-        let runs = [
-            (ChurnReplayMode::Batched, None),
-            (ChurnReplayMode::ShardParallel, Some(2)),
-            (ChurnReplayMode::ShardParallel, Some(5)),
-        ];
-        for (mode, threads) in runs {
-            let cfg = ChurnSoakConfig {
-                mode,
-                threads,
-                ..base.clone()
-            };
-            let (result, server) = run_soak_with_server(&cfg, seed);
-            let label = format!("seed {seed}, {mode:?} threads {threads:?}");
-            assert_eq!(result.counters, seq_result.counters, "{label}");
+        let (seq_result, seq_server) = run_soak_per_event_reference(&cfg, seed);
+        let (result, server) = run_soak_with_server(&cfg, seed);
+        let label = format!("seed {seed}");
+        assert_eq!(result.counters, seq_result.counters, "{label}");
+        assert_eq!(
+            result.peak_population, seq_result.peak_population,
+            "{label}"
+        );
+        assert_eq!(
+            result.final_population, seq_result.final_population,
+            "{label}"
+        );
+        // Full directory-state equality, not just counters.
+        let (s, o) = (seq_server.report(), server.report());
+        assert_eq!(o.peers, s.peers, "{label}");
+        assert_eq!(o.indexed_routers, s.indexed_routers, "{label}");
+        assert_eq!(o.per_landmark, s.per_landmark, "{label}");
+        assert_eq!(o.stats.joins, s.stats.joins, "{label}");
+        assert_eq!(o.stats.leaves, s.stats.leaves, "{label}");
+        assert_eq!(o.epoch, s.epoch, "{label}");
+        for p in 0..cfg.peers as u64 {
+            let peer = PeerId(p);
+            assert_eq!(server.path_of(peer), seq_server.path_of(peer), "{label}");
             assert_eq!(
-                result.peak_population, seq_result.peak_population,
-                "{label}"
+                server.shards().iter().find_map(|sh| sh.last_seen(peer)),
+                seq_server.shards().iter().find_map(|sh| sh.last_seen(peer)),
+                "{label}: lease of peer {p}"
             );
-            assert_eq!(
-                result.final_population, seq_result.final_population,
-                "{label}"
-            );
-            // Full directory-state equality, not just counters.
-            let (s, o) = (seq_server.report(), server.report());
-            assert_eq!(o.peers, s.peers, "{label}");
-            assert_eq!(o.indexed_routers, s.indexed_routers, "{label}");
-            assert_eq!(o.per_landmark, s.per_landmark, "{label}");
-            assert_eq!(o.stats.joins, s.stats.joins, "{label}");
-            assert_eq!(o.stats.leaves, s.stats.leaves, "{label}");
-            assert_eq!(o.epoch, s.epoch, "{label}");
-            for p in 0..base.peers as u64 {
-                let peer = PeerId(p);
-                assert_eq!(server.path_of(peer), seq_server.path_of(peer), "{label}");
-                assert_eq!(
-                    server.shards().iter().find_map(|sh| sh.last_seen(peer)),
-                    seq_server.shards().iter().find_map(|sh| sh.last_seen(peer)),
-                    "{label}: lease of peer {p}"
-                );
-            }
         }
     }
 }
