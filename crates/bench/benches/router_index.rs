@@ -1,9 +1,10 @@
-//! Criterion micro-benchmarks for C1/C2: RouterIndex insertion and query.
+//! Criterion micro-benchmarks for C1/C2: RouterIndex insertion and query,
+//! plus the sharded directory's read kernel at the `perf` benchmark's shape.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use nearpeer_bench::experiments::complexity::synthetic_path;
-use nearpeer_core::{PeerId, RouterIndex};
-use std::collections::HashSet;
+use nearpeer_bench::SyntheticJoins;
+use nearpeer_core::{PeerId, RouterIndex, ServerConfig};
 
 const BRANCHING: u32 = 4;
 const DEPTH: u32 = 10;
@@ -43,12 +44,11 @@ fn bench_insert(c: &mut Criterion) {
 /// C2: closest-peer query at different populations — expected flat.
 fn bench_query(c: &mut Criterion) {
     let mut group = c.benchmark_group("router_index/query");
-    let exclude = HashSet::new();
     for &n in &[1_000usize, 8_000, 64_000] {
         let idx = populated(n);
         let query = synthetic_path(12_345 % n as u64, BRANCHING, DEPTH);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| idx.query_nearest(&query, 5, &exclude));
+            b.iter(|| idx.query_nearest(&query, 5, None));
         });
     }
     group.finish();
@@ -74,5 +74,35 @@ fn bench_remove(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_insert, bench_query, bench_remove);
+/// The kernel `server.sync_ns` prices in `crates/perf`: one
+/// `ManagementServer::closest_to_path` over 8 landmark shards and 100 k
+/// peers, `k = 5`, a registered peer asking with itself excluded, cycling
+/// a pool of distinct paths so the probes are not one cached line.
+fn bench_closest_to_path(c: &mut Criterion) {
+    const PEERS: u64 = 100_000;
+    const POOL: u64 = 1_024;
+    let joins = SyntheticJoins::new(8);
+    let mut server = joins.server(ServerConfig::default());
+    server.register_batch((0..PEERS).map(|p| joins.join(p)).collect());
+    // Stride 97 is odd, so the pool visits every landmark.
+    let pool: Vec<_> = (0..POOL).map(|i| joins.join(i * 97)).collect();
+    let mut group = c.benchmark_group("directory/closest_to_path");
+    let mut next = 0usize;
+    group.bench_function("8_landmarks_100k", |b| {
+        b.iter(|| {
+            let (peer, path) = &pool[next % pool.len()];
+            next += 1;
+            server.closest_to_path(path, 5, Some(*peer))
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_insert,
+    bench_query,
+    bench_remove,
+    bench_closest_to_path
+);
 criterion_main!(benches);

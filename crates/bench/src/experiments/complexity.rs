@@ -11,7 +11,6 @@ use nearpeer_core::{PeerId, PeerPath, RouterIndex};
 use nearpeer_metrics::Table;
 use nearpeer_topology::RouterId;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 use std::time::Instant;
 
 /// C1/C2 sweep parameters.
@@ -154,12 +153,11 @@ pub fn run(config: &ComplexityConfig) -> ComplexityResult {
         }
         let insert_ns = start.elapsed().as_nanos() as f64 / n as f64;
 
-        let exclude = HashSet::new();
         let start = Instant::now();
         let mut sink = 0usize;
         for q in 0..config.queries {
             let path = &paths[(q * 7919) % paths.len()];
-            sink += index.query_nearest(path, config.k, &exclude).len();
+            sink += index.query_nearest(path, config.k, None).len();
         }
         let query_ns = start.elapsed().as_nanos() as f64 / config.queries.max(1) as f64;
         assert!(sink > 0, "queries must return results");

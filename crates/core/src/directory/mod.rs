@@ -14,8 +14,8 @@
 //!
 //! The [`crate::ManagementServer`] facade keeps the original single-server
 //! API on top: it routes writes to the owning shard, merges `&self` reads
-//! across shards (per-shard answers recombine losslessly because every
-//! peer's index entries live in exactly one shard), and keeps the only
+//! across shards (one merge over all shards' cursors is lossless because
+//! every peer's index entries live in exactly one shard), and keeps the only
 //! genuinely cross-landmark state (bridge distances, super-peer regions,
 //! aggregate counters) to itself. Batched joins
 //! ([`crate::ManagementServer::register_batch`]) group newcomers by

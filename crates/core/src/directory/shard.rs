@@ -9,7 +9,6 @@ use crate::path::PeerPath;
 use crate::path_tree::PathTree;
 use crate::router_index::{query_nearest_entries, EntryMap, Neighbor};
 use nearpeer_topology::RouterId;
-use std::collections::HashSet;
 
 /// Everything one [`DirectoryShard::expire_epoch`] sweep retired: leases
 /// that lapsed silently, and forwarding tombstones whose retention ended.
@@ -82,7 +81,7 @@ impl DirectoryShard {
             landmark,
             root,
             store: PathStore::new(),
-            entries: EntryMap::new(),
+            entries: EntryMap::default(),
             leases: LeaseArena::new(),
             tree: PathTree::new(root),
             adaptive: adaptive.map(AdaptiveLeases::new),
@@ -178,9 +177,15 @@ impl DirectoryShard {
         &self,
         query: &PeerPath,
         k: usize,
-        exclude: &HashSet<PeerId>,
+        exclude: Option<PeerId>,
     ) -> Vec<Neighbor> {
-        query_nearest_entries(&self.entries, query, k, exclude)
+        query_nearest_entries([&self.entries], query, k, exclude)
+    }
+
+    /// This shard's slice of the router index, for the cross-shard merge
+    /// in [`super::query`].
+    pub(crate) fn entries(&self) -> &EntryMap {
+        &self.entries
     }
 
     /// The epoch `peer` last checked in, if registered.
@@ -329,7 +334,7 @@ impl DirectoryShard {
             landmark,
             root,
             store,
-            entries: EntryMap::new(),
+            entries: EntryMap::default(),
             leases,
             tree: PathTree::new(root),
             adaptive,
@@ -593,7 +598,7 @@ mod tests {
         assert_eq!(s.tree().n_peers(), 2);
         assert_eq!(s.path_of(PeerId(1)).unwrap().attach(), RouterId(4));
         let q = path(&[4, 2, 1, 0]);
-        let res = s.query_nearest(&q, 5, &HashSet::new());
+        let res = s.query_nearest(&q, 5, None);
         assert_eq!(res[0].peer, PeerId(1));
         assert_eq!(res[0].dtree, 0);
         assert_eq!(res[1].peer, PeerId(2));
@@ -650,8 +655,8 @@ mod tests {
         assert_eq!(bat.last_seen(PeerId(0)), Some(3));
         let q = path(&[4, 2, 1, 0]);
         assert_eq!(
-            bat.query_nearest(&q, 5, &HashSet::new()),
-            seq.query_nearest(&q, 5, &HashSet::new())
+            bat.query_nearest(&q, 5, None),
+            seq.query_nearest(&q, 5, None)
         );
         assert_eq!(bat.inserts(), seq.inserts());
     }

@@ -3,14 +3,15 @@
 
 use super::region::{Region, RegionId};
 use crate::directory::persist::RecoveryReport;
+use crate::directory::query;
 use crate::error::CoreError;
-use crate::ids::{LandmarkId, PeerId};
+use crate::ids::{IdMap, LandmarkId, PeerId};
 use crate::path::PeerPath;
 use crate::router_index::Neighbor;
 use crate::server::{ManagementServer, ServerConfig};
 use nearpeer_routing::RouteOracle;
 use nearpeer_topology::{RouterId, Topology};
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Federation tuning.
@@ -98,7 +99,7 @@ pub(crate) struct RuntimeParts {
     pub landmark_routers: Vec<RouterId>,
     pub landmark_dist: Vec<Vec<u32>>,
     pub landmark_region: Vec<RegionId>,
-    pub router_landmark: HashMap<RouterId, u32>,
+    pub router_landmark: IdMap<RouterId, u32>,
     pub bridge: Vec<Vec<u32>>,
     pub fanout: Option<usize>,
     pub fallback: bool,
@@ -138,7 +139,7 @@ pub struct Federation {
     /// Global landmark index → owning region.
     landmark_region: Vec<RegionId>,
     /// Landmark router → global landmark index.
-    router_landmark: HashMap<RouterId, u32>,
+    router_landmark: IdMap<RouterId, u32>,
     /// Region × region bridge matrix: the minimum landmark-to-landmark
     /// hop distance across the pair (`u32::MAX` = no measured bridge).
     bridge: Vec<Vec<u32>>,
@@ -632,7 +633,6 @@ impl Federation {
         exclude: Option<PeerId>,
     ) -> Vec<Neighbor> {
         self.counters.queries.fetch_add(1, Ordering::Relaxed);
-        let excl: HashSet<PeerId> = exclude.into_iter().collect();
         let home = self.home_of_path(path).ok();
         let consulted: Vec<RegionId> = match home {
             Some((home, _)) => self.query_regions(home),
@@ -645,22 +645,17 @@ impl Federation {
         self.counters
             .remote
             .fetch_add(consulted.len().saturating_sub(1) as u64, Ordering::Relaxed);
-        let mut result: Vec<Neighbor> = Vec::with_capacity(k.saturating_mul(2));
-        for &r in &consulted {
-            result.extend(
-                self.regions[r.index()]
-                    .server()
-                    .index()
-                    .query_nearest(path, k, &excl),
-            );
-        }
-        result.sort_unstable_by_key(|n| (n.dtree, n.peer));
-        result.truncate(k);
+        // A peer is registered in exactly one region, so the consulted
+        // regions' shards merge like one server's.
+        let shards = consulted
+            .iter()
+            .flat_map(|r| self.regions[r.index()].server().shards());
+        let mut result = query::query_nearest_merged(shards, path, k, exclude);
         if result.len() < k && self.fallback {
             if let Some((_, own_global)) = home {
                 let missing = k - result.len();
-                let have: HashSet<PeerId> = result.iter().map(|n| n.peer).collect();
-                let fill = self.bridge_fill(path, own_global, missing, &consulted, &excl, &have);
+                let fill =
+                    self.bridge_fill(path, own_global, missing, &consulted, exclude, &result);
                 self.counters
                     .fills
                     .fetch_add(fill.len() as u64, Ordering::Relaxed);
@@ -681,53 +676,27 @@ impl Federation {
         own_global: u32,
         k: usize,
         consulted: &[RegionId],
-        exclude: &HashSet<PeerId>,
-        already: &HashSet<PeerId>,
+        exclude: Option<PeerId>,
+        already: &[Neighbor],
     ) -> Vec<Neighbor> {
-        let consulted: HashSet<RegionId> = consulted.iter().copied().collect();
         let query_depth = path.depth();
-        type Cursor<'a> = (u32, Box<dyn Iterator<Item = (PeerId, u32)> + 'a>);
-        let mut heap: BinaryHeap<std::cmp::Reverse<(u32, PeerId, usize)>> = BinaryHeap::new();
-        let mut iters: Vec<Cursor<'_>> = Vec::new();
-        for (li, &lrouter) in self.landmark_routers.iter().enumerate() {
-            if li as u32 == own_global {
-                continue;
-            }
-            let region = self.landmark_region[li];
-            if !consulted.contains(&region) {
-                continue;
-            }
-            let bridge = self.landmark_dist[own_global as usize][li];
-            if bridge == u32::MAX {
-                continue;
-            }
-            let base = query_depth + bridge;
-            let mut iter = self.regions[region.index()]
-                .server()
-                .index()
-                .peers_through(lrouter);
-            if let Some((peer, depth)) = iter.next() {
-                let idx = iters.len();
-                heap.push(std::cmp::Reverse((base + depth, peer, idx)));
-                iters.push((base, Box::new(iter)));
-            }
-        }
-        let mut out = Vec::with_capacity(k);
-        let mut emitted: HashSet<PeerId> = HashSet::new();
-        while let Some(std::cmp::Reverse((est, peer, idx))) = heap.pop() {
-            let (base, iter) = &mut iters[idx];
-            if let Some((next_peer, depth)) = iter.next() {
-                heap.push(std::cmp::Reverse((*base + depth, next_peer, idx)));
-            }
-            if exclude.contains(&peer) || already.contains(&peer) || !emitted.insert(peer) {
-                continue;
-            }
-            out.push(Neighbor { peer, dtree: est });
-            if out.len() == k {
-                break;
-            }
-        }
-        out
+        let cursors = self
+            .landmark_routers
+            .iter()
+            .enumerate()
+            .filter_map(|(li, &lrouter)| {
+                let region = self.landmark_region[li];
+                let bridge = self.landmark_dist[own_global as usize][li];
+                if li as u32 == own_global || !consulted.contains(&region) || bridge == u32::MAX {
+                    return None;
+                }
+                let peers = self.regions[region.index()]
+                    .server()
+                    .index()
+                    .peers_through(lrouter);
+                Some((query_depth + bridge, peers))
+            });
+        query::merge_fill(cursors, k, exclude, already)
     }
 
     /// Consumes the federation, yielding the routing metadata and the

@@ -25,11 +25,14 @@ impl PeerPath {
         if routers.is_empty() {
             return Err(CoreError::InvalidPath("empty path".into()));
         }
-        let mut seen = std::collections::HashSet::with_capacity(routers.len());
-        for r in &routers {
-            if !seen.insert(*r) {
-                return Err(CoreError::InvalidPath(format!("router {r} repeats (loop)")));
-            }
+        // Loop check on a sorted copy, where a repeat ends up adjacent: this
+        // runs for every path the decoder accepts, and sorting a dozen ids
+        // is cheaper than hashing them.
+        let mut sorted = routers.clone();
+        sorted.sort_unstable();
+        if let Some(pair) = sorted.windows(2).find(|pair| pair[0] == pair[1]) {
+            let r = pair[0];
+            return Err(CoreError::InvalidPath(format!("router {r} repeats (loop)")));
         }
         Ok(Self { routers })
     }
@@ -110,6 +113,24 @@ mod tests {
             PeerPath::new(vec![RouterId(1), RouterId(2), RouterId(1)]),
             Err(CoreError::InvalidPath(_))
         ));
+    }
+
+    #[test]
+    fn rejects_a_repeat_at_any_position() {
+        // Router 7 twice: adjacent at the front, in the middle and at the
+        // end, then apart (first/last, first/middle, middle/last).
+        for looped in [
+            [7, 7, 2, 3, 4],
+            [1, 2, 7, 7, 4],
+            [1, 2, 3, 7, 7],
+            [7, 2, 3, 4, 7],
+            [7, 2, 7, 3, 4],
+            [1, 2, 7, 3, 7],
+        ] {
+            let routers = looped.iter().map(|&i| RouterId(i)).collect();
+            let err = PeerPath::new(routers).expect_err("a loop");
+            assert!(err.to_string().contains("r7 repeats"), "{looped:?}: {err}");
+        }
     }
 
     #[test]

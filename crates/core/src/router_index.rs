@@ -1,10 +1,23 @@
 //! The paper's hash-table-of-ordered-lists data structure.
+//!
+//! A lookup is one k-way merge: every router of the query path is probed
+//! in every entry table given (the global [`RouterIndex`] has one, the
+//! sharded directory one per landmark), each hit opens a lazy cursor on
+//! that router's ordered peer list, and a single min-heap over *all* the
+//! cursors pops candidates in ascending `(dtree, peer)` until `k` distinct
+//! peers are out. Nothing is built per table: because every peer's entries
+//! live in exactly one table, the merge over all cursors is the answer a
+//! single global table would give. The tables hash their fixed-width
+//! router ids with the keyed [`IdHash`](crate::ids::IdHash) (see there for
+//! why it is keyed).
 
 use crate::error::CoreError;
-use crate::ids::PeerId;
+use crate::ids::{IdMap, IdSet, PeerId};
 use crate::path::PeerPath;
 use nearpeer_topology::RouterId;
-use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BTreeSet, BinaryHeap, HashMap};
 
 /// One discovered neighbor: the peer and its inferred tree distance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -19,58 +32,64 @@ pub struct Neighbor {
 /// The entry table shared between the global [`RouterIndex`] and the
 /// per-landmark shard indexes of [`crate::directory`]: router → peers
 /// traversing it, ordered by hop count below the router.
-pub(crate) type EntryMap = HashMap<RouterId, BTreeSet<(u32, PeerId)>>;
+pub(crate) type EntryMap = IdMap<RouterId, BTreeSet<(u32, PeerId)>>;
 
 /// The `k` peers with smallest combined depth (`dtree`) to the query path
-/// over an [`EntryMap`], ascending, ties broken by peer id. This is the
-/// paper's query: one lazy cursor per query-path router, k-way merged by a
-/// min-heap, touching only `O(k + path length)` entries regardless of the
-/// population. Shared by [`RouterIndex::query_nearest`] and the directory
-/// shards (whose per-shard answers merge back losslessly, because every
-/// peer's entries live in exactly one shard).
-pub(crate) fn query_nearest_entries(
-    entries: &EntryMap,
+/// over the given [`EntryMap`]s, ascending, ties broken by peer id,
+/// `exclude` (the asker itself, as the wire carries it) left out. This is
+/// the paper's query: one lazy cursor per `(table, query-path router)` hit,
+/// k-way merged by one min-heap, touching only `O(k + path length)`
+/// entries regardless of the population. [`RouterIndex::query_nearest`]
+/// passes its one table, the directory passes one per shard; the tables
+/// must not share a peer.
+///
+/// The answer and the `seen` set are sized by what the cursors can yield,
+/// never by `k` alone: `k` comes off the wire.
+pub(crate) fn query_nearest_entries<'a>(
+    tables: impl IntoIterator<Item = &'a EntryMap>,
     query: &PeerPath,
     k: usize,
-    exclude: &HashSet<PeerId>,
+    exclude: Option<PeerId>,
 ) -> Vec<Neighbor> {
     if k == 0 {
         return Vec::new();
     }
-    // One lazy cursor per query-path router; heap orders by combined
-    // depth (query depth + candidate depth below the shared router).
-    struct Cursor<'a> {
-        query_depth: u32,
-        iter: std::collections::btree_set::Iter<'a, (u32, PeerId)>,
-    }
-    // Max-heap → wrap in Reverse for a min-heap keyed by
-    // (dtree, peer, router position) for total determinism.
-    let mut heap: BinaryHeap<std::cmp::Reverse<(u32, PeerId, usize)>> = BinaryHeap::new();
-    let mut cursors: Vec<Cursor<'_>> = Vec::new();
-    for (router, query_depth) in query.with_depths() {
-        if let Some(set) = entries.get(&router) {
+    // Cursor `idx` walks one router's list; its head sits in the heap as
+    // (dtree, peer, idx), dtree = query depth + candidate depth below the
+    // shared router.
+    let path_len = query.routers().len();
+    let mut cursors = Vec::with_capacity(path_len);
+    let mut heads = Vec::with_capacity(path_len);
+    let mut reachable = 0usize;
+    for table in tables {
+        for (router, query_depth) in query.with_depths() {
+            let Some(set) = table.get(&router) else {
+                continue;
+            };
             let mut iter = set.iter();
             if let Some(&(cand_depth, peer)) = iter.next() {
-                let idx = cursors.len();
-                heap.push(std::cmp::Reverse((query_depth + cand_depth, peer, idx)));
-                cursors.push(Cursor { query_depth, iter });
+                reachable += set.len();
+                heads.push(Reverse((query_depth + cand_depth, peer, cursors.len())));
+                cursors.push((query_depth, iter));
             }
         }
     }
-
-    let mut seen: HashSet<PeerId> = HashSet::new();
-    let mut out = Vec::with_capacity(k);
-    while let Some(std::cmp::Reverse((dtree, peer, idx))) = heap.pop() {
-        // Advance the cursor this candidate came from.
-        let cursor = &mut cursors[idx];
-        if let Some(&(cand_depth, next_peer)) = cursor.iter.next() {
-            heap.push(std::cmp::Reverse((
-                cursor.query_depth + cand_depth,
-                next_peer,
-                idx,
-            )));
+    let mut heap = BinaryHeap::from(heads);
+    let room = k.min(reachable);
+    let mut seen: IdSet<PeerId> = IdSet::with_capacity_and_hasher(room, Default::default());
+    let mut out = Vec::with_capacity(room);
+    while let Some(mut head) = heap.peek_mut() {
+        let Reverse((dtree, peer, idx)) = *head;
+        // Advance the cursor this candidate came from, in place: one
+        // sift instead of a pop and a push.
+        let (query_depth, iter) = &mut cursors[idx];
+        match iter.next() {
+            Some(&(cand_depth, next)) => *head = Reverse((*query_depth + cand_depth, next, idx)),
+            None => {
+                PeekMut::pop(head);
+            }
         }
-        if exclude.contains(&peer) || !seen.insert(peer) {
+        if Some(peer) == exclude || !seen.insert(peer) {
             continue;
         }
         out.push(Neighbor { peer, dtree });
@@ -186,16 +205,16 @@ impl RouterIndex {
     }
 
     /// The `k` registered peers with smallest `dtree` to the query path,
-    /// ascending (ties broken by peer id via the ordered sets). Peers in
-    /// `exclude` (e.g. the newcomer itself) are skipped. Peers sharing no
-    /// router with the query path are invisible to this search.
+    /// ascending (ties broken by peer id via the ordered sets). `exclude`
+    /// (e.g. the newcomer itself) is skipped. Peers sharing no router with
+    /// the query path are invisible to this search.
     pub fn query_nearest(
         &self,
         query: &PeerPath,
         k: usize,
-        exclude: &HashSet<PeerId>,
+        exclude: Option<PeerId>,
     ) -> Vec<Neighbor> {
-        query_nearest_entries(&self.entries, query, k, exclude)
+        query_nearest_entries([&self.entries], query, k, exclude)
     }
 }
 
@@ -205,10 +224,6 @@ mod tests {
 
     fn path(ids: &[u32]) -> PeerPath {
         PeerPath::new(ids.iter().map(|&i| RouterId(i)).collect()).unwrap()
-    }
-
-    fn no_exclude() -> HashSet<PeerId> {
-        HashSet::new()
     }
 
     /// A small landmark tree (landmark router 0):
@@ -272,7 +287,7 @@ mod tests {
         let idx = populated();
         // Newcomer at router 4's position (same as A).
         let q = path(&[4, 2, 1, 0]);
-        let result = idx.query_nearest(&q, 4, &no_exclude());
+        let result = idx.query_nearest(&q, 4, None);
         let peers: Vec<PeerId> = result.iter().map(|n| n.peer).collect();
         // A at dtree 0, D at 1, B at 2, C at 4.
         assert_eq!(
@@ -287,19 +302,18 @@ mod tests {
     fn query_respects_k_and_exclude() {
         let idx = populated();
         let q = path(&[4, 2, 1, 0]);
-        let excl: HashSet<PeerId> = [PeerId(0xA)].into_iter().collect();
-        let result = idx.query_nearest(&q, 2, &excl);
+        let result = idx.query_nearest(&q, 2, Some(PeerId(0xA)));
         assert_eq!(result.len(), 2);
         assert_eq!(result[0].peer, PeerId(0xD));
         assert_eq!(result[1].peer, PeerId(0xB));
-        assert!(idx.query_nearest(&q, 0, &no_exclude()).is_empty());
+        assert!(idx.query_nearest(&q, 0, None).is_empty());
     }
 
     #[test]
     fn query_matches_brute_force() {
         let idx = populated();
         let q = path(&[6, 3, 1, 0]);
-        let fast = idx.query_nearest(&q, 4, &no_exclude());
+        let fast = idx.query_nearest(&q, 4, None);
         // Brute force over stored paths.
         let mut brute: Vec<(u32, PeerId)> = idx
             .peers()
@@ -328,7 +342,7 @@ mod tests {
         assert_eq!(idx.remove(PeerId(0xA)), None);
         // Query no longer returns A.
         let q = path(&[4, 2, 1, 0]);
-        let result = idx.query_nearest(&q, 4, &no_exclude());
+        let result = idx.query_nearest(&q, 4, None);
         assert!(result.iter().all(|n| n.peer != PeerId(0xA)));
     }
 
@@ -341,7 +355,7 @@ mod tests {
         idx.insert(PeerId(2), path(&[20, 7, 9, 200])).unwrap();
         assert_eq!(idx.dtree(PeerId(1), PeerId(2)), Some(2));
         let q = path(&[10, 7, 8, 100]);
-        let res = idx.query_nearest(&q, 2, &no_exclude());
+        let res = idx.query_nearest(&q, 2, None);
         assert_eq!(res.len(), 2);
         assert_eq!(res[1].peer, PeerId(2));
         assert_eq!(res[1].dtree, 2);
@@ -352,7 +366,7 @@ mod tests {
         let mut idx = RouterIndex::new();
         idx.insert(PeerId(1), path(&[1, 2, 3])).unwrap();
         let q = path(&[4, 5, 6]);
-        assert!(idx.query_nearest(&q, 5, &no_exclude()).is_empty());
+        assert!(idx.query_nearest(&q, 5, None).is_empty());
     }
 
     #[test]
@@ -361,6 +375,6 @@ mod tests {
         assert!(idx.is_empty());
         assert_eq!(idx.n_routers(), 0);
         let q = path(&[1, 2]);
-        assert!(idx.query_nearest(&q, 3, &no_exclude()).is_empty());
+        assert!(idx.query_nearest(&q, 3, None).is_empty());
     }
 }

@@ -27,10 +27,11 @@
 //! [`Region`]: crate::Region
 
 use crate::codec;
+use crate::directory::query;
 use crate::error::CoreError;
 use crate::federation::{FederatedJoin, FederationStats, FederationSweep, RuntimeParts};
 use crate::federation::{Federation, FederationConfig, RegionId};
-use crate::ids::{LandmarkId, PeerId};
+use crate::ids::{IdMap, LandmarkId, PeerId};
 use crate::path::PeerPath;
 use crate::protocol::{Message, WireNeighbor};
 use crate::router_index::Neighbor;
@@ -39,7 +40,7 @@ use crate::telemetry::{Counter, Histogram, SlowQueryRecord, TelemetryRegistry};
 use bytes::{Bytes, BytesMut};
 use crossbeam::channel::{unbounded, Sender};
 use nearpeer_topology::RouterId;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock, RwLock};
 use std::thread::JoinHandle;
@@ -97,7 +98,7 @@ struct FedMeta {
     landmark_routers: Vec<RouterId>,
     landmark_dist: Vec<Vec<u32>>,
     landmark_region: Vec<RegionId>,
-    router_landmark: HashMap<RouterId, u32>,
+    router_landmark: IdMap<RouterId, u32>,
     bridge: Vec<Vec<u32>>,
     fanout: Option<usize>,
     fallback: bool,
@@ -612,7 +613,7 @@ impl ActorFederation {
                 .expect("query worker outlives the front door");
         }
         drop(tx);
-        let mut result: Vec<Neighbor> = Vec::with_capacity(k.saturating_mul(2));
+        let mut result: Vec<Neighbor> = Vec::new();
         for _ in 0..consulted.len() {
             let reply = rx.recv().expect("query worker alive");
             match decode_frame(&reply) {
@@ -635,10 +636,8 @@ impl ActorFederation {
         if result.len() < k && self.meta.fallback {
             if let Some((_, own_global)) = home {
                 let missing = k - result.len();
-                let excl: HashSet<PeerId> = exclude.into_iter().collect();
-                let have: HashSet<PeerId> = result.iter().map(|n| n.peer).collect();
                 let fill =
-                    self.bridge_fill_rpc(path, own_global, missing, &consulted, &excl, &have);
+                    self.bridge_fill_rpc(path, own_global, missing, &consulted, exclude, &result);
                 self.meta.fills.add(fill.len() as u64);
                 result.extend(fill);
             }
@@ -671,12 +670,12 @@ impl ActorFederation {
         own_global: u32,
         missing: usize,
         consulted: &[RegionId],
-        exclude: &HashSet<PeerId>,
-        already: &HashSet<PeerId>,
+        exclude: Option<PeerId>,
+        already: &[Neighbor],
     ) -> Vec<Neighbor> {
-        let consulted: HashSet<RegionId> = consulted.iter().copied().collect();
         let query_depth = path.depth();
-        let limit = (2 * missing + exclude.len() + already.len()).min(u16::MAX as usize) as u16;
+        let limit = (2 * missing + usize::from(exclude.is_some()) + already.len())
+            .min(u16::MAX as usize) as u16;
         // Issue every eligible cursor's RPC before collecting: the
         // regions compute their prefixes concurrently.
         let (tx, rx) = mpsc::channel();
@@ -719,33 +718,11 @@ impl ActorFederation {
             }
         }
         // K-way merge of the prefixes, identical to the live-cursor merge.
-        let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(u32, PeerId, usize)>> =
-            std::collections::BinaryHeap::new();
-        let mut iters: Vec<(u32, std::vec::IntoIter<WireNeighbor>)> = Vec::new();
-        for (nonce, base) in cursors {
-            let mut iter = prefixes.remove(&nonce).unwrap_or_default().into_iter();
-            if let Some(item) = iter.next() {
-                let idx = iters.len();
-                heap.push(std::cmp::Reverse((base + item.dtree, item.peer, idx)));
-                iters.push((base, iter));
-            }
-        }
-        let mut out = Vec::with_capacity(missing);
-        let mut emitted: HashSet<PeerId> = HashSet::new();
-        while let Some(std::cmp::Reverse((est, peer, idx))) = heap.pop() {
-            let (base, iter) = &mut iters[idx];
-            if let Some(item) = iter.next() {
-                heap.push(std::cmp::Reverse((*base + item.dtree, item.peer, idx)));
-            }
-            if exclude.contains(&peer) || already.contains(&peer) || !emitted.insert(peer) {
-                continue;
-            }
-            out.push(Neighbor { peer, dtree: est });
-            if out.len() == missing {
-                break;
-            }
-        }
-        out
+        let cursors = cursors.into_iter().map(|(nonce, base)| {
+            let prefix = prefixes.remove(&nonce).unwrap_or_default();
+            (base, prefix.into_iter().map(|item| (item.peer, item.dtree)))
+        });
+        query::merge_fill(cursors, missing, exclude, already)
     }
 
     fn send_write(&self, region: RegionId, op: RegionOp) {
@@ -831,10 +808,9 @@ fn serve_query_frame(srv: &ManagementServer, job: QueryJob) {
             k,
             exclude,
         } => {
-            let excl: HashSet<PeerId> = exclude.into_iter().collect();
             let neighbors = srv
                 .index()
-                .query_nearest(&path, k as usize, &excl)
+                .query_nearest(&path, k as usize, exclude)
                 .into_iter()
                 .map(|n| WireNeighbor {
                     peer: n.peer,

@@ -1,7 +1,7 @@
 //! The actorized management server: one write mailbox per shard.
 //!
 //! [`crate::ManagementServer`] already serves concurrent reads (`&self`
-//! queries merge per-shard answers); writes were the missing half — they
+//! queries merge across the shards); writes were the missing half — they
 //! take `&mut self` and serialize the whole facade. [`ActorServer`] keeps
 //! the same shards but puts **each one behind its own mailbox worker**:
 //!
@@ -25,7 +25,7 @@
 use crate::directory::query;
 use crate::directory::{DirectoryShard, ShardSweep};
 use crate::error::CoreError;
-use crate::ids::{LandmarkId, PeerId};
+use crate::ids::{IdMap, LandmarkId, PeerId};
 use crate::path::PeerPath;
 use crate::router_index::Neighbor;
 use crate::server::{JoinOutcome, ServerConfig, ServerStats};
@@ -36,7 +36,7 @@ use crate::subscription::{
 use crate::telemetry::{Counter, Gauge, Histogram, SlowQueryRecord, TelemetryRegistry};
 use crossbeam::channel::{unbounded, Sender};
 use nearpeer_topology::RouterId;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock, RwLock};
 use std::thread::JoinHandle;
@@ -79,7 +79,7 @@ enum ShardOp {
 struct Shared {
     config: ServerConfig,
     landmark_routers: Vec<RouterId>,
-    landmark_by_router: HashMap<RouterId, LandmarkId>,
+    landmark_by_router: IdMap<RouterId, LandmarkId>,
     landmark_dist: Vec<Vec<u32>>,
     shards: Vec<RwLock<DirectoryShard>>,
     queries: Arc<Counter>,
@@ -456,23 +456,21 @@ impl ActorServer {
             .iter()
             .map(|s| s.read().expect("shard poisoned"))
             .collect();
-        let shards: Vec<&DirectoryShard> = guards.iter().map(|g| &**g).collect();
-        let excl: HashSet<PeerId> = exclude.into_iter().collect();
-        let mut result = query::query_nearest_merged(&shards, path, k, &excl);
+        let shards = guards.iter().map(|g| &**g);
+        let mut result = query::query_nearest_merged(shards.clone(), path, k, exclude);
         let exact_len = result.len();
         if result.len() < k && self.shared.config.cross_landmark_fallback {
             if let Ok(own) = self.shared.landmark_for_path(path) {
                 let missing = k - result.len();
-                let have: HashSet<PeerId> = result.iter().map(|n| n.peer).collect();
                 let fill = query::cross_landmark_candidates(
-                    &shards,
+                    shards,
                     &self.shared.landmark_routers,
                     &self.shared.landmark_dist,
                     own,
                     path.depth(),
                     missing,
-                    &excl,
-                    &have,
+                    exclude,
+                    &result,
                 );
                 self.shared.fills.add(fill.len() as u64);
                 result.extend(fill);
@@ -523,8 +521,7 @@ impl ActorServer {
             .iter()
             .map(|s| s.read().expect("shard poisoned"))
             .collect();
-        let shards: Vec<&DirectoryShard> = guards.iter().map(|g| &**g).collect();
-        query::peers_through_merged(&shards, router)
+        query::peers_through_merged(guards.iter().map(|g| &**g), router)
             .take(limit)
             .collect()
     }

@@ -3,7 +3,7 @@
 //! Since the directory refactor the server is a thin **facade** over
 //! per-landmark [`DirectoryShard`]s (see [`crate::directory`]): writes are
 //! routed to the shard owning the peer's landmark, reads take `&self` and
-//! merge per-shard answers, and only genuinely cross-landmark state —
+//! merge across the shards, and only genuinely cross-landmark state —
 //! bridge distances, super-peer regions, aggregate counters — lives here.
 
 use crate::directory::persist::journal::{JournalOp, JournalReader};
@@ -11,7 +11,7 @@ use crate::directory::persist::{self, wire, PersistError, RecoveryReport};
 use crate::directory::query::{self, MergedPeersThrough};
 use crate::directory::{AdaptiveLeaseConfig, DirectoryShard, ShardAbsorb};
 use crate::error::CoreError;
-use crate::ids::{LandmarkId, PeerId};
+use crate::ids::{IdMap, LandmarkId, PeerId};
 use crate::path::PeerPath;
 use crate::path_tree::PathTree;
 use crate::router_index::Neighbor;
@@ -215,7 +215,7 @@ struct QueryCounters {
 pub struct ManagementServer {
     config: ServerConfig,
     landmark_routers: Vec<RouterId>,
-    landmark_by_router: HashMap<RouterId, LandmarkId>,
+    landmark_by_router: IdMap<RouterId, LandmarkId>,
     /// Hop distance between landmark routers (bootstrap measurements).
     landmark_dist: Vec<Vec<u32>>,
     shards: Vec<DirectoryShard>,
@@ -808,10 +808,11 @@ impl ManagementServer {
     }
 
     /// The closest registered peers to an arbitrary query path (`O(1)` in
-    /// the population, per §2). Takes `&self`: per-shard answers (each the
-    /// shard's `k` best) merge losslessly because every peer's index
-    /// entries live in exactly one shard, and the query counters are
-    /// atomic — so this can run concurrently from many threads.
+    /// the population, per §2). Takes `&self`: one merge over every
+    /// shard's cursors gives the global `(dtree, peer)` order because every
+    /// peer's index entries live in exactly one shard, and the query
+    /// counters are atomic — so this can run concurrently from many
+    /// threads.
     pub fn closest_to_path(
         &self,
         path: &PeerPath,
@@ -839,13 +840,11 @@ impl ManagementServer {
             .as_deref()
             .filter(|t| t.timing_enabled())
             .map(|_| Instant::now());
-        let excl: HashSet<PeerId> = exclude.into_iter().collect();
-        let mut result = self.query_nearest_merged(path, k, &excl);
+        let mut result = query::query_nearest_merged(&self.shards, path, k, exclude);
         let exact_len = result.len();
         if result.len() < k && self.config.cross_landmark_fallback {
             let missing = k - result.len();
-            let have: HashSet<PeerId> = result.iter().map(|n| n.peer).collect();
-            let fill = self.cross_landmark_candidates(path, missing, &excl, &have);
+            let fill = self.cross_landmark_candidates(path, missing, exclude, &result);
             self.counters.cross_landmark_fills.add(fill.len() as u64);
             result.extend(fill);
         }
@@ -976,24 +975,10 @@ impl ManagementServer {
         }
     }
 
-    /// The `k` best peers across all shards for a query path, ascending
-    /// `(dtree, peer)` — delegated to the shared plan in
-    /// [`crate::directory::query`], which the actorized runtime uses too.
-    fn query_nearest_merged(
-        &self,
-        query: &PeerPath,
-        k: usize,
-        exclude: &HashSet<PeerId>,
-    ) -> Vec<Neighbor> {
-        let shards: Vec<&DirectoryShard> = self.shards.iter().collect();
-        query::query_nearest_merged(&shards, query, k, exclude)
-    }
-
     /// All registered peers whose path traverses `router`, nearest-first —
     /// the shared lazy k-way merge over the shards' ordered lists.
     fn peers_through_merged(&self, router: RouterId) -> MergedPeersThrough<'_> {
-        let shards: Vec<&DirectoryShard> = self.shards.iter().collect();
-        query::peers_through_merged(&shards, router)
+        query::peers_through_merged(&self.shards, router)
     }
 
     /// Cross-landmark fill: rank foreign peers by
@@ -1003,15 +988,14 @@ impl ManagementServer {
         &self,
         path: &PeerPath,
         k: usize,
-        exclude: &HashSet<PeerId>,
-        already: &HashSet<PeerId>,
+        exclude: Option<PeerId>,
+        already: &[Neighbor],
     ) -> Vec<Neighbor> {
         let Ok(own) = self.landmark_for_path(path) else {
             return Vec::new();
         };
-        let shards: Vec<&DirectoryShard> = self.shards.iter().collect();
         query::cross_landmark_candidates(
-            &shards,
+            &self.shards,
             &self.landmark_routers,
             &self.landmark_dist,
             own,
@@ -1342,9 +1326,9 @@ impl<'a> DirectoryView<'a> {
         &self,
         query: &PeerPath,
         k: usize,
-        exclude: &HashSet<PeerId>,
+        exclude: Option<PeerId>,
     ) -> Vec<Neighbor> {
-        self.server.query_nearest_merged(query, k, exclude)
+        query::query_nearest_merged(&self.server.shards, query, k, exclude)
     }
 }
 
@@ -1876,7 +1860,7 @@ mod tests {
         // 8 routers total: {4,2,1,0} ∪ {5} ∪ {110,105,100}.
         assert_eq!(view.n_routers(), 8);
         let q = path(&[4, 2, 1, 0]);
-        let res = view.query_nearest(&q, 2, &HashSet::new());
+        let res = view.query_nearest(&q, 2, None);
         assert_eq!(res[0].peer, PeerId(1));
         assert_eq!(res[0].dtree, 0);
     }

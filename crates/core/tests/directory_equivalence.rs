@@ -61,8 +61,7 @@ impl ReferenceServer {
     /// Seed-style query over the single global index, including the
     /// cross-landmark bridge fill.
     fn closest(&self, path: &PeerPath, k: usize, exclude: Option<PeerId>) -> Vec<Neighbor> {
-        let excl: HashSet<PeerId> = exclude.into_iter().collect();
-        let mut result = self.index.query_nearest(path, k, &excl);
+        let mut result = self.index.query_nearest(path, k, exclude);
         if result.len() < k {
             let Ok(own) = self.landmark_for(path) else {
                 return result;
@@ -94,7 +93,7 @@ impl ReferenceServer {
                 if let Some((next_peer, depth)) = iter.next() {
                     heap.push(std::cmp::Reverse((*base + depth, next_peer, idx)));
                 }
-                if excl.contains(&peer) || have.contains(&peer) || !emitted.insert(peer) {
+                if Some(peer) == exclude || have.contains(&peer) || !emitted.insert(peer) {
                     continue;
                 }
                 fill.push(Neighbor { peer, dtree: est });

@@ -114,8 +114,7 @@ proptest! {
         }
         // Query with the first peer's path, excluding itself.
         let query = &paths[0];
-        let exclude: HashSet<PeerId> = [PeerId(0)].into_iter().collect();
-        let fast = index.query_nearest(query, k, &exclude);
+        let fast = index.query_nearest(query, k, Some(PeerId(0)));
 
         let mut brute: Vec<(u32, PeerId)> = paths
             .iter()
@@ -146,9 +145,8 @@ proptest! {
             reference.insert(PeerId(i as u64), path.clone()).expect("unique ids");
         }
         let query = &paths[0];
-        let none = HashSet::new();
-        let a = index.query_nearest(query, 8, &none);
-        let b = reference.query_nearest(query, 8, &none);
+        let a = index.query_nearest(query, 8, None);
+        let b = reference.query_nearest(query, 8, None);
         prop_assert_eq!(a, b);
         prop_assert_eq!(index.len(), reference.len());
         prop_assert_eq!(index.n_routers(), reference.n_routers());

@@ -1,0 +1,93 @@
+//! Pins the read path's mechanism without timing it: the heap allocations
+//! one `closest_to_path` makes are a small constant that does **not** grow
+//! with the number of landmark shards, on the synchronous server and on
+//! the actorized one. (With a top-`k` buffer, a heap and a `seen` set per
+//! shard it grew by several per shard.) Allocation counts on one thread
+//! repeat exactly, so this is a tier-1 test.
+
+use nearpeer::core::{ActorServer, ManagementServer, PeerId, PeerPath, ServerConfig};
+use nearpeer_bench::wire::synthetic_landmarks;
+use nearpeer_bench::SyntheticJoins;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Allocations made by this thread (no destructor, so the allocator
+    /// may touch it at any point of the thread's life).
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting calls per thread. `realloc` is the
+/// trait's default (alloc + copy + dealloc), so a growing `Vec` counts.
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter is a plain thread-local `Cell`.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations are `System.alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+const K: usize = 5;
+/// Peers under every landmark — enough that the asker's own tree fills
+/// `k` and no cross-landmark fill runs.
+const PEERS_PER_LANDMARK: u64 = 64;
+
+fn allocations(mut query: impl FnMut() -> usize) -> u64 {
+    assert_eq!(query(), K, "warm-up answer is full");
+    let before = ALLOCS.with(Cell::get);
+    assert_eq!(query(), K);
+    let first = ALLOCS.with(Cell::get) - before;
+    assert_eq!(query(), K);
+    assert_eq!(
+        ALLOCS.with(Cell::get) - before,
+        2 * first,
+        "the count repeats"
+    );
+    first
+}
+
+/// `(sync, actor)` allocations per query at `landmarks` shards. Peer 0's
+/// path and its own shard's content are the same at every landmark count
+/// (`SyntheticJoins` packs `(landmark, level, peer / landmarks)`).
+fn per_query(landmarks: usize) -> (u64, u64) {
+    let joins = SyntheticJoins::new(landmarks);
+    let population: Vec<(PeerId, PeerPath)> = (0..PEERS_PER_LANDMARK * landmarks as u64)
+        .map(|p| joins.join(p))
+        .collect();
+    let (asker, path) = joins.join(0);
+
+    let mut sync: ManagementServer = joins.server(ServerConfig::default());
+    let (routers, dist) = synthetic_landmarks(landmarks);
+    let actor = ActorServer::new(routers, dist, ServerConfig::default()).expect("builds");
+    for (peer, path) in population {
+        actor.register(peer, path.clone()).expect("fresh peer");
+        sync.register(peer, path).expect("fresh peer");
+    }
+    (
+        allocations(|| sync.closest_to_path(&path, K, Some(asker)).len()),
+        allocations(|| actor.closest_to_path(&path, K, Some(asker)).len()),
+    )
+}
+
+#[test]
+fn allocations_per_query_do_not_grow_with_shards() {
+    let (sync_8, actor_8) = per_query(8);
+    let (sync_32, actor_32) = per_query(32);
+    assert_eq!(sync_8, sync_32, "ManagementServer: 8 vs 32 landmarks");
+    assert_eq!(actor_8, actor_32, "ActorServer: 8 vs 32 landmarks");
+    // Cursors, heap, seen set, answer; the actor adds its guard list.
+    assert!(sync_8 <= 4, "ManagementServer allocates {sync_8} per query");
+    assert!(actor_8 <= 5, "ActorServer allocates {actor_8} per query");
+}
