@@ -52,8 +52,8 @@ fn build_sequential(batch: Vec<(PeerId, PeerPath)>) -> ManagementServer {
     server
 }
 
-/// One batched call: grouped inserts with amortised tree descent, then
-/// per-newcomer answers.
+/// One batched call: inserts grouped by landmark, then per-newcomer
+/// answers.
 fn build_batched(batch: Vec<(PeerId, PeerPath)>) -> ManagementServer {
     let mut server = fresh_server();
     for result in server.register_batch(batch) {

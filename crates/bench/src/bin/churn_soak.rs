@@ -149,6 +149,12 @@ fn check(r: &ChurnSoakResult) -> Result<(), String> {
             c.joins, c.leaves, c.expired, r.final_population
         ));
     }
+    if r.indexed_routers != r.live_path_routers {
+        return Err(format!(
+            "router leak: {} indexed vs {} on live paths",
+            r.indexed_routers, r.live_path_routers
+        ));
+    }
     // Linearity guard: the epoch-bucketed sweep must touch only noted
     // lease activity (opens + renewals, re-notes bounded by sweeps) — a
     // regression to full-table scans shows up here long before the

@@ -420,6 +420,11 @@ pub struct ChurnSoakResult {
     /// Registered peers left after the replay (silent failures whose
     /// lease had not yet lapsed).
     pub final_population: usize,
+    /// Distinct routers the server's index holds after the replay.
+    pub indexed_routers: usize,
+    /// Distinct routers on the residual population's stored paths; the
+    /// index holding any other router is a leak.
+    pub live_path_routers: usize,
     /// Wall-clock seconds for the replay (excluding trace generation).
     pub elapsed_secs: f64,
     /// Trace events applied per second of replay.
@@ -583,11 +588,19 @@ fn replay(
                 buckets_swept: acc.buckets_swept + st.buckets_swept,
             }
         });
+    let live_path_routers: HashSet<RouterId> = server
+        .shards()
+        .iter()
+        .flat_map(|s| s.peers().filter_map(|p| s.path_of(p)))
+        .flat_map(|path| path.routers().iter().copied())
+        .collect();
     let result = ChurnSoakResult {
         config: cfg.clone(),
         counters,
         peak_population: peak,
         final_population: server.peer_count(),
+        indexed_routers: server.index().n_routers(),
+        live_path_routers: live_path_routers.len(),
         elapsed_secs: elapsed.as_secs_f64(),
         events_per_sec: counters.events as f64 / elapsed.as_secs_f64().max(1e-9),
         sweep_entries: sweep.entries_swept,
@@ -656,6 +669,7 @@ mod tests {
         );
         assert!(result.peak_population > 0);
         assert_eq!(server.peer_count(), result.final_population);
+        assert_eq!(result.indexed_routers, result.live_path_routers);
         // The epoch-bucketed sweep touches noted lease activity only (one
         // note per open/renewal, re-notes bounded by sweeps), far below
         // the full-scan worst case of population × sweeps.

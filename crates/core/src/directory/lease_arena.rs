@@ -442,22 +442,6 @@ impl<T> LeaseArena<T> {
         }
     }
 
-    /// Clears `peer`'s forwarding tombstone ahead of its sweep, returning
-    /// the recorded destination.
-    pub fn clear_tombstone(&mut self, peer: PeerId) -> Option<u32> {
-        let pos = self.probe(peer)?;
-        let idx = self.table[pos];
-        match self.slots[idx as usize].occupant {
-            Some(Occupant::Moved(_, to)) => {
-                self.slots[idx as usize].occupant = None;
-                self.release_slot(pos, idx);
-                self.tombstones -= 1;
-                Some(to)
-            }
-            _ => None,
-        }
-    }
-
     /// Table position of `peer`'s **live** lease.
     fn probe_live(&self, peer: PeerId) -> Option<usize> {
         let pos = self.probe(peer)?;

@@ -4,10 +4,11 @@
 //! traffic means splitting it along the axis the data already has:
 //! **the landmark**. Every stored path terminates at exactly one landmark
 //! router, so peers partition cleanly into per-landmark
-//! [`DirectoryShard`]s — each owning its landmark's
-//! [`crate::PathTree`], its slice of the router index and its peers'
-//! soft-state leases, with paths interned once in an arena-backed
-//! [`PathStore`] instead of cloned into every structure and leases held
+//! [`DirectoryShard`]s — each owning its slice of the router index and
+//! its peers' soft-state leases (the landmark's [`crate::PathTree`] is a
+//! view built on demand from them), with paths interned once in an
+//! arena-backed [`PathStore`] instead of cloned into every structure and
+//! leases held
 //! in a slab-backed [`LeaseArena`] (generational slots, one open-addressed
 //! peer→slot table, epoch-bucketed expiry) so million-peer churn neither
 //! fragments the heap nor pays a full-table scan per expiry sweep.
@@ -19,8 +20,8 @@
 //! genuinely cross-landmark state (bridge distances, super-peer regions,
 //! aggregate counters) to itself. Batched joins
 //! ([`crate::ManagementServer::register_batch`]) group newcomers by
-//! landmark and amortise the tree descent; [`crate::runtime::ActorServer`]
-//! gives every shard its own mailbox thread.
+//! landmark; [`crate::runtime::ActorServer`] gives every shard its own
+//! mailbox thread.
 
 mod adaptive;
 mod lease_arena;

@@ -37,13 +37,15 @@ pub struct ShardAbsorb {
 /// The per-landmark directory shard: everything the server knows about the
 /// peers registered under one landmark.
 ///
-/// A shard owns the landmark's [`PathTree`], its slice of the router index
-/// (entries for every router on its peers' paths), the interned path arena
-/// ([`PathStore`] — one copy per distinct path instead of one clone per
-/// structure), and the soft-state lease table — a slab-backed
-/// [`LeaseArena`] holding membership, path handle and last-seen epoch in
-/// one contiguous allocation with epoch-bucketed expiry (was three per-peer
-/// `HashMap`s before the churn refactor). Shards never reference each
+/// A shard owns its slice of the router index (entries for every router on
+/// its peers' paths), the interned path arena ([`PathStore`] — one copy
+/// per distinct path instead of one clone per structure), and the
+/// soft-state lease table — a slab-backed [`LeaseArena`] holding
+/// membership, path handle and last-seen epoch in one contiguous
+/// allocation with epoch-bucketed expiry (was three per-peer `HashMap`s
+/// before the churn refactor) — and nothing else per peer: the landmark's
+/// [`PathTree`] is a view built on demand from the stored paths
+/// ([`Self::tree`]). Shards never reference each
 /// other, so distinct shards can be **mutated from different threads**
 /// (one mailbox thread per shard in [`crate::runtime::ActorServer`]) and
 /// **queried concurrently** (every read takes `&self`). Cross-landmark
@@ -56,7 +58,6 @@ pub struct DirectoryShard {
     store: PathStore,
     entries: EntryMap,
     leases: LeaseArena<PathRef>,
-    tree: PathTree,
     adaptive: Option<AdaptiveLeases>,
     inserts: u64,
     removals: u64,
@@ -83,7 +84,6 @@ impl DirectoryShard {
             store: PathStore::new(),
             entries: EntryMap::default(),
             leases: LeaseArena::new(),
-            tree: PathTree::new(root),
             adaptive: adaptive.map(AdaptiveLeases::new),
             inserts: 0,
             removals: 0,
@@ -126,9 +126,19 @@ impl DirectoryShard {
         self.leases.iter().map(|(p, _, _)| p)
     }
 
-    /// The landmark's path tree (analytics view).
-    pub fn tree(&self) -> &PathTree {
-        &self.tree
+    /// The landmark's path tree (analytics view), built on demand from the
+    /// live leases' stored paths in ascending peer id — `O(peers · depth)`,
+    /// and a pure function of the registered set: neither the join/leave
+    /// history nor the slab's slot order shows in it.
+    pub fn tree(&self) -> PathTree {
+        let mut live: Vec<(PeerId, PathRef)> =
+            self.leases.iter().map(|(p, _, r)| (p, *r)).collect();
+        live.sort_unstable_by_key(|&(peer, _)| peer);
+        let mut tree = PathTree::new(self.root);
+        for (peer, r) in live {
+            tree.insert(peer, self.store.get(r));
+        }
+        tree
     }
 
     /// The interned path arena (diagnostics: dedup hits, distinct paths).
@@ -266,9 +276,8 @@ impl DirectoryShard {
     /// Streams the shard into `out`: identity, lifetime counters, the
     /// interned path arena, the lease slab (payloads are 4-byte path
     /// refs), and the adaptive EWMA table when enabled. The router index
-    /// and path tree are *not* written — the final directory state is a
-    /// pure function of the registered set, so both rebuild from the
-    /// restored leases.
+    /// is *not* written — it is a pure function of the registered set and
+    /// rebuilds from the restored leases.
     pub(crate) fn persist_encode(&self, out: &mut Vec<u8>) {
         use super::persist::wire::{put_u32, put_u64, put_u8};
         put_u32(out, self.landmark.0);
@@ -288,7 +297,7 @@ impl DirectoryShard {
     }
 
     /// Rebuilds a shard written by [`Self::persist_encode`], re-deriving
-    /// the router index and path tree from the restored leases and
+    /// the router index from the restored leases and
     /// cross-checking the structures against each other: every live lease
     /// must reference a live interned path rooted at this shard's
     /// landmark, and the store's reference counts must sum to exactly the
@@ -336,7 +345,6 @@ impl DirectoryShard {
             store,
             entries: EntryMap::default(),
             leases,
-            tree: PathTree::new(root),
             adaptive,
             inserts,
             removals,
@@ -353,15 +361,11 @@ impl DirectoryShard {
         for &(peer, pr) in &pairs {
             shard.index_path(peer, pr);
         }
-        let DirectoryShard { store, tree, .. } = &mut shard;
-        for &(peer, pr) in &pairs {
-            tree.insert(peer, store.get(pr));
-        }
         Ok(shard)
     }
 
-    /// Registers one peer: interns the path, indexes every router on it,
-    /// attaches the peer to the path tree and opens its lease at `epoch`.
+    /// Registers one peer: interns the path, indexes every router on it
+    /// and opens its lease at `epoch`.
     pub fn insert(&mut self, peer: PeerId, path: PeerPath, epoch: u64) -> Result<(), CoreError> {
         if path.landmark_router() != self.root {
             return Err(CoreError::UnknownLandmark(format!(
@@ -376,7 +380,6 @@ impl DirectoryShard {
         }
         let r = self.store.intern(path);
         self.index_path(peer, r);
-        self.tree.insert(peer, self.store.get(r));
         self.leases.insert(peer, r, epoch);
         if let Some(ttl) = self.adaptive.as_mut().and_then(|a| a.ttl(peer)) {
             self.leases.set_ttl(peer, ttl);
@@ -385,11 +388,9 @@ impl DirectoryShard {
         Ok(())
     }
 
-    /// Registers a pre-validated batch, amortising the tree descent (one
-    /// [`PathTree::insert_batch`] walk) on top of per-item indexing. Items
-    /// a sequential [`Self::insert`] would reject (wrong root, duplicate —
-    /// also duplicates *within* the batch) are skipped. Returns the number
-    /// of peers inserted.
+    /// Registers a pre-validated batch. Items a sequential [`Self::insert`]
+    /// would reject (wrong root, duplicate — also duplicates *within* the
+    /// batch) are skipped. Returns the number of peers inserted.
     pub fn insert_batch(&mut self, items: Vec<(PeerId, PeerPath)>, epoch: u64) -> usize {
         self.absorb(items, epoch, false).joined
     }
@@ -410,7 +411,6 @@ impl DirectoryShard {
         renew_existing: bool,
     ) -> ShardAbsorb {
         let mut out = ShardAbsorb::default();
-        let mut accepted: Vec<(PeerId, PathRef)> = Vec::with_capacity(items.len());
         self.store.reserve(items.len());
         for (peer, path) in items {
             if path.landmark_router() != self.root {
@@ -433,15 +433,9 @@ impl DirectoryShard {
             if let Some(ttl) = self.adaptive.as_mut().and_then(|a| a.ttl(peer)) {
                 self.leases.set_ttl(peer, ttl);
             }
-            accepted.push((peer, r));
+            out.joined += 1;
         }
-        let store = &self.store;
-        let inserted = self
-            .tree
-            .insert_batch(accepted.iter().map(|&(p, r)| (p, store.get(r))));
-        debug_assert_eq!(inserted, accepted.len());
-        self.inserts += accepted.len() as u64;
-        out.joined = accepted.len();
+        self.inserts += out.joined as u64;
         out
     }
 
@@ -452,7 +446,6 @@ impl DirectoryShard {
         };
         self.observe_session(peer, opened, last_seen);
         self.unindex_path(peer, r);
-        self.tree.remove(peer);
         self.removals += 1;
         true
     }
@@ -467,13 +460,12 @@ impl DirectoryShard {
             return false;
         };
         self.unindex_path(peer, r);
-        self.tree.remove(peer);
         self.removals += 1;
         true
     }
 
     /// Removes a peer that **handed over to another region**, leaving a
-    /// forwarding tombstone in the lease arena: the peer's path, tree and
+    /// forwarding tombstone in the lease arena: the peer's path and
     /// index entries are torn down like a departure, but the arena keeps a
     /// `(peer → region)` marker — noted in the current epoch's bucket and
     /// retired by the ordinary sweeps — so federation-aware expiry can
@@ -484,7 +476,6 @@ impl DirectoryShard {
             return false;
         };
         self.unindex_path(peer, r);
-        self.tree.remove(peer);
         self.removals += 1;
         let planted = self.leases.insert_tombstone(peer, to_region, epoch);
         debug_assert!(planted, "slot was just vacated");
@@ -569,7 +560,6 @@ impl DirectoryShard {
         for lease in outcome.expired {
             self.observe_session(lease.peer, lease.opened, lease.last_seen);
             self.unindex_path(lease.peer, lease.value);
-            self.tree.remove(lease.peer);
             self.removals += 1;
             out.expired.push(lease.peer);
         }
@@ -754,6 +744,29 @@ mod tests {
         assert_eq!(sweep.expired, vec![PeerId(2)]);
         assert_eq!(s.tombstone_count(), 0);
         assert_eq!(s.forwarded_to(PeerId(1)), None);
+    }
+
+    #[test]
+    fn emptied_shard_holds_no_router_and_no_tree_node() {
+        // 1 000 peers, each behind its own access router, leave by every
+        // road out of a shard; nothing of them may stay behind.
+        let mut s = shard();
+        let ids: Vec<PeerId> = (0..1_000).map(PeerId).collect();
+        let items = ids
+            .iter()
+            .map(|&p| (p, path(&[10_000 + p.0 as u32, 2 + p.0 as u32 % 7, 1, 0])));
+        assert_eq!(s.absorb_batch(items.collect(), 0).joined, 1_000);
+        assert_eq!(s.n_routers(), 1_000 + 7 + 2);
+        assert_eq!(s.tree().n_nodes(), 1_000 + 7 + 2);
+        assert_eq!(s.remove_batch(&ids[..400]).len(), 400);
+        for &peer in &ids[400..700] {
+            assert!(s.remove_forwarding(peer, 1, 0));
+        }
+        let sweep = s.expire_epoch(10, 4);
+        assert_eq!((&sweep.expired[..], sweep.moved.len()), (&ids[700..], 300));
+        assert_eq!((s.len(), s.n_routers(), s.tombstone_count()), (0, 0, 0));
+        assert_eq!(s.tree().n_nodes(), 1, "only the landmark's own router");
+        assert_eq!(s.tree().n_peers(), 0);
     }
 
     #[test]

@@ -12,12 +12,13 @@
 //!   list") and queries that never touch more than the answer (`O(1)` in
 //!   `n` — "accessing a data in a hash table");
 //! * [`PathTree`] — the per-landmark trie view used for analytics, branch
-//!   points (`dtree`) and super-peer regions;
+//!   points (`dtree`) and super-peer regions, built on demand from the
+//!   stored paths ([`DirectoryShard::tree`]);
 //! * [`ManagementServer`] — round 2: registry, neighbor selection, churn
 //!   removal, mobility handover and super-peer promotion — a facade over
 //!   the sharded [`directory`];
 //! * [`directory`] — the scalability layer: one [`DirectoryShard`] per
-//!   landmark (path tree + index slice + leases) with arena-interned
+//!   landmark (index slice + leases) with arena-interned
 //!   paths ([`PathStore`]), batched joins, adaptive lease lengths and a
 //!   concurrent `&self` read path;
 //! * [`federation`] — the multi-region layer above the shards: one

@@ -22,12 +22,14 @@ struct TreeNode {
 ///
 /// [`crate::RouterIndex`] is the query-optimal flat view; this trie is the
 /// analytical view: branch points, subtree populations (super-peer regions,
-/// W2), and tree statistics. The two are kept consistent by the
-/// [`crate::ManagementServer`].
+/// W2), and tree statistics. It is not maintained anywhere: a shard builds
+/// it on demand from the stored paths of its live leases in ascending peer
+/// id ([`crate::DirectoryShard::tree`]), so the view is a pure function of
+/// the registered set.
 ///
 /// Route inconsistencies (a router reported with two different parents,
-/// possible with decreased traceroutes) are resolved first-writer-wins and
-/// counted in [`PathTree::inconsistencies`].
+/// possible with decreased traceroutes) are resolved first-writer-wins in
+/// insertion order and counted in [`PathTree::inconsistencies`].
 #[derive(Debug, Clone)]
 pub struct PathTree {
     nodes: Vec<TreeNode>,
@@ -106,76 +108,8 @@ impl PathTree {
         true
     }
 
-    /// Inserts a whole batch of peers, amortising the descent: consecutive
-    /// paths sharing a landmark-side prefix reuse the previous walk instead
-    /// of re-resolving every router, and subtree populations are propagated
-    /// once at the end (`O(nodes + batch)`) instead of once per peer
-    /// (`O(depth · batch)`).
-    ///
-    /// State-equivalent to calling [`Self::insert`] per item in order —
-    /// including the per-walk [`Self::inconsistencies`] accounting — and
-    /// skips items the sequential calls would reject (wrong root,
-    /// duplicate peer). Returns the number of peers inserted.
-    pub fn insert_batch<'a, I>(&mut self, items: I) -> usize
-    where
-        I: IntoIterator<Item = (PeerId, &'a PeerPath)>,
-    {
-        // The previous item's descent, root-outward: (router, node index,
-        // whether that step counted an inconsistency). A new path reuses
-        // the longest common prefix; the recorded flag replays the
-        // per-walk conflict count the skipped lookups would have added.
-        let mut walk: Vec<(RouterId, u32, bool)> = Vec::new();
-        // Pending subtree-population additions, indexed by node.
-        let mut delta: Vec<u32> = Vec::new();
-        let mut inserted = 0usize;
-        for (peer, path) in items {
-            if path.landmark_router() != self.root() || self.peer_node.contains_key(&peer) {
-                continue;
-            }
-            let outward = || path.routers().iter().rev().skip(1).copied();
-            let lcp = outward()
-                .zip(walk.iter())
-                .take_while(|&(router, step)| router == step.0)
-                .count();
-            walk.truncate(lcp);
-            self.inconsistencies += walk.iter().filter(|step| step.2).count();
-            let mut current = walk.last().map_or(0, |step| step.1);
-            for router in outward().skip(lcp) {
-                let (idx, conflicted) = self.child(current, router);
-                if conflicted {
-                    self.inconsistencies += 1;
-                }
-                walk.push((router, idx, conflicted));
-                current = idx;
-            }
-            self.nodes[current as usize].peers_here.push(peer);
-            self.peer_node.insert(peer, current);
-            if delta.len() < self.nodes.len() {
-                delta.resize(self.nodes.len(), 0);
-            }
-            delta[current as usize] += 1;
-            inserted += 1;
-        }
-        // Children always have larger indices than their parents (nodes are
-        // appended during descent), so one high-to-low sweep pushes every
-        // pending count up to the root.
-        for idx in (0..delta.len()).rev() {
-            let d = delta[idx];
-            if d == 0 {
-                continue;
-            }
-            self.nodes[idx].subtree_peers += d as usize;
-            let parent = self.nodes[idx].parent;
-            if parent != NO_NODE {
-                delta[parent as usize] += d;
-            }
-        }
-        inserted
-    }
-
     /// Finds or creates the child of `parent_idx` for `router`; the flag
-    /// reports a parent conflict (same router already attached elsewhere —
-    /// the caller decides how to count it).
+    /// reports a parent conflict (same router already attached elsewhere).
     fn child(&mut self, parent_idx: u32, router: RouterId) -> (u32, bool) {
         if let Some(&existing) = self.by_router.get(&router) {
             // Same router reported under a different parent: keep the
@@ -196,27 +130,6 @@ impl PathTree {
         self.nodes[parent_idx as usize].children.push(idx);
         self.by_router.insert(router, idx);
         (idx, false)
-    }
-
-    /// Removes a peer (its routers stay in the tree; only population counts
-    /// change).
-    pub fn remove(&mut self, peer: PeerId) -> bool {
-        let Some(node) = self.peer_node.remove(&peer) else {
-            return false;
-        };
-        let here = &mut self.nodes[node as usize].peers_here;
-        if let Some(pos) = here.iter().position(|&p| p == peer) {
-            here.remove(pos);
-        }
-        let mut up = node;
-        loop {
-            self.nodes[up as usize].subtree_peers -= 1;
-            if up == 0 {
-                break;
-            }
-            up = self.nodes[up as usize].parent;
-        }
-        true
     }
 
     /// The branch point (deepest common ancestor) of two attached peers and
@@ -379,16 +292,6 @@ mod tests {
     }
 
     #[test]
-    fn removal_updates_counts() {
-        let mut t = sample_tree();
-        assert!(t.remove(PeerId(0xB)));
-        assert!(!t.remove(PeerId(0xB)));
-        assert_eq!(t.n_peers(), 3);
-        assert_eq!(t.subtree_population(RouterId(2)), Some(2));
-        assert_eq!(t.subtree_population(RouterId(5)), Some(0));
-    }
-
-    #[test]
     fn regions_and_peers_under() {
         let t = sample_tree();
         let mut regions = t.regions_at_depth(2);
@@ -409,6 +312,19 @@ mod tests {
         assert_eq!(t.inconsistencies(), 1);
         // First-writer-wins: 5 stays under 2.
         assert_eq!(t.depth_of(RouterId(5)), Some(3));
+        assert_eq!(t.depth_of(RouterId(6)), Some(4));
+        // The same conflicting walk again counts again; an agreeing walk
+        // through 5 does not.
+        t.insert(PeerId(3), &path(&[7, 5, 3, 1, 0]));
+        assert_eq!(t.inconsistencies(), 2);
+        t.insert(PeerId(4), &path(&[8, 5, 2, 1, 0]));
+        assert_eq!(t.inconsistencies(), 2);
+        // Insertion order decides the winner: 3 first puts 5 under 3.
+        let mut rev = PathTree::new(RouterId(0));
+        rev.insert(PeerId(2), &path(&[6, 5, 3, 1, 0]));
+        rev.insert(PeerId(1), &path(&[5, 2, 1, 0]));
+        assert_eq!(rev.inconsistencies(), 1);
+        assert_eq!(rev.subtree_population(RouterId(3)), Some(2));
     }
 
     #[test]
@@ -420,79 +336,6 @@ mod tests {
         assert!(dot.contains("(1 peers)"), "peer counts annotated:\n{dot}");
         // Every non-root node has exactly one parent edge.
         assert_eq!(dot.matches(" -> ").count(), t.n_nodes() - 1);
-    }
-
-    #[test]
-    fn insert_batch_matches_sequential() {
-        // Shared prefixes, an inconsistent parent, a duplicate and a
-        // wrong-root path — the batch must reproduce sequential state
-        // exactly, counters included.
-        let paths = [
-            path(&[4, 2, 1, 0]),
-            path(&[5, 2, 1, 0]),    // shares [2,1] with the previous walk
-            path(&[6, 5, 3, 1, 0]), // router 5 re-parented: inconsistency
-            path(&[7, 5, 3, 1, 0]), // same conflicting walk again
-            path(&[2, 1, 0]),
-            path(&[9, 8, 42]), // wrong root (never inserted)
-        ];
-        let mut seq = PathTree::new(RouterId(0));
-        let mut inserted_seq = 0;
-        for (i, p) in paths.iter().enumerate() {
-            if seq.insert(PeerId(i as u64), p) {
-                inserted_seq += 1;
-            }
-            // A duplicate of peer 0 is a sequential no-op.
-            assert!(!seq.insert(PeerId(0), p));
-        }
-        let mut batched = PathTree::new(RouterId(0));
-        let mut items: Vec<(PeerId, &PeerPath)> = paths
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (PeerId(i as u64), p))
-            .collect();
-        // Interleave the duplicates exactly like the sequential loop did.
-        let dups: Vec<(PeerId, &PeerPath)> = paths.iter().map(|p| (PeerId(0), p)).collect();
-        let mut interleaved = Vec::new();
-        for (item, dup) in items.drain(..).zip(dups) {
-            interleaved.push(item);
-            interleaved.push(dup);
-        }
-        let inserted = batched.insert_batch(interleaved);
-        assert_eq!(inserted, inserted_seq);
-        assert_eq!(batched.n_nodes(), seq.n_nodes());
-        assert_eq!(batched.n_peers(), seq.n_peers());
-        assert_eq!(batched.inconsistencies(), seq.inconsistencies());
-        assert_eq!(seq.inconsistencies(), 2, "one per conflicting walk");
-        for p in &paths {
-            for &r in p.routers() {
-                assert_eq!(batched.depth_of(r), seq.depth_of(r), "{r}");
-                assert_eq!(
-                    batched.subtree_population(r),
-                    seq.subtree_population(r),
-                    "{r}"
-                );
-            }
-        }
-        assert_eq!(batched.to_dot(), seq.to_dot());
-    }
-
-    #[test]
-    fn insert_batch_on_populated_tree() {
-        let mut t = sample_tree();
-        let extra = [path(&[7, 2, 1, 0]), path(&[8, 3, 1, 0])];
-        let items: Vec<(PeerId, &PeerPath)> = extra
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (PeerId(100 + i as u64), p))
-            .collect();
-        assert_eq!(t.insert_batch(items), 2);
-        assert_eq!(t.n_peers(), 6);
-        assert_eq!(t.subtree_population(RouterId(2)), Some(4));
-        assert_eq!(t.subtree_population(RouterId(0)), Some(6));
-        assert_eq!(
-            t.branch_point(PeerId(100), PeerId(0xA)),
-            Some((RouterId(2), 2))
-        );
     }
 
     #[test]

@@ -110,9 +110,10 @@ pub struct LandmarkReport {
     pub router: RouterId,
     /// Peers registered under it.
     pub peers: usize,
-    /// Routers in its path tree.
+    /// Routers on a live stored path, plus the landmark's own.
     pub tree_routers: usize,
-    /// Route-inconsistency count (holes / instability).
+    /// Route-inconsistency count (holes / instability) over the live
+    /// stored paths, walked in ascending peer id.
     pub route_inconsistencies: usize,
 }
 
@@ -405,8 +406,9 @@ impl ManagementServer {
         self.shards.iter().find_map(|s| s.path_of(peer))
     }
 
-    /// The landmark tree (analytics view).
-    pub fn tree(&self, landmark: LandmarkId) -> Option<&PathTree> {
+    /// The landmark tree (analytics view), built on demand from the
+    /// shard's stored paths — see [`DirectoryShard::tree`].
+    pub fn tree(&self, landmark: LandmarkId) -> Option<PathTree> {
         self.shards.get(landmark.index()).map(|s| s.tree())
     }
 
@@ -479,7 +481,7 @@ impl ManagementServer {
     }
 
     /// Batched joins: validates and inserts the whole batch first (grouped
-    /// by landmark, amortising each shard's tree descent), then computes
+    /// by landmark, one call per shard), then computes
     /// every accepted newcomer's answer. Returns one result per input, in
     /// input order.
     ///
@@ -945,7 +947,10 @@ impl ManagementServer {
         self.subs = subs;
     }
 
-    /// Builds an operator-facing snapshot of the server's state.
+    /// Builds an operator-facing snapshot of the server's state. The
+    /// per-landmark rows come from trees built for the call
+    /// ([`DirectoryShard::tree`]), so this is `O(peers)`: an operator
+    /// snapshot, not something to call on a served path.
     pub fn report(&self) -> ServerReport {
         let per_landmark = self
             .shards
@@ -1162,7 +1167,7 @@ impl ManagementServer {
         let mut peer_shard = HashMap::new();
         for (i, &router) in landmark_routers.iter().enumerate() {
             let shard = DirectoryShard::persist_decode(&mut r, adaptive_leases)?;
-            if shard.landmark() != LandmarkId(i as u32) || shard.tree().root() != router {
+            if shard.landmark() != LandmarkId(i as u32) || shard.root() != router {
                 return Err(PersistError::Corrupt(format!(
                     "shard {i} does not match its landmark section"
                 ))

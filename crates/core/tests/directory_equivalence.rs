@@ -1,8 +1,7 @@
 //! Property test: the sharded directory behind [`ManagementServer`] is
 //! observationally identical to a reference **single-shard** build — one
-//! global [`RouterIndex`] plus per-landmark [`PathTree`]s, the pre-refactor
-//! layout — for random topologies, arrival orders and operation
-//! interleavings: `register`, `register_batch`, `deregister`, `handover`,
+//! global [`RouterIndex`], the pre-refactor layout — for random topologies,
+//! arrival orders and operation interleavings: `register`, `register_batch`, `deregister`, `handover`,
 //! heartbeats and lease expiry all produce the same [`JoinOutcome`]s,
 //! errors, neighbor answers and counters.
 
@@ -22,7 +21,6 @@ const LM_DIST: [[u32; 3]; 3] = [[0, 3, 7], [3, 0, 4], [7, 4, 0]];
 /// every landmark's peers — re-implemented on the public data structures.
 struct ReferenceServer {
     index: RouterIndex,
-    trees: Vec<PathTree>,
     peer_landmark: HashMap<PeerId, LandmarkId>,
     super_peers: SuperPeerDirectory,
     last_seen: HashMap<PeerId, u64>,
@@ -36,10 +34,6 @@ impl ReferenceServer {
     fn new(sp: SuperPeerConfig) -> Self {
         Self {
             index: RouterIndex::new(),
-            trees: LM_ROUTERS
-                .iter()
-                .map(|&r| PathTree::new(RouterId(r)))
-                .collect(),
             peer_landmark: HashMap::new(),
             super_peers: SuperPeerDirectory::new(sp),
             last_seen: HashMap::new(),
@@ -56,6 +50,25 @@ impl ReferenceServer {
             .position(|&r| RouterId(r) == path.landmark_router())
             .map(|i| LandmarkId(i as u32))
             .ok_or_else(|| CoreError::UnknownLandmark(String::new()))
+    }
+
+    /// The peers registered under `landmark`, ascending.
+    fn live(&self, landmark: LandmarkId) -> Vec<PeerId> {
+        let under = |(&p, &lm): (&PeerId, &LandmarkId)| (lm == landmark).then_some(p);
+        let mut live: Vec<PeerId> = self.peer_landmark.iter().filter_map(under).collect();
+        live.sort_unstable();
+        live
+    }
+
+    /// The landmark's Figure 1 tree as a function of the live set alone:
+    /// the reference's own `(peer, path)` pairs, ascending peer id.
+    fn tree(&self, landmark: LandmarkId) -> PathTree {
+        let mut tree = PathTree::new(RouterId(LM_ROUTERS[landmark.index()]));
+        for peer in self.live(landmark) {
+            let path = self.index.path_of(peer).expect("live peer has a path");
+            tree.insert(peer, path);
+        }
+        tree
     }
 
     /// Seed-style query over the single global index, including the
@@ -109,7 +122,6 @@ impl ReferenceServer {
     fn register(&mut self, peer: PeerId, path: PeerPath) -> Result<JoinOutcome, CoreError> {
         let landmark = self.landmark_for(&path)?;
         self.index.insert(peer, path.clone())?;
-        self.trees[landmark.index()].insert(peer, &path);
         self.peer_landmark.insert(peer, landmark);
         let delegate = self.super_peers.super_peer_for(&path);
         self.super_peers.on_register(peer, &path);
@@ -147,7 +159,6 @@ impl ReferenceServer {
         }
         for (_, peer, path, lm) in &accepted {
             self.index.insert(*peer, path.clone()).expect("validated");
-            self.trees[lm.index()].insert(*peer, path);
             self.peer_landmark.insert(*peer, *lm);
             self.last_seen.insert(*peer, self.epoch);
             self.joins += 1;
@@ -174,9 +185,7 @@ impl ReferenceServer {
         if self.index.remove(peer).is_none() {
             return Err(CoreError::UnknownPeer(peer));
         }
-        if let Some(lm) = self.peer_landmark.remove(&peer) {
-            self.trees[lm.index()].remove(peer);
-        }
+        self.peer_landmark.remove(&peer);
         self.super_peers.on_deregister(peer);
         self.last_seen.remove(&peer);
         self.leaves += 1;
@@ -235,7 +244,6 @@ impl ReferenceServer {
         for (peer, path) in &fresh {
             let lm = fresh_landmark[peer];
             self.index.insert(*peer, path.clone()).expect("validated");
-            self.trees[lm.index()].insert(*peer, path);
             self.peer_landmark.insert(*peer, lm);
             self.last_seen.insert(*peer, self.epoch);
             self.joins += 1;
@@ -523,11 +531,25 @@ proptest! {
                     reference.last_seen.get(&peer).copied()
                 );
             }
-            for (li, tree) in reference.trees.iter().enumerate() {
-                let shard_tree = server.tree(LandmarkId(li as u32)).expect("landmark exists");
+            // The on-demand tree is a function of the live set, whatever
+            // history produced it; where no walk conflicted it also agrees
+            // with the path-based dtree the index serves.
+            for li in 0..LM_ROUTERS.len() {
+                let landmark = LandmarkId(li as u32);
+                let tree = reference.tree(landmark);
+                let shard_tree = server.tree(landmark).expect("landmark exists");
                 prop_assert_eq!(shard_tree.n_peers(), tree.n_peers());
                 prop_assert_eq!(shard_tree.n_nodes(), tree.n_nodes());
                 prop_assert_eq!(shard_tree.inconsistencies(), tree.inconsistencies());
+                for pair in reference.live(landmark).windows(2).take(4) {
+                    let (a, b) = (pair[0], pair[1]);
+                    let got = shard_tree.branch_point(a, b);
+                    prop_assert!(got.is_some());
+                    prop_assert_eq!(got, tree.branch_point(a, b));
+                    if tree.inconsistencies() == 0 {
+                        prop_assert_eq!(got.map(|(_, d)| d), server.index().dtree(a, b));
+                    }
+                }
             }
         }
 

@@ -179,3 +179,49 @@ proptest! {
         }
     }
 }
+
+/// Conservation under churn, routers included: 1 000 peers behind 1 000
+/// distinct access routers join, a third hands over to a fresh access
+/// router, and everyone leaves by deregistration, batched leave or lease
+/// expiry. The emptied server holds no router and its trees no node but
+/// the landmark's own.
+#[test]
+fn emptied_server_holds_no_router_and_no_tree_node() {
+    let mut server = ManagementServer::new(
+        vec![RouterId(0), RouterId(1_000_000)],
+        vec![vec![0, 7], vec![7, 0]],
+        ServerConfig::default(),
+    );
+    // `path_for` keys the access router on a u8; this test needs 1 000.
+    let path = |access: u32, leaf: u64| {
+        let mut routers = path_for(0, leaf).routers().to_vec();
+        routers[0] = RouterId(3_000_000 + access);
+        PeerPath::new(routers).expect("distinct by construction")
+    };
+    let ids: Vec<PeerId> = (0..1_000).map(PeerId).collect();
+    for &peer in &ids {
+        server.register(peer, path(peer.0 as u32, peer.0)).unwrap();
+    }
+    for &peer in ids.iter().step_by(3) {
+        server
+            .handover(peer, path(5_000 + peer.0 as u32, peer.0 + 1))
+            .unwrap();
+    }
+    for &peer in &ids[..300] {
+        server.deregister(peer).unwrap();
+    }
+    assert_eq!(server.leave_batch(&ids[300..600]), 300);
+    for _ in 0..5 {
+        server.advance_epoch();
+    }
+    assert_eq!(server.expire_stale(2), ids[600..]);
+    assert_eq!(server.index().n_routers(), 0);
+    for lm in server.report().per_landmark {
+        assert_eq!(
+            (lm.peers, lm.tree_routers),
+            (0, 1),
+            "only the landmark's own router"
+        );
+    }
+    assert_eq!(server.tree(LandmarkId(0)).unwrap().n_nodes(), 1);
+}

@@ -272,3 +272,41 @@ fn parallel_swarm_build_matches_sequential_directory_state() {
         }
     }
 }
+
+/// The operator report is a function of the registered set: two servers
+/// that reach {A, C} by different histories (join A, B, C then leave B,
+/// versus join C then A) report the same per-landmark rows. B's access
+/// router, and the conflicting parent B reported for router 5, are gone
+/// with B.
+#[test]
+fn report_depends_on_the_registered_set_not_on_history() {
+    use nearpeer::core::{LandmarkId, ManagementServer, PeerPath, ServerConfig};
+    let path = |ids: &[u32]| PeerPath::new(ids.iter().map(|&i| RouterId(i)).collect()).unwrap();
+    let new_server = || {
+        let bridges = vec![vec![0, 3], vec![3, 0]];
+        ManagementServer::new(
+            vec![RouterId(0), RouterId(100)],
+            bridges,
+            ServerConfig::default(),
+        )
+    };
+    let (a, b, c) = (PeerId(1), PeerId(2), PeerId(3));
+    let (pa, pc) = (path(&[11, 5, 2, 1, 0]), path(&[13, 5, 2, 1, 0]));
+    let mut long = new_server();
+    long.register(a, pa.clone()).unwrap();
+    long.register(b, path(&[12, 5, 3, 1, 0])).unwrap();
+    long.register(c, pc.clone()).unwrap();
+    assert_eq!(long.report().per_landmark[0].route_inconsistencies, 1);
+    long.deregister(b).unwrap();
+    let mut short = new_server();
+    short.register(c, pc).unwrap();
+    short.register(a, pa).unwrap();
+
+    let (l, s) = (long.report(), short.report());
+    assert_eq!(l.per_landmark, s.per_landmark);
+    assert_eq!(l.indexed_routers, s.indexed_routers);
+    assert_eq!(l.per_landmark[0].tree_routers, 6, "0, 1, 2, 5, 11, 13");
+    assert_eq!(l.per_landmark[0].route_inconsistencies, 0);
+    let dot = |srv: &ManagementServer| srv.tree(LandmarkId(0)).unwrap().to_dot();
+    assert_eq!(dot(&long), dot(&short));
+}
