@@ -212,8 +212,9 @@ fn main() {
         }));
     }
     // Drain: every live connection loop notices the flag within its read
-    // timeout and exits; queued writes finish because the actors' drop
-    // path joins their workers after the mailboxes disconnect.
+    // timeout and exits. A single-region server applied each write on its
+    // connection's thread, so no shard write is left queued; a federation's
+    // drop path joins its region workers after their mailboxes disconnect.
     for handle in handles {
         let _ = handle.join();
     }

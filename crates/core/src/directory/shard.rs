@@ -7,7 +7,7 @@ use crate::error::CoreError;
 use crate::ids::{LandmarkId, PeerId};
 use crate::path::PeerPath;
 use crate::path_tree::PathTree;
-use crate::router_index::{query_nearest_entries, EntryMap, Neighbor};
+use crate::router_index::{self, query_nearest_entries, EntryMap, Neighbor};
 use nearpeer_topology::RouterId;
 
 /// Everything one [`DirectoryShard::expire_epoch`] sweep retired: leases
@@ -47,7 +47,7 @@ pub struct ShardAbsorb {
 /// [`PathTree`] is a view built on demand from the stored paths
 /// ([`Self::tree`]). Shards never reference each
 /// other, so distinct shards can be **mutated from different threads**
-/// (one mailbox thread per shard in [`crate::runtime::ActorServer`]) and
+/// (each behind its own `RwLock` in [`crate::runtime::ActorServer`]) and
 /// **queried concurrently** (every read takes `&self`). Cross-landmark
 /// concerns — neighbor-list merging, bridge-estimate fills, super-peer
 /// regions — live in the [`crate::ManagementServer`] facade.
@@ -178,7 +178,7 @@ impl DirectoryShard {
         self.entries
             .get(&router)
             .into_iter()
-            .flat_map(|set| set.iter().map(|&(d, p)| (p, d)))
+            .flat_map(|list| list.iter().map(|(d, p)| (p, d)))
     }
 
     /// The `k` shard peers with smallest `dtree` to the query path,
@@ -247,29 +247,13 @@ impl DirectoryShard {
 
     /// Indexes every router of an interned path for `peer`.
     fn index_path(&mut self, peer: PeerId, r: PathRef) {
-        let path = self.store.get(r);
-        for (router, depth) in path.with_depths() {
-            self.entries
-                .entry(router)
-                .or_default()
-                .insert((depth, peer));
-        }
+        router_index::index_path(&mut self.entries, peer, self.store.get(r));
     }
 
     /// Drops `peer`'s entries for the path behind `r` from the router
     /// index and releases the arena slot.
     fn unindex_path(&mut self, peer: PeerId, r: PathRef) {
-        {
-            let path = self.store.get(r);
-            for (router, depth) in path.with_depths() {
-                if let Some(set) = self.entries.get_mut(&router) {
-                    set.remove(&(depth, peer));
-                    if set.is_empty() {
-                        self.entries.remove(&router);
-                    }
-                }
-            }
-        }
+        router_index::unindex_path(&mut self.entries, peer, self.store.get(r));
         self.store.release(r);
     }
 

@@ -3,7 +3,8 @@
 //! A lookup is one k-way merge: every router of the query path is probed
 //! in every entry table given (the global [`RouterIndex`] has one, the
 //! sharded directory one per landmark), each hit opens a lazy cursor on
-//! that router's ordered peer list, and a single min-heap over *all* the
+//! that router's ordered peer list (a one-entry [`PeerList`] needs none:
+//! its head is all it has), and a single min-heap over *all* the
 //! cursors pops candidates in ascending `(dtree, peer)` until `k` distinct
 //! peers are out. Nothing is built per table: because every peer's entries
 //! live in exactly one table, the merge over all cursors is the answer a
@@ -17,6 +18,7 @@ use crate::path::PeerPath;
 use nearpeer_topology::RouterId;
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, BinaryHeap, HashMap};
 
 /// One discovered neighbor: the peer and its inferred tree distance.
@@ -32,7 +34,84 @@ pub struct Neighbor {
 /// The entry table shared between the global [`RouterIndex`] and the
 /// per-landmark shard indexes of [`crate::directory`]: router → peers
 /// traversing it, ordered by hop count below the router.
-pub(crate) type EntryMap = IdMap<RouterId, BTreeSet<(u32, PeerId)>>;
+pub(crate) type EntryMap = IdMap<RouterId, PeerList>;
+
+/// One router's peers, ascending by `(depth below the router, peer)`.
+///
+/// Most routers near the edge are crossed by exactly one registered peer:
+/// its access router, and any router deep enough in the landmark's tree
+/// that no other peer's path reaches it. In the benchmark population
+/// (`SyntheticJoins`: a unique access router per peer, and 12.5 k peers
+/// per landmark below 4⁷ level-7 routers) that is 2 of every peer's 9
+/// entries. Such a list holds its one entry inline; a `BTreeSet` (whose
+/// smallest leaf node is ~190 heap bytes) exists only from two entries on,
+/// and a removal that leaves one entry collapses it back. An empty list is
+/// not representable: the owning table drops the router instead.
+#[derive(Debug, Clone)]
+pub(crate) enum PeerList {
+    One((u32, PeerId)),
+    Many(BTreeSet<(u32, PeerId)>),
+}
+
+impl PeerList {
+    /// The entries in ascending `(depth, peer)` order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u32, PeerId)> + '_ {
+        let (one, many) = match self {
+            PeerList::One(entry) => (Some(*entry), None),
+            PeerList::Many(set) => (None, Some(set.iter().copied())),
+        };
+        one.into_iter().chain(many.into_iter().flatten())
+    }
+
+    /// Adds `entry` (a no-op if it is present).
+    fn insert(&mut self, entry: (u32, PeerId)) {
+        match self {
+            PeerList::One(held) if *held == entry => {}
+            PeerList::One(held) => *self = PeerList::Many(BTreeSet::from([*held, entry])),
+            PeerList::Many(set) => {
+                set.insert(entry);
+            }
+        }
+    }
+
+    /// Removes `entry`; returns `true` when that leaves the list empty,
+    /// which the caller answers by dropping the router.
+    fn remove(&mut self, entry: (u32, PeerId)) -> bool {
+        match self {
+            PeerList::One(held) => *held == entry,
+            PeerList::Many(set) => {
+                if set.remove(&entry) && set.len() == 1 {
+                    let last = *set.first().expect("one entry left");
+                    *self = PeerList::One(last);
+                }
+                false
+            }
+        }
+    }
+}
+
+/// Files `peer` under every router of `path`, at its depth below each.
+pub(crate) fn index_path(entries: &mut EntryMap, peer: PeerId, path: &PeerPath) {
+    for (router, depth) in path.with_depths() {
+        match entries.entry(router) {
+            Entry::Occupied(mut list) => list.get_mut().insert((depth, peer)),
+            Entry::Vacant(slot) => {
+                slot.insert(PeerList::One((depth, peer)));
+            }
+        }
+    }
+}
+
+/// Undoes [`index_path`], dropping every router whose list empties.
+pub(crate) fn unindex_path(entries: &mut EntryMap, peer: PeerId, path: &PeerPath) {
+    for (router, depth) in path.with_depths() {
+        if let Entry::Occupied(mut list) = entries.entry(router) {
+            if list.get_mut().remove((depth, peer)) {
+                list.remove();
+            }
+        }
+    }
+}
 
 /// The `k` peers with smallest combined depth (`dtree`) to the query path
 /// over the given [`EntryMap`]s, ascending, ties broken by peer id,
@@ -56,21 +135,28 @@ pub(crate) fn query_nearest_entries<'a>(
     }
     // Cursor `idx` walks one router's list; its head sits in the heap as
     // (dtree, peer, idx), dtree = query depth + candidate depth below the
-    // shared router.
+    // shared router. A one-entry list has nothing after its head, so it
+    // enters the heap with no cursor.
+    const NO_CURSOR: usize = usize::MAX;
     let path_len = query.routers().len();
     let mut cursors = Vec::with_capacity(path_len);
     let mut heads = Vec::with_capacity(path_len);
     let mut reachable = 0usize;
     for table in tables {
         for (router, query_depth) in query.with_depths() {
-            let Some(set) = table.get(&router) else {
-                continue;
-            };
-            let mut iter = set.iter();
-            if let Some(&(cand_depth, peer)) = iter.next() {
-                reachable += set.len();
-                heads.push(Reverse((query_depth + cand_depth, peer, cursors.len())));
-                cursors.push((query_depth, iter));
+            match table.get(&router) {
+                None => {}
+                Some(&PeerList::One((cand_depth, peer))) => {
+                    reachable += 1;
+                    heads.push(Reverse((query_depth + cand_depth, peer, NO_CURSOR)));
+                }
+                Some(PeerList::Many(set)) => {
+                    let mut iter = set.iter();
+                    let &(cand_depth, peer) = iter.next().expect("a set holds two or more");
+                    reachable += set.len();
+                    heads.push(Reverse((query_depth + cand_depth, peer, cursors.len())));
+                    cursors.push((query_depth, iter));
+                }
             }
         }
     }
@@ -82,9 +168,12 @@ pub(crate) fn query_nearest_entries<'a>(
         let Reverse((dtree, peer, idx)) = *head;
         // Advance the cursor this candidate came from, in place: one
         // sift instead of a pop and a push.
-        let (query_depth, iter) = &mut cursors[idx];
-        match iter.next() {
-            Some(&(cand_depth, next)) => *head = Reverse((*query_depth + cand_depth, next, idx)),
+        let next = cursors.get_mut(idx).and_then(|(query_depth, iter)| {
+            iter.next()
+                .map(|&(cand_depth, next)| (*query_depth + cand_depth, next))
+        });
+        match next {
+            Some((next_dtree, next)) => *head = Reverse((next_dtree, next, idx)),
             None => {
                 PeekMut::pop(head);
             }
@@ -165,7 +254,7 @@ impl RouterIndex {
         self.entries
             .get(&router)
             .into_iter()
-            .flat_map(|set| set.iter().map(|&(d, p)| (p, d)))
+            .flat_map(|list| list.iter().map(|(d, p)| (p, d)))
     }
 
     /// Registers a newcomer. `O(d · log n)` ordered insertions.
@@ -173,12 +262,7 @@ impl RouterIndex {
         if self.paths.contains_key(&peer) {
             return Err(CoreError::DuplicatePeer(peer));
         }
-        for (router, depth) in path.with_depths() {
-            self.entries
-                .entry(router)
-                .or_default()
-                .insert((depth, peer));
-        }
+        index_path(&mut self.entries, peer, &path);
         self.paths.insert(peer, path);
         Ok(())
     }
@@ -186,14 +270,7 @@ impl RouterIndex {
     /// Deregisters a peer, returning its stored path.
     pub fn remove(&mut self, peer: PeerId) -> Option<PeerPath> {
         let path = self.paths.remove(&peer)?;
-        for (router, depth) in path.with_depths() {
-            if let Some(set) = self.entries.get_mut(&router) {
-                set.remove(&(depth, peer));
-                if set.is_empty() {
-                    self.entries.remove(&router);
-                }
-            }
-        }
+        unindex_path(&mut self.entries, peer, &path);
         Some(path)
     }
 
@@ -367,6 +444,53 @@ mod tests {
         idx.insert(PeerId(1), path(&[1, 2, 3])).unwrap();
         let q = path(&[4, 5, 6]);
         assert!(idx.query_nearest(&q, 5, None).is_empty());
+    }
+
+    fn list_at(table: &EntryMap, router: u32) -> Option<Vec<(u32, PeerId)>> {
+        table.get(&RouterId(router)).map(|l| l.iter().collect())
+    }
+
+    #[test]
+    fn peer_list_goes_inline_to_set_and_back_in_order() {
+        let mut table = EntryMap::default();
+        let (far, near) = (path(&[9, 1, 0]), path(&[1, 0]));
+        index_path(&mut table, PeerId(5), &far);
+        assert!(matches!(table[&RouterId(1)], PeerList::One((1, PeerId(5)))));
+        // The second entry sorts first: (depth 0) < (depth 1).
+        index_path(&mut table, PeerId(3), &near);
+        assert!(matches!(table[&RouterId(1)], PeerList::Many(_)));
+        assert_eq!(
+            list_at(&table, 1),
+            Some(vec![(0, PeerId(3)), (1, PeerId(5))])
+        );
+        unindex_path(&mut table, PeerId(3), &near);
+        assert!(matches!(table[&RouterId(1)], PeerList::One((1, PeerId(5)))));
+        assert_eq!(list_at(&table, 0), Some(vec![(2, PeerId(5))]));
+        // Removing an entry a list does not hold changes nothing.
+        unindex_path(&mut table, PeerId(3), &near);
+        assert_eq!(list_at(&table, 1), Some(vec![(1, PeerId(5))]));
+        // Emptying a list removes its router.
+        unindex_path(&mut table, PeerId(5), &far);
+        assert!(table.is_empty());
+    }
+
+    #[test]
+    fn exclude_skips_a_peer_whether_its_list_is_inline_or_a_set() {
+        let idx = populated();
+        // A alone crosses router 4 and C alone routers 6 and 3 (inline
+        // lists); both also sit in the sets of the shared routers.
+        for r in [4, 6, 3] {
+            assert!(matches!(idx.entries[&RouterId(r)], PeerList::One(_)));
+        }
+        assert!(matches!(idx.entries[&RouterId(2)], PeerList::Many(_)));
+        for q in [path(&[4, 2, 1, 0]), path(&[6, 3, 1, 0])] {
+            let all = idx.query_nearest(&q, 4, None);
+            for excluded in [0xA, 0xB, 0xC, 0xD, 0xF].map(PeerId) {
+                let want: Vec<Neighbor> =
+                    all.iter().copied().filter(|n| n.peer != excluded).collect();
+                assert_eq!(idx.query_nearest(&q, 4, Some(excluded)), want);
+            }
+        }
     }
 
     #[test]

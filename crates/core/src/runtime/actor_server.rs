@@ -1,29 +1,30 @@
-//! The actorized management server: one write mailbox per shard.
+//! The concurrent management server: one lock per shard, writes applied on
+//! the caller's thread.
 //!
 //! [`crate::ManagementServer`] already serves concurrent reads (`&self`
 //! queries merge across the shards); writes were the missing half — they
 //! take `&mut self` and serialize the whole facade. [`ActorServer`] keeps
-//! the same shards but puts **each one behind its own mailbox worker**:
+//! the same shards and makes both halves `&self`:
 //!
-//! * every shard lives in its own `RwLock`, so queries keep taking read
-//!   guards across all shards and merging through the shared plans in
+//! * every shard lives in its own `RwLock`, so queries take read guards
+//!   across all shards and merge through the shared plans in
 //!   [`crate::directory::query`] — answers are bit-identical to the
 //!   synchronous facade *by construction*;
-//! * every shard has one worker thread owning its writes. The worker
-//!   batch-drains its mailbox and applies the whole batch under a single
-//!   write-lock acquisition, so writes to different shards run in
-//!   parallel and writers never block each other enqueueing;
+//! * a write runs on the thread that calls it: it takes the owning
+//!   shard's write guard, applies one shard operation and drops the guard.
+//!   There is no mailbox, worker thread or reply channel per shard, so a
+//!   write costs no hand-off and no wake-up, and a query waits for at most
+//!   one operation per shard;
 //! * the cross-shard invariant (a peer id registered in at most one
-//!   shard) moves into a front-door **claims map**. Membership decisions
-//!   happen under the claims mutex, and the matching shard ops are
-//!   enqueued *before the mutex is released* — so each shard's mailbox
-//!   order agrees with the claims order, and two racing writes on the
-//!   same peer cannot interleave their shard effects. The mutex is never
-//!   held across a wait: callers release it, then block on their op's
-//!   reply channel.
+//!   shard) lives in a front-door **claims map**. Every write makes its
+//!   membership decision and applies its shard effects inside one claims
+//!   critical section, so writers serialize on `claims` and two racing
+//!   writes on the same peer can never interleave their shard effects.
+//!   Readers never take `claims`. Lock order: `subs` → `claims` → one
+//!   shard; no thread holds two shard write guards at once.
 
 use crate::directory::query;
-use crate::directory::{DirectoryShard, ShardSweep};
+use crate::directory::DirectoryShard;
 use crate::error::CoreError;
 use crate::ids::{IdMap, LandmarkId, PeerId};
 use crate::path::PeerPath;
@@ -34,98 +35,38 @@ use crate::subscription::{
     SubscriptionStats,
 };
 use crate::telemetry::{Counter, Gauge, Histogram, SlowQueryRecord, TelemetryRegistry};
-use crossbeam::channel::{unbounded, Sender};
 use nearpeer_topology::RouterId;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock, RwLock};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, OnceLock, RwLock, RwLockWriteGuard};
 use std::time::Instant;
 
-/// One write operation bound for a shard worker. Every op carries a
-/// oneshot reply channel: the front door enqueues under the claims lock
-/// and awaits the reply after releasing it.
-enum ShardOp {
-    Insert {
-        peer: PeerId,
-        path: PeerPath,
-        epoch: u64,
-        reply: mpsc::Sender<Result<(), CoreError>>,
-    },
-    Remove {
-        peer: PeerId,
-        reply: mpsc::Sender<bool>,
-    },
-    /// Handover teardown: the move is no session end, so the adaptive
-    /// lease EWMA must not absorb the dwell time (mirrors the facade).
-    RemoveMoved {
-        peer: PeerId,
-        reply: mpsc::Sender<bool>,
-    },
-    Heartbeat {
-        peer: PeerId,
-        epoch: u64,
-        reply: mpsc::Sender<bool>,
-    },
-    Expire {
-        now: u64,
-        max_age: u64,
-        reply: mpsc::Sender<ShardSweep>,
-    },
-}
-
-/// State shared between the front door, the shard workers and any number
-/// of querying threads.
-struct Shared {
-    config: ServerConfig,
-    landmark_routers: Vec<RouterId>,
-    landmark_by_router: IdMap<RouterId, LandmarkId>,
-    landmark_dist: Vec<Vec<u32>>,
-    shards: Vec<RwLock<DirectoryShard>>,
-    queries: Arc<Counter>,
-    fills: Arc<Counter>,
-    query_latency: Arc<Histogram>,
-    /// Mailbox observability, shared by every shard worker (one merged
-    /// view: the queue-depth gauge is a sample from whichever worker
-    /// drained last, counters and batch sizes aggregate exactly).
-    mailbox_obs: super::mailbox::MailboxObs,
-    /// Registry bound after construction ([`ActorServer::bind_telemetry`]);
-    /// one atomic load on the query path while unbound.
-    telemetry: OnceLock<Arc<TelemetryRegistry>>,
-}
-
-impl Shared {
-    fn landmark_for_path(&self, path: &PeerPath) -> Result<LandmarkId, CoreError> {
-        self.landmark_by_router
-            .get(&path.landmark_router())
-            .copied()
-            .ok_or_else(|| {
-                CoreError::UnknownLandmark(format!(
-                    "path terminates at {} which is no landmark",
-                    path.landmark_router()
-                ))
-            })
-    }
-}
-
-/// The actorized serving plane over per-landmark shards: concurrent
-/// reads *and* concurrent writes, all through `&self`.
+/// The concurrent serving plane over per-landmark shards: concurrent
+/// reads *and* writes from any number of threads, all through `&self`.
 ///
 /// Answers are bit-identical to a [`crate::ManagementServer`] fed the
 /// same operations (pinned by `tests/properties.rs`): both front ends
 /// call the same query plans over the same shard type. Super-peers are
 /// not supported (the delegate field of [`JoinOutcome`] stays `None`).
 pub struct ActorServer {
-    shared: Arc<Shared>,
+    config: ServerConfig,
+    landmark_routers: Vec<RouterId>,
+    landmark_by_router: IdMap<RouterId, LandmarkId>,
+    landmark_dist: Vec<Vec<u32>>,
+    shards: Vec<RwLock<DirectoryShard>>,
     /// Front-door membership authority: peer → owning shard index.
     claims: Mutex<HashMap<PeerId, u32>>,
-    write_txs: Vec<Sender<ShardOp>>,
-    workers: Vec<JoinHandle<()>>,
     epoch: AtomicU64,
     handovers: AtomicU64,
+    queries: Arc<Counter>,
+    fills: Arc<Counter>,
+    query_latency: Arc<Histogram>,
+    /// Registry bound after construction ([`ActorServer::bind_telemetry`]);
+    /// one atomic load on the query path while unbound.
+    telemetry: OnceLock<Arc<TelemetryRegistry>>,
     /// Standing subscriptions. Lock order: `subs` before `claims` /
-    /// shard read guards (the registry's host callbacks take both); no
-    /// path takes `subs` while holding `claims`.
+    /// shard guards (the registry's host callbacks take both); no path
+    /// takes `subs` while holding `claims`.
     subs: Mutex<SubscriptionRegistry>,
     /// The registry's pending-delta count, readable without `subs`.
     sub_queue_depth: Arc<Gauge>,
@@ -134,10 +75,10 @@ pub struct ActorServer {
 }
 
 impl ActorServer {
-    /// Builds the actorized server from the same inputs as
-    /// [`crate::ManagementServer::new`] and spawns one write worker per
-    /// shard. Super-peer promotion is rejected — regional election under
-    /// concurrent writes is future work.
+    /// Builds the server from the same inputs as
+    /// [`crate::ManagementServer::new`]; spawns no thread. Super-peer
+    /// promotion is rejected — regional election under concurrent writes
+    /// is future work.
     pub fn new(
         landmark_routers: Vec<RouterId>,
         landmark_dist: Vec<Vec<u32>>,
@@ -172,50 +113,20 @@ impl ActorServer {
                 ))
             })
             .collect();
-        let shared = Arc::new(Shared {
+        let subs = SubscriptionRegistry::new();
+        Ok(Self {
             config,
+            landmark_routers,
             landmark_by_router,
             landmark_dist,
             shards,
-            landmark_routers,
+            claims: Mutex::new(HashMap::new()),
+            epoch: AtomicU64::new(0),
+            handovers: AtomicU64::new(0),
             queries: Arc::new(Counter::new()),
             fills: Arc::new(Counter::new()),
             query_latency: Arc::new(Histogram::new()),
-            mailbox_obs: super::mailbox::MailboxObs {
-                batches: Arc::new(Counter::new()),
-                items: Arc::new(Counter::new()),
-                batch_size: Arc::new(Histogram::new()),
-                queue_depth: Arc::new(Gauge::new()),
-            },
             telemetry: OnceLock::new(),
-        });
-        let mut write_txs = Vec::with_capacity(shared.shards.len());
-        let mut workers = Vec::with_capacity(shared.shards.len());
-        for i in 0..shared.shards.len() {
-            let (tx, rx) = unbounded::<ShardOp>();
-            let shard_shared = Arc::clone(&shared);
-            workers.push(super::mailbox::spawn_batch_worker_observed(
-                format!("shard-{i}"),
-                rx,
-                super::mailbox::DEFAULT_DRAIN_CAP,
-                Some(shared.mailbox_obs.clone()),
-                move |batch| {
-                    let mut shard = shard_shared.shards[i].write().expect("shard poisoned");
-                    for op in batch {
-                        apply_shard_op(&mut shard, op);
-                    }
-                },
-            ));
-            write_txs.push(tx);
-        }
-        let subs = SubscriptionRegistry::new();
-        Ok(Self {
-            shared,
-            claims: Mutex::new(HashMap::new()),
-            write_txs,
-            workers,
-            epoch: AtomicU64::new(0),
-            handovers: AtomicU64::new(0),
             sub_queue_depth: subs.queue_depth(),
             subs: Mutex::new(subs),
             started: Instant::now(),
@@ -224,12 +135,12 @@ impl ActorServer {
 
     /// The landmark routers, indexed by [`LandmarkId`].
     pub fn landmarks(&self) -> &[RouterId] {
-        &self.shared.landmark_routers
+        &self.landmark_routers
     }
 
     /// The active configuration.
     pub fn config(&self) -> &ServerConfig {
-        &self.shared.config
+        &self.config
     }
 
     /// Registered peer count.
@@ -243,45 +154,30 @@ impl ActorServer {
     }
 
     /// Advances the heartbeat epoch and returns it. `&self`, unlike the
-    /// facade: epoch is an atomic, and in-flight ops carry the epoch they
-    /// were admitted under.
+    /// facade: epoch is an atomic, and every write reads it once, inside
+    /// its claims section.
     pub fn advance_epoch(&self) -> u64 {
         self.epoch.fetch_add(1, Ordering::AcqRel) + 1
     }
 
-    /// Registers a newcomer and answers its closest peers — the actorized
+    /// Registers a newcomer and answers its closest peers — the concurrent
     /// [`crate::ManagementServer::register`].
     pub fn register(&self, peer: PeerId, path: PeerPath) -> Result<JoinOutcome, CoreError> {
-        let landmark = self.shared.landmark_for_path(&path)?;
+        let landmark = self.landmark_for_path(&path)?;
         let query_path = path.clone();
-        let (tx, rx) = mpsc::channel();
         {
             let mut claims = self.claims.lock().expect("claims poisoned");
             if claims.contains_key(&peer) {
                 return Err(CoreError::DuplicatePeer(peer));
             }
-            claims.insert(peer, landmark.0);
             let epoch = self.epoch.load(Ordering::Acquire);
-            self.send_op(
-                landmark.index(),
-                ShardOp::Insert {
-                    peer,
-                    path,
-                    epoch,
-                    reply: tx,
-                },
-            );
-        }
-        if let Err(e) = rx.recv().expect("shard worker alive") {
-            // Unreachable while the claims map is the only admission path
-            // (landmark validated, duplicate excluded) — but a path that
-            // fails shard-level validation must roll its claim back.
-            self.claims.lock().expect("claims poisoned").remove(&peer);
-            return Err(e);
+            // Claimed only once the shard accepted the path, so a rejected
+            // insert leaves nothing to roll back.
+            self.shard_mut(landmark.0).insert(peer, path, epoch)?;
+            claims.insert(peer, landmark.0);
         }
         self.notify_subs(DeltaClass::Join, &[peer], &[]);
-        let neighbors =
-            self.closest_to_path(&query_path, self.shared.config.neighbor_count, Some(peer));
+        let neighbors = self.closest_to_path(&query_path, self.config.neighbor_count, Some(peer));
         Ok(JoinOutcome {
             landmark,
             neighbors,
@@ -289,85 +185,58 @@ impl ActorServer {
         })
     }
 
-    /// Removes a departed peer — the actorized
+    /// Removes a departed peer — the concurrent
     /// [`crate::ManagementServer::deregister`].
     pub fn deregister(&self, peer: PeerId) -> Result<(), CoreError> {
-        let (tx, rx) = mpsc::channel();
         {
             let mut claims = self.claims.lock().expect("claims poisoned");
             let Some(idx) = claims.remove(&peer) else {
                 return Err(CoreError::UnknownPeer(peer));
             };
-            self.send_op(idx as usize, ShardOp::Remove { peer, reply: tx });
+            let removed = self.shard_mut(idx).remove(peer);
+            debug_assert!(removed, "claims and shards agree");
         }
-        let removed = rx.recv().expect("shard worker alive");
-        debug_assert!(removed, "claims and shards agree");
         self.notify_subs(DeltaClass::Join, &[], &[peer]);
         Ok(())
     }
 
-    /// Renews a live peer's lease — the actorized
+    /// Renews a live peer's lease — the concurrent
     /// [`crate::ManagementServer::heartbeat`].
     pub fn heartbeat(&self, peer: PeerId) -> Result<(), CoreError> {
-        let (tx, rx) = mpsc::channel();
-        {
-            let claims = self.claims.lock().expect("claims poisoned");
-            let Some(&idx) = claims.get(&peer) else {
-                return Err(CoreError::UnknownPeer(peer));
-            };
-            let epoch = self.epoch.load(Ordering::Acquire);
-            self.send_op(
-                idx as usize,
-                ShardOp::Heartbeat {
-                    peer,
-                    epoch,
-                    reply: tx,
-                },
-            );
-        }
-        let renewed = rx.recv().expect("shard worker alive");
+        let claims = self.claims.lock().expect("claims poisoned");
+        let Some(&idx) = claims.get(&peer) else {
+            return Err(CoreError::UnknownPeer(peer));
+        };
+        let epoch = self.epoch.load(Ordering::Acquire);
+        let renewed = self.shard_mut(idx).heartbeat(peer, epoch);
         debug_assert!(renewed, "claims and shards agree");
         Ok(())
     }
 
-    /// Mobility handover — the actorized
+    /// Mobility handover — the concurrent
     /// [`crate::ManagementServer::handover`]. The new path is validated
-    /// before teardown; the teardown and the re-insert enqueue under one
-    /// claims-lock critical section, so no concurrent writer can observe
-    /// the peer half-moved.
+    /// before teardown; the teardown and the re-insert run in one
+    /// claims critical section (each under its own shard guard), so no
+    /// concurrent writer can observe the peer half-moved.
     pub fn handover(&self, peer: PeerId, new_path: PeerPath) -> Result<JoinOutcome, CoreError> {
-        let landmark = self.shared.landmark_for_path(&new_path)?;
+        let landmark = self.landmark_for_path(&new_path)?;
         let query_path = new_path.clone();
-        let (rm_tx, rm_rx) = mpsc::channel();
-        let (ins_tx, ins_rx) = mpsc::channel();
         {
             let mut claims = self.claims.lock().expect("claims poisoned");
-            let Some(&old) = claims.get(&peer) else {
+            let Some(owner) = claims.get_mut(&peer) else {
                 return Err(CoreError::UnknownPeer(peer));
             };
-            claims.insert(peer, landmark.0);
             let epoch = self.epoch.load(Ordering::Acquire);
-            self.send_op(old as usize, ShardOp::RemoveMoved { peer, reply: rm_tx });
-            self.send_op(
-                landmark.index(),
-                ShardOp::Insert {
-                    peer,
-                    path: new_path,
-                    epoch,
-                    reply: ins_tx,
-                },
-            );
+            let removed = self.shard_mut(*owner).remove_moved(peer);
+            debug_assert!(removed, "claims and shards agree");
+            self.shard_mut(landmark.0)
+                .insert(peer, new_path, epoch)
+                .expect("validated insert into claimed slot");
+            *owner = landmark.0;
         }
-        let removed = rm_rx.recv().expect("shard worker alive");
-        debug_assert!(removed, "claims and shards agree");
-        ins_rx
-            .recv()
-            .expect("shard worker alive")
-            .expect("validated insert into claimed slot");
         self.handovers.fetch_add(1, Ordering::Relaxed);
         self.notify_subs(DeltaClass::Handover, &[peer], &[peer]);
-        let neighbors =
-            self.closest_to_path(&query_path, self.shared.config.neighbor_count, Some(peer));
+        let neighbors = self.closest_to_path(&query_path, self.config.neighbor_count, Some(peer));
         Ok(JoinOutcome {
             landmark,
             neighbors,
@@ -376,52 +245,37 @@ impl ActorServer {
     }
 
     /// Expires every peer not seen for more than `max_age` epochs,
-    /// ascending ids — the actorized
-    /// [`crate::ManagementServer::expire_stale`]. All shards sweep
-    /// concurrently (one `Expire` op lands in every mailbox).
+    /// ascending ids — the concurrent
+    /// [`crate::ManagementServer::expire_stale`]. The shards sweep one
+    /// after another, and their swept peers leave `claims`, in one claims
+    /// section: no write can find a peer claimed but already swept.
     pub fn expire_stale(&self, max_age: u64) -> Vec<PeerId> {
-        let now = self.epoch.load(Ordering::Acquire);
-        let mut rxs = Vec::with_capacity(self.write_txs.len());
-        {
-            let _claims = self.claims.lock().expect("claims poisoned");
-            for i in 0..self.write_txs.len() {
-                let (tx, rx) = mpsc::channel();
-                self.send_op(
-                    i,
-                    ShardOp::Expire {
-                        now,
-                        max_age,
-                        reply: tx,
-                    },
-                );
-                rxs.push(rx);
-            }
-        }
         let mut expired = Vec::new();
         let mut moved = Vec::new();
-        for rx in rxs {
-            let sweep = rx.recv().expect("shard worker alive");
-            expired.extend(sweep.expired);
-            moved.extend(sweep.moved.into_iter().map(|(p, _)| p));
-        }
         {
             let mut claims = self.claims.lock().expect("claims poisoned");
-            for p in expired.iter().chain(moved.iter()) {
+            let now = self.epoch.load(Ordering::Acquire);
+            for idx in 0..self.shards.len() as u32 {
+                let sweep = self.shard_mut(idx).expire_epoch(now, max_age);
+                expired.extend(sweep.expired);
+                moved.extend(sweep.moved.into_iter().map(|(p, _)| p));
+            }
+            for p in expired.iter().chain(&moved) {
                 claims.remove(p);
             }
         }
         if !(expired.is_empty() && moved.is_empty()) {
-            let gone: Vec<PeerId> = expired.iter().chain(moved.iter()).copied().collect();
+            let gone: Vec<PeerId> = expired.iter().chain(&moved).copied().collect();
             self.notify_subs(DeltaClass::Expiry, &[], &gone);
         }
         expired.sort_unstable();
         expired
     }
 
-    /// The closest registered peers to a query path — the actorized
+    /// The closest registered peers to a query path — the concurrent
     /// [`crate::ManagementServer::closest_to_path`]. Takes read guards on
     /// every shard and runs the shared merge plans, so any number of
-    /// threads can query while writes land on other shards.
+    /// threads can query while writes land between them.
     pub fn closest_to_path(
         &self,
         path: &PeerPath,
@@ -441,17 +295,15 @@ impl ActorServer {
         k: usize,
         exclude: Option<PeerId>,
     ) -> (Vec<Neighbor>, usize) {
-        self.shared.queries.inc();
+        self.queries.inc();
         // Clock calls only with a bound registry whose timing gate is on
         // — the untelemetered query path stays as cheap as before.
         let started = self
-            .shared
             .telemetry
             .get()
             .filter(|t| t.timing_enabled())
             .map(|_| Instant::now());
         let guards: Vec<_> = self
-            .shared
             .shards
             .iter()
             .map(|s| s.read().expect("shard poisoned"))
@@ -459,30 +311,29 @@ impl ActorServer {
         let shards = guards.iter().map(|g| &**g);
         let mut result = query::query_nearest_merged(shards.clone(), path, k, exclude);
         let exact_len = result.len();
-        if result.len() < k && self.shared.config.cross_landmark_fallback {
-            if let Ok(own) = self.shared.landmark_for_path(path) {
+        if result.len() < k && self.config.cross_landmark_fallback {
+            if let Ok(own) = self.landmark_for_path(path) {
                 let missing = k - result.len();
                 let fill = query::cross_landmark_candidates(
                     shards,
-                    &self.shared.landmark_routers,
-                    &self.shared.landmark_dist,
+                    &self.landmark_routers,
+                    &self.landmark_dist,
                     own,
                     path.depth(),
                     missing,
                     exclude,
                     &result,
                 );
-                self.shared.fills.add(fill.len() as u64);
+                self.fills.add(fill.len() as u64);
                 result.extend(fill);
             }
         }
-        if let (Some(start), Some(t)) = (started, self.shared.telemetry.get()) {
+        if let (Some(start), Some(t)) = (started, self.telemetry.get()) {
             let us = start.elapsed().as_micros() as u64;
-            self.shared.query_latency.record(us);
+            self.query_latency.record(us);
             t.slow().offer(us, || SlowQueryRecord {
                 latency_us: us,
                 landmark: self
-                    .shared
                     .landmark_by_router
                     .get(&path.landmark_router())
                     .map(|l| l.0 as u64),
@@ -496,19 +347,7 @@ impl ActorServer {
 
     /// Neighbors of an already-registered peer (fresh query).
     pub fn neighbors_of(&self, peer: PeerId, k: usize) -> Result<Vec<Neighbor>, CoreError> {
-        let idx = {
-            let claims = self.claims.lock().expect("claims poisoned");
-            *claims.get(&peer).ok_or(CoreError::UnknownPeer(peer))?
-        };
-        let path = {
-            let shard = self.shared.shards[idx as usize]
-                .read()
-                .expect("shard poisoned");
-            shard
-                .path_of(peer)
-                .ok_or(CoreError::UnknownPeer(peer))?
-                .clone()
-        };
+        let path = self.path_of(peer).ok_or(CoreError::UnknownPeer(peer))?;
         Ok(self.closest_to_path(&path, k, Some(peer)))
     }
 
@@ -516,7 +355,6 @@ impl ActorServer {
     /// at `router`, merged across shards (the fill RPC's server side).
     pub fn peers_through_prefix(&self, router: RouterId, limit: usize) -> Vec<(PeerId, u32)> {
         let guards: Vec<_> = self
-            .shared
             .shards
             .iter()
             .map(|s| s.read().expect("shard poisoned"))
@@ -531,7 +369,6 @@ impl ActorServer {
     pub fn stats(&self) -> ServerStats {
         let handovers = self.handovers.load(Ordering::Relaxed);
         let (inserts, removals) = self
-            .shared
             .shards
             .iter()
             .map(|s| {
@@ -545,47 +382,31 @@ impl ActorServer {
         // re-insert pair half-applied and underflow the subtraction.
         ServerStats {
             joins: inserts.saturating_sub(handovers),
-            queries: self.shared.queries.get(),
-            cross_landmark_fills: self.shared.fills.get(),
+            queries: self.queries.get(),
+            cross_landmark_fills: self.fills.get(),
             leaves: removals.saturating_sub(handovers),
             handovers,
         }
     }
 
     /// Binds a telemetry registry (idempotent; first call wins): the
-    /// directory query counters and latency histogram (`dir_*`), the
-    /// shard-mailbox drain metrics (`mailbox_*{mailbox="shard"}`), and
-    /// the subscription counters (`sub_*`) all become scrapeable, query
-    /// timing honors the registry's gate, and slow queries land in its
-    /// trace log.
+    /// directory query counters and latency histogram (`dir_*`) and the
+    /// subscription counters (`sub_*`) become scrapeable, query timing
+    /// honors the registry's gate, and slow queries land in its trace log.
     pub fn bind_telemetry(&self, reg: Arc<TelemetryRegistry>) {
-        reg.adopt_counter("dir_queries_total", "", self.shared.queries.clone());
-        reg.adopt_counter(
-            "dir_cross_landmark_fills_total",
-            "",
-            self.shared.fills.clone(),
-        );
-        reg.adopt_histogram(
-            "dir_query_latency_us",
-            "",
-            self.shared.query_latency.clone(),
-        );
-        let obs = &self.shared.mailbox_obs;
-        let label = "mailbox=\"shard\"";
-        reg.adopt_counter("mailbox_batches_total", label, obs.batches.clone());
-        reg.adopt_counter("mailbox_items_total", label, obs.items.clone());
-        reg.adopt_histogram("mailbox_batch_size", label, obs.batch_size.clone());
-        reg.adopt_gauge("mailbox_queue_depth", label, obs.queue_depth.clone());
+        reg.adopt_counter("dir_queries_total", "", self.queries.clone());
+        reg.adopt_counter("dir_cross_landmark_fills_total", "", self.fills.clone());
+        reg.adopt_histogram("dir_query_latency_us", "", self.query_latency.clone());
         self.subs
             .lock()
             .expect("subs poisoned")
             .bind_telemetry(&reg);
-        let _ = self.shared.telemetry.set(reg);
+        let _ = self.telemetry.set(reg);
     }
 
     /// The bound registry, if any.
     pub fn telemetry(&self) -> Option<Arc<TelemetryRegistry>> {
-        self.shared.telemetry.get().cloned()
+        self.telemetry.get().cloned()
     }
 
     /// Registers a push-capable connection with the subscription plane
@@ -660,44 +481,57 @@ impl ActorServer {
         subs.observe(&ActorHost(self), class, epoch, now, added, removed);
     }
 
-    fn send_op(&self, shard: usize, op: ShardOp) {
-        self.write_txs[shard]
-            .send(op)
-            .expect("shard worker outlives the front door");
+    fn landmark_for_path(&self, path: &PeerPath) -> Result<LandmarkId, CoreError> {
+        self.landmark_by_router
+            .get(&path.landmark_router())
+            .copied()
+            .ok_or_else(|| {
+                CoreError::UnknownLandmark(format!(
+                    "path terminates at {} which is no landmark",
+                    path.landmark_router()
+                ))
+            })
     }
-}
 
-/// The subscription engine's read-only window into the actorized
-/// directory. Every callback takes the claims lock and/or shard read
-/// guards; callers hold the `subs` mutex, never the reverse.
-struct ActorHost<'a>(&'a ActorServer);
+    /// The write guard of shard `idx`. Callers hold `claims` and drop the
+    /// guard before taking another.
+    fn shard_mut(&self, idx: u32) -> RwLockWriteGuard<'_, DirectoryShard> {
+        self.shards[idx as usize].write().expect("shard poisoned")
+    }
 
-impl SubscriptionHost for ActorHost<'_> {
+    /// A registered peer's stored path: the claim names the shard, the
+    /// shard holds the path (two locks, never nested).
     fn path_of(&self, peer: PeerId) -> Option<PeerPath> {
-        let idx = *self.0.claims.lock().expect("claims poisoned").get(&peer)?;
-        self.0.shared.shards[idx as usize]
+        let idx = *self.claims.lock().expect("claims poisoned").get(&peer)?;
+        self.shards[idx as usize]
             .read()
             .expect("shard poisoned")
             .path_of(peer)
             .cloned()
     }
+}
+
+/// The subscription engine's read-only window into the directory. Every
+/// callback takes the claims lock and/or shard read guards; callers hold
+/// the `subs` mutex, never the reverse.
+struct ActorHost<'a>(&'a ActorServer);
+
+impl SubscriptionHost for ActorHost<'_> {
+    fn path_of(&self, peer: PeerId) -> Option<PeerPath> {
+        self.0.path_of(peer)
+    }
 
     fn landmark_at(&self, router: RouterId) -> Option<LandmarkId> {
-        self.0.shared.landmark_by_router.get(&router).copied()
+        self.0.landmark_by_router.get(&router).copied()
     }
 
     fn bridge(&self, from: LandmarkId, to: LandmarkId) -> Option<u32> {
-        let d = *self
-            .0
-            .shared
-            .landmark_dist
-            .get(from.index())?
-            .get(to.index())?;
+        let d = *self.0.landmark_dist.get(from.index())?.get(to.index())?;
         (d != u32::MAX).then_some(d)
     }
 
     fn fills_enabled(&self) -> bool {
-        self.0.shared.config.cross_landmark_fallback
+        self.0.config.cross_landmark_fallback
     }
 
     fn query_split(&self, path: &PeerPath, k: usize, exclude: PeerId) -> (Vec<Neighbor>, usize) {
@@ -705,53 +539,13 @@ impl SubscriptionHost for ActorHost<'_> {
     }
 }
 
-impl Drop for ActorServer {
-    fn drop(&mut self) {
-        // Disconnect every mailbox, then join: workers drain what's
-        // queued and exit on their own.
-        self.write_txs.clear();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
 impl std::fmt::Debug for ActorServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ActorServer")
-            .field("landmarks", &self.shared.landmark_routers.len())
+            .field("landmarks", &self.landmark_routers.len())
             .field("peers", &self.peer_count())
             .field("epoch", &self.epoch())
             .finish_non_exhaustive()
-    }
-}
-
-fn apply_shard_op(shard: &mut DirectoryShard, op: ShardOp) {
-    match op {
-        ShardOp::Insert {
-            peer,
-            path,
-            epoch,
-            reply,
-        } => {
-            let _ = reply.send(shard.insert(peer, path, epoch));
-        }
-        ShardOp::Remove { peer, reply } => {
-            let _ = reply.send(shard.remove(peer));
-        }
-        ShardOp::RemoveMoved { peer, reply } => {
-            let _ = reply.send(shard.remove_moved(peer));
-        }
-        ShardOp::Heartbeat { peer, epoch, reply } => {
-            let _ = reply.send(shard.heartbeat(peer, epoch));
-        }
-        ShardOp::Expire {
-            now,
-            max_age,
-            reply,
-        } => {
-            let _ = reply.send(shard.expire_epoch(now, max_age));
-        }
     }
 }
 

@@ -1,11 +1,13 @@
-//! The generic mailbox worker behind every actor in [`crate::runtime`].
+//! The generic mailbox worker behind [`crate::ActorFederation`]'s region
+//! actors (its `region-write` worker and `region-query` pool) and the
+//! durability writer. [`crate::ActorServer`] has no mailbox: its shard
+//! writes run on the calling thread.
 //!
 //! One worker owns one blocking receive loop: it parks on the mailbox's
 //! channel, and each time it wakes it drains **up to a cap** of what is
 //! queued into a batch before applying it. The actors use this to amortise
-//! their lock acquisitions — a shard worker takes its shard's write lock
-//! once per batch, not once per operation — which is exactly the advantage
-//! a mailbox has over callers contending on the lock directly. The cap
+//! their lock acquisitions — a region's write worker takes the region's
+//! write lock once per batch, not once per operation. The cap
 //! bounds how long one batch can hold that lock: under a flood the worker
 //! applies a full batch, releases the lock, and immediately wakes again
 //! for the leftovers still queued in the channel, so readers get a window
@@ -22,7 +24,7 @@ use std::thread::{Builder, JoinHandle};
 
 /// Default per-batch drain cap: large enough that lock amortisation is
 /// intact (hundreds of ops per acquisition), small enough that a churn
-/// flood cannot pin a shard's write lock for an unbounded stretch.
+/// flood cannot pin a region's write lock for an unbounded stretch.
 pub(crate) const DEFAULT_DRAIN_CAP: usize = 1024;
 
 /// Telemetry handles for one mailbox worker, shared with the registry

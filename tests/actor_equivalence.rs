@@ -9,8 +9,8 @@
 //! [`ActorFederation`] must match a [`Federation`] the same way at 1, 2
 //! and 4 regions (home-first fan-out, bridge fills and cross-region
 //! handovers included). The sequential interleaving pins the semantics;
-//! the concurrency of the mailbox runtime is exercised by the crate's
-//! unit tests and the wire smoke test.
+//! concurrency is exercised by the crate's unit tests, `actor_race.rs`
+//! (writers racing expiry sweeps) and the `perf` smoke test.
 
 use nearpeer::core::{
     ActorFederation, ActorServer, CoreError, FederatedJoin, Federation, FederationConfig,

@@ -1,0 +1,72 @@
+//! Writers racing an expiry sweep on `ActorServer`. Every peer a sweep
+//! takes out of a shard must leave the claims map in the same critical
+//! section as the sweep itself: otherwise a handover that lands in
+//! between finds the peer claimed but gone from its old shard, re-inserts
+//! it into the new one, and then loses its claim to the sweep's cleanup —
+//! a peer that queries still return and `deregister` calls unknown.
+//! Checked by conservation after every round: joins − leaves ==
+//! registered peers.
+
+use nearpeer::core::{ActorServer, CoreError, LandmarkId, ServerConfig};
+use nearpeer_bench::wire::synthetic_landmarks;
+use nearpeer_bench::SyntheticJoins;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
+
+const LANDMARKS: u64 = 8;
+const PEERS: u64 = 4_000;
+const ROUNDS: u64 = 40;
+
+#[test]
+fn handovers_racing_expiry_conserve_the_population() {
+    let joins = SyntheticJoins::new(LANDMARKS as usize);
+    let (routers, dist) = synthetic_landmarks(LANDMARKS as usize);
+    let srv = ActorServer::new(routers, dist, ServerConfig::default()).expect("builds");
+    for round in 0..ROUNDS {
+        for p in 0..PEERS {
+            let (peer, path) = joins.join(p);
+            match srv.register(peer, path) {
+                Ok(_) | Err(CoreError::DuplicatePeer(_)) => {}
+                Err(e) => panic!("register {peer:?}: {e}"),
+            }
+        }
+        let start = Barrier::new(3);
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            for first in 0..2 {
+                let (srv, start, stop) = (&srv, &start, &stop);
+                s.spawn(move || {
+                    start.wait();
+                    'run: loop {
+                        for p in (first..PEERS).step_by(2) {
+                            if stop.load(Ordering::Acquire) {
+                                break 'run;
+                            }
+                            let to = LandmarkId(((p + round) % LANDMARKS) as u32);
+                            let (peer, path) = joins.join_to(p, to);
+                            // A peer the sweep just took is unknown: fine.
+                            match srv.handover(peer, path) {
+                                Ok(_) | Err(CoreError::UnknownPeer(_)) => {}
+                                Err(e) => panic!("handover {peer:?}: {e}"),
+                            }
+                            let _ = srv.heartbeat(peer);
+                        }
+                    }
+                });
+            }
+            start.wait();
+            for _ in 0..3 {
+                srv.advance_epoch();
+                srv.advance_epoch();
+                srv.expire_stale(1);
+            }
+            stop.store(true, Ordering::Release);
+        });
+        let stats = srv.stats();
+        assert_eq!(
+            stats.joins,
+            stats.leaves + srv.peer_count() as u64,
+            "round {round}: joins − leaves must equal the registered peers"
+        );
+    }
+}

@@ -1,9 +1,10 @@
-//! Pins the read path's mechanism without timing it: the heap allocations
-//! one `closest_to_path` makes are a small constant that does **not** grow
-//! with the number of landmark shards, on the synchronous server and on
-//! the actorized one. (With a top-`k` buffer, a heap and a `seen` set per
-//! shard it grew by several per shard.) Allocation counts on one thread
-//! repeat exactly, so this is a tier-1 test.
+//! Pins the read and write paths' mechanism without timing them: the heap
+//! allocations one `closest_to_path` makes are a small constant that does
+//! **not** grow with the number of landmark shards, on the synchronous
+//! server and on the actorized one (with a top-`k` buffer, a heap and a
+//! `seen` set per shard it grew by several per shard), and an
+//! `ActorServer` heartbeat or leave makes none. Allocation counts on one
+//! thread repeat exactly, so this is a tier-1 test.
 
 use nearpeer::core::{ActorServer, ManagementServer, PeerId, PeerPath, ServerConfig};
 use nearpeer_bench::wire::synthetic_landmarks;
@@ -79,6 +80,47 @@ fn per_query(landmarks: usize) -> (u64, u64) {
         allocations(|| sync.closest_to_path(&path, K, Some(asker)).len()),
         allocations(|| actor.closest_to_path(&path, K, Some(asker)).len()),
     )
+}
+
+/// Allocations `op` makes on this thread.
+fn count(op: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    op();
+    ALLOCS.with(Cell::get) - before
+}
+
+/// Pins the write path's mechanism: a heartbeat and a leave apply on the
+/// calling thread with no reply channel, so once the shard's free lists
+/// have grown (one warm-up leave/re-join round) neither allocates.
+/// Joins are not pinned: how often a `BTreeSet` node splits varies.
+#[test]
+fn heartbeats_and_leaves_allocate_nothing() {
+    const PEERS: u64 = 2_000;
+    let joins = SyntheticJoins::new(8);
+    let (routers, dist) = synthetic_landmarks(8);
+    let actor = ActorServer::new(routers, dist, ServerConfig::default()).expect("builds");
+    let register_all = || {
+        for p in 0..PEERS {
+            let (peer, path) = joins.join(p);
+            actor.register(peer, path).expect("fresh peer");
+        }
+    };
+    let leave_all = || {
+        for p in 0..PEERS {
+            actor.deregister(PeerId(p)).expect("registered");
+        }
+    };
+    register_all();
+    leave_all();
+    register_all();
+    let heartbeats = count(|| {
+        for p in 0..PEERS {
+            actor.heartbeat(PeerId(p)).expect("registered");
+        }
+    });
+    assert_eq!(heartbeats, 0, "{PEERS} same-epoch heartbeats");
+    assert_eq!(count(leave_all), 0, "{PEERS} leaves");
+    assert_eq!(actor.peer_count(), 0);
 }
 
 #[test]
