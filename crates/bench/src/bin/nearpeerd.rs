@@ -212,9 +212,9 @@ fn main() {
         }));
     }
     // Drain: every live connection loop notices the flag within its read
-    // timeout and exits. A single-region server applied each write on its
-    // connection's thread, so no shard write is left queued; a federation's
-    // drop path joins its region workers after their mailboxes disconnect.
+    // timeout and exits. Both serving planes apply each write on its
+    // connection's thread, so once the loops are joined no write is left
+    // queued anywhere.
     for handle in handles {
         let _ = handle.join();
     }

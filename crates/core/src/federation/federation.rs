@@ -94,7 +94,7 @@ impl FederationSweep {
 
 /// A [`Federation`] taken apart for the actorized runtime: the routing
 /// metadata the front door keeps, plus the per-region servers that move
-/// behind worker threads (crate-internal).
+/// behind per-region locks (crate-internal).
 pub(crate) struct RuntimeParts {
     pub landmark_routers: Vec<RouterId>,
     pub landmark_dist: Vec<Vec<u32>>,
@@ -701,8 +701,8 @@ impl Federation {
 
     /// Consumes the federation, yielding the routing metadata and the
     /// owned per-region servers — everything the actorized runtime
-    /// ([`crate::runtime::ActorFederation`]) distributes across its
-    /// workers. Construction-time validation has already run, so the
+    /// ([`crate::runtime::ActorFederation`]) puts behind its region
+    /// locks. Construction-time validation has already run, so the
     /// runtime inherits a well-formed partition and bridge matrix.
     pub(crate) fn into_runtime_parts(self) -> RuntimeParts {
         let mut servers = Vec::with_capacity(self.regions.len());

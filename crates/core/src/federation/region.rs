@@ -69,7 +69,7 @@ impl Region {
     }
 
     /// Consumes the region, yielding its server and landmark partition —
-    /// the actorized runtime distributes these across worker threads.
+    /// the actorized runtime puts each server behind its own lock.
     pub(crate) fn into_server(self) -> (ManagementServer, Vec<u32>) {
         (self.server, self.landmark_globals)
     }

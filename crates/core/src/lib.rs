@@ -25,10 +25,10 @@
 //!   [`ManagementServer`] per landmark partition behind a routing front
 //!   door ([`Federation`]) with bridge-matrix query fan-out and
 //!   cross-region handover leaving forwarding tombstones;
-//! * [`runtime`] — the concurrent serving plane: every shard behind its
-//!   own lock and written on the caller's thread, every region behind its
-//!   own mailbox worker with query fan-out carried as codec frames, and
-//!   the [`WireService`] trait the `nearpeerd` TCP server drives;
+//! * [`runtime`] — the concurrent serving plane: every shard, and every
+//!   region, behind its own lock and read and written on the caller's
+//!   thread, with the federation's query fan-out carried as codec frames,
+//!   and the [`WireService`] trait the `nearpeerd` TCP server drives;
 //! * [`subscription`] — standing "watch my `k` nearest" queries: churn
 //!   entry points push [`subscription::NeighborDelta`]s computed
 //!   incrementally from the touched subtrees, through bounded

@@ -1,17 +1,22 @@
-//! The actorized federation: per-region workers and RPC-as-frames.
+//! The actorized federation: regions behind locks, RPC-as-frames.
 //!
 //! [`crate::Federation`]'s home-first + fanout query is a loop of nested
-//! function calls into each region's server. Here every [`Region`] of the
-//! synchronous federation becomes an **actor**: its `ManagementServer`
-//! moves behind an `RwLock`, one write worker serializes its `&mut` ops,
-//! and a pool of query workers answers read RPCs. The front door carries
-//! those RPCs as **encoded [`crate::codec`] frames** — the same
-//! `QueryRequest`/`QueryReply`/`FillRequest`/`FillReply` messages
-//! `nearpeerd` speaks over TCP — so the in-process fan-out exercises the
-//! exact bytes a wire deployment would exchange, and the fan-out is
-//! genuinely concurrent: one frame per consulted region, all regions
-//! computing in parallel, replies merged by `(dtree, peer)` (an
-//! order-independent merge, so concurrency cannot perturb the answer).
+//! function calls into each region's server, and its writes take
+//! `&mut self`. Here every [`Region`]'s `ManagementServer` moves behind
+//! its own `RwLock`, so the front door serves any number of threads
+//! through `&self`, and spawns no thread of its own:
+//!
+//! * a write applies on the calling thread inside the front door's claims
+//!   mutex (the peer → region table; writers serialize there), under one
+//!   region write guard at a time. Lock order: `claims` → one region;
+//! * a read carries its RPCs as **encoded [`crate::codec`] frames** — the
+//!   same `QueryRequest`/`QueryReply`/`FillRequest`/`FillReply` messages
+//!   `nearpeerd` speaks over TCP. For each consulted region, in consult
+//!   order, the region-side handler answers the frame under that region's
+//!   read guard on the calling thread, so the in-process fan-out exercises
+//!   the exact bytes a wire deployment would exchange without a thread
+//!   hand-off. Replies merge by `(dtree, peer)`. Readers never take the
+//!   claims mutex.
 //!
 //! Bridge fills become prefix-cursor RPCs: instead of lazily pulling a
 //! foreign region's `peers_through` iterator, the front door requests a
@@ -35,66 +40,23 @@ use crate::ids::{IdMap, LandmarkId, PeerId};
 use crate::path::PeerPath;
 use crate::protocol::{Message, WireNeighbor};
 use crate::router_index::Neighbor;
-use crate::server::{ChurnBatchOutcome, ManagementServer};
+use crate::server::ManagementServer;
 use crate::telemetry::{Counter, Histogram, SlowQueryRecord, TelemetryRegistry};
 use bytes::{Bytes, BytesMut};
-use crossbeam::channel::{unbounded, Sender};
 use nearpeer_topology::RouterId;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock, RwLock};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, OnceLock, RwLock, RwLockWriteGuard};
 use std::time::Instant;
 
-/// Query workers per region. Reads share the region's `RwLock` read
-/// side, so a small pool is enough to overlap decode/encode work.
-const QUERY_WORKERS: usize = 2;
-
-/// One write operation bound for a region's write worker.
-enum RegionOp {
-    /// `register_batch_renewing` — the federation's insert/renew path.
-    Absorb {
-        items: Vec<(PeerId, PeerPath)>,
-        reply: mpsc::Sender<ChurnBatchOutcome>,
-    },
-    /// Same-region atomic handover.
-    Handover {
-        peer: PeerId,
-        path: PeerPath,
-        reply: mpsc::Sender<Result<(), CoreError>>,
-    },
-    /// Cross-region teardown: leave a forwarding tombstone.
-    Forward {
-        peer: PeerId,
-        to_region: u32,
-        reply: mpsc::Sender<Result<(), CoreError>>,
-    },
-    Leave {
-        peers: Vec<PeerId>,
-        reply: mpsc::Sender<usize>,
-    },
-    Renew {
-        peers: Vec<PeerId>,
-        reply: mpsc::Sender<usize>,
-    },
-    Advance {
-        reply: mpsc::Sender<u64>,
-    },
-    Expire {
-        max_age: u64,
-        reply: mpsc::Sender<crate::directory::ShardSweep>,
-    },
-}
-
-/// One read RPC: an encoded request frame plus the channel the encoded
-/// reply frame goes back on.
-struct QueryJob {
-    frame: Bytes,
-    reply: mpsc::Sender<Bytes>,
-}
-
-/// Routing metadata shared with the workers.
-struct FedMeta {
+/// The actorized federation front door: every region behind its own
+/// `RwLock`, cross-region RPC carried as codec frames, all operations
+/// `&self`.
+///
+/// Answers are bit-identical to a [`Federation`] fed the same operations
+/// (same consult order, same merges, same bridge fills); super-peers are
+/// rejected at construction exactly like the synchronous front door.
+pub struct ActorFederation {
     landmark_routers: Vec<RouterId>,
     landmark_dist: Vec<Vec<u32>>,
     landmark_region: Vec<RegionId>,
@@ -103,72 +65,26 @@ struct FedMeta {
     fanout: Option<usize>,
     fallback: bool,
     neighbor_count: usize,
-    servers: Vec<Arc<RwLock<ManagementServer>>>,
-    queries: Arc<Counter>,
-    remote: Arc<Counter>,
-    fills: Arc<Counter>,
-    query_latency: Arc<Histogram>,
-}
-
-impl FedMeta {
-    fn home_of_path(&self, path: &PeerPath) -> Result<(RegionId, u32), CoreError> {
-        self.router_landmark
-            .get(&path.landmark_router())
-            .map(|&g| (self.landmark_region[g as usize], g))
-            .ok_or_else(|| {
-                CoreError::UnknownLandmark(format!(
-                    "path terminates at {} which is no federation landmark",
-                    path.landmark_router()
-                ))
-            })
-    }
-
-    /// Home region first, then foreign regions ascending by
-    /// `(bridge, id)` bounded by the fanout — identical to the
-    /// synchronous federation's consult order.
-    fn query_regions(&self, home: RegionId) -> Vec<RegionId> {
-        let mut foreign: Vec<RegionId> = (0..self.servers.len() as u32)
-            .map(RegionId)
-            .filter(|&r| r != home)
-            .collect();
-        foreign.sort_unstable_by_key(|&r| (self.bridge[home.index()][r.index()], r.0));
-        let take = self.fanout.unwrap_or(foreign.len()).min(foreign.len());
-        let mut out = Vec::with_capacity(take + 1);
-        out.push(home);
-        out.extend(foreign.into_iter().take(take));
-        out
-    }
-}
-
-/// The actorized federation front door: every region behind its own
-/// write mailbox and query-worker pool, cross-region RPC carried as
-/// codec frames, all operations `&self`.
-///
-/// Answers are bit-identical to a [`Federation`] fed the same operations
-/// (same consult order, same merges, same bridge fills); super-peers are
-/// rejected at construction exactly like the synchronous front door.
-pub struct ActorFederation {
-    meta: Arc<FedMeta>,
-    /// Front-door membership authority: peer → current region.
+    servers: Vec<RwLock<ManagementServer>>,
+    /// Front-door membership authority: peer → current region. Every
+    /// write makes its membership decision and applies its region effects
+    /// inside one claims critical section.
     claims: Mutex<HashMap<PeerId, RegionId>>,
-    write_txs: Vec<Sender<RegionOp>>,
-    query_txs: Vec<Sender<QueryJob>>,
-    workers: Vec<JoinHandle<()>>,
     epoch: AtomicU64,
     nonce: AtomicU64,
     handovers: AtomicU64,
     cross_region_handovers: AtomicU64,
-    /// One merged mailbox view across every region's write worker.
-    write_obs: super::mailbox::MailboxObs,
-    /// One merged mailbox view across every region's query pool.
-    query_obs: super::mailbox::MailboxObs,
+    queries: Arc<Counter>,
+    remote: Arc<Counter>,
+    fills: Arc<Counter>,
+    query_latency: Arc<Histogram>,
     telemetry: OnceLock<Arc<TelemetryRegistry>>,
 }
 
 impl ActorFederation {
     /// Builds the actorized federation from the same inputs as
     /// [`Federation::new`] (round-robin landmark partition, derived
-    /// bridge matrix) and spawns each region's workers.
+    /// bridge matrix); spawns no thread.
     pub fn new(
         landmark_routers: Vec<RouterId>,
         landmark_dist: Vec<Vec<u32>>,
@@ -180,7 +96,7 @@ impl ActorFederation {
         let parts: RuntimeParts =
             Federation::new(landmark_routers, landmark_dist, n_regions, config)?
                 .into_runtime_parts();
-        let meta = Arc::new(FedMeta {
+        Ok(Self {
             landmark_routers: parts.landmark_routers,
             landmark_dist: parts.landmark_dist,
             landmark_region: parts.landmark_region,
@@ -189,90 +105,28 @@ impl ActorFederation {
             fanout: parts.fanout,
             fallback: parts.fallback,
             neighbor_count: parts.neighbor_count,
-            servers: parts
-                .servers
-                .into_iter()
-                .map(|s| Arc::new(RwLock::new(s)))
-                .collect(),
-            queries: Arc::new(Counter::new()),
-            remote: Arc::new(Counter::new()),
-            fills: Arc::new(Counter::new()),
-            query_latency: Arc::new(Histogram::new()),
-        });
-        let write_obs = super::mailbox::MailboxObs {
-            batches: Arc::new(Counter::new()),
-            items: Arc::new(Counter::new()),
-            batch_size: Arc::new(Histogram::new()),
-            queue_depth: Arc::new(crate::telemetry::Gauge::new()),
-        };
-        let query_obs = super::mailbox::MailboxObs {
-            batches: Arc::new(Counter::new()),
-            items: Arc::new(Counter::new()),
-            batch_size: Arc::new(Histogram::new()),
-            queue_depth: Arc::new(crate::telemetry::Gauge::new()),
-        };
-        let mut write_txs = Vec::with_capacity(meta.servers.len());
-        let mut query_txs = Vec::with_capacity(meta.servers.len());
-        let mut workers = Vec::new();
-        for (r, server) in meta.servers.iter().enumerate() {
-            let (wtx, wrx) = unbounded::<RegionOp>();
-            let wserver = Arc::clone(server);
-            workers.push(super::mailbox::spawn_batch_worker_observed(
-                format!("region-{r}-write"),
-                wrx,
-                super::mailbox::DEFAULT_DRAIN_CAP,
-                Some(write_obs.clone()),
-                move |batch| {
-                    let mut srv = wserver.write().expect("region server poisoned");
-                    for op in batch {
-                        apply_region_op(&mut srv, op);
-                    }
-                },
-            ));
-            write_txs.push(wtx);
-            let (qtx, qrx) = unbounded::<QueryJob>();
-            for w in 0..QUERY_WORKERS {
-                let qserver = Arc::clone(server);
-                let qrx = qrx.clone();
-                workers.push(super::mailbox::spawn_batch_worker_observed(
-                    format!("region-{r}-query-{w}"),
-                    qrx,
-                    super::mailbox::DEFAULT_DRAIN_CAP,
-                    Some(query_obs.clone()),
-                    move |batch| {
-                        let srv = qserver.read().expect("region server poisoned");
-                        for job in batch {
-                            serve_query_frame(&srv, job);
-                        }
-                    },
-                ));
-            }
-            query_txs.push(qtx);
-        }
-        Ok(Self {
-            meta,
+            servers: parts.servers.into_iter().map(RwLock::new).collect(),
             claims: Mutex::new(HashMap::new()),
-            write_txs,
-            query_txs,
-            workers,
             epoch: AtomicU64::new(0),
             nonce: AtomicU64::new(1),
             handovers: AtomicU64::new(0),
             cross_region_handovers: AtomicU64::new(0),
-            write_obs,
-            query_obs,
+            queries: Arc::new(Counter::new()),
+            remote: Arc::new(Counter::new()),
+            fills: Arc::new(Counter::new()),
+            query_latency: Arc::new(Histogram::new()),
             telemetry: OnceLock::new(),
         })
     }
 
     /// Number of regions.
     pub fn n_regions(&self) -> usize {
-        self.meta.servers.len()
+        self.servers.len()
     }
 
     /// The global landmark routers, indexed by global [`LandmarkId`].
     pub fn landmarks(&self) -> &[RouterId] {
-        &self.meta.landmark_routers
+        &self.landmark_routers
     }
 
     /// Registered peers across all regions.
@@ -297,44 +151,26 @@ impl ActorFederation {
     /// Aggregate federation counters.
     pub fn stats(&self) -> FederationStats {
         FederationStats {
-            queries: self.meta.queries.get(),
-            remote_regions_consulted: self.meta.remote.get(),
-            cross_region_fills: self.meta.fills.get(),
+            queries: self.queries.get(),
+            remote_regions_consulted: self.remote.get(),
+            cross_region_fills: self.fills.get(),
             handovers: self.handovers.load(Ordering::Relaxed),
             cross_region_handovers: self.cross_region_handovers.load(Ordering::Relaxed),
         }
     }
 
-    /// Adopts the federation's counters, query-latency histogram and
-    /// mailbox views into `reg`, and arms query timing. Idempotent in
-    /// the sense that only the first registry sticks; every region
-    /// server also binds its own shard counters under a region label.
+    /// Adopts the federation's counters and query-latency histogram into
+    /// `reg`, and arms query timing. Idempotent in the sense that only
+    /// the first registry sticks.
     pub fn bind_telemetry(&self, reg: Arc<TelemetryRegistry>) {
-        reg.adopt_counter("fed_queries_total", "", Arc::clone(&self.meta.queries));
+        reg.adopt_counter("fed_queries_total", "", Arc::clone(&self.queries));
         reg.adopt_counter(
             "fed_remote_regions_consulted_total",
             "",
-            Arc::clone(&self.meta.remote),
+            Arc::clone(&self.remote),
         );
-        reg.adopt_counter(
-            "fed_cross_region_fills_total",
-            "",
-            Arc::clone(&self.meta.fills),
-        );
-        reg.adopt_histogram(
-            "fed_query_latency_us",
-            "",
-            Arc::clone(&self.meta.query_latency),
-        );
-        for (obs, label) in [
-            (&self.write_obs, "mailbox=\"region-write\""),
-            (&self.query_obs, "mailbox=\"region-query\""),
-        ] {
-            reg.adopt_counter("mailbox_batches_total", label, Arc::clone(&obs.batches));
-            reg.adopt_counter("mailbox_items_total", label, Arc::clone(&obs.items));
-            reg.adopt_histogram("mailbox_batch_size", label, Arc::clone(&obs.batch_size));
-            reg.adopt_gauge("mailbox_queue_depth", label, Arc::clone(&obs.queue_depth));
-        }
+        reg.adopt_counter("fed_cross_region_fills_total", "", Arc::clone(&self.fills));
+        reg.adopt_histogram("fed_query_latency_us", "", Arc::clone(&self.query_latency));
         let _ = self.telemetry.set(reg);
     }
 
@@ -345,8 +181,7 @@ impl ActorFederation {
 
     /// Forwarding tombstones currently held across all regions.
     pub fn tombstone_count(&self) -> usize {
-        self.meta
-            .servers
+        self.servers
             .iter()
             .map(|s| s.read().expect("region server poisoned").tombstone_count())
             .sum()
@@ -355,10 +190,13 @@ impl ActorFederation {
     /// Advances every region's epoch in lockstep — the actorized
     /// [`Federation::advance_epoch`].
     pub fn advance_epoch(&self) -> u64 {
+        let _claims = self.claims.lock().expect("claims poisoned");
         let epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
-        let rxs = self.broadcast(|reply| RegionOp::Advance { reply });
-        for rx in rxs {
-            let e = rx.recv().expect("region worker alive");
+        for server in &self.servers {
+            let e = server
+                .write()
+                .expect("region server poisoned")
+                .advance_epoch();
             debug_assert_eq!(e, epoch, "regions advance in lockstep");
         }
         epoch
@@ -367,26 +205,24 @@ impl ActorFederation {
     /// Registers a newcomer — the actorized [`Federation::register`]:
     /// write-only insert in the home region, federated answer.
     pub fn register(&self, peer: PeerId, path: PeerPath) -> Result<FederatedJoin, CoreError> {
-        let (region, global) = self.meta.home_of_path(&path)?;
+        let (region, global) = self.home_of_path(&path)?;
         let query_path = path.clone();
-        let (tx, rx) = mpsc::channel();
         {
             let mut claims = self.claims.lock().expect("claims poisoned");
             if claims.contains_key(&peer) {
                 return Err(CoreError::DuplicatePeer(peer));
             }
+            // Claimed only once the region accepted the insert, so a
+            // refused one leaves nothing to roll back.
+            let out = self
+                .region_mut(region)
+                .register_batch_renewing(vec![(peer, path)]);
+            if out.joined != 1 {
+                return Err(CoreError::DuplicatePeer(peer));
+            }
             claims.insert(peer, region);
-            self.send_write(
-                region,
-                RegionOp::Absorb {
-                    items: vec![(peer, path)],
-                    reply: tx,
-                },
-            );
         }
-        let out = rx.recv().expect("region worker alive");
-        debug_assert_eq!(out.joined, 1, "validated fresh insert");
-        let neighbors = self.closest_to_path(&query_path, self.meta.neighbor_count, Some(peer));
+        let neighbors = self.closest_to_path(&query_path, self.neighbor_count, Some(peer));
         Ok(FederatedJoin {
             region,
             landmark: LandmarkId(global),
@@ -395,70 +231,34 @@ impl ActorFederation {
     }
 
     /// Mobility handover — the actorized [`Federation::handover`]. The
-    /// new path is validated first; a cross-region move enqueues the
-    /// forwarding teardown and the destination insert under one
-    /// claims-lock critical section.
+    /// new path is validated first; a cross-region move applies the
+    /// forwarding teardown and the destination insert in one claims
+    /// critical section, so no concurrent write can observe the peer
+    /// half-moved.
     pub fn handover(&self, peer: PeerId, new_path: PeerPath) -> Result<FederatedJoin, CoreError> {
-        let (dest, global) = self.meta.home_of_path(&new_path)?;
+        let (dest, global) = self.home_of_path(&new_path)?;
         let query_path = new_path.clone();
-        enum Pending {
-            Same(mpsc::Receiver<Result<(), CoreError>>),
-            Cross(
-                mpsc::Receiver<Result<(), CoreError>>,
-                mpsc::Receiver<ChurnBatchOutcome>,
-            ),
-        }
-        let pending = {
+        {
             let mut claims = self.claims.lock().expect("claims poisoned");
-            let Some(&from) = claims.get(&peer) else {
+            let Some(from) = claims.get_mut(&peer) else {
                 return Err(CoreError::UnknownPeer(peer));
             };
-            if from == dest {
-                let (tx, rx) = mpsc::channel();
-                self.send_write(
-                    dest,
-                    RegionOp::Handover {
-                        peer,
-                        path: new_path,
-                        reply: tx,
-                    },
-                );
-                Pending::Same(rx)
+            if *from == dest {
+                self.region_mut(dest).handover(peer, new_path)?;
             } else {
-                claims.insert(peer, dest);
-                let (ftx, frx) = mpsc::channel();
-                let (atx, arx) = mpsc::channel();
-                self.send_write(
-                    from,
-                    RegionOp::Forward {
-                        peer,
-                        to_region: dest.0,
-                        reply: ftx,
-                    },
-                );
-                self.send_write(
-                    dest,
-                    RegionOp::Absorb {
-                        items: vec![(peer, new_path)],
-                        reply: atx,
-                    },
-                );
-                Pending::Cross(frx, arx)
-            }
-        };
-        match pending {
-            Pending::Same(rx) => rx.recv().expect("region worker alive")?,
-            Pending::Cross(frx, arx) => {
-                frx.recv()
-                    .expect("region worker alive")
+                self.region_mut(*from)
+                    .deregister_forwarding(peer, dest.0)
                     .expect("claims and regions agree");
-                let out = arx.recv().expect("region worker alive");
+                let out = self
+                    .region_mut(dest)
+                    .register_batch_renewing(vec![(peer, new_path)]);
                 debug_assert_eq!(out.joined, 1, "peer was only live in `from`");
+                *from = dest;
                 self.cross_region_handovers.fetch_add(1, Ordering::Relaxed);
             }
         }
         self.handovers.fetch_add(1, Ordering::Relaxed);
-        let neighbors = self.closest_to_path(&query_path, self.meta.neighbor_count, Some(peer));
+        let neighbors = self.closest_to_path(&query_path, self.neighbor_count, Some(peer));
         Ok(FederatedJoin {
             region: dest,
             landmark: LandmarkId(global),
@@ -470,87 +270,43 @@ impl ActorFederation {
     /// Peers partition by their claimed region (unknown ids are skipped
     /// without touching any region); returns the number removed.
     pub fn leave_batch(&self, peers: &[PeerId]) -> usize {
-        let mut per_region: Vec<Vec<PeerId>> = vec![Vec::new(); self.meta.servers.len()];
-        let mut rxs = Vec::new();
-        {
-            let mut claims = self.claims.lock().expect("claims poisoned");
-            for &peer in peers {
-                if let Some(region) = claims.remove(&peer) {
-                    per_region[region.index()].push(peer);
-                }
-            }
-            for (r, batch) in per_region.into_iter().enumerate() {
-                if batch.is_empty() {
-                    continue;
-                }
-                let (tx, rx) = mpsc::channel();
-                self.send_write(
-                    RegionId(r as u32),
-                    RegionOp::Leave {
-                        peers: batch,
-                        reply: tx,
-                    },
-                );
-                rxs.push(rx);
-            }
-        }
-        rxs.into_iter()
-            .map(|rx| rx.recv().expect("region worker alive"))
-            .sum()
+        let mut claims = self.claims.lock().expect("claims poisoned");
+        self.apply_by_region(peers, |p| claims.remove(&p), ManagementServer::leave_batch)
     }
 
     /// Batched heartbeat renewal — the actorized
     /// [`Federation::renew_batch`]; returns the number renewed.
     pub fn renew_batch(&self, peers: &[PeerId]) -> usize {
-        let mut per_region: Vec<Vec<PeerId>> = vec![Vec::new(); self.meta.servers.len()];
-        let mut rxs = Vec::new();
-        {
-            let claims = self.claims.lock().expect("claims poisoned");
-            for &peer in peers {
-                if let Some(&region) = claims.get(&peer) {
-                    per_region[region.index()].push(peer);
-                }
-            }
-            for (r, batch) in per_region.into_iter().enumerate() {
-                if batch.is_empty() {
-                    continue;
-                }
-                let (tx, rx) = mpsc::channel();
-                self.send_write(
-                    RegionId(r as u32),
-                    RegionOp::Renew {
-                        peers: batch,
-                        reply: tx,
-                    },
-                );
-                rxs.push(rx);
-            }
-        }
-        rxs.into_iter()
-            .map(|rx| rx.recv().expect("region worker alive"))
-            .sum()
+        let claims = self.claims.lock().expect("claims poisoned");
+        self.apply_by_region(
+            peers,
+            |p| claims.get(&p).copied(),
+            ManagementServer::renew_batch,
+        )
     }
 
     /// Federated lease expiry — the actorized
-    /// [`Federation::expire_stale`]. All regions sweep concurrently.
+    /// [`Federation::expire_stale`]. The regions sweep one after another,
+    /// and their expired peers leave `claims`, in one claims section: no
+    /// write can find a peer claimed but already swept.
     pub fn expire_stale(&self, max_age: u64) -> FederationSweep {
-        let rxs = self.broadcast(|reply| RegionOp::Expire { max_age, reply });
         let mut out = FederationSweep::default();
-        let mut gone: Vec<PeerId> = Vec::new();
-        for (r, rx) in rxs.into_iter().enumerate() {
+        let mut claims = self.claims.lock().expect("claims poisoned");
+        for (r, server) in self.servers.iter().enumerate() {
             let id = RegionId(r as u32);
-            let sweep = rx.recv().expect("region worker alive");
-            gone.extend(sweep.expired.iter().copied());
+            let sweep = server
+                .write()
+                .expect("region server poisoned")
+                .expire_stale_full(max_age);
+            for p in &sweep.expired {
+                claims.remove(p);
+            }
             out.expired
                 .extend(sweep.expired.into_iter().map(|p| (id, p)));
             // Tombstones retired here belong to peers now living in their
             // destination region — their claims stay.
             out.moved_swept
                 .extend(sweep.moved.into_iter().map(|(p, _)| (id, p)));
-        }
-        let mut claims = self.claims.lock().expect("claims poisoned");
-        for p in gone {
-            claims.remove(&p);
         }
         out
     }
@@ -560,21 +316,19 @@ impl ActorFederation {
         let region = self
             .region_of_peer(peer)
             .ok_or(CoreError::UnknownPeer(peer))?;
-        let path = {
-            let srv = self.meta.servers[region.index()]
-                .read()
-                .expect("region server poisoned");
-            srv.path_of(peer)
-                .ok_or(CoreError::UnknownPeer(peer))?
-                .clone()
-        };
+        let path = self.servers[region.index()]
+            .read()
+            .expect("region server poisoned")
+            .path_of(peer)
+            .ok_or(CoreError::UnknownPeer(peer))?
+            .clone();
         Ok(self.closest_to_path(&path, k, Some(peer)))
     }
 
     /// The closest registered peers to a query path — the actorized
-    /// [`Federation::closest_to_path`]. One `QueryRequest` frame fans out
-    /// to every consulted region concurrently; replies merge by
-    /// `(dtree, peer)`; bridge fills arrive as `FillReply` prefixes and
+    /// [`Federation::closest_to_path`]. One `QueryRequest` frame is
+    /// answered by every consulted region in consult order; replies merge
+    /// by `(dtree, peer)`; bridge fills arrive as `FillReply` prefixes and
     /// merge with per-cursor bases, exactly like the synchronous merge.
     pub fn closest_to_path(
         &self,
@@ -582,20 +336,18 @@ impl ActorFederation {
         k: usize,
         exclude: Option<PeerId>,
     ) -> Vec<Neighbor> {
-        self.meta.queries.inc();
+        self.queries.inc();
         let started = self
             .telemetry
             .get()
             .filter(|t| t.timing_enabled())
             .map(|_| Instant::now());
-        let home = self.meta.home_of_path(path).ok();
+        let home = self.home_of_path(path).ok();
         let consulted: Vec<RegionId> = match home {
-            Some((home, _)) => self.meta.query_regions(home),
-            None => (0..self.meta.servers.len() as u32).map(RegionId).collect(),
+            Some((home, _)) => self.query_regions(home),
+            None => (0..self.servers.len() as u32).map(RegionId).collect(),
         };
-        self.meta
-            .remote
-            .add(consulted.len().saturating_sub(1) as u64);
+        self.remote.add(consulted.len().saturating_sub(1) as u64);
         let nonce = self.nonce.fetch_add(1, Ordering::Relaxed);
         let frame = codec::encode_to_bytes(&Message::QueryRequest {
             nonce,
@@ -603,48 +355,37 @@ impl ActorFederation {
             k: k.min(u16::MAX as usize) as u16,
             exclude,
         });
-        let (tx, rx) = mpsc::channel();
-        for &r in &consulted {
-            self.query_txs[r.index()]
-                .send(QueryJob {
-                    frame: frame.clone(),
-                    reply: tx.clone(),
-                })
-                .expect("query worker outlives the front door");
-        }
-        drop(tx);
         let mut result: Vec<Neighbor> = Vec::new();
-        for _ in 0..consulted.len() {
-            let reply = rx.recv().expect("query worker alive");
-            match decode_frame(&reply) {
+        for &r in &consulted {
+            match self.rpc(r, &frame) {
                 Message::QueryReply {
                     nonce: n,
                     neighbors,
                 } => {
-                    debug_assert_eq!(n, nonce, "reply correlates to this fan-out");
+                    debug_assert_eq!(n, nonce, "reply correlates to this request");
                     result.extend(neighbors.into_iter().map(|w| Neighbor {
                         peer: w.peer,
                         dtree: w.dtree,
                     }));
                 }
-                other => unreachable!("query worker answered {}", other.kind_name()),
+                other => unreachable!("region answered {}", other.kind_name()),
             }
         }
         result.sort_unstable_by_key(|n| (n.dtree, n.peer));
         result.truncate(k);
         let exact_len = result.len();
-        if result.len() < k && self.meta.fallback {
+        if result.len() < k && self.fallback {
             if let Some((_, own_global)) = home {
                 let missing = k - result.len();
                 let fill =
                     self.bridge_fill_rpc(path, own_global, missing, &consulted, exclude, &result);
-                self.meta.fills.add(fill.len() as u64);
+                self.fills.add(fill.len() as u64);
                 result.extend(fill);
             }
         }
         if let (Some(start), Some(t)) = (started, self.telemetry.get()) {
             let us = start.elapsed().as_micros() as u64;
-            self.meta.query_latency.record(us);
+            self.query_latency.record(us);
             t.slow().offer(us, || SlowQueryRecord {
                 latency_us: us,
                 landmark: home.map(|(_, g)| g as u64),
@@ -676,19 +417,16 @@ impl ActorFederation {
         let query_depth = path.depth();
         let limit = (2 * missing + usize::from(exclude.is_some()) + already.len())
             .min(u16::MAX as usize) as u16;
-        // Issue every eligible cursor's RPC before collecting: the
-        // regions compute their prefixes concurrently.
-        let (tx, rx) = mpsc::channel();
-        let mut cursors: Vec<(u64, u32)> = Vec::new(); // (nonce, base), issue order
-        for (li, &lrouter) in self.meta.landmark_routers.iter().enumerate() {
+        let mut prefixes: Vec<(u32, Vec<WireNeighbor>)> = Vec::new(); // (base, prefix)
+        for (li, &lrouter) in self.landmark_routers.iter().enumerate() {
             if li as u32 == own_global {
                 continue;
             }
-            let region = self.meta.landmark_region[li];
+            let region = self.landmark_region[li];
             if !consulted.contains(&region) {
                 continue;
             }
-            let bridge = self.meta.landmark_dist[own_global as usize][li];
+            let bridge = self.landmark_dist[own_global as usize][li];
             if bridge == u32::MAX {
                 continue;
             }
@@ -698,101 +436,99 @@ impl ActorFederation {
                 router: lrouter,
                 limit,
             });
-            self.query_txs[region.index()]
-                .send(QueryJob {
-                    frame,
-                    reply: tx.clone(),
-                })
-                .expect("query worker outlives the front door");
-            cursors.push((nonce, query_depth + bridge));
-        }
-        drop(tx);
-        let mut prefixes: HashMap<u64, Vec<WireNeighbor>> = HashMap::with_capacity(cursors.len());
-        for _ in 0..cursors.len() {
-            let reply = rx.recv().expect("query worker alive");
-            match decode_frame(&reply) {
-                Message::FillReply { nonce, items } => {
-                    prefixes.insert(nonce, items);
+            match self.rpc(region, &frame) {
+                Message::FillReply { nonce: n, items } => {
+                    debug_assert_eq!(n, nonce, "reply correlates to this request");
+                    prefixes.push((query_depth + bridge, items));
                 }
-                other => unreachable!("fill worker answered {}", other.kind_name()),
+                other => unreachable!("region answered {}", other.kind_name()),
             }
         }
         // K-way merge of the prefixes, identical to the live-cursor merge.
-        let cursors = cursors.into_iter().map(|(nonce, base)| {
-            let prefix = prefixes.remove(&nonce).unwrap_or_default();
-            (base, prefix.into_iter().map(|item| (item.peer, item.dtree)))
-        });
+        let cursors = prefixes
+            .into_iter()
+            .map(|(base, prefix)| (base, prefix.into_iter().map(|item| (item.peer, item.dtree))));
         query::merge_fill(cursors, missing, exclude, already)
     }
 
-    fn send_write(&self, region: RegionId, op: RegionOp) {
-        self.write_txs[region.index()]
-            .send(op)
-            .expect("region worker outlives the front door");
+    fn home_of_path(&self, path: &PeerPath) -> Result<(RegionId, u32), CoreError> {
+        self.router_landmark
+            .get(&path.landmark_router())
+            .map(|&g| (self.landmark_region[g as usize], g))
+            .ok_or_else(|| {
+                CoreError::UnknownLandmark(format!(
+                    "path terminates at {} which is no federation landmark",
+                    path.landmark_router()
+                ))
+            })
     }
 
-    /// Enqueues one op (built by `make`) in every region's write mailbox
-    /// under the claims lock, returning the reply receivers in region
-    /// order.
-    fn broadcast<T>(&self, make: impl Fn(mpsc::Sender<T>) -> RegionOp) -> Vec<mpsc::Receiver<T>> {
-        let mut rxs = Vec::with_capacity(self.write_txs.len());
-        let _claims = self.claims.lock().expect("claims poisoned");
-        for r in 0..self.write_txs.len() {
-            let (tx, rx) = mpsc::channel();
-            self.send_write(RegionId(r as u32), make(tx));
-            rxs.push(rx);
-        }
-        rxs
+    /// Home region first, then foreign regions ascending by
+    /// `(bridge, id)` bounded by the fanout — identical to the
+    /// synchronous federation's consult order.
+    fn query_regions(&self, home: RegionId) -> Vec<RegionId> {
+        let mut foreign: Vec<RegionId> = (0..self.servers.len() as u32)
+            .map(RegionId)
+            .filter(|&r| r != home)
+            .collect();
+        foreign.sort_unstable_by_key(|&r| (self.bridge[home.index()][r.index()], r.0));
+        let take = self.fanout.unwrap_or(foreign.len()).min(foreign.len());
+        let mut out = Vec::with_capacity(take + 1);
+        out.push(home);
+        out.extend(foreign.into_iter().take(take));
+        out
     }
-}
 
-impl Drop for ActorFederation {
-    fn drop(&mut self) {
-        self.write_txs.clear();
-        self.query_txs.clear();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
+    fn region_mut(&self, region: RegionId) -> RwLockWriteGuard<'_, ManagementServer> {
+        self.servers[region.index()]
+            .write()
+            .expect("region server poisoned")
+    }
+
+    /// One region RPC: `region`'s handler answers `frame` under its read
+    /// guard on the calling thread; the reply frame is decoded after the
+    /// guard is released.
+    fn rpc(&self, region: RegionId, frame: &Bytes) -> Message {
+        let reply = serve_query_frame(
+            &self.servers[region.index()]
+                .read()
+                .expect("region server poisoned"),
+            frame,
+        );
+        decode_frame(&reply)
+    }
+
+    /// Partitions `peers` by region (`claim` names each peer's region, or
+    /// `None` to skip it) and applies `op` to every region with a
+    /// non-empty batch, one write guard at a time. Callers hold `claims`.
+    fn apply_by_region(
+        &self,
+        peers: &[PeerId],
+        mut claim: impl FnMut(PeerId) -> Option<RegionId>,
+        op: impl Fn(&mut ManagementServer, &[PeerId]) -> usize,
+    ) -> usize {
+        let mut per_region: Vec<Vec<PeerId>> = vec![Vec::new(); self.servers.len()];
+        for &peer in peers {
+            if let Some(region) = claim(peer) {
+                per_region[region.index()].push(peer);
+            }
         }
+        self.servers
+            .iter()
+            .zip(&per_region)
+            .filter(|(_, batch)| !batch.is_empty())
+            .map(|(server, batch)| op(&mut server.write().expect("region server poisoned"), batch))
+            .sum()
     }
 }
 
 impl std::fmt::Debug for ActorFederation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ActorFederation")
-            .field("regions", &self.meta.servers.len())
+            .field("regions", &self.servers.len())
             .field("peers", &self.peer_count())
             .field("epoch", &self.epoch())
             .finish_non_exhaustive()
-    }
-}
-
-fn apply_region_op(srv: &mut ManagementServer, op: RegionOp) {
-    match op {
-        RegionOp::Absorb { items, reply } => {
-            let _ = reply.send(srv.register_batch_renewing(items));
-        }
-        RegionOp::Handover { peer, path, reply } => {
-            let _ = reply.send(srv.handover(peer, path).map(|_| ()));
-        }
-        RegionOp::Forward {
-            peer,
-            to_region,
-            reply,
-        } => {
-            let _ = reply.send(srv.deregister_forwarding(peer, to_region));
-        }
-        RegionOp::Leave { peers, reply } => {
-            let _ = reply.send(srv.leave_batch(&peers));
-        }
-        RegionOp::Renew { peers, reply } => {
-            let _ = reply.send(srv.renew_batch(&peers));
-        }
-        RegionOp::Advance { reply } => {
-            let _ = reply.send(srv.advance_epoch());
-        }
-        RegionOp::Expire { max_age, reply } => {
-            let _ = reply.send(srv.expire_stale_full(max_age));
-        }
     }
 }
 
@@ -800,8 +536,8 @@ fn apply_region_op(srv: &mut ManagementServer, op: RegionOp) {
 /// from the server's read path, encode the reply frame. `QueryRequest`
 /// here asks for the region's **exact candidates** (`query_nearest`),
 /// not a federated answer — the front door owns merging and fills.
-fn serve_query_frame(srv: &ManagementServer, job: QueryJob) {
-    let reply = match decode_frame(&job.frame) {
+fn serve_query_frame(srv: &ManagementServer, frame: &Bytes) -> Bytes {
+    let reply = match decode_frame(frame) {
         Message::QueryRequest {
             nonce,
             path,
@@ -832,13 +568,13 @@ fn serve_query_frame(srv: &ManagementServer, job: QueryJob) {
                 .collect();
             Message::FillReply { nonce, items }
         }
-        other => unreachable!("region worker received {}", other.kind_name()),
+        other => unreachable!("region received {}", other.kind_name()),
     };
-    let _ = job.reply.send(codec::encode_to_bytes(&reply));
+    codec::encode_to_bytes(&reply)
 }
 
-/// Decodes one well-formed internal frame (the front door and workers
-/// only exchange frames they encoded themselves).
+/// Decodes one well-formed internal frame (the front door and the region
+/// handler only exchange frames they encoded themselves).
 fn decode_frame(frame: &Bytes) -> Message {
     let mut buf = BytesMut::new();
     buf.extend_from_slice(frame);

@@ -1,30 +1,26 @@
-//! The generic mailbox worker behind [`crate::ActorFederation`]'s region
-//! actors (its `region-write` worker and `region-query` pool) and the
-//! durability writer. [`crate::ActorServer`] has no mailbox: its shard
-//! writes run on the calling thread.
+//! The generic mailbox worker behind the durability writer. The serving
+//! planes have none: [`crate::ActorServer`] and [`crate::ActorFederation`]
+//! apply their writes on the calling thread.
 //!
 //! One worker owns one blocking receive loop: it parks on the mailbox's
 //! channel, and each time it wakes it drains **up to a cap** of what is
-//! queued into a batch before applying it. The actors use this to amortise
-//! their lock acquisitions — a region's write worker takes the region's
-//! write lock once per batch, not once per operation. The cap
-//! bounds how long one batch can hold that lock: under a flood the worker
-//! applies a full batch, releases the lock, and immediately wakes again
-//! for the leftovers still queued in the channel, so readers get a window
-//! between batches instead of starving behind one unbounded drain.
+//! queued into a batch before applying it, so the writer pays one flush
+//! per batch, not one per record. The cap bounds how long one batch takes:
+//! under a flood the worker applies a full batch and immediately wakes
+//! again for the leftovers still queued in the channel.
 //!
 //! Lifecycle is channel-driven: a worker exits when every sender to its
-//! mailbox is gone, so an actor shuts down by dropping its send handles
-//! and joining the threads. No poison message, no shutdown flag.
+//! mailbox is gone, so its owner shuts down by dropping its send handle
+//! and joining the thread. No poison message, no shutdown flag.
 
 use crate::telemetry::{Counter, Gauge, Histogram};
 use crossbeam::channel::Receiver;
 use std::sync::Arc;
 use std::thread::{Builder, JoinHandle};
 
-/// Default per-batch drain cap: large enough that lock amortisation is
-/// intact (hundreds of ops per acquisition), small enough that a churn
-/// flood cannot pin a region's write lock for an unbounded stretch.
+/// Default per-batch drain cap: large enough that batching is intact
+/// (hundreds of records per flush), small enough that a churn flood
+/// cannot grow one batch without bound.
 pub(crate) const DEFAULT_DRAIN_CAP: usize = 1024;
 
 /// Telemetry handles for one mailbox worker, shared with the registry

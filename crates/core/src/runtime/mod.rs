@@ -1,6 +1,6 @@
-//! The concurrent serving plane: lock-per-shard writes on the caller's
-//! thread, mailbox workers behind every region, and the wire-facing
-//! service trait `nearpeerd` serves.
+//! The concurrent serving plane: a lock per shard and per region, every
+//! operation applied on the caller's thread, and the wire-facing service
+//! trait `nearpeerd` serves. Nothing here spawns a thread.
 //!
 //! The synchronous data plane ([`crate::ManagementServer`],
 //! [`crate::Federation`]) reads concurrently but writes through
@@ -13,12 +13,14 @@
 //!   shard read guards only — never the claims mutex — and run the
 //!   shared merge plans in [`crate::directory::query`], so answers are
 //!   bit-identical to the facade's by construction;
-//! * [`mailbox`] — the generic batch-draining worker thread the region
-//!   actors are built from;
-//! * [`ActorFederation`] — one write mailbox plus a query-worker pool
-//!   per region; the home-first + fanout query is carried as encoded
-//!   [`crate::codec`] frames (`QueryRequest`/`FillRequest` RPCs), fanned
-//!   out concurrently and merged order-independently;
+//! * [`ActorFederation`] — every region's server behind its own
+//!   `RwLock`, writes applied the same way under the front door's claims
+//!   mutex; the home-first + fanout query is carried as encoded
+//!   [`crate::codec`] frames (`QueryRequest`/`FillRequest` RPCs), each
+//!   answered by the region-side handler under that region's read guard
+//!   and merged order-independently;
+//! * [`mailbox`] — the generic batch-draining worker thread, used only by
+//!   the durability writer;
 //! * [`WireService`] — the one-method trait both actors implement, and
 //!   the only thing the `nearpeerd` TCP server needs to know about.
 //!
@@ -300,8 +302,8 @@ impl WireService for ActorFederation {
             } => Some(Message::QueryReply {
                 nonce,
                 // Client-facing queries get the full federated answer
-                // (fan-out + bridge fills); the region workers' own
-                // QueryRequest handling stays exact-candidates-only.
+                // (fan-out + bridge fills); the region-side frame
+                // handler's QueryRequest stays exact-candidates-only.
                 neighbors: to_wire(self.closest_to_path(&path, k as usize, exclude)),
             }),
             Message::FillRequest { nonce, .. } => Some(Message::FillReply {

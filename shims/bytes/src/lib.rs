@@ -163,27 +163,36 @@ pub trait Buf {
     fn remaining(&self) -> usize;
     /// Skips `n` unread bytes.
     fn advance(&mut self, n: usize);
-    /// Copies out the next `n` unread bytes.
-    fn take_front(&mut self, n: usize) -> Vec<u8>;
+    /// Fills `dst` from the next `dst.len()` unread bytes and consumes
+    /// them; panics on underflow.
+    fn copy_to_slice(&mut self, dst: &mut [u8]);
 
     /// Reads one byte.
     fn get_u8(&mut self) -> u8 {
-        self.take_front(1)[0]
+        let mut b = [0; 1];
+        self.copy_to_slice(&mut b);
+        b[0]
     }
 
     /// Reads a big-endian `u16`.
     fn get_u16(&mut self) -> u16 {
-        u16::from_be_bytes(self.take_front(2).try_into().unwrap())
+        let mut b = [0; 2];
+        self.copy_to_slice(&mut b);
+        u16::from_be_bytes(b)
     }
 
     /// Reads a big-endian `u32`.
     fn get_u32(&mut self) -> u32 {
-        u32::from_be_bytes(self.take_front(4).try_into().unwrap())
+        let mut b = [0; 4];
+        self.copy_to_slice(&mut b);
+        u32::from_be_bytes(b)
     }
 
     /// Reads a big-endian `u64`.
     fn get_u64(&mut self) -> u64 {
-        u64::from_be_bytes(self.take_front(8).try_into().unwrap())
+        let mut b = [0; 8];
+        self.copy_to_slice(&mut b);
+        u64::from_be_bytes(b)
     }
 }
 
@@ -198,12 +207,12 @@ impl Buf for BytesMut {
         self.reclaim();
     }
 
-    fn take_front(&mut self, n: usize) -> Vec<u8> {
+    fn copy_to_slice(&mut self, dst: &mut [u8]) {
+        let n = dst.len();
         assert!(n <= self.len(), "buffer underflow");
-        let out = self.unread()[..n].to_vec();
+        dst.copy_from_slice(&self.unread()[..n]);
         self.head += n;
         self.reclaim();
-        out
     }
 }
 
@@ -257,6 +266,10 @@ mod tests {
         assert_eq!(b.get_u16(), 300);
         assert_eq!(b.get_u64(), u64::MAX - 1);
         assert_eq!(&b[..], &[1, 2, 3]);
+        let mut front = [0; 2];
+        b.copy_to_slice(&mut front);
+        assert_eq!(front, [1, 2]);
+        assert_eq!(&b[..], &[3]);
     }
 
     #[test]
@@ -311,5 +324,17 @@ mod tests {
         let mut b = BytesMut::new();
         b.put_u8(1);
         let _ = b.get_u32();
+    }
+
+    #[test]
+    #[should_panic(expected = "buffer underflow")]
+    fn underflow_after_partial_reads_panics() {
+        let mut b = BytesMut::new();
+        b.put_u32(7);
+        b.put_u16(9);
+        assert_eq!(b.get_u32(), 7);
+        // Two bytes left: an eight-byte read must refuse, not read stale
+        // or zeroed bytes.
+        let _ = b.get_u64();
     }
 }

@@ -1,13 +1,17 @@
-//! Writers racing an expiry sweep on `ActorServer`. Every peer a sweep
-//! takes out of a shard must leave the claims map in the same critical
-//! section as the sweep itself: otherwise a handover that lands in
-//! between finds the peer claimed but gone from its old shard, re-inserts
-//! it into the new one, and then loses its claim to the sweep's cleanup —
-//! a peer that queries still return and `deregister` calls unknown.
-//! Checked by conservation after every round: joins − leaves ==
-//! registered peers.
+//! Writers racing an expiry sweep on `ActorServer` and `ActorFederation`.
+//! Every peer a sweep takes out of a shard or region must leave the
+//! claims map in the same critical section as the sweep itself:
+//! otherwise a handover that lands in between finds the peer claimed but
+//! gone from where its claim says it lives. On `ActorServer` it re-inserts
+//! the peer and then loses its claim to the sweep's cleanup — a peer that
+//! queries still return and `deregister` calls unknown (checked by
+//! conservation: joins − leaves == registered peers). On `ActorFederation`
+//! the cross-region teardown finds nothing to forward and the front door
+//! panics (checked by every claimed peer being live in its claimed region).
 
-use nearpeer::core::{ActorServer, CoreError, LandmarkId, ServerConfig};
+use nearpeer::core::{
+    ActorFederation, ActorServer, CoreError, FederationConfig, LandmarkId, ServerConfig,
+};
 use nearpeer_bench::wire::synthetic_landmarks;
 use nearpeer_bench::SyntheticJoins;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -68,5 +72,75 @@ fn handovers_racing_expiry_conserve_the_population() {
             stats.leaves + srv.peer_count() as u64,
             "round {round}: joins − leaves must equal the registered peers"
         );
+    }
+}
+
+#[test]
+fn federation_handovers_racing_expiry() {
+    const REGIONS: usize = 4;
+    let joins = SyntheticJoins::new(LANDMARKS as usize);
+    let (routers, dist) = synthetic_landmarks(LANDMARKS as usize);
+    let fed = ActorFederation::new(
+        routers,
+        dist,
+        REGIONS,
+        FederationConfig {
+            fanout: None,
+            server: ServerConfig::default(),
+        },
+    )
+    .expect("builds");
+    for round in 0..ROUNDS {
+        for p in 0..PEERS {
+            let (peer, path) = joins.join(p);
+            match fed.register(peer, path) {
+                Ok(_) | Err(CoreError::DuplicatePeer(_)) => {}
+                Err(e) => panic!("register {peer:?}: {e}"),
+            }
+        }
+        let start = Barrier::new(3);
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            for first in 0..2 {
+                let (fed, start, stop) = (&fed, &start, &stop);
+                s.spawn(move || {
+                    start.wait();
+                    'run: loop {
+                        for p in (first..PEERS).step_by(2) {
+                            if stop.load(Ordering::Acquire) {
+                                break 'run;
+                            }
+                            // Landmarks map to regions round-robin, so most
+                            // of these moves cross regions.
+                            let to = LandmarkId(((p + round) % LANDMARKS) as u32);
+                            let (peer, path) = joins.join_to(p, to);
+                            match fed.handover(peer, path) {
+                                Ok(_) | Err(CoreError::UnknownPeer(_)) => {}
+                                Err(e) => panic!("handover {peer:?}: {e}"),
+                            }
+                            fed.renew_batch(&[peer]);
+                        }
+                    }
+                });
+            }
+            start.wait();
+            for _ in 0..3 {
+                fed.advance_epoch();
+                fed.advance_epoch();
+                fed.expire_stale(1);
+            }
+            stop.store(true, Ordering::Release);
+        });
+        for p in 0..PEERS {
+            let (peer, _) = joins.join(p);
+            if let Some(region) = fed.region_of_peer(peer) {
+                // `neighbors_of` reads the peer's path from its claimed
+                // region; k = 0 keeps the check to that lookup.
+                assert!(
+                    fed.neighbors_of(peer, 0).is_ok(),
+                    "round {round}: {peer:?} claimed by {region:?} but not live there"
+                );
+            }
+        }
     }
 }

@@ -1,12 +1,19 @@
 //! Pins the read and write paths' mechanism without timing them: the heap
 //! allocations one `closest_to_path` makes are a small constant that does
 //! **not** grow with the number of landmark shards, on the synchronous
-//! server and on the actorized one (with a top-`k` buffer, a heap and a
-//! `seen` set per shard it grew by several per shard), and an
-//! `ActorServer` heartbeat or leave makes none. Allocation counts on one
-//! thread repeat exactly, so this is a tier-1 test.
+//! server, on the actorized one (with a top-`k` buffer, a heap and a
+//! `seen` set per shard it grew by several per shard) and on the
+//! four-region `ActorFederation`, whose regions answer its frames on the
+//! calling thread; decoding a query frame allocates a small constant; and
+//! an `ActorServer` heartbeat or leave makes none. Allocation counts on
+//! one thread repeat exactly, so this is a tier-1 test.
 
-use nearpeer::core::{ActorServer, ManagementServer, PeerId, PeerPath, ServerConfig};
+use nearpeer::core::codec;
+use nearpeer::core::protocol::Message;
+use nearpeer::core::{
+    ActorFederation, ActorServer, FederationConfig, ManagementServer, PeerId, PeerPath,
+    ServerConfig,
+};
 use nearpeer_bench::wire::synthetic_landmarks;
 use nearpeer_bench::SyntheticJoins;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -132,4 +139,60 @@ fn allocations_per_query_do_not_grow_with_shards() {
     // Cursors, heap, seen set, answer; the actor adds its guard list.
     assert!(sync_8 <= 4, "ManagementServer allocates {sync_8} per query");
     assert!(actor_8 <= 5, "ActorServer allocates {actor_8} per query");
+}
+
+/// Allocations per federated query at `landmarks` shards over 4 regions
+/// (full fanout: every region answers a frame).
+fn per_federated_query(landmarks: usize) -> u64 {
+    let joins = SyntheticJoins::new(landmarks);
+    let (routers, dist) = synthetic_landmarks(landmarks);
+    let fed = ActorFederation::new(
+        routers,
+        dist,
+        4,
+        FederationConfig {
+            fanout: None,
+            server: ServerConfig::default(),
+        },
+    )
+    .expect("builds");
+    for p in 0..PEERS_PER_LANDMARK * landmarks as u64 {
+        let (peer, path) = joins.join(p);
+        fed.register(peer, path).expect("fresh peer");
+    }
+    let (asker, path) = joins.join(0);
+    allocations(|| fed.closest_to_path(&path, K, Some(asker)).len())
+}
+
+#[test]
+fn federated_allocations_per_query_do_not_grow_with_shards() {
+    let (fed_8, fed_32) = (per_federated_query(8), per_federated_query(32));
+    assert_eq!(fed_8, fed_32, "ActorFederation: 8 vs 32 landmarks");
+    // Per region: a request decode, the region's candidates, a reply
+    // encode and decode; plus the request frame, the consult order and
+    // the merge (69 today).
+    assert!(fed_8 <= 80, "ActorFederation allocates {fed_8} per query");
+}
+
+#[test]
+fn decoding_a_query_frame_allocates_a_constant() {
+    let (asker, path) = SyntheticJoins::new(8).join(0);
+    assert_eq!(path.depth(), 8);
+    let frame = codec::encode_to_bytes(&Message::QueryRequest {
+        nonce: 1,
+        path,
+        k: K as u16,
+        exclude: Some(asker),
+    });
+    let mut decodes = (0..2).map(|_| {
+        let mut buf = frame[..].into();
+        count(|| {
+            codec::decode(&mut buf).expect("well-formed");
+        })
+    });
+    let first = decodes.next().expect("two decodes");
+    assert_eq!(decodes.next(), Some(first), "the count repeats");
+    // The frame split, the router list and the path's sorted loop-check
+    // copy (3 today); every integer read is allocation-free.
+    assert!(first <= 4, "decode allocates {first} per QueryRequest");
 }
