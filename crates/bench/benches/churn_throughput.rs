@@ -6,7 +6,7 @@
 //! renewals piggybacked on the register path, heartbeat rounds, batched
 //! departures and epoch-bucketed expiry sweeps), the workload the
 //! slab-backed lease arena targets, and the per-write cost `nearpeerd`
-//! pays: one claims section and one shard write guard per operation.
+//! pays: one server write guard per operation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nearpeer_bench::experiments::churn::{run_soak, ChurnSoakConfig};

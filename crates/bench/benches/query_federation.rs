@@ -8,7 +8,7 @@
 //! fanout-limited variant shows the recall/fan-out trade, and
 //! `actor_federation_4_full` prices the same full-fanout query through
 //! `ActorFederation`, whose regions answer encoded frames on the calling
-//! thread.
+//! thread under the federation's read guard.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nearpeer_bench::wire::synthetic_landmarks;

@@ -65,8 +65,9 @@ pub fn build_service(
 }
 
 /// The synchronous twin of what [`build_service`] serves, used by the
-/// load generator to check wire answers bit-for-bit: the actorized
-/// planes are pinned answer-equivalent to these by `tests/properties.rs`.
+/// load generator to check wire answers bit-for-bit: each concurrent
+/// plane is its twin behind one lock, and `tests/actor_equivalence.rs`
+/// pins the answers equal.
 pub enum Mirror {
     /// Single-region twin of an [`ActorServer`].
     Single(Box<ManagementServer>),
@@ -394,8 +395,8 @@ const SHUTDOWN_GRACE_WINDOWS: u32 = 8;
 ///   [`FrameConn::bytes_received`]), not completed frames — a client
 ///   dribbling one large frame is alive, a silent one is not;
 /// * a shutdown requested elsewhere lets an in-flight partial frame
-///   finish for a bounded grace ([`SHUTDOWN_GRACE_WINDOWS`] read
-///   windows) instead of cutting it mid-reassembly.
+///   finish for a bounded grace (`SHUTDOWN_GRACE_WINDOWS` read windows)
+///   instead of cutting it mid-reassembly.
 pub fn serve_connection(
     stream: TcpStream,
     service: Arc<dyn WireService>,

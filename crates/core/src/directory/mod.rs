@@ -20,8 +20,8 @@
 //! genuinely cross-landmark state (bridge distances, super-peer regions,
 //! aggregate counters) to itself. Batched joins
 //! ([`crate::ManagementServer::register_batch`]) group newcomers by
-//! landmark; [`crate::runtime::ActorServer`] puts every shard behind its
-//! own `RwLock` and writes it from the calling thread.
+//! landmark; [`crate::runtime::ActorServer`] puts the whole facade behind
+//! one `RwLock` and writes it from the calling thread.
 
 mod adaptive;
 mod lease_arena;

@@ -1,23 +1,24 @@
 //! Shard-merging query plans, shared by every front end.
 //!
-//! The synchronous [`crate::ManagementServer`] facade and the actorized
-//! runtime ([`crate::runtime`]) answer queries over the same per-landmark
+//! The synchronous [`crate::ManagementServer`] facade and
+//! [`crate::Federation`] answer queries over per-landmark
 //! [`DirectoryShard`]s; these free functions are the single implementation
-//! of the merge logic, so both front ends return **bit-identical** answers
-//! by construction. Each takes anything that yields shard references — the
-//! facade passes its owned shards, the runtime maps over its read guards,
-//! a federation chains its regions' shards — and every function is a pure
+//! of the merge logic, so every front end — including the concurrent ones
+//! in [`crate::runtime`], which are those two behind a lock — returns
+//! **bit-identical** answers by construction. Each takes anything that
+//! yields shard references — the facade passes its owned shards, a
+//! federation chains its regions' shards — and every function is a pure
 //! read (`&DirectoryShard` only).
 //!
 //! The exact answer is **one** merge: [`query_nearest_merged`] hands every
-//! shard's entry table to the single-heap kernel in
-//! [`crate::router_index`], which opens a cursor per `(shard, query-path
-//! router)` hit and pops the global `(dtree, peer)` order directly. Peers
-//! partition across shards, so that is the per-shard top-`k`, concatenated
-//! and re-sorted, without building any of it (the unit tests keep that
-//! plan as the reference). The per-query sets hash peer ids with the keyed
-//! [`IdHash`](crate::ids::IdHash): ids are client-chosen, so an unkeyed
-//! integer hash would let a client aim a whole population at one bucket.
+//! shard's entry table to the single-heap kernel in `router_index`, which
+//! opens a cursor per `(shard, query-path router)` hit and pops the global
+//! `(dtree, peer)` order directly. Peers partition across shards, so that
+//! is the per-shard top-`k`, concatenated and re-sorted, without building
+//! any of it (the unit tests keep that plan as the reference). The
+//! per-query sets hash peer ids with the keyed `IdHash`: ids are
+//! client-chosen, so an unkeyed integer hash would let a client aim a
+//! whole population at one bucket.
 
 use crate::ids::{IdSet, LandmarkId, PeerId};
 use crate::path::PeerPath;

@@ -46,9 +46,9 @@ pub struct ShardAbsorb {
 /// before the churn refactor) — and nothing else per peer: the landmark's
 /// [`PathTree`] is a view built on demand from the stored paths
 /// ([`Self::tree`]). Shards never reference each
-/// other, so distinct shards can be **mutated from different threads**
-/// (each behind its own `RwLock` in [`crate::runtime::ActorServer`]) and
-/// **queried concurrently** (every read takes `&self`). Cross-landmark
+/// other, and every read takes `&self`, so shards can be **queried
+/// concurrently** (under the one read guard of
+/// [`crate::runtime::ActorServer`]). Cross-landmark
 /// concerns — neighbor-list merging, bridge-estimate fills, super-peer
 /// regions — live in the [`crate::ManagementServer`] facade.
 #[derive(Debug)]

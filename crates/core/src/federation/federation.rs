@@ -56,7 +56,7 @@ pub struct FederatedBatchOutcome {
 }
 
 /// Aggregate federation counters (the cross-region view; each region's
-/// server keeps its own [`crate::ServerStats`] underneath).
+/// server keeps its own [`ManagementServer::stats`] underneath).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FederationStats {
     /// Federated queries answered ([`Federation::closest_to_path`]).
@@ -92,21 +92,6 @@ impl FederationSweep {
     }
 }
 
-/// A [`Federation`] taken apart for the actorized runtime: the routing
-/// metadata the front door keeps, plus the per-region servers that move
-/// behind per-region locks (crate-internal).
-pub(crate) struct RuntimeParts {
-    pub landmark_routers: Vec<RouterId>,
-    pub landmark_dist: Vec<Vec<u32>>,
-    pub landmark_region: Vec<RegionId>,
-    pub router_landmark: IdMap<RouterId, u32>,
-    pub bridge: Vec<Vec<u32>>,
-    pub fanout: Option<usize>,
-    pub fallback: bool,
-    pub neighbor_count: usize,
-    pub servers: Vec<ManagementServer>,
-}
-
 /// Read-path counters (interior-mutable, so federated queries stay
 /// `&self` like the underlying servers').
 #[derive(Debug, Default)]
@@ -131,6 +116,8 @@ struct QueryCounters {
 /// `locate`, `stats`) take `&self` — the per-region servers' read paths
 /// are already concurrent, and the federation's own counters are atomic.
 /// Writes take `&mut self` and touch at most two regions.
+/// [`crate::ActorFederation`] serves it from many threads behind one
+/// `RwLock`.
 #[derive(Debug)]
 pub struct Federation {
     regions: Vec<Region>,
@@ -370,9 +357,15 @@ impl Federation {
         }
     }
 
+    /// Whether short answers are topped up with cross-region bridge fills
+    /// (the regions' `cross_landmark_fallback`).
+    pub(crate) fn fills_enabled(&self) -> bool {
+        self.fallback
+    }
+
     /// The home `(region, global landmark)` of a path, by its terminal
     /// router.
-    fn home_of_path(&self, path: &PeerPath) -> Result<(RegionId, u32), CoreError> {
+    pub(crate) fn home_of_path(&self, path: &PeerPath) -> Result<(RegionId, u32), CoreError> {
         self.router_landmark
             .get(&path.landmark_router())
             .map(|&g| (self.landmark_region[g as usize], g))
@@ -595,8 +588,15 @@ impl Federation {
 
     /// The regions a query from `home` consults: the home region first,
     /// then foreign regions ascending by `(bridge, id)`, bounded by the
-    /// configured fanout.
-    fn query_regions(&self, home: RegionId) -> Vec<RegionId> {
+    /// configured fanout. A query with no home landmark consults every
+    /// live region.
+    pub(crate) fn query_regions(&self, home: Option<RegionId>) -> Vec<RegionId> {
+        let Some(home) = home else {
+            return (0..self.regions.len() as u32)
+                .map(RegionId)
+                .filter(|&r| !self.down[r.index()])
+                .collect();
+        };
         let mut foreign: Vec<RegionId> = (0..self.regions.len() as u32)
             .map(RegionId)
             .filter(|&r| r != home && !self.down[r.index()])
@@ -634,14 +634,8 @@ impl Federation {
     ) -> Vec<Neighbor> {
         self.counters.queries.fetch_add(1, Ordering::Relaxed);
         let home = self.home_of_path(path).ok();
-        let consulted: Vec<RegionId> = match home {
-            Some((home, _)) => self.query_regions(home),
-            // No home landmark: exact answers only, from every live region.
-            None => (0..self.regions.len() as u32)
-                .map(RegionId)
-                .filter(|&r| !self.down[r.index()])
-                .collect(),
-        };
+        // No home landmark: exact answers only, from every live region.
+        let consulted = self.query_regions(home.map(|(region, _)| region));
         self.counters
             .remote
             .fetch_add(consulted.len().saturating_sub(1) as u64, Ordering::Relaxed);
@@ -699,30 +693,6 @@ impl Federation {
         query::merge_fill(cursors, k, exclude, already)
     }
 
-    /// Consumes the federation, yielding the routing metadata and the
-    /// owned per-region servers — everything the actorized runtime
-    /// ([`crate::runtime::ActorFederation`]) puts behind its region
-    /// locks. Construction-time validation has already run, so the
-    /// runtime inherits a well-formed partition and bridge matrix.
-    pub(crate) fn into_runtime_parts(self) -> RuntimeParts {
-        let mut servers = Vec::with_capacity(self.regions.len());
-        for region in self.regions {
-            let (server, _globals) = region.into_server();
-            servers.push(server);
-        }
-        RuntimeParts {
-            landmark_routers: self.landmark_routers,
-            landmark_dist: self.landmark_dist,
-            landmark_region: self.landmark_region,
-            router_landmark: self.router_landmark,
-            bridge: self.bridge,
-            fanout: self.fanout,
-            fallback: self.fallback,
-            neighbor_count: self.neighbor_count,
-            servers,
-        }
-    }
-
     /// Federated lease expiry: every region sweeps its epoch-bucketed
     /// arenas once, and the results keep the distinction the forwarding
     /// tombstones encode — a lease that lapsed **silently** (the peer
@@ -767,8 +737,9 @@ impl Federation {
     /// Simulates a region crash: the region's server is torn out and
     /// returned (the test harness's view of what died with the process),
     /// an empty stand-in takes its slot, and the region is marked down —
-    /// writes to it are refused, queries route around it
-    /// ([`Self::query_regions`]). Crashing an already-down region fails.
+    /// writes to it are refused, queries route around it (a query homed in
+    /// it fans out to every live region). Crashing an already-down region
+    /// fails.
     pub fn crash_region(&mut self, id: RegionId) -> Result<ManagementServer, CoreError> {
         if self.down[id.index()] {
             return Err(CoreError::RegionUnavailable(id.0));
@@ -1042,6 +1013,32 @@ mod tests {
         assert_eq!(fed.region_of_peer(PeerId(1)), Some(RegionId(1)));
         assert_eq!(fed.tombstone_count(), 0, "no leaked leases");
         assert_eq!(fed.resolve(RegionId(0), PeerId(1)), None, "trail swept");
+    }
+
+    #[test]
+    fn sweeping_a_tombstone_keeps_its_peer_live_where_it_returned() {
+        let mut fed = federation(2, None);
+        // L0 (region 0) → L1 (region 1) → L2 (region 0): p is live in
+        // region 0 again, beside the tombstone its first move left there.
+        fed.register(PeerId(1), path(&[4, 2, 1, 0])).unwrap();
+        fed.handover(PeerId(1), path(&[111, 105, 100])).unwrap();
+        fed.handover(PeerId(1), path(&[210, 205, 200])).unwrap();
+        for _ in 0..3 {
+            fed.advance_epoch();
+            assert_eq!(fed.renew_batch(&[PeerId(1)]), 1);
+        }
+        let sweep = fed.expire_stale(2);
+        assert_eq!(sweep.moved_swept.len(), 2, "both tombstones retired");
+        assert!(sweep.expired.is_empty());
+        assert_eq!(fed.region_of_peer(PeerId(1)), Some(RegionId(0)));
+        assert_eq!(fed.locate(PeerId(1)).map(|(r, _)| r), Some(RegionId(0)));
+        assert_eq!(fed.peer_count(), 1);
+        // Still registered, so a second registration is a duplicate.
+        assert!(matches!(
+            fed.register(PeerId(1), path(&[112, 105, 100])),
+            Err(CoreError::DuplicatePeer(_))
+        ));
+        assert!(fed.neighbors_of(PeerId(1), 3).is_ok());
     }
 
     #[test]

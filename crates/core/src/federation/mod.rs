@@ -40,7 +40,6 @@
 mod federation;
 mod region;
 
-pub(crate) use federation::RuntimeParts;
 pub use federation::{
     FederatedBatchOutcome, FederatedJoin, Federation, FederationConfig, FederationStats,
     FederationSweep,

@@ -68,12 +68,6 @@ impl Region {
         &mut self.server
     }
 
-    /// Consumes the region, yielding its server and landmark partition —
-    /// the actorized runtime puts each server behind its own lock.
-    pub(crate) fn into_server(self) -> (ManagementServer, Vec<u32>) {
-        (self.server, self.landmark_globals)
-    }
-
     /// Swaps this region's server for another (crash/rejoin bookkeeping in
     /// [`super::Federation`]), returning the previous one. The caller
     /// guarantees the replacement serves the same landmark partition.

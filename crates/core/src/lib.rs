@@ -25,8 +25,8 @@
 //!   [`ManagementServer`] per landmark partition behind a routing front
 //!   door ([`Federation`]) with bridge-matrix query fan-out and
 //!   cross-region handover leaving forwarding tombstones;
-//! * [`runtime`] — the concurrent serving plane: every shard, and every
-//!   region, behind its own lock and read and written on the caller's
+//! * [`runtime`] — the concurrent serving plane: the server, or the
+//!   federation, behind one lock and read and written on the caller's
 //!   thread, with the federation's query fan-out carried as codec frames,
 //!   and the [`WireService`] trait the `nearpeerd` TCP server drives;
 //! * [`subscription`] — standing "watch my `k` nearest" queries: churn

@@ -7,7 +7,7 @@
 //! | [`RandomSelector`]    | "a newcomer randomly choosing its neighbors" (`Drandom`) |
 //! | [`OracleSelector`]    | "the best set of neighbors obtained by a brute-force algorithm" (`Dclosest`) |
 //! | [`VivaldiSelector`]   | coordinate-based selection (the slow alternative of §1) |
-//! | [`BinningSelector`]   | Ratnasamy-style landmark binning (the classic cited by [10]) |
+//! | [`BinningSelector`]   | Ratnasamy-style landmark binning (the classic cited by \[10\]) |
 
 use crate::ids::PeerId;
 use crate::server::ManagementServer;

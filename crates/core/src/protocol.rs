@@ -85,7 +85,7 @@ pub enum Message {
     /// read. Carried both client→server (a registered peer refreshing its
     /// neighbor list with its own stored path and `exclude = itself`) and
     /// server→server (the federation front door fanning the same query out
-    /// to its region actors as RPC frames).
+    /// to its regions as RPC frames).
     QueryRequest {
         /// Correlates the reply when requests are pipelined or fanned out.
         nonce: u64,

@@ -1,42 +1,36 @@
-//! The actorized federation: regions behind locks, RPC-as-frames.
+//! The actorized federation: [`Federation`] behind one `RwLock`, its
+//! client queries carried as RPC frames.
 //!
-//! [`crate::Federation`]'s home-first + fanout query is a loop of nested
-//! function calls into each region's server, and its writes take
-//! `&mut self`. Here every [`Region`]'s `ManagementServer` moves behind
-//! its own `RwLock`, so the front door serves any number of threads
-//! through `&self`, and spawns no thread of its own:
+//! [`Federation`]'s writes take `&mut self`. Here the whole federation
+//! sits behind one `RwLock`, so the front door serves any number of
+//! threads through `&self` and spawns no thread of its own:
 //!
-//! * a write applies on the calling thread inside the front door's claims
-//!   mutex (the peer → region table; writers serialize there), under one
-//!   region write guard at a time. Lock order: `claims` → one region;
-//! * a read carries its RPCs as **encoded [`crate::codec`] frames** — the
-//!   same `QueryRequest`/`QueryReply`/`FillRequest`/`FillReply` messages
-//!   `nearpeerd` speaks over TCP. For each consulted region, in consult
-//!   order, the region-side handler answers the frame under that region's
-//!   read guard on the calling thread, so the in-process fan-out exercises
-//!   the exact bytes a wire deployment would exchange without a thread
-//!   hand-off. Replies merge by `(dtree, peer)`. Readers never take the
-//!   claims mutex.
+//! * a write takes the write guard and calls the federation's own method,
+//!   join and handover answers included;
+//! * a query takes the read guard and carries its RPCs as **encoded
+//!   [`crate::codec`] frames** — the same `QueryRequest`/`QueryReply`/
+//!   `FillRequest`/`FillReply` messages `nearpeerd` speaks over TCP. Each
+//!   consulted region's handler answers the frame on the calling thread,
+//!   in consult order, so the in-process fan-out exercises the exact bytes
+//!   a wire deployment would exchange. Replies merge by `(dtree, peer)`.
 //!
 //! Bridge fills become prefix-cursor RPCs: instead of lazily pulling a
 //! foreign region's `peers_through` iterator, the front door requests a
 //! bounded prefix per foreign landmark (`FillRequest { router, limit }`)
 //! and k-way merges the prefixes with the same per-cursor base the
-//! synchronous [`crate::Federation::closest_to_path`] uses. The prefix
+//! synchronous [`Federation::closest_to_path`] uses. The prefix
 //! bound `2·missing + |exclude| + |already|` dominates every skip the
 //! merge can make (excluded peers, already-answered peers, cross-cursor
 //! duplicates — the emitted set never exceeds `missing`), so the merged
 //! result is **bit-identical** to the synchronous federation's — pinned
-//! at 1, 2 and 4 regions by `tests/properties.rs`.
-//!
-//! [`Region`]: crate::Region
+//! at 1, 2 and 4 regions by `tests/actor_equivalence.rs`.
 
 use crate::codec;
 use crate::directory::query;
 use crate::error::CoreError;
-use crate::federation::{FederatedJoin, FederationStats, FederationSweep, RuntimeParts};
+use crate::federation::{FederatedJoin, FederationStats, FederationSweep};
 use crate::federation::{Federation, FederationConfig, RegionId};
-use crate::ids::{IdMap, LandmarkId, PeerId};
+use crate::ids::{LandmarkId, PeerId};
 use crate::path::PeerPath;
 use crate::protocol::{Message, WireNeighbor};
 use crate::router_index::Neighbor;
@@ -44,36 +38,21 @@ use crate::server::ManagementServer;
 use crate::telemetry::{Counter, Histogram, SlowQueryRecord, TelemetryRegistry};
 use bytes::{Bytes, BytesMut};
 use nearpeer_topology::RouterId;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock, RwLockWriteGuard};
+use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
-/// The actorized federation front door: every region behind its own
-/// `RwLock`, cross-region RPC carried as codec frames, all operations
+/// The actorized federation front door: a [`Federation`] behind one
+/// `RwLock`, client queries carried as codec frames, all operations
 /// `&self`.
 ///
 /// Answers are bit-identical to a [`Federation`] fed the same operations
-/// (same consult order, same merges, same bridge fills); super-peers are
-/// rejected at construction exactly like the synchronous front door.
+/// (same consult order, same merges, same bridge fills).
 pub struct ActorFederation {
-    landmark_routers: Vec<RouterId>,
-    landmark_dist: Vec<Vec<u32>>,
-    landmark_region: Vec<RegionId>,
-    router_landmark: IdMap<RouterId, u32>,
-    bridge: Vec<Vec<u32>>,
-    fanout: Option<usize>,
-    fallback: bool,
-    neighbor_count: usize,
-    servers: Vec<RwLock<ManagementServer>>,
-    /// Front-door membership authority: peer → current region. Every
-    /// write makes its membership decision and applies its region effects
-    /// inside one claims critical section.
-    claims: Mutex<HashMap<PeerId, RegionId>>,
-    epoch: AtomicU64,
+    fed: RwLock<Federation>,
     nonce: AtomicU64,
-    handovers: AtomicU64,
-    cross_region_handovers: AtomicU64,
+    /// Frame-path counters: client queries and `neighbors_of`. Join and
+    /// handover answers count in the federation's own [`Federation::stats`].
     queries: Arc<Counter>,
     remote: Arc<Counter>,
     fills: Arc<Counter>,
@@ -83,34 +62,21 @@ pub struct ActorFederation {
 
 impl ActorFederation {
     /// Builds the actorized federation from the same inputs as
-    /// [`Federation::new`] (round-robin landmark partition, derived
-    /// bridge matrix); spawns no thread.
+    /// [`Federation::new`]; spawns no thread.
     pub fn new(
         landmark_routers: Vec<RouterId>,
         landmark_dist: Vec<Vec<u32>>,
         n_regions: usize,
         config: FederationConfig,
     ) -> Result<Self, CoreError> {
-        // Reuse the synchronous constructor: validation, partition and
-        // bridge derivation stay one implementation.
-        let parts: RuntimeParts =
-            Federation::new(landmark_routers, landmark_dist, n_regions, config)?
-                .into_runtime_parts();
         Ok(Self {
-            landmark_routers: parts.landmark_routers,
-            landmark_dist: parts.landmark_dist,
-            landmark_region: parts.landmark_region,
-            router_landmark: parts.router_landmark,
-            bridge: parts.bridge,
-            fanout: parts.fanout,
-            fallback: parts.fallback,
-            neighbor_count: parts.neighbor_count,
-            servers: parts.servers.into_iter().map(RwLock::new).collect(),
-            claims: Mutex::new(HashMap::new()),
-            epoch: AtomicU64::new(0),
+            fed: RwLock::new(Federation::new(
+                landmark_routers,
+                landmark_dist,
+                n_regions,
+                config,
+            )?),
             nonce: AtomicU64::new(1),
-            handovers: AtomicU64::new(0),
-            cross_region_handovers: AtomicU64::new(0),
             queries: Arc::new(Counter::new()),
             remote: Arc::new(Counter::new()),
             fills: Arc::new(Counter::new()),
@@ -119,49 +85,49 @@ impl ActorFederation {
         })
     }
 
-    /// Number of regions.
-    pub fn n_regions(&self) -> usize {
-        self.servers.len()
+    fn read(&self) -> RwLockReadGuard<'_, Federation> {
+        self.fed.read().expect("federation poisoned")
     }
 
-    /// The global landmark routers, indexed by global [`LandmarkId`].
-    pub fn landmarks(&self) -> &[RouterId] {
-        &self.landmark_routers
+    fn write(&self) -> RwLockWriteGuard<'_, Federation> {
+        self.fed.write().expect("federation poisoned")
+    }
+
+    /// Number of regions.
+    pub fn n_regions(&self) -> usize {
+        self.read().n_regions()
     }
 
     /// Registered peers across all regions.
     pub fn peer_count(&self) -> usize {
-        self.claims.lock().expect("claims poisoned").len()
+        self.read().peer_count()
     }
 
     /// The federation-wide heartbeat epoch.
     pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
+        self.read().epoch()
     }
 
     /// The region a peer is currently registered in, if any.
     pub fn region_of_peer(&self, peer: PeerId) -> Option<RegionId> {
-        self.claims
-            .lock()
-            .expect("claims poisoned")
-            .get(&peer)
-            .copied()
+        self.read().region_of_peer(peer)
     }
 
-    /// Aggregate federation counters.
+    /// The front door's frame-path counters plus the federation's own (join
+    /// and handover answers, handovers), so every answer counts once.
     pub fn stats(&self) -> FederationStats {
+        let inner = self.read().stats();
         FederationStats {
-            queries: self.queries.get(),
-            remote_regions_consulted: self.remote.get(),
-            cross_region_fills: self.fills.get(),
-            handovers: self.handovers.load(Ordering::Relaxed),
-            cross_region_handovers: self.cross_region_handovers.load(Ordering::Relaxed),
+            queries: inner.queries + self.queries.get(),
+            remote_regions_consulted: inner.remote_regions_consulted + self.remote.get(),
+            cross_region_fills: inner.cross_region_fills + self.fills.get(),
+            ..inner
         }
     }
 
-    /// Adopts the federation's counters and query-latency histogram into
-    /// `reg`, and arms query timing. Idempotent in the sense that only
-    /// the first registry sticks.
+    /// Adopts the frame path's counters and query-latency histogram
+    /// (`fed_*`) into `reg`, and arms query timing. Only the first
+    /// registry sticks.
     pub fn bind_telemetry(&self, reg: Arc<TelemetryRegistry>) {
         reg.adopt_counter("fed_queries_total", "", Arc::clone(&self.queries));
         reg.adopt_counter(
@@ -181,148 +147,44 @@ impl ActorFederation {
 
     /// Forwarding tombstones currently held across all regions.
     pub fn tombstone_count(&self) -> usize {
-        self.servers
-            .iter()
-            .map(|s| s.read().expect("region server poisoned").tombstone_count())
-            .sum()
+        self.read().tombstone_count()
     }
 
-    /// Advances every region's epoch in lockstep — the actorized
     /// [`Federation::advance_epoch`].
     pub fn advance_epoch(&self) -> u64 {
-        let _claims = self.claims.lock().expect("claims poisoned");
-        let epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
-        for server in &self.servers {
-            let e = server
-                .write()
-                .expect("region server poisoned")
-                .advance_epoch();
-            debug_assert_eq!(e, epoch, "regions advance in lockstep");
-        }
-        epoch
+        self.write().advance_epoch()
     }
 
-    /// Registers a newcomer — the actorized [`Federation::register`]:
-    /// write-only insert in the home region, federated answer.
+    /// [`Federation::register`].
     pub fn register(&self, peer: PeerId, path: PeerPath) -> Result<FederatedJoin, CoreError> {
-        let (region, global) = self.home_of_path(&path)?;
-        let query_path = path.clone();
-        {
-            let mut claims = self.claims.lock().expect("claims poisoned");
-            if claims.contains_key(&peer) {
-                return Err(CoreError::DuplicatePeer(peer));
-            }
-            // Claimed only once the region accepted the insert, so a
-            // refused one leaves nothing to roll back.
-            let out = self
-                .region_mut(region)
-                .register_batch_renewing(vec![(peer, path)]);
-            if out.joined != 1 {
-                return Err(CoreError::DuplicatePeer(peer));
-            }
-            claims.insert(peer, region);
-        }
-        let neighbors = self.closest_to_path(&query_path, self.neighbor_count, Some(peer));
-        Ok(FederatedJoin {
-            region,
-            landmark: LandmarkId(global),
-            neighbors,
-        })
+        self.write().register(peer, path)
     }
 
-    /// Mobility handover — the actorized [`Federation::handover`]. The
-    /// new path is validated first; a cross-region move applies the
-    /// forwarding teardown and the destination insert in one claims
-    /// critical section, so no concurrent write can observe the peer
-    /// half-moved.
+    /// [`Federation::handover`].
     pub fn handover(&self, peer: PeerId, new_path: PeerPath) -> Result<FederatedJoin, CoreError> {
-        let (dest, global) = self.home_of_path(&new_path)?;
-        let query_path = new_path.clone();
-        {
-            let mut claims = self.claims.lock().expect("claims poisoned");
-            let Some(from) = claims.get_mut(&peer) else {
-                return Err(CoreError::UnknownPeer(peer));
-            };
-            if *from == dest {
-                self.region_mut(dest).handover(peer, new_path)?;
-            } else {
-                self.region_mut(*from)
-                    .deregister_forwarding(peer, dest.0)
-                    .expect("claims and regions agree");
-                let out = self
-                    .region_mut(dest)
-                    .register_batch_renewing(vec![(peer, new_path)]);
-                debug_assert_eq!(out.joined, 1, "peer was only live in `from`");
-                *from = dest;
-                self.cross_region_handovers.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        self.handovers.fetch_add(1, Ordering::Relaxed);
-        let neighbors = self.closest_to_path(&query_path, self.neighbor_count, Some(peer));
-        Ok(FederatedJoin {
-            region: dest,
-            landmark: LandmarkId(global),
-            neighbors,
-        })
+        self.write().handover(peer, new_path)
     }
 
-    /// Batched departures — the actorized [`Federation::leave_batch`].
-    /// Peers partition by their claimed region (unknown ids are skipped
-    /// without touching any region); returns the number removed.
+    /// [`Federation::leave_batch`].
     pub fn leave_batch(&self, peers: &[PeerId]) -> usize {
-        let mut claims = self.claims.lock().expect("claims poisoned");
-        self.apply_by_region(peers, |p| claims.remove(&p), ManagementServer::leave_batch)
+        self.write().leave_batch(peers)
     }
 
-    /// Batched heartbeat renewal — the actorized
-    /// [`Federation::renew_batch`]; returns the number renewed.
+    /// [`Federation::renew_batch`].
     pub fn renew_batch(&self, peers: &[PeerId]) -> usize {
-        let claims = self.claims.lock().expect("claims poisoned");
-        self.apply_by_region(
-            peers,
-            |p| claims.get(&p).copied(),
-            ManagementServer::renew_batch,
-        )
+        self.write().renew_batch(peers)
     }
 
-    /// Federated lease expiry — the actorized
-    /// [`Federation::expire_stale`]. The regions sweep one after another,
-    /// and their expired peers leave `claims`, in one claims section: no
-    /// write can find a peer claimed but already swept.
+    /// [`Federation::expire_stale`].
     pub fn expire_stale(&self, max_age: u64) -> FederationSweep {
-        let mut out = FederationSweep::default();
-        let mut claims = self.claims.lock().expect("claims poisoned");
-        for (r, server) in self.servers.iter().enumerate() {
-            let id = RegionId(r as u32);
-            let sweep = server
-                .write()
-                .expect("region server poisoned")
-                .expire_stale_full(max_age);
-            for p in &sweep.expired {
-                claims.remove(p);
-            }
-            out.expired
-                .extend(sweep.expired.into_iter().map(|p| (id, p)));
-            // Tombstones retired here belong to peers now living in their
-            // destination region — their claims stay.
-            out.moved_swept
-                .extend(sweep.moved.into_iter().map(|(p, _)| (id, p)));
-        }
-        out
+        self.write().expire_stale(max_age)
     }
 
-    /// Neighbors of a registered peer, through the federated query path.
+    /// Neighbors of a registered peer, through the frame path.
     pub fn neighbors_of(&self, peer: PeerId, k: usize) -> Result<Vec<Neighbor>, CoreError> {
-        let region = self
-            .region_of_peer(peer)
-            .ok_or(CoreError::UnknownPeer(peer))?;
-        let path = self.servers[region.index()]
-            .read()
-            .expect("region server poisoned")
-            .path_of(peer)
-            .ok_or(CoreError::UnknownPeer(peer))?
-            .clone();
-        Ok(self.closest_to_path(&path, k, Some(peer)))
+        let fed = self.read();
+        let (_, path) = fed.locate(peer).ok_or(CoreError::UnknownPeer(peer))?;
+        Ok(self.closest_in(&fed, path, k, Some(peer)))
     }
 
     /// The closest registered peers to a query path — the actorized
@@ -336,17 +198,24 @@ impl ActorFederation {
         k: usize,
         exclude: Option<PeerId>,
     ) -> Vec<Neighbor> {
+        self.closest_in(&self.read(), path, k, exclude)
+    }
+
+    fn closest_in(
+        &self,
+        fed: &Federation,
+        path: &PeerPath,
+        k: usize,
+        exclude: Option<PeerId>,
+    ) -> Vec<Neighbor> {
         self.queries.inc();
         let started = self
             .telemetry
             .get()
             .filter(|t| t.timing_enabled())
             .map(|_| Instant::now());
-        let home = self.home_of_path(path).ok();
-        let consulted: Vec<RegionId> = match home {
-            Some((home, _)) => self.query_regions(home),
-            None => (0..self.servers.len() as u32).map(RegionId).collect(),
-        };
+        let home = fed.home_of_path(path).ok();
+        let consulted = fed.query_regions(home.map(|(region, _)| region));
         self.remote.add(consulted.len().saturating_sub(1) as u64);
         let nonce = self.nonce.fetch_add(1, Ordering::Relaxed);
         let frame = codec::encode_to_bytes(&Message::QueryRequest {
@@ -357,7 +226,7 @@ impl ActorFederation {
         });
         let mut result: Vec<Neighbor> = Vec::new();
         for &r in &consulted {
-            match self.rpc(r, &frame) {
+            match rpc(fed, r, &frame) {
                 Message::QueryReply {
                     nonce: n,
                     neighbors,
@@ -374,11 +243,11 @@ impl ActorFederation {
         result.sort_unstable_by_key(|n| (n.dtree, n.peer));
         result.truncate(k);
         let exact_len = result.len();
-        if result.len() < k && self.fallback {
+        if result.len() < k && fed.fills_enabled() {
             if let Some((_, own_global)) = home {
                 let missing = k - result.len();
-                let fill =
-                    self.bridge_fill_rpc(path, own_global, missing, &consulted, exclude, &result);
+                let fill = self
+                    .bridge_fill_rpc(fed, path, own_global, missing, &consulted, exclude, &result);
                 self.fills.add(fill.len() as u64);
                 result.extend(fill);
             }
@@ -405,8 +274,10 @@ impl ActorFederation {
     /// already-answered and cross-cursor-emitted peer, and the emitted
     /// set never exceeds `missing`), so exhausting a prefix means the
     /// live cursor would have been exhausted too.
+    #[allow(clippy::too_many_arguments)]
     fn bridge_fill_rpc(
         &self,
+        fed: &Federation,
         path: &PeerPath,
         own_global: u32,
         missing: usize,
@@ -417,17 +288,12 @@ impl ActorFederation {
         let query_depth = path.depth();
         let limit = (2 * missing + usize::from(exclude.is_some()) + already.len())
             .min(u16::MAX as usize) as u16;
+        let bridges = &fed.landmark_distances()[own_global as usize];
         let mut prefixes: Vec<(u32, Vec<WireNeighbor>)> = Vec::new(); // (base, prefix)
-        for (li, &lrouter) in self.landmark_routers.iter().enumerate() {
-            if li as u32 == own_global {
-                continue;
-            }
-            let region = self.landmark_region[li];
-            if !consulted.contains(&region) {
-                continue;
-            }
-            let bridge = self.landmark_dist[own_global as usize][li];
-            if bridge == u32::MAX {
+        for (li, &lrouter) in fed.landmarks().iter().enumerate() {
+            let region = fed.region_of_landmark(LandmarkId(li as u32));
+            let bridge = bridges[li];
+            if li as u32 == own_global || !consulted.contains(&region) || bridge == u32::MAX {
                 continue;
             }
             let nonce = self.nonce.fetch_add(1, Ordering::Relaxed);
@@ -436,7 +302,7 @@ impl ActorFederation {
                 router: lrouter,
                 limit,
             });
-            match self.rpc(region, &frame) {
+            match rpc(fed, region, &frame) {
                 Message::FillReply { nonce: n, items } => {
                     debug_assert_eq!(n, nonce, "reply correlates to this request");
                     prefixes.push((query_depth + bridge, items));
@@ -450,86 +316,23 @@ impl ActorFederation {
             .map(|(base, prefix)| (base, prefix.into_iter().map(|item| (item.peer, item.dtree))));
         query::merge_fill(cursors, missing, exclude, already)
     }
-
-    fn home_of_path(&self, path: &PeerPath) -> Result<(RegionId, u32), CoreError> {
-        self.router_landmark
-            .get(&path.landmark_router())
-            .map(|&g| (self.landmark_region[g as usize], g))
-            .ok_or_else(|| {
-                CoreError::UnknownLandmark(format!(
-                    "path terminates at {} which is no federation landmark",
-                    path.landmark_router()
-                ))
-            })
-    }
-
-    /// Home region first, then foreign regions ascending by
-    /// `(bridge, id)` bounded by the fanout — identical to the
-    /// synchronous federation's consult order.
-    fn query_regions(&self, home: RegionId) -> Vec<RegionId> {
-        let mut foreign: Vec<RegionId> = (0..self.servers.len() as u32)
-            .map(RegionId)
-            .filter(|&r| r != home)
-            .collect();
-        foreign.sort_unstable_by_key(|&r| (self.bridge[home.index()][r.index()], r.0));
-        let take = self.fanout.unwrap_or(foreign.len()).min(foreign.len());
-        let mut out = Vec::with_capacity(take + 1);
-        out.push(home);
-        out.extend(foreign.into_iter().take(take));
-        out
-    }
-
-    fn region_mut(&self, region: RegionId) -> RwLockWriteGuard<'_, ManagementServer> {
-        self.servers[region.index()]
-            .write()
-            .expect("region server poisoned")
-    }
-
-    /// One region RPC: `region`'s handler answers `frame` under its read
-    /// guard on the calling thread; the reply frame is decoded after the
-    /// guard is released.
-    fn rpc(&self, region: RegionId, frame: &Bytes) -> Message {
-        let reply = serve_query_frame(
-            &self.servers[region.index()]
-                .read()
-                .expect("region server poisoned"),
-            frame,
-        );
-        decode_frame(&reply)
-    }
-
-    /// Partitions `peers` by region (`claim` names each peer's region, or
-    /// `None` to skip it) and applies `op` to every region with a
-    /// non-empty batch, one write guard at a time. Callers hold `claims`.
-    fn apply_by_region(
-        &self,
-        peers: &[PeerId],
-        mut claim: impl FnMut(PeerId) -> Option<RegionId>,
-        op: impl Fn(&mut ManagementServer, &[PeerId]) -> usize,
-    ) -> usize {
-        let mut per_region: Vec<Vec<PeerId>> = vec![Vec::new(); self.servers.len()];
-        for &peer in peers {
-            if let Some(region) = claim(peer) {
-                per_region[region.index()].push(peer);
-            }
-        }
-        self.servers
-            .iter()
-            .zip(&per_region)
-            .filter(|(_, batch)| !batch.is_empty())
-            .map(|(server, batch)| op(&mut server.write().expect("region server poisoned"), batch))
-            .sum()
-    }
 }
 
 impl std::fmt::Debug for ActorFederation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let fed = self.read();
         f.debug_struct("ActorFederation")
-            .field("regions", &self.servers.len())
-            .field("peers", &self.peer_count())
-            .field("epoch", &self.epoch())
+            .field("regions", &fed.n_regions())
+            .field("peers", &fed.peer_count())
+            .field("epoch", &fed.epoch())
             .finish_non_exhaustive()
     }
+}
+
+/// One region RPC: `region`'s handler answers `frame` on the calling
+/// thread and the reply frame is decoded.
+fn rpc(fed: &Federation, region: RegionId, frame: &Bytes) -> Message {
+    decode_frame(&serve_query_frame(fed.region(region).server(), frame))
 }
 
 /// The region-side half of the RPC: decode the request frame, answer
@@ -621,7 +424,6 @@ mod tests {
         let out = f.register(PeerId(2), path(&[110, 105, 100])).unwrap();
         assert_eq!(out.region, RegionId(1));
         assert_eq!(out.landmark, LandmarkId(1));
-        // Bridge fill through an RPC frame: depth 2 + bridge 5 + depth 3.
         assert_eq!(out.neighbors.len(), 1);
         assert_eq!(out.neighbors[0].peer, PeerId(1));
         assert_eq!(out.neighbors[0].dtree, 10);
@@ -629,6 +431,12 @@ mod tests {
             f.register(PeerId(1), path(&[111, 105, 100])),
             Err(CoreError::DuplicatePeer(_))
         ));
+        // Bridge fill through an RPC frame: depth 2 + bridge 5 + depth 3.
+        let answer = f.neighbors_of(PeerId(2), 3).unwrap();
+        assert_eq!(answer, out.neighbors);
+        let stats = f.stats();
+        assert_eq!(stats.queries, 3, "two join answers and one frame query");
+        assert_eq!(stats.cross_region_fills, 2);
     }
 
     #[test]
@@ -653,6 +461,27 @@ mod tests {
         assert_eq!(f.tombstone_count(), 0);
         let stats = f.stats();
         assert_eq!((stats.handovers, stats.cross_region_handovers), (1, 1));
+    }
+
+    #[test]
+    fn returning_peer_survives_the_sweep_of_its_old_tombstone() {
+        let f = fed(2);
+        // L0 (region 0) → L1 (region 1) → L2 (region 0), then both
+        // tombstones age out while the peer keeps renewing.
+        f.register(PeerId(1), path(&[4, 2, 1, 0])).unwrap();
+        f.handover(PeerId(1), path(&[111, 105, 100])).unwrap();
+        f.handover(PeerId(1), path(&[210, 205, 200])).unwrap();
+        for _ in 0..3 {
+            f.advance_epoch();
+            assert_eq!(f.renew_batch(&[PeerId(1)]), 1);
+        }
+        assert_eq!(f.expire_stale(2).moved_swept.len(), 2);
+        assert_eq!(f.region_of_peer(PeerId(1)), Some(RegionId(0)));
+        // The next cross-region move finds the peer where it lives.
+        let out = f.handover(PeerId(1), path(&[112, 105, 100])).unwrap();
+        assert_eq!(out.region, RegionId(1));
+        assert_eq!(f.region_of_peer(PeerId(1)), Some(RegionId(1)));
+        assert_eq!(f.peer_count(), 1);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The generic mailbox worker behind the durability writer. The serving
 //! planes have none: [`crate::ActorServer`] and [`crate::ActorFederation`]
-//! apply their writes on the calling thread.
+//! apply their writes on the calling thread, under their one write guard.
 //!
 //! One worker owns one blocking receive loop: it parks on the mailbox's
 //! channel, and each time it wakes it drains **up to a cap** of what is

@@ -1,32 +1,30 @@
-//! The concurrent serving plane: a lock per shard and per region, every
-//! operation applied on the caller's thread, and the wire-facing service
-//! trait `nearpeerd` serves. Nothing here spawns a thread.
+//! The concurrent serving plane: each synchronous facade behind one
+//! `RwLock`, every operation applied on the caller's thread, and the
+//! wire-facing service trait `nearpeerd` serves. Nothing here spawns a
+//! thread.
 //!
 //! The synchronous data plane ([`crate::ManagementServer`],
-//! [`crate::Federation`]) reads concurrently but writes through
-//! `&mut self` — one writer at a time across the whole directory. This
-//! module is the other half:
+//! [`crate::Federation`]) reads through `&self` but writes through
+//! `&mut self`. This module makes both halves `&self`, without a second
+//! implementation of any operation:
 //!
-//! * [`ActorServer`] — every [`crate::DirectoryShard`] behind its own
-//!   `RwLock`, no mailbox: a write applies on the calling thread under
-//!   the front door's claims mutex (writers serialize there), reads take
-//!   shard read guards only — never the claims mutex — and run the
-//!   shared merge plans in [`crate::directory::query`], so answers are
-//!   bit-identical to the facade's by construction;
-//! * [`ActorFederation`] — every region's server behind its own
-//!   `RwLock`, writes applied the same way under the front door's claims
-//!   mutex; the home-first + fanout query is carried as encoded
+//! * [`ActorServer`] — a [`crate::ManagementServer`] behind one `RwLock`:
+//!   a write takes the write guard and calls the facade's method, a read
+//!   takes the read guard. It also owns the wall clock that rate-limits
+//!   subscription pushes;
+//! * [`ActorFederation`] — a [`crate::Federation`] behind one `RwLock`,
+//!   writes the same way; client queries are carried as encoded
 //!   [`crate::codec`] frames (`QueryRequest`/`FillRequest` RPCs), each
-//!   answered by the region-side handler under that region's read guard
-//!   and merged order-independently;
-//! * [`mailbox`] — the generic batch-draining worker thread, used only by
+//!   answered by the region-side handler under the read guard and merged
+//!   order-independently;
+//! * `mailbox` — the generic batch-draining worker thread, used only by
 //!   the durability writer;
-//! * [`WireService`] — the one-method trait both actors implement, and
-//!   the only thing the `nearpeerd` TCP server needs to know about.
+//! * [`WireService`] — the trait both planes implement, and the only thing
+//!   the `nearpeerd` TCP server needs to know about.
 //!
-//! Everything here takes `&self`: callers on any number of threads (one
-//! per TCP connection in `nearpeerd`) issue reads and writes without
-//! coordinating.
+//! A write excludes that plane's readers for its duration. Callers on any
+//! number of threads (one per TCP connection in `nearpeerd`) issue reads
+//! and writes without coordinating.
 
 mod actor_federation;
 mod actor_server;

@@ -20,11 +20,11 @@ use crate::subscription::{
     SubscriptionStats,
 };
 use crate::superpeer::{SuperPeerConfig, SuperPeerDirectory};
-use crate::telemetry::{Counter, Histogram, SlowQueryRecord, TelemetryRegistry};
+use crate::telemetry::{Counter, Gauge, Histogram, SlowQueryRecord, TelemetryRegistry};
 use nearpeer_routing::RouteOracle;
 use nearpeer_topology::{RouterId, Topology};
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Server tuning.
@@ -230,8 +230,11 @@ pub struct ManagementServer {
     epoch: u64,
     /// Standing "watch my k nearest" subscriptions, fed incrementally by
     /// every churn entry point (see [`crate::subscription`]). Runtime-only
-    /// state, like super-peers: not persisted, empty after recovery.
-    subs: SubscriptionRegistry,
+    /// state, like super-peers: not persisted, empty after recovery. The
+    /// mutex lets a churn hook hold the registry while it lends the rest
+    /// of the server to it as the query host, with no allocation per
+    /// event; `&mut self` paths reach it without locking.
+    subs: Mutex<SubscriptionRegistry>,
     /// Millisecond clock for subscription rate limiting and delta-latency
     /// accounting; the embedding application advances it
     /// ([`Self::set_sub_clock_ms`]) so the server itself stays
@@ -285,7 +288,7 @@ impl ManagementServer {
             handovers: 0,
             landmark_routers,
             epoch: 0,
-            subs: SubscriptionRegistry::new(),
+            subs: Mutex::new(SubscriptionRegistry::new()),
             sub_clock_ms: 0,
             telemetry: None,
         }
@@ -382,8 +385,21 @@ impl ManagementServer {
             self.counters.cross_landmark_fills.clone(),
         );
         reg.adopt_histogram("dir_query_latency_us", "", self.counters.latency_us.clone());
-        self.subs.bind_telemetry(&reg);
+        self.subs_mut().bind_telemetry(&reg);
         self.telemetry = Some(reg);
+    }
+
+    /// The registry bound by [`Self::bind_telemetry`], if any.
+    pub fn telemetry(&self) -> Option<Arc<TelemetryRegistry>> {
+        self.telemetry.clone()
+    }
+
+    /// The subscription engine's count of undrained deltas (see
+    /// [`SubscriptionRegistry::queue_depth`]): a host that puts this
+    /// server behind a lock reads it to skip the lock when nothing is
+    /// queued.
+    pub fn sub_queue_depth(&self) -> Arc<Gauge> {
+        self.subs.lock().expect("subs poisoned").queue_depth()
     }
 
     /// Registered peer count (all shards).
@@ -401,9 +417,10 @@ impl ManagementServer {
         self.shard_idx_of(peer).map(|i| LandmarkId(i as u32))
     }
 
-    /// The stored path of a peer.
+    /// The stored path of a peer: one probe of the peer→shard map, then
+    /// the owning shard's lookup.
     pub fn path_of(&self, peer: PeerId) -> Option<&PeerPath> {
-        self.shards.iter().find_map(|s| s.path_of(peer))
+        self.shards[self.shard_idx_of(peer)?].path_of(peer)
     }
 
     /// The landmark tree (analytics view), built on demand from the
@@ -559,11 +576,10 @@ impl ManagementServer {
 
     /// Removes a departed (or failed) peer — churn, W3.
     pub fn deregister(&mut self, peer: PeerId) -> Result<(), CoreError> {
-        let Some(idx) = self.shard_idx_of(peer) else {
+        let Some(idx) = self.peer_shard.remove(&peer) else {
             return Err(CoreError::UnknownPeer(peer));
         };
-        self.shards[idx].remove(peer);
-        self.peer_shard.remove(&peer);
+        self.shards[idx as usize].remove(peer);
         if let Some(dir) = self.super_peers.as_mut() {
             dir.on_deregister(peer);
         }
@@ -652,10 +668,9 @@ impl ManagementServer {
         let mut out = crate::directory::ShardSweep::default();
         for shard in &mut self.shards {
             let sweep = shard.expire_epoch(now, max_age);
+            // A swept tombstone's peer left `peer_shard` when it handed
+            // over, and may be live again under another landmark here.
             for &peer in &sweep.expired {
-                self.peer_shard.remove(&peer);
-            }
-            for &(peer, _) in &sweep.moved {
                 self.peer_shard.remove(&peer);
             }
             out.expired.extend(sweep.expired);
@@ -668,7 +683,7 @@ impl ManagementServer {
                 dir.on_deregister(peer);
             }
         }
-        if !self.subs.is_empty() && (!out.expired.is_empty() || !out.moved.is_empty()) {
+        if !self.subs_mut().is_empty() && (!out.expired.is_empty() || !out.moved.is_empty()) {
             let mut gone = out.expired.clone();
             gone.extend(out.moved.iter().map(|&(peer, _)| peer));
             self.notify_subs(DeltaClass::Expiry, &[], &gone);
@@ -879,13 +894,13 @@ impl ManagementServer {
     /// embedding consumer); its id scopes [`Self::drain_deltas`] and
     /// [`Self::close_sub_client`].
     pub fn open_sub_client(&mut self) -> u64 {
-        self.subs.open_client()
+        self.subs_mut().open_client()
     }
 
     /// Closes a delivery client, cancelling its subscriptions and queued
     /// deltas.
     pub fn close_sub_client(&mut self, client: u64) {
-        self.subs.close_client(client);
+        self.subs_mut().close_client(client);
     }
 
     /// Registers (or replaces) a standing "watch my `k` nearest" query for
@@ -897,17 +912,15 @@ impl ManagementServer {
         client: u64,
         sub: Subscription,
     ) -> Result<Vec<Neighbor>, CoreError> {
-        let mut subs = std::mem::take(&mut self.subs);
-        let now = self.sub_clock_ms;
-        let out = subs.subscribe(&*self, client, sub, now);
-        self.subs = subs;
-        out
+        let this = &*self;
+        let mut subs = this.subs.lock().expect("subs poisoned");
+        subs.subscribe(this, client, sub, this.sub_clock_ms)
     }
 
     /// Cancels a peer's standing subscription. Returns whether one
     /// existed.
     pub fn unsubscribe(&mut self, peer: PeerId) -> bool {
-        self.subs.unsubscribe(peer)
+        self.subs_mut().unsubscribe(peer)
     }
 
     /// Drains up to `max` eligible pending deltas for a delivery client
@@ -915,12 +928,12 @@ impl ManagementServer {
     /// subscription against the subscription clock.
     pub fn drain_deltas(&mut self, client: u64, max: usize, out: &mut Vec<NeighborDelta>) {
         let now = self.sub_clock_ms;
-        self.subs.drain(client, now, max, out);
+        self.subs_mut().drain(client, now, max, out);
     }
 
     /// Subscription observability counters.
     pub fn subscription_stats(&self) -> SubscriptionStats {
-        self.subs.stats()
+        self.subs.lock().expect("subs poisoned").stats()
     }
 
     /// Advances the millisecond clock used for subscription rate limiting
@@ -934,17 +947,21 @@ impl ManagementServer {
         self.sub_clock_ms
     }
 
-    /// Feeds one completed churn mutation through the subscription engine.
-    /// The registry is detached while it re-ranks so it can issue ordinary
-    /// `&self` queries against the (already mutated) directory.
+    /// Feeds one completed churn mutation through the subscription engine,
+    /// which re-ranks with ordinary `&self` queries against the (already
+    /// mutated) directory.
     fn notify_subs(&mut self, class: DeltaClass, added: &[PeerId], removed: &[PeerId]) {
-        if self.subs.is_empty() {
+        if self.subs_mut().is_empty() {
             return;
         }
-        let mut subs = std::mem::take(&mut self.subs);
-        let (epoch, now) = (self.epoch, self.sub_clock_ms);
-        subs.observe(&*self, class, epoch, now, added, removed);
-        self.subs = subs;
+        let this = &*self;
+        let mut subs = this.subs.lock().expect("subs poisoned");
+        subs.observe(this, class, this.epoch, this.sub_clock_ms, added, removed);
+    }
+
+    /// The subscription registry, through `&mut self`: no lock taken.
+    fn subs_mut(&mut self) -> &mut SubscriptionRegistry {
+        self.subs.get_mut().expect("subs poisoned")
     }
 
     /// Builds an operator-facing snapshot of the server's state. The

@@ -11,9 +11,9 @@
 //! genuinely unknown.
 //!
 //! The registry is host-agnostic: anything implementing
-//! [`SubscriptionHost`] (the synchronous [`crate::ManagementServer`],
-//! the actorized [`crate::ActorServer`]) feeds it `observe` calls from
-//! its churn entry points and drains [`NeighborDelta`]s per client. The
+//! [`SubscriptionHost`] (the [`crate::ManagementServer`], which
+//! [`crate::ActorServer`] serves behind a lock) feeds it `observe` calls
+//! from its churn entry points and drains [`NeighborDelta`]s per client. The
 //! incremental maintenance mirrors `closest_to_path` *exactly* — exact
 //! section (ascending `(dtree, peer)`, `dtree` minimal over shared
 //! routers) followed by the cross-landmark fill section (ascending
@@ -311,8 +311,9 @@ struct SeenSlot {
 /// maintenance, and the per-client coalescing delivery queues.
 ///
 /// Not a lock or a thread in sight — the registry is plain mutable
-/// state; hosts decide how to serialize access (the facade's `&mut
-/// self`, the actor server's mutex).
+/// state; hosts decide how to serialize access (the facade feeds it from
+/// its `&mut self` churn entry points, which the actor server calls under
+/// its write guard).
 #[derive(Debug, Default)]
 pub struct SubscriptionRegistry {
     subs: Vec<Option<SubState>>,
@@ -516,8 +517,8 @@ impl SubscriptionRegistry {
         // --- Additions ------------------------------------------------
         for &p in added {
             let Some(path) = host.path_of(p) else {
-                // Raced away again (actor plane) — the matching removal
-                // observe keeps the answers consistent.
+                // Not registered any more: nothing to rank, and the
+                // matching removal observe keeps the answers consistent.
                 continue;
             };
             self.peer_added(host, p, &path, class, epoch, now_ms);

@@ -12,7 +12,7 @@ pub fn line(n: usize) -> Topology {
     b.build()
 }
 
-/// A cycle of `n >= 3` routers (for n < 3, falls back to [`line`]).
+/// A cycle of `n >= 3` routers (for n < 3, falls back to [`line()`]).
 pub fn ring(n: usize) -> Topology {
     if n < 3 {
         return line(n);

@@ -6,7 +6,8 @@
 //! identical for the sweep runner's work-distribution pattern (clonable
 //! receivers, disconnect on last sender drop, blocking `recv`, iteration
 //! until disconnect). The bounded variant blocks `send` while the queue
-//! is full (backpressure) and offers a non-blocking [`Sender::try_send`].
+//! is full (backpressure) and offers a non-blocking
+//! [`channel::Sender::try_send`].
 //!
 //! Also provides [`thread::scope`] (re-exported as [`scope`]): crossbeam's
 //! scoped-thread API implemented on `std::thread::scope`. The closure

@@ -275,7 +275,7 @@ pub mod prop {
             VecStrategy { element, size }
         }
 
-        /// See [`vec`].
+        /// See [`vec()`].
         pub struct VecStrategy<S> {
             element: S,
             size: Range<usize>,

@@ -8,9 +8,12 @@
 //! outcomes of a [`ManagementServer`] fed the same sequence, and an
 //! [`ActorFederation`] must match a [`Federation`] the same way at 1, 2
 //! and 4 regions (home-first fan-out, bridge fills and cross-region
-//! handovers included). The sequential interleaving pins the semantics;
-//! concurrency is exercised by the crate's unit tests, `actor_race.rs`
-//! (writers racing expiry sweeps) and the `perf` smoke test.
+//! handovers included). Each actor plane is its synchronous twin behind
+//! one lock, so writes agree by construction; what this still pins is the
+//! wrapper (clock, guards) and the federation's frame-carried query path.
+//! The sequential interleaving pins the semantics; concurrency is
+//! exercised by the crate's unit tests, `actor_race.rs` (writers racing
+//! expiry sweeps) and the `perf` smoke test.
 
 use nearpeer::core::{
     ActorFederation, ActorServer, CoreError, FederatedJoin, Federation, FederationConfig,

@@ -1,13 +1,12 @@
 //! Writers racing an expiry sweep on `ActorServer` and `ActorFederation`.
-//! Every peer a sweep takes out of a shard or region must leave the
-//! claims map in the same critical section as the sweep itself:
-//! otherwise a handover that lands in between finds the peer claimed but
-//! gone from where its claim says it lives. On `ActorServer` it re-inserts
-//! the peer and then loses its claim to the sweep's cleanup — a peer that
-//! queries still return and `deregister` calls unknown (checked by
+//! A sweep and every handover must each be one critical section over the
+//! whole plane: a handover that lands between a sweep and its membership
+//! cleanup finds the peer recorded in one place but gone from it. On
+//! `ActorServer` the peer would be re-inserted and then forgotten — a peer
+//! that queries still return and `deregister` calls unknown (checked by
 //! conservation: joins − leaves == registered peers). On `ActorFederation`
-//! the cross-region teardown finds nothing to forward and the front door
-//! panics (checked by every claimed peer being live in its claimed region).
+//! the cross-region teardown would find nothing to forward (checked by
+//! every peer the federation places in a region being live there).
 
 use nearpeer::core::{
     ActorFederation, ActorServer, CoreError, FederationConfig, LandmarkId, ServerConfig,
