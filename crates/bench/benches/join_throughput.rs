@@ -1,4 +1,5 @@
-//! Join throughput: sequential `register` loop vs `register_batch`.
+//! Join throughput: sequential `register` loop vs the write-only
+//! `register_batch`.
 //!
 //! Measures the server-side cost of absorbing a whole swarm of newcomers
 //! (synthetic tree-consistent paths across several landmarks, no tracing),
@@ -52,13 +53,16 @@ fn build_sequential(batch: Vec<(PeerId, PeerPath)>) -> ManagementServer {
     server
 }
 
-/// One batched call: inserts grouped by landmark, then per-newcomer
-/// answers.
+/// One write-only batched call: inserts grouped by landmark, nobody
+/// answered (the bulk load `Swarm::build` does).
 fn build_batched(batch: Vec<(PeerId, PeerPath)>) -> ManagementServer {
     let mut server = fresh_server();
-    for result in server.register_batch(batch) {
-        result.expect("unique synthetic ids");
-    }
+    let n = batch.len();
+    assert_eq!(
+        server.register_batch(batch).joined,
+        n,
+        "unique synthetic ids"
+    );
     server
 }
 

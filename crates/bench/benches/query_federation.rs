@@ -25,7 +25,7 @@ fn bench_query_federation(c: &mut Criterion) {
     let gen = SyntheticJoins::new(LANDMARKS);
     let mut single = gen.server(ServerConfig::default());
     let joins: Vec<_> = (0..PEERS as u64).map(|i| gen.join(i)).collect();
-    let absorbed = single.register_batch_renewing(joins);
+    let absorbed = single.register_batch(joins);
     assert_eq!(absorbed.joined, PEERS);
 
     let fed_full =

@@ -1,6 +1,6 @@
 //! Churn soak: replay a W3 join/leave/fail trace at 10⁵–10⁶ peers through
 //! the directory's batched lease path — slab-backed lease arenas, renewal
-//! piggybacked on `register_batch_renewing`, `leave_batch` departures and
+//! piggybacked on `register_batch`, `leave_batch` departures and
 //! epoch-bucketed `expire_stale` sweeps — and report sustained
 //! events/sec.
 //!

@@ -1,6 +1,7 @@
 //! Runs every experiment in sequence and prints each paper-style table —
 //! the one-command regeneration of the whole evaluation. `--quick` uses
-//! each experiment's reduced configuration (the CI smoke setting).
+//! each experiment's reduced configuration (the CI smoke setting). Each
+//! experiment's `result.json` lands where its own binary writes it.
 
 use nearpeer_bench::cli::CommonArgs;
 use nearpeer_bench::experiments::{
@@ -8,12 +9,23 @@ use nearpeer_bench::experiments::{
     setup_delay, superpeers,
 };
 use nearpeer_bench::{oracle_stats_line, ExperimentWriter, Swarm, SwarmConfig};
+use nearpeer_metrics::Table;
 use nearpeer_topology::generators::{mapper, MapperConfig};
+use serde::Serialize;
 
 const SEED: u64 = 42;
 
 fn section(id: &str, title: &str) {
     println!("\n=== {id} — {title} ===");
+}
+
+/// Prints an experiment's table and stores its result where the
+/// experiment's own binary does: `<name>/result.json`.
+fn emit(name: &str, table: &Table, result: &impl Serialize) {
+    print!("{table}");
+    if let Ok(writer) = ExperimentWriter::new(name) {
+        let _ = writer.write_json("result.json", result);
+    }
 }
 
 fn main() {
@@ -52,7 +64,8 @@ fn main() {
     } else {
         quality::QualityConfig::paper(args.seeds)
     };
-    print!("{}", quality::run(&quality_cfg, args.threads).table());
+    let result = quality::run(&quality_cfg, args.threads);
+    emit("fig2_quality", &result.table(), &result);
 
     section("C1/C2", "insertion/query complexity scaling");
     let complexity_cfg = if q {
@@ -60,7 +73,8 @@ fn main() {
     } else {
         complexity::ComplexityConfig::standard()
     };
-    print!("{}", complexity::run(&complexity_cfg).table());
+    let result = complexity::run(&complexity_cfg);
+    emit("complexity_scaling", &result.table(), &result);
 
     section("C3", "probes-to-accuracy convergence race");
     let convergence_cfg = if q {
@@ -68,7 +82,8 @@ fn main() {
     } else {
         convergence::ConvergenceConfig::standard()
     };
-    print!("{}", convergence::run(&convergence_cfg, SEED).table());
+    let result = convergence::run(&convergence_cfg, SEED);
+    emit("convergence_race", &result.table(), &result);
 
     section("W1", "landmark count x placement policy");
     let landmark_cfg = if q {
@@ -76,10 +91,8 @@ fn main() {
     } else {
         landmark_policies::LandmarkStudyConfig::standard(args.seeds)
     };
-    print!(
-        "{}",
-        landmark_policies::run(&landmark_cfg, args.threads).table()
-    );
+    let result = landmark_policies::run(&landmark_cfg, args.threads);
+    emit("landmark_policies", &result.table(), &result);
 
     section("W2", "super-peer delegation coverage");
     let superpeer_cfg = if q {
@@ -87,7 +100,8 @@ fn main() {
     } else {
         superpeers::SuperPeerStudyConfig::standard()
     };
-    print!("{}", superpeers::run(&superpeer_cfg, SEED).table());
+    let result = superpeers::run(&superpeer_cfg, SEED);
+    emit("superpeers", &result.table(), &result);
 
     section("W3", "staleness and quality under churn");
     let churn_cfg = if q {
@@ -95,7 +109,8 @@ fn main() {
     } else {
         churn::ChurnStudyConfig::standard()
     };
-    print!("{}", churn::run(&churn_cfg, SEED).table());
+    let result = churn::run(&churn_cfg, SEED);
+    emit("churn_handover", &result.table(), &result);
 
     section("W4", "probe budget vs neighbor quality");
     let decreased_cfg = if q {
@@ -103,7 +118,8 @@ fn main() {
     } else {
         decreased::DecreasedConfig::standard(args.seeds)
     };
-    print!("{}", decreased::run(&decreased_cfg, args.threads).table());
+    let result = decreased::run(&decreased_cfg, args.threads);
+    emit("decreased_traceroute", &result.table(), &result);
 
     section("A1", "P[dtree = d] per topology family");
     let dtree_cfg = if q {
@@ -111,7 +127,8 @@ fn main() {
     } else {
         dtree::DtreeConfig::standard(args.seeds)
     };
-    print!("{}", dtree::run(&dtree_cfg, args.threads).table());
+    let result = dtree::run(&dtree_cfg, args.threads);
+    emit("dtree_accuracy", &result.table(), &result);
 
     section("A2", "streaming setup delay per policy");
     let setup_cfg = if q {
@@ -119,7 +136,8 @@ fn main() {
     } else {
         setup_delay::SetupDelayConfig::standard()
     };
-    print!("{}", setup_delay::run(&setup_cfg, SEED).table());
+    let result = setup_delay::run(&setup_cfg, SEED);
+    emit("setup_delay", &result.table(), &result);
 
     section("MAP", "map-statistics validation");
     let mapping_cfg = if q {
@@ -127,7 +145,8 @@ fn main() {
     } else {
         mapping::MappingConfig::standard()
     };
-    print!("{}", mapping::run(&mapping_cfg, SEED, args.threads).table());
+    let result = mapping::run(&mapping_cfg, SEED, args.threads);
+    emit("internet_mapping", &result.table(), &result);
 
     if let Ok(writer) = ExperimentWriter::new("run_all") {
         let _ = writer.write_text(

@@ -146,10 +146,10 @@ fn main() {
         );
         std::process::exit(1);
     }
-    if report.stats.queries != args.peers as u64 {
+    if report.stats.joins != args.peers as u64 {
         eprintln!(
-            "scale_smoke: expected one join answer per peer, counted {}",
-            report.stats.queries
+            "scale_smoke: expected one join per peer, counted {}",
+            report.stats.joins
         );
         std::process::exit(1);
     }

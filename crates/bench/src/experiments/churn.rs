@@ -187,7 +187,6 @@ pub fn run(config: &ChurnStudyConfig, seed: u64) -> ChurnStudyResult {
             ServerConfig {
                 neighbor_count: config.k,
                 cross_landmark_fallback: true,
-                super_peers: None,
                 adaptive_leases: None,
             },
         );
@@ -241,7 +240,6 @@ pub fn run(config: &ChurnStudyConfig, seed: u64) -> ChurnStudyResult {
         ServerConfig {
             neighbor_count: config.k,
             cross_landmark_fallback: true,
-            super_peers: None,
             adaptive_leases: None,
         },
     );
@@ -308,7 +306,7 @@ use std::time::Instant;
 
 /// Soak parameters: a W3 churn trace replayed onto a synthetic swarm at
 /// populations where simulated tracing is prohibitive. Every epoch window
-/// reaches the directory as one `register_batch_renewing`, one
+/// reaches the directory as one `register_batch`, one
 /// `leave_batch` and one `renew_batch` call.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ChurnSoakConfig {
@@ -442,7 +440,7 @@ pub struct ChurnSoakResult {
 type ApplyEpoch =
     fn(&mut ManagementServer, &SyntheticJoins, &[ChurnEvent], &[PeerId], &mut ChurnSoakCounters);
 
-/// One `register_batch_renewing`, one `leave_batch` and one `renew_batch`
+/// One `register_batch`, one `leave_batch` and one `renew_batch`
 /// call per epoch window.
 fn apply_batched(
     server: &mut ManagementServer,
@@ -460,7 +458,7 @@ fn apply_batched(
             ChurnEventKind::Fail => counters.fails += 1,
         }
     }
-    let out = server.register_batch_renewing(joins);
+    let out = server.register_batch(joins);
     counters.joins += out.joined as u64;
     counters.renewals += out.renewed as u64;
     counters.rejected += out.rejected as u64;
@@ -515,7 +513,6 @@ fn replay(
     let mut server = gen.server(ServerConfig {
         neighbor_count: 5,
         cross_landmark_fallback: false,
-        super_peers: None,
         adaptive_leases: cfg.adaptive,
     });
     let trace = ChurnTrace::generate(

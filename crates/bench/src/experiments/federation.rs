@@ -192,7 +192,6 @@ pub fn run_federation_soak_with_state(
             server: ServerConfig {
                 neighbor_count: 5,
                 cross_landmark_fallback: true,
-                super_peers: None,
                 adaptive_leases: cfg.adaptive,
             },
         },

@@ -293,7 +293,6 @@ pub fn run_restart_soak(cfg: &RestartSoakConfig, seed: u64) -> Result<RestartSoa
             server: ServerConfig {
                 neighbor_count: 5,
                 cross_landmark_fallback: true,
-                super_peers: None,
                 adaptive_leases: None,
             },
         },

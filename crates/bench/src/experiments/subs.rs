@@ -218,7 +218,7 @@ pub fn run_sub_soak(cfg: &SubSoakConfig, seed: u64) -> SubSoakResult {
         .map(|i| PeerId(cfg.churners as u64 + i))
         .collect();
     let joins: Vec<(PeerId, PeerPath)> = sub_ids.iter().map(|p| gen.join(p.0)).collect();
-    let out = server.register_batch_renewing(joins);
+    let out = server.register_batch(joins);
     assert_eq!(out.joined, cfg.subscribers, "watcher registration failed");
     let client = server.open_sub_client();
     let mut views: Vec<View> = Vec::with_capacity(cfg.subscribers);
@@ -267,7 +267,7 @@ pub fn run_sub_soak(cfg: &SubSoakConfig, seed: u64) -> SubSoakResult {
                 ChurnEventKind::Fail => {}
             }
         }
-        server.register_batch_renewing(joins);
+        server.register_batch(joins);
         server.leave_batch(&leaves);
         // Watchers renew ahead of the expiry horizon so churn-population
         // sweeps never reap a subscriber.

@@ -1,12 +1,14 @@
 //! Experiment W2 — super-peers.
 //!
 //! The paper is "investigating the opportunity to use some super-peers".
-//! This study populates a swarm with super-peer promotion enabled and
-//! sweeps the promotion threshold, reporting how much of the join load a
-//! super-peer tier could absorb.
+//! This study populates a swarm, feeding a [`SuperPeerDirectory`] beside
+//! the management server's joins, and sweeps the promotion threshold,
+//! reporting how much of the join load a super-peer tier could absorb.
 
 use nearpeer_core::landmarks::{place_landmarks, PlacementPolicy};
-use nearpeer_core::{ManagementServer, PeerId, PeerPath, ServerConfig, SuperPeerConfig};
+use nearpeer_core::{
+    ManagementServer, PeerId, PeerPath, ServerConfig, SuperPeerConfig, SuperPeerDirectory,
+};
 use nearpeer_metrics::Table;
 use nearpeer_probe::{TraceConfig, Tracer};
 use nearpeer_routing::RouteOracle;
@@ -102,6 +104,21 @@ impl SuperPeerStudyResult {
     }
 }
 
+/// One W2 join: the super-peer the newcomer could have asked instead of
+/// the server (looked up before it joins, so never itself), then the
+/// server's join, then the newcomer's membership of its region.
+fn join(
+    server: &mut ManagementServer,
+    dir: &mut SuperPeerDirectory,
+    peer: PeerId,
+    path: &PeerPath,
+) -> Option<PeerId> {
+    let delegate = dir.super_peer_for(path);
+    server.register(peer, path.clone()).expect("unique ids");
+    dir.on_register(peer, path);
+    delegate
+}
+
 /// Runs the W2 sweep (sequential joins so delegation is observed in join
 /// order, like a real deployment).
 pub fn run(config: &SuperPeerStudyConfig, seed: u64) -> SuperPeerStudyResult {
@@ -150,23 +167,19 @@ pub fn run(config: &SuperPeerStudyConfig, seed: u64) -> SuperPeerStudyResult {
                 ServerConfig {
                     neighbor_count: 5,
                     cross_landmark_fallback: true,
-                    super_peers: Some(SuperPeerConfig {
-                        region_depth: config.region_depth,
-                        promote_threshold: threshold,
-                    }),
                     adaptive_leases: None,
                 },
             );
+            let mut dir = SuperPeerDirectory::new(SuperPeerConfig {
+                region_depth: config.region_depth,
+                promote_threshold: threshold,
+            });
             let mut delegated = 0usize;
             for (i, path) in paths.iter().enumerate() {
-                let out = server
-                    .register(PeerId(i as u64), path.clone())
-                    .expect("unique ids");
-                if out.delegate.is_some() {
+                if join(&mut server, &mut dir, PeerId(i as u64), path).is_some() {
                     delegated += 1;
                 }
             }
-            let dir = server.super_peer_directory().expect("enabled");
             SuperPeerPoint {
                 threshold,
                 super_peers: dir.n_super_peers(),
@@ -185,6 +198,61 @@ pub fn run(config: &SuperPeerStudyConfig, seed: u64) -> SuperPeerStudyResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use nearpeer_topology::RouterId;
+
+    fn path(ids: &[u32]) -> PeerPath {
+        PeerPath::new(ids.iter().map(|&i| RouterId(i)).collect()).unwrap()
+    }
+
+    #[test]
+    fn join_reports_the_delegate_elected_before_it() {
+        let mut server =
+            ManagementServer::new(vec![RouterId(0)], vec![vec![0]], ServerConfig::default());
+        let mut dir = SuperPeerDirectory::new(SuperPeerConfig {
+            region_depth: 2,
+            promote_threshold: 2,
+        });
+        let mut admit = |peer, ids: &[u32]| join(&mut server, &mut dir, PeerId(peer), &path(ids));
+        assert_eq!(admit(1, &[4, 2, 1, 0]), None);
+        assert_eq!(
+            admit(2, &[5, 2, 1, 0]),
+            None,
+            "promotion follows the second join"
+        );
+        // The third join in the region can delegate to the elected peer 1.
+        assert_eq!(admit(3, &[6, 2, 1, 0]), Some(PeerId(1)));
+        assert_eq!(admit(4, &[7, 3, 1, 0]), None, "another region");
+        assert_eq!(dir.n_super_peers(), 1);
+        assert_eq!(server.peer_count(), 4);
+    }
+
+    /// The quick sweep at the binaries' seed, to the peer: threshold 2
+    /// elects 15 super-peers over 32 regions, threshold 8 elects 3.
+    #[test]
+    fn quick_sweep_counts_are_pinned() {
+        let result = run(&SuperPeerStudyConfig::quick(), 42);
+        let got: Vec<(usize, usize, usize, f64, f64)> = result
+            .points
+            .iter()
+            .map(|p| {
+                (
+                    p.threshold,
+                    p.super_peers,
+                    p.regions,
+                    p.coverage,
+                    p.delegated_joins,
+                )
+            })
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                (2, 15, 32, 103.0 / 120.0, 73.0 / 120.0),
+                (8, 3, 32, 63.0 / 120.0, 39.0 / 120.0),
+            ]
+        );
+    }
 
     #[test]
     fn higher_threshold_fewer_superpeers() {

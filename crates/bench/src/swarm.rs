@@ -12,11 +12,12 @@
 //!   ([`RouteOracle::with_destinations`]). Every peer's trace seeds its own
 //!   RNG (`seed ^ i·0x9E37_79B9`), so the traced paths and probe costs are
 //!   bit-identical to a sequential run — `tests/determinism.rs` pins this.
-//! * **Round 2 (registration)** is one
+//! * **Round 2 (registration)** is one write-only
 //!   [`ManagementServer::register_batch`] call over the traced paths:
-//!   inserts grouped by landmark, every join answered against the full
-//!   swarm. The directory state equals what one `register` per peer (the
-//!   paper's protocol) leaves behind — pinned in `nearpeer-core`.
+//!   inserts grouped by landmark, nobody answered (experiments query the
+//!   built swarm themselves). The directory state equals what one
+//!   `register` per peer (the paper's protocol) leaves behind — pinned in
+//!   `nearpeer-core`.
 
 use nearpeer_core::landmarks::{place_landmarks, PlacementPolicy};
 use nearpeer_core::{
@@ -220,16 +221,20 @@ impl<'t> Swarm<'t> {
             ServerConfig {
                 neighbor_count: config.neighbor_count,
                 cross_landmark_fallback: config.cross_landmark_fallback,
-                super_peers: None,
                 adaptive_leases: None,
             },
         );
 
         // Round 2: feed the paths to the server.
-        for (result, &peer) in server.register_batch(joins).iter().zip(&peers) {
-            result
-                .as_ref()
-                .map_err(|e| format!("register {peer}: {e}"))?;
+        let out = server.register_batch(joins);
+        if out.joined != peers.len() {
+            return Err(format!(
+                "registered {} of {} peers ({} renewed, {} rejected)",
+                out.joined,
+                peers.len(),
+                out.renewed,
+                out.rejected
+            ));
         }
         // Tracing reads everything off the landmark arena; only ad-hoc
         // lookups populate the lazy cache, and that cache is both capped
@@ -647,11 +652,11 @@ mod tests {
         let gen = SyntheticJoins::new(3);
         let mut server = gen.server(ServerConfig::default());
         let joins: Vec<_> = (0..60u64).map(|i| gen.join(i)).collect();
-        let out = server.register_batch_renewing(joins.clone());
+        let out = server.register_batch(joins.clone());
         assert_eq!((out.joined, out.renewed, out.rejected), (60, 0, 0));
         // Paths are pure functions of the id: every rejoin renews.
         server.advance_epoch();
-        let again = server.register_batch_renewing(joins);
+        let again = server.register_batch(joins);
         assert_eq!((again.joined, again.renewed), (0, 60));
         for i in 0..60u64 {
             assert_eq!(server.landmark_of(PeerId(i)), Some(gen.landmark_of(i)));

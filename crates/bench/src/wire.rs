@@ -107,7 +107,7 @@ impl Mirror {
     /// over many concurrent connections and still mirror exactly.
     pub fn register_all(&mut self, items: Vec<(PeerId, PeerPath)>) -> usize {
         match self {
-            Mirror::Single(srv) => srv.register_batch_renewing(items).joined,
+            Mirror::Single(srv) => srv.register_batch(items).joined,
             Mirror::Federated(fed) => fed.register_batch(items).joined,
         }
     }

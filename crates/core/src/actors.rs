@@ -36,57 +36,17 @@ impl Actor<Message> for ServerActor {
         match msg {
             Message::JoinRequest { peer, path } => {
                 let outcome = self.server.borrow_mut().register(peer, path);
-                match outcome {
-                    Ok(out) => ctx.send(
-                        from,
-                        Message::JoinReply {
-                            peer,
-                            neighbors: out
-                                .neighbors
-                                .iter()
-                                .map(|n| WireNeighbor {
-                                    peer: n.peer,
-                                    dtree: n.dtree,
-                                })
-                                .collect(),
-                            delegate: out.delegate,
-                        },
-                    ),
-                    Err(e) => ctx.send(
-                        from,
-                        Message::JoinError {
-                            peer,
-                            reason: e.to_string(),
-                        },
-                    ),
-                }
+                ctx.send(
+                    from,
+                    Message::join_reply(peer, outcome.map(|out| out.neighbors)),
+                );
             }
             Message::HandoverRequest { peer, path } => {
                 let outcome = self.server.borrow_mut().handover(peer, path);
-                match outcome {
-                    Ok(out) => ctx.send(
-                        from,
-                        Message::JoinReply {
-                            peer,
-                            neighbors: out
-                                .neighbors
-                                .iter()
-                                .map(|n| WireNeighbor {
-                                    peer: n.peer,
-                                    dtree: n.dtree,
-                                })
-                                .collect(),
-                            delegate: out.delegate,
-                        },
-                    ),
-                    Err(e) => ctx.send(
-                        from,
-                        Message::JoinError {
-                            peer,
-                            reason: e.to_string(),
-                        },
-                    ),
-                }
+                ctx.send(
+                    from,
+                    Message::join_reply(peer, outcome.map(|out| out.neighbors)),
+                );
             }
             Message::Leave { peer } => {
                 // Departure of an unknown peer is not an error worth a
@@ -125,8 +85,6 @@ pub struct JoinRecord {
     pub chosen_landmark: Option<usize>,
     /// The neighbor list received from the server.
     pub neighbors: Vec<WireNeighbor>,
-    /// A delegate super-peer, if the server appointed one.
-    pub delegate: Option<PeerId>,
     /// Probe pongs received.
     pub pongs: usize,
     /// True if the server refused the join.
@@ -237,14 +195,11 @@ impl Actor<Message> for PeerActor {
                 }
             }
             Message::JoinReply {
-                peer,
-                neighbors,
-                delegate,
+                peer, neighbors, ..
             } if peer == self.id => {
                 let mut rec = self.record.borrow_mut();
                 rec.joined_at = Some(ctx.now());
                 rec.neighbors = neighbors;
-                rec.delegate = delegate;
             }
             Message::JoinError { peer, .. } if peer == self.id => {
                 self.record.borrow_mut().refused = true;

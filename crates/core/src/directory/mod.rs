@@ -17,10 +17,9 @@
 //! API on top: it routes writes to the owning shard, merges `&self` reads
 //! across shards (one merge over all shards' cursors is lossless because
 //! every peer's index entries live in exactly one shard), and keeps the only
-//! genuinely cross-landmark state (bridge distances, super-peer regions,
-//! aggregate counters) to itself. Batched joins
-//! ([`crate::ManagementServer::register_batch`]) group newcomers by
-//! landmark; [`crate::runtime::ActorServer`] puts the whole facade behind
+//! genuinely cross-landmark state (bridge distances, aggregate counters)
+//! to itself. Batched joins ([`crate::ManagementServer::register_batch`])
+//! group newcomers by landmark; [`crate::runtime::ActorServer`] puts the whole facade behind
 //! one `RwLock` and writes it from the calling thread.
 
 mod adaptive;
@@ -34,4 +33,4 @@ pub use adaptive::AdaptiveLeaseConfig;
 pub use lease_arena::{ExpiredLease, LeaseArena, PeerSlot, SweepOutcome, SweepStats};
 pub use path_store::{PathRef, PathStore};
 pub use query::MergedPeersThrough;
-pub use shard::{DirectoryShard, ShardAbsorb, ShardSweep};
+pub use shard::{BatchOutcome, DirectoryShard, ShardSweep};

@@ -22,7 +22,7 @@ use crate::path::PeerPath;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum JournalOp {
-    /// `register_batch_renewing`: fresh joins + renewals in one batch.
+    /// `register_batch`: fresh joins + renewals in one batch.
     RegisterBatch(Vec<(PeerId, PeerPath)>),
     /// `renew_batch`: heartbeat renewals.
     RenewBatch(Vec<PeerId>),

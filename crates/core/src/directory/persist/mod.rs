@@ -63,8 +63,8 @@ pub enum PersistError {
     /// A structural invariant failed while decoding (dangling path ref,
     /// non-power-of-two table, free-list entry pointing at a live slot, …).
     Corrupt(String),
-    /// The state uses a feature the snapshot format cannot carry yet
-    /// (e.g. super-peer directories).
+    /// The snapshot uses a feature this build cannot read (unknown header
+    /// flags).
     Unsupported(String),
     /// An underlying I/O operation failed (file media only).
     Io(String),

@@ -3,9 +3,9 @@
 //!
 //! Callers enqueue [`JournalOp`]s (cheap, blocking only when the bounded
 //! queue is full — real backpressure instead of unbounded memory) and
-//! *offer* snapshots. One worker thread (reusing the runtime's
-//! batch-draining mailbox loop) drains everything queued per wake and
-//! applies it **in order** to a [`DurableMedium`]: journal records are
+//! *offer* snapshots. One worker thread parks on the queue and, each time
+//! it wakes, drains up to 1024 queued commands into one batch, which it
+//! applies **in order** to a [`DurableMedium`]: journal records are
 //! buffered and appended once per batch; a snapshot install atomically
 //! replaces the stored snapshot and truncates the journal, discarding any
 //! ops buffered before it in the same batch (they are, by FIFO order,
@@ -18,16 +18,26 @@
 //! `kill_after_batches` fault point) parks the worker permanently; the
 //! durable bytes end at a batch boundary, exactly like a machine that
 //! died between flushes. [`WriterStats::error`] reports what happened.
+//!
+//! Lifecycle is channel-driven: the worker exits once the queue is drained
+//! and the writer's send handle is gone, so [`DurabilityWriter::close`]
+//! drops the handle and joins the thread.
 
 use super::journal::{self, JournalOp};
-use crate::runtime::mailbox::{spawn_batch_worker_observed, MailboxObs};
 use crate::telemetry::{Counter, Gauge, Histogram, TelemetryRegistry};
+use crossbeam::channel::Receiver;
 use std::fs;
 use std::io::{Seek, SeekFrom, Write};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Most commands one batch takes: large enough that batching is intact
+/// (hundreds of records per flush), small enough that a flood cannot grow
+/// one batch without bound — the worker applies a full batch and drains
+/// the leftovers on its next wake, without parking.
+const DRAIN_CAP: usize = 1024;
 
 /// Where the durability writer persists bytes. Implementations must make
 /// [`DurableMedium::install_snapshot`] atomic-ish: after it returns, the
@@ -209,6 +219,27 @@ enum Cmd {
     Snapshot(Vec<u8>),
 }
 
+/// The worker's loop: parks on `rx`, drains up to [`DRAIN_CAP`] queued
+/// commands per wake into one batch, counts it (batches, batch size, the
+/// depth left queued) and hands it to `apply`. Returns when every sender
+/// is gone and the queue is empty.
+fn drain_batches(rx: Receiver<Cmd>, stats: &SharedStats, mut apply: impl FnMut(Vec<Cmd>)) {
+    let mut batch = Vec::new();
+    while let Ok(first) = rx.recv() {
+        batch.push(first);
+        while batch.len() < DRAIN_CAP {
+            match rx.try_recv() {
+                Ok(more) => batch.push(more),
+                Err(_) => break,
+            }
+        }
+        stats.batches.inc();
+        stats.batch_size.record(batch.len() as u64);
+        stats.queue_depth.set(rx.len() as u64);
+        apply(std::mem::take(&mut batch));
+    }
+}
+
 /// Handle to the background durability worker.
 pub struct DurabilityWriter {
     tx: Option<crossbeam::channel::Sender<Cmd>>,
@@ -234,97 +265,88 @@ impl DurabilityWriter {
         let mut journal_len: usize = 0;
         let mut killed = false;
         let mut buf: Vec<u8> = Vec::new();
-        // The mailbox loop increments `batches` (same Arc) before each
-        // apply, and samples queue depth/batch size for us.
-        let obs = MailboxObs {
-            batches: Arc::clone(&shared.batches),
-            items: Arc::new(Counter::new()),
-            batch_size: Arc::clone(&shared.batch_size),
-            queue_depth: Arc::clone(&shared.queue_depth),
+        // `drain_batches` counts each batch before `apply` sees it.
+        let apply = move |batch: Vec<Cmd>| {
+            if killed {
+                return;
+            }
+            let batch_no = worker_shared.batches.get();
+            if let Some(limit) = config.kill_after_batches {
+                if batch_no > limit {
+                    killed = true;
+                    return;
+                }
+            }
+            buf.clear();
+            for cmd in batch {
+                match cmd {
+                    Cmd::Append(op) => {
+                        journal::append_record(&mut buf, &op);
+                        worker_shared.records.inc();
+                    }
+                    Cmd::Snapshot(bytes) => {
+                        let now = Instant::now();
+                        let due = last_snapshot
+                            .is_none_or(|t| now.duration_since(t) >= config.min_snapshot_interval);
+                        if !due {
+                            worker_shared.snapshots_skipped.inc();
+                            continue;
+                        }
+                        let flush_start = Instant::now();
+                        let installed = medium.install_snapshot(&bytes);
+                        worker_shared
+                            .flush_us
+                            .record(flush_start.elapsed().as_micros() as u64);
+                        match installed {
+                            Ok(()) => {
+                                // Ops buffered before this offer are part
+                                // of the snapshot's state; dropping them
+                                // keeps replay exactly-once.
+                                buf.clear();
+                                journal_len = 0;
+                                worker_shared.journal_bytes.set(0);
+                                last_snapshot = Some(now);
+                                worker_shared.snapshots_written.inc();
+                            }
+                            Err(e) => {
+                                *worker_shared.error.lock().unwrap() =
+                                    Some(format!("install_snapshot: {e}"));
+                                killed = true;
+                                return;
+                            }
+                        }
+                    }
+                }
+            }
+            if buf.is_empty() {
+                return;
+            }
+            let mut out = Vec::with_capacity(buf.len() + 6);
+            if journal_len == 0 {
+                journal::journal_header(&mut out);
+            }
+            out.extend_from_slice(&buf);
+            let flush_start = Instant::now();
+            let appended = medium.append_journal(&out);
+            worker_shared
+                .flush_us
+                .record(flush_start.elapsed().as_micros() as u64);
+            match appended {
+                Ok(()) => {
+                    journal_len += out.len();
+                    worker_shared.journal_bytes.add(out.len() as u64);
+                }
+                Err(e) => {
+                    *worker_shared.error.lock().unwrap() = Some(format!("append_journal: {e}"));
+                    killed = true;
+                }
+            }
         };
-        let handle = spawn_batch_worker_observed(
-            "durability-writer".into(),
-            rx,
-            crate::runtime::mailbox::DEFAULT_DRAIN_CAP,
-            Some(obs),
-            move |batch| {
-                if killed {
-                    return;
-                }
-                let batch_no = worker_shared.batches.get();
-                if let Some(limit) = config.kill_after_batches {
-                    if batch_no > limit {
-                        killed = true;
-                        return;
-                    }
-                }
-                buf.clear();
-                for cmd in batch {
-                    match cmd {
-                        Cmd::Append(op) => {
-                            journal::append_record(&mut buf, &op);
-                            worker_shared.records.inc();
-                        }
-                        Cmd::Snapshot(bytes) => {
-                            let now = Instant::now();
-                            let due = last_snapshot.is_none_or(|t| {
-                                now.duration_since(t) >= config.min_snapshot_interval
-                            });
-                            if !due {
-                                worker_shared.snapshots_skipped.inc();
-                                continue;
-                            }
-                            let flush_start = Instant::now();
-                            let installed = medium.install_snapshot(&bytes);
-                            worker_shared
-                                .flush_us
-                                .record(flush_start.elapsed().as_micros() as u64);
-                            match installed {
-                                Ok(()) => {
-                                    // Ops buffered before this offer are part
-                                    // of the snapshot's state; dropping them
-                                    // keeps replay exactly-once.
-                                    buf.clear();
-                                    journal_len = 0;
-                                    worker_shared.journal_bytes.set(0);
-                                    last_snapshot = Some(now);
-                                    worker_shared.snapshots_written.inc();
-                                }
-                                Err(e) => {
-                                    *worker_shared.error.lock().unwrap() =
-                                        Some(format!("install_snapshot: {e}"));
-                                    killed = true;
-                                    return;
-                                }
-                            }
-                        }
-                    }
-                }
-                if buf.is_empty() {
-                    return;
-                }
-                let mut out = Vec::with_capacity(buf.len() + 6);
-                if journal_len == 0 {
-                    journal::journal_header(&mut out);
-                }
-                out.extend_from_slice(&buf);
-                let flush_start = Instant::now();
-                let appended = medium.append_journal(&out);
-                worker_shared
-                    .flush_us
-                    .record(flush_start.elapsed().as_micros() as u64);
-                match appended {
-                    Ok(()) => {
-                        journal_len += out.len();
-                        worker_shared.journal_bytes.add(out.len() as u64);
-                    }
-                    Err(e) => {
-                        *worker_shared.error.lock().unwrap() = Some(format!("append_journal: {e}"));
-                        killed = true;
-                    }
-                }
-            },
-        );
+        let stats = Arc::clone(&shared);
+        let handle = std::thread::Builder::new()
+            .name("durability-writer".into())
+            .spawn(move || drain_batches(rx, &stats, apply))
+            .expect("spawn durability writer");
         DurabilityWriter {
             tx: Some(tx),
             handle: Some(handle),
@@ -508,6 +530,124 @@ mod tests {
             (1..10).contains(&got),
             "expected a strict prefix, got {got}"
         );
+    }
+
+    /// A medium whose first journal append waits until `gate` is dropped,
+    /// so everything enqueued meanwhile is already queued when the worker
+    /// next wakes.
+    struct GatedMedium {
+        inner: MemoryMedium,
+        gate: Option<Receiver<()>>,
+    }
+
+    impl DurableMedium for GatedMedium {
+        fn append_journal(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+            if let Some(gate) = self.gate.take() {
+                let _ = gate.recv();
+            }
+            self.inner.append_journal(bytes)
+        }
+
+        fn install_snapshot(&mut self, snapshot: &[u8]) -> std::io::Result<()> {
+            self.inner.install_snapshot(snapshot)
+        }
+    }
+
+    #[test]
+    fn queued_flood_is_journaled_in_capped_batches() {
+        let flood = 3 * DRAIN_CAP as u64 + 7;
+        let (open, gate) = crossbeam::channel::bounded::<()>(0);
+        let medium = GatedMedium {
+            inner: MemoryMedium::new(),
+            gate: Some(gate),
+        };
+        let store = medium.inner.handle();
+        let writer = DurabilityWriter::spawn(medium, WriterConfig::default());
+        let reg = TelemetryRegistry::new();
+        writer.bind_telemetry(&reg);
+        // The first batch blocks in the medium; the flood queues behind it.
+        for i in 0..=flood {
+            assert!(writer.append(JournalOp::Deregister(PeerId(i))));
+        }
+        drop(open);
+        let stats = writer.close();
+        assert_eq!(stats.records, flood + 1);
+        let bytes = store.lock().unwrap().journal.clone();
+        let mut reader = JournalReader::new(&bytes).unwrap();
+        let mut next = 0;
+        while let Some(op) = reader.next_op() {
+            assert_eq!(op, JournalOp::Deregister(PeerId(next)), "in order");
+            next += 1;
+        }
+        assert_eq!(next, flood + 1, "leftovers beyond the cap survive");
+        let text = reg.render_text();
+        let metric = |name| crate::telemetry::find_metric(&text, name).unwrap();
+        assert_eq!(metric("writer_batch_size_count"), stats.batches);
+        assert_eq!(metric("writer_batches_total"), stats.batches);
+        assert_eq!(metric("writer_batch_size_sum"), flood + 1);
+        // At least 2 056 ops were queued when the gate opened: the next
+        // batch is a full one, and none is larger.
+        assert_eq!(metric("writer_batch_size_max"), DRAIN_CAP as u64);
+        assert!(stats.batches >= 4, "{} batches", stats.batches);
+        assert_eq!(metric("writer_queue_depth"), 0, "drained at exit");
+    }
+
+    /// Runs `drain_batches` on its own thread while 100 appends are sent
+    /// to it, then drops the sender and joins. Returns the batches `apply`
+    /// saw and the loop's counters.
+    fn drain_hundred_appends() -> (Vec<Vec<JournalOp>>, Arc<SharedStats>) {
+        let (tx, rx) = crossbeam::channel::unbounded();
+        let stats = Arc::new(SharedStats::default());
+        let worker = {
+            let stats = Arc::clone(&stats);
+            std::thread::spawn(move || {
+                let mut batches = Vec::new();
+                drain_batches(rx, &stats, |batch| {
+                    let ops = batch.into_iter().map(|cmd| match cmd {
+                        Cmd::Append(op) => op,
+                        Cmd::Snapshot(_) => unreachable!("only appends were sent"),
+                    });
+                    batches.push(ops.collect::<Vec<_>>());
+                });
+                batches
+            })
+        };
+        for i in 1..=100 {
+            tx.send(Cmd::Append(JournalOp::Deregister(PeerId(i))))
+                .unwrap();
+        }
+        drop(tx);
+        (worker.join().unwrap(), stats)
+    }
+
+    #[test]
+    fn drain_loop_applies_all_and_returns_on_disconnect() {
+        // The join returning at all is the exit-on-disconnect check.
+        let (batches, _) = drain_hundred_appends();
+        assert!(batches.iter().all(|b| !b.is_empty()), "no empty batch");
+        assert!(
+            (1..=100).contains(&batches.len()),
+            "{} batches",
+            batches.len()
+        );
+        let ops: Vec<_> = batches.into_iter().flatten().collect();
+        assert_eq!(
+            ops,
+            (1..=100)
+                .map(|i| JournalOp::Deregister(PeerId(i)))
+                .collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn drain_loop_counts_every_batch_and_command() {
+        let (batches, stats) = drain_hundred_appends();
+        assert_eq!(stats.batches.get(), batches.len() as u64);
+        assert_eq!(stats.batch_size.count(), stats.batches.get());
+        let sizes = stats.batch_size.snapshot();
+        assert_eq!(sizes.sum, 100, "batch sizes sum to the command count");
+        assert!(sizes.max <= DRAIN_CAP as u64, "batch size obeys the cap");
+        assert_eq!(stats.queue_depth.get(), 0, "drained at exit");
     }
 
     #[test]

@@ -22,15 +22,18 @@ pub struct ShardSweep {
     pub moved: Vec<(PeerId, u32)>,
 }
 
-/// What happened to each item of a churn-absorbing batch
-/// ([`DirectoryShard::absorb_batch`]).
+/// What happened to the items of a write-only batch join
+/// ([`DirectoryShard::absorb_batch`], [`crate::ManagementServer::register_batch`],
+/// [`crate::Federation::register_batch`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardAbsorb {
-    /// Fresh peers inserted (lease opened at the batch epoch).
+pub struct BatchOutcome {
+    /// Fresh peers registered (lease opened at the batch epoch).
     pub joined: usize,
     /// Already-registered peers whose lease was renewed instead.
     pub renewed: usize,
-    /// Items skipped (wrong landmark root).
+    /// Items dropped: a path under the wrong landmark (or an unknown one),
+    /// or a peer re-appearing under a *different* landmark or region than
+    /// its registration (that move is a handover, not a renewal).
     pub rejected: usize,
 }
 
@@ -49,8 +52,8 @@ pub struct ShardAbsorb {
 /// other, and every read takes `&self`, so shards can be **queried
 /// concurrently** (under the one read guard of
 /// [`crate::runtime::ActorServer`]). Cross-landmark
-/// concerns — neighbor-list merging, bridge-estimate fills, super-peer
-/// regions — live in the [`crate::ManagementServer`] facade.
+/// concerns — neighbor-list merging, bridge-estimate fills — live in the
+/// [`crate::ManagementServer`] facade.
 #[derive(Debug)]
 pub struct DirectoryShard {
     landmark: LandmarkId,
@@ -372,29 +375,14 @@ impl DirectoryShard {
         Ok(())
     }
 
-    /// Registers a pre-validated batch. Items a sequential [`Self::insert`]
-    /// would reject (wrong root, duplicate — also duplicates *within* the
-    /// batch) are skipped. Returns the number of peers inserted.
-    pub fn insert_batch(&mut self, items: Vec<(PeerId, PeerPath)>, epoch: u64) -> usize {
-        self.absorb(items, epoch, false).joined
-    }
-
-    /// Churn-absorbing batch: like [`Self::insert_batch`], but an item
-    /// whose peer is already registered here **renews its lease** at
-    /// `epoch` (keeping the stored path) instead of being skipped — the
+    /// Registers a batch at `epoch`, like a [`Self::insert`] loop, except
+    /// that an item whose peer is already registered here **renews its
+    /// lease** (keeping the stored path) instead of failing — the
     /// rejoin-before-expiry case a million-peer churn replay hits
-    /// constantly. Wrong-root items are counted as rejected.
-    pub fn absorb_batch(&mut self, items: Vec<(PeerId, PeerPath)>, epoch: u64) -> ShardAbsorb {
-        self.absorb(items, epoch, true)
-    }
-
-    fn absorb(
-        &mut self,
-        items: Vec<(PeerId, PeerPath)>,
-        epoch: u64,
-        renew_existing: bool,
-    ) -> ShardAbsorb {
-        let mut out = ShardAbsorb::default();
+    /// constantly, and a later duplicate within the batch. Wrong-root
+    /// items are counted as rejected.
+    pub fn absorb_batch(&mut self, items: Vec<(PeerId, PeerPath)>, epoch: u64) -> BatchOutcome {
+        let mut out = BatchOutcome::default();
         self.store.reserve(items.len());
         for (peer, path) in items {
             if path.landmark_router() != self.root {
@@ -402,13 +390,11 @@ impl DirectoryShard {
                 continue;
             }
             if self.leases.contains(peer) {
-                if renew_existing {
-                    match self.adaptive.as_mut().and_then(|a| a.ttl(peer)) {
-                        Some(ttl) => self.leases.renew_with_ttl(peer, epoch, ttl),
-                        None => self.leases.renew(peer, epoch),
-                    };
-                    out.renewed += 1;
-                }
+                match self.adaptive.as_mut().and_then(|a| a.ttl(peer)) {
+                    Some(ttl) => self.leases.renew_with_ttl(peer, epoch, ttl),
+                    None => self.leases.renew(peer, epoch),
+                };
+                out.renewed += 1;
                 continue;
             }
             let r = self.store.intern(path);
@@ -621,7 +607,8 @@ mod tests {
             .enumerate()
             .map(|(i, p)| (PeerId(i as u64), p.clone()))
             .collect();
-        assert_eq!(bat.insert_batch(items, 3), ok);
+        let out = bat.absorb_batch(items, 3);
+        assert_eq!((out.joined, out.renewed, out.rejected), (ok, 0, 1));
         assert_eq!(bat.len(), seq.len());
         assert_eq!(bat.n_routers(), seq.n_routers());
         assert_eq!(bat.tree().n_peers(), seq.tree().n_peers());
@@ -642,8 +629,10 @@ mod tests {
             (PeerId(1), path(&[4, 2, 1, 0])),
             (PeerId(1), path(&[5, 2, 1, 0])),
         ];
-        assert_eq!(s.insert_batch(items, 0), 1);
+        let out = s.absorb_batch(items, 0);
+        assert_eq!((out.joined, out.renewed), (1, 1));
         assert_eq!(s.path_of(PeerId(1)).unwrap().attach(), RouterId(4));
+        assert_eq!(s.inserts(), 1);
     }
 
     #[test]
@@ -660,7 +649,7 @@ mod tests {
         );
         assert_eq!(
             out,
-            ShardAbsorb {
+            BatchOutcome {
                 joined: 1,
                 renewed: 1,
                 rejected: 1

@@ -17,7 +17,7 @@ pub enum CoreError {
     /// The server has no landmark matching the path's terminal router.
     UnknownLandmark(String),
     /// A federation was configured inconsistently (no regions, more
-    /// regions than landmarks, super-peers enabled per region, …).
+    /// regions than landmarks, fan-out 0 over several regions, …).
     InvalidFederation(String),
     /// Wire-format decoding failed.
     Codec(crate::codec::CodecError),

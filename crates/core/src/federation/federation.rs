@@ -3,7 +3,7 @@
 
 use super::region::{Region, RegionId};
 use crate::directory::persist::RecoveryReport;
-use crate::directory::query;
+use crate::directory::{query, BatchOutcome};
 use crate::error::CoreError;
 use crate::ids::{IdMap, LandmarkId, PeerId};
 use crate::path::PeerPath;
@@ -11,7 +11,6 @@ use crate::router_index::Neighbor;
 use crate::server::{ManagementServer, ServerConfig};
 use nearpeer_routing::RouteOracle;
 use nearpeer_topology::{RouterId, Topology};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Federation tuning.
@@ -23,8 +22,7 @@ pub struct FederationConfig {
     /// recall for fan-out). `Some(0)` answers purely from the home
     /// region.
     pub fanout: Option<usize>,
-    /// Per-region server configuration. Super-peers must be disabled —
-    /// regional promotion under cross-region mobility is future work.
+    /// Per-region server configuration.
     pub server: ServerConfig,
 }
 
@@ -40,19 +38,6 @@ pub struct FederatedJoin {
     pub landmark: LandmarkId,
     /// The closest peers across the consulted regions, nearest first.
     pub neighbors: Vec<Neighbor>,
-}
-
-/// Dispositions of a write-only federated batch
-/// ([`Federation::register_batch`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FederatedBatchOutcome {
-    /// Fresh peers registered.
-    pub joined: usize,
-    /// Same-region rejoins whose lease was renewed instead.
-    pub renewed: usize,
-    /// Items dropped: unknown landmark, or a peer currently registered in
-    /// a *different* region (that move is a [`Federation::handover`]).
-    pub rejected: usize,
 }
 
 /// Aggregate federation counters (the cross-region view; each region's
@@ -169,11 +154,6 @@ impl Federation {
             return Err(CoreError::InvalidFederation(format!(
                 "landmark distance matrix must be {n}x{n}"
             )));
-        }
-        if config.server.super_peers.is_some() {
-            return Err(CoreError::InvalidFederation(
-                "super-peers are not supported per region yet".into(),
-            ));
         }
         if config.fanout == Some(0) && n_regions > 1 {
             return Err(CoreError::InvalidFederation(format!(
@@ -444,7 +424,7 @@ impl Federation {
         }
         let out = self.regions[region.index()]
             .server_mut()
-            .register_batch_renewing(vec![(peer, path)]);
+            .register_batch(vec![(peer, path)]);
         debug_assert_eq!(out.joined, 1, "validated fresh insert");
         let k = self.neighbor_count;
         let stored = self.regions[region.index()]
@@ -464,13 +444,13 @@ impl Federation {
     /// same-region rejoins renew their lease. A peer currently registered
     /// in a *different* region is rejected — that move is a
     /// [`Self::handover`].
-    pub fn register_batch(&mut self, batch: Vec<(PeerId, PeerPath)>) -> FederatedBatchOutcome {
-        let mut out = FederatedBatchOutcome::default();
+    pub fn register_batch(&mut self, batch: Vec<(PeerId, PeerPath)>) -> BatchOutcome {
+        let mut out = BatchOutcome::default();
         let mut per_region: Vec<Vec<(PeerId, PeerPath)>> =
             (0..self.regions.len()).map(|_| Vec::new()).collect();
         // Within-batch assignments: a later item may renew in the same
         // region but must not register the peer into a second one.
-        let mut pending: HashMap<PeerId, RegionId> = HashMap::new();
+        let mut pending: IdMap<PeerId, RegionId> = IdMap::default();
         for (peer, path) in batch {
             let Ok((region, _)) = self.home_of_path(&path) else {
                 out.rejected += 1;
@@ -486,7 +466,7 @@ impl Federation {
             {
                 Some(at) if at != region => out.rejected += 1,
                 // Registered here (renew) or brand new (join): both are
-                // what register_batch_renewing absorbs; duplicates within
+                // what a region's register_batch absorbs; duplicates within
                 // one region's batch resolve exactly as one by one.
                 _ => {
                     pending.insert(peer, region);
@@ -498,7 +478,7 @@ impl Federation {
             if items.is_empty() {
                 continue;
             }
-            let absorbed = region.server_mut().register_batch_renewing(items);
+            let absorbed = region.server_mut().register_batch(items);
             out.joined += absorbed.joined;
             out.renewed += absorbed.renewed;
             out.rejected += absorbed.rejected;
@@ -562,7 +542,7 @@ impl Federation {
                 .deregister_forwarding(peer, dest.0)?;
             let out = self.regions[dest.index()]
                 .server_mut()
-                .register_batch_renewing(vec![(peer, new_path)]);
+                .register_batch(vec![(peer, new_path)]);
             debug_assert_eq!(out.joined, 1, "peer was only live in `from`");
             self.cross_region_handovers += 1;
         }
@@ -881,20 +861,6 @@ mod tests {
                 5,
                 FederationConfig::default()
             ),
-            Err(CoreError::InvalidFederation(_))
-        ));
-        let cfg = FederationConfig {
-            server: ServerConfig {
-                super_peers: Some(crate::SuperPeerConfig {
-                    region_depth: 2,
-                    promote_threshold: 2,
-                }),
-                ..ServerConfig::default()
-            },
-            ..FederationConfig::default()
-        };
-        assert!(matches!(
-            Federation::new(routers.clone(), dist.clone(), 2, cfg),
             Err(CoreError::InvalidFederation(_))
         ));
         // Per-region server configs are validated at the front door too.

@@ -41,7 +41,6 @@ mod federation;
 mod region;
 
 pub use federation::{
-    FederatedBatchOutcome, FederatedJoin, Federation, FederationConfig, FederationStats,
-    FederationSweep,
+    FederatedJoin, Federation, FederationConfig, FederationStats, FederationSweep,
 };
 pub use region::{Region, RegionId};

@@ -15,8 +15,10 @@
 //!   points (`dtree`) and super-peer regions, built on demand from the
 //!   stored paths ([`DirectoryShard::tree`]);
 //! * [`ManagementServer`] — round 2: registry, neighbor selection, churn
-//!   removal, mobility handover and super-peer promotion — a facade over
-//!   the sharded [`directory`];
+//!   removal and mobility handover — a facade over the sharded
+//!   [`directory`];
+//! * [`SuperPeerDirectory`] — the W2 study's super-peer promotion policy,
+//!   standalone: the server never consults it;
 //! * [`directory`] — the scalability layer: one [`DirectoryShard`] per
 //!   landmark (index slice + leases) with arena-interned
 //!   paths ([`PathStore`]), batched joins, adaptive lease lengths and a
@@ -73,20 +75,19 @@ pub use directory::persist::writer::{
 };
 pub use directory::persist::{PersistError, RecoveryReport};
 pub use directory::{
-    AdaptiveLeaseConfig, DirectoryShard, LeaseArena, PathRef, PathStore, PeerSlot, ShardAbsorb,
+    AdaptiveLeaseConfig, BatchOutcome, DirectoryShard, LeaseArena, PathRef, PathStore, PeerSlot,
     ShardSweep, SweepStats,
 };
 pub use error::CoreError;
 pub use federation::{
-    FederatedBatchOutcome, FederatedJoin, Federation, FederationConfig, FederationStats,
-    FederationSweep, Region, RegionId,
+    FederatedJoin, Federation, FederationConfig, FederationStats, FederationSweep, Region, RegionId,
 };
 pub use ids::{LandmarkId, PeerId};
 pub use path::PeerPath;
 pub use path_tree::PathTree;
 pub use router_index::{Neighbor, RouterIndex};
 pub use runtime::{ActorFederation, ActorServer, WireService};
-pub use server::{ChurnBatchOutcome, DirectoryView, JoinOutcome, ManagementServer, ServerConfig};
+pub use server::{DirectoryView, JoinOutcome, ManagementServer, ServerConfig};
 pub use subscription::{
     DeltaClass, NeighborDelta, Subscription, SubscriptionHost, SubscriptionRegistry,
     SubscriptionStats,

@@ -12,8 +12,10 @@
 //! Churn and mobility add [`Message::Leave`] and
 //! [`Message::HandoverRequest`] (answered by another [`Message::JoinReply`]).
 
+use crate::error::CoreError;
 use crate::ids::PeerId;
 use crate::path::PeerPath;
+use crate::router_index::Neighbor;
 use nearpeer_topology::RouterId;
 use serde::{Deserialize, Serialize};
 
@@ -54,7 +56,10 @@ pub enum Message {
         peer: PeerId,
         /// Closest peers, nearest first.
         neighbors: Vec<WireNeighbor>,
-        /// A regional super-peer the newcomer may query next time (W2).
+        /// A regional super-peer the newcomer may query next time. No
+        /// server fills it: super-peer promotion is the W2 study's own
+        /// policy, not the directory's. The field stays so the frame
+        /// layout, and every client that decodes it, is unchanged.
         delegate: Option<PeerId>,
     },
     /// Join refusal (unknown landmark, malformed path, duplicate id).
@@ -200,6 +205,28 @@ pub enum Message {
 }
 
 impl Message {
+    /// The server's reply to a join or handover: its answer, or its
+    /// refusal. `delegate` is always `None`.
+    pub(crate) fn join_reply(peer: PeerId, answer: Result<Vec<Neighbor>, CoreError>) -> Self {
+        match answer {
+            Ok(neighbors) => Message::JoinReply {
+                peer,
+                neighbors: neighbors
+                    .into_iter()
+                    .map(|n| WireNeighbor {
+                        peer: n.peer,
+                        dtree: n.dtree,
+                    })
+                    .collect(),
+                delegate: None,
+            },
+            Err(e) => Message::JoinError {
+                peer,
+                reason: e.to_string(),
+            },
+        }
+    }
+
     /// Discriminant used by the wire codec.
     pub fn kind(&self) -> u8 {
         match self {

@@ -440,7 +440,7 @@ mod tests {
     }
 
     #[test]
-    fn cross_region_handover_through_mailboxes() {
+    fn cross_region_handover_under_the_write_guard() {
         let f = fed(2);
         f.register(PeerId(1), path(&[4, 2, 1, 0])).unwrap();
         f.register(PeerId(2), path(&[110, 105, 100])).unwrap();

@@ -26,8 +26,7 @@ use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
 /// The concurrent serving plane over one [`ManagementServer`]: reads and
-/// writes from any number of threads, all through `&self`. Super-peers are
-/// not supported (the delegate field of [`JoinOutcome`] stays `None`).
+/// writes from any number of threads, all through `&self`.
 pub struct ActorServer {
     srv: RwLock<ManagementServer>,
     /// The facade's pending-delta count, readable without the lock.
@@ -40,17 +39,12 @@ impl ActorServer {
     /// Builds the server from the same inputs as
     /// [`ManagementServer::new`], rejecting what the facade would only
     /// trip over later: no landmark, a distance matrix that is not
-    /// `n × n`, an invalid [`ServerConfig`], and super-peer promotion.
+    /// `n × n`, and an invalid [`ServerConfig`].
     pub fn new(
         landmark_routers: Vec<RouterId>,
         landmark_dist: Vec<Vec<u32>>,
         config: ServerConfig,
     ) -> Result<Self, CoreError> {
-        if config.super_peers.is_some() {
-            return Err(CoreError::InvalidFederation(
-                "super-peers are not supported by the actorized server".into(),
-            ));
-        }
         let n = landmark_routers.len();
         if n == 0 {
             return Err(CoreError::InvalidConfig(

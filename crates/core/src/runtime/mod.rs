@@ -17,8 +17,6 @@
 //!   [`crate::codec`] frames (`QueryRequest`/`FillRequest` RPCs), each
 //!   answered by the region-side handler under the read guard and merged
 //!   order-independently;
-//! * `mailbox` — the generic batch-draining worker thread, used only by
-//!   the durability writer;
 //! * [`WireService`] — the trait both planes implement, and the only thing
 //!   the `nearpeerd` TCP server needs to know about.
 //!
@@ -28,7 +26,6 @@
 
 mod actor_federation;
 mod actor_server;
-pub(crate) mod mailbox;
 
 pub use actor_federation::ActorFederation;
 pub use actor_server::ActorServer;
@@ -41,7 +38,7 @@ use std::sync::Arc;
 
 /// A directory service addressable by protocol messages — the boundary
 /// between the wire (`nearpeerd`'s per-connection frame loops) and the
-/// actors behind it.
+/// serving plane behind it ([`ActorServer`] or [`ActorFederation`]).
 ///
 /// `handle` consumes one decoded request and returns the reply to send
 /// back, or `None` for fire-and-forget messages ([`Message::Leave`],
@@ -74,7 +71,7 @@ pub trait WireService: Send + Sync {
 
     /// Handles one request on behalf of `client` (the connection's token
     /// from [`WireService::open_client`], if any). The default ignores
-    /// the client and delegates to [`WireService::handle`].
+    /// the client and hands the message to [`WireService::handle`].
     fn handle_from(&self, _client: Option<u64>, msg: Message) -> Option<Message> {
         self.handle(msg)
     }
@@ -119,28 +116,14 @@ impl WireService for ActorServer {
     fn handle(&self, msg: Message) -> Option<Message> {
         match msg {
             Message::ProbePing { nonce } => Some(Message::ProbePong { nonce }),
-            Message::JoinRequest { peer, path } => Some(match self.register(peer, path) {
-                Ok(out) => Message::JoinReply {
-                    peer,
-                    neighbors: to_wire(out.neighbors),
-                    delegate: out.delegate,
-                },
-                Err(e) => Message::JoinError {
-                    peer,
-                    reason: e.to_string(),
-                },
-            }),
-            Message::HandoverRequest { peer, path } => Some(match self.handover(peer, path) {
-                Ok(out) => Message::JoinReply {
-                    peer,
-                    neighbors: to_wire(out.neighbors),
-                    delegate: out.delegate,
-                },
-                Err(e) => Message::JoinError {
-                    peer,
-                    reason: e.to_string(),
-                },
-            }),
+            Message::JoinRequest { peer, path } => Some(Message::join_reply(
+                peer,
+                self.register(peer, path).map(|out| out.neighbors),
+            )),
+            Message::HandoverRequest { peer, path } => Some(Message::join_reply(
+                peer,
+                self.handover(peer, path).map(|out| out.neighbors),
+            )),
             Message::Leave { peer } => {
                 let _ = self.deregister(peer);
                 None
@@ -262,28 +245,14 @@ impl WireService for ActorFederation {
     fn handle(&self, msg: Message) -> Option<Message> {
         match msg {
             Message::ProbePing { nonce } => Some(Message::ProbePong { nonce }),
-            Message::JoinRequest { peer, path } => Some(match self.register(peer, path) {
-                Ok(out) => Message::JoinReply {
-                    peer,
-                    neighbors: to_wire(out.neighbors),
-                    delegate: None,
-                },
-                Err(e) => Message::JoinError {
-                    peer,
-                    reason: e.to_string(),
-                },
-            }),
-            Message::HandoverRequest { peer, path } => Some(match self.handover(peer, path) {
-                Ok(out) => Message::JoinReply {
-                    peer,
-                    neighbors: to_wire(out.neighbors),
-                    delegate: None,
-                },
-                Err(e) => Message::JoinError {
-                    peer,
-                    reason: e.to_string(),
-                },
-            }),
+            Message::JoinRequest { peer, path } => Some(Message::join_reply(
+                peer,
+                self.register(peer, path).map(|out| out.neighbors),
+            )),
+            Message::HandoverRequest { peer, path } => Some(Message::join_reply(
+                peer,
+                self.handover(peer, path).map(|out| out.neighbors),
+            )),
             Message::Leave { peer } => {
                 self.leave_batch(&[peer]);
                 None

@@ -4,12 +4,12 @@
 //! per-landmark [`DirectoryShard`]s (see [`crate::directory`]): writes are
 //! routed to the shard owning the peer's landmark, reads take `&self` and
 //! merge across the shards, and only genuinely cross-landmark state —
-//! bridge distances, super-peer regions, aggregate counters — lives here.
+//! bridge distances, aggregate counters — lives here.
 
 use crate::directory::persist::journal::{JournalOp, JournalReader};
 use crate::directory::persist::{self, wire, PersistError, RecoveryReport};
 use crate::directory::query::{self, MergedPeersThrough};
-use crate::directory::{AdaptiveLeaseConfig, DirectoryShard, ShardAbsorb};
+use crate::directory::{AdaptiveLeaseConfig, BatchOutcome, DirectoryShard};
 use crate::error::CoreError;
 use crate::ids::{IdMap, LandmarkId, PeerId};
 use crate::path::PeerPath;
@@ -19,11 +19,10 @@ use crate::subscription::{
     DeltaClass, NeighborDelta, Subscription, SubscriptionHost, SubscriptionRegistry,
     SubscriptionStats,
 };
-use crate::superpeer::{SuperPeerConfig, SuperPeerDirectory};
 use crate::telemetry::{Counter, Gauge, Histogram, SlowQueryRecord, TelemetryRegistry};
 use nearpeer_routing::RouteOracle;
 use nearpeer_topology::{RouterId, Topology};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -36,8 +35,6 @@ pub struct ServerConfig {
     /// fill the list with cross-landmark candidates ranked by the bridge
     /// estimate `depth(p) + hops(L_p, L_q) + depth(q)` (DESIGN.md §5).
     pub cross_landmark_fallback: bool,
-    /// Enables super-peer promotion (W2).
-    pub super_peers: Option<SuperPeerConfig>,
     /// Enables adaptive lease lengths: each shard tracks an EWMA of every
     /// peer's session length and sizes its lease accordingly at renewal
     /// time, capped to the configured band (see [`AdaptiveLeaseConfig`]).
@@ -51,7 +48,6 @@ impl Default for ServerConfig {
         Self {
             neighbor_count: 5,
             cross_landmark_fallback: true,
-            super_peers: None,
             adaptive_leases: None,
         }
     }
@@ -96,9 +92,6 @@ pub struct JoinOutcome {
     pub landmark: LandmarkId,
     /// The closest peers the server inferred, nearest first.
     pub neighbors: Vec<Neighbor>,
-    /// A super-peer in the newcomer's region that could have answered the
-    /// query instead of the server (W2), if one exists.
-    pub delegate: Option<PeerId>,
 }
 
 /// Per-landmark slice of a [`ServerReport`].
@@ -126,8 +119,6 @@ pub struct ServerReport {
     pub indexed_routers: usize,
     /// Current heartbeat epoch.
     pub epoch: u64,
-    /// Super-peers currently elected.
-    pub super_peers: usize,
     /// Aggregate counters.
     pub stats: ServerStats,
     /// One entry per landmark.
@@ -138,8 +129,8 @@ impl std::fmt::Display for ServerReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
             f,
-            "{} peers over {} routers (epoch {}, {} super-peers)",
-            self.peers, self.indexed_routers, self.epoch, self.super_peers
+            "{} peers over {} routers (epoch {})",
+            self.peers, self.indexed_routers, self.epoch
         )?;
         writeln!(
             f,
@@ -176,20 +167,6 @@ pub struct ServerStats {
     pub handovers: u64,
 }
 
-/// What happened to each item of a churn-absorbing batch
-/// ([`ManagementServer::register_batch_renewing`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ChurnBatchOutcome {
-    /// Fresh peers registered (lease opened at the current epoch).
-    pub joined: usize,
-    /// Already-registered peers whose lease was renewed instead.
-    pub renewed: usize,
-    /// Items dropped: unknown landmark, or a peer re-appearing under a
-    /// *different* landmark than its registration (that move is a
-    /// [`ManagementServer::handover`], not a renewal).
-    pub rejected: usize,
-}
-
 /// Read-path counters, interior-mutable so pure queries stay `&self` (and
 /// can be issued from many threads at once). Held as shared telemetry
 /// handles so a bound [`TelemetryRegistry`] scrapes the same atomics.
@@ -223,17 +200,16 @@ pub struct ManagementServer {
     /// Facade-level peer→shard map: one hash probe per lookup instead of
     /// one per shard. Every write path (and [`Self::recover`]) keeps it
     /// equal to the shards' membership; nothing else can write a shard.
-    peer_shard: HashMap<PeerId, u32>,
-    super_peers: Option<SuperPeerDirectory>,
+    peer_shard: IdMap<PeerId, u32>,
     counters: QueryCounters,
     handovers: u64,
     epoch: u64,
     /// Standing "watch my k nearest" subscriptions, fed incrementally by
     /// every churn entry point (see [`crate::subscription`]). Runtime-only
-    /// state, like super-peers: not persisted, empty after recovery. The
-    /// mutex lets a churn hook hold the registry while it lends the rest
-    /// of the server to it as the query host, with no allocation per
-    /// event; `&mut self` paths reach it without locking.
+    /// state: not persisted, empty after recovery. The mutex lets a churn
+    /// hook hold the registry while it lends the rest of the server to it
+    /// as the query host, with no allocation per event; `&mut self` paths
+    /// reach it without locking.
     subs: Mutex<SubscriptionRegistry>,
     /// Millisecond clock for subscription rate limiting and delta-latency
     /// accounting; the embedding application advances it
@@ -278,12 +254,11 @@ impl ManagementServer {
             })
             .collect();
         Self {
-            super_peers: config.super_peers.map(SuperPeerDirectory::new),
             config,
             landmark_by_router,
             landmark_dist,
             shards,
-            peer_shard: HashMap::new(),
+            peer_shard: IdMap::default(),
             counters: QueryCounters::default(),
             handovers: 0,
             landmark_routers,
@@ -429,11 +404,6 @@ impl ManagementServer {
         self.shards.get(landmark.index()).map(|s| s.tree())
     }
 
-    /// The super-peer directory, when enabled.
-    pub fn super_peer_directory(&self) -> Option<&SuperPeerDirectory> {
-        self.super_peers.as_ref()
-    }
-
     /// Read-only merged view over all shards, kept source-compatible with
     /// the pre-shard API that exposed the single global `RouterIndex`.
     pub fn index(&self) -> DirectoryView<'_> {
@@ -481,97 +451,11 @@ impl ManagementServer {
         let path = self.shards[landmark.index()]
             .path_of(peer)
             .expect("just inserted");
-        let delegate = match self.super_peers.as_mut() {
-            Some(dir) => {
-                let delegate = dir.super_peer_for(path);
-                dir.on_register(peer, path);
-                delegate
-            }
-            None => None,
-        };
         let neighbors = self.closest_to_path(path, self.config.neighbor_count, Some(peer));
         Ok(JoinOutcome {
             landmark,
             neighbors,
-            delegate,
         })
-    }
-
-    /// Batched joins: validates and inserts the whole batch first (grouped
-    /// by landmark, one call per shard), then computes
-    /// every accepted newcomer's answer. Returns one result per input, in
-    /// input order.
-    ///
-    /// Batch semantics differ from a sequential register loop in one
-    /// documented way: answers reflect the **complete** batch, so a
-    /// newcomer's neighbor list may include peers that arrived later in the
-    /// same batch (a strictly better answer), and its delegate is the
-    /// super-peer elected after the whole batch (never the newcomer
-    /// itself). Rejected items (unknown landmark, duplicate id — including
-    /// duplicates within the batch, first occurrence wins) leave no trace.
-    pub fn register_batch(
-        &mut self,
-        batch: Vec<(PeerId, PeerPath)>,
-    ) -> Vec<Result<JoinOutcome, CoreError>> {
-        let epoch = self.epoch;
-        let mut results: Vec<Option<Result<JoinOutcome, CoreError>>> =
-            (0..batch.len()).map(|_| None).collect();
-        let mut per_shard: Vec<Vec<(PeerId, PeerPath)>> =
-            (0..self.shards.len()).map(|_| Vec::new()).collect();
-        let mut accepted: Vec<(usize, PeerId, LandmarkId)> = Vec::with_capacity(batch.len());
-        let mut in_batch: HashSet<PeerId> = HashSet::with_capacity(batch.len());
-        for (i, (peer, path)) in batch.into_iter().enumerate() {
-            match self.landmark_for_path(&path) {
-                Err(e) => results[i] = Some(Err(e)),
-                Ok(landmark) => {
-                    if self.shard_idx_of(peer).is_some() || !in_batch.insert(peer) {
-                        results[i] = Some(Err(CoreError::DuplicatePeer(peer)));
-                    } else {
-                        per_shard[landmark.index()].push((peer, path));
-                        accepted.push((i, peer, landmark));
-                    }
-                }
-            }
-        }
-        for (shard, items) in self.shards.iter_mut().zip(per_shard) {
-            if !items.is_empty() {
-                shard.insert_batch(items, epoch);
-            }
-        }
-        for &(_, peer, landmark) in &accepted {
-            self.peer_shard.insert(peer, landmark.index() as u32);
-        }
-        if let Some(dir) = self.super_peers.as_mut() {
-            let shards = &self.shards;
-            dir.on_register_batch(accepted.iter().map(|&(_, peer, landmark)| {
-                let path = shards[landmark.index()]
-                    .path_of(peer)
-                    .expect("accepted items were inserted");
-                (peer, path)
-            }));
-        }
-        for &(i, peer, landmark) in &accepted {
-            let path = self.shards[landmark.index()]
-                .path_of(peer)
-                .expect("accepted items were inserted");
-            let delegate = self
-                .super_peers
-                .as_ref()
-                .and_then(|dir| dir.super_peer_for(path))
-                .filter(|&d| d != peer);
-            let neighbors = self.closest_to_path(path, self.config.neighbor_count, Some(peer));
-            results[i] = Some(Ok(JoinOutcome {
-                landmark,
-                neighbors,
-                delegate,
-            }));
-        }
-        let joined: Vec<PeerId> = accepted.iter().map(|&(_, peer, _)| peer).collect();
-        self.notify_subs(DeltaClass::Join, &joined, &[]);
-        results
-            .into_iter()
-            .map(|r| r.expect("every slot decided"))
-            .collect()
     }
 
     /// Removes a departed (or failed) peer — churn, W3.
@@ -580,9 +464,6 @@ impl ManagementServer {
             return Err(CoreError::UnknownPeer(peer));
         };
         self.shards[idx as usize].remove(peer);
-        if let Some(dir) = self.super_peers.as_mut() {
-            dir.on_deregister(peer);
-        }
         self.notify_subs(DeltaClass::Join, &[], &[peer]);
         Ok(())
     }
@@ -603,9 +484,6 @@ impl ManagementServer {
         let epoch = self.epoch;
         self.shards[idx].remove_forwarding(peer, to_region, epoch);
         self.peer_shard.remove(&peer);
-        if let Some(dir) = self.super_peers.as_mut() {
-            dir.on_deregister(peer);
-        }
         self.notify_subs(DeltaClass::Handover, &[], &[peer]);
         Ok(())
     }
@@ -678,11 +556,6 @@ impl ManagementServer {
         }
         out.expired.sort_unstable();
         out.moved.sort_unstable();
-        if let Some(dir) = self.super_peers.as_mut() {
-            for &peer in &out.expired {
-                dir.on_deregister(peer);
-            }
-        }
         if !self.subs_mut().is_empty() && (!out.expired.is_empty() || !out.moved.is_empty()) {
             let mut gone = out.expired.clone();
             gone.extend(out.moved.iter().map(|&(peer, _)| peer));
@@ -717,35 +590,31 @@ impl ManagementServer {
             for &peer in &removed {
                 self.peer_shard.remove(&peer);
             }
-            if let Some(dir) = self.super_peers.as_mut() {
-                for &peer in &removed {
-                    dir.on_deregister(peer);
-                }
-            }
             all_removed.extend(removed);
         }
         self.notify_subs(DeltaClass::Join, &[], &all_removed);
         all_removed.len()
     }
 
-    /// Batched churn absorption: like [`Self::register_batch`] but
-    /// **write-only** (no neighbor answers — churn replay is directory
-    /// maintenance, not discovery) and with lease renewal piggybacked on
-    /// the join path: an item whose peer is already registered under the
-    /// same landmark renews its lease at the current epoch and keeps its
-    /// stored path — the rejoin-before-expiry case of a faulty peer coming
-    /// back. A peer re-appearing under a *different* landmark is rejected
-    /// (that is a [`Self::handover`]); so are unknown-landmark paths.
-    /// Later occurrences of a peer inserted earlier in the same batch
-    /// count as renewals (all leases in one batch share the current epoch,
-    /// so this matches applying the items one by one).
-    pub fn register_batch_renewing(&mut self, batch: Vec<(PeerId, PeerPath)>) -> ChurnBatchOutcome {
+    /// Batched joins, **write-only**: no neighbor answers (bulk loads and
+    /// churn replay are directory maintenance, not discovery). Items group
+    /// by landmark, one call per shard. An item whose peer is already
+    /// registered under the same landmark renews its lease at the current
+    /// epoch and keeps its stored path — the rejoin-before-expiry case of
+    /// a faulty peer coming back. A peer re-appearing under a *different*
+    /// landmark is rejected (that is a [`Self::handover`]); so are
+    /// unknown-landmark paths. Later occurrences of a peer inserted earlier
+    /// in the same batch count as renewals (all leases in one batch share
+    /// the current epoch, so this matches applying the items one by one).
+    /// A batch of fresh peers leaves the directory and leases a
+    /// [`Self::register`] loop would.
+    pub fn register_batch(&mut self, batch: Vec<(PeerId, PeerPath)>) -> BatchOutcome {
         let epoch = self.epoch;
-        let mut out = ChurnBatchOutcome::default();
+        let mut out = BatchOutcome::default();
         let mut per_shard: Vec<Vec<(PeerId, PeerPath)>> =
             (0..self.shards.len()).map(|_| Vec::new()).collect();
         let mut fresh: Vec<(PeerId, LandmarkId)> = Vec::new();
-        let mut fresh_landmark: HashMap<PeerId, LandmarkId> = HashMap::new();
+        let mut fresh_landmark: IdMap<PeerId, LandmarkId> = IdMap::default();
         for (peer, path) in batch {
             let Ok(landmark) = self.landmark_for_path(&path) else {
                 out.rejected += 1;
@@ -774,22 +643,13 @@ impl ManagementServer {
         }
         for (shard, items) in self.shards.iter_mut().zip(per_shard) {
             if !items.is_empty() {
-                let absorbed: ShardAbsorb = shard.absorb_batch(items, epoch);
+                let absorbed = shard.absorb_batch(items, epoch);
                 debug_assert_eq!(absorbed.renewed + absorbed.rejected, 0);
                 out.joined += absorbed.joined;
             }
         }
         for &(peer, landmark) in &fresh {
             self.peer_shard.insert(peer, landmark.index() as u32);
-        }
-        if let Some(dir) = self.super_peers.as_mut() {
-            let shards = &self.shards;
-            dir.on_register_batch(fresh.iter().map(|&(peer, landmark)| {
-                let path = shards[landmark.index()]
-                    .path_of(peer)
-                    .expect("fresh items were inserted");
-                (peer, path)
-            }));
         }
         let joined: Vec<PeerId> = fresh.iter().map(|&(peer, _)| peer).collect();
         self.notify_subs(DeltaClass::Join, &joined, &[]);
@@ -810,9 +670,6 @@ impl ManagementServer {
         // adaptive-lease EWMA must not absorb the dwell time.
         self.shards[idx].remove_moved(peer);
         self.peer_shard.remove(&peer);
-        if let Some(dir) = self.super_peers.as_mut() {
-            dir.on_deregister(peer);
-        }
         let outcome = self.register_with(peer, new_path)?;
         // The shard counters saw one remove + one insert; `stats()` folds
         // the pair into one handover.
@@ -987,11 +844,6 @@ impl ManagementServer {
             peers: self.peer_count(),
             indexed_routers: self.index().n_routers(),
             epoch: self.epoch,
-            super_peers: self
-                .super_peers
-                .as_ref()
-                .map(|d| d.n_super_peers())
-                .unwrap_or(0),
             stats: self.stats(),
             per_landmark,
         }
@@ -1039,16 +891,8 @@ impl ManagementServer {
     ///
     /// [`ManagementServer::recover`] restores a byte-identical directory
     /// from this: same answers, same conservation counters, same future
-    /// expiry behavior. Super-peer state is runtime-only and not
-    /// persisted — snapshotting a server with super-peers enabled returns
-    /// [`PersistError::Unsupported`].
+    /// expiry behavior.
     pub fn snapshot_bytes(&self) -> Result<Vec<u8>, CoreError> {
-        if self.config.super_peers.is_some() {
-            return Err(PersistError::Unsupported(
-                "super-peer state is runtime-only and cannot be snapshotted".into(),
-            )
-            .into());
-        }
         let mut out = Vec::with_capacity(4096);
         out.extend_from_slice(&persist::SNAPSHOT_MAGIC);
         wire::put_u16(&mut out, persist::SNAPSHOT_VERSION);
@@ -1151,7 +995,6 @@ impl ManagementServer {
         let config = ServerConfig {
             neighbor_count,
             cross_landmark_fallback,
-            super_peers: None,
             adaptive_leases,
         };
         config.validate()?;
@@ -1181,7 +1024,7 @@ impl ManagementServer {
         }
         // Per-shard sections, validated against the landmark set.
         let mut shards = Vec::with_capacity(n);
-        let mut peer_shard = HashMap::new();
+        let mut peer_shard = IdMap::default();
         for (i, &router) in landmark_routers.iter().enumerate() {
             let shard = DirectoryShard::persist_decode(&mut r, adaptive_leases)?;
             if shard.landmark() != LandmarkId(i as u32) || shard.root() != router {
@@ -1231,7 +1074,7 @@ impl ManagementServer {
     pub fn apply_journal_op(&mut self, op: JournalOp) {
         match op {
             JournalOp::RegisterBatch(items) => {
-                let _ = self.register_batch_renewing(items);
+                let _ = self.register_batch(items);
             }
             JournalOp::RenewBatch(peers) => {
                 let _ = self.renew_batch(&peers);
@@ -1519,36 +1362,6 @@ mod tests {
     }
 
     #[test]
-    fn super_peer_delegation_reported() {
-        let cfg = ServerConfig {
-            neighbor_count: 2,
-            super_peers: Some(SuperPeerConfig {
-                region_depth: 2,
-                promote_threshold: 2,
-            }),
-            ..ServerConfig::default()
-        };
-        let mut srv = two_landmark_server(cfg);
-        assert!(srv
-            .register(PeerId(1), path(&[4, 2, 1, 0]))
-            .unwrap()
-            .delegate
-            .is_none());
-        assert!(
-            srv.register(PeerId(2), path(&[5, 2, 1, 0]))
-                .unwrap()
-                .delegate
-                .is_none(),
-            "promotion happens after the second join"
-        );
-        // Third join in the same region can delegate to the elected peer 1.
-        let out = srv.register(PeerId(3), path(&[6, 2, 1, 0])).unwrap();
-        assert_eq!(out.delegate, Some(PeerId(1)));
-        let dir = srv.super_peer_directory().unwrap();
-        assert_eq!(dir.n_super_peers(), 1);
-    }
-
-    #[test]
     fn bootstrap_measures_landmark_distances() {
         let fig = figure1();
         let ra = fig.core[0];
@@ -1680,34 +1493,33 @@ mod tests {
 
     #[test]
     fn register_batch_matches_input_order_and_counts() {
-        let mut srv = two_landmark_server(ServerConfig {
-            neighbor_count: 3,
-            ..ServerConfig::default()
-        });
+        let mut srv = two_landmark_server(ServerConfig::default());
         srv.register(PeerId(7), path(&[9, 2, 1, 0])).unwrap();
-        let results = srv.register_batch(vec![
+        let out = srv.register_batch(vec![
             (PeerId(1), path(&[4, 2, 1, 0])),
             (PeerId(2), path(&[6, 7, 42])),      // unknown landmark
-            (PeerId(7), path(&[5, 2, 1, 0])),    // duplicate of pre-registered
+            (PeerId(7), path(&[5, 2, 1, 0])),    // registered here: renewal
             (PeerId(3), path(&[110, 105, 100])), // other shard
-            (PeerId(1), path(&[8, 2, 1, 0])),    // duplicate within batch
+            (PeerId(1), path(&[8, 2, 1, 0])),    // again in the batch: renewal
+            (PeerId(3), path(&[4, 2, 1, 0])),    // again, other landmark: move
         ]);
-        assert_eq!(results.len(), 5);
-        let ok = results[0].as_ref().unwrap();
-        assert_eq!(ok.landmark, LandmarkId(0));
-        // Batch answers see the whole batch: peer 3 (other landmark) is a
-        // cross-landmark fill for peer 1 even though it "arrived later".
-        let peers: Vec<PeerId> = ok.neighbors.iter().map(|n| n.peer).collect();
-        assert_eq!(peers, vec![PeerId(7), PeerId(3)]);
-        assert!(matches!(results[1], Err(CoreError::UnknownLandmark(_))));
-        assert!(matches!(results[2], Err(CoreError::DuplicatePeer(_))));
-        assert_eq!(results[3].as_ref().unwrap().landmark, LandmarkId(1));
-        assert!(matches!(results[4], Err(CoreError::DuplicatePeer(_))));
+        assert_eq!(
+            out,
+            BatchOutcome {
+                joined: 2,
+                renewed: 2,
+                rejected: 2
+            }
+        );
+        // The first occurrence in input order decides the stored path.
+        assert_eq!(srv.path_of(PeerId(1)).unwrap().attach(), RouterId(4));
+        assert_eq!(srv.path_of(PeerId(7)).unwrap().attach(), RouterId(9));
+        assert_eq!(srv.landmark_of(PeerId(3)), Some(LandmarkId(1)));
         assert_eq!(srv.peer_count(), 3);
         let stats = srv.stats();
         assert_eq!(stats.joins, 3);
-        // One query per successful join (1 sequential + 2 batch).
-        assert_eq!(stats.queries, 3);
+        // Only the sequential join was answered: the batch is write-only.
+        assert_eq!(stats.queries, 1);
     }
 
     #[test]
@@ -1719,29 +1531,39 @@ mod tests {
             (PeerId(4), path(&[6, 3, 1, 0])),
         ];
         let mut seq = two_landmark_server(ServerConfig::default());
+        let mut bat = two_landmark_server(ServerConfig::default());
+        seq.advance_epoch();
+        bat.advance_epoch();
         for (p, path) in joins.clone() {
             seq.register(p, path).unwrap();
         }
-        let mut bat = two_landmark_server(ServerConfig::default());
-        for r in bat.register_batch(joins) {
-            r.unwrap();
-        }
-        // Identical directory state. (Query-path counters legitimately
-        // differ: batch answers are computed against the full batch, so
-        // they can include cross-landmark fills a growing sequential
-        // population did not need yet.)
+        assert_eq!(bat.register_batch(joins).joined, 4);
+        // Identical directory state. (Query counters legitimately differ:
+        // the batch answers nobody.)
         let (br, sr) = (bat.report(), seq.report());
         assert_eq!(br.peers, sr.peers);
         assert_eq!(br.indexed_routers, sr.indexed_routers);
         assert_eq!(br.per_landmark, sr.per_landmark);
         assert_eq!(br.stats.joins, sr.stats.joins);
-        assert_eq!(br.stats.queries, sr.stats.queries);
-        for p in [1u64, 2, 3, 4] {
+        for p in [1u64, 2, 3, 4].map(PeerId) {
             assert_eq!(
-                bat.neighbors_of(PeerId(p), 3).unwrap(),
-                seq.neighbors_of(PeerId(p), 3).unwrap()
+                bat.neighbors_of(p, 3).unwrap(),
+                seq.neighbors_of(p, 3).unwrap()
             );
+            let lease = |srv: &ManagementServer| {
+                srv.shards()[srv.landmark_of(p).unwrap().index()].last_seen(p)
+            };
+            assert_eq!(lease(&bat), Some(1));
+            assert_eq!(lease(&bat), lease(&seq));
         }
+        // Identical leases: they lapse together.
+        for srv in [&mut seq, &mut bat] {
+            srv.advance_epoch();
+            srv.heartbeat(PeerId(2)).unwrap();
+            srv.advance_epoch();
+        }
+        assert_eq!(bat.expire_stale(1), vec![PeerId(1), PeerId(3), PeerId(4)]);
+        assert_eq!(seq.expire_stale(1), vec![PeerId(1), PeerId(3), PeerId(4)]);
     }
 
     /// The facade peer→shard map must give the same answer as probing
@@ -1786,8 +1608,6 @@ mod tests {
             (PeerId(51), path(&[997, 2, 1, 0])),
             (PeerId(52), path(&[996, 105, 100])),
             (PeerId(51), path(&[995, 2, 1, 0])), // dup in batch
-        ]);
-        srv.register_batch_renewing(vec![
             (PeerId(53), path(&[994, 2, 1, 0])),
             (PeerId(50), path(&[998, 2, 1, 0])), // renewal
         ]);
@@ -2126,17 +1946,5 @@ mod tests {
         assert!(report.journal_torn_tail);
         assert!(!recovered.index().contains(PeerId(501)));
         assert_same_directory(&live, &recovered);
-    }
-
-    #[test]
-    fn super_peer_servers_refuse_to_snapshot() {
-        let srv = two_landmark_server(ServerConfig {
-            super_peers: Some(crate::superpeer::SuperPeerConfig::default()),
-            ..ServerConfig::default()
-        });
-        assert!(matches!(
-            srv.snapshot_bytes(),
-            Err(CoreError::Persist(PersistError::Unsupported(_)))
-        ));
     }
 }

@@ -1272,7 +1272,7 @@ mod tests {
             let batch: Vec<(PeerId, PeerPath)> = (0..10)
                 .map(|i| (PeerId(1000 + i), path(&[200 + i as u32, 2, 1, 0])))
                 .collect();
-            srv.register_batch_renewing(batch);
+            srv.register_batch(batch);
             let leave: Vec<PeerId> = (0..10)
                 .map(PeerId)
                 .map(|PeerId(i)| PeerId(1000 + i))

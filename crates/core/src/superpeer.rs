@@ -6,6 +6,10 @@
 //! member peer as its *super-peer*, which can then absorb closest-peer
 //! queries for newcomers landing in the same region — offloading the
 //! management server.
+//!
+//! [`SuperPeerDirectory`] is a standalone policy over peer paths: the
+//! [`crate::ManagementServer`] knows nothing of it, and the W2 study feeds
+//! it beside the server's joins.
 
 use crate::ids::PeerId;
 use crate::path::PeerPath;
@@ -94,19 +98,6 @@ impl SuperPeerDirectory {
         }
         if region.members.is_empty() {
             self.regions.remove(&region_router);
-        }
-    }
-
-    /// Registers a whole batch in arrival order — the directory's batched
-    /// join path. Order matters: membership order decides promotion (the
-    /// eldest member takes the office), so this must see newcomers exactly
-    /// as the sequential protocol would have.
-    pub fn on_register_batch<'a, I>(&mut self, items: I)
-    where
-        I: IntoIterator<Item = (PeerId, &'a PeerPath)>,
-    {
-        for (peer, path) in items {
-            self.on_register(peer, path);
         }
     }
 
@@ -219,21 +210,6 @@ mod tests {
         assert_eq!(d.n_regions(), 0);
         // Removing an unknown peer is a no-op.
         d.on_deregister(PeerId(42));
-    }
-
-    #[test]
-    fn batch_registration_promotes_in_arrival_order() {
-        let mut seq = dir();
-        let mut bat = dir();
-        let paths = [path(&[10, 12, 0]), path(&[11, 12, 0]), path(&[13, 12, 0])];
-        for (i, p) in paths.iter().enumerate() {
-            seq.on_register(PeerId(i as u64), p);
-        }
-        bat.on_register_batch(paths.iter().enumerate().map(|(i, p)| (PeerId(i as u64), p)));
-        assert!(bat.is_super_peer(PeerId(0)), "eldest batch member promoted");
-        assert_eq!(bat.n_super_peers(), seq.n_super_peers());
-        assert_eq!(bat.n_regions(), seq.n_regions());
-        assert_eq!(bat.delegation_coverage(), seq.delegation_coverage());
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! Property test: the sharded directory behind [`ManagementServer`] is
 //! observationally identical to a reference **single-shard** build — one
 //! global [`RouterIndex`], the pre-refactor layout — for random topologies,
-//! arrival orders and operation interleavings: `register`, `register_batch`, `deregister`, `handover`,
-//! heartbeats and lease expiry all produce the same [`JoinOutcome`]s,
-//! errors, neighbor answers and counters.
+//! arrival orders and operation interleavings: `register`, `register_batch`,
+//! `deregister`, `handover`, heartbeats and lease expiry all produce the
+//! same [`JoinOutcome`]s, batch outcomes, errors, neighbor answers and
+//! counters.
 
 use nearpeer_core::{
-    ChurnBatchOutcome, CoreError, JoinOutcome, LandmarkId, ManagementServer, Neighbor, PathTree,
-    PeerId, PeerPath, RouterIndex, ServerConfig, SuperPeerConfig, SuperPeerDirectory,
+    BatchOutcome, CoreError, JoinOutcome, LandmarkId, ManagementServer, Neighbor, PathTree, PeerId,
+    PeerPath, RouterIndex, ServerConfig,
 };
 use nearpeer_topology::RouterId;
 use proptest::prelude::*;
@@ -22,7 +23,6 @@ const LM_DIST: [[u32; 3]; 3] = [[0, 3, 7], [3, 0, 4], [7, 4, 0]];
 struct ReferenceServer {
     index: RouterIndex,
     peer_landmark: HashMap<PeerId, LandmarkId>,
-    super_peers: SuperPeerDirectory,
     last_seen: HashMap<PeerId, u64>,
     epoch: u64,
     joins: u64,
@@ -31,11 +31,10 @@ struct ReferenceServer {
 }
 
 impl ReferenceServer {
-    fn new(sp: SuperPeerConfig) -> Self {
+    fn new() -> Self {
         Self {
             index: RouterIndex::new(),
             peer_landmark: HashMap::new(),
-            super_peers: SuperPeerDirectory::new(sp),
             last_seen: HashMap::new(),
             epoch: 0,
             joins: 0,
@@ -123,62 +122,13 @@ impl ReferenceServer {
         let landmark = self.landmark_for(&path)?;
         self.index.insert(peer, path.clone())?;
         self.peer_landmark.insert(peer, landmark);
-        let delegate = self.super_peers.super_peer_for(&path);
-        self.super_peers.on_register(peer, &path);
         self.last_seen.insert(peer, self.epoch);
         self.joins += 1;
         let neighbors = self.closest(&path, K, Some(peer));
         Ok(JoinOutcome {
             landmark,
             neighbors,
-            delegate,
         })
-    }
-
-    /// Mirrors the documented two-phase batch semantics: validate and
-    /// insert everything, then answer against the complete batch.
-    fn register_batch(
-        &mut self,
-        batch: Vec<(PeerId, PeerPath)>,
-    ) -> Vec<Result<JoinOutcome, CoreError>> {
-        let mut results: Vec<Option<Result<JoinOutcome, CoreError>>> =
-            (0..batch.len()).map(|_| None).collect();
-        let mut accepted: Vec<(usize, PeerId, PeerPath, LandmarkId)> = Vec::new();
-        let mut in_batch: HashSet<PeerId> = HashSet::new();
-        for (i, (peer, path)) in batch.into_iter().enumerate() {
-            match self.landmark_for(&path) {
-                Err(e) => results[i] = Some(Err(e)),
-                Ok(lm) => {
-                    if self.index.contains(peer) || !in_batch.insert(peer) {
-                        results[i] = Some(Err(CoreError::DuplicatePeer(peer)));
-                    } else {
-                        accepted.push((i, peer, path, lm));
-                    }
-                }
-            }
-        }
-        for (_, peer, path, lm) in &accepted {
-            self.index.insert(*peer, path.clone()).expect("validated");
-            self.peer_landmark.insert(*peer, *lm);
-            self.last_seen.insert(*peer, self.epoch);
-            self.joins += 1;
-        }
-        for (_, peer, path, _) in &accepted {
-            self.super_peers.on_register(*peer, path);
-        }
-        for (i, peer, path, landmark) in accepted {
-            let delegate = self
-                .super_peers
-                .super_peer_for(&path)
-                .filter(|&d| d != peer);
-            let neighbors = self.closest(&path, K, Some(peer));
-            results[i] = Some(Ok(JoinOutcome {
-                landmark,
-                neighbors,
-                delegate,
-            }));
-        }
-        results.into_iter().map(|r| r.expect("decided")).collect()
     }
 
     fn deregister(&mut self, peer: PeerId) -> Result<(), CoreError> {
@@ -186,7 +136,6 @@ impl ReferenceServer {
             return Err(CoreError::UnknownPeer(peer));
         }
         self.peer_landmark.remove(&peer);
-        self.super_peers.on_deregister(peer);
         self.last_seen.remove(&peer);
         self.leaves += 1;
         Ok(())
@@ -213,11 +162,11 @@ impl ReferenceServer {
         Ok(())
     }
 
-    /// Mirrors the facade's batched churn absorption: renew same-landmark
+    /// Mirrors the facade's write-only batch join: renew same-landmark
     /// rejoins, reject cross-landmark moves and unknown landmarks, insert
     /// the fresh remainder (no neighbor answers).
-    fn register_batch_renewing(&mut self, batch: Vec<(PeerId, PeerPath)>) -> ChurnBatchOutcome {
-        let mut out = ChurnBatchOutcome::default();
+    fn register_batch(&mut self, batch: Vec<(PeerId, PeerPath)>) -> BatchOutcome {
+        let mut out = BatchOutcome::default();
         let mut fresh: Vec<(PeerId, PeerPath)> = Vec::new();
         let mut fresh_landmark: HashMap<PeerId, LandmarkId> = HashMap::new();
         for (peer, path) in batch {
@@ -248,9 +197,6 @@ impl ReferenceServer {
             self.last_seen.insert(*peer, self.epoch);
             self.joins += 1;
             out.joined += 1;
-        }
-        for (peer, path) in &fresh {
-            self.super_peers.on_register(*peer, path);
         }
         out
     }
@@ -331,7 +277,6 @@ fn spec_path(s: JoinSpec) -> PeerPath {
 enum Op {
     Register(JoinSpec),
     RegisterBatch(Vec<JoinSpec>),
-    RegisterBatchRenewing(Vec<JoinSpec>),
     Deregister { peer: u8 },
     LeaveBatch(Vec<u8>),
     Handover(JoinSpec),
@@ -363,7 +308,6 @@ fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
         arb_spec().prop_map(Op::Register),
         prop::collection::vec(arb_spec(), 1..7).prop_map(Op::RegisterBatch),
-        prop::collection::vec(arb_spec(), 1..7).prop_map(Op::RegisterBatchRenewing),
         any::<u8>().prop_map(|peer| Op::Deregister { peer: peer % 24 }),
         prop::collection::vec(any::<u8>(), 1..7)
             .prop_map(|ps| Op::LeaveBatch(ps.into_iter().map(|p| p % 24).collect())),
@@ -399,18 +343,16 @@ proptest! {
     fn sharded_server_equals_single_shard_reference(
         ops in prop::collection::vec(arb_op(), 1..80)
     ) {
-        let sp = SuperPeerConfig { region_depth: 2, promote_threshold: 3 };
         let mut server = ManagementServer::new(
             LM_ROUTERS.iter().map(|&r| RouterId(r)).collect(),
             LM_DIST.iter().map(|row| row.to_vec()).collect(),
             ServerConfig {
                 neighbor_count: K,
                 cross_landmark_fallback: true,
-                super_peers: Some(sp),
                 adaptive_leases: None,
             },
         );
-        let mut reference = ReferenceServer::new(sp);
+        let mut reference = ReferenceServer::new();
 
         for op in ops {
             match op {
@@ -430,25 +372,9 @@ proptest! {
                         .iter()
                         .map(|&s| (PeerId(s.peer as u64), spec_path(s)))
                         .collect();
-                    let got = server.register_batch(batch.clone());
-                    let want = reference.register_batch(batch);
-                    prop_assert_eq!(got.len(), want.len());
-                    for (g, w) in got.iter().zip(&want) {
-                        match (g, w) {
-                            (Ok(g), Ok(w)) => prop_assert_eq!(g, w),
-                            (Err(g), Err(w)) => prop_assert!(same_error(g, w), "{} vs {}", g, w),
-                            _ => prop_assert!(false, "diverged: {:?} vs {:?}", g, w),
-                        }
-                    }
-                }
-                Op::RegisterBatchRenewing(specs) => {
-                    let batch: Vec<(PeerId, PeerPath)> = specs
-                        .iter()
-                        .map(|&s| (PeerId(s.peer as u64), spec_path(s)))
-                        .collect();
                     prop_assert_eq!(
-                        server.register_batch_renewing(batch.clone()),
-                        reference.register_batch_renewing(batch)
+                        server.register_batch(batch.clone()),
+                        reference.register_batch(batch)
                     );
                 }
                 Op::Deregister { peer } => {
@@ -558,9 +484,5 @@ proptest! {
         prop_assert_eq!(stats.joins, reference.joins);
         prop_assert_eq!(stats.leaves, reference.leaves);
         prop_assert_eq!(stats.handovers, reference.handovers);
-        prop_assert_eq!(
-            server.super_peer_directory().unwrap().n_super_peers(),
-            reference.super_peers.n_super_peers()
-        );
     }
 }

@@ -26,7 +26,6 @@ fn server_config() -> ServerConfig {
     ServerConfig {
         neighbor_count: K,
         cross_landmark_fallback: true,
-        super_peers: None,
         adaptive_leases: None,
     }
 }
@@ -191,7 +190,7 @@ proptest! {
                         .map(|&s| (PeerId(s.peer as u64), spec_path(s)))
                         .collect();
                     let got = fed.register_batch(batch.clone());
-                    let want = single.register_batch_renewing(batch);
+                    let want = single.register_batch(batch);
                     prop_assert_eq!(
                         (got.joined, got.renewed, got.rejected),
                         (want.joined, want.renewed, want.rejected)

@@ -2,9 +2,7 @@
 //! arbitrary interleavings of register / deregister / handover / heartbeat
 //! / expiry operations.
 
-use nearpeer_core::{
-    CoreError, LandmarkId, ManagementServer, PeerId, PeerPath, ServerConfig, SuperPeerConfig,
-};
+use nearpeer_core::{CoreError, LandmarkId, ManagementServer, PeerId, PeerPath, ServerConfig};
 use nearpeer_topology::RouterId;
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -59,10 +57,6 @@ proptest! {
             ServerConfig {
                 neighbor_count: 4,
                 cross_landmark_fallback: true,
-                super_peers: Some(SuperPeerConfig {
-                    region_depth: 2,
-                    promote_threshold: 3,
-                }),
                 adaptive_leases: None,
             },
         );

@@ -149,7 +149,6 @@ proptest! {
             ServerConfig {
                 neighbor_count: 4,
                 cross_landmark_fallback: true,
-                super_peers: None,
                 adaptive_leases: None,
             },
         );
@@ -168,7 +167,7 @@ proptest! {
                         .iter()
                         .map(|&s| (PeerId(s.peer as u64), spec_path(s)))
                         .collect();
-                    server.register_batch_renewing(batch);
+                    server.register_batch(batch);
                 }
                 Op::Deregister { peer } => {
                     let _ = server.deregister(PeerId(peer as u64));

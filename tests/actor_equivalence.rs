@@ -65,14 +65,14 @@ fn key(neighbors: &[Neighbor]) -> Vec<(u64, u32)> {
     neighbors.iter().map(|n| (n.peer.0, n.dtree)).collect()
 }
 
-/// `(landmark, answer, delegate)` — a join outcome flattened for comparison.
-type JoinKey = Result<(u32, Vec<(u64, u32)>, Option<u64>), String>;
+/// `(landmark, answer)` — a join outcome flattened for comparison.
+type JoinKey = Result<(u32, Vec<(u64, u32)>), String>;
 
 /// `(region, landmark, answer)` — a federated join flattened for comparison.
 type FedKey = Result<(u32, u32, Vec<(u64, u32)>), String>;
 
 fn join_key(r: Result<JoinOutcome, CoreError>) -> JoinKey {
-    r.map(|o| (o.landmark.0, key(&o.neighbors), o.delegate.map(|d| d.0)))
+    r.map(|o| (o.landmark.0, key(&o.neighbors)))
         .map_err(|e| e.to_string())
 }
 

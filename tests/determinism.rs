@@ -126,7 +126,7 @@ fn parallel_round1_is_bit_identical_to_sequential() {
 
 /// Churn replay must be a pure function of the trace seed, not of the
 /// batching: feeding the same `ChurnTrace` through the batched replay
-/// (per-epoch `register_batch_renewing`/`leave_batch`/`renew_batch`, what
+/// (per-epoch `register_batch`/`leave_batch`/`renew_batch`, what
 /// every soak runs) and through the per-event reference (one facade call
 /// per event and per heartbeat) must leave **identical directory state**
 /// — peers, paths, leases, per-landmark trees, join/leave stats — and
