@@ -12,7 +12,7 @@ use nearpeer_core::codec::{self, CodecError};
 use nearpeer_core::protocol::Message;
 use nearpeer_core::{
     ActorFederation, ActorServer, CoreError, Counter, FederatedJoin, Federation, FederationConfig,
-    Histogram, JoinOutcome, ManagementServer, Neighbor, PeerId, PeerPath, ServerConfig,
+    Histogram, JoinOutcome, ManagementServer, Neighbor, Outbound, PeerId, PeerPath, ServerConfig,
     TelemetryRegistry, WireService,
 };
 use nearpeer_topology::RouterId;
@@ -166,6 +166,14 @@ pub fn world(n_landmarks: usize) -> SyntheticJoins {
 /// blocking" 88 k, the last two below the 105–111 k of one write per reply.
 pub const FLUSH_BYTES: usize = 512;
 
+/// Most requests the serve loop hands the service as one burst
+/// ([`WireService::handle_batch`]): the frame it just decoded plus every
+/// complete frame already in its read buffer, up to this many. The loop
+/// never waits on the socket to fill a burst. Eight 76-byte query replies
+/// make about one [`FLUSH_BYTES`], so a burst holds no reply back longer
+/// than the flush rule already does.
+pub const BATCH_FRAMES: usize = 8;
+
 /// Size of a connection's read buffer: one `read(2)` takes a whole
 /// pipelined batch.
 const READ_CHUNK: usize = 64 * 1024;
@@ -193,6 +201,8 @@ pub struct FrameConn {
     out: BytesMut,
     /// Incremented once per write that drains `out`.
     writes: Option<Arc<Counter>>,
+    /// Incremented once per undecodable frame skipped.
+    bad_frames: Option<Arc<Counter>>,
     bytes_in: u64,
 }
 
@@ -207,6 +217,7 @@ impl FrameConn {
             chunk: vec![0; READ_CHUNK].into_boxed_slice(),
             out: BytesMut::with_capacity(2 * FLUSH_BYTES),
             writes: None,
+            bad_frames: None,
             bytes_in: 0,
         })
     }
@@ -223,9 +234,12 @@ impl FrameConn {
         self.stream.set_read_timeout(timeout)
     }
 
-    /// Counts every write that drains the output queue into `counter`.
-    pub fn count_writes(&mut self, counter: Arc<Counter>) {
-        self.writes = Some(counter);
+    /// Counts every write that drains the output queue into
+    /// `wire_writes_total`, and every undecodable frame skipped into
+    /// `wire_bad_frames_total`.
+    fn count_into(&mut self, reg: &TelemetryRegistry) {
+        self.writes = Some(reg.counter("wire_writes_total"));
+        self.bad_frames = Some(reg.counter("wire_bad_frames_total"));
     }
 
     /// Encodes and writes one frame.
@@ -275,32 +289,17 @@ impl FrameConn {
         }
     }
 
-    /// Reads the next message, reassembling frames across partial reads;
-    /// the output queue is flushed before each read. `Ok(None)` means the
-    /// peer closed cleanly on a frame boundary.
-    /// Malformed-but-consumed frames are skipped (the codec resyncs);
-    /// an oversized length prefix is connection-fatal (`InvalidData`) —
-    /// the stream position can no longer be trusted.
-    pub fn recv(&mut self) -> io::Result<Option<Message>> {
+    /// The next complete frame already read off the socket, or `None`
+    /// when the buffer holds none; never reads. Malformed-but-consumed
+    /// frames are skipped (the codec resyncs); an oversized length prefix
+    /// is connection-fatal (`InvalidData`) — the stream position can no
+    /// longer be trusted — and stays at the front of the buffer, so every
+    /// later call reports it again.
+    fn next_buffered(&mut self) -> io::Result<Option<Message>> {
         loop {
             match codec::decode(&mut self.buf) {
                 Ok(msg) => return Ok(Some(msg)),
-                Err(CodecError::Incomplete) => {
-                    self.flush()?;
-                    let n = self.stream.read(&mut self.chunk)?;
-                    if n == 0 {
-                        return if self.buf.is_empty() {
-                            Ok(None)
-                        } else {
-                            Err(io::Error::new(
-                                io::ErrorKind::UnexpectedEof,
-                                "connection closed mid-frame",
-                            ))
-                        };
-                    }
-                    self.bytes_in += n as u64;
-                    self.buf.extend_from_slice(&self.chunk[..n]);
-                }
+                Err(CodecError::Incomplete) => return Ok(None),
                 Err(CodecError::FrameTooLarge(n)) => {
                     return Err(io::Error::new(
                         io::ErrorKind::InvalidData,
@@ -308,8 +307,39 @@ impl FrameConn {
                     ));
                 }
                 // Anything else consumed exactly one bad frame; resync.
-                Err(_) => continue,
+                Err(_) => {
+                    if let Some(bad) = &self.bad_frames {
+                        bad.inc();
+                    }
+                }
             }
+        }
+    }
+
+    /// Reads the next message: the next buffered frame, reading more off
+    /// the socket until one is complete; the output queue is flushed
+    /// before each read. `Ok(None)` means the peer closed cleanly on a
+    /// frame boundary. Malformed frames are skipped and an oversized one
+    /// is fatal, as in `next_buffered`.
+    pub fn recv(&mut self) -> io::Result<Option<Message>> {
+        loop {
+            if let Some(msg) = self.next_buffered()? {
+                return Ok(Some(msg));
+            }
+            self.flush()?;
+            let n = self.stream.read(&mut self.chunk)?;
+            if n == 0 {
+                return if self.buf.is_empty() {
+                    Ok(None)
+                } else {
+                    Err(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        "connection closed mid-frame",
+                    ))
+                };
+            }
+            self.bytes_in += n as u64;
+            self.buf.extend_from_slice(&self.chunk[..n]);
         }
     }
 
@@ -334,13 +364,16 @@ impl FrameConn {
 struct ServeMetrics {
     reg: Arc<TelemetryRegistry>,
     per_kind: HashMap<&'static str, KindMetrics>,
+    /// Requests per burst handed to [`WireService::handle_batch`].
+    batch_frames: Arc<Histogram>,
 }
 
 #[derive(Clone)]
 struct KindMetrics {
     /// Request frames of this kind served (replied to or absorbed).
     frames: Arc<Counter>,
-    /// Time from decoded request to encoded reply, µs.
+    /// Time from decoded request to queued reply, µs: its burst's time,
+    /// any write the queue bound forces mid-burst included.
     serve_us: Arc<Histogram>,
     /// Encoded reply frame sizes, bytes (`_sum` = total bytes out).
     reply_bytes: Arc<Histogram>,
@@ -349,6 +382,7 @@ struct KindMetrics {
 impl ServeMetrics {
     fn new(reg: Arc<TelemetryRegistry>) -> Self {
         Self {
+            batch_frames: reg.histogram("wire_batch_frames"),
             reg,
             per_kind: HashMap::new(),
         }
@@ -366,8 +400,8 @@ impl ServeMetrics {
     }
 }
 
-/// Most pushes one drain round sends before the serve loop goes back to
-/// reading requests, so a subscription storm cannot starve replies.
+/// Most pushes one drain round on the idle tick takes at a time, so the
+/// output queue is flushed between rounds of a subscription storm.
 const PUSH_BATCH: usize = 256;
 
 /// Read-timeout windows a draining connection grants an in-flight frame
@@ -380,6 +414,12 @@ const SHUTDOWN_GRACE_WINDOWS: u32 = 8;
 ///
 /// Delivery rules:
 ///
+/// * requests are served in bursts: the frame just decoded plus every
+///   complete frame already buffered behind it, up to [`BATCH_FRAMES`],
+///   go to [`WireService::handle_batch`] together. The loop never waits
+///   on the socket to fill a burst, so a client that sends one request
+///   and waits gets a burst of one; pipelining clients get longer ones. A
+///   `Shutdown` ends its burst, and nothing after it is ever applied;
 /// * replies and pushes go through the connection's one output queue
 ///   ([`FrameConn::queue`]) and leave it in order, written out (1) before
 ///   the loop blocks in a read, (2) as soon as [`FLUSH_BYTES`] are
@@ -388,7 +428,8 @@ const SHUTDOWN_GRACE_WINDOWS: u32 = 8;
 ///   client that sends one request and waits gets its reply at once;
 /// * pushes ready for this client are queued **before** each reply, so
 ///   any request/reply round-trip (a `ProbePing` will do) fences every
-///   delta the server queued before it;
+///   delta the server queued before it, including one queued by an
+///   earlier request of the same burst;
 /// * idle pushes flow on the read-timeout tick even when the client is
 ///   not talking;
 /// * liveness for the idle deadline is **byte progress** (see
@@ -449,40 +490,66 @@ fn serve_frames(
     let mut seen_bytes = conn.bytes_received();
     let mut grace_left = SHUTDOWN_GRACE_WINDOWS;
     let mut pushes: Vec<Message> = Vec::new();
+    let mut burst: Vec<Message> = Vec::with_capacity(BATCH_FRAMES);
+    // Each request's kind and, once queued, its reply's length.
+    let mut served: Vec<(&'static str, Option<usize>)> = Vec::with_capacity(BATCH_FRAMES);
+    let mut out: Vec<Outbound> = Vec::new();
     let mut metrics = service.telemetry().map(ServeMetrics::new);
     if let Some(m) = &metrics {
-        conn.count_writes(m.reg.counter("wire_writes_total"));
+        conn.count_into(&m.reg);
     }
     loop {
         match conn.recv() {
-            Ok(Some(msg)) => {
+            Ok(Some(first)) => {
                 seen_bytes = conn.bytes_received();
                 last_progress = Instant::now();
-                let stop = matches!(msg, Message::Shutdown { .. });
-                let kind = msg.kind_name();
+                burst.push(first);
+                // An oversized frame ends the burst too; the next `recv`
+                // reports it.
+                while burst.len() < BATCH_FRAMES
+                    && !matches!(burst.last(), Some(Message::Shutdown { .. }))
+                {
+                    match conn.next_buffered() {
+                        Ok(Some(msg)) => burst.push(msg),
+                        Ok(None) | Err(_) => break,
+                    }
+                }
+                let stop = matches!(burst.last(), Some(Message::Shutdown { .. }));
+                served.clear();
+                served.extend(burst.iter().map(|m| (m.kind_name(), None)));
                 let started = metrics
                     .as_ref()
                     .filter(|m| m.reg.timing_enabled())
                     .map(|_| Instant::now());
-                if let Some(client) = client {
-                    if queue_pushes(conn, service, client, &mut pushes).is_err() {
+                service.handle_batch(client, &mut burst, &mut out);
+                let mut replies = served.iter_mut();
+                for item in out.drain(..) {
+                    match item {
+                        Outbound::Push(push) => {
+                            conn.queue(&push);
+                        }
+                        Outbound::Reply(reply) => {
+                            let slot = replies.next().expect("one reply per request");
+                            slot.1 = reply.map(|r| conn.queue(&r));
+                        }
+                    }
+                    if conn.flush_if_full().is_err() {
                         return;
                     }
                 }
-                let reply = service.handle_from(client, msg);
-                let reply_len = reply.as_ref().map(|r| conn.queue(r));
                 if let Some(m) = metrics.as_mut() {
-                    let km = m.kind(kind);
-                    km.frames.inc();
-                    if let Some(len) = reply_len {
-                        km.reply_bytes.record(len as u64);
+                    m.batch_frames.record(served.len() as u64);
+                    let serve_us = started.map(|s| s.elapsed().as_micros() as u64);
+                    for &(kind, reply_len) in &served {
+                        let km = m.kind(kind);
+                        km.frames.inc();
+                        if let Some(len) = reply_len {
+                            km.reply_bytes.record(len as u64);
+                        }
+                        if let Some(us) = serve_us {
+                            km.serve_us.record(us);
+                        }
                     }
-                    if let Some(s) = started {
-                        km.serve_us.record(s.elapsed().as_micros() as u64);
-                    }
-                }
-                if conn.flush_if_full().is_err() {
-                    return;
                 }
                 if stop {
                     // The ack must be on the wire before the daemon
@@ -646,9 +713,17 @@ mod tests {
     fn spawn_server(
         idle_deadline: Option<Duration>,
     ) -> (FrameConn, Arc<AtomicBool>, std::thread::JoinHandle<()>) {
+        let service = build_service(2, 1, ServerConfig::default()).unwrap();
+        spawn_serving(service, idle_deadline)
+    }
+
+    /// [`spawn_server`] over a given service.
+    fn spawn_serving(
+        service: Arc<dyn WireService>,
+        idle_deadline: Option<Duration>,
+    ) -> (FrameConn, Arc<AtomicBool>, std::thread::JoinHandle<()>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let service = build_service(2, 1, ServerConfig::default()).unwrap();
         let shutdown = Arc::new(AtomicBool::new(false));
         let server_shutdown = Arc::clone(&shutdown);
         let handle = std::thread::spawn(move || {
@@ -719,7 +794,8 @@ mod tests {
         conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         let joins = world(2);
         join_peers(&mut conn, &joins, 8);
-        let before = scrape_writes(&mut conn);
+        let first = scrape(&mut conn);
+        let before = find_metric(&first, "wire_writes_total").unwrap_or(0);
         // One client write carries the whole batch.
         conn.stream.write_all(&query_frames(&joins, N)).unwrap();
         for nonce in 0..N {
@@ -732,6 +808,15 @@ mod tests {
             (1..N).contains(&writes),
             "{N} pipelined replies took {writes} writes"
         );
+        // The queries were served in bursts, none longer than the cap;
+        // minus the first scrape's own burst of one.
+        let bursts = |text: &str, series: &str| {
+            find_metric(text, &format!("wire_batch_frames_{series}")).unwrap()
+        };
+        assert_eq!(bursts(&text, "sum") - bursts(&first, "sum") - 1, N);
+        let count = bursts(&text, "count") - bursts(&first, "count") - 1;
+        assert!(count < N, "{N} pipelined queries took {count} bursts");
+        assert!(bursts(&text, "max") <= BATCH_FRAMES as u64);
         // The same scrape accounts for every reply the client verified,
         // and the serve loop timed them.
         assert_eq!(
@@ -761,14 +846,20 @@ mod tests {
 
     #[test]
     fn shutdown_ack_is_flushed_before_the_connection_closes() {
-        let (mut conn, shutdown, server) = spawn_server(None);
+        let service = build_service(2, 1, ServerConfig::default()).unwrap();
+        let (mut conn, shutdown, server) = spawn_serving(Arc::clone(&service), None);
         conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         // The ack sits behind two pongs, far under FLUSH_BYTES, and no
         // further read happens: only the exit-path flush can deliver it.
+        // The join behind the shutdown arrives in the same write, and so
+        // in the same read, but is never applied.
+        let (peer, path) = world(2).join(0);
         let mut burst = BytesMut::new();
         codec::encode(&Message::ProbePing { nonce: 1 }, &mut burst);
         codec::encode(&Message::ProbePing { nonce: 2 }, &mut burst);
         codec::encode(&Message::Shutdown { nonce: 3 }, &mut burst);
+        let join = Message::JoinRequest { peer, path };
+        codec::encode(&join, &mut burst);
         conn.stream.write_all(&burst).unwrap();
         for nonce in 1..=3 {
             assert_eq!(conn.recv().unwrap(), Some(Message::ProbePong { nonce }));
@@ -776,6 +867,193 @@ mod tests {
         assert_eq!(conn.recv().unwrap(), None);
         server.join().unwrap();
         assert!(shutdown.load(Ordering::Acquire));
+        assert!(
+            matches!(service.handle(join), Some(Message::JoinReply { .. })),
+            "the join after the shutdown was applied"
+        );
+    }
+
+    #[test]
+    fn undecodable_frames_are_skipped_and_counted() {
+        let (mut conn, _, server) = spawn_server(None);
+        conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut burst = BytesMut::new();
+        codec::encode(&Message::ProbePing { nonce: 1 }, &mut burst);
+        // A whole frame from an unknown protocol version: consumed, not
+        // decoded.
+        burst.extend_from_slice(&[0, 0, 0, 2, 0xff, 0]);
+        codec::encode(&Message::ProbePing { nonce: 2 }, &mut burst);
+        conn.stream.write_all(&burst).unwrap();
+        for nonce in 1..=2 {
+            assert_eq!(conn.recv().unwrap(), Some(Message::ProbePong { nonce }));
+        }
+        assert_eq!(
+            find_metric(&scrape(&mut conn), "wire_bad_frames_total"),
+            Some(1)
+        );
+        drop(conn);
+        server.join().unwrap();
+    }
+
+    /// A burst's replies as `Mirror` gives them applying its requests one
+    /// at a time, in order.
+    fn mirror_burst(mirror: &mut Mirror, burst: &[Message]) -> Vec<Outbound> {
+        let wire = |neighbors: Vec<Neighbor>| {
+            neighbors
+                .into_iter()
+                .map(|n| nearpeer_core::protocol::WireNeighbor {
+                    peer: n.peer,
+                    dtree: n.dtree,
+                })
+                .collect()
+        };
+        burst
+            .iter()
+            .map(|msg| {
+                Outbound::Reply(match msg.clone() {
+                    Message::JoinRequest { peer, path } => {
+                        assert_eq!(mirror.register_all(vec![(peer, path.clone())]), 1);
+                        Some(Message::JoinReply {
+                            peer,
+                            neighbors: wire(mirror.closest_to_path(&path, 5, Some(peer))),
+                            delegate: None,
+                        })
+                    }
+                    Message::HandoverRequest { peer, path } => Some(Message::JoinReply {
+                        peer,
+                        neighbors: wire(mirror.handover(peer, path).expect("registered")),
+                        delegate: None,
+                    }),
+                    Message::Leave { peer } => {
+                        assert_eq!(mirror.leave_all(&[peer]), 1);
+                        None
+                    }
+                    // Every lease is renewed at the epoch it was opened.
+                    Message::Heartbeat { .. } => None,
+                    Message::QueryRequest {
+                        nonce,
+                        path,
+                        k,
+                        exclude,
+                    } => Some(Message::QueryReply {
+                        nonce,
+                        neighbors: wire(mirror.closest_to_path(&path, k as usize, exclude)),
+                    }),
+                    other => panic!("no mirror for {}", other.kind_name()),
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_burst_answers_as_its_requests_would_one_at_a_time() {
+        let config = ServerConfig {
+            neighbor_count: 5,
+            ..ServerConfig::default()
+        };
+        let service = build_service(4, 1, config).unwrap();
+        let mut mirror = Mirror::build(4, 1, config).unwrap();
+        let joins = world(4);
+        let items: Vec<_> = (0..32u64).map(|p| joins.join(p)).collect();
+        for (peer, path) in items.clone() {
+            service.handle(Message::JoinRequest { peer, path });
+        }
+        assert_eq!(mirror.register_all(items), 32);
+        let (newcomer, near) = joins.join(40);
+        let (late, late_path) = joins.join(41);
+        let away = LandmarkId((joins.landmark_of(5).0 + 1) % 4);
+        let query = |nonce, path, exclude| Message::QueryRequest {
+            nonce,
+            path,
+            k: 5,
+            exclude,
+        };
+        let burst = vec![
+            Message::JoinRequest {
+                peer: newcomer,
+                path: near.clone(),
+            },
+            query(1, near, None),
+            Message::Leave { peer: PeerId(3) },
+            Message::HandoverRequest {
+                peer: PeerId(5),
+                path: joins.path_to(5, away),
+            },
+            Message::Heartbeat { peer: PeerId(7) },
+            query(2, joins.path(3), None),
+            Message::JoinRequest {
+                peer: late,
+                path: late_path.clone(),
+            },
+            query(3, late_path, Some(late)),
+        ];
+        assert_eq!(burst.len(), BATCH_FRAMES);
+        let want = mirror_burst(&mut mirror, &burst);
+        let mut requests = burst;
+        let mut got = Vec::new();
+        service.handle_batch(None, &mut requests, &mut got);
+        assert!(requests.is_empty(), "the burst is drained");
+        assert_eq!(got, want);
+        // The query right behind the join already sees the newcomer.
+        match &got[1] {
+            Outbound::Reply(Some(Message::QueryReply { neighbors, .. })) => {
+                assert_eq!(neighbors[0].peer, newcomer);
+            }
+            other => panic!("expected a QueryReply, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_burst_applies_atomically_with_respect_to_other_connections() {
+        const BURSTS: usize = 2_000;
+        let service = build_service(2, 1, ServerConfig::default()).unwrap();
+        let joins = world(2);
+        for p in 0..8u64 {
+            let (peer, path) = joins.join(p);
+            service.handle(Message::JoinRequest { peer, path });
+        }
+        let (peer, path) = joins.join(0);
+        let done = AtomicBool::new(false);
+        let torn = std::thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                let mut torn = 0;
+                while !done.load(Ordering::Acquire) {
+                    let reply = service.handle(Message::QueryRequest {
+                        nonce: 0,
+                        path: path.clone(),
+                        k: 8,
+                        exclude: None,
+                    });
+                    match reply {
+                        Some(Message::QueryReply { neighbors, .. }) => {
+                            torn += usize::from(neighbors.iter().all(|n| n.peer != peer));
+                        }
+                        other => panic!("expected QueryReply, got {other:?}"),
+                    }
+                }
+                torn
+            });
+            // Each burst takes peer 0 out and puts it back: no reader may
+            // see the directory between the two.
+            let mut requests = Vec::new();
+            let mut out = Vec::new();
+            for _ in 0..BURSTS {
+                requests.push(Message::Leave { peer });
+                requests.push(Message::JoinRequest {
+                    peer,
+                    path: path.clone(),
+                });
+                service.handle_batch(None, &mut requests, &mut out);
+                assert!(matches!(
+                    out.pop(),
+                    Some(Outbound::Reply(Some(Message::JoinReply { .. })))
+                ));
+                out.clear();
+            }
+            done.store(true, Ordering::Release);
+            reader.join().unwrap()
+        });
+        assert_eq!(torn, 0, "{torn} queries saw a burst half-applied");
     }
 
     #[test]

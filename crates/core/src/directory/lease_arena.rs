@@ -337,12 +337,26 @@ impl<T> LeaseArena<T> {
     /// below the swept base are clamped into the oldest live bucket — the
     /// sweep re-checks actual staleness, so the clamp only affects *when*
     /// the note is examined, never the verdict.
+    ///
+    /// A bucket that outgrows `2 × (live + tombstones) + 64` notes drops
+    /// the notes the sweep would skip (generation moved on, or slot
+    /// vacant). Without that, leave/join cycles within one epoch grow the
+    /// bucket, and the snapshot, with every write ever served; with it the
+    /// compaction is amortised O(1) per note.
     fn note(&mut self, slot: u32, generation: u32, epoch: u64) {
         let idx = epoch.saturating_sub(self.base_epoch) as usize;
         while self.buckets.len() <= idx {
             self.buckets.push_back(Vec::new());
         }
-        self.buckets[idx].push((slot, generation));
+        let bucket = &mut self.buckets[idx];
+        bucket.push((slot, generation));
+        if bucket.len() > 2 * (self.len + self.tombstones) + 64 {
+            let slots = &self.slots;
+            bucket.retain(|&(i, g)| {
+                let s = &slots[i as usize];
+                s.generation == g && s.occupant.is_some()
+            });
+        }
         let clamped = self.base_epoch + idx as u64;
         let s = &mut self.slots[slot as usize];
         s.noted = s.noted.max(clamped);

@@ -86,7 +86,7 @@ pub use ids::{LandmarkId, PeerId};
 pub use path::PeerPath;
 pub use path_tree::PathTree;
 pub use router_index::{Neighbor, RouterIndex};
-pub use runtime::{ActorFederation, ActorServer, WireService};
+pub use runtime::{ActorFederation, ActorServer, Outbound, WireService};
 pub use server::{DirectoryView, JoinOutcome, ManagementServer, ServerConfig};
 pub use subscription::{
     DeltaClass, NeighborDelta, Subscription, SubscriptionHost, SubscriptionRegistry,

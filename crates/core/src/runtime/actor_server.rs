@@ -10,13 +10,21 @@
 //! so nothing can observe a peer half-moved.
 //!
 //! The wrapper adds only what the facade leaves to its embedder: a wall
-//! clock for subscription rate limiting, advanced under the write guard
-//! before every write, subscribe and drain, and a lock-free "nothing
-//! queued" check so serve loops poll for pushes without taking the lock.
+//! clock for subscription rate limiting, advanced each time the write
+//! guard is taken, and a lock-free "nothing queued" check so serve loops
+//! poll for pushes without taking the lock.
+//!
+//! On the wire ([`WireService`]) a burst of requests takes one guard: the
+//! read guard when every request only reads and no delta waits to be
+//! pushed, the write guard otherwise. Under it `answer` dispatches each
+//! request against the guarded facade, and the deltas ready before each
+//! reply are drained ahead of it. A single request is a burst of one.
 
+use super::{delta_push, stats_reply, to_wire, Outbound, WireService};
 use crate::error::CoreError;
 use crate::ids::PeerId;
 use crate::path::PeerPath;
+use crate::protocol::{Message, WireNeighbor};
 use crate::router_index::Neighbor;
 use crate::server::{JoinOutcome, ManagementServer, ServerConfig, ServerStats};
 use crate::subscription::{NeighborDelta, Subscription, SubscriptionStats};
@@ -133,16 +141,6 @@ impl ActorServer {
         self.read().neighbors_of(peer, k)
     }
 
-    /// The first `limit` peers of the router index's ordered list at
-    /// `router` (the fill RPC's server side).
-    pub fn peers_through_prefix(&self, router: RouterId, limit: usize) -> Vec<(PeerId, u32)> {
-        self.read()
-            .index()
-            .peers_through(router)
-            .take(limit)
-            .collect()
-    }
-
     /// [`ManagementServer::stats`].
     pub fn stats(&self) -> ServerStats {
         self.read().stats()
@@ -175,11 +173,6 @@ impl ActorServer {
         self.write().subscribe(client, sub)
     }
 
-    /// [`ManagementServer::unsubscribe`].
-    pub fn unsubscribe(&self, peer: PeerId) -> bool {
-        self.write().unsubscribe(peer)
-    }
-
     /// [`ManagementServer::drain_deltas`] against the wall clock.
     ///
     /// Every serve-loop iteration of every connection calls this, so with
@@ -198,6 +191,209 @@ impl ActorServer {
     /// [`ManagementServer::subscription_stats`].
     pub fn subscription_stats(&self) -> SubscriptionStats {
         self.read().subscription_stats()
+    }
+
+    /// Serves `frames` in order under one guard, handing `emit` each reply
+    /// and, when `pushes` is set and `client` is a push channel, the
+    /// deltas ready for `client` before it. `writes` says whether any
+    /// frame fails [`only_reads`]. The read guard serves a burst that
+    /// writes nothing while no delta waits; anything else takes the write
+    /// guard, which advances the subscription clock once for the burst.
+    fn serve_burst(
+        &self,
+        client: Option<u64>,
+        writes: bool,
+        pushes: bool,
+        frames: impl Iterator<Item = Message>,
+        mut emit: impl FnMut(Outbound),
+    ) {
+        let push_to = client.filter(|_| pushes);
+        if !writes {
+            let srv = self.read();
+            // Read under the guard: no write can queue a delta until it
+            // drops, and the guard's acquire sees every earlier write's.
+            if push_to.is_none() || self.sub_queue_depth.get() == 0 {
+                for msg in frames {
+                    emit(Outbound::Reply(answer_read(&srv, msg)));
+                }
+                return;
+            }
+        }
+        let mut srv = self.write();
+        let mut deltas = Vec::new();
+        for msg in frames {
+            if let Some(client) = push_to {
+                if self.sub_queue_depth.get() > 0 {
+                    srv.drain_deltas(client, usize::MAX, &mut deltas);
+                    for d in deltas.drain(..) {
+                        emit(Outbound::Push(delta_push(d)));
+                    }
+                }
+            }
+            emit(Outbound::Reply(answer(&mut srv, client, msg)));
+        }
+    }
+}
+
+/// Whether `msg` leaves the directory and the subscriptions untouched, so
+/// the read guard can serve it.
+fn only_reads(msg: &Message) -> bool {
+    !matches!(
+        msg,
+        Message::JoinRequest { .. }
+            | Message::HandoverRequest { .. }
+            | Message::Leave { .. }
+            | Message::Heartbeat { .. }
+            | Message::Subscribe { .. }
+            | Message::Unsubscribe { .. }
+    )
+}
+
+/// Answers one request under the write guard, on behalf of `client`.
+fn answer(srv: &mut ManagementServer, client: Option<u64>, msg: Message) -> Option<Message> {
+    match msg {
+        Message::JoinRequest { peer, path } => Some(Message::join_reply(
+            peer,
+            srv.register(peer, path).map(|out| out.neighbors),
+        )),
+        Message::HandoverRequest { peer, path } => Some(Message::join_reply(
+            peer,
+            srv.handover(peer, path).map(|out| out.neighbors),
+        )),
+        Message::Leave { peer } => {
+            let _ = srv.deregister(peer);
+            None
+        }
+        Message::Heartbeat { peer } => {
+            let _ = srv.heartbeat(peer);
+            None
+        }
+        Message::Subscribe {
+            nonce,
+            peer,
+            k,
+            min_interval_ms,
+        } => Some(match client {
+            Some(client) => match srv.subscribe(
+                client,
+                Subscription {
+                    peer,
+                    k: k as usize,
+                    min_interval_ms: min_interval_ms as u64,
+                },
+            ) {
+                Ok(initial) => Message::SubAck {
+                    nonce,
+                    peer,
+                    neighbors: to_wire(initial),
+                },
+                Err(e) => Message::JoinError {
+                    peer,
+                    reason: e.to_string(),
+                },
+            },
+            // No push channel: there is nowhere to deliver deltas.
+            None => Message::JoinError {
+                peer,
+                reason: "subscriptions need a push-capable connection".into(),
+            },
+        }),
+        Message::Unsubscribe { nonce, peer } => {
+            srv.unsubscribe(peer);
+            Some(Message::SubAck {
+                nonce,
+                peer,
+                neighbors: Vec::new(),
+            })
+        }
+        read => answer_read(srv, read),
+    }
+}
+
+/// Answers one request that [`only_reads`], under either guard.
+fn answer_read(srv: &ManagementServer, msg: Message) -> Option<Message> {
+    match msg {
+        Message::ProbePing { nonce } | Message::Shutdown { nonce } => {
+            Some(Message::ProbePong { nonce })
+        }
+        Message::QueryRequest {
+            nonce,
+            path,
+            k,
+            exclude,
+        } => Some(Message::QueryReply {
+            nonce,
+            neighbors: to_wire(srv.closest_to_path(&path, k as usize, exclude)),
+        }),
+        Message::FillRequest {
+            nonce,
+            router,
+            limit,
+        } => Some(Message::FillReply {
+            nonce,
+            items: srv
+                .index()
+                .peers_through(router)
+                .take(limit as usize)
+                .map(|(peer, depth)| WireNeighbor { peer, dtree: depth })
+                .collect(),
+        }),
+        Message::StatsRequest { nonce } => Some(stats_reply(srv.telemetry(), nonce)),
+        // Stray replies are not requests; drop them.
+        Message::ProbePong { .. }
+        | Message::JoinReply { .. }
+        | Message::JoinError { .. }
+        | Message::QueryReply { .. }
+        | Message::FillReply { .. }
+        | Message::DeltaPush { .. }
+        | Message::SubAck { .. }
+        | Message::StatsReply { .. } => None,
+        write => unreachable!("{} needs the write guard", write.kind_name()),
+    }
+}
+
+impl WireService for ActorServer {
+    fn handle(&self, msg: Message) -> Option<Message> {
+        self.handle_from(None, msg)
+    }
+
+    fn open_client(&self) -> Option<u64> {
+        Some(self.open_sub_client())
+    }
+
+    fn close_client(&self, client: u64) {
+        self.close_sub_client(client);
+    }
+
+    fn handle_from(&self, client: Option<u64>, msg: Message) -> Option<Message> {
+        let mut reply = None;
+        let writes = !only_reads(&msg);
+        self.serve_burst(client, writes, false, std::iter::once(msg), |out| {
+            if let Outbound::Reply(r) = out {
+                reply = r;
+            }
+        });
+        reply
+    }
+
+    fn handle_batch(
+        &self,
+        client: Option<u64>,
+        requests: &mut Vec<Message>,
+        out: &mut Vec<Outbound>,
+    ) {
+        let writes = !requests.iter().all(only_reads);
+        self.serve_burst(client, writes, true, requests.drain(..), |o| out.push(o));
+    }
+
+    fn drain_pushes(&self, client: u64, max: usize, out: &mut Vec<Message>) {
+        let mut deltas = Vec::new();
+        self.drain_deltas(client, max, &mut deltas);
+        out.extend(deltas.into_iter().map(delta_push));
+    }
+
+    fn telemetry(&self) -> Option<Arc<TelemetryRegistry>> {
+        ActorServer::telemetry(self)
     }
 }
 

@@ -11,7 +11,8 @@
 //! * [`ActorServer`] — a [`crate::ManagementServer`] behind one `RwLock`:
 //!   a write takes the write guard and calls the facade's method, a read
 //!   takes the read guard. It also owns the wall clock that rate-limits
-//!   subscription pushes;
+//!   subscription pushes. On the wire it takes the lock once per burst of
+//!   requests ([`WireService::handle_batch`]), not once per request;
 //! * [`ActorFederation`] — a [`crate::Federation`] behind one `RwLock`,
 //!   writes the same way; client queries are carried as encoded
 //!   [`crate::codec`] frames (`QueryRequest`/`FillRequest` RPCs), each
@@ -20,9 +21,10 @@
 //! * [`WireService`] — the trait both planes implement, and the only thing
 //!   the `nearpeerd` TCP server needs to know about.
 //!
-//! A write excludes that plane's readers for its duration. Callers on any
-//! number of threads (one per TCP connection in `nearpeerd`) issue reads
-//! and writes without coordinating.
+//! A write excludes that plane's readers for its duration, and an
+//! [`ActorServer`] burst that writes excludes them for the whole burst.
+//! Callers on any number of threads (one per TCP connection in
+//! `nearpeerd`) issue reads and writes without coordinating.
 
 mod actor_federation;
 mod actor_server;
@@ -32,9 +34,19 @@ pub use actor_server::ActorServer;
 
 use crate::protocol::{Message, WireNeighbor};
 use crate::router_index::Neighbor;
-use crate::subscription::Subscription;
+use crate::subscription::NeighborDelta;
 use crate::telemetry::TelemetryRegistry;
 use std::sync::Arc;
+
+/// One frame a burst sends back ([`WireService::handle_batch`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Outbound {
+    /// A server-initiated push that was ready before the next reply.
+    Push(Message),
+    /// The reply to the burst's next request; `None` for a request that
+    /// has none (fire-and-forget messages, stray replies).
+    Reply(Option<Message>),
+}
 
 /// A directory service addressable by protocol messages — the boundary
 /// between the wire (`nearpeerd`'s per-connection frame loops) and the
@@ -54,6 +66,10 @@ use std::sync::Arc;
 /// [`Message::DeltaPush`] frames ready for that client. The defaults make
 /// all of this opt-in — a service without subscriptions implements
 /// `handle` alone and rejects [`Message::Subscribe`] there.
+///
+/// A transport that has several requests of one connection in hand at
+/// once passes them to `handle_batch`, which answers them in order with
+/// the pushes that fence each reply; its default is the per-request loop.
 pub trait WireService: Send + Sync {
     /// Handles one request message, returning the reply, if any.
     fn handle(&self, msg: Message) -> Option<Message>;
@@ -76,6 +92,31 @@ pub trait WireService: Send + Sync {
         self.handle(msg)
     }
 
+    /// Handles a burst of requests from `client`, draining `requests` in
+    /// order. For each request it appends to `out` the pushes ready for
+    /// `client` before it, then exactly one [`Outbound::Reply`], so a
+    /// reply still fences every delta queued before its request.
+    ///
+    /// The default is the per-request loop: [`WireService::drain_pushes`],
+    /// then [`WireService::handle_from`]. [`ActorServer`] overrides it to
+    /// take its lock once for the whole burst, which then applies
+    /// atomically with respect to every other caller.
+    fn handle_batch(
+        &self,
+        client: Option<u64>,
+        requests: &mut Vec<Message>,
+        out: &mut Vec<Outbound>,
+    ) {
+        let mut pushes = Vec::new();
+        for msg in requests.drain(..) {
+            if let Some(client) = client {
+                self.drain_pushes(client, usize::MAX, &mut pushes);
+                out.extend(pushes.drain(..).map(Outbound::Push));
+            }
+            out.push(Outbound::Reply(self.handle_from(client, msg)));
+        }
+    }
+
     /// Drains up to `max` server-initiated push frames ready for
     /// `client` into `out`. The default pushes nothing.
     fn drain_pushes(&self, _client: u64, _max: usize, _out: &mut Vec<Message>) {}
@@ -91,13 +132,10 @@ pub trait WireService: Send + Sync {
 
 /// The [`Message::StatsRequest`] answer every service shares: render the
 /// bound registry, or an empty exposition when none is bound.
-fn stats_reply(service: &impl WireService, nonce: u64) -> Message {
+fn stats_reply(telemetry: Option<Arc<TelemetryRegistry>>, nonce: u64) -> Message {
     Message::StatsReply {
         nonce,
-        text: service
-            .telemetry()
-            .map(|t| t.render_text())
-            .unwrap_or_default(),
+        text: telemetry.map(|t| t.render_text()).unwrap_or_default(),
     }
 }
 
@@ -112,132 +150,14 @@ fn to_wire(neighbors: Vec<Neighbor>) -> Vec<WireNeighbor> {
         .collect()
 }
 
-impl WireService for ActorServer {
-    fn handle(&self, msg: Message) -> Option<Message> {
-        match msg {
-            Message::ProbePing { nonce } => Some(Message::ProbePong { nonce }),
-            Message::JoinRequest { peer, path } => Some(Message::join_reply(
-                peer,
-                self.register(peer, path).map(|out| out.neighbors),
-            )),
-            Message::HandoverRequest { peer, path } => Some(Message::join_reply(
-                peer,
-                self.handover(peer, path).map(|out| out.neighbors),
-            )),
-            Message::Leave { peer } => {
-                let _ = self.deregister(peer);
-                None
-            }
-            Message::Heartbeat { peer } => {
-                let _ = self.heartbeat(peer);
-                None
-            }
-            Message::QueryRequest {
-                nonce,
-                path,
-                k,
-                exclude,
-            } => Some(Message::QueryReply {
-                nonce,
-                neighbors: to_wire(self.closest_to_path(&path, k as usize, exclude)),
-            }),
-            Message::FillRequest {
-                nonce,
-                router,
-                limit,
-            } => Some(Message::FillReply {
-                nonce,
-                items: self
-                    .peers_through_prefix(router, limit as usize)
-                    .into_iter()
-                    .map(|(peer, depth)| WireNeighbor { peer, dtree: depth })
-                    .collect(),
-            }),
-            Message::Shutdown { nonce } => Some(Message::ProbePong { nonce }),
-            // Subscribing through plain `handle` means the transport never
-            // opened a push channel — there is nowhere to deliver deltas.
-            Message::Subscribe { peer, .. } => Some(Message::JoinError {
-                peer,
-                reason: "subscriptions need a push-capable connection".into(),
-            }),
-            Message::Unsubscribe { nonce, peer } => {
-                self.unsubscribe(peer);
-                Some(Message::SubAck {
-                    nonce,
-                    peer,
-                    neighbors: Vec::new(),
-                })
-            }
-            Message::StatsRequest { nonce } => Some(stats_reply(self, nonce)),
-            // Stray replies are not requests; drop them.
-            Message::ProbePong { .. }
-            | Message::JoinReply { .. }
-            | Message::JoinError { .. }
-            | Message::QueryReply { .. }
-            | Message::FillReply { .. }
-            | Message::DeltaPush { .. }
-            | Message::SubAck { .. }
-            | Message::StatsReply { .. } => None,
-        }
-    }
-
-    fn open_client(&self) -> Option<u64> {
-        Some(self.open_sub_client())
-    }
-
-    fn close_client(&self, client: u64) {
-        self.close_sub_client(client);
-    }
-
-    fn handle_from(&self, client: Option<u64>, msg: Message) -> Option<Message> {
-        match msg {
-            Message::Subscribe {
-                nonce,
-                peer,
-                k,
-                min_interval_ms,
-            } => Some(match client {
-                Some(client) => match self.subscribe(
-                    client,
-                    Subscription {
-                        peer,
-                        k: k as usize,
-                        min_interval_ms: min_interval_ms as u64,
-                    },
-                ) {
-                    Ok(initial) => Message::SubAck {
-                        nonce,
-                        peer,
-                        neighbors: to_wire(initial),
-                    },
-                    Err(e) => Message::JoinError {
-                        peer,
-                        reason: e.to_string(),
-                    },
-                },
-                None => Message::JoinError {
-                    peer,
-                    reason: "subscriptions need a push-capable connection".into(),
-                },
-            }),
-            other => self.handle(other),
-        }
-    }
-
-    fn drain_pushes(&self, client: u64, max: usize, out: &mut Vec<Message>) {
-        let mut deltas = Vec::new();
-        self.drain_deltas(client, max, &mut deltas);
-        out.extend(deltas.into_iter().map(|d| Message::DeltaPush {
-            peer: d.peer,
-            epoch: d.epoch,
-            class: d.class.code(),
-            added: to_wire(d.added),
-            removed: d.removed,
-        }));
-    }
-
-    fn telemetry(&self) -> Option<Arc<TelemetryRegistry>> {
-        ActorServer::telemetry(self)
+/// A drained subscription delta as its wire push.
+fn delta_push(d: NeighborDelta) -> Message {
+    Message::DeltaPush {
+        peer: d.peer,
+        epoch: d.epoch,
+        class: d.class.code(),
+        added: to_wire(d.added),
+        removed: d.removed,
     }
 }
 
@@ -291,7 +211,7 @@ impl WireService for ActorFederation {
                 peer,
                 neighbors: Vec::new(),
             }),
-            Message::StatsRequest { nonce } => Some(stats_reply(self, nonce)),
+            Message::StatsRequest { nonce } => Some(stats_reply(self.telemetry(), nonce)),
             Message::ProbePong { .. }
             | Message::JoinReply { .. }
             | Message::JoinError { .. }

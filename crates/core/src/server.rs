@@ -1934,4 +1934,35 @@ mod tests {
         assert!(!recovered.index().contains(PeerId(501)));
         assert_same_directory(&live, &recovered);
     }
+
+    #[test]
+    fn leave_join_cycles_within_one_epoch_keep_the_snapshot_bounded() {
+        const PEERS: u64 = 1_000;
+        let mut srv = two_landmark_server(ServerConfig::default());
+        let joins = || -> Vec<(PeerId, PeerPath)> {
+            (0..PEERS)
+                .map(|p| {
+                    (
+                        PeerId(p),
+                        path(&[1_000 + p as u32, 2 + (p % 8) as u32, 1, 0]),
+                    )
+                })
+                .collect()
+        };
+        let peers: Vec<PeerId> = (0..PEERS).map(PeerId).collect();
+        srv.register_batch(joins());
+        let first = srv.snapshot_bytes().unwrap().len();
+        // 50 000 lease opens at epoch 0, all but the last 1 000 closed: a
+        // note per open kept forever would add 400 kB.
+        for _ in 0..50 {
+            assert_eq!(srv.leave_batch(&peers), PEERS as usize);
+            assert_eq!(srv.register_batch(joins()).joined, PEERS as usize);
+        }
+        assert_eq!(srv.epoch(), 0);
+        let last = srv.snapshot_bytes().unwrap().len();
+        assert!(
+            last <= 2 * first,
+            "snapshot grew from {first} to {last} bytes at a fixed population"
+        );
+    }
 }
