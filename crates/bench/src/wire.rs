@@ -16,7 +16,6 @@ use nearpeer_core::{
     TelemetryRegistry, WireService,
 };
 use nearpeer_topology::RouterId;
-use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -359,11 +358,11 @@ impl FrameConn {
 
 /// Per-kind serving metrics, cached per connection so the hot loop
 /// touches the registry's entry lock once per message kind seen, not
-/// once per frame. Kinds index by their `&'static` name, so the cache
-/// costs one `HashMap` probe per frame.
+/// once per frame. The cache is an array indexed by the kind byte
+/// ([`Message::kind`]), so a frame costs one index, not a hash.
 struct ServeMetrics {
     reg: Arc<TelemetryRegistry>,
-    per_kind: HashMap<&'static str, KindMetrics>,
+    per_kind: [Option<KindMetrics>; Message::MAX_KIND as usize + 1],
     /// Requests per burst handed to [`WireService::handle_batch`].
     batch_frames: Arc<Histogram>,
 }
@@ -384,12 +383,13 @@ impl ServeMetrics {
         Self {
             batch_frames: reg.histogram("wire_batch_frames"),
             reg,
-            per_kind: HashMap::new(),
+            per_kind: Default::default(),
         }
     }
 
-    fn kind(&mut self, name: &'static str) -> &KindMetrics {
-        self.per_kind.entry(name).or_insert_with(|| {
+    /// The metrics of kind byte `kind`, labelled by its `name`.
+    fn kind(&mut self, kind: u8, name: &'static str) -> &KindMetrics {
+        self.per_kind[kind as usize].get_or_insert_with(|| {
             let label = format!("kind=\"{name}\"");
             KindMetrics {
                 frames: self.reg.counter_labeled("wire_frames_total", &label),
@@ -491,8 +491,9 @@ fn serve_frames(
     let mut grace_left = SHUTDOWN_GRACE_WINDOWS;
     let mut pushes: Vec<Message> = Vec::new();
     let mut burst: Vec<Message> = Vec::with_capacity(BATCH_FRAMES);
-    // Each request's kind and, once queued, its reply's length.
-    let mut served: Vec<(&'static str, Option<usize>)> = Vec::with_capacity(BATCH_FRAMES);
+    // Each request's kind byte and name and, once queued, its reply's
+    // length.
+    let mut served: Vec<(u8, &'static str, Option<usize>)> = Vec::with_capacity(BATCH_FRAMES);
     let mut out: Vec<Outbound> = Vec::new();
     let mut metrics = service.telemetry().map(ServeMetrics::new);
     if let Some(m) = &metrics {
@@ -516,7 +517,7 @@ fn serve_frames(
                 }
                 let stop = matches!(burst.last(), Some(Message::Shutdown { .. }));
                 served.clear();
-                served.extend(burst.iter().map(|m| (m.kind_name(), None)));
+                served.extend(burst.iter().map(|m| (m.kind(), m.kind_name(), None)));
                 let started = metrics
                     .as_ref()
                     .filter(|m| m.reg.timing_enabled())
@@ -530,7 +531,7 @@ fn serve_frames(
                         }
                         Outbound::Reply(reply) => {
                             let slot = replies.next().expect("one reply per request");
-                            slot.1 = reply.map(|r| conn.queue(&r));
+                            slot.2 = reply.map(|r| conn.queue(&r));
                         }
                     }
                     if conn.flush_if_full().is_err() {
@@ -540,8 +541,8 @@ fn serve_frames(
                 if let Some(m) = metrics.as_mut() {
                     m.batch_frames.record(served.len() as u64);
                     let serve_us = started.map(|s| s.elapsed().as_micros() as u64);
-                    for &(kind, reply_len) in &served {
-                        let km = m.kind(kind);
+                    for &(kind, name, reply_len) in &served {
+                        let km = m.kind(kind, name);
                         km.frames.inc();
                         if let Some(len) = reply_len {
                             km.reply_bytes.record(len as u64);

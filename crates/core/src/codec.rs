@@ -12,6 +12,15 @@
 //! unknown versions or kinds, truncated payloads and trailing garbage
 //! inside a frame are typed errors, never panics — malformed input from the
 //! network must not take the server down.
+//!
+//! Both directions work in place. [`encode`] reserves the frame's exact
+//! size once, appends the header and payload straight onto `dst` and
+//! patches the length field last, so encoding into a warmed buffer (a
+//! connection's output queue) allocates nothing. [`decode`] reads the
+//! payload through a cursor over the frame's bytes where they lie in the
+//! read buffer and then advances past them: the only allocations are the
+//! decoded message's own `Vec`s and `String`s (and [`PeerPath::new`]'s
+//! loop check).
 
 use crate::ids::PeerId;
 use crate::path::PeerPath;
@@ -26,6 +35,12 @@ pub const WIRE_VERSION: u8 = 1;
 /// Upper bound on a frame's `len` field — a peer path cannot plausibly
 /// exceed this, so anything larger is treated as an attack or corruption.
 pub const MAX_FRAME_LEN: u32 = 1 << 20;
+
+/// Longest `StatsReply` text a frame carries: a full registry exposition
+/// can exceed the u16 range long before it nears [`MAX_FRAME_LEN`], so its
+/// length is a u32, clamped to what fits beside the header, nonce and
+/// length field.
+const MAX_STATS_TEXT: usize = MAX_FRAME_LEN as usize - (2 + 8 + 4);
 
 /// Decoding failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,96 +72,137 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// Encodes a message as one frame appended to `dst`.
+/// Bytes [`encode`] appends for `msg`, length field included. It only
+/// sizes the reservation: the length field is patched from what was
+/// actually written.
+fn frame_len(msg: &Message) -> usize {
+    let path = |p: &PeerPath| 2 + 4 * p.routers().len();
+    let neighbors = |n: &[WireNeighbor]| 2 + 12 * n.len();
+    let payload = match msg {
+        Message::ProbePing { .. }
+        | Message::ProbePong { .. }
+        | Message::Leave { .. }
+        | Message::Heartbeat { .. }
+        | Message::Shutdown { .. }
+        | Message::StatsRequest { .. } => 8,
+        Message::JoinRequest { path: p, .. } | Message::HandoverRequest { path: p, .. } => {
+            8 + path(p)
+        }
+        Message::JoinReply {
+            neighbors: n,
+            delegate,
+            ..
+        } => 8 + neighbors(n) + 1 + 8 * usize::from(delegate.is_some()),
+        Message::JoinError { reason, .. } => 8 + 2 + reason.len().min(u16::MAX as usize),
+        Message::QueryRequest {
+            path: p, exclude, ..
+        } => 8 + path(p) + 2 + 1 + 8 * usize::from(exclude.is_some()),
+        Message::QueryReply { neighbors: n, .. } | Message::FillReply { items: n, .. } => {
+            8 + neighbors(n)
+        }
+        Message::FillRequest { .. } => 8 + 4 + 2,
+        Message::Subscribe { .. } => 8 + 8 + 2 + 4,
+        Message::Unsubscribe { .. } => 8 + 8,
+        Message::DeltaPush { added, removed, .. } => {
+            8 + 8 + 1 + neighbors(added) + 2 + 8 * removed.len()
+        }
+        Message::SubAck { neighbors: n, .. } => 8 + 8 + neighbors(n),
+        Message::StatsReply { text, .. } => 8 + 4 + text.len().min(MAX_STATS_TEXT),
+    };
+    4 + 2 + payload
+}
+
+/// Encodes a message as one frame appended to `dst`, in place: one
+/// reservation of the frame's size, no intermediate buffer.
 pub fn encode(msg: &Message, dst: &mut BytesMut) {
-    let mut payload = BytesMut::new();
+    dst.reserve(frame_len(msg));
+    let start = dst.len();
+    dst.put_u32(0); // the length, patched once the payload is in
+    dst.put_u8(WIRE_VERSION);
+    dst.put_u8(msg.kind());
     match msg {
-        Message::ProbePing { nonce } => payload.put_u64(*nonce),
-        Message::ProbePong { nonce } => payload.put_u64(*nonce),
+        Message::ProbePing { nonce } => dst.put_u64(*nonce),
+        Message::ProbePong { nonce } => dst.put_u64(*nonce),
         Message::JoinRequest { peer, path } => {
-            payload.put_u64(peer.0);
-            put_path(&mut payload, path);
+            dst.put_u64(peer.0);
+            put_path(dst, path);
         }
         Message::JoinReply {
             peer,
             neighbors,
             delegate,
         } => {
-            payload.put_u64(peer.0);
-            payload.put_u16(neighbors.len() as u16);
-            for n in neighbors {
-                payload.put_u64(n.peer.0);
-                payload.put_u32(n.dtree);
-            }
+            dst.put_u64(peer.0);
+            put_neighbors(dst, neighbors);
             match delegate {
                 Some(d) => {
-                    payload.put_u8(1);
-                    payload.put_u64(d.0);
+                    dst.put_u8(1);
+                    dst.put_u64(d.0);
                 }
-                None => payload.put_u8(0),
+                None => dst.put_u8(0),
             }
         }
         Message::JoinError { peer, reason } => {
-            payload.put_u64(peer.0);
-            let bytes = reason.as_bytes();
-            payload.put_u16(bytes.len().min(u16::MAX as usize) as u16);
-            payload.put_slice(&bytes[..bytes.len().min(u16::MAX as usize)]);
+            dst.put_u64(peer.0);
+            let bytes = &reason.as_bytes()[..reason.len().min(u16::MAX as usize)];
+            dst.put_u16(bytes.len() as u16);
+            dst.put_slice(bytes);
         }
-        Message::Leave { peer } => payload.put_u64(peer.0),
+        Message::Leave { peer } => dst.put_u64(peer.0),
         Message::HandoverRequest { peer, path } => {
-            payload.put_u64(peer.0);
-            put_path(&mut payload, path);
+            dst.put_u64(peer.0);
+            put_path(dst, path);
         }
-        Message::Heartbeat { peer } => payload.put_u64(peer.0),
+        Message::Heartbeat { peer } => dst.put_u64(peer.0),
         Message::QueryRequest {
             nonce,
             path,
             k,
             exclude,
         } => {
-            payload.put_u64(*nonce);
-            put_path(&mut payload, path);
-            payload.put_u16(*k);
+            dst.put_u64(*nonce);
+            put_path(dst, path);
+            dst.put_u16(*k);
             match exclude {
                 Some(p) => {
-                    payload.put_u8(1);
-                    payload.put_u64(p.0);
+                    dst.put_u8(1);
+                    dst.put_u64(p.0);
                 }
-                None => payload.put_u8(0),
+                None => dst.put_u8(0),
             }
         }
         Message::QueryReply { nonce, neighbors } => {
-            payload.put_u64(*nonce);
-            put_neighbors(&mut payload, neighbors);
+            dst.put_u64(*nonce);
+            put_neighbors(dst, neighbors);
         }
         Message::FillRequest {
             nonce,
             router,
             limit,
         } => {
-            payload.put_u64(*nonce);
-            payload.put_u32(router.0);
-            payload.put_u16(*limit);
+            dst.put_u64(*nonce);
+            dst.put_u32(router.0);
+            dst.put_u16(*limit);
         }
         Message::FillReply { nonce, items } => {
-            payload.put_u64(*nonce);
-            put_neighbors(&mut payload, items);
+            dst.put_u64(*nonce);
+            put_neighbors(dst, items);
         }
-        Message::Shutdown { nonce } => payload.put_u64(*nonce),
+        Message::Shutdown { nonce } => dst.put_u64(*nonce),
         Message::Subscribe {
             nonce,
             peer,
             k,
             min_interval_ms,
         } => {
-            payload.put_u64(*nonce);
-            payload.put_u64(peer.0);
-            payload.put_u16(*k);
-            payload.put_u32(*min_interval_ms);
+            dst.put_u64(*nonce);
+            dst.put_u64(peer.0);
+            dst.put_u16(*k);
+            dst.put_u32(*min_interval_ms);
         }
         Message::Unsubscribe { nonce, peer } => {
-            payload.put_u64(*nonce);
-            payload.put_u64(peer.0);
+            dst.put_u64(*nonce);
+            dst.put_u64(peer.0);
         }
         Message::DeltaPush {
             peer,
@@ -155,13 +211,13 @@ pub fn encode(msg: &Message, dst: &mut BytesMut) {
             added,
             removed,
         } => {
-            payload.put_u64(peer.0);
-            payload.put_u64(*epoch);
-            payload.put_u8(*class);
-            put_neighbors(&mut payload, added);
-            payload.put_u16(removed.len() as u16);
+            dst.put_u64(peer.0);
+            dst.put_u64(*epoch);
+            dst.put_u8(*class);
+            put_neighbors(dst, added);
+            dst.put_u16(removed.len() as u16);
             for p in removed {
-                payload.put_u64(p.0);
+                dst.put_u64(p.0);
             }
         }
         Message::SubAck {
@@ -169,33 +225,28 @@ pub fn encode(msg: &Message, dst: &mut BytesMut) {
             peer,
             neighbors,
         } => {
-            payload.put_u64(*nonce);
-            payload.put_u64(peer.0);
-            put_neighbors(&mut payload, neighbors);
+            dst.put_u64(*nonce);
+            dst.put_u64(peer.0);
+            put_neighbors(dst, neighbors);
         }
-        Message::StatsRequest { nonce } => payload.put_u64(*nonce),
+        Message::StatsRequest { nonce } => dst.put_u64(*nonce),
         Message::StatsReply { nonce, text } => {
-            payload.put_u64(*nonce);
-            // u32 length: a full registry exposition can exceed the u16
-            // range long before it nears MAX_FRAME_LEN.
-            let bytes = text.as_bytes();
-            let max = (MAX_FRAME_LEN as usize).saturating_sub(2 + 8 + 4);
-            payload.put_u32(bytes.len().min(max) as u32);
-            payload.put_slice(&bytes[..bytes.len().min(max)]);
+            dst.put_u64(*nonce);
+            let bytes = &text.as_bytes()[..text.len().min(MAX_STATS_TEXT)];
+            dst.put_u32(bytes.len() as u32);
+            dst.put_slice(bytes);
         }
     }
-    let len = payload.len() as u32 + 2;
+    let len = dst.len() - start - 4;
     assert!(
-        len <= MAX_FRAME_LEN,
+        len <= MAX_FRAME_LEN as usize,
         "encoded frame of {len} bytes exceeds MAX_FRAME_LEN"
     );
-    dst.put_u32(len);
-    dst.put_u8(WIRE_VERSION);
-    dst.put_u8(msg.kind());
-    dst.extend_from_slice(&payload);
+    debug_assert_eq!(4 + len, frame_len(msg), "frame_len agrees with encode");
+    dst[start..start + 4].copy_from_slice(&(len as u32).to_be_bytes());
 }
 
-/// Encodes to a fresh buffer (convenience).
+/// Encodes to a fresh buffer of exactly the frame's size (convenience).
 pub fn encode_to_bytes(msg: &Message) -> Bytes {
     let mut buf = BytesMut::new();
     encode(msg, &mut buf);
@@ -227,24 +278,38 @@ fn put_neighbors(dst: &mut BytesMut, neighbors: &[WireNeighbor]) {
 /// the limit means the stream cannot be trusted to resync, so the caller
 /// must drop the connection.
 pub fn decode(src: &mut BytesMut) -> Result<Message, CodecError> {
-    if src.len() < 4 {
-        return Err(CodecError::Incomplete);
-    }
-    let len = u32::from_be_bytes([src[0], src[1], src[2], src[3]]);
+    let (consumed, msg) = decode_slice(src);
+    src.advance(consumed);
+    msg
+}
+
+/// [`decode`] over borrowed bytes: decodes the frame at the front of `src`
+/// without copying it, and returns how many bytes `decode` consumes for
+/// that result (the whole frame, or 0 on `Incomplete` and
+/// `FrameTooLarge`) beside it.
+pub(crate) fn decode_slice(src: &[u8]) -> (usize, Result<Message, CodecError>) {
+    let Some(prefix) = src.first_chunk::<4>() else {
+        return (0, Err(CodecError::Incomplete));
+    };
+    let len = u32::from_be_bytes(*prefix);
     // Hostile/corrupt length prefix: reject before buffering or allocating
     // anything for the claimed payload.
     if len > MAX_FRAME_LEN {
-        return Err(CodecError::FrameTooLarge(len));
+        return (0, Err(CodecError::FrameTooLarge(len)));
     }
-    if src.len() < 4 + len as usize {
-        return Err(CodecError::Incomplete);
+    let end = 4 + len as usize;
+    match src.get(4..end) {
+        Some(frame) => (end, decode_frame(frame)),
+        None => (0, Err(CodecError::Incomplete)),
     }
-    if len < 2 {
-        src.advance(4 + len as usize);
+}
+
+/// Decodes one complete frame's bytes (everything after the length
+/// field); every byte must belong to the message.
+fn decode_frame(mut frame: &[u8]) -> Result<Message, CodecError> {
+    if frame.len() < 2 {
         return Err(CodecError::BadPayload("frame shorter than header".into()));
     }
-    src.advance(4);
-    let mut frame = src.split_to(len as usize);
     let version = frame.get_u8();
     let kind = frame.get_u8();
     if version != WIRE_VERSION {
@@ -260,7 +325,7 @@ pub fn decode(src: &mut BytesMut) -> Result<Message, CodecError> {
     Ok(msg)
 }
 
-fn need(frame: &BytesMut, n: usize, what: &str) -> Result<(), CodecError> {
+fn need(frame: &[u8], n: usize, what: &str) -> Result<(), CodecError> {
     if frame.len() < n {
         Err(CodecError::BadPayload(format!("truncated {what}")))
     } else {
@@ -268,7 +333,17 @@ fn need(frame: &BytesMut, n: usize, what: &str) -> Result<(), CodecError> {
     }
 }
 
-fn get_path(frame: &mut BytesMut) -> Result<PeerPath, CodecError> {
+/// The next `n` bytes as UTF-8 text.
+fn get_text(frame: &mut &[u8], n: usize, what: &str) -> Result<String, CodecError> {
+    need(frame, n, what)?;
+    let text = std::str::from_utf8(&frame[..n])
+        .map_err(|e| CodecError::BadPayload(e.to_string()))?
+        .to_owned();
+    frame.advance(n);
+    Ok(text)
+}
+
+fn get_path(frame: &mut &[u8]) -> Result<PeerPath, CodecError> {
     need(frame, 2, "path length")?;
     let n = frame.get_u16() as usize;
     need(frame, n * 4, "path routers")?;
@@ -276,7 +351,7 @@ fn get_path(frame: &mut BytesMut) -> Result<PeerPath, CodecError> {
     PeerPath::new(routers).map_err(|e| CodecError::BadPayload(e.to_string()))
 }
 
-fn get_neighbors(frame: &mut BytesMut) -> Result<Vec<WireNeighbor>, CodecError> {
+fn get_neighbors(frame: &mut &[u8]) -> Result<Vec<WireNeighbor>, CodecError> {
     need(frame, 2, "neighbor count")?;
     let n = frame.get_u16() as usize;
     need(frame, n * 12, "neighbors")?;
@@ -288,7 +363,7 @@ fn get_neighbors(frame: &mut BytesMut) -> Result<Vec<WireNeighbor>, CodecError> 
         .collect())
 }
 
-fn decode_payload(kind: u8, frame: &mut BytesMut) -> Result<Message, CodecError> {
+fn decode_payload(kind: u8, frame: &mut &[u8]) -> Result<Message, CodecError> {
     match kind {
         1 | 2 => {
             need(frame, 8, "nonce")?;
@@ -338,9 +413,7 @@ fn decode_payload(kind: u8, frame: &mut BytesMut) -> Result<Message, CodecError>
             need(frame, 8 + 2, "join error header")?;
             let peer = PeerId(frame.get_u64());
             let n = frame.get_u16() as usize;
-            need(frame, n, "reason")?;
-            let reason = String::from_utf8(frame.split_to(n).to_vec())
-                .map_err(|e| CodecError::BadPayload(e.to_string()))?;
+            let reason = get_text(frame, n, "reason")?;
             Ok(Message::JoinError { peer, reason })
         }
         6 => {
@@ -458,9 +531,7 @@ fn decode_payload(kind: u8, frame: &mut BytesMut) -> Result<Message, CodecError>
             need(frame, 8 + 4, "stats reply header")?;
             let nonce = frame.get_u64();
             let n = frame.get_u32() as usize;
-            need(frame, n, "stats text")?;
-            let text = String::from_utf8(frame.split_to(n).to_vec())
-                .map_err(|e| CodecError::BadPayload(e.to_string()))?;
+            let text = get_text(frame, n, "stats text")?;
             Ok(Message::StatsReply { nonce, text })
         }
         other => Err(CodecError::UnknownKind(other)),
@@ -609,6 +680,48 @@ mod tests {
             let decoded = decode(&mut buf).unwrap();
             assert_eq!(decoded, msg);
             assert!(buf.is_empty(), "frame fully consumed");
+        }
+    }
+
+    /// The exact bytes of one frame per message in [`all_messages`], in
+    /// that order: any change to the encoder that moves a wire byte fails
+    /// here, not only in a peer running the previous build.
+    #[test]
+    fn golden_wire_bytes() {
+        const GOLDEN: [&str; 24] = [
+            "0000000a010100000000deadbeef", // probe-ping
+            "0000000a0102000000000000002a", // probe-pong
+            "00000018010300000000000000070003000000090000000400000000", // join-request
+            "0000002d010400000000000000070002000000000000000100000002000000000000000200000005010000000000000001", // join-reply
+            "0000000d01040000000000000008000000", // join-reply
+            "0000001c010500000000000000090010756e6b6e6f776e206c616e646d61726b", // join-error
+            "0000000a01060000000000000003", // leave
+            "00000018010700000000000000040003000000090000000400000000", // handover-request
+            "0000000a01080000000000000005", // heartbeat
+            "000000230109000000000000000b00030000000900000004000000000005010000000000000007", // query-request
+            "0000001b0109000000000000000c0003000000090000000400000000000100", // query-request
+            "00000024010a000000000000000b0002000000000000000300000001000000000000000400000009", // query-reply
+            "0000000c010a000000000000000c0000", // query-reply
+            "00000010010b000000000000000d000000040010", // fill-request
+            "00000018010c000000000000000d0001000000000000000600000000", // fill-reply
+            "0000000a010d000000000000000e", // shutdown
+            "00000018010e000000000000000f00000000000000070008000000fa", // subscribe
+            "00000012010f00000000000000100000000000000007", // unsubscribe
+            "00000033011000000000000000070000000000000003020001000000000000000900000004000200000000000000010000000000000002", // delta-push
+            "000000170110000000000000000800000000000000000000000000", // delta-push
+            "000000200111000000000000000f00000000000000070001000000000000000900000004", // sub-ack
+            "0000000a01120000000000000011", // stats-request
+            "0000004101130000000000000011000000336469725f717565726965735f746f74616c2031320a6469725f71756572795f6c6174656e63795f75735f636f756e742031320a", // stats-reply
+            "0000000e0113000000000000001200000000", // stats-reply
+        ];
+        let msgs = all_messages();
+        assert_eq!(msgs.len(), GOLDEN.len());
+        for (msg, want) in msgs.iter().zip(GOLDEN) {
+            let hex: String = encode_to_bytes(msg)
+                .iter()
+                .map(|b| format!("{b:02x}"))
+                .collect();
+            assert_eq!(hex, want, "{} frame moved on the wire", msg.kind_name());
         }
     }
 

@@ -227,6 +227,11 @@ impl Message {
         }
     }
 
+    /// Largest discriminant [`Self::kind`] returns: kinds run
+    /// `1..=MAX_KIND`, so a table indexed by kind needs `MAX_KIND + 1`
+    /// slots.
+    pub const MAX_KIND: u8 = 19;
+
     /// Discriminant used by the wire codec.
     pub fn kind(&self) -> u8 {
         match self {
@@ -359,6 +364,8 @@ mod tests {
         kinds.sort();
         kinds.dedup();
         assert_eq!(kinds.len(), msgs.len());
+        assert_eq!(kinds.first(), Some(&1));
+        assert_eq!(kinds.last(), Some(&Message::MAX_KIND));
         for m in &msgs {
             assert!(!m.kind_name().is_empty());
         }

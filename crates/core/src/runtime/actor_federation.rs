@@ -36,7 +36,7 @@ use crate::protocol::{Message, WireNeighbor};
 use crate::router_index::Neighbor;
 use crate::server::ManagementServer;
 use crate::telemetry::{Counter, Histogram, SlowQueryRecord, TelemetryRegistry};
-use bytes::{Bytes, BytesMut};
+use bytes::BytesMut;
 use nearpeer_topology::RouterId;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -218,7 +218,8 @@ impl ActorFederation {
         let consulted = fed.query_regions(home.map(|(region, _)| region));
         self.remote.add(consulted.len().saturating_sub(1) as u64);
         let nonce = self.nonce.fetch_add(1, Ordering::Relaxed);
-        let frame = codec::encode_to_bytes(&Message::QueryRequest {
+        let mut frames = Frames::default();
+        frames.request(&Message::QueryRequest {
             nonce,
             path: path.clone(),
             k: k.min(u16::MAX as usize) as u16,
@@ -226,7 +227,7 @@ impl ActorFederation {
         });
         let mut result: Vec<Neighbor> = Vec::new();
         for &r in &consulted {
-            match rpc(fed, r, &frame) {
+            match frames.rpc(fed, r) {
                 Message::QueryReply {
                     nonce: n,
                     neighbors,
@@ -246,8 +247,16 @@ impl ActorFederation {
         if result.len() < k && fed.fills_enabled() {
             if let Some((_, own_global)) = home {
                 let missing = k - result.len();
-                let fill = self
-                    .bridge_fill_rpc(fed, path, own_global, missing, &consulted, exclude, &result);
+                let fill = self.bridge_fill_rpc(
+                    fed,
+                    &mut frames,
+                    path,
+                    own_global,
+                    missing,
+                    &consulted,
+                    exclude,
+                    &result,
+                );
                 self.fills.add(fill.len() as u64);
                 result.extend(fill);
             }
@@ -278,6 +287,7 @@ impl ActorFederation {
     fn bridge_fill_rpc(
         &self,
         fed: &Federation,
+        frames: &mut Frames,
         path: &PeerPath,
         own_global: u32,
         missing: usize,
@@ -297,12 +307,12 @@ impl ActorFederation {
                 continue;
             }
             let nonce = self.nonce.fetch_add(1, Ordering::Relaxed);
-            let frame = codec::encode_to_bytes(&Message::FillRequest {
+            frames.request(&Message::FillRequest {
                 nonce,
                 router: lrouter,
                 limit,
             });
-            match rpc(fed, region, &frame) {
+            match frames.rpc(fed, region) {
                 Message::FillReply { nonce: n, items } => {
                     debug_assert_eq!(n, nonce, "reply correlates to this request");
                     prefixes.push((query::fill_base(query_depth, bridge), items));
@@ -329,18 +339,39 @@ impl std::fmt::Debug for ActorFederation {
     }
 }
 
-/// One region RPC: `region`'s handler answers `frame` on the calling
-/// thread and the reply frame is decoded.
-fn rpc(fed: &Federation, region: RegionId, frame: &Bytes) -> Message {
-    decode_frame(&serve_query_frame(fed.region(region).server(), frame))
+/// One query's frame buffers, reused by every RPC it makes: each request
+/// is encoded once into `request`, and every region's reply is encoded
+/// into `reply` and decoded from it in place, so neither regrows from
+/// empty per frame.
+#[derive(Default)]
+struct Frames {
+    request: BytesMut,
+    reply: BytesMut,
+}
+
+impl Frames {
+    /// Makes `msg` the request the next [`Self::rpc`] calls carry.
+    fn request(&mut self, msg: &Message) {
+        self.request.clear();
+        codec::encode(msg, &mut self.request);
+    }
+
+    /// One region RPC: `region`'s handler answers the current request on
+    /// the calling thread and the reply frame is decoded.
+    fn rpc(&mut self, fed: &Federation, region: RegionId) -> Message {
+        self.reply.clear();
+        serve_query_frame(fed.region(region).server(), &self.request, &mut self.reply);
+        decode_frame(&self.reply)
+    }
 }
 
 /// The region-side half of the RPC: decode the request frame, answer
-/// from the server's read path, encode the reply frame. `QueryRequest`
-/// here asks for the region's **exact candidates** (`query_nearest`),
-/// not a federated answer — the front door owns merging and fills.
-fn serve_query_frame(srv: &ManagementServer, frame: &Bytes) -> Bytes {
-    let reply = match decode_frame(frame) {
+/// from the server's read path, encode the reply frame onto `reply`.
+/// `QueryRequest` here asks for the region's **exact candidates**
+/// (`query_nearest`), not a federated answer — the front door owns
+/// merging and fills.
+fn serve_query_frame(srv: &ManagementServer, frame: &[u8], reply: &mut BytesMut) {
+    let answer = match decode_frame(frame) {
         Message::QueryRequest {
             nonce,
             path,
@@ -373,15 +404,16 @@ fn serve_query_frame(srv: &ManagementServer, frame: &Bytes) -> Bytes {
         }
         other => unreachable!("region received {}", other.kind_name()),
     };
-    codec::encode_to_bytes(&reply)
+    codec::encode(&answer, reply);
 }
 
-/// Decodes one well-formed internal frame (the front door and the region
-/// handler only exchange frames they encoded themselves).
-fn decode_frame(frame: &Bytes) -> Message {
-    let mut buf = BytesMut::new();
-    buf.extend_from_slice(frame);
-    codec::decode(&mut buf).expect("internal frames are well-formed")
+/// Decodes one well-formed internal frame where it lies (the front door
+/// and the region handler only exchange frames they encoded themselves,
+/// one per buffer).
+fn decode_frame(frame: &[u8]) -> Message {
+    let (consumed, msg) = codec::decode_slice(frame);
+    debug_assert_eq!(consumed, frame.len(), "one frame per buffer");
+    msg.expect("internal frames are well-formed")
 }
 
 #[cfg(test)]

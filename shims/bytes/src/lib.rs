@@ -2,9 +2,11 @@
 //!
 //! Backed by a plain `Vec<u8>` plus a read cursor instead of refcounted
 //! shared buffers — the codec only needs correctness and a compatible API,
-//! not zero-copy splitting. `split_to` and `freeze` therefore copy; every
-//! observable behaviour (big-endian put/get, `advance`, deref to the
-//! unread bytes) matches upstream.
+//! not zero-copy splitting. `split_to` therefore copies; `freeze` moves the
+//! buffer (dropping the consumed front in place), as upstream's does
+//! without copying. Every observable behaviour (big-endian put/get,
+//! `advance`, deref to the unread bytes, `Buf` for `&[u8]`) matches
+//! upstream.
 
 #![forbid(unsafe_code)]
 
@@ -89,6 +91,12 @@ impl BytesMut {
         }
     }
 
+    /// Makes room for at least `additional` more bytes without another
+    /// allocation (amortised growth, like `Vec::reserve`).
+    pub fn reserve(&mut self, additional: usize) {
+        self.data.reserve(additional);
+    }
+
     /// Drops every byte, keeping the allocation.
     pub fn clear(&mut self) {
         self.data.clear();
@@ -111,11 +119,11 @@ impl BytesMut {
         }
     }
 
-    /// Converts the unread bytes into an immutable [`Bytes`].
-    pub fn freeze(self) -> Bytes {
-        Bytes {
-            data: self.unread().to_vec(),
-        }
+    /// Converts the unread bytes into an immutable [`Bytes`], moving the
+    /// allocation rather than copying it.
+    pub fn freeze(mut self) -> Bytes {
+        self.data.drain(..self.head);
+        Bytes { data: self.data }
     }
 }
 
@@ -216,6 +224,27 @@ impl Buf for BytesMut {
     }
 }
 
+/// A slice is its own read cursor: reads consume from the front by
+/// re-slicing, and never allocate.
+impl Buf for &[u8] {
+    fn remaining(&self) -> usize {
+        self.len()
+    }
+
+    fn advance(&mut self, n: usize) {
+        assert!(n <= self.len(), "advance out of bounds");
+        *self = &self[n..];
+    }
+
+    fn copy_to_slice(&mut self, dst: &mut [u8]) {
+        let n = dst.len();
+        assert!(n <= self.len(), "buffer underflow");
+        let (front, rest) = self.split_at(n);
+        dst.copy_from_slice(front);
+        *self = rest;
+    }
+}
+
 /// Write-side append operations.
 pub trait BufMut {
     /// Appends raw bytes.
@@ -290,6 +319,42 @@ mod tests {
         b.advance(1);
         let frozen = b.freeze();
         assert_eq!(&frozen[..], &[2]);
+    }
+
+    #[test]
+    fn freeze_moves_the_unread_bytes_after_advance() {
+        let mut b = BytesMut::with_capacity(64);
+        for i in 0..40u8 {
+            b.put_u8(i);
+        }
+        b.advance(3);
+        let ptr = b.data.as_ptr();
+        let frozen = b.freeze();
+        assert_eq!(&frozen[..], &(3..40).collect::<Vec<u8>>()[..]);
+        assert_eq!(frozen.data.as_ptr(), ptr, "freeze keeps the allocation");
+        // Past the reclaim threshold the consumed front is already gone.
+        let mut b = BytesMut::from(&(0..100).collect::<Vec<u8>>()[..]);
+        b.advance(60);
+        assert_eq!(&b.freeze()[..], &(60..100).collect::<Vec<u8>>()[..]);
+    }
+
+    #[test]
+    fn slices_read_as_cursors() {
+        let bytes = [0, 0, 1, 2, 9, 8, 7];
+        let mut cur: &[u8] = &bytes;
+        assert_eq!(cur.get_u16(), 0);
+        assert_eq!(cur.get_u16(), 0x0102);
+        cur.advance(1);
+        assert_eq!(cur.remaining(), 2);
+        assert_eq!(cur.get_u8(), 8);
+        assert_eq!(cur, &[7][..]);
+    }
+
+    #[test]
+    #[should_panic(expected = "buffer underflow")]
+    fn slice_underflow_panics() {
+        let mut cur: &[u8] = &[1, 2, 3];
+        let _ = cur.get_u32();
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! round-trips arbitrary messages, and topology construction invariants
 //! hold for arbitrary edge sets.
 
-use nearpeer::core::codec::{decode, encode, CodecError};
+use nearpeer::core::codec::{decode, encode, CodecError, WIRE_VERSION};
 use nearpeer::core::protocol::{Message, WireNeighbor};
 use nearpeer::core::{PeerId, PeerPath, RouterIndex};
 use nearpeer::topology::{RouterId, TopologyBuilder};
@@ -236,6 +236,97 @@ proptest! {
             prop_assert!(matches!(decode(&mut partial), Err(CodecError::Incomplete)));
         }
     }
+
+    /// Structure-aware robustness: complete frames (length prefix
+    /// consistent with the bytes present) whose payload is damaged reach
+    /// the payload decoder, where random bytes seldom do. Every
+    /// single-byte mutation of a valid frame, and every cut of its payload
+    /// with the prefix patched to the cut, must obey the consume rules.
+    #[test]
+    fn codec_consume_rules_hold_on_damaged_frames(msg in arb_message(), x in 1u8..=255) {
+        let mut full = bytes::BytesMut::new();
+        encode(&msg, &mut full);
+        let full: Vec<u8> = full[..].to_vec();
+        for i in 0..full.len() {
+            for v in [0x00, 0xFF, full[i] ^ x] {
+                if v != full[i] {
+                    let mut damaged = full.clone();
+                    damaged[i] = v;
+                    let result = decode_before_sentinel(&damaged)?;
+                    // Past the prefix the frame is still complete.
+                    if i >= 4 {
+                        prop_assert!(answered(&result), "byte {i} = {v}: {result:?}");
+                    }
+                }
+            }
+        }
+        for cut in 0..full.len() - 4 {
+            let mut short = (cut as u32).to_be_bytes().to_vec();
+            short.extend_from_slice(&full[4..4 + cut]);
+            // Every payload is self-delimiting: a strict prefix of one is
+            // never a message.
+            let result = decode_before_sentinel(&short)?;
+            prop_assert!(matches!(result, Err(CodecError::BadPayload(_))), "cut {cut}: {result:?}");
+        }
+    }
+
+    /// A valid header of every kind followed by random payload bytes.
+    #[test]
+    fn codec_consume_rules_hold_on_random_payloads(
+        payload in prop::collection::vec(any::<u8>(), 0..96),
+    ) {
+        for kind in 1..=Message::MAX_KIND {
+            let mut frame = (payload.len() as u32 + 2).to_be_bytes().to_vec();
+            frame.extend_from_slice(&[WIRE_VERSION, kind]);
+            frame.extend_from_slice(&payload);
+            let result = decode_before_sentinel(&frame)?;
+            prop_assert!(answered(&result), "kind {kind}: {result:?}");
+        }
+    }
+}
+
+/// Whether a complete frame got a message or a typed rejection of that
+/// frame, not a request to wait or to drop the connection.
+fn answered(result: &Result<Message, CodecError>) -> bool {
+    !matches!(
+        result,
+        Err(CodecError::Incomplete) | Err(CodecError::FrameTooLarge(_))
+    )
+}
+
+/// The well-formed frame [`decode_before_sentinel`] queues behind the one
+/// under test.
+fn sentinel() -> Message {
+    Message::Heartbeat {
+        peer: PeerId(0x5E47),
+    }
+}
+
+/// Decodes `frame` (at least its 4-byte length prefix) with [`sentinel`]
+/// queued behind it, without panicking, and checks the consume rules:
+/// `Incomplete` and `FrameTooLarge` consume nothing; any other outcome
+/// consumes exactly the frame its prefix declares, and when that is all
+/// of `frame` the sentinel still decodes after it.
+fn decode_before_sentinel(frame: &[u8]) -> Result<Result<Message, CodecError>, TestCaseError> {
+    let mut buf = bytes::BytesMut::from(frame);
+    encode(&sentinel(), &mut buf);
+    let before = buf.len();
+    let result = decode(&mut buf);
+    let consumed = before - buf.len();
+    match result {
+        Err(CodecError::Incomplete) | Err(CodecError::FrameTooLarge(_)) => {
+            prop_assert_eq!(consumed, 0, "{:?} consumed bytes", result);
+        }
+        _ => {
+            let declared = u32::from_be_bytes(frame[..4].try_into().expect("a prefix"));
+            prop_assert_eq!(consumed, 4 + declared as usize, "{:?}", result);
+            if consumed == frame.len() {
+                prop_assert_eq!(decode(&mut buf), Ok(sentinel()));
+                prop_assert!(buf.is_empty());
+            }
+        }
+    }
+    Ok(result)
 }
 
 // ---------- topology invariants ----------

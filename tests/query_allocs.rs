@@ -8,12 +8,14 @@
 //! `Vec` and a `Box` per foreign landmark), on the actorized server
 //! (exactly as many: it is the same server behind a lock) and on the
 //! four-region `ActorFederation`, whose regions answer its frames on the
-//! calling thread; decoding a query frame allocates a small constant; and
-//! an `ActorServer` heartbeat or leave makes none. Allocation counts on one
-//! thread repeat exactly, so this is a tier-1 test.
+//! calling thread; decoding a query frame allocates only the message's own
+//! lists; encoding into a warmed buffer and an `ActorServer` heartbeat or
+//! leave make none. Allocation counts on one thread repeat exactly, so
+//! this is a tier-1 test.
 
+use bytes::BytesMut;
 use nearpeer::core::codec;
-use nearpeer::core::protocol::Message;
+use nearpeer::core::protocol::{Message, WireNeighbor};
 use nearpeer::core::{
     ActorFederation, ActorServer, FederationConfig, LandmarkId, ManagementServer, PeerId, PeerPath,
     ServerConfig,
@@ -197,10 +199,12 @@ fn per_federated_query(landmarks: usize) -> u64 {
 fn federated_allocations_per_query_do_not_grow_with_shards() {
     let (fed_8, fed_32) = (per_federated_query(8), per_federated_query(32));
     assert_eq!(fed_8, fed_32, "ActorFederation: 8 vs 32 landmarks");
-    // Per region: a request decode, the region's candidates, a reply
-    // encode and decode; plus the request frame, the consult order and
-    // the merge (69 today).
-    assert!(fed_8 <= 80, "ActorFederation allocates {fed_8} per query");
+    // Per region: the request's path (router list and loop-check copy),
+    // the region's candidates and the decoded reply's neighbor list; plus
+    // the query's two frame buffers, the request's path clone, the consult
+    // order and the merge. Frames encode in place and decode where they
+    // lie, so no frame is copied.
+    assert_eq!(fed_8, 25, "ActorFederation allocations per query");
 }
 
 #[test]
@@ -221,7 +225,50 @@ fn decoding_a_query_frame_allocates_a_constant() {
     });
     let first = decodes.next().expect("two decodes");
     assert_eq!(decodes.next(), Some(first), "the count repeats");
-    // The frame split, the router list and the path's sorted loop-check
-    // copy (3 today); every integer read is allocation-free.
-    assert!(first <= 4, "decode allocates {first} per QueryRequest");
+    // The router list and the path's sorted loop-check copy: the frame is
+    // read where it lies and every integer read is allocation-free.
+    assert_eq!(first, 2, "decode allocations per QueryRequest");
+}
+
+/// Encoding appends in place: once the output buffer has held a frame of
+/// the size, encoding a reply or a push into it allocates nothing.
+#[test]
+fn encoding_into_a_warmed_buffer_allocates_nothing() {
+    let neighbors: Vec<WireNeighbor> = (0..K as u64)
+        .map(|p| WireNeighbor {
+            peer: PeerId(p),
+            dtree: p as u32,
+        })
+        .collect();
+    let msgs = [
+        Message::QueryReply {
+            nonce: 1,
+            neighbors: neighbors.clone(),
+        },
+        Message::JoinReply {
+            peer: PeerId(9),
+            neighbors: neighbors.clone(),
+            delegate: Some(PeerId(3)),
+        },
+        Message::DeltaPush {
+            peer: PeerId(9),
+            epoch: 4,
+            class: 1,
+            added: neighbors,
+            removed: vec![PeerId(7), PeerId(8)],
+        },
+    ];
+    let mut out = BytesMut::new();
+    for msg in &msgs {
+        codec::encode(msg, &mut out);
+    }
+    for msg in &msgs {
+        out.clear();
+        assert_eq!(
+            count(|| codec::encode(msg, &mut out)),
+            0,
+            "{} encode",
+            msg.kind_name()
+        );
+    }
 }
