@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks for C1/C2: RouterIndex insertion and query,
 //! plus the management server's read kernel at the `perf` benchmark's
-//! shape and at four times its landmark count.
+//! shape and at four times its landmark count, and its leave-and-rejoin
+//! write path at that shape.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use nearpeer_bench::experiments::complexity::synthetic_path;
@@ -103,11 +104,37 @@ fn bench_closest_to_path(c: &mut Criterion) {
     group.finish();
 }
 
+/// The write side of the same shape: one registered peer leaves and
+/// rejoins on its own path, cycling a pool as above. A leave collapses
+/// the lists it leaves with one entry into their hash slots and drops the
+/// routers it crossed alone; the rejoin promotes them back, so this prices
+/// every list transition but the one into a tree.
+fn bench_leave_rejoin(c: &mut Criterion) {
+    const PEERS: u64 = 100_000;
+    const POOL: u64 = 1_024;
+    let mut group = c.benchmark_group("directory/leave_rejoin");
+    let joins = SyntheticJoins::new(8);
+    let mut server = joins.server(ServerConfig::default());
+    server.register_batch((0..PEERS).map(|p| joins.join(p)).collect());
+    let pool: Vec<_> = (0..POOL).map(|i| joins.join(i * 97)).collect();
+    let mut next = 0usize;
+    group.bench_function("8_landmarks_100k", |b| {
+        b.iter(|| {
+            let (peer, path) = &pool[next % pool.len()];
+            next += 1;
+            server.deregister(*peer).expect("registered");
+            server.register(*peer, path.clone()).expect("rejoins")
+        });
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_insert,
     bench_query,
     bench_remove,
-    bench_closest_to_path
+    bench_closest_to_path,
+    bench_leave_rejoin
 );
 criterion_main!(benches);

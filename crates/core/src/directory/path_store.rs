@@ -37,8 +37,17 @@ impl PathRef {
 #[derive(Debug)]
 enum Slot {
     Vacant,
-    Occupied { path: PeerPath, refs: u32 },
+    /// A live path; `next` links the next slot whose path has the same
+    /// content hash ([`NO_SLOT`] ends the chain).
+    Occupied {
+        path: PeerPath,
+        refs: u32,
+        next: u32,
+    },
 }
+
+/// The end of a hash chain.
+const NO_SLOT: u32 = u32::MAX;
 
 /// An arena of interned [`PeerPath`]s with per-entry reference counts and a
 /// free list, so churn (register/deregister cycles) does not grow the
@@ -46,8 +55,9 @@ enum Slot {
 #[derive(Debug, Default)]
 pub struct PathStore {
     slots: Vec<Slot>,
-    /// Content hash → candidate slots (collisions resolved by comparison).
-    by_hash: HashMap<u64, Vec<u32>>,
+    /// Content hash → the first slot of the chain of paths with that
+    /// hash (collisions resolved by comparison along the chain).
+    by_hash: HashMap<u64, u32>,
     free: Vec<u32>,
     live: usize,
     hits: u64,
@@ -93,36 +103,42 @@ impl PathStore {
     /// Interns a path, returning a handle. Identical paths (same router
     /// sequence) share a slot; the slot's reference count is bumped.
     pub fn intern(&mut self, path: PeerPath) -> PathRef {
-        let h = content_hash(&path);
-        if let Some(candidates) = self.by_hash.get(&h) {
-            for &slot in candidates {
-                if let Slot::Occupied {
-                    path: stored,
-                    refs: _,
-                } = &self.slots[slot as usize]
-                {
-                    if stored == &path {
-                        if let Slot::Occupied { refs, .. } = &mut self.slots[slot as usize] {
-                            *refs += 1;
-                        }
-                        self.hits += 1;
-                        return PathRef(slot);
-                    }
-                }
+        self.intern_hashed(content_hash(&path), path)
+    }
+
+    /// [`Self::intern`] with the content hash `h` given.
+    fn intern_hashed(&mut self, h: u64, path: PeerPath) -> PathRef {
+        let head = self.by_hash.get(&h).copied().unwrap_or(NO_SLOT);
+        let mut at = head;
+        while let Some(Slot::Occupied {
+            path: stored,
+            refs,
+            next,
+        }) = self.slots.get_mut(at as usize)
+        {
+            if *stored == path {
+                *refs += 1;
+                self.hits += 1;
+                return PathRef(at);
             }
+            at = *next;
         }
+        let occupied = Slot::Occupied {
+            path,
+            refs: 1,
+            next: head,
+        };
         let slot = match self.free.pop() {
             Some(idx) => {
-                self.slots[idx as usize] = Slot::Occupied { path, refs: 1 };
+                self.slots[idx as usize] = occupied;
                 idx
             }
             None => {
-                let idx = self.slots.len() as u32;
-                self.slots.push(Slot::Occupied { path, refs: 1 });
-                idx
+                self.slots.push(occupied);
+                (self.slots.len() - 1) as u32
             }
         };
-        self.by_hash.entry(h).or_default().push(slot);
+        self.by_hash.insert(h, slot);
         self.live += 1;
         PathRef(slot)
     }
@@ -142,28 +158,45 @@ impl PathStore {
     /// Drops one reference to the entry; frees the slot when the last
     /// reference goes.
     pub fn release(&mut self, r: PathRef) {
-        let free_now = match &mut self.slots[r.0 as usize] {
-            Slot::Occupied { refs, .. } => {
+        self.release_hashed(r, content_hash)
+    }
+
+    /// [`Self::release`], with `hash` giving the freed path's content
+    /// hash (called only when the last reference goes).
+    fn release_hashed(&mut self, r: PathRef, hash: impl FnOnce(&PeerPath) -> u64) {
+        let (h, after) = match &mut self.slots[r.0 as usize] {
+            Slot::Occupied { refs, .. } if *refs > 1 => {
                 *refs -= 1;
-                *refs == 0
+                return;
             }
+            Slot::Occupied { path, next, .. } => (hash(path), *next),
             Slot::Vacant => panic!("releasing dangling PathRef({})", r.0),
         };
-        if free_now {
-            let old = std::mem::replace(&mut self.slots[r.0 as usize], Slot::Vacant);
-            let Slot::Occupied { path, .. } = old else {
-                unreachable!("checked occupied above");
-            };
-            let h = content_hash(&path);
-            if let Some(candidates) = self.by_hash.get_mut(&h) {
-                candidates.retain(|&s| s != r.0);
-                if candidates.is_empty() {
-                    self.by_hash.remove(&h);
-                }
+        self.slots[r.0 as usize] = Slot::Vacant;
+        // Unlink the slot: its predecessor on the chain, or the chain's
+        // entry in `by_hash`, takes over its `next`.
+        let head = self.by_hash.get_mut(&h).expect("a live path is chained");
+        if *head == r.0 {
+            if after == NO_SLOT {
+                self.by_hash.remove(&h);
+            } else {
+                *head = after;
             }
-            self.free.push(r.0);
-            self.live -= 1;
+        } else {
+            let mut at = *head;
+            loop {
+                let Slot::Occupied { next, .. } = &mut self.slots[at as usize] else {
+                    unreachable!("a chain links live slots");
+                };
+                if *next == r.0 {
+                    *next = after;
+                    break;
+                }
+                at = *next;
+            }
         }
+        self.free.push(r.0);
+        self.live -= 1;
     }
 
     /// Whether `r` currently points at an occupied slot (snapshot decoding
@@ -187,14 +220,14 @@ impl PathStore {
 
     /// Streams the arena into `out`: slots (tag + refcount + path), the
     /// free list verbatim (slot-reuse order is part of future behaviour),
-    /// and the dedup-hit counter. The content-hash index is derivable and
-    /// not persisted.
+    /// and the dedup-hit counter. The hash chains are derivable and not
+    /// persisted.
     pub(crate) fn persist_encode(&self, out: &mut Vec<u8>) {
         put_u64(out, self.slots.len() as u64);
         for slot in &self.slots {
             match slot {
                 Slot::Vacant => put_u8(out, 0),
-                Slot::Occupied { path, refs } => {
+                Slot::Occupied { path, refs, .. } => {
                     put_u8(out, 1);
                     put_u32(out, *refs);
                     put_path(out, path);
@@ -209,12 +242,20 @@ impl PathStore {
     }
 
     /// Rebuilds a store written by [`Self::persist_encode`], re-deriving
-    /// the hash index and live count and validating the free list (every
+    /// the hash chains and live count and validating the free list (every
     /// entry in bounds and vacant, no duplicates). Fails closed.
     pub(crate) fn persist_decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
+        Self::persist_decode_hashed(r, content_hash)
+    }
+
+    /// [`Self::persist_decode`], chaining each path under `hash(path)`.
+    fn persist_decode_hashed(
+        r: &mut Reader<'_>,
+        hash: impl Fn(&PeerPath) -> u64,
+    ) -> Result<Self, PersistError> {
         let n_slots = r.len_prefix(1)?;
         let mut slots = Vec::with_capacity(n_slots);
-        let mut by_hash: HashMap<u64, Vec<u32>> = HashMap::new();
+        let mut by_hash: HashMap<u64, u32> = HashMap::new();
         let mut live = 0usize;
         for i in 0..n_slots {
             match r.u8()? {
@@ -227,11 +268,8 @@ impl PathStore {
                         )));
                     }
                     let path = r.path()?;
-                    by_hash
-                        .entry(content_hash(&path))
-                        .or_default()
-                        .push(i as u32);
-                    slots.push(Slot::Occupied { path, refs });
+                    let next = by_hash.insert(hash(&path), i as u32).unwrap_or(NO_SLOT);
+                    slots.push(Slot::Occupied { path, refs, next });
                     live += 1;
                 }
                 t => {
@@ -310,6 +348,65 @@ mod tests {
         let c = store.intern(path(&[9, 8]));
         assert_eq!(c.slot(), a.slot());
         assert_eq!(store.distinct(), 1);
+    }
+
+    /// Distinct paths forced under one hash: releasing the chain's head,
+    /// middle and tail in each order leaves the others resolvable and
+    /// deduplicating, hands the freed slot to the next intern, and a
+    /// snapshot rebuilds a chain that answers the same.
+    #[test]
+    fn a_collision_chain_survives_every_release_order() {
+        const H: u64 = 7;
+        let same = |_: &PeerPath| H;
+        // Interned in this order, the chain runs 2 → 1 → 0: head, middle,
+        // tail.
+        let paths = [path(&[1, 2, 3]), path(&[4, 2, 3]), path(&[5, 6])];
+        let orders = [
+            [0, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ];
+        for order in orders {
+            let mut store = PathStore::new();
+            let refs: Vec<PathRef> = paths
+                .iter()
+                .map(|p| store.intern_hashed(H, p.clone()))
+                .collect();
+            let mut live = [true; 3];
+            for gone in order {
+                store.release_hashed(refs[gone], same);
+                live[gone] = false;
+                let survivors: Vec<usize> = (0..3).filter(|&i| live[i]).collect();
+                assert_eq!(store.distinct(), survivors.len(), "{order:?}");
+                assert!(!store.is_live(refs[gone]));
+
+                let mut bytes = Vec::new();
+                store.persist_encode(&mut bytes);
+                let mut restored =
+                    PathStore::persist_decode_hashed(&mut super::Reader::new(&bytes), same)
+                        .unwrap();
+                for s in [&mut store, &mut restored] {
+                    // The freed slot goes to the next path, which joins
+                    // the chain at its head.
+                    let fresh = s.intern_hashed(H, path(&[9, 8]));
+                    assert_eq!(fresh.slot(), refs[gone].slot(), "{order:?}");
+                    for &i in &survivors {
+                        assert_eq!(s.get(refs[i]), &paths[i]);
+                        let again = s.intern_hashed(H, paths[i].clone());
+                        assert_eq!(again, refs[i], "{order:?}: path {i} deduplicates");
+                        s.release_hashed(again, same);
+                    }
+                    s.release_hashed(fresh, same);
+                }
+                assert_eq!(restored.distinct(), store.distinct());
+                assert_eq!(restored.total_refs(), store.total_refs());
+            }
+            assert!(store.is_empty());
+            assert!(store.by_hash.is_empty());
+        }
     }
 
     #[test]

@@ -12,6 +12,12 @@
 //! global table would give. The tables hash their fixed-width router ids
 //! with the keyed [`IdHash`](crate::ids::IdHash) (see there for why it is
 //! keyed).
+//!
+//! The table is nearly the whole of a server's memory, so each list is
+//! stored at the size of its data. A router's hash slot holds its entry
+//! itself when it has one (most edge routers do); a longer list lives in
+//! one side `Vec` of the table, as a sorted `Vec` of entries up to
+//! [`ARRAY_MAX`] entries and as a `BTreeSet` above that.
 
 use crate::error::CoreError;
 use crate::ids::{IdMap, IdSet, PeerId};
@@ -20,7 +26,7 @@ use nearpeer_topology::RouterId;
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeSet, BinaryHeap, HashMap};
+use std::collections::{btree_set, BTreeSet, BinaryHeap, HashMap};
 
 /// One discovered neighbor: the peer and its inferred tree distance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -32,6 +38,10 @@ pub struct Neighbor {
     pub dtree: u32,
 }
 
+/// One index entry: a peer's depth below the router, and the peer. Lists
+/// order by it, so ties in depth go by peer id.
+type Filed = (u32, PeerId);
+
 /// The entry table of the flat [`RouterIndex`] and of every
 /// [`crate::ManagementServer`] (one per server, whatever its landmark
 /// count): router → peers traversing it, ordered by hop count below the
@@ -41,13 +51,128 @@ pub struct Neighbor {
 /// Fibonacci hash of its id. Segments keep a resize small: a doubling
 /// table holds its old and new buckets at once, which for one table of
 /// the whole index added ~7 MB to the peak RSS at 100 k peers.
+///
+/// A bucket is 16 bytes: the router and a 12-byte [`Slot`] that is either
+/// the router's one entry or the index of its list in `lists`, at most
+/// one hop away. `lists` reuses the places that collapsed lists leave,
+/// through a free chain threaded through them, so a leave never grows it.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct EntryMap {
-    segments: [IdMap<RouterId, PeerList>; SEGMENTS],
+    segments: [IdMap<RouterId, Slot>; SEGMENTS],
+    lists: Vec<List>,
+    /// The first free place in `lists`, if any.
+    free: Option<u32>,
 }
 
 /// Segments per [`EntryMap`] (a power of two).
 const SEGMENTS: usize = 16;
+
+/// The longest list kept as a sorted array; one more entry turns it into a
+/// `BTreeSet`. In the benchmark population lists sit on both sides: ~3 and
+/// ~12 entries one and two levels above the edge, ~50 and more nearer the
+/// landmark.
+const ARRAY_MAX: usize = 32;
+
+/// A router's hash-table value, 12 bytes at 4-byte alignment: its one
+/// entry (`depth`, and the peer id as two halves), or, when `depth` is
+/// [`LIST`], the index of its list in [`EntryMap`]'s `lists` in
+/// `peer[0]`.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    depth: u32,
+    peer: [u32; 2],
+}
+
+const _: () = assert!(std::mem::size_of::<(RouterId, Slot)>() == 16);
+
+/// The [`Slot::depth`] that marks a list. A depth is a position in a path
+/// of distinct routers, and no path gets anywhere near 2³² of them.
+const LIST: u32 = u32::MAX;
+
+impl Slot {
+    fn one((depth, peer): Filed) -> Slot {
+        debug_assert_ne!(depth, LIST, "a depth collides with the list marker");
+        Slot {
+            depth,
+            peer: [peer.0 as u32, (peer.0 >> 32) as u32],
+        }
+    }
+
+    fn list(at: u32) -> Slot {
+        Slot {
+            depth: LIST,
+            peer: [at, 0],
+        }
+    }
+
+    /// The place in `lists`, if this slot points at a list.
+    fn list_at(self) -> Option<usize> {
+        (self.depth == LIST).then_some(self.peer[0] as usize)
+    }
+
+    /// The inline entry (meaningless for a list slot).
+    fn filed(self) -> Filed {
+        let peer = u64::from(self.peer[0]) | u64::from(self.peer[1]) << 32;
+        (self.depth, PeerId(peer))
+    }
+}
+
+/// A list of two or more entries, or a free place in [`EntryMap`]'s
+/// `lists`.
+#[derive(Debug, Clone)]
+enum List {
+    /// Up to [`ARRAY_MAX`] entries, sorted. An insert is a binary search
+    /// and a memmove of at most 512 bytes; the `Vec` grows by doubling,
+    /// since growing it one entry at a time made joins ~30 % slower for
+    /// 10 bytes per peer.
+    Array(Vec<Filed>),
+    /// More than [`ARRAY_MAX`] entries at some point. A tree is not turned
+    /// back into an array as it shrinks: that would allocate on a leave.
+    Tree(BTreeSet<Filed>),
+    /// Free; the next free place, if any.
+    Free(Option<u32>),
+}
+
+impl List {
+    /// Adds `entry` (a no-op if it is present).
+    fn insert(&mut self, entry: Filed) {
+        match self {
+            List::Array(array) => match array.binary_search(&entry) {
+                Ok(_) => {}
+                Err(_) if array.len() == ARRAY_MAX => {
+                    let mut tree: BTreeSet<Filed> = std::mem::take(array).into_iter().collect();
+                    tree.insert(entry);
+                    *self = List::Tree(tree);
+                }
+                Err(at) => {
+                    array.insert(at, entry);
+                }
+            },
+            List::Tree(tree) => {
+                tree.insert(entry);
+            }
+            List::Free(_) => unreachable!("a slot points at a free list"),
+        }
+    }
+
+    /// Removes `entry` (a no-op if it is absent); returns the one entry
+    /// left, if that is all that is, which the caller moves into the slot.
+    fn remove(&mut self, entry: Filed) -> Option<Filed> {
+        match self {
+            List::Array(array) => {
+                if let Ok(at) = array.binary_search(&entry) {
+                    array.remove(at);
+                }
+                (array.len() == 1).then(|| array[0])
+            }
+            List::Tree(tree) => {
+                tree.remove(&entry);
+                (tree.len() == 1).then(|| *tree.first().expect("one entry left"))
+            }
+            List::Free(_) => unreachable!("a slot points at a free list"),
+        }
+    }
+}
 
 impl EntryMap {
     fn segment(router: RouterId) -> usize {
@@ -55,12 +180,75 @@ impl EntryMap {
     }
 
     /// The peers crossing `router`, if any.
-    pub(crate) fn get(&self, router: &RouterId) -> Option<&PeerList> {
-        self.segments[Self::segment(*router)].get(router)
+    pub(crate) fn get(&self, router: &RouterId) -> Option<PeerList<'_>> {
+        let slot = *self.segments[Self::segment(*router)].get(router)?;
+        Some(match slot.list_at() {
+            None => PeerList::One(slot.filed()),
+            Some(at) => match &self.lists[at] {
+                List::Array(array) => PeerList::Array(array),
+                List::Tree(tree) => PeerList::Tree(tree),
+                List::Free(_) => unreachable!("a slot points at a free list"),
+            },
+        })
     }
 
-    fn entry(&mut self, router: RouterId) -> Entry<'_, RouterId, PeerList> {
-        self.segments[Self::segment(router)].entry(router)
+    /// Files `entry` under `router` (a no-op if it is there).
+    fn insert(&mut self, router: RouterId, entry: Filed) {
+        let slot = match self.segments[Self::segment(router)].entry(router) {
+            Entry::Vacant(vacant) => {
+                vacant.insert(Slot::one(entry));
+                return;
+            }
+            Entry::Occupied(occupied) => occupied.into_mut(),
+        };
+        if let Some(at) = slot.list_at() {
+            self.lists[at].insert(entry);
+            return;
+        }
+        let held = slot.filed();
+        if held == entry {
+            return;
+        }
+        let pair = vec![held.min(entry), held.max(entry)];
+        let at = match self.free {
+            Some(at) => {
+                let List::Free(next) = self.lists[at as usize] else {
+                    unreachable!("the free chain holds free places");
+                };
+                self.free = next;
+                self.lists[at as usize] = List::Array(pair);
+                at
+            }
+            None => {
+                self.lists.push(List::Array(pair));
+                (self.lists.len() - 1) as u32
+            }
+        };
+        *slot = Slot::list(at);
+    }
+
+    /// Removes `entry` from `router`'s list (a no-op if it is absent): a
+    /// list left with one entry moves it into the slot, and a router left
+    /// with none is dropped. Frees memory but never allocates.
+    fn remove(&mut self, router: RouterId, entry: Filed) {
+        let segment = &mut self.segments[Self::segment(router)];
+        let Some(slot) = segment.get_mut(&router) else {
+            return;
+        };
+        match slot.list_at() {
+            None => {
+                if slot.filed() == entry {
+                    segment.remove(&router);
+                }
+            }
+            Some(at) => {
+                if let Some(last) = self.lists[at].remove(entry) {
+                    *slot = Slot::one(last);
+                    self.lists[at] = List::Free(self.free);
+                    self.free = Some(at as u32);
+                }
+            }
+        }
     }
 
     /// Distinct routers indexed.
@@ -69,56 +257,61 @@ impl EntryMap {
     }
 }
 
-/// One router's peers, ascending by `(depth below the router, peer)`.
+/// One router's peers, ascending by `(depth below the router, peer)`, as
+/// [`EntryMap`] stores them.
 ///
 /// Most routers near the edge are crossed by exactly one registered peer:
 /// its access router, and any router deep enough in the landmark's tree
 /// that no other peer's path reaches it. In the benchmark population
 /// (`SyntheticJoins`: a unique access router per peer, and 12.5 k peers
 /// per landmark below 4⁷ level-7 routers) that is 2 of every peer's 9
-/// entries. Such a list holds its one entry inline; a `BTreeSet` (whose
-/// smallest leaf node is ~190 heap bytes) exists only from two entries on,
-/// and a removal that leaves one entry collapses it back. An empty list is
-/// not representable: the owning table drops the router instead.
-#[derive(Debug, Clone)]
-pub(crate) enum PeerList {
-    One((u32, PeerId)),
-    Many(BTreeSet<(u32, PeerId)>),
+/// entries, and their list is the hash slot itself. A list of up to
+/// [`ARRAY_MAX`] entries is a sorted slice; only a longer one is a
+/// `BTreeSet`, whose smallest leaf node is ~190 heap bytes. An empty list
+/// is not representable: the owning table drops the router instead.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum PeerList<'a> {
+    One(Filed),
+    Array(&'a [Filed]),
+    Tree(&'a BTreeSet<Filed>),
 }
 
-impl PeerList {
+impl<'a> PeerList<'a> {
     /// The entries in ascending `(depth, peer)` order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (u32, PeerId)> + '_ {
-        let (one, many) = match self {
-            PeerList::One(entry) => (Some(*entry), None),
-            PeerList::Many(set) => (None, Some(set.iter().copied())),
-        };
-        one.into_iter().chain(many.into_iter().flatten())
-    }
-
-    /// Adds `entry` (a no-op if it is present).
-    fn insert(&mut self, entry: (u32, PeerId)) {
+    pub(crate) fn iter(self) -> ListIter<'a> {
         match self {
-            PeerList::One(held) if *held == entry => {}
-            PeerList::One(held) => *self = PeerList::Many(BTreeSet::from([*held, entry])),
-            PeerList::Many(set) => {
-                set.insert(entry);
-            }
+            PeerList::One(entry) => ListIter::One(Some(entry)),
+            PeerList::Array(array) => ListIter::Array(array.iter()),
+            PeerList::Tree(tree) => ListIter::Tree(tree.iter()),
         }
     }
 
-    /// Removes `entry`; returns `true` when that leaves the list empty,
-    /// which the caller answers by dropping the router.
-    fn remove(&mut self, entry: (u32, PeerId)) -> bool {
+    /// How many entries the list holds (at least one).
+    pub(crate) fn len(self) -> usize {
         match self {
-            PeerList::One(held) => *held == entry,
-            PeerList::Many(set) => {
-                if set.remove(&entry) && set.len() == 1 {
-                    let last = *set.first().expect("one entry left");
-                    *self = PeerList::One(last);
-                }
-                false
-            }
+            PeerList::One(_) => 1,
+            PeerList::Array(array) => array.len(),
+            PeerList::Tree(tree) => tree.len(),
+        }
+    }
+}
+
+/// A cursor over a [`PeerList`], ascending.
+#[derive(Debug, Clone)]
+pub(crate) enum ListIter<'a> {
+    One(Option<Filed>),
+    Array(std::slice::Iter<'a, Filed>),
+    Tree(btree_set::Iter<'a, Filed>),
+}
+
+impl Iterator for ListIter<'_> {
+    type Item = Filed;
+
+    fn next(&mut self) -> Option<Filed> {
+        match self {
+            ListIter::One(entry) => entry.take(),
+            ListIter::Array(iter) => iter.next().copied(),
+            ListIter::Tree(iter) => iter.next().copied(),
         }
     }
 }
@@ -126,12 +319,7 @@ impl PeerList {
 /// Files `peer` under every router of `path`, at its depth below each.
 pub(crate) fn index_path(entries: &mut EntryMap, peer: PeerId, path: &PeerPath) {
     for (router, depth) in path.with_depths() {
-        match entries.entry(router) {
-            Entry::Occupied(mut list) => list.get_mut().insert((depth, peer)),
-            Entry::Vacant(slot) => {
-                slot.insert(PeerList::One((depth, peer)));
-            }
-        }
+        entries.insert(router, (depth, peer));
     }
 }
 
@@ -150,11 +338,7 @@ pub(crate) fn peers_through(
 /// Undoes [`index_path`], dropping every router whose list empties.
 pub(crate) fn unindex_path(entries: &mut EntryMap, peer: PeerId, path: &PeerPath) {
     for (router, depth) in path.with_depths() {
-        if let Entry::Occupied(mut list) = entries.entry(router) {
-            if list.get_mut().remove((depth, peer)) {
-                list.remove();
-            }
-        }
+        entries.remove(router, (depth, peer));
     }
 }
 
@@ -191,14 +375,14 @@ pub(crate) fn query_nearest_entries<'a>(
         for (router, query_depth) in query.with_depths() {
             match table.get(&router) {
                 None => {}
-                Some(&PeerList::One((cand_depth, peer))) => {
+                Some(PeerList::One((cand_depth, peer))) => {
                     reachable += 1;
                     heads.push(Reverse((query_depth + cand_depth, peer, NO_CURSOR)));
                 }
-                Some(PeerList::Many(set)) => {
-                    let mut iter = set.iter();
-                    let &(cand_depth, peer) = iter.next().expect("a set holds two or more");
-                    reachable += set.len();
+                Some(list) => {
+                    let mut iter = list.iter();
+                    let (cand_depth, peer) = iter.next().expect("a list holds two or more");
+                    reachable += list.len();
                     heads.push(Reverse((query_depth + cand_depth, peer, cursors.len())));
                     cursors.push((query_depth, iter));
                 }
@@ -215,7 +399,7 @@ pub(crate) fn query_nearest_entries<'a>(
         // sift instead of a pop and a push.
         let next = cursors.get_mut(idx).and_then(|(query_depth, iter)| {
             iter.next()
-                .map(|&(cand_depth, next)| (*query_depth + cand_depth, next))
+                .map(|(cand_depth, next)| (*query_depth + cand_depth, next))
         });
         match next {
             Some((next_dtree, next)) => *head = Reverse((next_dtree, next, idx)),
@@ -340,6 +524,8 @@ impl RouterIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn path(ids: &[u32]) -> PeerPath {
         PeerPath::new(ids.iter().map(|&i| RouterId(i)).collect()).unwrap()
@@ -492,16 +678,24 @@ mod tests {
         table.get(&RouterId(router)).map(|l| l.iter().collect())
     }
 
+    /// The places of `table.lists` holding a list (not on the free chain).
+    fn live_lists(table: &EntryMap) -> usize {
+        let free = |l: &&List| matches!(l, List::Free(_));
+        table.lists.len() - table.lists.iter().filter(free).count()
+    }
+
     #[test]
     fn peer_list_goes_inline_to_set_and_back_in_order() {
         let mut table = EntryMap::default();
         let (far, near) = (path(&[9, 1, 0]), path(&[1, 0]));
         index_path(&mut table, PeerId(5), &far);
-        let at_1 = |table: &EntryMap| table.get(&RouterId(1)).cloned();
+        fn at_1(table: &EntryMap) -> Option<PeerList<'_>> {
+            table.get(&RouterId(1))
+        }
         assert!(matches!(at_1(&table), Some(PeerList::One((1, PeerId(5))))));
         // The second entry sorts first: (depth 0) < (depth 1).
         index_path(&mut table, PeerId(3), &near);
-        assert!(matches!(at_1(&table), Some(PeerList::Many(_))));
+        assert!(matches!(at_1(&table), Some(PeerList::Array(_))));
         assert_eq!(
             list_at(&table, 1),
             Some(vec![(0, PeerId(3)), (1, PeerId(5))])
@@ -512,16 +706,58 @@ mod tests {
         // Removing an entry a list does not hold changes nothing.
         unindex_path(&mut table, PeerId(3), &near);
         assert_eq!(list_at(&table, 1), Some(vec![(1, PeerId(5))]));
+
+        // Up to ARRAY_MAX entries the list is an array; one more makes it
+        // a tree, in the same order.
+        let edge = |p: u64| path(&[100 + p as u32, 1, 0]);
+        let mut want = vec![(1, PeerId(5))];
+        for p in 10..10 + ARRAY_MAX as u64 {
+            match at_1(&table) {
+                Some(PeerList::One(_)) => assert_eq!(want.len(), 1),
+                Some(PeerList::Array(array)) => assert_eq!(array.len(), want.len()),
+                other => panic!("{} entries as {other:?}", want.len()),
+            }
+            index_path(&mut table, PeerId(p), &edge(p));
+            want.push((1, PeerId(p)));
+        }
+        // Peer 5 re-files its entry: a duplicate changes nothing.
+        index_path(&mut table, PeerId(5), &far);
+        assert!(matches!(at_1(&table), Some(PeerList::Tree(_))));
+        assert_eq!(list_at(&table, 1), Some(want.clone()));
+        assert_eq!(at_1(&table).map(PeerList::len), Some(ARRAY_MAX + 1));
+        assert_eq!((table.lists.len(), live_lists(&table)), (2, 2));
+
+        // Shrinking keeps the tree (a leave must not allocate) down to
+        // two entries; the last but one collapses it into the slot and
+        // frees its place, which the next list takes.
+        for p in 10..9 + ARRAY_MAX as u64 {
+            unindex_path(&mut table, PeerId(p), &edge(p));
+        }
+        let last = 9 + ARRAY_MAX as u64;
+        assert!(matches!(at_1(&table), Some(PeerList::Tree(_))));
+        assert_eq!(
+            list_at(&table, 1),
+            Some(vec![(1, PeerId(5)), (1, PeerId(last))])
+        );
+        unindex_path(&mut table, PeerId(last), &edge(last));
+        assert!(matches!(at_1(&table), Some(PeerList::One((1, PeerId(5))))));
+        assert_eq!(list_at(&table, 0), Some(vec![(2, PeerId(5))]));
+        assert_eq!((table.lists.len(), live_lists(&table)), (2, 0));
+        index_path(&mut table, PeerId(3), &near);
+        assert_eq!((table.lists.len(), live_lists(&table)), (2, 2));
+        unindex_path(&mut table, PeerId(3), &near);
+
         // Emptying a list removes its router.
         unindex_path(&mut table, PeerId(5), &far);
         assert_eq!(table.len(), 0);
+        assert_eq!(live_lists(&table), 0);
     }
 
     #[test]
     fn exclude_skips_a_peer_whether_its_list_is_inline_or_a_set() {
         let idx = populated();
         // A alone crosses router 4 and C alone routers 6 and 3 (inline
-        // lists); both also sit in the sets of the shared routers.
+        // lists); both also sit in the lists of the shared routers.
         for r in [4, 6, 3] {
             assert!(matches!(
                 idx.entries.get(&RouterId(r)),
@@ -530,7 +766,7 @@ mod tests {
         }
         assert!(matches!(
             idx.entries.get(&RouterId(2)),
-            Some(PeerList::Many(_))
+            Some(PeerList::Array(_))
         ));
         for q in [path(&[4, 2, 1, 0]), path(&[6, 3, 1, 0])] {
             let all = idx.query_nearest(&q, 4, None);
@@ -538,6 +774,105 @@ mod tests {
                 let want: Vec<Neighbor> =
                     all.iter().copied().filter(|n| n.peer != excluded).collect();
                 assert_eq!(idx.query_nearest(&q, 4, Some(excluded)), want);
+            }
+        }
+    }
+
+    /// A path of distinct routers from `mids` (drawn from `1..8`), ending
+    /// at router 0: every path shares router 0, so its list crosses
+    /// [`ARRAY_MAX`], and the mid routers' lists sit on both sides of it.
+    fn model_path(mids: &[u32]) -> PeerPath {
+        let mut routers: Vec<u32> = Vec::new();
+        for &m in mids {
+            if !routers.contains(&m) {
+                routers.push(m);
+            }
+        }
+        routers.push(0);
+        path(&routers)
+    }
+
+    type Model = BTreeMap<RouterId, BTreeSet<(u32, PeerId)>>;
+
+    fn model_index(model: &mut Model, peer: PeerId, path: &PeerPath) {
+        for (router, depth) in path.with_depths() {
+            model.entry(router).or_default().insert((depth, peer));
+        }
+    }
+
+    fn model_unindex(model: &mut Model, peer: PeerId, path: &PeerPath) {
+        for (router, depth) in path.with_depths() {
+            if let Some(list) = model.get_mut(&router) {
+                list.remove(&(depth, peer));
+                if list.is_empty() {
+                    model.remove(&router);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// `index_path`/`unindex_path` against a map of ordered sets, with
+        /// duplicate inserts, removals of absent entries and leave/rejoin
+        /// cycles, through every list representation.
+        #[test]
+        fn entry_map_matches_a_model_through_every_representation(
+            ops in prop::collection::vec(
+                (0u8..6, 0usize..64, 0u64..48, prop::collection::vec(1u32..8, 0..6)),
+                1..240,
+            ),
+        ) {
+            let mut table = EntryMap::default();
+            let mut model = Model::new();
+            let mut joined: Vec<(PeerId, PeerPath)> = Vec::new();
+            for (kind, pick, peer, mids) in ops {
+                let (peer, path) = (PeerId(peer), model_path(&mids));
+                match kind {
+                    0..=2 => {
+                        index_path(&mut table, peer, &path);
+                        model_index(&mut model, peer, &path);
+                        joined.push((peer, path));
+                    }
+                    3 => {
+                        unindex_path(&mut table, peer, &path);
+                        model_unindex(&mut model, peer, &path);
+                    }
+                    4 if !joined.is_empty() => {
+                        let (peer, path) = joined.swap_remove(pick % joined.len());
+                        unindex_path(&mut table, peer, &path);
+                        model_unindex(&mut model, peer, &path);
+                    }
+                    5 if !joined.is_empty() => {
+                        // A leave and a rejoin take back the places they free.
+                        let (peer, path) = joined[pick % joined.len()].clone();
+                        index_path(&mut table, peer, &path);
+                        model_index(&mut model, peer, &path);
+                        let places = table.lists.len();
+                        unindex_path(&mut table, peer, &path);
+                        index_path(&mut table, peer, &path);
+                        prop_assert_eq!(table.lists.len(), places);
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(table.len(), model.len());
+                let longer = model.values().filter(|l| l.len() > 1).count();
+                prop_assert_eq!(live_lists(&table), longer);
+                for (router, want) in &model {
+                    let list = table.get(router).expect("a modelled router is indexed");
+                    prop_assert_eq!(list.len(), want.len());
+                    let got: Vec<(u32, PeerId)> = list.iter().collect();
+                    let want: Vec<(u32, PeerId)> = want.iter().copied().collect();
+                    prop_assert_eq!(got, want);
+                    match list {
+                        PeerList::One(_) => prop_assert_eq!(list.len(), 1),
+                        PeerList::Array(array) => {
+                            prop_assert!((2..=ARRAY_MAX).contains(&array.len()));
+                        }
+                        PeerList::Tree(tree) => prop_assert!(tree.len() > 1),
+                    }
+                }
             }
         }
     }
