@@ -1,12 +1,13 @@
 //! Criterion micro-benchmarks for C1/C2: RouterIndex insertion and query,
 //! plus the management server's read kernel at the `perf` benchmark's
-//! shape and at four times its landmark count, and its leave-and-rejoin
-//! write path at that shape.
+//! shape and at four times its landmark count, and its write paths at
+//! that shape: building the population, and one leave and rejoin.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use nearpeer_bench::experiments::complexity::synthetic_path;
 use nearpeer_bench::SyntheticJoins;
-use nearpeer_core::{PeerId, RouterIndex, ServerConfig};
+use nearpeer_core::{ManagementServer, PeerId, RouterIndex, ServerConfig};
+use std::cell::RefCell;
 
 const BRANCHING: u32 = 4;
 const DEPTH: u32 = 10;
@@ -104,6 +105,40 @@ fn bench_closest_to_path(c: &mut Criterion) {
     group.finish();
 }
 
+/// The write side of the same shape, as `perf`'s set-up drives it: 100 k
+/// `register` calls into an empty server at 8 landmarks, in the order its
+/// 8 set-up connections deliver them (8 contiguous id ranges, one join
+/// from each in turn). Every list transition but a collapse happens here,
+/// the split of a full chunk included. One sample is the whole build;
+/// the server is dropped outside the timing.
+fn bench_register(c: &mut Criterion) {
+    const LANES: u64 = 8;
+    const PER_LANE: u64 = 12_500;
+    let mut group = c.benchmark_group("directory/register");
+    let joins = SyntheticJoins::new(8);
+    let order: Vec<_> = (0..PER_LANE)
+        .flat_map(|i| (0..LANES).map(move |lane| lane * PER_LANE + i))
+        .map(|p| joins.join(p))
+        .collect();
+    let built: RefCell<Option<ManagementServer>> = RefCell::new(None);
+    group.bench_function("8_landmarks_100k", |b| {
+        b.iter_batched(
+            || {
+                built.take();
+                (joins.server(ServerConfig::default()), order.clone())
+            },
+            |(mut server, order)| {
+                for (peer, path) in order {
+                    server.register(peer, path).expect("fresh peer");
+                }
+                *built.borrow_mut() = Some(server);
+            },
+            BatchSize::LargeInput,
+        );
+    });
+    group.finish();
+}
+
 /// The write side of the same shape: one registered peer leaves and
 /// rejoins on its own path, cycling a pool as above. A leave collapses
 /// the lists it leaves with one entry into their hash slots and drops the
@@ -135,6 +170,7 @@ criterion_group!(
     bench_query,
     bench_remove,
     bench_closest_to_path,
+    bench_register,
     bench_leave_rejoin
 );
 criterion_main!(benches);

@@ -71,26 +71,37 @@ impl PeerSlot {
     }
 }
 
-/// What a slot holds: a live lease, or a forwarding tombstone left behind
-/// by a cross-region handover (the `u32` is the destination region).
+/// What a slot holds: a live lease, a forwarding tombstone left behind
+/// by a cross-region handover (the `u32` is the destination region), or
+/// nothing. A vacant slot is a link of the free chain: it names the slot
+/// freed before it, if any, so freeing a slot never allocates.
 #[derive(Debug)]
 enum Occupant<T> {
     Live(PeerId, T),
     Moved(PeerId, u32),
+    Vacant(Option<u32>),
 }
 
 impl<T> Occupant<T> {
-    fn peer(&self) -> PeerId {
+    /// The peer of a lease or a tombstone.
+    fn peer(&self) -> Option<PeerId> {
         match self {
-            Occupant::Live(p, _) | Occupant::Moved(p, _) => *p,
+            Occupant::Live(p, _) | Occupant::Moved(p, _) => Some(*p),
+            Occupant::Vacant(_) => None,
         }
+    }
+
+    /// Leaves the slot vacant (off the chain until
+    /// [`LeaseArena::release_slot`] links it), returning what it held.
+    fn take(&mut self) -> Occupant<T> {
+        std::mem::replace(self, Occupant::Vacant(None))
     }
 }
 
 /// Sentinel TTL: "use the sweep's default lease length".
 const TTL_DEFAULT: u32 = u32::MAX;
 
-/// One slab entry. `occupant` is `None` while the slot sits on the free
+/// One slab entry. `occupant` is `Vacant` while the slot sits on the free
 /// list; the generation survives vacancy (it is bumped on removal, so
 /// handles issued before the removal go stale). `opened` is the epoch the
 /// current occupancy began (session-length bookkeeping for adaptive
@@ -108,7 +119,7 @@ struct Slot<T> {
     /// chains of stale notes that each sweep re-examines and re-notes,
     /// breaking the linear-in-activity cost bound.
     noted: u64,
-    occupant: Option<Occupant<T>>,
+    occupant: Occupant<T>,
 }
 
 /// Cumulative sweep-cost counters, exposed so tests (and the churn soak)
@@ -169,7 +180,8 @@ const EMPTY: u32 = u32::MAX;
 #[derive(Debug)]
 pub struct LeaseArena<T> {
     slots: Vec<Slot<T>>,
-    free: Vec<u32>,
+    /// The last slot freed, the head of the free chain.
+    free: Option<u32>,
     /// Open-addressed peer-id → slot index table (capacity a power of two;
     /// keys are read through the slab, the table stores indices only).
     table: Vec<u32>,
@@ -203,7 +215,7 @@ impl<T> LeaseArena<T> {
         let table_cap = (capacity * 4 / 3 + 1).next_power_of_two().max(8);
         Self {
             slots: Vec::with_capacity(capacity),
-            free: Vec::new(),
+            free: None,
             table: vec![EMPTY; table_cap],
             shift: 64 - table_cap.trailing_zeros(),
             len: 0,
@@ -254,10 +266,8 @@ impl<T> LeaseArena<T> {
             if idx == EMPTY {
                 return None;
             }
-            if let Some(occ) = &self.slots[idx as usize].occupant {
-                if occ.peer() == peer {
-                    return Some(i);
-                }
+            if self.slots[idx as usize].occupant.peer() == Some(peer) {
+                return Some(i);
             }
             i = (i + 1) & mask;
         }
@@ -274,9 +284,8 @@ impl<T> LeaseArena<T> {
             }
             let peer = self.slots[idx as usize]
                 .occupant
-                .as_ref()
-                .expect("table entries reference occupied slots")
-                .peer();
+                .peer()
+                .expect("table entries reference occupied slots");
             let mut i = self.home(peer);
             while self.table[i] != EMPTY {
                 i = (i + 1) & mask;
@@ -313,9 +322,8 @@ impl<T> LeaseArena<T> {
             }
             let peer = self.slots[idx as usize]
                 .occupant
-                .as_ref()
-                .expect("table entries reference occupied slots")
-                .peer();
+                .peer()
+                .expect("table entries reference occupied slots");
             let home = self.home(peer);
             // `j`'s entry may fill the hole iff its home position does not
             // lie cyclically in (hole, j] — otherwise moving it would break
@@ -354,7 +362,7 @@ impl<T> LeaseArena<T> {
             let slots = &self.slots;
             bucket.retain(|&(i, g)| {
                 let s = &slots[i as usize];
-                s.generation == g && s.occupant.is_some()
+                s.generation == g && s.occupant.peer().is_some()
             });
         }
         let clamped = self.base_epoch + idx as u64;
@@ -364,14 +372,18 @@ impl<T> LeaseArena<T> {
 
     /// Takes a slot off the free list (or grows the slab) and fills it.
     fn alloc_slot(&mut self, occupant: Occupant<T>, epoch: u64) -> u32 {
-        match self.free.pop() {
+        match self.free {
             Some(idx) => {
                 let s = &mut self.slots[idx as usize];
+                let Occupant::Vacant(next) = s.occupant else {
+                    unreachable!("the free chain links vacant slots");
+                };
+                self.free = next;
                 s.last_seen = epoch;
                 s.opened = epoch;
                 s.ttl = TTL_DEFAULT;
                 s.noted = 0;
-                s.occupant = Some(occupant);
+                s.occupant = occupant;
                 idx
             }
             None => {
@@ -382,7 +394,7 @@ impl<T> LeaseArena<T> {
                     opened: epoch,
                     ttl: TTL_DEFAULT,
                     noted: 0,
-                    occupant: Some(occupant),
+                    occupant,
                 });
                 idx
             }
@@ -390,13 +402,14 @@ impl<T> LeaseArena<T> {
     }
 
     /// Frees `pos`/`slot` after its occupant was taken: bumps the
-    /// generation and recycles the slot.
+    /// generation and links the slot at the head of the free chain.
     fn release_slot(&mut self, pos: usize, slot: u32) {
         self.table_remove(pos);
         let s = &mut self.slots[slot as usize];
-        debug_assert!(s.occupant.is_none());
+        debug_assert!(s.occupant.peer().is_none());
         s.generation = s.generation.wrapping_add(1);
-        self.free.push(slot);
+        s.occupant = Occupant::Vacant(self.free);
+        self.free = Some(slot);
     }
 
     /// Opens a lease for `peer` at `epoch`. Returns the generational
@@ -408,13 +421,13 @@ impl<T> LeaseArena<T> {
         if let Some(pos) = self.probe(peer) {
             let idx = self.table[pos];
             match self.slots[idx as usize].occupant {
-                Some(Occupant::Live(..)) => return None,
-                Some(Occupant::Moved(..)) => {
-                    self.slots[idx as usize].occupant = None;
+                Occupant::Live(..) => return None,
+                Occupant::Moved(..) => {
+                    self.slots[idx as usize].occupant.take();
                     self.release_slot(pos, idx);
                     self.tombstones -= 1;
                 }
-                None => unreachable!("probed slots are occupied"),
+                Occupant::Vacant(_) => unreachable!("probed slots are occupied"),
             }
         }
         let slot = self.alloc_slot(Occupant::Live(peer, value), epoch);
@@ -451,7 +464,7 @@ impl<T> LeaseArena<T> {
     pub fn forwarded_to(&self, peer: PeerId) -> Option<u32> {
         let pos = self.probe(peer)?;
         match self.slots[self.table[pos] as usize].occupant {
-            Some(Occupant::Moved(_, to)) => Some(to),
+            Occupant::Moved(_, to) => Some(to),
             _ => None,
         }
     }
@@ -460,7 +473,7 @@ impl<T> LeaseArena<T> {
     fn probe_live(&self, peer: PeerId) -> Option<usize> {
         let pos = self.probe(peer)?;
         match self.slots[self.table[pos] as usize].occupant {
-            Some(Occupant::Live(..)) => Some(pos),
+            Occupant::Live(..) => Some(pos),
             _ => None,
         }
     }
@@ -475,7 +488,7 @@ impl<T> LeaseArena<T> {
         let pos = self.probe_live(peer)?;
         let slot = self.table[pos] as usize;
         match &self.slots[slot].occupant {
-            Some(Occupant::Live(_, v)) => Some(v),
+            Occupant::Live(_, v) => Some(v),
             _ => None,
         }
     }
@@ -500,7 +513,7 @@ impl<T> LeaseArena<T> {
             return None;
         }
         match &slot.occupant {
-            Some(Occupant::Live(p, v)) => Some((*p, v)),
+            Occupant::Live(p, v) => Some((*p, v)),
             _ => None,
         }
     }
@@ -586,7 +599,7 @@ impl<T> LeaseArena<T> {
         let idx = self.table[pos] as usize;
         let slot = &mut self.slots[idx];
         let (opened, last_seen) = (slot.opened, slot.last_seen);
-        let Some(Occupant::Live(_, value)) = slot.occupant.take() else {
+        let Occupant::Live(_, value) = slot.occupant.take() else {
             unreachable!("probe_live found a live occupant");
         };
         self.release_slot(pos, idx as u32);
@@ -597,7 +610,7 @@ impl<T> LeaseArena<T> {
     /// Iterator over live leases in slot order: `(peer, last_seen, &T)`.
     pub fn iter(&self) -> impl Iterator<Item = (PeerId, u64, &T)> + '_ {
         self.slots.iter().filter_map(|s| match &s.occupant {
-            Some(Occupant::Live(p, v)) => Some((*p, s.last_seen, v)),
+            Occupant::Live(p, v) => Some((*p, s.last_seen, v)),
             _ => None,
         })
     }
@@ -662,11 +675,11 @@ impl<T> LeaseArena<T> {
             for (idx, generation) in bucket {
                 self.sweep.entries_swept += 1;
                 let slot = &mut self.slots[idx as usize];
-                if slot.generation != generation || slot.occupant.is_none() {
+                if slot.generation != generation || slot.occupant.peer().is_none() {
                     continue; // freed (and possibly reused) since noted
                 }
                 let ttl = match slot.occupant {
-                    Some(Occupant::Live(..)) if slot.ttl != TTL_DEFAULT => slot.ttl as u64,
+                    Occupant::Live(..) if slot.ttl != TTL_DEFAULT => slot.ttl as u64,
                     // Tombstone retention matches the default lease length.
                     _ => default_ttl,
                 };
@@ -683,7 +696,7 @@ impl<T> LeaseArena<T> {
                     continue;
                 }
                 let (opened, last_seen) = (slot.opened, slot.last_seen);
-                match slot.occupant.take().expect("checked occupied") {
+                match slot.occupant.take() {
                     Occupant::Live(peer, value) => {
                         let pos = self
                             .probe_vacated(peer, idx)
@@ -705,6 +718,7 @@ impl<T> LeaseArena<T> {
                         self.tombstones -= 1;
                         out.moved.push((peer, to));
                     }
+                    Occupant::Vacant(_) => unreachable!("checked occupied"),
                 }
             }
         }
@@ -755,21 +769,30 @@ impl<T> LeaseArena<T> {
             put_u32(out, s.ttl);
             put_u64(out, s.noted);
             match &s.occupant {
-                None => put_u8(out, 0),
-                Some(Occupant::Live(peer, value)) => {
+                Occupant::Vacant(_) => put_u8(out, 0),
+                Occupant::Live(peer, value) => {
                     put_u8(out, 1);
                     put_u64(out, peer.0);
                     enc_t(value, out);
                 }
-                Some(Occupant::Moved(peer, to)) => {
+                Occupant::Moved(peer, to) => {
                     put_u8(out, 2);
                     put_u64(out, peer.0);
                     put_u32(out, *to);
                 }
             }
         }
-        put_u64(out, self.free.len() as u64);
-        for &f in &self.free {
+        let mut free = Vec::with_capacity(self.slots.len() - self.len - self.tombstones);
+        let mut at = self.free;
+        while let Some(idx) = at {
+            free.push(idx);
+            let Occupant::Vacant(next) = self.slots[idx as usize].occupant else {
+                unreachable!("the free chain links vacant slots");
+            };
+            at = next;
+        }
+        put_u64(out, free.len() as u64);
+        for &f in free.iter().rev() {
             put_u32(out, f);
         }
         put_u64(out, self.table.len() as u64);
@@ -808,7 +831,7 @@ impl<T> LeaseArena<T> {
             let ttl = r.u32()?;
             let noted = r.u64()?;
             let occupant = match r.u8()? {
-                0 => None,
+                0 => Occupant::Vacant(None),
                 1 => {
                     let peer = PeerId(r.u64()?);
                     if !peers_seen.insert(peer) {
@@ -817,7 +840,7 @@ impl<T> LeaseArena<T> {
                         )));
                     }
                     len += 1;
-                    Some(Occupant::Live(peer, dec_t(r)?))
+                    Occupant::Live(peer, dec_t(r)?)
                 }
                 2 => {
                     let peer = PeerId(r.u64()?);
@@ -827,7 +850,7 @@ impl<T> LeaseArena<T> {
                         )));
                     }
                     tombstones += 1;
-                    Some(Occupant::Moved(peer, r.u32()?))
+                    Occupant::Moved(peer, r.u32()?)
                 }
                 t => {
                     return Err(PersistError::Corrupt(format!(
@@ -851,18 +874,19 @@ impl<T> LeaseArena<T> {
                 n_slots - len - tombstones
             )));
         }
-        let mut free = Vec::with_capacity(n_free);
+        let mut free = None;
         let mut on_free = vec![false; n_slots];
         for _ in 0..n_free {
             let f = r.u32()?;
             let idx = f as usize;
-            if idx >= n_slots || slots[idx].occupant.is_some() || on_free[idx] {
+            if idx >= n_slots || slots[idx].occupant.peer().is_some() || on_free[idx] {
                 return Err(PersistError::Corrupt(format!(
                     "lease free-list entry {f} is out of bounds, occupied, or duplicated"
                 )));
             }
             on_free[idx] = true;
-            free.push(f);
+            slots[idx].occupant = Occupant::Vacant(free);
+            free = Some(f);
         }
         let table_cap = r.u64()? as usize;
         if !table_cap.is_power_of_two() || table_cap < 8 || len + tombstones >= table_cap {
@@ -902,8 +926,8 @@ impl<T> LeaseArena<T> {
         let mask = table_cap - 1;
         let mut table = vec![EMPTY; table_cap];
         for (i, s) in slots.iter().enumerate() {
-            if let Some(occ) = &s.occupant {
-                let mut pos = (occ.peer().0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
+            if let Some(peer) = s.occupant.peer() {
+                let mut pos = (peer.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
                 while table[pos] != EMPTY {
                     pos = (pos + 1) & mask;
                 }

@@ -10,10 +10,9 @@
 
 use super::persist::wire::{put_path, put_u32, put_u64, put_u8, Reader};
 use super::persist::PersistError;
+use crate::ids::{IdHash, IdMap};
 use crate::path::PeerPath;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::BuildHasher;
 
 /// A handle into a [`PathStore`] arena. Only meaningful for the store that
 /// produced it.
@@ -36,7 +35,8 @@ impl PathRef {
 
 #[derive(Debug)]
 enum Slot {
-    Vacant,
+    /// On the free chain; `next` is the slot freed before it, if any.
+    Vacant { next: Option<u32> },
     /// A live path; `next` links the next slot whose path has the same
     /// content hash ([`NO_SLOT`] ends the chain).
     Occupied {
@@ -51,22 +51,25 @@ const NO_SLOT: u32 = u32::MAX;
 
 /// An arena of interned [`PeerPath`]s with per-entry reference counts and a
 /// free list, so churn (register/deregister cycles) does not grow the
-/// arena without bound.
+/// arena without bound. The free list is a chain threaded through the
+/// vacant slots, last freed first reused, so freeing never allocates.
 #[derive(Debug, Default)]
 pub struct PathStore {
     slots: Vec<Slot>,
     /// Content hash → the first slot of the chain of paths with that
     /// hash (collisions resolved by comparison along the chain).
-    by_hash: HashMap<u64, u32>,
-    free: Vec<u32>,
+    by_hash: IdMap<u64, u32>,
+    /// The last slot freed, the head of the free chain.
+    free: Option<u32>,
     live: usize,
     hits: u64,
 }
 
+/// A path's content hash, under the process-keyed [`IdHash`]: router ids
+/// come from clients' traces, so a fixed hash would let them aim paths at
+/// one chain. No hash is persisted.
 fn content_hash(path: &PeerPath) -> u64 {
-    let mut hasher = DefaultHasher::new();
-    path.routers().hash(&mut hasher);
-    hasher.finish()
+    IdHash::default().hash_one(path.routers())
 }
 
 impl PathStore {
@@ -93,10 +96,10 @@ impl PathStore {
 
     /// Pre-sizes the arena for `additional` interns beyond the current
     /// live count (batch absorption at churn scale would otherwise grow
-    /// the slot vector doubling-step by doubling-step mid-batch). Free
-    /// slots already on the free list count towards the headroom.
+    /// the slot vector doubling-step by doubling-step mid-batch). Vacant
+    /// slots count towards the headroom.
     pub fn reserve(&mut self, additional: usize) {
-        let needed = additional.saturating_sub(self.free.len());
+        let needed = additional.saturating_sub(self.slots.len() - self.live);
         self.slots.reserve(needed);
     }
 
@@ -128,8 +131,12 @@ impl PathStore {
             refs: 1,
             next: head,
         };
-        let slot = match self.free.pop() {
+        let slot = match self.free {
             Some(idx) => {
+                let Slot::Vacant { next } = self.slots[idx as usize] else {
+                    unreachable!("the free chain links vacant slots");
+                };
+                self.free = next;
                 self.slots[idx as usize] = occupied;
                 idx
             }
@@ -151,7 +158,7 @@ impl PathStore {
     pub fn get(&self, r: PathRef) -> &PeerPath {
         match &self.slots[r.0 as usize] {
             Slot::Occupied { path, .. } => path,
-            Slot::Vacant => panic!("dangling PathRef({})", r.0),
+            Slot::Vacant { .. } => panic!("dangling PathRef({})", r.0),
         }
     }
 
@@ -170,9 +177,9 @@ impl PathStore {
                 return;
             }
             Slot::Occupied { path, next, .. } => (hash(path), *next),
-            Slot::Vacant => panic!("releasing dangling PathRef({})", r.0),
+            Slot::Vacant { .. } => panic!("releasing dangling PathRef({})", r.0),
         };
-        self.slots[r.0 as usize] = Slot::Vacant;
+        self.slots[r.0 as usize] = Slot::Vacant { next: self.free };
         // Unlink the slot: its predecessor on the chain, or the chain's
         // entry in `by_hash`, takes over its `next`.
         let head = self.by_hash.get_mut(&h).expect("a live path is chained");
@@ -195,7 +202,7 @@ impl PathStore {
                 at = *next;
             }
         }
-        self.free.push(r.0);
+        self.free = Some(r.0);
         self.live -= 1;
     }
 
@@ -213,20 +220,21 @@ impl PathStore {
             .iter()
             .map(|s| match s {
                 Slot::Occupied { refs, .. } => u64::from(*refs),
-                Slot::Vacant => 0,
+                Slot::Vacant { .. } => 0,
             })
             .sum()
     }
 
     /// Streams the arena into `out`: slots (tag + refcount + path), the
-    /// free list verbatim (slot-reuse order is part of future behaviour),
-    /// and the dedup-hit counter. The hash chains are derivable and not
-    /// persisted.
+    /// free list in the order its slots were freed, so the last one
+    /// written is reused first (slot-reuse order is part of future
+    /// behaviour), and the dedup-hit counter. The hash chains are
+    /// derivable and not persisted.
     pub(crate) fn persist_encode(&self, out: &mut Vec<u8>) {
         put_u64(out, self.slots.len() as u64);
         for slot in &self.slots {
             match slot {
-                Slot::Vacant => put_u8(out, 0),
+                Slot::Vacant { .. } => put_u8(out, 0),
                 Slot::Occupied { path, refs, .. } => {
                     put_u8(out, 1);
                     put_u32(out, *refs);
@@ -234,8 +242,17 @@ impl PathStore {
                 }
             }
         }
-        put_u64(out, self.free.len() as u64);
-        for &f in &self.free {
+        let mut free = Vec::new();
+        let mut at = self.free;
+        while let Some(idx) = at {
+            free.push(idx);
+            let Slot::Vacant { next } = self.slots[idx as usize] else {
+                unreachable!("the free chain links vacant slots");
+            };
+            at = next;
+        }
+        put_u64(out, free.len() as u64);
+        for &f in free.iter().rev() {
             put_u32(out, f);
         }
         put_u64(out, self.hits);
@@ -255,11 +272,11 @@ impl PathStore {
     ) -> Result<Self, PersistError> {
         let n_slots = r.len_prefix(1)?;
         let mut slots = Vec::with_capacity(n_slots);
-        let mut by_hash: HashMap<u64, u32> = HashMap::new();
+        let mut by_hash: IdMap<u64, u32> = IdMap::default();
         let mut live = 0usize;
         for i in 0..n_slots {
             match r.u8()? {
-                0 => slots.push(Slot::Vacant),
+                0 => slots.push(Slot::Vacant { next: None }),
                 1 => {
                     let refs = r.u32()?;
                     if refs == 0 {
@@ -280,18 +297,19 @@ impl PathStore {
             }
         }
         let n_free = r.len_prefix(4)?;
-        let mut free = Vec::with_capacity(n_free);
+        let mut free = None;
         let mut seen = vec![false; n_slots];
         for _ in 0..n_free {
             let f = r.u32()?;
             let idx = f as usize;
-            if idx >= n_slots || !matches!(slots[idx], Slot::Vacant) || seen[idx] {
+            if idx >= n_slots || !matches!(slots[idx], Slot::Vacant { .. }) || seen[idx] {
                 return Err(PersistError::Corrupt(format!(
                     "path free-list entry {f} is out of bounds, live, or duplicated"
                 )));
             }
             seen[idx] = true;
-            free.push(f);
+            slots[idx] = Slot::Vacant { next: free };
+            free = Some(f);
         }
         let hits = r.u64()?;
         Ok(PathStore {

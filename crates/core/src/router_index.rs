@@ -14,10 +14,15 @@
 //! keyed).
 //!
 //! The table is nearly the whole of a server's memory, so each list is
-//! stored at the size of its data. A router's hash slot holds its entry
-//! itself when it has one (most edge routers do); a longer list lives in
-//! one side `Vec` of the table, as a sorted `Vec` of entries up to
-//! [`ARRAY_MAX`] entries and as a `BTreeSet` above that.
+//! stored at the size of its data: 12-byte [`Packed`] entries, with no
+//! tree nodes. A router's hash slot holds its entry itself when it has one
+//! (most edge routers do); a longer list lives in one side `Vec` of the
+//! table, as one sorted array up to [`CHUNK`] entries and as sorted chunks
+//! of at most [`CHUNK`] above that. The chunks' last entries sit side by
+//! side, so a write binary-searches them, then one chunk. A leave only
+//! frees: emptied and thinned-out chunks are dropped or folded together,
+//! a list down to one chunk becomes that chunk, and a list down to one
+//! entry moves it back into the slot.
 
 use crate::error::CoreError;
 use crate::ids::{IdMap, IdSet, PeerId};
@@ -26,7 +31,7 @@ use nearpeer_topology::RouterId;
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::hash_map::Entry;
-use std::collections::{btree_set, BTreeSet, BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap};
 
 /// One discovered neighbor: the peer and its inferred tree distance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -42,6 +47,55 @@ pub struct Neighbor {
 /// order by it, so ties in depth go by peer id.
 type Filed = (u32, PeerId);
 
+/// A [`Filed`] entry in 12 bytes at 4-byte alignment (the tuple takes 16:
+/// its `u32` pads to the `PeerId`'s alignment). The derived order is
+/// `Filed`'s: depth, then the peer id's high half, then its low half.
+///
+/// It is also a router's hash-table value: its one entry, or, when
+/// `depth` is [`LIST`], the index of its list in [`EntryMap`]'s `lists`
+/// in `peer[1]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct Packed {
+    depth: u32,
+    /// The peer id, high half first.
+    peer: [u32; 2],
+}
+
+const _: () = assert!(std::mem::size_of::<Packed>() == 12);
+const _: () = assert!(std::mem::size_of::<(RouterId, Packed)>() == 16);
+
+/// The [`Packed::depth`] that marks a list. A depth is a position in a
+/// path of distinct routers, and no path gets anywhere near 2³² of them.
+const LIST: u32 = u32::MAX;
+
+impl Packed {
+    fn new((depth, peer): Filed) -> Packed {
+        debug_assert_ne!(depth, LIST, "a depth collides with the list marker");
+        Packed {
+            depth,
+            peer: [(peer.0 >> 32) as u32, peer.0 as u32],
+        }
+    }
+
+    fn list(at: u32) -> Packed {
+        Packed {
+            depth: LIST,
+            peer: [0, at],
+        }
+    }
+
+    /// The place in `lists`, if this hash value points at a list.
+    fn list_at(self) -> Option<usize> {
+        (self.depth == LIST).then_some(self.peer[1] as usize)
+    }
+
+    /// The entry (meaningless for a list marker).
+    fn filed(self) -> Filed {
+        let peer = u64::from(self.peer[0]) << 32 | u64::from(self.peer[1]);
+        (self.depth, PeerId(peer))
+    }
+}
+
 /// The entry table of the flat [`RouterIndex`] and of every
 /// [`crate::ManagementServer`] (one per server, whatever its landmark
 /// count): router → peers traversing it, ordered by hop count below the
@@ -52,13 +106,13 @@ type Filed = (u32, PeerId);
 /// table holds its old and new buckets at once, which for one table of
 /// the whole index added ~7 MB to the peak RSS at 100 k peers.
 ///
-/// A bucket is 16 bytes: the router and a 12-byte [`Slot`] that is either
+/// A bucket is 16 bytes: the router and a [`Packed`] value that is either
 /// the router's one entry or the index of its list in `lists`, at most
 /// one hop away. `lists` reuses the places that collapsed lists leave,
 /// through a free chain threaded through them, so a leave never grows it.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct EntryMap {
-    segments: [IdMap<RouterId, Slot>; SEGMENTS],
+    segments: [IdMap<RouterId, Packed>; SEGMENTS],
     lists: Vec<List>,
     /// The first free place in `lists`, if any.
     free: Option<u32>,
@@ -67,110 +121,207 @@ pub(crate) struct EntryMap {
 /// Segments per [`EntryMap`] (a power of two).
 const SEGMENTS: usize = 16;
 
-/// The longest list kept as a sorted array; one more entry turns it into a
-/// `BTreeSet`. In the benchmark population lists sit on both sides: ~3 and
-/// ~12 entries one and two levels above the edge, ~50 and more nearer the
-/// landmark.
-const ARRAY_MAX: usize = 32;
-
-/// A router's hash-table value, 12 bytes at 4-byte alignment: its one
-/// entry (`depth`, and the peer id as two halves), or, when `depth` is
-/// [`LIST`], the index of its list in [`EntryMap`]'s `lists` in
-/// `peer[0]`.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    depth: u32,
-    peer: [u32; 2],
-}
-
-const _: () = assert!(std::mem::size_of::<(RouterId, Slot)>() == 16);
-
-/// The [`Slot::depth`] that marks a list. A depth is a position in a path
-/// of distinct routers, and no path gets anywhere near 2³² of them.
-const LIST: u32 = u32::MAX;
-
-impl Slot {
-    fn one((depth, peer): Filed) -> Slot {
-        debug_assert_ne!(depth, LIST, "a depth collides with the list marker");
-        Slot {
-            depth,
-            peer: [peer.0 as u32, (peer.0 >> 32) as u32],
-        }
-    }
-
-    fn list(at: u32) -> Slot {
-        Slot {
-            depth: LIST,
-            peer: [at, 0],
-        }
-    }
-
-    /// The place in `lists`, if this slot points at a list.
-    fn list_at(self) -> Option<usize> {
-        (self.depth == LIST).then_some(self.peer[0] as usize)
-    }
-
-    /// The inline entry (meaningless for a list slot).
-    fn filed(self) -> Filed {
-        let peer = u64::from(self.peer[0]) | u64::from(self.peer[1]) << 32;
-        (self.depth, PeerId(peer))
-    }
-}
+/// The most entries a sorted array, and each chunk of a longer list,
+/// holds: 768 bytes. In the benchmark population lists of ~3, ~12 and ~50
+/// entries one to three levels above the edge are arrays; only the ~200
+/// and longer ones nearer the landmark are chunked.
+const CHUNK: usize = 64;
 
 /// A list of two or more entries, or a free place in [`EntryMap`]'s
 /// `lists`.
 #[derive(Debug, Clone)]
 enum List {
-    /// Up to [`ARRAY_MAX`] entries, sorted. An insert is a binary search
-    /// and a memmove of at most 512 bytes; the `Vec` grows by doubling,
-    /// since growing it one entry at a time made joins ~30 % slower for
-    /// 10 bytes per peer.
-    Array(Vec<Filed>),
-    /// More than [`ARRAY_MAX`] entries at some point. A tree is not turned
-    /// back into an array as it shrinks: that would allocate on a leave.
-    Tree(BTreeSet<Filed>),
+    /// Up to [`CHUNK`] entries, sorted. An insert is a binary search and a
+    /// memmove of at most 768 bytes; the `Vec` grows by doubling, since
+    /// growing it one entry at a time made joins ~30 % slower for 10 bytes
+    /// per peer.
+    Array(Vec<Packed>),
+    /// More than [`CHUNK`] entries at some point, in sorted chunks. Back to
+    /// an array when one chunk is left: that chunk is the array.
+    Chunked(Chunks),
     /// Free; the next free place, if any.
     Free(Option<u32>),
 }
 
+/// A long list: consecutive sorted runs of at most [`CHUNK`] entries.
+#[derive(Debug, Clone)]
+pub(crate) struct Chunks {
+    /// Entries over all chunks, which [`PeerList::len`] reads for every
+    /// router a query hits.
+    len: u32,
+    /// Two or more, in order, none empty, every `entries` of capacity
+    /// [`CHUNK`] or more (so neither a fold nor an insert that fits
+    /// reallocates).
+    chunks: Vec<Chunk>,
+}
+
+/// One run of a [`Chunks`] list.
+#[derive(Debug)]
+pub(crate) struct Chunk {
+    /// The run's last entry. A list's chunk headers sit side by side in
+    /// one `Vec`, so a write binary-searches contiguous memory and then
+    /// touches one chunk, not one chunk per probe of its search.
+    last: Packed,
+    entries: Vec<Packed>,
+}
+
+impl Chunk {
+    /// A chunk holding `entries` (sorted, not empty), at capacity
+    /// [`CHUNK`] at least.
+    fn new(entries: Vec<Packed>) -> Chunk {
+        debug_assert!(entries.capacity() >= CHUNK);
+        let last = *entries.last().expect("a chunk is not empty");
+        Chunk { last, entries }
+    }
+
+    fn of(entry: Packed) -> Chunk {
+        let mut entries = Vec::with_capacity(CHUNK);
+        entries.push(entry);
+        Chunk::new(entries)
+    }
+}
+
+impl Clone for Chunk {
+    /// Keeps the capacity that a derived `clone` would trim to the length.
+    fn clone(&self) -> Chunk {
+        let mut entries = Vec::with_capacity(CHUNK);
+        entries.extend_from_slice(&self.entries);
+        Chunk::new(entries)
+    }
+}
+
+impl Chunks {
+    /// Adds `entry` (a no-op if it is present).
+    fn insert(&mut self, entry: Packed) {
+        let chunks = &mut self.chunks;
+        let mut at = chunks.partition_point(|chunk| chunk.last < entry);
+        let mut pos = match chunks.get(at) {
+            Some(chunk) => match chunk.entries.binary_search(&entry) {
+                Ok(_) => return,
+                Err(pos) => pos,
+            },
+            None => {
+                at -= 1;
+                chunks[at].entries.len()
+            }
+        };
+        // An entry that sorts between two chunks ends the first if it
+        // has room.
+        if pos == 0 && at > 0 && chunks[at - 1].entries.len() < CHUNK {
+            at -= 1;
+            pos = chunks[at].entries.len();
+        }
+        self.len += 1;
+        let chunk = &mut chunks[at];
+        if chunk.entries.len() < CHUNK {
+            chunk.entries.insert(pos, entry);
+            chunk.last = chunk.last.max(entry);
+            return;
+        }
+        // A full chunk. An entry past either end of it starts a chunk of
+        // its own, so ascending (or descending) runs of joins fill whole
+        // chunks; one inside splits it in halves.
+        if pos == CHUNK || pos == 0 {
+            chunks.insert(at + usize::from(pos == CHUNK), Chunk::of(entry));
+            return;
+        }
+        const HALF: usize = CHUNK / 2;
+        let mut right = Vec::with_capacity(CHUNK);
+        right.extend_from_slice(&chunk.entries[HALF..]);
+        chunk.entries.truncate(HALF);
+        if pos <= HALF {
+            chunk.entries.insert(pos, entry);
+        } else {
+            right.insert(pos - HALF, entry);
+        }
+        chunk.last = *chunk.entries.last().expect("half a chunk");
+        chunks.insert(at + 1, Chunk::new(right));
+    }
+
+    /// Removes `entry` (a no-op if it is absent). A chunk left empty is
+    /// dropped, and two neighbours that together hold at most half a
+    /// chunk are folded into one, so churn cannot thin a list out into
+    /// near-empty chunks. Frees memory but never allocates.
+    fn remove(&mut self, entry: Packed) {
+        let chunks = &mut self.chunks;
+        let at = chunks.partition_point(|chunk| chunk.last < entry);
+        let Some(chunk) = chunks.get_mut(at) else {
+            return;
+        };
+        let Ok(pos) = chunk.entries.binary_search(&entry) else {
+            return;
+        };
+        chunk.entries.remove(pos);
+        self.len -= 1;
+        let Some(&last) = chunk.entries.last() else {
+            chunks.remove(at);
+            return;
+        };
+        chunk.last = last;
+        let thin =
+            |left: usize| chunks[left].entries.len() + chunks[left + 1].entries.len() <= CHUNK / 2;
+        let left = if at + 1 < chunks.len() && thin(at) {
+            at
+        } else if at > 0 && thin(at - 1) {
+            at - 1
+        } else {
+            return;
+        };
+        let right = chunks.remove(left + 1);
+        let chunk = &mut chunks[left];
+        chunk.entries.extend_from_slice(&right.entries);
+        chunk.last = right.last;
+    }
+}
+
 impl List {
     /// Adds `entry` (a no-op if it is present).
-    fn insert(&mut self, entry: Filed) {
+    fn insert(&mut self, entry: Packed) {
         match self {
             List::Array(array) => match array.binary_search(&entry) {
                 Ok(_) => {}
-                Err(_) if array.len() == ARRAY_MAX => {
-                    let mut tree: BTreeSet<Filed> = std::mem::take(array).into_iter().collect();
-                    tree.insert(entry);
-                    *self = List::Tree(tree);
+                Err(_) if array.len() == CHUNK => {
+                    let mut chunks = Vec::with_capacity(2);
+                    chunks.push(Chunk::new(std::mem::take(array)));
+                    let mut list = Chunks {
+                        len: CHUNK as u32,
+                        chunks,
+                    };
+                    list.insert(entry);
+                    *self = List::Chunked(list);
                 }
-                Err(at) => {
-                    array.insert(at, entry);
-                }
+                Err(at) => array.insert(at, entry),
             },
-            List::Tree(tree) => {
-                tree.insert(entry);
-            }
+            List::Chunked(list) => list.insert(entry),
             List::Free(_) => unreachable!("a slot points at a free list"),
         }
     }
 
     /// Removes `entry` (a no-op if it is absent); returns the one entry
     /// left, if that is all that is, which the caller moves into the slot.
-    fn remove(&mut self, entry: Filed) -> Option<Filed> {
-        match self {
+    fn remove(&mut self, entry: Packed) -> Option<Packed> {
+        let array = match self {
             List::Array(array) => {
                 if let Ok(at) = array.binary_search(&entry) {
                     array.remove(at);
                 }
-                (array.len() == 1).then(|| array[0])
+                array
             }
-            List::Tree(tree) => {
-                tree.remove(&entry);
-                (tree.len() == 1).then(|| *tree.first().expect("one entry left"))
+            List::Chunked(list) => {
+                list.remove(entry);
+                if list.chunks.len() > 1 {
+                    return None;
+                }
+                let last = list.chunks.pop().expect("a list keeps a chunk");
+                *self = List::Array(last.entries);
+                let List::Array(array) = self else {
+                    unreachable!("just made an array");
+                };
+                array
             }
             List::Free(_) => unreachable!("a slot points at a free list"),
-        }
+        };
+        (array.len() == 1).then(|| array[0])
     }
 }
 
@@ -186,7 +337,7 @@ impl EntryMap {
             None => PeerList::One(slot.filed()),
             Some(at) => match &self.lists[at] {
                 List::Array(array) => PeerList::Array(array),
-                List::Tree(tree) => PeerList::Tree(tree),
+                List::Chunked(list) => PeerList::Chunked(list),
                 List::Free(_) => unreachable!("a slot points at a free list"),
             },
         })
@@ -194,9 +345,10 @@ impl EntryMap {
 
     /// Files `entry` under `router` (a no-op if it is there).
     fn insert(&mut self, router: RouterId, entry: Filed) {
+        let entry = Packed::new(entry);
         let slot = match self.segments[Self::segment(router)].entry(router) {
             Entry::Vacant(vacant) => {
-                vacant.insert(Slot::one(entry));
+                vacant.insert(entry);
                 return;
             }
             Entry::Occupied(occupied) => occupied.into_mut(),
@@ -205,7 +357,7 @@ impl EntryMap {
             self.lists[at].insert(entry);
             return;
         }
-        let held = slot.filed();
+        let held = *slot;
         if held == entry {
             return;
         }
@@ -224,26 +376,27 @@ impl EntryMap {
                 (self.lists.len() - 1) as u32
             }
         };
-        *slot = Slot::list(at);
+        *slot = Packed::list(at);
     }
 
     /// Removes `entry` from `router`'s list (a no-op if it is absent): a
     /// list left with one entry moves it into the slot, and a router left
     /// with none is dropped. Frees memory but never allocates.
     fn remove(&mut self, router: RouterId, entry: Filed) {
+        let entry = Packed::new(entry);
         let segment = &mut self.segments[Self::segment(router)];
         let Some(slot) = segment.get_mut(&router) else {
             return;
         };
         match slot.list_at() {
             None => {
-                if slot.filed() == entry {
+                if *slot == entry {
                     segment.remove(&router);
                 }
             }
             Some(at) => {
                 if let Some(last) = self.lists[at].remove(entry) {
-                    *slot = Slot::one(last);
+                    *slot = last;
                     self.lists[at] = List::Free(self.free);
                     self.free = Some(at as u32);
                 }
@@ -266,14 +419,14 @@ impl EntryMap {
 /// (`SyntheticJoins`: a unique access router per peer, and 12.5 k peers
 /// per landmark below 4⁷ level-7 routers) that is 2 of every peer's 9
 /// entries, and their list is the hash slot itself. A list of up to
-/// [`ARRAY_MAX`] entries is a sorted slice; only a longer one is a
-/// `BTreeSet`, whose smallest leaf node is ~190 heap bytes. An empty list
-/// is not representable: the owning table drops the router instead.
+/// [`CHUNK`] entries is one sorted slice of 12-byte entries, a longer one
+/// sorted chunks of them. An empty list is not representable: the owning
+/// table drops the router instead.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum PeerList<'a> {
     One(Filed),
-    Array(&'a [Filed]),
-    Tree(&'a BTreeSet<Filed>),
+    Array(&'a [Packed]),
+    Chunked(&'a Chunks),
 }
 
 impl<'a> PeerList<'a> {
@@ -281,8 +434,14 @@ impl<'a> PeerList<'a> {
     pub(crate) fn iter(self) -> ListIter<'a> {
         match self {
             PeerList::One(entry) => ListIter::One(Some(entry)),
-            PeerList::Array(array) => ListIter::Array(array.iter()),
-            PeerList::Tree(tree) => ListIter::Tree(tree.iter()),
+            PeerList::Array(array) => ListIter::Packed {
+                entries: array.iter(),
+                chunks: [].iter(),
+            },
+            PeerList::Chunked(list) => ListIter::Packed {
+                entries: [].iter(),
+                chunks: list.chunks.iter(),
+            },
         }
     }
 
@@ -291,17 +450,20 @@ impl<'a> PeerList<'a> {
         match self {
             PeerList::One(_) => 1,
             PeerList::Array(array) => array.len(),
-            PeerList::Tree(tree) => tree.len(),
+            PeerList::Chunked(list) => list.len as usize,
         }
     }
 }
 
-/// A cursor over a [`PeerList`], ascending.
+/// A cursor over a [`PeerList`], ascending: through the current run of
+/// packed entries, then the chunks after it.
 #[derive(Debug, Clone)]
 pub(crate) enum ListIter<'a> {
     One(Option<Filed>),
-    Array(std::slice::Iter<'a, Filed>),
-    Tree(btree_set::Iter<'a, Filed>),
+    Packed {
+        entries: std::slice::Iter<'a, Packed>,
+        chunks: std::slice::Iter<'a, Chunk>,
+    },
 }
 
 impl Iterator for ListIter<'_> {
@@ -310,8 +472,12 @@ impl Iterator for ListIter<'_> {
     fn next(&mut self) -> Option<Filed> {
         match self {
             ListIter::One(entry) => entry.take(),
-            ListIter::Array(iter) => iter.next().copied(),
-            ListIter::Tree(iter) => iter.next().copied(),
+            ListIter::Packed { entries, chunks } => loop {
+                if let Some(entry) = entries.next() {
+                    return Some(entry.filed());
+                }
+                *entries = chunks.next()?.entries.iter();
+            },
         }
     }
 }
@@ -525,7 +691,7 @@ impl RouterIndex {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn path(ids: &[u32]) -> PeerPath {
         PeerPath::new(ids.iter().map(|&i| RouterId(i)).collect()).unwrap()
@@ -684,8 +850,51 @@ mod tests {
         table.lists.len() - table.lists.iter().filter(free).count()
     }
 
+    /// A chunked list's invariants: two or more chunks, none empty or over
+    /// [`CHUNK`], each at capacity [`CHUNK`] (neither a merge nor an
+    /// insert that fits reallocates), each stored last key its chunk's
+    /// last entry, no two neighbours thin enough to fold, and the stored
+    /// length the sum.
+    fn check_chunks(list: &Chunks) {
+        assert!(list.chunks.len() >= 2, "{} chunks", list.chunks.len());
+        for chunk in &list.chunks {
+            assert!((1..=CHUNK).contains(&chunk.entries.len()));
+            assert_eq!(chunk.entries.capacity(), CHUNK);
+            assert_eq!(Some(&chunk.last), chunk.entries.last());
+        }
+        for pair in list.chunks.windows(2) {
+            assert!(pair[0].entries.len() + pair[1].entries.len() > CHUNK / 2);
+        }
+        let total: usize = list.chunks.iter().map(|c| c.entries.len()).sum();
+        assert_eq!(total, list.len as usize);
+    }
+
+    /// Checks `list`'s representation against its length; returns which
+    /// it is: 0 inline, 1 array, 2 chunks.
+    fn check_list(list: PeerList<'_>) -> usize {
+        match list {
+            PeerList::One(_) => 0,
+            PeerList::Array(array) => {
+                assert!((2..=CHUNK).contains(&array.len()), "{}", array.len());
+                1
+            }
+            PeerList::Chunked(list) => {
+                check_chunks(list);
+                2
+            }
+        }
+    }
+
+    /// The lengths of `router`'s chunks (empty unless its list is chunked).
+    fn chunk_lens(table: &EntryMap, router: u32) -> Vec<usize> {
+        match table.get(&RouterId(router)) {
+            Some(PeerList::Chunked(list)) => list.chunks.iter().map(|c| c.entries.len()).collect(),
+            _ => Vec::new(),
+        }
+    }
+
     #[test]
-    fn peer_list_goes_inline_to_set_and_back_in_order() {
+    fn peer_list_walks_inline_array_chunks_and_back_in_order() {
         let mut table = EntryMap::default();
         let (far, near) = (path(&[9, 1, 0]), path(&[1, 0]));
         index_path(&mut table, PeerId(5), &far);
@@ -707,41 +916,60 @@ mod tests {
         unindex_path(&mut table, PeerId(3), &near);
         assert_eq!(list_at(&table, 1), Some(vec![(1, PeerId(5))]));
 
-        // Up to ARRAY_MAX entries the list is an array; one more makes it
-        // a tree, in the same order.
-        let edge = |p: u64| path(&[100 + p as u32, 1, 0]);
+        // 1 → 2 → CHUNK entries: an array; CHUNK + 1: chunks, in the same
+        // order. Ascending joins (even ids) fill whole chunks.
+        let edge = |p: u64| path(&[1000 + p as u32, 1, 0]);
+        let evens: Vec<u64> = (0..4 * CHUNK as u64).map(|i| 10 + 2 * i).collect();
         let mut want = vec![(1, PeerId(5))];
-        for p in 10..10 + ARRAY_MAX as u64 {
-            match at_1(&table) {
-                Some(PeerList::One(_)) => assert_eq!(want.len(), 1),
-                Some(PeerList::Array(array)) => assert_eq!(array.len(), want.len()),
-                other => panic!("{} entries as {other:?}", want.len()),
-            }
+        for &p in &evens {
+            let kind = match want.len() {
+                1 => 0,
+                2..=CHUNK => 1,
+                _ => 2,
+            };
+            assert_eq!(check_list(at_1(&table).expect("indexed")), kind);
             index_path(&mut table, PeerId(p), &edge(p));
             want.push((1, PeerId(p)));
+            assert_eq!(at_1(&table).map(PeerList::len), Some(want.len()));
         }
         // Peer 5 re-files its entry: a duplicate changes nothing.
         index_path(&mut table, PeerId(5), &far);
-        assert!(matches!(at_1(&table), Some(PeerList::Tree(_))));
         assert_eq!(list_at(&table, 1), Some(want.clone()));
-        assert_eq!(at_1(&table).map(PeerList::len), Some(ARRAY_MAX + 1));
+        assert_eq!(chunk_lens(&table, 1), [CHUNK, CHUNK, CHUNK, CHUNK, 1]);
         assert_eq!((table.lists.len(), live_lists(&table)), (2, 2));
 
-        // Shrinking keeps the tree (a leave must not allocate) down to
-        // two entries; the last but one collapses it into the slot and
-        // frees its place, which the next list takes.
-        for p in 10..9 + ARRAY_MAX as u64 {
-            unindex_path(&mut table, PeerId(p), &edge(p));
-        }
-        let last = 9 + ARRAY_MAX as u64;
-        assert!(matches!(at_1(&table), Some(PeerList::Tree(_))));
+        // An entry before a full first chunk starts a chunk of its own;
+        // one inside a full chunk splits it in halves.
+        index_path(&mut table, PeerId(3), &near);
+        assert_eq!(chunk_lens(&table, 1), [1, CHUNK, CHUNK, CHUNK, CHUNK, 1]);
+        index_path(&mut table, PeerId(11), &edge(11));
+        let (half, full) = (CHUNK / 2, CHUNK);
         assert_eq!(
-            list_at(&table, 1),
-            Some(vec![(1, PeerId(5)), (1, PeerId(last))])
+            chunk_lens(&table, 1),
+            [1, half + 1, half, full, full, full, 1]
         );
-        unindex_path(&mut table, PeerId(last), &edge(last));
+        want.extend([(0, PeerId(3)), (1, PeerId(11))]);
+        want.sort();
+        assert_eq!(list_at(&table, 1), Some(want.clone()));
+        check_list(at_1(&table).expect("indexed"));
+
+        // Every other peer leaves, then the rest: chunks thin out and fold
+        // together, the last chunk becomes the array, and the last entry
+        // but one moves peer 5's back into the slot.
+        let mut leaving: Vec<(u64, PeerPath)> = vec![(3, near.clone()), (11, edge(11))];
+        leaving.extend(evens.iter().step_by(2).map(|&p| (p, edge(p))));
+        leaving.extend(evens.iter().skip(1).step_by(2).map(|&p| (p, edge(p))));
+        let mut seen = [false; 3];
+        for (p, path) in leaving {
+            unindex_path(&mut table, PeerId(p), &path);
+            want.retain(|&(_, peer)| peer != PeerId(p));
+            assert_eq!(list_at(&table, 1), Some(want.clone()));
+            seen[check_list(at_1(&table).expect("peer 5 stays"))] = true;
+        }
+        assert_eq!(seen, [true; 3]);
         assert!(matches!(at_1(&table), Some(PeerList::One((1, PeerId(5))))));
         assert_eq!(list_at(&table, 0), Some(vec![(2, PeerId(5))]));
+        // Both places are free, and the next list takes one back.
         assert_eq!((table.lists.len(), live_lists(&table)), (2, 0));
         index_path(&mut table, PeerId(3), &near);
         assert_eq!((table.lists.len(), live_lists(&table)), (2, 2));
@@ -780,7 +1008,7 @@ mod tests {
 
     /// A path of distinct routers from `mids` (drawn from `1..8`), ending
     /// at router 0: every path shares router 0, so its list crosses
-    /// [`ARRAY_MAX`], and the mid routers' lists sit on both sides of it.
+    /// [`CHUNK`], and the mid routers' lists sit on both sides of it.
     fn model_path(mids: &[u32]) -> PeerPath {
         let mut routers: Vec<u32> = Vec::new();
         for &m in mids {
@@ -800,15 +1028,47 @@ mod tests {
         }
     }
 
-    fn model_unindex(model: &mut Model, peer: PeerId, path: &PeerPath) {
-        for (router, depth) in path.with_depths() {
-            if let Some(list) = model.get_mut(&router) {
-                list.remove(&(depth, peer));
-                if list.is_empty() {
-                    model.remove(&router);
-                }
+    fn model_remove(model: &mut Model, router: RouterId, entry: Filed) {
+        if let Some(list) = model.get_mut(&router) {
+            list.remove(&entry);
+            if list.is_empty() {
+                model.remove(&router);
             }
         }
+    }
+
+    fn model_unindex(model: &mut Model, peer: PeerId, path: &PeerPath) {
+        for (router, depth) in path.with_depths() {
+            model_remove(model, router, (depth, peer));
+        }
+    }
+
+    /// The routers' order, `len()` and representation against the
+    /// model's (`only` one router, or all), and one live list per modelled
+    /// router with two or more entries.
+    fn check_model(
+        table: &EntryMap,
+        model: &Model,
+        only: Option<RouterId>,
+    ) -> Result<(), TestCaseError> {
+        prop_assert_eq!(table.len(), model.len());
+        let longer = model.values().filter(|l| l.len() > 1).count();
+        prop_assert_eq!(live_lists(table), longer);
+        for (router, want) in model {
+            if only.is_some_and(|only| only != *router) {
+                continue;
+            }
+            let list = table.get(router).expect("a modelled router is indexed");
+            prop_assert_eq!(list.len(), want.len());
+            prop_assert!(list.iter().eq(want.iter().copied()));
+            check_list(list);
+        }
+        Ok(())
+    }
+
+    /// Which representation router 0's list has (see [`check_list`]).
+    fn kind_at_0(table: &EntryMap) -> Option<usize> {
+        table.get(&RouterId(0)).map(check_list)
     }
 
     proptest! {
@@ -816,11 +1076,15 @@ mod tests {
 
         /// `index_path`/`unindex_path` against a map of ordered sets, with
         /// duplicate inserts, removals of absent entries and leave/rejoin
-        /// cycles, through every list representation.
+        /// cycles, through every list representation. Runs of joins grow
+        /// router 0's list to several hundred entries; removals aimed at
+        /// its chunks' heads, tails and middles, and at every entry of a
+        /// middle chunk, thin it out; at the end every peer leaves, which
+        /// takes it back through one entry.
         #[test]
         fn entry_map_matches_a_model_through_every_representation(
             ops in prop::collection::vec(
-                (0u8..6, 0usize..64, 0u64..48, prop::collection::vec(1u32..8, 0..6)),
+                (0u8..9, 0usize..1024, 0u64..48, prop::collection::vec(1u32..8, 0..6)),
                 1..240,
             ),
         ) {
@@ -854,26 +1118,71 @@ mod tests {
                         index_path(&mut table, peer, &path);
                         prop_assert_eq!(table.lists.len(), places);
                     }
+                    6 => {
+                        // A run of joins, ids spread by a stride, so runs
+                        // land inside one another's ranges.
+                        let (start, stride) = (100 + pick as u64, 1 + peer.0 % 7);
+                        for i in 0..8 + (pick % 64) as u64 {
+                            let peer = PeerId(start + i * stride);
+                            index_path(&mut table, peer, &path);
+                            model_index(&mut model, peer, &path);
+                            joined.push((peer, path.clone()));
+                        }
+                    }
+                    7 => {
+                        // Router 0's entry at the head, the tail or the
+                        // middle of one of its chunks goes.
+                        if let Some(PeerList::Chunked(list)) = table.get(&RouterId(0)) {
+                            let chunk = &list.chunks[pick % list.chunks.len()].entries;
+                            let at = [0, chunk.len() - 1, chunk.len() / 2][peer.0 as usize % 3];
+                            let entry = chunk[at].filed();
+                            table.remove(RouterId(0), entry);
+                            model_remove(&mut model, RouterId(0), entry);
+                        }
+                    }
+                    8 => {
+                        // Every entry of one of router 0's middle chunks
+                        // goes: the chunk empties or folds into a
+                        // neighbour.
+                        if let Some(PeerList::Chunked(list)) = table.get(&RouterId(0)) {
+                            let chunks = list.chunks.len();
+                            if chunks >= 3 {
+                                let middle = &list.chunks[1 + pick % (chunks - 2)];
+                                let gone: Vec<Filed> =
+                                    middle.entries.iter().map(|e| e.filed()).collect();
+                                for entry in gone {
+                                    table.remove(RouterId(0), entry);
+                                    model_remove(&mut model, RouterId(0), entry);
+                                    check_model(&table, &model, Some(RouterId(0)))?;
+                                }
+                                prop_assert!(chunk_lens(&table, 0).len() < chunks);
+                            }
+                        }
+                    }
                     _ => {}
                 }
-                prop_assert_eq!(table.len(), model.len());
-                let longer = model.values().filter(|l| l.len() > 1).count();
-                prop_assert_eq!(live_lists(&table), longer);
-                for (router, want) in &model {
-                    let list = table.get(router).expect("a modelled router is indexed");
-                    prop_assert_eq!(list.len(), want.len());
-                    let got: Vec<(u32, PeerId)> = list.iter().collect();
-                    let want: Vec<(u32, PeerId)> = want.iter().copied().collect();
-                    prop_assert_eq!(got, want);
-                    match list {
-                        PeerList::One(_) => prop_assert_eq!(list.len(), 1),
-                        PeerList::Array(array) => {
-                            prop_assert!((2..=ARRAY_MAX).contains(&array.len()));
-                        }
-                        PeerList::Tree(tree) => prop_assert!(tree.len() > 1),
-                    }
+                check_model(&table, &model, None)?;
+            }
+            // Every peer leaves. One leave takes at most one entry off a
+            // router, so a chunked list passes through an array and one
+            // entry on its way out, and no leave grows `lists`.
+            let places = table.lists.len();
+            let mut seen = [false; 3];
+            let start = kind_at_0(&table);
+            for (peer, path) in joined {
+                unindex_path(&mut table, peer, &path);
+                model_unindex(&mut model, peer, &path);
+                check_model(&table, &model, Some(RouterId(0)))?;
+                if let Some(kind) = kind_at_0(&table) {
+                    seen[kind] = true;
                 }
             }
+            if start == Some(2) {
+                prop_assert_eq!(seen, [true; 3]);
+            }
+            prop_assert_eq!(table.len(), 0);
+            prop_assert_eq!(live_lists(&table), 0);
+            prop_assert_eq!(table.lists.len(), places);
         }
     }
 
