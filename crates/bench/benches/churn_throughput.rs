@@ -10,19 +10,19 @@
 //! when two connections write at once.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use nearpeer_bench::experiments::churn::{run_soak, ChurnSoakConfig};
+use nearpeer_bench::soak::{run_with_state, Churn, Scenario};
 use nearpeer_bench::wire::{synthetic_landmarks, BATCH_FRAMES};
 use nearpeer_bench::SyntheticJoins;
 use nearpeer_core::protocol::Message;
 use nearpeer_core::{ActorServer, LandmarkId, ServerConfig, WireService};
 
-fn soak_config(peers: usize) -> ChurnSoakConfig {
-    ChurnSoakConfig {
+fn soak_config(peers: usize) -> Scenario {
+    Scenario::single_server(Churn {
         peers,
         cycles: 2, // cycle 2 rejoins departed peers: the renewal path
         arrival_rate: peers as f64 / 20.0,
-        ..ChurnSoakConfig::smoke()
-    }
+        ..Churn::smoke()
+    })
 }
 
 fn bench_churn_throughput(c: &mut Criterion) {
@@ -31,7 +31,7 @@ fn bench_churn_throughput(c: &mut Criterion) {
     for &peers in &[2_000usize, 10_000] {
         let cfg = soak_config(peers);
         group.bench_with_input(BenchmarkId::new("batched", peers), &cfg, |b, cfg| {
-            b.iter(|| run_soak(cfg, 7));
+            b.iter(|| run_with_state(cfg, 7).expect("valid scenario"));
         });
     }
     group.finish();

@@ -1,4 +1,7 @@
-//! Minimal argument parsing shared by the experiment binaries.
+//! Minimal argument parsing shared by the experiment binaries and the
+//! `soak` binary.
+
+use std::str::FromStr;
 
 /// Options every experiment binary understands.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,15 +36,13 @@ impl CommonArgs {
             match arg.as_str() {
                 "--quick" => out.quick = true,
                 "--seeds" => {
-                    let v = iter.next().ok_or("--seeds needs a value")?;
-                    out.seeds = v.parse().map_err(|_| format!("bad --seeds value {v}"))?;
+                    out.seeds = value(&mut iter, "--seeds")?;
                     if out.seeds == 0 {
                         return Err("--seeds must be >= 1".into());
                     }
                 }
                 "--threads" => {
-                    let v = iter.next().ok_or("--threads needs a value")?;
-                    out.threads = v.parse().map_err(|_| format!("bad --threads value {v}"))?;
+                    out.threads = value(&mut iter, "--threads")?;
                     if out.threads == 0 {
                         return Err("--threads must be >= 1".into());
                     }
@@ -55,14 +56,71 @@ impl CommonArgs {
 
     /// Parses the process arguments, exiting with the message on error.
     pub fn parse() -> Self {
-        match Self::parse_from(std::env::args().skip(1)) {
-            Ok(args) => args,
-            Err(msg) => {
-                eprintln!("{msg}");
-                std::process::exit(2);
+        exit_on_error(Self::parse_from(std::env::args().skip(1)))
+    }
+}
+
+/// Options of the `soak` binary.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SoakArgs {
+    /// Scenario name (`--scenario`, required).
+    pub scenario: String,
+    /// Trace population override (`--peers N`).
+    pub peers: Option<usize>,
+    /// Trace seed (`--seed S`, default 42).
+    pub seed: u64,
+    /// Wall-clock budget in seconds, 0 = none (`--budget-secs S`).
+    pub budget_secs: u64,
+}
+
+impl SoakArgs {
+    /// Parses from an iterator of arguments (without the program name).
+    pub fn parse_from<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
+        let mut out = Self {
+            scenario: String::new(),
+            peers: None,
+            seed: 42,
+            budget_secs: 0,
+        };
+        let mut iter = args.into_iter();
+        while let Some(arg) = iter.next() {
+            match arg.as_str() {
+                "--scenario" => out.scenario = value(&mut iter, "--scenario")?,
+                "--peers" => out.peers = Some(value(&mut iter, "--peers")?),
+                "--seed" => out.seed = value(&mut iter, "--seed")?,
+                "--budget-secs" => out.budget_secs = value(&mut iter, "--budget-secs")?,
+                "--help" | "-h" => {
+                    return Err(
+                        "usage: --scenario NAME [--peers N] [--seed S] [--budget-secs S]".into(),
+                    )
+                }
+                other => return Err(format!("unknown argument {other}")),
             }
         }
+        if out.scenario.is_empty() {
+            return Err("--scenario is required".into());
+        }
+        Ok(out)
     }
+
+    /// Parses the process arguments, exiting with the message on error.
+    pub fn parse() -> Self {
+        exit_on_error(Self::parse_from(std::env::args().skip(1)))
+    }
+}
+
+/// The value after `flag`, parsed.
+fn value<T: FromStr>(iter: &mut impl Iterator<Item = String>, flag: &str) -> Result<T, String> {
+    let v = iter.next().ok_or(format!("{flag} needs a value"))?;
+    v.parse().map_err(|_| format!("bad {flag} value {v}"))
+}
+
+/// Unwraps a parse, or prints the message and exits 2.
+fn exit_on_error<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2);
+    })
 }
 
 #[cfg(test)]
@@ -97,5 +155,25 @@ mod tests {
         assert!(parse(&["--threads", "0"]).is_err());
         assert!(parse(&["--wat"]).is_err());
         assert!(parse(&["--help"]).is_err());
+    }
+
+    #[test]
+    fn soak_flags() {
+        let soak = |args: &[&str]| SoakArgs::parse_from(args.iter().map(|s| s.to_string()));
+        let a = soak(&[
+            "--scenario",
+            "all",
+            "--peers",
+            "1000",
+            "--budget-secs",
+            "120",
+        ])
+        .unwrap();
+        assert_eq!(a.scenario, "all");
+        assert_eq!(a.peers, Some(1000));
+        assert_eq!((a.seed, a.budget_secs), (42, 120));
+        assert!(soak(&[]).is_err(), "--scenario is required");
+        assert!(soak(&["--scenario", "churn", "--peers", "x"]).is_err());
+        assert!(soak(&["--scenario", "churn", "--events", "5"]).is_err());
     }
 }

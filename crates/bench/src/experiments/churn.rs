@@ -17,7 +17,7 @@ use nearpeer_probe::{TraceConfig, Tracer};
 use nearpeer_routing::{bfs_distances, RouteOracle};
 use nearpeer_topology::generators::{mapper, MapperConfig};
 use nearpeer_topology::RouterId;
-use nearpeer_workloads::{ArrivalProcess, ChurnConfig, ChurnEvent, ChurnEventKind, ChurnTrace};
+use nearpeer_workloads::{ArrivalProcess, ChurnConfig, ChurnEventKind, ChurnTrace};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -298,325 +298,6 @@ pub fn run(config: &ChurnStudyConfig, seed: u64) -> ChurnStudyResult {
     }
 }
 
-// --- Million-peer churn soak (the batched lease path). ---
-
-use crate::swarm::SyntheticJoins;
-use nearpeer_core::SweepStats;
-use std::time::Instant;
-
-/// Soak parameters: a W3 churn trace replayed onto a synthetic swarm at
-/// populations where simulated tracing is prohibitive. Every epoch window
-/// reaches the directory as one `register_batch`, one
-/// `leave_batch` and one `renew_batch` call.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ChurnSoakConfig {
-    /// Peers per trace cycle.
-    pub peers: usize,
-    /// Full trace replays; cycles ≥ 2 make departed peers rejoin, driving
-    /// the renewal-piggyback path (a silently failed peer coming back
-    /// before its lease lapsed).
-    pub cycles: usize,
-    /// Mean session length, seconds (exponential).
-    pub mean_lifetime_secs: f64,
-    /// Join rate, per second (Poisson).
-    pub arrival_rate: f64,
-    /// Fraction of departures that fail silently instead of leaving.
-    pub failure_fraction: f64,
-    /// Landmarks (= directory shards).
-    pub n_landmarks: usize,
-    /// Epoch windows the trace is sliced into per cycle (the heartbeat
-    /// grid; window width = trace span / this).
-    pub epochs_per_cycle: usize,
-    /// Lease expiry sweep cadence, in epochs.
-    pub expire_every: u64,
-    /// Lease length: a peer not seen for more than this many epochs is
-    /// expired at the next sweep.
-    pub max_age: u64,
-    /// Heartbeat cadence: every epoch, the live peers whose id falls in
-    /// the epoch's stride group renew their lease (batched through
-    /// `renew_batch`). Must be < `max_age`, or live peers' leases lapse
-    /// between heartbeats.
-    pub heartbeat_every: u64,
-    /// Adaptive lease lengths for the directory (per-peer `max_age` from
-    /// the session EWMA, capped to the configured band); `None` = the
-    /// uniform `max_age` lease.
-    pub adaptive: Option<nearpeer_core::AdaptiveLeaseConfig>,
-}
-
-impl ChurnSoakConfig {
-    /// The CI smoke shape: 10⁵ peers, one cycle.
-    pub fn smoke() -> Self {
-        Self {
-            peers: 100_000,
-            cycles: 1,
-            mean_lifetime_secs: 60.0,
-            arrival_rate: 1_000.0,
-            failure_fraction: 0.3,
-            n_landmarks: 8,
-            epochs_per_cycle: 128,
-            expire_every: 4,
-            max_age: 8,
-            heartbeat_every: 4,
-            adaptive: None,
-        }
-    }
-
-    /// A reduced shape for unit tests.
-    pub fn quick() -> Self {
-        Self {
-            peers: 400,
-            cycles: 2,
-            mean_lifetime_secs: 30.0,
-            arrival_rate: 50.0,
-            failure_fraction: 0.4,
-            n_landmarks: 3,
-            epochs_per_cycle: 24,
-            expire_every: 3,
-            max_age: 5,
-            heartbeat_every: 2,
-            adaptive: None,
-        }
-    }
-}
-
-/// Event dispositions accumulated over a soak replay. Deterministic per
-/// `(config, seed)`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ChurnSoakCounters {
-    /// Fresh registrations (lease opened).
-    pub joins: u64,
-    /// Rejoins renewed through the register path (lease refreshed, path
-    /// kept).
-    pub renewals: u64,
-    /// Heartbeat renewals (batched `renew_batch` rounds).
-    pub heartbeats: u64,
-    /// Join items rejected (should be 0 for synthetic traces).
-    pub rejected: u64,
-    /// Graceful departures that found a registration to remove.
-    pub leaves: u64,
-    /// Silent failures (no server interaction — the lease must catch
-    /// them).
-    pub fails: u64,
-    /// Leases expired by the sweeps.
-    pub expired: u64,
-    /// Heartbeat epochs driven (non-empty trace windows).
-    pub epochs: u64,
-    /// Trace events applied.
-    pub events: u64,
-}
-
-/// Soak output: counters, population extremes, throughput and the lease
-/// arena's cumulative sweep cost.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ChurnSoakResult {
-    /// Configuration used.
-    pub config: ChurnSoakConfig,
-    /// Event dispositions.
-    pub counters: ChurnSoakCounters,
-    /// Largest registered population observed at an epoch boundary.
-    pub peak_population: usize,
-    /// Registered peers left after the replay (silent failures whose
-    /// lease had not yet lapsed).
-    pub final_population: usize,
-    /// Distinct routers the server's index holds after the replay.
-    pub indexed_routers: usize,
-    /// Distinct routers on the residual population's stored paths; the
-    /// index holding any other router is a leak.
-    pub live_path_routers: usize,
-    /// Wall-clock seconds for the replay (excluding trace generation).
-    pub elapsed_secs: f64,
-    /// Trace events applied per second of replay.
-    pub events_per_sec: f64,
-    /// Summed per-shard expiry sweep cost — evidence the sweeps stay
-    /// linear in lease activity (compare `entries_swept` against
-    /// `counters.events`, not against population × epochs).
-    pub sweep_entries: u64,
-    /// Epoch buckets retired across all shards.
-    pub sweep_buckets: u64,
-}
-
-/// Feeds one epoch window to the directory: the window's trace events,
-/// then the heartbeat round of `beats`.
-type ApplyEpoch =
-    fn(&mut ManagementServer, &SyntheticJoins, &[ChurnEvent], &[PeerId], &mut ChurnSoakCounters);
-
-/// One `register_batch`, one `leave_batch` and one `renew_batch`
-/// call per epoch window.
-fn apply_batched(
-    server: &mut ManagementServer,
-    gen: &SyntheticJoins,
-    events: &[ChurnEvent],
-    beats: &[PeerId],
-    counters: &mut ChurnSoakCounters,
-) {
-    let mut joins: Vec<(PeerId, PeerPath)> = Vec::new();
-    let mut leave_ids: Vec<PeerId> = Vec::new();
-    for ev in events {
-        match ev.kind {
-            ChurnEventKind::Join => joins.push(gen.join(ev.peer as u64)),
-            ChurnEventKind::Leave => leave_ids.push(PeerId(ev.peer as u64)),
-            ChurnEventKind::Fail => counters.fails += 1,
-        }
-    }
-    let out = server.register_batch(joins);
-    counters.joins += out.joined as u64;
-    counters.renewals += out.renewed as u64;
-    counters.rejected += out.rejected as u64;
-    counters.leaves += server.leave_batch(&leave_ids) as u64;
-    counters.heartbeats += server.renew_batch(beats) as u64;
-}
-
-/// One facade call per event and per heartbeat — the deployed protocol's
-/// shape.
-fn apply_per_event(
-    server: &mut ManagementServer,
-    gen: &SyntheticJoins,
-    events: &[ChurnEvent],
-    beats: &[PeerId],
-    counters: &mut ChurnSoakCounters,
-) {
-    for ev in events {
-        apply_batched(server, gen, std::slice::from_ref(ev), &[], counters);
-    }
-    for beat in beats {
-        apply_batched(server, gen, &[], std::slice::from_ref(beat), counters);
-    }
-}
-
-/// Runs a churn soak and also hands back the populated server, so callers
-/// (the determinism suite) can inspect the directory state it leaves.
-pub fn run_soak_with_server(
-    cfg: &ChurnSoakConfig,
-    seed: u64,
-) -> (ChurnSoakResult, ManagementServer) {
-    replay(cfg, seed, apply_batched)
-}
-
-/// The reference the batched replay is checked against: the same trace,
-/// heartbeat rounds and sweeps, with every event and heartbeat its own
-/// facade call. `tests/determinism.rs` asserts both leave identical
-/// directories; no binary replays this way.
-#[doc(hidden)]
-pub fn run_soak_per_event_reference(
-    cfg: &ChurnSoakConfig,
-    seed: u64,
-) -> (ChurnSoakResult, ManagementServer) {
-    replay(cfg, seed, apply_per_event)
-}
-
-fn replay(
-    cfg: &ChurnSoakConfig,
-    seed: u64,
-    apply: ApplyEpoch,
-) -> (ChurnSoakResult, ManagementServer) {
-    let gen = SyntheticJoins::new(cfg.n_landmarks);
-    let mut server = gen.server(ServerConfig {
-        neighbor_count: 5,
-        cross_landmark_fallback: false,
-        adaptive_leases: cfg.adaptive,
-    });
-    let trace = ChurnTrace::generate(
-        &ChurnConfig {
-            peers: cfg.peers,
-            arrivals: ArrivalProcess::Poisson {
-                rate_per_sec: cfg.arrival_rate,
-            },
-            mean_lifetime_secs: Some(cfg.mean_lifetime_secs),
-            failure_fraction: cfg.failure_fraction,
-        },
-        seed,
-    );
-    let width = (trace.span_us() / cfg.epochs_per_cycle.max(1) as u64).max(1);
-    assert!(cfg.expire_every >= 1, "expiry cadence must be >= 1 epoch");
-    assert!(
-        cfg.heartbeat_every >= 1 && cfg.heartbeat_every < cfg.max_age,
-        "live peers must heartbeat within their lease"
-    );
-    let mut counters = ChurnSoakCounters::default();
-    let mut peak = 0usize;
-    // Heartbeat bookkeeping, driven by the trace alone: which peers are
-    // nominally alive, and one stride group per heartbeat phase so each
-    // epoch renews ~1/stride of the population.
-    let mut alive = vec![false; cfg.peers];
-    let mut grouped = vec![false; cfg.peers];
-    let mut groups: Vec<Vec<usize>> = (0..cfg.heartbeat_every).map(|_| Vec::new()).collect();
-    let t0 = Instant::now();
-    for _cycle in 0..cfg.cycles {
-        for (_idx, events) in trace.windows(width) {
-            server.advance_epoch();
-            counters.epochs += 1;
-            counters.events += events.len() as u64;
-            for ev in events {
-                match ev.kind {
-                    ChurnEventKind::Join => {
-                        alive[ev.peer] = true;
-                        if !grouped[ev.peer] {
-                            grouped[ev.peer] = true;
-                            groups[ev.peer % cfg.heartbeat_every as usize].push(ev.peer);
-                        }
-                    }
-                    ChurnEventKind::Leave | ChurnEventKind::Fail => alive[ev.peer] = false,
-                }
-            }
-            // This epoch's stride group of live peers heartbeats after
-            // the events and before the sweep — a peer checking in this
-            // epoch must not be expired by it.
-            let phase = (counters.epochs % cfg.heartbeat_every) as usize;
-            let beats: Vec<PeerId> = groups[phase]
-                .iter()
-                .filter(|&&p| alive[p])
-                .map(|&p| PeerId(p as u64))
-                .collect();
-            apply(&mut server, &gen, events, &beats, &mut counters);
-            if counters.epochs % cfg.expire_every == 0 {
-                counters.expired += server.expire_stale(cfg.max_age).len() as u64;
-            }
-            peak = peak.max(server.peer_count());
-        }
-    }
-    let elapsed = t0.elapsed();
-    let sweep: SweepStats = server
-        .shards()
-        .iter()
-        .fold(SweepStats::default(), |acc, s| {
-            let st = s.leases().sweep_stats();
-            SweepStats {
-                entries_swept: acc.entries_swept + st.entries_swept,
-                buckets_swept: acc.buckets_swept + st.buckets_swept,
-            }
-        });
-    let result = ChurnSoakResult {
-        config: cfg.clone(),
-        counters,
-        peak_population: peak,
-        final_population: server.peer_count(),
-        indexed_routers: server.index().n_routers(),
-        live_path_routers: live_path_routers(&server),
-        elapsed_secs: elapsed.as_secs_f64(),
-        events_per_sec: counters.events as f64 / elapsed.as_secs_f64().max(1e-9),
-        sweep_entries: sweep.entries_swept,
-        sweep_buckets: sweep.buckets_swept,
-    };
-    (result, server)
-}
-
-/// Distinct routers on the live stored paths of `server`'s peers: what
-/// its router index must hold, and no more (the soaks' leak gate).
-pub fn live_path_routers(server: &ManagementServer) -> usize {
-    let routers: HashSet<RouterId> = server
-        .shards()
-        .iter()
-        .flat_map(|s| s.peers().filter_map(|p| s.path_of(p)))
-        .flat_map(|path| path.routers().iter().copied())
-        .collect();
-    routers.len()
-}
-
-/// Runs a churn soak (see [`ChurnSoakConfig`]).
-pub fn run_soak(cfg: &ChurnSoakConfig, seed: u64) -> ChurnSoakResult {
-    run_soak_with_server(cfg, seed).0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -643,55 +324,5 @@ mod tests {
             result.handover_improvement
         );
         assert_eq!(result.table().n_rows(), 2);
-    }
-
-    #[test]
-    fn soak_counters_add_up_and_sweeps_stay_linear() {
-        let cfg = ChurnSoakConfig::quick();
-        let (result, server) = run_soak_with_server(&cfg, 11);
-        let c = result.counters;
-        // Every trace event lands in exactly one disposition. Join events
-        // split into fresh joins vs renewals (cycle 2 rejoins peers whose
-        // lease survived); departures into graceful leaves (some find the
-        // peer already expired and count nothing) and silent fails.
-        assert_eq!(c.events, (cfg.peers as u64 * 2) * cfg.cycles as u64);
-        assert_eq!(c.rejected, 0, "synthetic paths always hit a landmark");
-        assert_eq!(
-            c.joins + c.renewals,
-            cfg.peers as u64 * cfg.cycles as u64,
-            "every join event either opens or renews a lease"
-        );
-        assert!(c.renewals > 0, "cycle 2 must drive the renewal path");
-        assert!(c.heartbeats > 0, "live peers must heartbeat");
-        assert!(c.expired > 0, "silent failures must be expired by leases");
-        // Conservation: everyone who joined has left, failed-and-expired,
-        // or is still registered.
-        assert_eq!(
-            c.joins,
-            c.leaves + c.expired + result.final_population as u64
-        );
-        assert!(result.peak_population > 0);
-        assert_eq!(server.peer_count(), result.final_population);
-        assert_eq!(result.indexed_routers, result.live_path_routers);
-        // The epoch-bucketed sweep touches noted lease activity only (one
-        // note per open/renewal, re-notes bounded by sweeps), far below
-        // the full-scan worst case of population × sweeps.
-        let noted = c.joins + c.renewals + c.heartbeats;
-        assert!(
-            result.sweep_entries <= 2 * noted,
-            "sweep cost {} exceeds twice the noted activity {}",
-            result.sweep_entries,
-            noted
-        );
-    }
-
-    #[test]
-    fn soak_modes_agree_at_small_scale() {
-        let cfg = ChurnSoakConfig::quick();
-        let base = run_soak(&cfg, 3);
-        let (seq, _) = run_soak_per_event_reference(&cfg, 3);
-        assert_eq!(seq.counters, base.counters);
-        assert_eq!(seq.final_population, base.final_population);
-        assert_eq!(seq.peak_population, base.peak_population);
     }
 }

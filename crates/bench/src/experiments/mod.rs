@@ -6,11 +6,9 @@ pub mod complexity;
 pub mod convergence;
 pub mod decreased;
 pub mod dtree;
-pub mod federation;
 pub mod landmark_policies;
 pub mod mapping;
 pub mod quality;
 pub mod restart;
 pub mod setup_delay;
-pub mod subs;
 pub mod superpeers;

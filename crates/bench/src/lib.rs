@@ -15,9 +15,7 @@
 //! | A1 | `dtree_accuracy` | P[dtree = d] per topology family |
 //! | A2 | `setup_delay` | end-to-end streaming setup delay per policy |
 //! | —  | `internet_mapping` | map-statistics validation (§3 substitution) |
-//! | —  | `churn_soak` | 10⁵–10⁶-peer churn replay through the batched lease path |
-//! | —  | `federation_soak` | N-region churn + mobility replay through the federation front door |
-//! | —  | `sub_soak` | standing-subscription soak: delta parity, latency CDF, coalescing under storms |
+//! | —  | `soak` | 10⁵–10⁶-peer soaks ([`soak`]): churn, federation mobility, crash/rejoin, subscriptions, or all at once |
 //! | —  | `nearpeerd` | the wire daemon (`wire`); its load generator and oracle live in `crates/perf` |
 //!
 //! Binaries print the paper-style table, an ASCII rendition of the figure,
@@ -33,6 +31,7 @@ pub mod experiments;
 mod federation;
 mod output;
 mod runner;
+pub mod soak;
 mod swarm;
 pub mod wire;
 

@@ -1,13 +1,13 @@
 //! Structured-concurrency sweep runner.
 
-use crossbeam::channel;
+use std::sync::Mutex;
 
 /// Runs `f` over every item on `threads` scoped worker threads, returning
 /// outputs in input order.
 ///
-/// The workers never outlive the call (std scoped threads), and work is
-/// distributed through a crossbeam channel so an expensive parameter point
-/// cannot stall the queue behind it.
+/// The workers never outlive the call (std scoped threads), and each takes
+/// the next item from one shared queue when it is free, so an expensive
+/// parameter point cannot stall the items behind it.
 pub fn run_parallel<I, O, F>(items: Vec<I>, threads: usize, f: F) -> Vec<O>
 where
     I: Send,
@@ -19,39 +19,32 @@ where
         return Vec::new();
     }
     let threads = threads.clamp(1, n);
-    let (tx_in, rx_in) = channel::unbounded::<(usize, I)>();
-    let (tx_out, rx_out) = channel::unbounded::<(usize, O)>();
-    for pair in items.into_iter().enumerate() {
-        tx_in.send(pair).expect("receiver alive");
-    }
-    drop(tx_in);
-
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let mut slots: Vec<Option<O>> = (0..n).map(|_| None).collect();
     std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let rx_in = rx_in.clone();
-            let tx_out = tx_out.clone();
-            let f = &f;
-            scope.spawn(move || {
-                while let Ok((idx, item)) = rx_in.recv() {
-                    let out = f(item);
-                    if tx_out.send((idx, out)).is_err() {
-                        break;
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let next = queue.lock().expect("queue poisoned").next();
+                        let Some((idx, item)) = next else { break };
+                        done.push((idx, f(item)));
                     }
-                }
-            });
+                    done
+                })
+            })
+            .collect();
+        for worker in workers {
+            for (idx, out) in worker.join().expect("sweep worker panicked") {
+                slots[idx] = Some(out);
+            }
         }
-        drop(tx_out);
-        drop(rx_in);
-
-        let mut slots: Vec<Option<O>> = (0..n).map(|_| None).collect();
-        for (idx, out) in rx_out {
-            slots[idx] = Some(out);
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every index produced exactly once"))
-            .collect()
-    })
+    });
+    slots
+        .into_iter()
+        .map(|s| s.expect("every index produced exactly once"))
+        .collect()
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! Both rounds are parallel:
 //!
 //! * **Round 1 (tracing)** fans the simulated traceroutes out over peer
-//!   chunks on crossbeam scoped threads, all probing one shared
+//!   chunks on std scoped threads, all probing one shared
 //!   [`RouteOracle`] whose landmark trees are precomputed into an arena
 //!   ([`RouteOracle::with_destinations`]). Every peer's trace seeds its own
 //!   RNG (`seed ^ i·0x9E37_79B9`), so the traced paths and probe costs are
@@ -97,12 +97,6 @@ pub struct BuildPhases {
     /// runs entirely out of the O(landmarks) eager arena (`scale_smoke`
     /// gates this in CI).
     pub oracle: OracleStats,
-    /// Subscription-plane counters, for builds whose driver ran a
-    /// standing-subscription phase afterwards (`None` straight out of
-    /// [`Swarm::build`] — a fresh swarm has no subscribers yet; `sub_soak`
-    /// stashes the registry's final counters here so reports render
-    /// through the same struct).
-    pub subs: Option<SubscriptionStats>,
 }
 
 /// A fully initialised swarm: topology + landmarks + populated server.
@@ -255,7 +249,6 @@ impl<'t> Swarm<'t> {
                 register: t_register.elapsed(),
                 trace_threads: threads,
                 oracle: oracle_stats,
-                subs: None,
             },
         })
     }
@@ -369,7 +362,7 @@ fn trace_seed(seed: u64, i: usize) -> u64 {
 }
 
 /// Runs round 1 — one simulated traceroute per `(source, landmark)` job —
-/// on `threads` crossbeam scoped threads over contiguous peer chunks, all
+/// on `threads` std scoped threads over contiguous peer chunks, all
 /// sharing one [`Tracer`] (and through it one `Sync` [`RouteOracle`]).
 ///
 /// `results[i]` is job `i`'s trace (`None` if source and landmark are
@@ -399,14 +392,14 @@ pub fn trace_round1(
     // dispatch through a channel would dominate the traces themselves.
     let chunk = jobs.len().div_ceil(threads.min(jobs.len()));
     let mut results: Vec<Option<TraceResult>> = vec![None; jobs.len()];
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for (chunk_idx, (jobs_chunk, out_chunk)) in jobs
             .chunks(chunk)
             .zip(results.chunks_mut(chunk))
             .enumerate()
         {
             let base = chunk_idx * chunk;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 // One scratch per worker: route/TTL/coin-flip buffers are
                 // reused across the whole chunk.
                 let mut scratch = TraceScratch::new();
@@ -422,8 +415,7 @@ pub fn trace_round1(
                 }
             });
         }
-    })
-    .expect("trace workers never panic");
+    });
     results
 }
 

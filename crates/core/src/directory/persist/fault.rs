@@ -4,8 +4,8 @@
 //! (and, via `kill_after_batches`, on the background writer) before a
 //! recovery attempt — the same failure classes a real crash or sick disk
 //! produces: torn tails, truncated files, flipped bits, and a writer that
-//! dies between batches. The `restart_soak` bench and the durability
-//! proptests drive recovery through every arm of a plan and assert the
+//! dies between batches. The soak harness's fault matrix and the
+//! durability proptests drive recovery through every arm of a plan and assert the
 //! typed-error / last-consistent-point contract.
 
 /// Declarative damage to apply to snapshot/journal bytes.

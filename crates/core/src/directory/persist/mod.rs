@@ -21,8 +21,8 @@
 //! and reports the truncation in [`RecoveryReport`].
 //!
 //! [`fault`] provides the fault-injection plans (torn tails, truncated
-//! snapshots, flipped bytes, kill-between-batches) used by the
-//! `restart_soak` bench and the durability proptests.
+//! snapshots, flipped bytes, kill-between-batches) used by the soak
+//! harness's fault matrix and the durability proptests.
 
 pub mod fault;
 pub mod journal;

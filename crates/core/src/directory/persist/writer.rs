@@ -25,10 +25,10 @@
 
 use super::journal::{self, JournalOp};
 use crate::telemetry::{Counter, Gauge, Histogram, TelemetryRegistry};
-use crossbeam::channel::Receiver;
 use std::fs;
 use std::io::{Seek, SeekFrom, Write};
 use std::path::PathBuf;
+use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -220,9 +220,9 @@ enum Cmd {
 }
 
 /// The worker's loop: parks on `rx`, drains up to [`DRAIN_CAP`] queued
-/// commands per wake into one batch, counts it (batches, batch size, the
-/// depth left queued) and hands it to `apply`. Returns when every sender
-/// is gone and the queue is empty.
+/// commands per wake into one batch, counts it (batches, batch size; the
+/// batch comes off the queue-depth gauge the senders raise) and hands it
+/// to `apply`. Returns when every sender is gone and the queue is empty.
 fn drain_batches(rx: Receiver<Cmd>, stats: &SharedStats, mut apply: impl FnMut(Vec<Cmd>)) {
     let mut batch = Vec::new();
     while let Ok(first) = rx.recv() {
@@ -235,14 +235,14 @@ fn drain_batches(rx: Receiver<Cmd>, stats: &SharedStats, mut apply: impl FnMut(V
         }
         stats.batches.inc();
         stats.batch_size.record(batch.len() as u64);
-        stats.queue_depth.set(rx.len() as u64);
+        stats.queue_depth.sub(batch.len() as u64);
         apply(std::mem::take(&mut batch));
     }
 }
 
 /// Handle to the background durability worker.
 pub struct DurabilityWriter {
-    tx: Option<crossbeam::channel::Sender<Cmd>>,
+    tx: Option<SyncSender<Cmd>>,
     handle: Option<JoinHandle<()>>,
     shared: Arc<SharedStats>,
 }
@@ -258,7 +258,7 @@ impl std::fmt::Debug for DurabilityWriter {
 impl DurabilityWriter {
     /// Spawns the worker thread over `medium`.
     pub fn spawn<M: DurableMedium>(mut medium: M, config: WriterConfig) -> Self {
-        let (tx, rx) = crossbeam::channel::bounded::<Cmd>(config.queue_capacity);
+        let (tx, rx) = mpsc::sync_channel::<Cmd>(config.queue_capacity);
         let shared = Arc::new(SharedStats::default());
         let worker_shared = Arc::clone(&shared);
         let mut last_snapshot: Option<Instant> = None;
@@ -357,19 +357,27 @@ impl DurabilityWriter {
     /// Enqueues one journal op, blocking while the queue is full.
     /// Returns false if the worker is gone (after [`DurabilityWriter::close`]).
     pub fn append(&self, op: JournalOp) -> bool {
-        match &self.tx {
-            Some(tx) => tx.send(Cmd::Append(op)).is_ok(),
-            None => false,
-        }
+        self.send(Cmd::Append(op))
     }
 
     /// Offers a serialized snapshot; the worker installs it unless rate
     /// limiting drops the offer. Blocks while the queue is full.
     pub fn offer_snapshot(&self, snapshot: Vec<u8>) -> bool {
-        match &self.tx {
-            Some(tx) => tx.send(Cmd::Snapshot(snapshot)).is_ok(),
-            None => false,
+        self.send(Cmd::Snapshot(snapshot))
+    }
+
+    /// Queues one command, counting it into the queue-depth gauge before
+    /// the worker can see it (the worker takes each batch back off).
+    fn send(&self, cmd: Cmd) -> bool {
+        let Some(tx) = &self.tx else {
+            return false;
+        };
+        self.shared.queue_depth.add(1);
+        let sent = tx.send(cmd).is_ok();
+        if !sent {
+            self.shared.queue_depth.sub(1);
         }
+        sent
     }
 
     /// Live counters.
@@ -556,7 +564,7 @@ mod tests {
     #[test]
     fn queued_flood_is_journaled_in_capped_batches() {
         let flood = 3 * DRAIN_CAP as u64 + 7;
-        let (open, gate) = crossbeam::channel::bounded::<()>(0);
+        let (open, gate) = mpsc::sync_channel::<()>(0);
         let medium = GatedMedium {
             inner: MemoryMedium::new(),
             gate: Some(gate),
@@ -596,7 +604,7 @@ mod tests {
     /// to it, then drops the sender and joins. Returns the batches `apply`
     /// saw and the loop's counters.
     fn drain_hundred_appends() -> (Vec<Vec<JournalOp>>, Arc<SharedStats>) {
-        let (tx, rx) = crossbeam::channel::unbounded();
+        let (tx, rx) = mpsc::channel();
         let stats = Arc::new(SharedStats::default());
         let worker = {
             let stats = Arc::clone(&stats);

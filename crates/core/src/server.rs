@@ -566,10 +566,11 @@ impl ManagementServer {
         }
         out.expired.sort_unstable();
         out.moved.sort_unstable();
-        if !self.subs_mut().is_empty() && (!out.expired.is_empty() || !out.moved.is_empty()) {
-            let mut gone = out.expired.clone();
-            gone.extend(out.moved.iter().map(|&(peer, _)| peer));
-            self.notify_subs(DeltaClass::Expiry, &[], &gone);
+        // Only silent expiries are departures: a swept tombstone's peer
+        // left every answer when it moved (`deregister_forwarding`
+        // notified), and may be live here again under another landmark.
+        if !out.expired.is_empty() {
+            self.notify_subs(DeltaClass::Expiry, &[], &out.expired);
         }
         out
     }

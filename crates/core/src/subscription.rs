@@ -498,11 +498,15 @@ impl SubscriptionRegistry {
                     self.drop_sub(sid);
                 }
             }
-            let Some(holders) = self.members.remove(&p) else {
+            let Some(mut holders) = self.members.remove(&p) else {
                 continue;
             };
-            for sid in holders {
-                self.member_removed(sid, p, class, epoch, now_ms);
+            holders.retain(|&sid| self.member_removed(sid, p, class, epoch, now_ms));
+            // A handed-over `p` is re-added below and may stay in the
+            // answers of holders left dirty: it stays their member, so a
+            // later removal of `p` still reaches them.
+            if !holders.is_empty() && added.contains(&p) {
+                self.members.insert(p, holders);
             }
         }
 
@@ -646,23 +650,31 @@ impl SubscriptionRegistry {
         }
     }
 
-    /// One subscription lost answer member `p`.
-    fn member_removed(&mut self, sid: u32, p: PeerId, class: DeltaClass, epoch: u64, now_ms: u64) {
+    /// One subscription lost answer member `p`. Returns whether `p` stays
+    /// in the answer until the subscription's refill.
+    fn member_removed(
+        &mut self,
+        sid: u32,
+        p: PeerId,
+        class: DeltaClass,
+        epoch: u64,
+        now_ms: u64,
+    ) -> bool {
         let s = self.subs[sid as usize]
             .as_mut()
             .expect("members index is coherent");
         if s.dirty {
-            return; // the refill diff will account for p too
+            return true; // the refill diff will account for p too
         }
         let Some(idx) = s.answer.iter().position(|n| n.peer == p) else {
-            return;
+            return false;
         };
         if s.answer.len() == s.k {
             // The answer was full: the evicted (k+1)-th candidate is
             // unknown to the incremental view — settle with a re-query.
             s.dirty = true;
             self.dirty_subs.push(sid);
-            return;
+            return true;
         }
         // Short answer = every candidate is already in it; dropping the
         // departed member keeps that invariant, no refill needed.
@@ -682,6 +694,7 @@ impl SubscriptionRegistry {
             self.counters.dropped_to_coalesce.inc();
         }
         Self::settle_pending(&mut self.counters, s);
+        false
     }
 
     /// A peer entered the directory: offer it to every subscription it
@@ -1154,6 +1167,57 @@ mod tests {
             apply(&mut view, d);
         }
         assert!(same_view(view, srv.neighbors_of(PeerId(1), 2).unwrap()));
+    }
+
+    /// A member that hands over inside a full answer stays a member: its
+    /// later departure must still reach the watcher.
+    #[test]
+    fn handover_then_leave_of_a_member_reaches_the_watcher() {
+        let mut srv = server();
+        srv.register(PeerId(1), path(&[4, 2, 1, 0])).unwrap();
+        srv.register(PeerId(2), path(&[5, 2, 1, 0])).unwrap();
+        srv.register(PeerId(3), path(&[6, 3, 1, 0])).unwrap();
+        srv.register(PeerId(4), path(&[7, 3, 1, 0])).unwrap();
+        let client = srv.open_sub_client();
+        // k=2: answer [2 (dtree 2), 3 (dtree 4)]; 4 is the runner-up.
+        let mut view = srv.subscribe(client, watch(PeerId(1), 2)).unwrap();
+        srv.handover(PeerId(2), path(&[8, 2, 1, 0])).unwrap();
+        srv.deregister(PeerId(2)).unwrap();
+        let mut deltas = Vec::new();
+        srv.drain_deltas(client, 16, &mut deltas);
+        for d in &deltas {
+            apply(&mut view, d);
+        }
+        assert!(same_view(view, srv.neighbors_of(PeerId(1), 2).unwrap()));
+    }
+
+    /// A peer that moved away and came back under another landmark is
+    /// live: sweeping its old forwarding tombstone must not remove it
+    /// from the answers it is in.
+    #[test]
+    fn a_swept_tombstone_does_not_remove_a_returned_peer() {
+        let mut srv = server();
+        srv.register(PeerId(1), path(&[4, 2, 1, 0])).unwrap();
+        srv.register(PeerId(2), path(&[5, 2, 1, 0])).unwrap();
+        let client = srv.open_sub_client();
+        let mut view = srv.subscribe(client, watch(PeerId(1), 3)).unwrap();
+        srv.advance_epoch();
+        srv.deregister_forwarding(PeerId(2), 7).unwrap();
+        // Back under landmark 100: a fill of peer 1's short answer.
+        srv.register(PeerId(2), path(&[9, 101, 100])).unwrap();
+        for _ in 0..4 {
+            srv.advance_epoch();
+            srv.heartbeat(PeerId(1)).unwrap();
+            srv.heartbeat(PeerId(2)).unwrap();
+        }
+        let sweep = srv.expire_stale_full(2);
+        assert_eq!((sweep.moved.len(), sweep.expired.len()), (1, 0));
+        let mut deltas = Vec::new();
+        srv.drain_deltas(client, 16, &mut deltas);
+        for d in &deltas {
+            apply(&mut view, d);
+        }
+        assert!(same_view(view, srv.neighbors_of(PeerId(1), 3).unwrap()));
     }
 
     #[test]

@@ -5,17 +5,13 @@
 //! must never matter: parallel round-1 tracing has to reproduce the
 //! sequential build bit for bit.
 
+use nearpeer::core::federation::RegionId;
 use nearpeer::core::PeerId;
 use nearpeer::probe::{TraceConfig, Tracer};
 use nearpeer::routing::RouteOracle;
 use nearpeer::topology::generators::{mapper, MapperConfig};
 use nearpeer::topology::{io, RouterId, Topology};
-use nearpeer_bench::experiments::churn::{
-    run_soak_per_event_reference, run_soak_with_server, ChurnSoakConfig,
-};
-use nearpeer_bench::experiments::federation::{
-    run_federation_soak_with_state, FederationSoakConfig,
-};
+use nearpeer_bench::soak::{run_replay, run_with_state, Churn, Scenario};
 use nearpeer_bench::{trace_round1, Swarm, SwarmConfig};
 
 fn generate(seed: u64) -> Topology {
@@ -134,7 +130,7 @@ fn parallel_round1_is_bit_identical_to_sequential() {
 #[test]
 fn churn_replay_modes_produce_identical_directories() {
     for seed in [5u64, 21] {
-        let cfg = ChurnSoakConfig {
+        let cfg = Churn {
             peers: 300,
             cycles: 2,
             mean_lifetime_secs: 30.0,
@@ -147,8 +143,13 @@ fn churn_replay_modes_produce_identical_directories() {
             heartbeat_every: 2,
             adaptive: None,
         };
-        let (seq_result, seq_server) = run_soak_per_event_reference(&cfg, seed);
-        let (result, server) = run_soak_with_server(&cfg, seed);
+        let s = Scenario::single_server(cfg.clone());
+        let (seq_result, seq_fed) = run_replay(&s, seed, true).expect("valid scenario");
+        let (result, fed) = run_replay(&s, seed, false).expect("valid scenario");
+        let (seq_server, server) = (
+            seq_fed.region(RegionId(0)).server(),
+            fed.region(RegionId(0)).server(),
+        );
         let label = format!("seed {seed}");
         assert_eq!(result.counters, seq_result.counters, "{label}");
         assert_eq!(
@@ -191,23 +192,27 @@ fn federated_replays_are_deterministic_across_seeds_and_region_counts() {
     let mut fingerprints = Vec::new();
     for seed in [5u64, 21] {
         for regions in [1usize, 2, 4] {
-            let cfg = FederationSoakConfig {
-                peers: 250,
+            let quick = Scenario::named("federation", None).expect("named scenario");
+            let cfg = Scenario {
                 regions,
-                n_landmarks: 4,
-                cycles: 2,
-                epochs_per_cycle: 20,
-                ..FederationSoakConfig::quick()
+                churn: Churn {
+                    peers: 250,
+                    n_landmarks: 4,
+                    cycles: 2,
+                    epochs_per_cycle: 20,
+                    ..quick.churn.clone()
+                },
+                ..quick
             };
-            let (first, fed_a) = run_federation_soak_with_state(&cfg, seed);
-            let (second, fed_b) = run_federation_soak_with_state(&cfg, seed);
+            let (first, fed_a) = run_with_state(&cfg, seed).expect("valid scenario");
+            let (second, fed_b) = run_with_state(&cfg, seed).expect("valid scenario");
             let label = format!("seed {seed}, {regions} regions");
             assert_eq!(first.counters, second.counters, "{label}");
             assert_eq!(first.final_per_region, second.final_per_region, "{label}");
             assert_eq!(first.peak_population, second.peak_population, "{label}");
             assert_eq!(fed_a.peer_count(), fed_b.peer_count(), "{label}");
             assert_eq!(fed_a.tombstone_count(), 0, "{label}: drained");
-            for p in 0..cfg.peers as u64 {
+            for p in 0..cfg.churn.peers as u64 {
                 let peer = PeerId(p);
                 assert_eq!(
                     fed_a.locate(peer).map(|(r, path)| (r, path.clone())),
