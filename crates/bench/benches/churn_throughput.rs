@@ -1,6 +1,6 @@
 //! Churn throughput: a W3 join/leave/fail trace replayed onto the
-//! directory in per-epoch batches, and single writes through the
-//! concurrent server.
+//! directory in per-epoch batches, single writes through the concurrent
+//! server, and what standing subscriptions add to churn.
 //!
 //! Measures the directory-maintenance cost of churn (lease opens,
 //! renewals piggybacked on the register path, heartbeat rounds, batched
@@ -9,12 +9,14 @@
 //! pays: one server write guard per operation, or per burst of requests
 //! when two connections write at once.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use nearpeer_bench::soak::{run_with_state, Churn, Scenario};
 use nearpeer_bench::wire::{synthetic_landmarks, BATCH_FRAMES};
 use nearpeer_bench::SyntheticJoins;
 use nearpeer_core::protocol::Message;
-use nearpeer_core::{ActorServer, LandmarkId, ServerConfig, WireService};
+use nearpeer_core::subscription::Subscription;
+use nearpeer_core::{ActorServer, LandmarkId, PeerId, ServerConfig, WireService};
+use std::cell::RefCell;
 
 fn soak_config(peers: usize) -> Scenario {
     Scenario::single_server(Churn {
@@ -138,10 +140,135 @@ fn churn_half(srv: &ActorServer, joins: &SyntheticJoins, round: u64, half: u64, 
     srv.handle_batch(None, &mut requests, &mut out);
 }
 
+/// Watchers of the `subscriptions` group, `subs_1r`'s twentieth of the
+/// population; its base is the first half.
+const WATCHERS: u64 = PEERS / 20;
+const BASE: u64 = PEERS / 2;
+/// Id stride between peers that share their level-6 router under
+/// `SyntheticJoins` (branching 4: 4⁶ access positions × `LANDMARKS`).
+const SIBLING_STRIDE: u64 = 4096 * LANDMARKS as u64;
+/// Churner siblings per watcher: always among its five nearest.
+const CHURNERS_PER_WATCHER: u64 = 4;
+/// Neighbors each watcher watches, `subs_1r`'s `k`.
+const WATCH_K: usize = 5;
+/// Churn events between two drains: `subs_1r`'s 2 000 paced events per
+/// second over the serve loop's 250 ms read tick.
+const TICK_EVENTS: usize = 500;
+
+/// `subs_1r`'s population on one `ActorServer`: the base, the watchers
+/// (each subscribed on one client) and every other churner.
+struct Watched {
+    srv: ActorServer,
+    joins: SyntheticJoins,
+    client: u64,
+    churners: Vec<u64>,
+    present: Vec<bool>,
+    next: usize,
+}
+
+impl Watched {
+    fn new() -> Self {
+        let joins = SyntheticJoins::new(LANDMARKS);
+        let (routers, dist) = synthetic_landmarks(LANDMARKS);
+        let config = ServerConfig {
+            neighbor_count: WATCH_K,
+            ..ServerConfig::default()
+        };
+        let srv = ActorServer::new(routers, dist, config).expect("valid config");
+        let watchers = BASE..BASE + WATCHERS;
+        let churners: Vec<u64> = watchers
+            .clone()
+            .flat_map(|w| (1..=CHURNERS_PER_WATCHER).map(move |m| w + SIBLING_STRIDE * m))
+            .collect();
+        let present: Vec<bool> = (0..churners.len()).map(|i| i % 2 == 0).collect();
+        let setup = (0..BASE).chain(watchers.clone()).chain(
+            churners
+                .iter()
+                .zip(&present)
+                .filter(|(_, &on)| on)
+                .map(|(&c, _)| c),
+        );
+        for id in setup {
+            let (peer, path) = joins.join(id);
+            srv.register(peer, path).expect("fresh peer");
+        }
+        let client = srv.open_sub_client();
+        for w in watchers {
+            let sub = Subscription {
+                peer: PeerId(w),
+                k: WATCH_K,
+                min_interval_ms: 0,
+            };
+            srv.subscribe(client, sub).expect("registered watcher");
+        }
+        Watched {
+            srv,
+            joins,
+            client,
+            churners,
+            present,
+            next: 0,
+        }
+    }
+
+    /// The next churner joins if absent and leaves if present, through
+    /// the wire service. Stride 7919 is prime to the churner count, so
+    /// the churners' order scatters over watchers and landmarks.
+    fn event(&mut self) {
+        let i = self.next.wrapping_mul(7_919) % self.churners.len();
+        self.next += 1;
+        let (peer, path) = self.joins.join(self.churners[i]);
+        let msg = if self.present[i] {
+            Message::Leave { peer }
+        } else {
+            Message::JoinRequest { peer, path }
+        };
+        self.present[i] = !self.present[i];
+        std::hint::black_box(self.srv.handle(msg));
+    }
+
+    /// One complete drain of the client's deltas.
+    fn drain(&self) -> usize {
+        let mut out = Vec::new();
+        self.srv.drain_deltas(self.client, usize::MAX, &mut out);
+        out.len()
+    }
+}
+
+/// `subs_1r`'s subscription load at 100 k peers: one churn event through
+/// `ActorServer::handle` with every subscription drained before it
+/// (`observe_event`), and one complete drain after a tick's worth of
+/// events (`drain_full`).
+fn bench_subscriptions(c: &mut Criterion) {
+    // Setup and routine both churn the one population.
+    let w = RefCell::new(Watched::new());
+    let mut group = c.benchmark_group("subscriptions");
+    group.sample_size(1_000);
+    group.bench_function("observe_event", |b| {
+        b.iter_batched(
+            || {
+                w.borrow().drain();
+            },
+            |()| w.borrow_mut().event(),
+            BatchSize::SmallInput,
+        );
+    });
+    group.sample_size(10);
+    group.bench_function("drain_full", |b| {
+        b.iter_batched(
+            || (0..TICK_EVENTS).for_each(|_| w.borrow_mut().event()),
+            |()| w.borrow().drain(),
+            BatchSize::SmallInput,
+        );
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_churn_throughput,
     bench_actor_single_ops,
-    bench_actor_two_writers
+    bench_actor_two_writers,
+    bench_subscriptions
 );
 criterion_main!(benches);

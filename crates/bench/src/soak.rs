@@ -383,7 +383,9 @@ pub struct Counters {
 pub struct SubsReport {
     /// Deltas drained and checked against a re-poll.
     pub deltas_verified: u64,
-    /// Deltas whose applied view differed from the re-poll (must be 0).
+    /// Deltas whose applied view differed from the re-poll, plus the
+    /// watchers whose view differed from one after the closing drain
+    /// (must be 0).
     pub mismatches: u64,
     /// Region 0's registry counters.
     pub stats: SubscriptionStats,
@@ -493,6 +495,17 @@ pub fn live_path_routers(server: &ManagementServer) -> usize {
     routers.len()
 }
 
+/// Whether watcher `peer`'s delta-applied `view` differs from a re-poll.
+/// Views compare as sets: an answer's exact and fill sections are each
+/// ordered, not the whole.
+fn diverges(server: &ManagementServer, peer: PeerId, view: &[Neighbor]) -> bool {
+    let mut mine = view.to_vec();
+    let mut polled = server.neighbors_of(peer, WATCH_K).expect("watchers stay");
+    mine.sort_unstable_by_key(|n| n.peer);
+    polled.sort_unstable_by_key(|n| n.peer);
+    mine != polled
+}
+
 /// The population balance: every fresh join is accounted for by a
 /// graceful leave, an expiry, or the current population.
 fn conservation(c: &Counters, population: usize) -> Result<(), String> {
@@ -575,9 +588,16 @@ pub fn check(r: &Report) -> Result<(), String> {
             st.active,
             w.watchers
         );
+        // A storm drains once, so its deltas compare the trace's end with
+        // its start, which may hold the same answers; its re-queries show
+        // that churn reached the watchers.
         ensure!(
-            sr.deltas_verified > 0,
-            "the trace produced no deltas to verify"
+            if w.storm {
+                st.refills > 0
+            } else {
+                sr.deltas_verified > 0
+            },
+            "churn reached no watcher"
         );
         ensure!(
             !w.storm || st.coalesced > 0,
@@ -1073,14 +1093,23 @@ impl<'s> Driver<'s> {
                     None => view.push(*a),
                 }
             }
-            // Set equality: an answer's exact and fill sections are each
-            // ordered, not the whole.
-            let mut mine = view.clone();
-            let mut polled = server.neighbors_of(d.peer, WATCH_K).expect("watchers stay");
-            mine.sort_unstable_by_key(|n| n.peer);
-            polled.sort_unstable_by_key(|n| n.peer);
             w.verified += 1;
-            w.mismatches += u64::from(mine != polled);
+            w.mismatches += u64::from(diverges(server, d.peer, view));
+        }
+        w.verify += t.elapsed();
+    }
+
+    /// Compares every watcher's view with a re-poll, counting the
+    /// differences as mismatches: a watcher that missed a change got no
+    /// delta, so the per-delta check cannot see it.
+    fn check_every_view(&mut self) {
+        let Some(w) = &mut self.watch else {
+            return;
+        };
+        let server = self.fed.region(WATCH_REGION).server();
+        let t = Instant::now();
+        for (peer, view) in (w.first_id..).map(PeerId).zip(&w.views) {
+            w.mismatches += u64::from(diverges(server, peer, view));
         }
         w.verify += t.elapsed();
     }
@@ -1180,10 +1209,11 @@ impl<'s> Driver<'s> {
         }
         let mut verify = Duration::ZERO;
         if let Some(min_interval) = self.watch.as_ref().map(|w| w.min_interval_ms) {
-            if s.subs.as_ref().is_some_and(|w| w.storm) {
-                // Open the rate-limit window and take everything at once.
-                self.drain_deltas(total_span_ms + min_interval + 1);
-            }
+            // Open the rate-limit window, take everything left at once,
+            // and hold every watcher, not only those a delta reached, to
+            // a re-poll.
+            self.drain_deltas(total_span_ms + min_interval + 1);
+            self.check_every_view();
             let mut w = self.watch.take().expect("watching");
             w.latencies.sort_unstable();
             let at = |q: f64| {

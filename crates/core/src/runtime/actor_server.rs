@@ -37,7 +37,8 @@ use std::time::Instant;
 /// writes from any number of threads, all through `&self`.
 pub struct ActorServer {
     srv: RwLock<ManagementServer>,
-    /// The facade's pending-delta count, readable without the lock.
+    /// The facade's count of dirty subscriptions, readable without the
+    /// lock.
     sub_queue_depth: Arc<Gauge>,
     /// Wall-clock origin of the facade's subscription clock.
     started: Instant,
@@ -176,11 +177,11 @@ impl ActorServer {
     /// [`ManagementServer::drain_deltas`] against the wall clock.
     ///
     /// Every serve-loop iteration of every connection calls this, so with
-    /// nothing queued for anyone it returns without the lock or a clock
-    /// read. `Relaxed` suffices for that gate: the deltas themselves are
-    /// only read under the lock, and the count was raised under it before
-    /// the churn op that queued them returned, which is before its reply
-    /// (and so any later fencing request) exists.
+    /// no subscription dirty anywhere it returns without the lock or a
+    /// clock read. `Relaxed` suffices for that gate: the dirty marks
+    /// themselves are only read under the lock, and the count was raised
+    /// under it before the churn op that marked them returned, which is
+    /// before its reply (and so any later fencing request) exists.
     pub fn drain_deltas(&self, client: u64, max: usize, out: &mut Vec<NeighborDelta>) {
         if self.sub_queue_depth.get() == 0 {
             return;

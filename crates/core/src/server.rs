@@ -208,12 +208,12 @@ pub struct ManagementServer {
     counters: QueryCounters,
     handovers: u64,
     epoch: u64,
-    /// Standing "watch my k nearest" subscriptions, fed incrementally by
-    /// every churn entry point (see [`crate::subscription`]). Runtime-only
-    /// state: not persisted, empty after recovery. The mutex lets a churn
-    /// hook hold the registry while it lends the rest of the server to it
-    /// as the query host, with no allocation per event; `&mut self` paths
-    /// reach it without locking.
+    /// Standing "watch my k nearest" subscriptions, marked dirty by every
+    /// churn entry point and re-queried at drain (see
+    /// [`crate::subscription`]). Runtime-only state: not persisted, empty
+    /// after recovery. The mutex lets a churn hook or a drain hold the
+    /// registry while it lends the rest of the server to it as the query
+    /// host; `&mut self` paths reach it without locking.
     subs: Mutex<SubscriptionRegistry>,
     /// Millisecond clock for subscription rate limiting and delta-latency
     /// accounting; the embedding application advances it
@@ -374,7 +374,7 @@ impl ManagementServer {
         self.telemetry.clone()
     }
 
-    /// The subscription engine's count of undrained deltas (see
+    /// The subscription engine's count of dirty subscriptions (see
     /// [`SubscriptionRegistry::queue_depth`]): a host that puts this
     /// server behind a lock reads it to skip the lock when nothing is
     /// queued.
@@ -800,12 +800,14 @@ impl ManagementServer {
         self.subs_mut().unsubscribe(peer)
     }
 
-    /// Drains up to `max` eligible pending deltas for a delivery client
-    /// into `out` — handover before expiry before join, rate-limited per
-    /// subscription against the subscription clock.
+    /// Drains up to `max` deltas for a delivery client into `out`: each
+    /// due dirty subscription is re-queried against the directory and
+    /// pushed if its answer changed — handover before expiry before join,
+    /// rate-limited per subscription against the subscription clock.
     pub fn drain_deltas(&mut self, client: u64, max: usize, out: &mut Vec<NeighborDelta>) {
-        let now = self.sub_clock_ms;
-        self.subs_mut().drain(client, now, max, out);
+        let this = &*self;
+        let mut subs = this.subs.lock().expect("subs poisoned");
+        subs.drain(this, client, this.sub_clock_ms, max, out);
     }
 
     /// Subscription observability counters.
@@ -825,8 +827,8 @@ impl ManagementServer {
     }
 
     /// Feeds one completed churn mutation through the subscription engine,
-    /// which re-ranks with ordinary `&self` queries against the (already
-    /// mutated) directory.
+    /// which marks the subscriptions it may have changed; the re-queries
+    /// run at the next [`Self::drain_deltas`].
     fn notify_subs(&mut self, class: DeltaClass, added: &[PeerId], removed: &[PeerId]) {
         if self.subs_mut().is_empty() {
             return;
@@ -1096,8 +1098,8 @@ impl ManagementServer {
 }
 
 impl SubscriptionHost for ManagementServer {
-    fn path_of(&self, peer: PeerId) -> Option<PeerPath> {
-        ManagementServer::path_of(self, peer).cloned()
+    fn path_of(&self, peer: PeerId) -> Option<&PeerPath> {
+        ManagementServer::path_of(self, peer)
     }
 
     fn landmark_at(&self, router: RouterId) -> Option<LandmarkId> {

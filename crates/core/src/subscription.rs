@@ -3,37 +3,47 @@
 //! Polling inverts the paper's economics at scale: every peer re-running
 //! `neighbors_of` pays the full query for answers that almost never
 //! change. The churn entry points already know exactly which peers each
-//! batch touched, so the [`SubscriptionRegistry`] turns that knowledge
-//! into **incremental deltas**: a join, leave, expiry or handover
-//! re-ranks only the subscriptions whose answer set (or watch path)
-//! intersects the touched peers — never the whole population, and never
-//! a full query unless an eviction makes the next-best candidate
-//! genuinely unknown.
+//! batch touched, so the [`SubscriptionRegistry`] uses that knowledge to
+//! find the few subscriptions a batch can have changed, and re-queries
+//! only those, later, when their deltas are drained.
 //!
 //! The registry is host-agnostic: anything implementing
 //! [`SubscriptionHost`] (the [`crate::ManagementServer`], which
 //! [`crate::ActorServer`] serves behind a lock) feeds it `observe` calls
-//! from its churn entry points and drains [`NeighborDelta`]s per client. The
-//! incremental maintenance mirrors `closest_to_path` *exactly* — exact
-//! section (ascending `(dtree, peer)`, `dtree` minimal over shared
-//! routers) followed by the cross-landmark fill section (ascending
-//! `(estimate, peer)`) — so a drained delta stream replayed over the
-//! initial snapshot always equals a fresh re-poll; `tests/` pins that
-//! equivalence property.
+//! from its churn entry points and drains [`NeighborDelta`]s per client.
+//! It works in two steps:
+//!
+//! * **`observe` only marks subscriptions dirty.** A touched peer marks
+//!   every subscription whose last-sent answer holds it, and the
+//!   subscriber's own subscription (its watch path re-posts). An added
+//!   peer also marks every subscription whose exact section it enters:
+//!   it shares a watch-path router with it, and its `(dtree, peer)` sorts
+//!   before the worst exact member's, or the exact section is short of
+//!   `k`. Through the cross-landmark fill it marks every
+//!   *hungry* subscription (exact section short of `k`) when its path
+//!   crosses a foreign landmark router with a finite bridge from the
+//!   subscription's own landmark. An event that finds a subscription
+//!   already dirty costs nothing more.
+//! * **`drain` re-queries.** Each due dirty subscription of the client
+//!   gets one `closest_split` (the `closest_to_path` answer with its
+//!   exact-section length), diffed against the last-sent answer; a
+//!   non-empty diff is pushed. A drain therefore runs at most one query
+//!   per dirty subscription, however many events marked it, and `observe`
+//!   runs none. A drained delta stream replayed over the initial snapshot
+//!   equals a fresh re-poll; `tests/` pins that equivalence property.
 //!
 //! Delivery is a per-client queue with the three storm controls the
 //! serving plane needs:
 //!
-//! * **bounded** — one coalesced pending delta per subscription, so the
-//!   queue depth can never exceed the number of active subscriptions;
+//! * **bounded** — a subscription is dirty or not, so the queue depth can
+//!   never exceed the number of active subscriptions;
 //! * **priority-ordered** — handover > expiry > join when draining;
 //! * **rate-limited + coalescing** — a subscription pushes at most once
-//!   per `min_interval_ms`; deltas arriving inside the window merge
-//!   (an add that is removed again before the push cancels out
-//!   entirely), so a churn storm degrades to coarser batches instead of
-//!   unbounded fanout.
+//!   per `min_interval_ms`; events arriving inside the window only keep
+//!   it dirty (an add that is removed again before the push never shows),
+//!   so a churn storm degrades to coarser batches instead of unbounded
+//!   fanout.
 
-use crate::directory::query;
 use crate::error::CoreError;
 use crate::ids::{LandmarkId, PeerId};
 use crate::path::PeerPath;
@@ -87,9 +97,9 @@ pub struct Subscription {
     pub min_interval_ms: u64,
 }
 
-/// One incremental update to a subscription's answer. Applying `removed`
-/// (drop those peers) then `added` (upsert, replacing a stale `dtree`)
-/// to the previous view yields the new `k`-nearest list; re-sorting by
+/// One update to a subscription's answer. Applying `removed` (drop those
+/// peers) then `added` (upsert, replacing a stale `dtree`) to the
+/// previous view yields the new `k`-nearest list; re-sorting by
 /// ascending `(dtree, peer)` with the fill section's estimates in place
 /// reproduces the exact `closest_to_path` order.
 #[derive(Debug, Clone, PartialEq)]
@@ -117,19 +127,18 @@ pub struct SubscriptionStats {
     pub active: u64,
     /// Deltas drained to clients.
     pub pushed: u64,
-    /// Churn events merged into an already-pending delta instead of
-    /// queueing a new one (the coalescing path).
+    /// Churn events that reached an already-dirty subscription (the
+    /// coalescing path).
     pub coalesced: u64,
-    /// Answer entries that entered *and* left inside one coalescing
-    /// window — cancelled outright, never pushed.
+    /// Drain re-queries whose answer came back unchanged: everything
+    /// the marking events did cancelled out, or never reached the answer.
     pub dropped_to_coalesce: u64,
-    /// Full re-queries forced by evictions (the incremental path could
-    /// not know the next-best candidate).
+    /// Re-queries run by drains, one per dirty subscription drained.
     pub refills: u64,
-    /// Subscriptions with a pending (not yet drained) delta.
+    /// Subscriptions marked dirty and not yet re-queried.
     pub queue_depth: u64,
     /// High-water mark of `queue_depth` (bounded by `active` by
-    /// construction: one pending per subscription).
+    /// construction: a subscription is dirty or not).
     pub peak_queue_depth: u64,
 }
 
@@ -138,7 +147,7 @@ pub struct SubscriptionStats {
 /// the directory mutation completed, so these reads see final state.
 pub trait SubscriptionHost {
     /// The stored path of a registered peer.
-    fn path_of(&self, peer: PeerId) -> Option<PeerPath>;
+    fn path_of(&self, peer: PeerId) -> Option<&PeerPath>;
     /// The landmark whose router this is, if any.
     fn landmark_at(&self, router: RouterId) -> Option<LandmarkId>;
     /// Bootstrap hop distance between two landmarks (`None` = unknown).
@@ -150,17 +159,28 @@ pub trait SubscriptionHost {
     fn query_split(&self, path: &PeerPath, k: usize, exclude: PeerId) -> (Vec<Neighbor>, usize);
 }
 
-/// One pending (not yet drained) coalesced delta.
+/// A subscription that churn may have changed since its last push.
 #[derive(Debug)]
-struct Pending {
-    added: Vec<PendingAdd>,
-    removed: Vec<PeerId>,
+struct Dirty {
+    /// Highest class among the events that marked it.
+    class: DeltaClass,
+    /// Epoch of the last of those events.
+    epoch: u64,
+    /// FIFO tiebreaker inside a priority class: the first event's number.
+    seq: u64,
+    /// When the first of those events was observed.
+    enqueued_ms: u64,
+}
+
+/// One churn event as the marking sees it: a touched peer, numbered so
+/// that one event reaching a subscription through several routers counts
+/// once.
+#[derive(Debug, Clone, Copy)]
+struct Event {
+    seq: u64,
     class: DeltaClass,
     epoch: u64,
-    /// FIFO tiebreaker inside a priority class.
-    seq: u64,
-    /// When the first event of this pending was observed.
-    enqueued_ms: u64,
+    now_ms: u64,
 }
 
 /// One router's watch-path postings plus a pruning bound.
@@ -168,84 +188,19 @@ struct Pending {
 struct Posting {
     /// `(sub, hops from subscriber)` entries.
     watchers: Vec<(u32, u32)>,
-    /// Stale-high admission bound: at least the max over watchers of
-    /// `admission_bound(sub) - hops`. A candidate whose own offset at
-    /// this router exceeds it cannot enter any watcher's exact section
-    /// through this router, so the whole list is skipped — this is what
-    /// keeps a join near a popular router (every subscriber under a
-    /// landmark shares its terminal router) from fanning out to all of
-    /// them. Raised eagerly wherever a sub's threshold can grow
-    /// (subscribe, re-path, refill); lowered lazily on the next walk.
+    /// Stale-high admission bound: at least the max over clean watchers
+    /// of `admission_bound(sub) - hops`. A candidate whose own offset at
+    /// this router exceeds it cannot enter any clean watcher's exact
+    /// section through this router, so the whole list is skipped — this
+    /// is what keeps a join near a popular router (every subscriber under
+    /// a landmark shares its terminal router) from fanning out to all of
+    /// them. Raised at subscribe and after every re-query; lowered lazily
+    /// on the next walk. A dirty watcher needs no cover: it is
+    /// re-queried anyway.
     bound: i64,
 }
 
-impl Posting {
-    fn new() -> Self {
-        Self {
-            watchers: Vec::new(),
-            bound: i64::MIN,
-        }
-    }
-}
-
-#[derive(Debug)]
-struct PendingAdd {
-    n: Neighbor,
-    /// True when the peer was *not* in the last pushed view — its
-    /// removal inside the same window cancels the entry outright.
-    fresh: bool,
-}
-
-impl Pending {
-    /// A peer entered the answer now.
-    fn note_add(&mut self, n: Neighbor) {
-        if let Some(i) = self.removed.iter().position(|&q| q == n.peer) {
-            // Removed earlier in the window: the pushed view had it, so
-            // the re-add must not look fresh.
-            self.removed.swap_remove(i);
-            self.upsert(n, false);
-        } else {
-            self.upsert(n, true);
-        }
-    }
-
-    /// A peer stayed in the answer but its distance changed.
-    fn note_update(&mut self, n: Neighbor) {
-        self.upsert(n, false);
-    }
-
-    fn upsert(&mut self, n: Neighbor, fresh_if_new: bool) {
-        match self.added.iter_mut().find(|e| e.n.peer == n.peer) {
-            Some(e) => e.n = n,
-            None => self.added.push(PendingAdd {
-                n,
-                fresh: fresh_if_new,
-            }),
-        }
-    }
-
-    /// A peer left the answer now. Returns true when the event cancelled
-    /// a fresh add (nothing survives to push).
-    fn note_remove(&mut self, peer: PeerId) -> bool {
-        if let Some(i) = self.added.iter().position(|e| e.n.peer == peer) {
-            let fresh = self.added[i].fresh;
-            self.added.swap_remove(i);
-            if fresh {
-                return true;
-            }
-        }
-        if !self.removed.contains(&peer) {
-            self.removed.push(peer);
-        }
-        false
-    }
-
-    fn is_empty(&self) -> bool {
-        self.added.is_empty() && self.removed.is_empty()
-    }
-}
-
-/// One live subscription's incremental state.
+/// One live subscription.
 #[derive(Debug)]
 struct SubState {
     peer: PeerId,
@@ -257,18 +212,16 @@ struct SubState {
     path: PeerPath,
     /// The watch path's landmark (fill ranking needs the bridge row).
     own_lm: Option<LandmarkId>,
-    /// Current answer: exact section (ascending `(dtree, peer)`) then
-    /// fill section (ascending `(estimate, peer)`), `closest_to_path`
-    /// order by construction.
+    /// The last-sent answer (the subscribe snapshot, then each push
+    /// applied): exact section (ascending `(dtree, peer)`) then fill
+    /// section (ascending `(estimate, peer)`), `closest_to_path` order.
     answer: Vec<Neighbor>,
     /// Length of the exact section.
     exact_len: usize,
-    pending: Option<Pending>,
+    dirty: Option<Dirty>,
     last_push_ms: u64,
-    /// Transient within one `observe`: an eviction (or re-path) made the
-    /// incremental answer unknowable; a full re-query settles it before
-    /// `observe` returns.
-    dirty: bool,
+    /// The last event that reached this subscription.
+    last_event: u64,
 }
 
 impl SubState {
@@ -281,6 +234,42 @@ impl SubState {
             i64::MAX
         } else {
             self.answer[self.k - 1].dtree as i64
+        }
+    }
+
+    /// Whether exact candidate `p` at tree distance `d` enters the
+    /// answer: always while the exact section is short of `k`, else when
+    /// it sorts before the worst exact member by the query's
+    /// `(dtree, peer)` order.
+    fn admits(&self, d: u32, p: PeerId) -> bool {
+        self.exact_len < self.k || {
+            let worst = self.answer[self.k - 1];
+            (d, p) < (worst.dtree, worst.peer)
+        }
+    }
+
+    /// Marks this subscription for a re-query at its next drain. An event
+    /// that finds it already dirty only coalesces (once per event).
+    fn mark(&mut self, counters: &Counters, ev: Event) {
+        if self.last_event == ev.seq {
+            return;
+        }
+        self.last_event = ev.seq;
+        match &mut self.dirty {
+            Some(d) => {
+                counters.coalesced.inc();
+                d.class = d.class.max(ev.class);
+                d.epoch = ev.epoch;
+            }
+            None => {
+                counters.queue_depth.add(1); // the gauge tracks its own peak
+                self.dirty = Some(Dirty {
+                    class: ev.class,
+                    epoch: ev.epoch,
+                    seq: ev.seq,
+                    enqueued_ms: ev.now_ms,
+                });
+            }
         }
     }
 }
@@ -300,16 +289,8 @@ struct Counters {
     queue_depth: Arc<Gauge>,
 }
 
-/// Per-add scratch slot for the router-walk minimum (generation-stamped
-/// so no per-event allocation or clearing).
-#[derive(Debug, Default, Clone, Copy)]
-struct SeenSlot {
-    gen: u64,
-    min: u32,
-}
-
-/// The standing-subscription engine: registrations, incremental answer
-/// maintenance, and the per-client coalescing delivery queues.
+/// The standing-subscription engine: registrations, dirty marking, and
+/// the per-client coalescing delivery queues.
 ///
 /// Not a lock or a thread in sight — the registry is plain mutable
 /// state; hosts decide how to serialize access (the facade feeds it from
@@ -320,7 +301,8 @@ pub struct SubscriptionRegistry {
     subs: Vec<Option<SubState>>,
     free: Vec<u32>,
     by_peer: HashMap<PeerId, u32>,
-    /// Reverse membership: answer member → subscriptions holding it.
+    /// Reverse membership: last-sent answer member → subscriptions
+    /// holding it.
     members: HashMap<PeerId, Vec<u32>>,
     /// Watch-path router index: router → posting list. An added peer
     /// walks its own path through this to find every subscription it
@@ -332,14 +314,11 @@ pub struct SubscriptionRegistry {
     hungry: Vec<u32>,
     clients: HashMap<u64, Vec<u32>>,
     next_client: u64,
-    next_seq: u64,
+    /// Number of the last observed event.
+    events: u64,
     counters: Counters,
-    // Scratch (reused across observe calls).
-    seen: Vec<SeenSlot>,
-    gen: u64,
-    touched: Vec<u32>,
-    dirty_subs: Vec<u32>,
-    scratch_ids: Vec<u32>,
+    /// Scratch: the landmarks an added peer's path crosses.
+    lm_hits: Vec<LandmarkId>,
 }
 
 impl SubscriptionRegistry {
@@ -364,8 +343,8 @@ impl SubscriptionRegistry {
         self.by_peer.contains_key(&peer)
     }
 
-    /// The current answer view of `peer`'s subscription, if any (testing
-    /// and introspection; clients maintain this from deltas).
+    /// The last-sent answer of `peer`'s subscription, if any (testing and
+    /// introspection; clients maintain this from deltas).
     pub fn answer_of(&self, peer: PeerId) -> Option<&[Neighbor]> {
         let &sid = self.by_peer.get(&peer)?;
         self.subs[sid as usize].as_ref().map(|s| &s.answer[..])
@@ -412,47 +391,35 @@ impl SubscriptionRegistry {
         if let Some(&old) = self.by_peer.get(&sub.peer) {
             self.drop_sub(old);
         }
-        let (answer, exact_len) = host.query_split(&path, sub.k, sub.peer);
-        let own_lm = host.landmark_at(path.landmark_router());
+        let (answer, exact_len) = host.query_split(path, sub.k, sub.peer);
         let sid = match self.free.pop() {
             Some(i) => i,
             None => {
                 self.subs.push(None);
-                self.seen.push(SeenSlot::default());
                 (self.subs.len() - 1) as u32
             }
         };
-        let thr = if exact_len < sub.k {
-            i64::MAX
-        } else {
-            answer[sub.k - 1].dtree as i64
-        };
-        for (r, off) in path.with_depths() {
-            let posting = self.routers.entry(r).or_insert_with(Posting::new);
-            posting.watchers.push((sid, off));
-            posting.bound = posting.bound.max(thr.saturating_sub(off as i64));
-        }
+        post(&mut self.routers, sid, path);
         for n in &answer {
             self.members.entry(n.peer).or_default().push(sid);
         }
-        if host.fills_enabled() && exact_len < sub.k {
-            self.hungry.push(sid);
-        }
         self.by_peer.insert(sub.peer, sid);
         self.clients.entry(client).or_default().push(sid);
-        self.subs[sid as usize] = Some(SubState {
+        let s = SubState {
             peer: sub.peer,
             k: sub.k,
             min_interval_ms: sub.min_interval_ms,
             client,
-            path,
-            own_lm,
+            path: path.clone(),
+            own_lm: host.landmark_at(path.landmark_router()),
             answer: answer.clone(),
             exact_len,
-            pending: None,
+            dirty: None,
             last_push_ms: now_ms,
-            dirty: false,
-        });
+            last_event: 0,
+        };
+        self.settle(host, sid, &s);
+        self.subs[sid as usize] = Some(s);
         Ok(answer)
     }
 
@@ -468,12 +435,12 @@ impl SubscriptionRegistry {
         }
     }
 
-    /// Feeds one churn event batch through the incremental engine. Hosts
-    /// call this from every churn entry point *after* the directory
-    /// mutation, passing the touched peers: `added` for fresh joins (and
-    /// the re-added peer of a handover), `removed` for leaves, expiries
-    /// and the handover teardown. A peer in both lists is a handover:
-    /// its own subscription re-paths instead of dying.
+    /// Feeds one churn event batch through the dirty marking. Hosts call
+    /// this from every churn entry point *after* the directory mutation,
+    /// passing the touched peers: `added` for fresh joins (and the
+    /// re-added peer of a handover), `removed` for leaves, expiries and
+    /// the handover teardown. A peer in both lists is a handover: its own
+    /// subscription re-paths instead of dying. Runs no query.
     pub fn observe<H: SubscriptionHost>(
         &mut self,
         host: &H,
@@ -486,9 +453,12 @@ impl SubscriptionRegistry {
         if self.by_peer.is_empty() {
             return;
         }
-        debug_assert!(self.dirty_subs.is_empty());
-
-        // --- Removals -------------------------------------------------
+        let mut ev = Event {
+            seq: 0,
+            class,
+            epoch,
+            now_ms,
+        };
         for &p in removed {
             // A departed subscriber's subscription dies with its
             // registration — unless the same observe re-adds the peer
@@ -498,86 +468,79 @@ impl SubscriptionRegistry {
                     self.drop_sub(sid);
                 }
             }
-            let Some(mut holders) = self.members.remove(&p) else {
-                continue;
-            };
-            holders.retain(|&sid| self.member_removed(sid, p, class, epoch, now_ms));
-            // A handed-over `p` is re-added below and may stay in the
-            // answers of holders left dirty: it stays their member, so a
-            // later removal of `p` still reaches them.
-            if !holders.is_empty() && added.contains(&p) {
-                self.members.insert(p, holders);
+            self.events += 1;
+            ev.seq = self.events;
+            // `p` stays a member until a re-query drops it from the
+            // last-sent answer, so every later event on it still lands.
+            for &sid in self.members.get(&p).into_iter().flatten() {
+                self.subs[sid as usize]
+                    .as_mut()
+                    .expect("members index is coherent")
+                    .mark(&self.counters, ev);
             }
         }
-
-        // --- Re-path subscribers that moved ---------------------------
-        for &p in added {
-            if let Some(&sid) = self.by_peer.get(&p) {
-                if let Some(new_path) = host.path_of(p) {
-                    self.rewatch(host, sid, new_path);
-                }
-            }
-        }
-
-        // --- Additions ------------------------------------------------
         for &p in added {
             let Some(path) = host.path_of(p) else {
-                // Not registered any more: nothing to rank, and the
-                // matching removal observe keeps the answers consistent.
+                // Not registered any more: the matching removal marked
+                // whatever it touched.
                 continue;
             };
-            self.peer_added(host, p, &path, class, epoch, now_ms);
+            self.events += 1;
+            ev.seq = self.events;
+            if let Some(&sid) = self.by_peer.get(&p) {
+                self.rewatch(host, sid, path);
+                self.subs[sid as usize]
+                    .as_mut()
+                    .expect("sub alive")
+                    .mark(&self.counters, ev);
+            }
+            self.mark_candidates(host, p, path, ev);
         }
-
-        // --- Settle evictions with full re-queries --------------------
-        for i in 0..self.dirty_subs.len() {
-            let sid = self.dirty_subs[i];
-            self.refill(host, sid, class, epoch, now_ms);
-        }
-        self.dirty_subs.clear();
     }
 
-    /// Drains up to `max` eligible pending deltas for `client`, highest
-    /// priority class first (FIFO within a class), respecting each
-    /// subscription's `min_interval_ms` against `now_ms`.
-    pub fn drain(&mut self, client: u64, now_ms: u64, max: usize, out: &mut Vec<NeighborDelta>) {
+    /// Re-queries up to `max` pushes' worth of `client`'s due dirty
+    /// subscriptions, highest priority class first (FIFO within a class),
+    /// respecting each subscription's `min_interval_ms` against `now_ms`.
+    /// Each re-query is diffed against the last-sent answer; a non-empty
+    /// diff is pushed into `out`.
+    pub fn drain<H: SubscriptionHost>(
+        &mut self,
+        host: &H,
+        client: u64,
+        now_ms: u64,
+        max: usize,
+        out: &mut Vec<NeighborDelta>,
+    ) {
         let Some(sids) = self.clients.get(&client) else {
             return;
         };
         // (inverted class, seq): sorts handover-first, then FIFO.
-        let mut eligible: Vec<(u8, u64, u32)> = Vec::new();
-        for &sid in sids {
-            let Some(s) = self.subs[sid as usize].as_ref() else {
-                continue;
-            };
-            if let Some(p) = &s.pending {
-                if now_ms >= s.last_push_ms.saturating_add(s.min_interval_ms) {
-                    eligible.push((u8::MAX - p.class.code(), p.seq, sid));
-                }
+        let mut due: Vec<(u8, u64, u32)> = sids
+            .iter()
+            .filter_map(|&sid| {
+                let s = self.subs[sid as usize].as_ref()?;
+                let d = s.dirty.as_ref()?;
+                let due = now_ms >= s.last_push_ms.saturating_add(s.min_interval_ms);
+                due.then_some((u8::MAX - d.class.code(), d.seq, sid))
+            })
+            .collect();
+        due.sort_unstable();
+        let mut pushed = 0;
+        for (_, _, sid) in due {
+            if pushed == max {
+                break;
             }
-        }
-        eligible.sort_unstable();
-        for &(_, _, sid) in eligible.iter().take(max) {
-            let s = self.subs[sid as usize].as_mut().expect("eligible sub");
-            let p = s.pending.take().expect("eligible pending");
-            s.last_push_ms = now_ms;
-            self.counters.queue_depth.sub(1);
-            self.counters.pushed.inc();
-            out.push(NeighborDelta {
-                peer: s.peer,
-                epoch: p.epoch,
-                class: p.class,
-                added: p.added.into_iter().map(|e| e.n).collect(),
-                removed: p.removed,
-                queued_ms: now_ms.saturating_sub(p.enqueued_ms),
-            });
+            if let Some(delta) = self.requery(host, sid, now_ms) {
+                out.push(delta);
+                pushed += 1;
+            }
         }
     }
 
-    /// The live count of undrained pending deltas, summed over every
-    /// client. It is raised before the registry call that queued a delta
-    /// returns, so a host that serializes the registry behind a lock can
-    /// read this first and skip the lock (and [`Self::drain`]) at zero.
+    /// The live count of dirty subscriptions, summed over every client.
+    /// It is raised before the registry call that marked one returns, so
+    /// a host that serializes the registry behind a lock can read this
+    /// first and skip the lock (and [`Self::drain`]) at zero.
     pub fn queue_depth(&self) -> Arc<Gauge> {
         self.counters.queue_depth.clone()
     }
@@ -613,437 +576,103 @@ impl SubscriptionRegistry {
 
     // --- internals ----------------------------------------------------
 
-    /// Gets-or-creates the pending delta of `sub`, merging class/epoch.
-    fn pend<'a>(
-        counters: &mut Counters,
-        next_seq: &mut u64,
-        s: &'a mut SubState,
-        class: DeltaClass,
-        epoch: u64,
-        now_ms: u64,
-    ) -> &'a mut Pending {
-        if s.pending.is_some() {
-            counters.coalesced.inc();
-        } else {
-            *next_seq += 1;
-            counters.queue_depth.add(1); // the gauge tracks its own peak
-            s.pending = Some(Pending {
-                added: Vec::new(),
-                removed: Vec::new(),
-                class,
-                epoch,
-                seq: *next_seq,
-                enqueued_ms: now_ms,
-            });
-        }
-        let p = s.pending.as_mut().expect("just ensured");
-        p.class = p.class.max(class);
-        p.epoch = epoch;
-        p
-    }
-
-    /// Drops a now-empty pending (everything cancelled out).
-    fn settle_pending(counters: &mut Counters, s: &mut SubState) {
-        if s.pending.as_ref().is_some_and(Pending::is_empty) {
-            s.pending = None;
-            counters.queue_depth.sub(1);
-        }
-    }
-
-    /// One subscription lost answer member `p`. Returns whether `p` stays
-    /// in the answer until the subscription's refill.
-    fn member_removed(
-        &mut self,
-        sid: u32,
-        p: PeerId,
-        class: DeltaClass,
-        epoch: u64,
-        now_ms: u64,
-    ) -> bool {
-        let s = self.subs[sid as usize]
-            .as_mut()
-            .expect("members index is coherent");
-        if s.dirty {
-            return true; // the refill diff will account for p too
-        }
-        let Some(idx) = s.answer.iter().position(|n| n.peer == p) else {
-            return false;
-        };
-        if s.answer.len() == s.k {
-            // The answer was full: the evicted (k+1)-th candidate is
-            // unknown to the incremental view — settle with a re-query.
-            s.dirty = true;
-            self.dirty_subs.push(sid);
-            return true;
-        }
-        // Short answer = every candidate is already in it; dropping the
-        // departed member keeps that invariant, no refill needed.
-        s.answer.remove(idx);
-        if idx < s.exact_len {
-            s.exact_len -= 1;
-        }
-        let pending = Self::pend(
-            &mut self.counters,
-            &mut self.next_seq,
-            s,
-            class,
-            epoch,
-            now_ms,
-        );
-        if pending.note_remove(p) {
-            self.counters.dropped_to_coalesce.inc();
-        }
-        Self::settle_pending(&mut self.counters, s);
-        false
-    }
-
-    /// A peer entered the directory: offer it to every subscription it
-    /// could improve — exact candidates through the watch-path router
-    /// index, fill candidates through the hungry set.
-    fn peer_added<H: SubscriptionHost>(
+    /// Marks every subscription the added peer (stored path `path`) could
+    /// enter: exact candidates through the watch-path router index, fill
+    /// candidates through the hungry set.
+    fn mark_candidates<H: SubscriptionHost>(
         &mut self,
         host: &H,
         p: PeerId,
         path: &PeerPath,
-        class: DeltaClass,
-        epoch: u64,
-        now_ms: u64,
+        ev: Event,
     ) {
-        // Exact pass: walk the added peer's path through the watch-path
-        // router index; a shared router at offsets (q, d) witnesses a
-        // candidate dtree of q + d, and the minimum over shared routers
-        // is exactly `PeerPath::dtree`.
-        self.gen += 1;
-        self.touched.clear();
+        // Exact pass: a shared router at offsets (q, d) witnesses a
+        // candidate dtree of q + d; the minimum over shared routers is
+        // `PeerPath::dtree`, so the router that attains it marks every
+        // subscription the peer enters, and no other router marks one it
+        // does not.
         for (r, p_off) in path.with_depths() {
             let Some(posting) = self.routers.get_mut(&r) else {
                 continue;
             };
-            if (p_off as i64) > posting.bound {
-                continue; // no watcher here can admit a candidate this deep
+            if i64::from(p_off) > posting.bound {
+                continue; // no clean watcher here admits a candidate this deep
             }
             let mut fresh_bound = i64::MIN;
             for &(sid, q_off) in &posting.watchers {
-                let thr = self.subs[sid as usize]
-                    .as_ref()
-                    .expect("router index is coherent")
-                    .admission_bound();
-                fresh_bound = fresh_bound.max(thr.saturating_sub(q_off as i64));
-                let d = q_off + p_off;
-                if d as i64 > thr {
-                    continue; // cannot enter this watcher via this router
-                }
-                let slot = &mut self.seen[sid as usize];
-                if slot.gen != self.gen {
-                    slot.gen = self.gen;
-                    slot.min = d;
-                    self.touched.push(sid);
-                } else if d < slot.min {
-                    slot.min = d;
+                let s = self.subs[sid as usize]
+                    .as_mut()
+                    .expect("router index is coherent");
+                let thr = s.admission_bound();
+                fresh_bound = fresh_bound.max(thr.saturating_sub(i64::from(q_off)));
+                if s.admits(q_off + p_off, p) {
+                    s.mark(&self.counters, ev);
                 }
             }
             posting.bound = fresh_bound;
         }
-        for i in 0..self.touched.len() {
-            let sid = self.touched[i];
-            let d = self.seen[sid as usize].min;
-            self.offer_exact(sid, p, d, class, epoch, now_ms);
-        }
 
         // Fill pass: only subscriptions short of exact candidates can
         // gain a cross-landmark fill, and only from a peer whose path
-        // traverses some other landmark's router.
-        if self.hungry.is_empty() || !host.fills_enabled() {
+        // crosses a landmark router the fill merge reaches from theirs.
+        if self.hungry.is_empty() {
             return;
         }
-        let lm_hits: Vec<(LandmarkId, u32)> = path
-            .with_depths()
-            .filter_map(|(r, d)| host.landmark_at(r).map(|lm| (lm, d)))
-            .collect();
-        if lm_hits.is_empty() {
-            return;
-        }
-        self.scratch_ids.clear();
-        self.scratch_ids.extend_from_slice(&self.hungry);
-        for i in 0..self.scratch_ids.len() {
-            let sid = self.scratch_ids[i];
-            self.offer_fill(host, sid, p, &lm_hits, class, epoch, now_ms);
-        }
-    }
-
-    /// Offers exact candidate `(p, d)` to subscription `sid`.
-    fn offer_exact(
-        &mut self,
-        sid: u32,
-        p: PeerId,
-        d: u32,
-        class: DeltaClass,
-        epoch: u64,
-        now_ms: u64,
-    ) {
-        let s = self.subs[sid as usize]
-            .as_mut()
-            .expect("router index is coherent");
-        if s.dirty || s.peer == p || s.answer.iter().any(|n| n.peer == p) {
-            return;
-        }
-        let key = (d, p);
-        if s.exact_len < s.k {
-            // The exact section holds *every* exact candidate while it
-            // is short of k — the newcomer always enters, evicting the
-            // worst fill if the answer overflows.
-            let pos = s.answer[..s.exact_len].partition_point(|n| (n.dtree, n.peer) < key);
-            s.answer.insert(pos, Neighbor { peer: p, dtree: d });
-            s.exact_len += 1;
-            let evicted = (s.answer.len() > s.k).then(|| s.answer.pop().expect("overflow"));
-            if s.exact_len == s.k {
-                if let Some(i) = self.hungry.iter().position(|&x| x == sid) {
-                    self.hungry.swap_remove(i);
-                }
-            }
-            let pending = Self::pend(
-                &mut self.counters,
-                &mut self.next_seq,
-                s,
-                class,
-                epoch,
-                now_ms,
-            );
-            pending.note_add(Neighbor { peer: p, dtree: d });
-            if let Some(ev) = evicted {
-                if pending.note_remove(ev.peer) {
-                    self.counters.dropped_to_coalesce.inc();
-                }
-            }
-            Self::settle_pending(&mut self.counters, s);
-            self.members.entry(p).or_default().push(sid);
-            if let Some(ev) = evicted {
-                if let Some(holders) = self.members.get_mut(&ev.peer) {
-                    holders.retain(|&x| x != sid);
-                }
-            }
-        } else {
-            // Full exact section (no fills exist then): displace the
-            // worst exact member if the newcomer beats it.
-            let worst = s.answer[s.k - 1];
-            if key >= (worst.dtree, worst.peer) {
-                return;
-            }
-            s.answer.pop();
-            let pos = s.answer.partition_point(|n| (n.dtree, n.peer) < key);
-            s.answer.insert(pos, Neighbor { peer: p, dtree: d });
-            let pending = Self::pend(
-                &mut self.counters,
-                &mut self.next_seq,
-                s,
-                class,
-                epoch,
-                now_ms,
-            );
-            pending.note_add(Neighbor { peer: p, dtree: d });
-            if pending.note_remove(worst.peer) {
-                self.counters.dropped_to_coalesce.inc();
-            }
-            Self::settle_pending(&mut self.counters, s);
-            self.members.entry(p).or_default().push(sid);
-            if let Some(holders) = self.members.get_mut(&worst.peer) {
-                holders.retain(|&x| x != sid);
-            }
-        }
-    }
-
-    /// Offers fill candidate `p` (landmark traversals `lm_hits`) to the
-    /// hungry subscription `sid`.
-    #[allow(clippy::too_many_arguments)]
-    fn offer_fill<H: SubscriptionHost>(
-        &mut self,
-        host: &H,
-        sid: u32,
-        p: PeerId,
-        lm_hits: &[(LandmarkId, u32)],
-        class: DeltaClass,
-        epoch: u64,
-        now_ms: u64,
-    ) {
-        let s = self.subs[sid as usize].as_mut().expect("hungry sub alive");
-        if s.dirty || s.peer == p || s.answer.iter().any(|n| n.peer == p) {
-            return;
-        }
-        let Some(own) = s.own_lm else {
-            return;
-        };
-        // The fill merge ranks a peer by the best cursor it appears on:
-        // min over traversed foreign landmark routers of
-        // depth(query) + bridge + depth-below-that-router, summed wide.
-        let mut est: Option<u64> = None;
-        for &(lm, depth) in lm_hits {
-            if lm == own {
+        self.lm_hits.clear();
+        self.lm_hits
+            .extend(path.routers().iter().filter_map(|&r| host.landmark_at(r)));
+        for &sid in &self.hungry {
+            let s = self.subs[sid as usize].as_mut().expect("hungry sub alive");
+            let Some(own) = s.own_lm else {
                 continue;
+            };
+            let reachable = |&lm: &LandmarkId| lm != own && host.bridge(own, lm).is_some();
+            if self.lm_hits.iter().any(reachable) {
+                s.mark(&self.counters, ev);
             }
-            if let Some(bridge) = host.bridge(own, lm) {
-                let e = query::fill_base(s.path.depth(), bridge) + u64::from(depth);
-                est = Some(est.map_or(e, |cur| cur.min(e)));
-            }
-        }
-        let Some(e) = est else {
-            return;
-        };
-        // A saturated estimate cannot be placed by its reported value: the
-        // merge ranks every peer at u32::MAX by its exact sum. Settle with
-        // a re-query instead.
-        let Some(e) = u32::try_from(e).ok().filter(|&e| e < u32::MAX) else {
-            s.dirty = true;
-            self.dirty_subs.push(sid);
-            return;
-        };
-        debug_assert!(s.exact_len < s.k, "hungry set is coherent");
-        let key = (e, p);
-        if s.answer.len() == s.k {
-            let worst = *s.answer.last().expect("full answer");
-            if key >= (worst.dtree, worst.peer) {
-                return;
-            }
-            s.answer.pop();
-            let pos =
-                s.exact_len + s.answer[s.exact_len..].partition_point(|n| (n.dtree, n.peer) < key);
-            s.answer.insert(pos, Neighbor { peer: p, dtree: e });
-            let pending = Self::pend(
-                &mut self.counters,
-                &mut self.next_seq,
-                s,
-                class,
-                epoch,
-                now_ms,
-            );
-            pending.note_add(Neighbor { peer: p, dtree: e });
-            if pending.note_remove(worst.peer) {
-                self.counters.dropped_to_coalesce.inc();
-            }
-            Self::settle_pending(&mut self.counters, s);
-            self.members.entry(p).or_default().push(sid);
-            if let Some(holders) = self.members.get_mut(&worst.peer) {
-                holders.retain(|&x| x != sid);
-            }
-        } else {
-            // Short answer holds every candidate: the newcomer joins the
-            // fill section at its sorted slot.
-            let pos =
-                s.exact_len + s.answer[s.exact_len..].partition_point(|n| (n.dtree, n.peer) < key);
-            s.answer.insert(pos, Neighbor { peer: p, dtree: e });
-            let pending = Self::pend(
-                &mut self.counters,
-                &mut self.next_seq,
-                s,
-                class,
-                epoch,
-                now_ms,
-            );
-            pending.note_add(Neighbor { peer: p, dtree: e });
-            Self::settle_pending(&mut self.counters, s);
-            self.members.entry(p).or_default().push(sid);
         }
     }
 
-    /// The subscriber itself moved: swap the watch path and settle with
-    /// a refill (the whole ranking basis changed).
-    fn rewatch<H: SubscriptionHost>(&mut self, host: &H, sid: u32, new_path: PeerPath) {
+    /// The subscriber itself moved: re-post the watch path. The caller
+    /// marks the subscription; its re-query settles the postings' bounds.
+    fn rewatch<H: SubscriptionHost>(&mut self, host: &H, sid: u32, new_path: &PeerPath) {
         let s = self.subs[sid as usize].as_mut().expect("sub alive");
-        if s.path == new_path {
+        if s.path == *new_path {
             return;
         }
-        let thr = s.admission_bound();
-        for r in s.path.routers() {
-            if let Some(posting) = self.routers.get_mut(r) {
-                posting.watchers.retain(|&(x, _)| x != sid);
-                if posting.watchers.is_empty() {
-                    self.routers.remove(r);
-                }
-            }
-        }
-        for (r, off) in new_path.with_depths() {
-            let posting = self.routers.entry(r).or_insert_with(Posting::new);
-            posting.watchers.push((sid, off));
-            posting.bound = posting.bound.max(thr.saturating_sub(off as i64));
-        }
+        unpost(&mut self.routers, sid, &s.path);
+        post(&mut self.routers, sid, new_path);
         s.own_lm = host.landmark_at(new_path.landmark_router());
-        s.path = new_path;
-        if !s.dirty {
-            s.dirty = true;
-            self.dirty_subs.push(sid);
-        }
+        s.path = new_path.clone();
     }
 
-    /// Settles a dirty subscription with a full re-query, diffing old
-    /// against new to emit the exact delta.
-    fn refill<H: SubscriptionHost>(
+    /// Re-queries dirty subscription `sid` and diffs the answer against
+    /// the last-sent one: the delta to push, or `None` when nothing
+    /// changed.
+    fn requery<H: SubscriptionHost>(
         &mut self,
         host: &H,
         sid: u32,
-        class: DeltaClass,
-        epoch: u64,
         now_ms: u64,
-    ) {
-        let Some(s) = self.subs[sid as usize].as_ref() else {
-            return; // dropped between marking and settling
-        };
-        if !s.dirty {
-            return;
-        }
-        let (peer, k, path) = (s.peer, s.k, s.path.clone());
-        let (new, new_exact) = host.query_split(&path, k, peer);
+    ) -> Option<NeighborDelta> {
+        let mut s = self.subs[sid as usize].take().expect("due sub alive");
+        let dirty = s.dirty.take().expect("due sub is dirty");
+        self.counters.queue_depth.sub(1);
         self.counters.refills.inc();
-        let s = self.subs[sid as usize].as_mut().expect("still alive");
-        let mut note_removed: Vec<PeerId> = Vec::new();
-        let mut note_added: Vec<Neighbor> = Vec::new();
-        let mut note_updated: Vec<Neighbor> = Vec::new();
-        for old in &s.answer {
-            if !new.iter().any(|n| n.peer == old.peer) {
-                note_removed.push(old.peer);
-            }
-        }
-        for n in &new {
-            match s.answer.iter().find(|o| o.peer == n.peer) {
-                None => note_added.push(*n),
-                Some(o) if o.dtree != n.dtree => note_updated.push(*n),
-                Some(_) => {}
-            }
-        }
-        if !(note_removed.is_empty() && note_added.is_empty() && note_updated.is_empty()) {
-            let pending = Self::pend(
-                &mut self.counters,
-                &mut self.next_seq,
-                s,
-                class,
-                epoch,
-                now_ms,
-            );
-            for &p in &note_removed {
-                if pending.note_remove(p) {
-                    self.counters.dropped_to_coalesce.inc();
-                }
-            }
-            for &n in &note_added {
-                pending.note_add(n);
-            }
-            for &n in &note_updated {
-                pending.note_update(n);
-            }
-            Self::settle_pending(&mut self.counters, s);
-        }
-        s.answer = new;
-        s.exact_len = new_exact;
-        s.dirty = false;
-        // The re-query can *raise* the admission threshold (a nearer
-        // member evicted for a farther one, or the answer going short):
-        // the posting bounds along the watch path must keep up.
-        let thr = s.admission_bound();
-        for (r, off) in path.with_depths() {
-            if let Some(posting) = self.routers.get_mut(&r) {
-                posting.bound = posting.bound.max(thr.saturating_sub(off as i64));
-            }
-        }
-        let hungry_now = host.fills_enabled() && new_exact < k;
-        for &p in &note_removed {
+        let (new, exact_len) = host.query_split(&s.path, s.k, s.peer);
+        let removed: Vec<PeerId> = s
+            .answer
+            .iter()
+            .filter(|o| !new.iter().any(|n| n.peer == o.peer))
+            .map(|o| o.peer)
+            .collect();
+        // New members, and members whose distance changed.
+        let added: Vec<Neighbor> = new
+            .iter()
+            .filter(|n| !s.answer.contains(n))
+            .copied()
+            .collect();
+        for &p in &removed {
             if let Some(holders) = self.members.get_mut(&p) {
                 holders.retain(|&x| x != sid);
                 if holders.is_empty() {
@@ -1051,11 +680,44 @@ impl SubscriptionRegistry {
                 }
             }
         }
-        for n in &note_added {
-            self.members.entry(n.peer).or_default().push(sid);
+        for n in &added {
+            if !s.answer.iter().any(|o| o.peer == n.peer) {
+                self.members.entry(n.peer).or_default().push(sid);
+            }
         }
-        let pos = self.hungry.iter().position(|&x| x == sid);
-        match (hungry_now, pos) {
+        s.answer = new;
+        s.exact_len = exact_len;
+        self.settle(host, sid, &s);
+        let delta = if removed.is_empty() && added.is_empty() {
+            self.counters.dropped_to_coalesce.inc();
+            None
+        } else {
+            s.last_push_ms = now_ms;
+            self.counters.pushed.inc();
+            Some(NeighborDelta {
+                peer: s.peer,
+                epoch: dirty.epoch,
+                class: dirty.class,
+                added,
+                removed,
+                queued_ms: now_ms.saturating_sub(dirty.enqueued_ms),
+            })
+        };
+        self.subs[sid as usize] = Some(s);
+        delta
+    }
+
+    /// Brings the posting bounds along `s`'s watch path and the hungry
+    /// set in line with its (now current) answer.
+    fn settle<H: SubscriptionHost>(&mut self, host: &H, sid: u32, s: &SubState) {
+        let thr = s.admission_bound();
+        for (r, off) in s.path.with_depths() {
+            if let Some(posting) = self.routers.get_mut(&r) {
+                posting.bound = posting.bound.max(thr.saturating_sub(i64::from(off)));
+            }
+        }
+        let hungry_now = host.fills_enabled() && s.exact_len < s.k;
+        match (hungry_now, self.hungry.iter().position(|&x| x == sid)) {
             (true, None) => self.hungry.push(sid),
             (false, Some(i)) => {
                 self.hungry.swap_remove(i);
@@ -1071,14 +733,7 @@ impl SubscriptionRegistry {
         if let Some(sids) = self.clients.get_mut(&s.client) {
             sids.retain(|&x| x != sid);
         }
-        for r in s.path.routers() {
-            if let Some(posting) = self.routers.get_mut(r) {
-                posting.watchers.retain(|&(x, _)| x != sid);
-                if posting.watchers.is_empty() {
-                    self.routers.remove(r);
-                }
-            }
-        }
+        unpost(&mut self.routers, sid, &s.path);
         for n in &s.answer {
             if let Some(holders) = self.members.get_mut(&n.peer) {
                 holders.retain(|&x| x != sid);
@@ -1090,10 +745,33 @@ impl SubscriptionRegistry {
         if let Some(i) = self.hungry.iter().position(|&x| x == sid) {
             self.hungry.swap_remove(i);
         }
-        if s.pending.is_some() {
+        if s.dirty.is_some() {
             self.counters.queue_depth.sub(1);
         }
         self.free.push(sid);
+    }
+}
+
+/// Posts `sid` as a watcher of every router along `path`.
+fn post(routers: &mut HashMap<RouterId, Posting>, sid: u32, path: &PeerPath) {
+    for (r, off) in path.with_depths() {
+        let posting = routers.entry(r).or_insert_with(|| Posting {
+            watchers: Vec::new(),
+            bound: i64::MIN,
+        });
+        posting.watchers.push((sid, off));
+    }
+}
+
+/// Removes `sid`'s postings along `path`, dropping emptied routers.
+fn unpost(routers: &mut HashMap<RouterId, Posting>, sid: u32, path: &PeerPath) {
+    for r in path.routers() {
+        if let Some(posting) = routers.get_mut(r) {
+            posting.watchers.retain(|&(x, _)| x != sid);
+            if posting.watchers.is_empty() {
+                routers.remove(r);
+            }
+        }
     }
 }
 
@@ -1230,12 +908,12 @@ mod tests {
 
         srv.register(PeerId(3), path(&[6, 2, 1, 0])).unwrap();
         srv.deregister(PeerId(3)).unwrap();
-        let stats = srv.subscription_stats();
-        assert_eq!(stats.queue_depth, 0, "fresh add + remove cancels");
-        assert!(stats.dropped_to_coalesce >= 1);
         let mut deltas = Vec::new();
         srv.drain_deltas(client, 16, &mut deltas);
         assert!(deltas.is_empty());
+        let stats = srv.subscription_stats();
+        assert_eq!(stats.queue_depth, 0, "fresh add + remove cancels");
+        assert!(stats.dropped_to_coalesce >= 1);
     }
 
     #[test]
@@ -1256,9 +934,9 @@ mod tests {
         );
 
         srv.deregister(PeerId(2)).unwrap();
-        assert_eq!(srv.subscription_stats().refills, 1);
         let mut deltas = Vec::new();
         srv.drain_deltas(client, 16, &mut deltas);
+        assert_eq!(srv.subscription_stats().refills, 1);
         for d in &deltas {
             apply(&mut view, d);
         }
@@ -1268,6 +946,31 @@ mod tests {
             vec![PeerId(2)],
             "eviction surfaces as removed + the refilled runner-up"
         );
+    }
+
+    /// A joiner that ties the worst member's `dtree` enters by the
+    /// query's peer-id tiebreak, and only then is the watcher re-queried.
+    #[test]
+    fn a_tie_with_the_worst_member_enters_by_peer_id() {
+        let mut srv = server();
+        srv.register(PeerId(5), path(&[4, 2, 1, 0])).unwrap();
+        srv.register(PeerId(7), path(&[5, 2, 1, 0])).unwrap();
+        let client = srv.open_sub_client();
+        let mut view = srv.subscribe(client, watch(PeerId(5), 1)).unwrap();
+
+        // dtree 2 like peer 7, larger id: not an answer change.
+        srv.register(PeerId(8), path(&[6, 2, 1, 0])).unwrap();
+        assert_eq!(srv.subscription_stats().queue_depth, 0);
+        // dtree 2, smaller id: displaces peer 7.
+        srv.register(PeerId(6), path(&[8, 2, 1, 0])).unwrap();
+        let mut deltas = Vec::new();
+        srv.drain_deltas(client, 16, &mut deltas);
+        assert_eq!(srv.subscription_stats().refills, 1);
+        for d in &deltas {
+            apply(&mut view, d);
+        }
+        assert_eq!(view, srv.neighbors_of(PeerId(5), 1).unwrap());
+        assert_eq!(view[0].peer, PeerId(6));
     }
 
     #[test]
@@ -1461,7 +1164,7 @@ mod tests {
     /// A bridge just below the "unknown" marker is accepted by every
     /// constructor. Fill estimates are summed wide and reported saturated
     /// at `u32::MAX` by the server, the federation (synchronous and
-    /// framed) and the incremental engine alike: nothing wraps to the
+    /// framed) and the subscription re-queries alike: nothing wraps to the
     /// front, saturated peers rank by their exact sums, and the deltas
     /// still equal a re-poll.
     #[test]

@@ -1,10 +1,18 @@
 //! Property test: a standing subscription's **pushed delta stream is
 //! observationally identical to polling**. For random topologies and
 //! arbitrary interleavings of churn (registers, renewing batches,
-//! leaves, handovers, expiries) with subscribe/unsubscribe calls, a
-//! client that applies every drained [`NeighborDelta`] to its initial
-//! snapshot always holds exactly what a fresh `neighbors_of` re-poll
-//! would answer — and the delivery queue drains to empty each round.
+//! leaves, handovers, expiries) with subscribe/unsubscribe calls, clock
+//! advances and drains, a client that applies every drained
+//! [`NeighborDelta`] to its initial snapshot holds, after each drain,
+//! exactly what a fresh `neighbors_of` re-poll would answer for every
+//! subscription whose rate-limit window is open.
+//!
+//! Drains happen only at `Drain` ops, so several events pile up between
+//! two drains, and subscriptions drawn with a 50 ms interval stay dirty
+//! across drains until the clock passes their window: a missed dirty
+//! mark shows as a diverged view. The suite also pins the re-query
+//! budget: `observe` runs no query, and a drain runs at most one per
+//! dirty subscription.
 //!
 //! Views compare as `(peer, dtree)` sets: the concatenated exact+fill
 //! answer is not globally sorted, and deltas deliberately do not encode
@@ -75,6 +83,7 @@ enum Op {
     Subscribe {
         peer: u8,
         k: u8,
+        min_interval_ms: u64,
     },
     Unsubscribe {
         peer: u8,
@@ -82,7 +91,16 @@ enum Op {
     /// Close the delivery client (dropping every subscription and queued
     /// delta) and start over with a fresh one.
     ClientReset,
+    /// Move the subscription clock forward.
+    AdvanceClock {
+        ms: u64,
+    },
+    /// Drain the client's deltas and check every due view.
+    Drain,
 }
+
+/// The rate-limit window of the subscriptions drawn with one.
+const INTERVAL_MS: u64 = 50;
 
 fn arb_spec() -> impl Strategy<Value = JoinSpec> {
     (
@@ -113,11 +131,22 @@ fn arb_op() -> impl Strategy<Value = Op> {
         any::<u8>().prop_map(|max_age| Op::ExpireStale {
             max_age: max_age % 4
         }),
-        (any::<u8>(), 1u8..6).prop_map(|(peer, k)| Op::Subscribe { peer: peer % 24, k }),
-        (any::<u8>(), 1u8..6).prop_map(|(peer, k)| Op::Subscribe { peer: peer % 24, k }),
+        (any::<u8>(), 1u8..6, any::<bool>()).prop_map(arb_subscribe),
+        (any::<u8>(), 1u8..6, any::<bool>()).prop_map(arb_subscribe),
         any::<u8>().prop_map(|peer| Op::Unsubscribe { peer: peer % 24 }),
         Just(Op::ClientReset),
+        (0u64..30).prop_map(|ms| Op::AdvanceClock { ms }),
+        Just(Op::Drain),
+        Just(Op::Drain),
     ]
+}
+
+fn arb_subscribe((peer, k, limited): (u8, u8, bool)) -> Op {
+    Op::Subscribe {
+        peer: peer % 24,
+        k,
+        min_interval_ms: if limited { INTERVAL_MS } else { 0 },
+    }
 }
 
 /// The documented client contract: drop `removed`, then upsert `added`.
@@ -134,6 +163,69 @@ fn apply(view: &mut Vec<Neighbor>, d: &NeighborDelta) {
 fn as_set(mut v: Vec<Neighbor>) -> Vec<Neighbor> {
     v.sort_unstable_by_key(|n| n.peer);
     v
+}
+
+/// The client's copy of one subscription.
+struct View {
+    k: usize,
+    min_interval_ms: u64,
+    /// Subscription-clock time of the snapshot or the last push.
+    last_push_ms: u64,
+    neighbors: Vec<Neighbor>,
+}
+
+impl View {
+    /// Whether the rate-limit window is open at `now_ms`.
+    fn due(&self, now_ms: u64) -> bool {
+        now_ms >= self.last_push_ms + self.min_interval_ms
+    }
+}
+
+/// Drains `client`, applies every delta and checks that every view due
+/// at the drain equals a re-poll, that the drain ran at most one
+/// re-query per dirty subscription and that it left only subscriptions
+/// inside their window dirty.
+fn drain_and_check(
+    server: &mut ManagementServer,
+    client: u64,
+    views: &mut HashMap<PeerId, View>,
+) -> Result<(), TestCaseError> {
+    let now = server.sub_clock_ms();
+    let before = server.subscription_stats();
+    let mut deltas = Vec::new();
+    server.drain_deltas(client, usize::MAX, &mut deltas);
+    let after = server.subscription_stats();
+    prop_assert!(
+        after.refills - before.refills <= before.queue_depth,
+        "{} re-queries for {} dirty subscriptions",
+        after.refills - before.refills,
+        before.queue_depth
+    );
+    for d in &deltas {
+        let view = views
+            .get_mut(&d.peer)
+            .expect("deltas only reach live subscriptions");
+        prop_assert!(view.due(now), "pushed inside the window of {:?}", d.peer);
+        apply(&mut view.neighbors, d);
+        view.last_push_ms = now;
+    }
+    let waiting = views.values().filter(|v| !v.due(now)).count() as u64;
+    prop_assert!(
+        after.queue_depth <= waiting,
+        "a due dirty subscription was not drained"
+    );
+    for (&peer, view) in views.iter().filter(|(_, v)| v.due(now)) {
+        let want = server
+            .neighbors_of(peer, view.k)
+            .expect("subscriber is registered");
+        prop_assert_eq!(
+            as_set(view.neighbors.clone()),
+            as_set(want),
+            "view of {:?} diverged from re-poll",
+            peer
+        );
+    }
+    Ok(())
 }
 
 proptest! {
@@ -153,11 +245,11 @@ proptest! {
             },
         );
         let mut client = server.open_sub_client();
-        // Tracked client state: subscription k + the delta-applied view.
-        let mut views: HashMap<PeerId, (usize, Vec<Neighbor>)> = HashMap::new();
-        let mut deltas: Vec<NeighborDelta> = Vec::new();
+        let mut views: HashMap<PeerId, View> = HashMap::new();
 
         for op in ops {
+            let refills = server.subscription_stats().refills;
+            let drains = matches!(op, Op::Drain);
             match op {
                 Op::Register(spec) => {
                     let _ = server.register(PeerId(spec.peer as u64), spec_path(spec));
@@ -185,14 +277,13 @@ proptest! {
                 Op::ExpireStale { max_age } => {
                     server.expire_stale(max_age as u64);
                 }
-                Op::Subscribe { peer, k } => {
+                Op::Subscribe { peer, k, min_interval_ms } => {
                     let peer = PeerId(peer as u64);
-                    match server.subscribe(
-                        client,
-                        Subscription { peer, k: k as usize, min_interval_ms: 0 },
-                    ) {
-                        Ok(initial) => {
-                            views.insert(peer, (k as usize, initial));
+                    let k = k as usize;
+                    match server.subscribe(client, Subscription { peer, k, min_interval_ms }) {
+                        Ok(neighbors) => {
+                            let last_push_ms = server.sub_clock_ms();
+                            views.insert(peer, View { k, min_interval_ms, last_push_ms, neighbors });
                         }
                         Err(CoreError::UnknownPeer(p)) => {
                             prop_assert_eq!(p, peer);
@@ -214,37 +305,36 @@ proptest! {
                     views.clear();
                     client = server.open_sub_client();
                 }
+                Op::AdvanceClock { ms } => {
+                    let now = server.sub_clock_ms();
+                    server.set_sub_clock_ms(now + ms);
+                }
+                Op::Drain => drain_and_check(&mut server, client, &mut views)?,
+            }
+            if !drains {
+                prop_assert_eq!(
+                    server.subscription_stats().refills,
+                    refills,
+                    "only a drain re-queries"
+                );
             }
 
             // A subscription dies with its peer's registration (handover
             // keeps both alive; the re-path is pushed as a delta).
             views.retain(|&p, _| server.path_of(p).is_some());
+            let stats = server.subscription_stats();
             prop_assert_eq!(
-                server.subscription_stats().active,
+                stats.active,
                 views.len() as u64,
                 "registry and client disagree on live subscriptions"
             );
-
-            // Drain everything (interval 0 = always eligible), apply, and
-            // compare every live view against a fresh re-poll.
-            deltas.clear();
-            server.drain_deltas(client, usize::MAX, &mut deltas);
-            for d in &deltas {
-                let (_, view) = views
-                    .get_mut(&d.peer)
-                    .expect("deltas only reach live subscriptions");
-                apply(view, d);
-            }
-            prop_assert_eq!(server.subscription_stats().queue_depth, 0);
-            for (&peer, (k, view)) in &views {
-                let want = server.neighbors_of(peer, *k).expect("subscriber is registered");
-                prop_assert_eq!(
-                    as_set(view.clone()),
-                    as_set(want),
-                    "view of {:?} diverged from re-poll",
-                    peer
-                );
-            }
+            prop_assert!(stats.queue_depth <= stats.active);
         }
+
+        // Open every window and take everything at once.
+        let now = server.sub_clock_ms();
+        server.set_sub_clock_ms(now + INTERVAL_MS);
+        drain_and_check(&mut server, client, &mut views)?;
+        prop_assert_eq!(server.subscription_stats().queue_depth, 0);
     }
 }
