@@ -579,7 +579,7 @@ pub fn check(r: &Report) -> Result<(), String> {
         let st = &sr.stats;
         ensure!(
             sr.mismatches == 0,
-            "{} deltas diverged from the re-polled answers",
+            "{} delta-applied views diverged from re-polls (per delta and after the closing drain)",
             sr.mismatches
         );
         ensure!(
@@ -588,16 +588,9 @@ pub fn check(r: &Report) -> Result<(), String> {
             st.active,
             w.watchers
         );
-        // A storm drains once, so its deltas compare the trace's end with
-        // its start, which may hold the same answers; its re-queries show
-        // that churn reached the watchers.
         ensure!(
-            if w.storm {
-                st.refills > 0
-            } else {
-                sr.deltas_verified > 0
-            },
-            "churn reached no watcher"
+            sr.deltas_verified > 0,
+            "the trace produced no deltas to verify"
         );
         ensure!(
             !w.storm || st.coalesced > 0,
@@ -1515,7 +1508,13 @@ mod tests {
 
     #[test]
     fn storm_coalesces_with_bounded_queue() {
-        let storm = quick("subs").storm().expect("subs have a storm twin");
+        // A storm's one delta per watcher compares the trace's end with
+        // its start. At the quick 100 storm peers, seed 7 ends with only
+        // the watchers left and every answer as it began; twice that
+        // leaves churners alive at the end.
+        let mut s = quick("subs");
+        s.churn.peers *= 2;
+        let storm = s.storm().expect("subs have a storm twin");
         let (r, _) = checked(&storm, 7);
         let sr = r.subs.expect("watchers");
         assert!(

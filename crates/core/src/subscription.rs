@@ -218,6 +218,8 @@ struct SubState {
     answer: Vec<Neighbor>,
     /// Length of the exact section.
     exact_len: usize,
+    /// Whether the registry's hungry set holds this subscription.
+    hungry: bool,
     dirty: Option<Dirty>,
     last_push_ms: u64,
     /// The last event that reached this subscription.
@@ -405,7 +407,7 @@ impl SubscriptionRegistry {
         }
         self.by_peer.insert(sub.peer, sid);
         self.clients.entry(client).or_default().push(sid);
-        let s = SubState {
+        let mut s = SubState {
             peer: sub.peer,
             k: sub.k,
             min_interval_ms: sub.min_interval_ms,
@@ -414,11 +416,12 @@ impl SubscriptionRegistry {
             own_lm: host.landmark_at(path.landmark_router()),
             answer: answer.clone(),
             exact_len,
+            hungry: false,
             dirty: None,
             last_push_ms: now_ms,
             last_event: 0,
         };
-        self.settle(host, sid, &s);
+        self.settle(host, sid, &mut s);
         self.subs[sid as usize] = Some(s);
         Ok(answer)
     }
@@ -687,7 +690,7 @@ impl SubscriptionRegistry {
         }
         s.answer = new;
         s.exact_len = exact_len;
-        self.settle(host, sid, &s);
+        self.settle(host, sid, &mut s);
         let delta = if removed.is_empty() && added.is_empty() {
             self.counters.dropped_to_coalesce.inc();
             None
@@ -708,8 +711,9 @@ impl SubscriptionRegistry {
     }
 
     /// Brings the posting bounds along `s`'s watch path and the hungry
-    /// set in line with its (now current) answer.
-    fn settle<H: SubscriptionHost>(&mut self, host: &H, sid: u32, s: &SubState) {
+    /// set in line with its (now current) answer. The hungry set is
+    /// scanned only when `s` leaves it.
+    fn settle<H: SubscriptionHost>(&mut self, host: &H, sid: u32, s: &mut SubState) {
         let thr = s.admission_bound();
         for (r, off) in s.path.with_depths() {
             if let Some(posting) = self.routers.get_mut(&r) {
@@ -717,12 +721,13 @@ impl SubscriptionRegistry {
             }
         }
         let hungry_now = host.fills_enabled() && s.exact_len < s.k;
-        match (hungry_now, self.hungry.iter().position(|&x| x == sid)) {
-            (true, None) => self.hungry.push(sid),
-            (false, Some(i)) => {
-                self.hungry.swap_remove(i);
+        if hungry_now != s.hungry {
+            s.hungry = hungry_now;
+            if hungry_now {
+                self.hungry.push(sid);
+            } else {
+                unlist(&mut self.hungry, sid);
             }
-            _ => {}
         }
     }
 
@@ -742,14 +747,20 @@ impl SubscriptionRegistry {
                 }
             }
         }
-        if let Some(i) = self.hungry.iter().position(|&x| x == sid) {
-            self.hungry.swap_remove(i);
+        if s.hungry {
+            unlist(&mut self.hungry, sid);
         }
         if s.dirty.is_some() {
             self.counters.queue_depth.sub(1);
         }
         self.free.push(sid);
     }
+}
+
+/// Removes `sid` from the hungry set.
+fn unlist(hungry: &mut Vec<u32>, sid: u32) {
+    let i = hungry.iter().position(|&x| x == sid);
+    hungry.swap_remove(i.expect("hungry flag matches the set"));
 }
 
 /// Posts `sid` as a watcher of every router along `path`.
