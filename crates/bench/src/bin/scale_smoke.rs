@@ -19,6 +19,7 @@
 //! ```
 
 use nearpeer_bench::{oracle_stats_line, Swarm, SwarmConfig};
+use nearpeer_core::LandmarkId;
 use nearpeer_topology::generators::{mapper, MapperConfig};
 use std::time::Instant;
 
@@ -128,16 +129,12 @@ fn main() {
     );
     println!("{}", oracle_stats_line(&swarm.phases.oracle));
     println!("{report}");
-    let interned: usize = swarm
-        .server
-        .shards()
-        .iter()
-        .map(|s| s.path_store().distinct())
+    let landmarks = swarm.server.landmarks().len() as u32;
+    let interned: usize = (0..landmarks)
+        .filter_map(|l| swarm.server.path_store(LandmarkId(l)))
+        .map(|s| s.distinct())
         .sum();
-    println!(
-        "interned paths: {interned} distinct across {} shards",
-        swarm.server.shards().len()
-    );
+    println!("interned paths: {interned} distinct across {landmarks} landmarks");
 
     if report.peers != args.peers {
         eprintln!(

@@ -486,10 +486,10 @@ pub fn run_replay(
 /// Distinct routers on the live stored paths of `server`'s peers: what
 /// its router index must hold, and no more.
 pub fn live_path_routers(server: &ManagementServer) -> usize {
-    let routers: HashSet<_> = server
-        .shards()
-        .iter()
-        .flat_map(|s| s.peers().filter_map(|p| s.path_of(p)))
+    let view = server.index();
+    let routers: HashSet<_> = view
+        .peers()
+        .filter_map(|p| view.path_of(p))
         .flat_map(|path| path.routers().iter().copied())
         .collect();
     routers.len()
@@ -1246,9 +1246,9 @@ impl<'s> Driver<'s> {
             )
         };
         r.indexed_vs_live_routers = regions.iter().map(index).collect();
-        let shards = regions.iter().flat_map(|g| g.server().shards());
-        r.sweep_entries = shards
-            .map(|sh| sh.leases().sweep_stats().entries_swept)
+        r.sweep_entries = regions
+            .iter()
+            .map(|g| g.server().sweep_stats().entries_swept)
             .sum();
         Ok((self.r, self.fed))
     }

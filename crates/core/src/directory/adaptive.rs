@@ -7,7 +7,7 @@
 //! the classic soft-state one — size each peer's lease to its own observed
 //! behaviour.
 //!
-//! This is the *small* version queued in the ROADMAP: every shard keeps an
+//! This is the *small* version queued in the ROADMAP: the server keeps an
 //! **EWMA of each peer's session length** (epochs between lease open and
 //! close, updated when a session ends — graceful leave or expiry), and at
 //! renewal time derives the peer's lease length as
@@ -27,9 +27,8 @@
 
 use super::persist::wire::{put_u32, put_u64, put_u8, Reader};
 use super::persist::PersistError;
-use crate::ids::PeerId;
+use crate::ids::{IdMap, PeerId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Tuning for adaptive lease lengths
 /// ([`crate::ServerConfig::adaptive_leases`]).
@@ -54,7 +53,7 @@ pub struct AdaptiveLeaseConfig {
     /// Cap for the derived lease length, in epochs ("capped to the
     /// configured max").
     pub max_age: u32,
-    /// Hard cap on EWMA cells held **per shard**. Deployments with
+    /// Hard cap on EWMA cells held **per server**. Deployments with
     /// never-recycled (transient) peer ids would otherwise grow the map
     /// without bound; at the cap, a clock/second-chance sweep evicts a
     /// cell not touched since the hand last passed. `0` disables tracking
@@ -84,7 +83,7 @@ struct Cell {
     referenced: bool,
 }
 
-/// Per-shard adaptive-lease state: the config plus one EWMA cell per peer
+/// A server's adaptive-lease state: the config plus one EWMA cell per peer
 /// observed closing a session. Cells whose estimate caps out (derived TTL
 /// = the configured `max_age`, i.e. no shorter than the default lease)
 /// are evicted on update — only peers that actually *benefit* from a
@@ -95,7 +94,7 @@ struct Cell {
 pub(crate) struct AdaptiveLeases {
     cfg: AdaptiveLeaseConfig,
     cells: Vec<Cell>,
-    index: HashMap<PeerId, usize>,
+    index: IdMap<PeerId, usize>,
     /// Clock hand: the next eviction candidate in `cells`.
     hand: usize,
 }
@@ -105,7 +104,7 @@ impl AdaptiveLeases {
         Self {
             cfg,
             cells: Vec::new(),
-            index: HashMap::new(),
+            index: IdMap::default(),
             hand: 0,
         }
     }
@@ -246,7 +245,7 @@ impl AdaptiveLeases {
             )));
         }
         let mut cells = Vec::with_capacity(n);
-        let mut index = HashMap::with_capacity(n);
+        let mut index = IdMap::with_capacity_and_hasher(n, Default::default());
         for i in 0..n {
             let peer = PeerId(r.u64()?);
             let ewma = r.u32()?;

@@ -1,7 +1,7 @@
 //! Slab-backed soft-state lease table for million-peer churn.
 //!
-//! Before this refactor each [`crate::DirectoryShard`] tracked its peers in
-//! three per-peer `HashMap`s (path handle, last-seen epoch, membership).
+//! Before this refactor each per-landmark directory shard tracked its peers
+//! in three per-peer `HashMap`s (path handle, last-seen epoch, membership).
 //! At churn scale that layout loses twice: every lease costs three hashed
 //! lookups and three separately-allocated table entries, and `expire_stale`
 //! had to walk the *entire* last-seen map to find the handful of leases
@@ -35,14 +35,14 @@
 //!   lookups find them) but never count as live leases, and the ordinary
 //!   epoch-bucket sweep retires them like any lapsed lease;
 //! * **per-lease TTLs** — a slot may carry its own lease length
-//!   ([`LeaseArena::set_ttl`], derived by the shard's adaptive-lease EWMA),
+//!   ([`LeaseArena::set_ttl`], derived by the server's adaptive-lease EWMA),
 //!   and the generalized sweep [`LeaseArena::take_due`] expires each lease
 //!   at `last_seen + ttl` instead of one global cutoff. Not-yet-due leases
 //!   found in a popped bucket are re-noted at `due - min_ttl`, so each
 //!   lease still costs O(1) notes per open/renewal.
 //!
-//! The arena is generic over its payload `T` (the shard stores a
-//! [`super::PathRef`]); `crates/core/tests/lease_arena_properties.rs` pins
+//! The arena is generic over its payload `T` (the server stores each live
+//! lease's landmark and [`super::PathRef`]); `crates/core/tests/lease_arena_properties.rs` pins
 //! it op-for-op to a naive `HashMap` reference model.
 
 use super::persist::wire::{put_u32, put_u64, put_u8, Reader};

@@ -1,36 +1,29 @@
-//! The sharded directory behind the management server.
+//! The directory state behind the management server.
 //!
 //! The paper's round-2 server is logically one big table: a hash of
 //! routers to ordered peer lists. The [`crate::ManagementServer`] keeps
 //! exactly one such router index, so a query probes each router of its
-//! path once. What really is per landmark lives in per-landmark
-//! [`DirectoryShard`]s: every stored path terminates at exactly one
-//! landmark router, so peers partition cleanly by it. A shard holds its
-//! peers' soft-state leases in a slab-backed [`LeaseArena`] (generational
-//! slots, one open-addressed peer→slot table, epoch-bucketed expiry, so
-//! million-peer churn neither fragments the heap nor pays a full-table
-//! scan per expiry sweep), their paths interned once in an arena-backed
-//! [`PathStore`], the adaptive session EWMA and the lifetime counters;
-//! the landmark's [`crate::PathTree`] is a view built on demand from
-//! them.
+//! path once, and one lease table for every peer it serves: a
+//! slab-backed [`LeaseArena`] (generational slots, one open-addressed
+//! peer→slot table, epoch-bucketed expiry, so million-peer churn neither
+//! fragments the heap nor pays a full-table scan per expiry sweep). A live
+//! lease names the peer's landmark and its path, interned once in that
+//! landmark's [`PathStore`]; the adaptive session EWMA sizes the leases.
+//! The landmark's [`crate::PathTree`] is a view built on demand from the
+//! stored paths.
 //!
-//! The server routes each write to the owning shard, which updates the
-//! server's index through a `&mut` borrow, and keeps the genuinely
-//! cross-landmark state (the index, bridge distances, aggregate counters)
-//! to itself. Batched joins ([`crate::ManagementServer::register_batch`])
-//! group newcomers by landmark; [`crate::runtime::ActorServer`] puts the
-//! whole server behind one `RwLock` and writes it from the calling thread.
-//! Parallel writes, if ever wanted, partition by region (a
-//! [`crate::Federation`]), not by landmark.
+//! [`crate::runtime::ActorServer`] puts the whole server behind one
+//! `RwLock` and writes it from the calling thread. Parallel writes, if
+//! ever wanted, partition by region (a [`crate::Federation`]), not by
+//! landmark.
 
 mod adaptive;
 mod lease_arena;
 mod path_store;
 pub mod persist;
 pub(crate) mod query;
-mod shard;
 
 pub use adaptive::AdaptiveLeaseConfig;
+pub(crate) use adaptive::AdaptiveLeases;
 pub use lease_arena::{ExpiredLease, LeaseArena, PeerSlot, SweepOutcome, SweepStats};
 pub use path_store::{PathRef, PathStore};
-pub use shard::{BatchOutcome, DirectoryShard, ShardSweep};

@@ -6,7 +6,8 @@
 //! [`super::PathStore`] is a dedup arena whose hash index is derivable,
 //! and epoch expiry buckets are plain `(slot, generation)` lists. This
 //! module streams all of them into a **versioned snapshot** (magic +
-//! version header, per-shard sections, trailing FNV-1a checksum) and an
+//! version header, one path-store section per landmark, one lease-table
+//! section, trailing FNV-1a checksum) and an
 //! **incremental journal** of batched churn ops appended between
 //! snapshots ([`journal`]), written off the serving path by a bounded,
 //! rate-limited background batch writer ([`writer`]).
@@ -35,8 +36,10 @@ pub(crate) use wire::Reader;
 
 /// Snapshot file magic: "NPSN" (NearPeer SNapshot).
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"NPSN";
-/// Current snapshot format version.
-pub const SNAPSHOT_VERSION: u16 = 1;
+/// Current snapshot format version. Version 2 holds one lease table per
+/// server (each live lease naming its landmark) where version 1 held one
+/// per landmark.
+pub const SNAPSHOT_VERSION: u16 = 2;
 /// Journal file magic: "NPJL" (NearPeer JournaL).
 pub const JOURNAL_MAGIC: [u8; 4] = *b"NPJL";
 /// Current journal format version.

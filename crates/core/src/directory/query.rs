@@ -116,7 +116,6 @@ pub(crate) fn merge_fill<I: Iterator<Item = (PeerId, u32)>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::directory::DirectoryShard;
     use crate::path::PeerPath;
     use crate::router_index::query_nearest_entries;
     use proptest::prelude::*;
@@ -144,18 +143,21 @@ mod tests {
     }
 
     /// The one router index of a server over landmarks `0..LANDMARKS`,
-    /// `peers` registered through its shards' writes.
+    /// `peers` registered through its writes.
     fn server_index(peers: &[(u32, PeerPath)]) -> EntryMap {
-        let mut shards: Vec<DirectoryShard> = (0..LANDMARKS)
-            .map(|l| DirectoryShard::with_adaptive(LandmarkId(l), RouterId(l), None))
+        let n = LANDMARKS as usize;
+        let mut server = crate::ManagementServer::new(
+            (0..LANDMARKS).map(RouterId).collect(),
+            vec![vec![0; n]; n],
+            crate::ServerConfig::default(),
+        );
+        let batch = peers
+            .iter()
+            .enumerate()
+            .map(|(i, (_, path))| (PeerId(i as u64), path.clone()))
             .collect();
-        let mut index = EntryMap::default();
-        for (i, (landmark, path)) in peers.iter().enumerate() {
-            shards[*landmark as usize]
-                .insert(&mut index, PeerId(i as u64), path.clone(), 0)
-                .expect("fresh peer under its own landmark");
-        }
-        index
+        assert_eq!(server.register_batch(batch).joined, peers.len());
+        server.entries().clone()
     }
 
     /// The plan the single merge replaced: every per-landmark table's own

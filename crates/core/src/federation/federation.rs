@@ -3,12 +3,12 @@
 
 use super::region::{Region, RegionId};
 use crate::directory::persist::RecoveryReport;
-use crate::directory::{query, BatchOutcome};
+use crate::directory::query;
 use crate::error::CoreError;
 use crate::ids::{IdMap, LandmarkId, PeerId};
 use crate::path::PeerPath;
 use crate::router_index::{query_nearest_entries, Neighbor};
-use crate::server::{ManagementServer, ServerConfig};
+use crate::server::{BatchOutcome, ManagementServer, ServerConfig};
 use nearpeer_routing::RouteOracle;
 use nearpeer_topology::{RouterId, Topology};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -985,16 +985,24 @@ mod tests {
     fn sweeping_a_tombstone_keeps_its_peer_live_where_it_returned() {
         let mut fed = federation(2, None);
         // L0 (region 0) → L1 (region 1) → L2 (region 0): p is live in
-        // region 0 again, beside the tombstone its first move left there.
+        // region 0 again, where its comeback replaced the tombstone its
+        // first move left there (under another landmark).
         fed.register(PeerId(1), path(&[4, 2, 1, 0])).unwrap();
         fed.handover(PeerId(1), path(&[111, 105, 100])).unwrap();
+        assert_eq!(fed.tombstone_count(), 1);
         fed.handover(PeerId(1), path(&[210, 205, 200])).unwrap();
+        assert_eq!(fed.tombstone_count(), 1, "region 1's only");
+        assert_eq!(fed.resolve(RegionId(1), PeerId(1)), Some(RegionId(0)));
         for _ in 0..3 {
             fed.advance_epoch();
             assert_eq!(fed.renew_batch(&[PeerId(1)]), 1);
         }
         let sweep = fed.expire_stale(2);
-        assert_eq!(sweep.moved_swept.len(), 2, "both tombstones retired");
+        assert_eq!(
+            sweep.moved_swept,
+            vec![(RegionId(1), PeerId(1))],
+            "region 1's tombstone retired"
+        );
         assert!(sweep.expired.is_empty());
         assert_eq!(fed.region_of_peer(PeerId(1)), Some(RegionId(0)));
         assert_eq!(fed.locate(PeerId(1)).map(|(r, _)| r), Some(RegionId(0)));

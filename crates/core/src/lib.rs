@@ -13,17 +13,16 @@
 //!   `n` — "accessing a data in a hash table");
 //! * [`PathTree`] — the per-landmark trie view used for analytics, branch
 //!   points (`dtree`) and super-peer regions, built on demand from the
-//!   stored paths ([`DirectoryShard::tree`]);
+//!   stored paths ([`ManagementServer::tree`]);
 //! * [`ManagementServer`] — round 2: registry, neighbor selection, churn
-//!   removal and mobility handover — one router index over the sharded
-//!   [`directory`];
+//!   removal and mobility handover — one router index and one lease table
+//!   over the [`directory`];
 //! * [`SuperPeerDirectory`] — the W2 study's super-peer promotion policy,
 //!   standalone: the server never consults it;
-//! * [`directory`] — the scalability layer: one [`DirectoryShard`] per
-//!   landmark (leases, arena-interned paths in a [`PathStore`], the
-//!   adaptive EWMA) beside the server's one index, batched joins and a
-//!   concurrent `&self` read path;
-//! * [`federation`] — the multi-region layer above the shards: one
+//! * [`directory`] — the scalability layer: the server's lease table
+//!   ([`LeaseArena`]), its arena-interned paths (one [`PathStore`] per
+//!   landmark), the adaptive EWMA and the snapshot/journal format;
+//! * [`federation`] — the multi-region layer above the server: one
 //!   [`ManagementServer`] per landmark partition behind a routing front
 //!   door ([`Federation`]) with bridge-matrix query fan-out and
 //!   cross-region handover leaving forwarding tombstones;
@@ -74,10 +73,7 @@ pub use directory::persist::writer::{
     WriterStats,
 };
 pub use directory::persist::{PersistError, RecoveryReport};
-pub use directory::{
-    AdaptiveLeaseConfig, BatchOutcome, DirectoryShard, LeaseArena, PathRef, PathStore, PeerSlot,
-    ShardSweep, SweepStats,
-};
+pub use directory::{AdaptiveLeaseConfig, LeaseArena, PathRef, PathStore, PeerSlot, SweepStats};
 pub use error::CoreError;
 pub use federation::{
     FederatedJoin, Federation, FederationConfig, FederationStats, FederationSweep, Region, RegionId,
@@ -87,7 +83,9 @@ pub use path::PeerPath;
 pub use path_tree::PathTree;
 pub use router_index::{Neighbor, RouterIndex};
 pub use runtime::{ActorFederation, ActorServer, Outbound, WireService};
-pub use server::{DirectoryView, JoinOutcome, ManagementServer, ServerConfig};
+pub use server::{
+    BatchOutcome, DirectoryView, ExpirySweep, JoinOutcome, ManagementServer, ServerConfig,
+};
 pub use subscription::{
     DeltaClass, NeighborDelta, Subscription, SubscriptionHost, SubscriptionRegistry,
     SubscriptionStats,

@@ -22,10 +22,10 @@ struct TreeNode {
 ///
 /// [`crate::RouterIndex`] is the query-optimal flat view; this trie is the
 /// analytical view: branch points, subtree populations (super-peer regions,
-/// W2), and tree statistics. It is not maintained anywhere: a shard builds
-/// it on demand from the stored paths of its live leases in ascending peer
-/// id ([`crate::DirectoryShard::tree`]), so the view is a pure function of
-/// the registered set.
+/// W2), and tree statistics. It is not maintained anywhere: the server
+/// builds it on demand from the stored paths of a landmark's live leases
+/// in ascending peer id ([`crate::ManagementServer::tree`]), so the view is
+/// a pure function of the registered set.
 ///
 /// Route inconsistencies (a router reported with two different parents,
 /// possible with decreased traceroutes) are resolved first-writer-wins in

@@ -498,16 +498,21 @@ mod tests {
     #[test]
     fn returning_peer_survives_the_sweep_of_its_old_tombstone() {
         let f = fed(2);
-        // L0 (region 0) → L1 (region 1) → L2 (region 0), then both
-        // tombstones age out while the peer keeps renewing.
+        // L0 (region 0) → L1 (region 1) → L2 (region 0), then region 1's
+        // tombstone ages out while the peer keeps renewing. (The comeback
+        // to region 0 replaced the tombstone the first move left there.)
         f.register(PeerId(1), path(&[4, 2, 1, 0])).unwrap();
         f.handover(PeerId(1), path(&[111, 105, 100])).unwrap();
         f.handover(PeerId(1), path(&[210, 205, 200])).unwrap();
+        assert_eq!(f.tombstone_count(), 1);
         for _ in 0..3 {
             f.advance_epoch();
             assert_eq!(f.renew_batch(&[PeerId(1)]), 1);
         }
-        assert_eq!(f.expire_stale(2).moved_swept.len(), 2);
+        assert_eq!(
+            f.expire_stale(2).moved_swept,
+            vec![(RegionId(1), PeerId(1))]
+        );
         assert_eq!(f.region_of_peer(PeerId(1)), Some(RegionId(0)));
         // The next cross-region move finds the peer where it lives.
         let out = f.handover(PeerId(1), path(&[112, 105, 100])).unwrap();

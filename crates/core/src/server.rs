@@ -1,16 +1,18 @@
 //! The management server — round 2 of the paper's protocol.
 //!
 //! The server owns the paper's one router index (router → ordered peer
-//! list) and keeps per-landmark state in [`DirectoryShard`]s (see
-//! [`crate::directory`]): writes are routed to the shard owning the peer's
-//! landmark, which updates the index through a `&mut` borrow, and reads
-//! take `&self` and probe the one index. Bridge distances and aggregate
-//! counters live here too.
+//! list), one lease table for every peer it serves, and one interned path
+//! store per landmark (see [`crate::directory`]). A lease records the
+//! peer's landmark beside its path, so a write probes one peer table and
+//! then the one store that holds the path; reads take `&self` and probe
+//! the one index. Bridge distances and aggregate counters live here too.
 
 use crate::directory::persist::journal::{JournalOp, JournalReader};
 use crate::directory::persist::{self, wire, PersistError, RecoveryReport};
 use crate::directory::query;
-use crate::directory::{AdaptiveLeaseConfig, BatchOutcome, DirectoryShard};
+use crate::directory::{
+    AdaptiveLeaseConfig, AdaptiveLeases, LeaseArena, PathRef, PathStore, SweepStats,
+};
 use crate::error::CoreError;
 use crate::ids::{IdMap, LandmarkId, PeerId};
 use crate::path::PeerPath;
@@ -93,6 +95,58 @@ pub struct JoinOutcome {
     /// The closest peers the server inferred, nearest first.
     pub neighbors: Vec<Neighbor>,
 }
+
+/// What happened to the items of a write-only batch join
+/// ([`ManagementServer::register_batch`],
+/// [`crate::Federation::register_batch`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BatchOutcome {
+    /// Fresh peers registered (lease opened at the batch epoch).
+    pub joined: usize,
+    /// Already-registered peers whose lease was renewed instead.
+    pub renewed: usize,
+    /// Items dropped: a path under the wrong landmark (or an unknown one),
+    /// or a peer re-appearing under a *different* landmark or region than
+    /// its registration (that move is a handover, not a renewal).
+    pub rejected: usize,
+}
+
+/// Everything one expiry sweep retired
+/// ([`ManagementServer::expire_stale_full`]): leases that lapsed
+/// silently, and forwarding tombstones whose retention ended.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ExpirySweep {
+    /// Peers whose lease expired (they are gone from the server), ascending.
+    pub expired: Vec<PeerId>,
+    /// Swept forwarding tombstones `(peer, destination_region)` — these
+    /// peers did not fail, they handed over to another region and the
+    /// grace record has now been retired. Ascending by peer.
+    pub moved: Vec<(PeerId, u32)>,
+}
+
+/// A live lease's payload: the landmark the peer registered under and its
+/// path in that landmark's [`PathStore`]. Six bytes at alignment 2, so
+/// they fit beside the peer id in the 16 bytes a lease slot's occupant
+/// already took for a bare [`PathRef`] (a slot stays 48 bytes); the price
+/// is at most 65 536 landmarks per server ([`MAX_LANDMARKS`]).
+#[derive(Debug, Clone, Copy)]
+#[repr(C, packed(2))]
+struct Lease {
+    path: PathRef,
+    landmark: u16,
+}
+
+impl Lease {
+    fn landmark(self) -> LandmarkId {
+        LandmarkId(u32::from(self.landmark))
+    }
+}
+
+const _: () = assert!(std::mem::size_of::<Lease>() == 6 && std::mem::align_of::<Lease>() == 2);
+
+/// The most landmarks one server holds: a lease names its landmark in 16
+/// bits.
+const MAX_LANDMARKS: usize = 1 << 16;
 
 /// Per-landmark slice of a [`ServerReport`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -179,7 +233,8 @@ struct QueryCounters {
 
 /// The management server of §2: knows every peer's path to its landmark and
 /// answers "who is closest to this newcomer" from one router index, with
-/// one [`DirectoryShard`] per landmark for leases and stored paths.
+/// one lease table for every peer and one interned path store per
+/// landmark.
 ///
 /// The server never sees the topology at runtime — it only consumes router
 /// paths, exactly like the deployed system would. (The [`Self::bootstrap`]
@@ -189,22 +244,30 @@ struct QueryCounters {
 /// Concurrency contract: every read (`neighbors_of`, `closest_to_path`,
 /// `report`, the [`Self::index`] view) takes `&self`, so a populated server
 /// can be queried from any number of threads. Writes take `&mut self` and
-/// route to the owning shard, which keeps the index in step.
+/// keep the leases, the path stores and the index in step.
 pub struct ManagementServer {
     config: ServerConfig,
     landmark_routers: Vec<RouterId>,
     landmark_by_router: IdMap<RouterId, LandmarkId>,
     /// Hop distance between landmark routers (bootstrap measurements).
     landmark_dist: Vec<Vec<u32>>,
-    shards: Vec<DirectoryShard>,
-    /// The router index over every shard's peers: one probe per
-    /// query-path router, whatever the landmark count. Only the shards'
-    /// writes (and [`Self::recover`]) change it.
+    /// Every peer's lease in one slab behind one peer table: its landmark
+    /// and path, last-seen epoch and lease length — or the forwarding
+    /// tombstone it left when it moved to another region.
+    leases: LeaseArena<Lease>,
+    /// One interned-path arena per landmark, indexed by [`LandmarkId`]:
+    /// every stored path ends at its landmark's router.
+    stores: Vec<PathStore>,
+    /// The session EWMA behind adaptive lease lengths, when enabled.
+    adaptive: Option<AdaptiveLeases>,
+    /// The router index over every peer: one probe per query-path router,
+    /// whatever the landmark count. Only the writes (and
+    /// [`Self::recover`]) change it.
     index: EntryMap,
-    /// Facade-level peer→shard map: one hash probe per lookup instead of
-    /// one per shard. Every write path (and [`Self::recover`]) keeps it
-    /// equal to the shards' membership; nothing else can write a shard.
-    peer_shard: IdMap<PeerId, u32>,
+    /// Lifetime lease opens and closes (the join and leave counts; a
+    /// handover is one of each, compensated in [`Self::stats`]).
+    inserts: u64,
+    removals: u64,
     counters: QueryCounters,
     handovers: u64,
     epoch: u64,
@@ -245,25 +308,25 @@ impl ManagementServer {
         config: ServerConfig,
     ) -> Self {
         debug_assert_eq!(landmark_dist.len(), landmark_routers.len());
+        assert!(
+            landmark_routers.len() <= MAX_LANDMARKS,
+            "a server holds at most {MAX_LANDMARKS} landmarks"
+        );
         let landmark_by_router = landmark_routers
             .iter()
             .enumerate()
             .map(|(i, &r)| (r, LandmarkId(i as u32)))
             .collect();
-        let shards = landmark_routers
-            .iter()
-            .enumerate()
-            .map(|(i, &r)| {
-                DirectoryShard::with_adaptive(LandmarkId(i as u32), r, config.adaptive_leases)
-            })
-            .collect();
         Self {
             config,
             landmark_by_router,
             landmark_dist,
-            shards,
+            leases: LeaseArena::new(),
+            stores: landmark_routers.iter().map(|_| PathStore::new()).collect(),
+            adaptive: config.adaptive_leases.map(AdaptiveLeases::new),
             index: EntryMap::default(),
-            peer_shard: IdMap::default(),
+            inserts: 0,
+            removals: 0,
             counters: QueryCounters::default(),
             handovers: 0,
             landmark_routers,
@@ -334,20 +397,17 @@ impl ManagementServer {
         &self.config
     }
 
-    /// Counters. Join/leave counts are derived from the shards' lifetime
-    /// insert/remove counters (a handover re-inserts, which is compensated
+    /// Counters. Join/leave counts are derived from the lifetime lease
+    /// opens and closes (a handover is one of each, which is compensated
     /// here); query counts come from the atomic read-path counters.
     pub fn stats(&self) -> ServerStats {
-        let inserts: u64 = self.shards.iter().map(|s| s.inserts()).sum();
-        let removals: u64 = self.shards.iter().map(|s| s.removals()).sum();
-        // Saturating: shard counters and the handover count are read
-        // non-atomically, so a snapshot racing a handover could otherwise
-        // see the re-insert pair half-applied and underflow.
         ServerStats {
-            joins: inserts.saturating_sub(self.handovers),
+            // Saturating: the counters of a snapshot are restored as
+            // written, not cross-checked.
+            joins: self.inserts.saturating_sub(self.handovers),
             queries: self.counters.queries.get(),
             cross_landmark_fills: self.counters.cross_landmark_fills.get(),
-            leaves: removals.saturating_sub(self.handovers),
+            leaves: self.removals.saturating_sub(self.handovers),
             handovers: self.handovers,
         }
     }
@@ -382,31 +442,58 @@ impl ManagementServer {
         self.subs.lock().expect("subs poisoned").queue_depth()
     }
 
-    /// Registered peer count (all shards).
+    /// Registered peer count.
     pub fn peer_count(&self) -> usize {
-        self.shards.iter().map(|s| s.len()).sum()
-    }
-
-    /// The per-landmark shards (read-only).
-    pub fn shards(&self) -> &[DirectoryShard] {
-        &self.shards
+        self.leases.len()
     }
 
     /// The landmark a peer registered under.
     pub fn landmark_of(&self, peer: PeerId) -> Option<LandmarkId> {
-        self.shard_idx_of(peer).map(|i| LandmarkId(i as u32))
+        self.leases.get(peer).map(|l| l.landmark())
     }
 
-    /// The stored path of a peer: one probe of the peer→shard map, then
-    /// the owning shard's lookup.
+    /// The stored path of a peer: one probe of the lease table, then the
+    /// landmark's store.
     pub fn path_of(&self, peer: PeerId) -> Option<&PeerPath> {
-        self.shards[self.shard_idx_of(peer)?].path_of(peer)
+        let lease = *self.leases.get(peer)?;
+        Some(self.stores[lease.landmark as usize].get(lease.path))
     }
 
-    /// The landmark tree (analytics view), built on demand from the
-    /// shard's stored paths — see [`DirectoryShard::tree`].
+    /// The epoch `peer` last registered or renewed its lease, if it is
+    /// registered.
+    pub fn last_seen(&self, peer: PeerId) -> Option<u64> {
+        self.leases.last_seen(peer)
+    }
+
+    /// A landmark's interned path arena (diagnostics: dedup hits,
+    /// distinct paths).
+    pub fn path_store(&self, landmark: LandmarkId) -> Option<&PathStore> {
+        self.stores.get(landmark.index())
+    }
+
+    /// The lease table's cumulative expiry-sweep cost.
+    pub fn sweep_stats(&self) -> SweepStats {
+        self.leases.sweep_stats()
+    }
+
+    /// The landmark tree (analytics view), built on demand from the live
+    /// leases' stored paths in ascending peer id — `O(peers · depth)`, and
+    /// a pure function of the registered set: neither the join/leave
+    /// history nor the slab's slot order shows in it.
     pub fn tree(&self, landmark: LandmarkId) -> Option<PathTree> {
-        self.shards.get(landmark.index()).map(|s| s.tree())
+        let store = self.stores.get(landmark.index())?;
+        let mut live: Vec<(PeerId, PathRef)> = self
+            .leases
+            .iter()
+            .filter(|(_, _, l)| l.landmark() == landmark)
+            .map(|(peer, _, l)| (peer, l.path))
+            .collect();
+        live.sort_unstable_by_key(|&(peer, _)| peer);
+        let mut tree = PathTree::new(self.landmark_routers[landmark.index()]);
+        for (peer, r) in live {
+            tree.insert(peer, store.get(r));
+        }
+        Some(tree)
     }
 
     /// Read-only view of the directory, with the lookup surface of the
@@ -418,11 +505,6 @@ impl ManagementServer {
     /// The router index itself, for a federation's per-region merge.
     pub(crate) fn entries(&self) -> &EntryMap {
         &self.index
-    }
-
-    /// One hash probe per lookup against the facade-level peer→shard map.
-    fn shard_idx_of(&self, peer: PeerId) -> Option<usize> {
-        self.peer_shard.get(&peer).map(|&i| i as usize)
     }
 
     fn landmark_for_path(&self, path: &PeerPath) -> Result<LandmarkId, CoreError> {
@@ -438,7 +520,7 @@ impl ManagementServer {
     }
 
     /// Round 2, newcomer insertion: stores the peer's path (`O(d·log n)`)
-    /// in its landmark's shard and answers its closest peers.
+    /// under its landmark and answers its closest peers.
     pub fn register(&mut self, peer: PeerId, path: PeerPath) -> Result<JoinOutcome, CoreError> {
         let outcome = self.register_with(peer, path)?;
         self.notify_subs(DeltaClass::Join, &[peer], &[]);
@@ -450,74 +532,135 @@ impl ManagementServer {
     /// the whole move instead of a spurious join.
     fn register_with(&mut self, peer: PeerId, path: PeerPath) -> Result<JoinOutcome, CoreError> {
         let landmark = self.landmark_for_path(&path)?;
-        if self.shard_idx_of(peer).is_some() {
-            // The owning shard would only catch a duplicate under the *same*
-            // landmark; the facade guards the cross-shard invariant.
+        if self.leases.contains(peer) {
             return Err(CoreError::DuplicatePeer(peer));
         }
-        let epoch = self.epoch;
-        self.shards[landmark.index()].insert(&mut self.index, peer, path, epoch)?;
-        self.peer_shard.insert(peer, landmark.index() as u32);
-        let path = self.shards[landmark.index()]
-            .path_of(peer)
-            .expect("just inserted");
-        let neighbors = self.closest_to_path(path, self.config.neighbor_count, Some(peer));
-        Ok(JoinOutcome {
+        let r = self.admit(peer, landmark, path);
+        Ok(self.answer(peer, landmark, r))
+    }
+
+    /// The join answer of `peer`, just admitted under `landmark` with the
+    /// stored path `r`.
+    fn answer(&self, peer: PeerId, landmark: LandmarkId, r: PathRef) -> JoinOutcome {
+        let path = self.stores[landmark.index()].get(r);
+        JoinOutcome {
             landmark,
-            neighbors,
-        })
+            neighbors: self.closest_to_path(path, self.config.neighbor_count, Some(peer)),
+        }
+    }
+
+    /// Interns `path` in `landmark`'s store, files it in the index and
+    /// opens `peer`'s lease at the current epoch (sized by the session
+    /// EWMA when adaptive leases are on). A forwarding tombstone the peer
+    /// left here is replaced: it came back. The peer must hold no live
+    /// lease.
+    fn admit(&mut self, peer: PeerId, landmark: LandmarkId, path: PeerPath) -> PathRef {
+        let store = &mut self.stores[landmark.index()];
+        let r = store.intern(path);
+        router_index::index_path(&mut self.index, peer, store.get(r));
+        let lease = Lease {
+            path: r,
+            landmark: landmark.0 as u16,
+        };
+        let opened = self.leases.insert(peer, lease, self.epoch);
+        debug_assert!(opened.is_some(), "{peer} already held a lease");
+        if let Some(ttl) = self.adaptive.as_mut().and_then(|a| a.ttl(peer)) {
+            self.leases.set_ttl(peer, ttl);
+        }
+        self.inserts += 1;
+        r
+    }
+
+    /// Drops the index entries and the store reference of a lease just
+    /// closed.
+    fn unindex(&mut self, peer: PeerId, lease: Lease) {
+        let store = &mut self.stores[lease.landmark as usize];
+        router_index::unindex_path(&mut self.index, peer, store.get(lease.path));
+        store.release(lease.path);
+        self.removals += 1;
+    }
+
+    /// Closes `peer`'s lease as a session end: the session folds into the
+    /// adaptive EWMA. `false` if the peer holds no lease.
+    fn close(&mut self, peer: PeerId) -> bool {
+        let Some((lease, opened, last_seen)) = self.leases.remove_full(peer) else {
+            return false;
+        };
+        if let Some(a) = self.adaptive.as_mut() {
+            a.observe(peer, last_seen.saturating_sub(opened));
+        }
+        self.unindex(peer, lease);
+        true
+    }
+
+    /// Renews `peer`'s lease at the current epoch; `false` if it holds
+    /// none. With adaptive leases on, the renewal also re-derives the
+    /// lease length from the peer's session EWMA ("at renewal time").
+    fn renew(&mut self, peer: PeerId) -> bool {
+        let epoch = self.epoch;
+        match self.adaptive.as_mut() {
+            None => self.leases.renew(peer, epoch),
+            Some(a) => {
+                if !self.leases.contains(peer) {
+                    return false;
+                }
+                match a.ttl(peer) {
+                    Some(ttl) => self.leases.renew_with_ttl(peer, epoch, ttl),
+                    None => self.leases.renew(peer, epoch),
+                }
+            }
+        }
     }
 
     /// Removes a departed (or failed) peer — churn, W3.
     pub fn deregister(&mut self, peer: PeerId) -> Result<(), CoreError> {
-        let Some(idx) = self.peer_shard.remove(&peer) else {
+        if !self.close(peer) {
             return Err(CoreError::UnknownPeer(peer));
-        };
-        self.shards[idx as usize].remove(&mut self.index, peer);
+        }
         self.notify_subs(DeltaClass::Join, &[], &[peer]);
         Ok(())
     }
 
     /// Removes a peer that is **handing over to another region's server**
     /// (federation mobility): directory state is torn down like a
-    /// departure, but the owning shard's lease arena keeps a forwarding
-    /// tombstone `(peer → to_region)` — noted in the current epoch's
-    /// bucket and retired by the ordinary expiry sweeps — so
-    /// federation-aware expiry reports the peer as *moved*, not silent,
-    /// and stale lookups can still be redirected until the tombstone is
-    /// swept. Counts as a removal in this server's shard counters (the
-    /// federation's own stats track it as a handover).
+    /// departure, but the lease table keeps a forwarding tombstone
+    /// `(peer → to_region)` — noted in the current epoch's bucket and
+    /// retired by the ordinary expiry sweeps — so federation-aware expiry
+    /// reports the peer as *moved*, not silent, and stale lookups can
+    /// still be redirected until the tombstone is swept or the peer comes
+    /// back under any landmark of this server. Counts as a removal in
+    /// this server's counters (the federation's own stats track it as a
+    /// handover). The session EWMA is *not* updated: the session
+    /// continues elsewhere.
     pub fn deregister_forwarding(&mut self, peer: PeerId, to_region: u32) -> Result<(), CoreError> {
-        let Some(idx) = self.shard_idx_of(peer) else {
+        let Some(lease) = self.leases.remove(peer) else {
             return Err(CoreError::UnknownPeer(peer));
         };
-        let epoch = self.epoch;
-        self.shards[idx].remove_forwarding(&mut self.index, peer, to_region, epoch);
-        self.peer_shard.remove(&peer);
+        self.unindex(peer, lease);
+        let planted = self.leases.insert_tombstone(peer, to_region, self.epoch);
+        debug_assert!(planted, "slot was just vacated");
         self.notify_subs(DeltaClass::Handover, &[], &[peer]);
         Ok(())
     }
 
     /// The destination region recorded by `peer`'s forwarding tombstone,
-    /// if any shard holds one.
+    /// if the server holds one.
     pub fn forwarded_to(&self, peer: PeerId) -> Option<u32> {
-        self.shards.iter().find_map(|s| s.forwarded_to(peer))
+        self.leases.forwarded_to(peer)
     }
 
-    /// Forwarding tombstones currently held across all shards (not yet
-    /// swept). A federation with no in-flight handovers past their
-    /// retention drains this to zero.
+    /// Forwarding tombstones currently held (not yet swept). A federation
+    /// with no in-flight handovers past their retention drains this to
+    /// zero.
     pub fn tombstone_count(&self) -> usize {
-        self.shards.iter().map(|s| s.tombstone_count()).sum()
+        self.leases.tombstone_count()
     }
 
     /// Records a heartbeat from a live peer (faulty-peer management, W3).
     pub fn heartbeat(&mut self, peer: PeerId) -> Result<(), CoreError> {
-        let Some(idx) = self.shard_idx_of(peer) else {
+        if !self.renew(peer) {
             return Err(CoreError::UnknownPeer(peer));
-        };
-        let epoch = self.epoch;
-        self.shards[idx].heartbeat(peer, epoch);
+        }
         Ok(())
     }
 
@@ -538,11 +681,10 @@ impl ManagementServer {
     /// failed peers leave the directory (the staleness W3 measures without
     /// it). Expiries count as leaves.
     ///
-    /// Every shard sweeps its epoch-bucketed lease arena once (cost linear
-    /// in the lease activity being retired, no per-peer full-map scans),
-    /// then the per-shard results merge into one list. With adaptive
-    /// leases on, each peer expires at its own derived deadline instead,
-    /// `max_age` being the default for history-less peers.
+    /// The lease table's epoch-bucketed sweep costs time linear in the
+    /// lease activity being retired, never a scan of every peer. With
+    /// adaptive leases on, each peer expires at its own derived deadline
+    /// instead, `max_age` being the default for history-less peers.
     pub fn expire_stale(&mut self, max_age: u64) -> Vec<PeerId> {
         self.expire_stale_full(max_age).expired
     }
@@ -551,118 +693,90 @@ impl ManagementServer {
     /// same sweep also retires forwarding tombstones whose retention
     /// (`max_age`) lapsed and reports them separately — those peers
     /// *moved* to another region's server, they did not fail.
-    pub fn expire_stale_full(&mut self, max_age: u64) -> crate::directory::ShardSweep {
+    pub fn expire_stale_full(&mut self, max_age: u64) -> ExpirySweep {
         let now = self.epoch;
-        let mut out = crate::directory::ShardSweep::default();
-        for shard in &mut self.shards {
-            let sweep = shard.expire_epoch(&mut self.index, now, max_age);
-            // A swept tombstone's peer left `peer_shard` when it handed
-            // over, and may be live again under another landmark here.
-            for &peer in &sweep.expired {
-                self.peer_shard.remove(&peer);
+        let outcome = match self.adaptive.as_ref().map(|a| a.cfg()) {
+            Some(cfg) => {
+                let min_ttl = (cfg.min_age as u64).min(max_age).max(1);
+                self.leases.take_due(now, max_age, min_ttl)
             }
-            out.expired.extend(sweep.expired);
-            out.moved.extend(sweep.moved);
+            // Every lease last seen strictly before `now - max_age`.
+            None => self
+                .leases
+                .take_due(now.saturating_sub(max_age).saturating_add(1), 1, 1),
+        };
+        let mut expired = Vec::with_capacity(outcome.expired.len());
+        for lease in outcome.expired {
+            if let Some(a) = self.adaptive.as_mut() {
+                a.observe(lease.peer, lease.last_seen.saturating_sub(lease.opened));
+            }
+            self.unindex(lease.peer, lease.value);
+            expired.push(lease.peer);
         }
-        out.expired.sort_unstable();
-        out.moved.sort_unstable();
         // Only silent expiries are departures: a swept tombstone's peer
         // left every answer when it moved (`deregister_forwarding`
-        // notified), and may be live here again under another landmark.
-        if !out.expired.is_empty() {
-            self.notify_subs(DeltaClass::Expiry, &[], &out.expired);
+        // notified), and a peer that came back replaced its tombstone.
+        if !expired.is_empty() {
+            self.notify_subs(DeltaClass::Expiry, &[], &expired);
         }
-        out
+        ExpirySweep {
+            expired,
+            moved: outcome.moved,
+        }
     }
 
     /// One heartbeat round, batched: renews the lease of every listed
     /// peer still registered, at the current epoch. Unknown ids are
-    /// ignored (one open-addressed probe per shard); returns the number
+    /// ignored (one open-addressed probe each); returns the number
     /// renewed. The single-peer [`Self::heartbeat`] keeps its error
     /// reporting; at churn scale the directory only cares that live peers
     /// stay leased.
     pub fn renew_batch(&mut self, peers: &[PeerId]) -> usize {
-        let epoch = self.epoch;
-        self.shards
-            .iter_mut()
-            .map(|shard| shard.renew_batch(peers, epoch))
-            .sum()
+        peers.iter().filter(|&&peer| self.renew(peer)).count()
     }
 
     /// Batched departures — churn, W3. Every listed peer still registered
-    /// is removed (each shard removes its own members; a miss costs one
-    /// open-addressed probe per shard); unknown or duplicated ids are
-    /// ignored. Returns the number of peers removed. Removals count as
-    /// leaves.
+    /// is removed; unknown or duplicated ids are ignored (one
+    /// open-addressed probe each). Returns the number of peers removed.
+    /// Removals count as leaves.
     pub fn leave_batch(&mut self, peers: &[PeerId]) -> usize {
-        let mut all_removed: Vec<PeerId> = Vec::new();
-        for shard in &mut self.shards {
-            let removed = shard.remove_batch(&mut self.index, peers);
-            for &peer in &removed {
-                self.peer_shard.remove(&peer);
-            }
-            all_removed.extend(removed);
-        }
-        self.notify_subs(DeltaClass::Join, &[], &all_removed);
-        all_removed.len()
+        let removed: Vec<PeerId> = peers.iter().copied().filter(|&p| self.close(p)).collect();
+        self.notify_subs(DeltaClass::Join, &[], &removed);
+        removed.len()
     }
 
     /// Batched joins, **write-only**: no neighbor answers (bulk loads and
-    /// churn replay are directory maintenance, not discovery). Items group
-    /// by landmark, one call per shard. An item whose peer is already
-    /// registered under the same landmark renews its lease at the current
-    /// epoch and keeps its stored path — the rejoin-before-expiry case of
-    /// a faulty peer coming back. A peer re-appearing under a *different*
-    /// landmark is rejected (that is a [`Self::handover`]); so are
-    /// unknown-landmark paths. Later occurrences of a peer inserted earlier
-    /// in the same batch count as renewals (all leases in one batch share
-    /// the current epoch, so this matches applying the items one by one).
-    /// A batch of fresh peers leaves the directory and leases a
-    /// [`Self::register`] loop would.
+    /// churn replay are directory maintenance, not discovery). An item
+    /// whose peer is already registered under the same landmark renews
+    /// its lease at the current epoch and keeps its stored path — the
+    /// rejoin-before-expiry case of a faulty peer coming back. A peer
+    /// re-appearing under a *different* landmark is rejected (that is a
+    /// [`Self::handover`]); so are unknown-landmark paths. Later
+    /// occurrences of a peer inserted earlier in the same batch count as
+    /// renewals (all leases in one batch share the current epoch, so this
+    /// matches applying the items one by one). A batch of fresh peers
+    /// leaves the directory and leases a [`Self::register`] loop would.
     pub fn register_batch(&mut self, batch: Vec<(PeerId, PeerPath)>) -> BatchOutcome {
-        let epoch = self.epoch;
         let mut out = BatchOutcome::default();
-        let mut per_shard: Vec<Vec<(PeerId, PeerPath)>> =
-            (0..self.shards.len()).map(|_| Vec::new()).collect();
-        let mut fresh: Vec<(PeerId, LandmarkId)> = Vec::new();
-        let mut fresh_landmark: IdMap<PeerId, LandmarkId> = IdMap::default();
+        let mut joined: Vec<PeerId> = Vec::new();
         for (peer, path) in batch {
             let Ok(landmark) = self.landmark_for_path(&path) else {
                 out.rejected += 1;
                 continue;
             };
-            if let Some(idx) = self.shard_idx_of(peer) {
-                if idx == landmark.index() {
-                    self.shards[idx].heartbeat(peer, epoch);
-                    out.renewed += 1;
-                } else {
-                    out.rejected += 1;
+            match self.landmark_of(peer) {
+                None => {
+                    self.admit(peer, landmark, path);
+                    joined.push(peer);
                 }
-            } else if let Some(&lm) = fresh_landmark.get(&peer) {
-                // Joined earlier in this batch; same-epoch renewal is a
-                // no-op on the lease, so only the disposition is counted.
-                if lm == landmark {
+                Some(held) if held == landmark => {
+                    self.renew(peer);
                     out.renewed += 1;
-                } else {
-                    out.rejected += 1;
                 }
-            } else {
-                fresh_landmark.insert(peer, landmark);
-                per_shard[landmark.index()].push((peer, path));
-                fresh.push((peer, landmark));
+                Some(_) => out.rejected += 1,
             }
         }
-        for (shard, items) in self.shards.iter_mut().zip(per_shard) {
-            if !items.is_empty() {
-                let absorbed = shard.absorb_batch(&mut self.index, items, epoch);
-                debug_assert_eq!(absorbed.renewed + absorbed.rejected, 0);
-                out.joined += absorbed.joined;
-            }
-        }
-        for &(peer, landmark) in &fresh {
-            self.peer_shard.insert(peer, landmark.index() as u32);
-        }
-        let joined: Vec<PeerId> = fresh.iter().map(|&(peer, _)| peer).collect();
+        out.joined = joined.len();
         self.notify_subs(DeltaClass::Join, &joined, &[]);
         out
     }
@@ -673,17 +787,22 @@ impl ManagementServer {
     /// torn down, so a handover to an unknown landmark leaves the peer
     /// registered where it was.
     pub fn handover(&mut self, peer: PeerId, new_path: PeerPath) -> Result<JoinOutcome, CoreError> {
-        let Some(idx) = self.shard_idx_of(peer) else {
+        let landmark = match self.landmark_for_path(&new_path) {
+            Ok(landmark) => landmark,
+            // An unknown peer is the first error either way.
+            Err(_) if !self.leases.contains(peer) => return Err(CoreError::UnknownPeer(peer)),
+            Err(e) => return Err(e),
+        };
+        // Not `close`: a relocation is no session end, so the
+        // adaptive-lease EWMA must not absorb the dwell time.
+        let Some(lease) = self.leases.remove(peer) else {
             return Err(CoreError::UnknownPeer(peer));
         };
-        self.landmark_for_path(&new_path)?;
-        // Not `deregister`: a relocation is no session end, so the
-        // adaptive-lease EWMA must not absorb the dwell time.
-        self.shards[idx].remove_moved(&mut self.index, peer);
-        self.peer_shard.remove(&peer);
-        let outcome = self.register_with(peer, new_path)?;
-        // The shard counters saw one remove + one insert; `stats()` folds
-        // the pair into one handover.
+        self.unindex(peer, lease);
+        let r = self.admit(peer, landmark, new_path);
+        let outcome = self.answer(peer, landmark, r);
+        // The counters saw one close + one open; `stats()` folds the pair
+        // into one handover.
         self.handovers += 1;
         // One Handover-class event for the whole move: subscriptions
         // holding the peer re-rank it at its new path, and the peer's own
@@ -845,16 +964,15 @@ impl ManagementServer {
 
     /// Builds an operator-facing snapshot of the server's state. The
     /// per-landmark rows come from trees built for the call
-    /// ([`DirectoryShard::tree`]), so this is `O(peers)`: an operator
+    /// ([`Self::tree`]), so this is `O(landmarks · peers)`: an operator
     /// snapshot, not something to call on a served path.
     pub fn report(&self) -> ServerReport {
-        let per_landmark = self
-            .shards
-            .iter()
-            .map(|shard| {
-                let tree = shard.tree();
+        let per_landmark = (0..self.landmark_routers.len() as u32)
+            .map(|i| {
+                let landmark = LandmarkId(i);
+                let tree = self.tree(landmark).expect("landmark exists");
                 LandmarkReport {
-                    landmark: shard.landmark(),
+                    landmark,
                     router: tree.root(),
                     peers: tree.n_peers(),
                     tree_routers: tree.n_nodes(),
@@ -876,9 +994,12 @@ impl ManagementServer {
     /// Serializes the complete directory state into the versioned snapshot
     /// format (see [`crate::directory::persist`]): a `NPSN` header, the
     /// config section, aggregate counters, the landmark set and bridge
-    /// matrix, one section per shard (interned paths, lease slots with
-    /// generations and forwarding tombstones, epoch buckets, adaptive EWMA
-    /// cells), and a trailing FNV-1a checksum over everything before it.
+    /// matrix, one interned path store per landmark, the lease table
+    /// (slots with generations, each live lease's landmark and path, and
+    /// forwarding tombstones; epoch buckets), the adaptive EWMA cells, and
+    /// a trailing FNV-1a checksum over everything before it. The router
+    /// index is *not* written: it is a pure function of the registered
+    /// set, and [`Self::recover`] rebuilds it from the restored leases.
     ///
     /// [`ManagementServer::recover`] restores a byte-identical directory
     /// from this: same answers, same conservation counters, same future
@@ -918,9 +1039,21 @@ impl ManagementServer {
                 wire::put_u32(&mut out, d);
             }
         }
-        // Per-shard sections.
-        for shard in &self.shards {
-            shard.persist_encode(&mut out);
+        wire::put_u64(&mut out, self.inserts);
+        wire::put_u64(&mut out, self.removals);
+        for store in &self.stores {
+            store.persist_encode(&mut out);
+        }
+        self.leases.persist_encode(&mut out, |l, buf| {
+            wire::put_u16(buf, l.landmark);
+            wire::put_u32(buf, l.path.slot());
+        });
+        match &self.adaptive {
+            None => wire::put_u8(&mut out, 0),
+            Some(a) => {
+                wire::put_u8(&mut out, 1);
+                a.persist_encode(&mut out);
+            }
         }
         let sum = persist::checksum(&out);
         wire::put_u64(&mut out, sum);
@@ -996,10 +1129,10 @@ impl ManagementServer {
         let fills = r.u64()?;
         // Landmarks and the bridge matrix.
         let n = r.u32()? as usize;
-        if n == 0 {
-            return Err(CoreError::InvalidConfig(
-                "snapshot holds zero landmarks (no shards)".into(),
-            ));
+        if n == 0 || n > MAX_LANDMARKS {
+            return Err(CoreError::InvalidConfig(format!(
+                "snapshot holds {n} landmarks (1 to {MAX_LANDMARKS} supported)"
+            )));
         }
         let mut landmark_routers = Vec::with_capacity(n);
         for _ in 0..n {
@@ -1013,35 +1146,75 @@ impl ManagementServer {
             }
             landmark_dist.push(row);
         }
-        // Per-shard sections, validated against the landmark set.
-        // The index is not in the snapshot: it rebuilds from every shard's
-        // restored leases.
-        let mut shards = Vec::with_capacity(n);
-        let mut index = EntryMap::default();
-        let mut peer_shard = IdMap::default();
-        for (i, &router) in landmark_routers.iter().enumerate() {
-            let shard = DirectoryShard::persist_decode(&mut r, adaptive_leases)?;
-            if shard.landmark() != LandmarkId(i as u32) || shard.root() != router {
+        let inserts = r.u64()?;
+        let removals = r.u64()?;
+        let mut stores = Vec::with_capacity(n);
+        for _ in 0..n {
+            stores.push(PathStore::persist_decode(&mut r)?);
+        }
+        // Every live lease must reference a live path of a landmark's
+        // store, ending at that landmark's router.
+        let leases = LeaseArena::persist_decode(&mut r, |rd| {
+            let landmark = rd.u16()?;
+            let slot = rd.u32()?;
+            let path = PathRef::from_slot(slot);
+            let Some(store) = stores.get(landmark as usize).filter(|s| s.is_live(path)) else {
                 return Err(PersistError::Corrupt(format!(
-                    "shard {i} does not match its landmark section"
+                    "lease references dead path slot {slot} of landmark {landmark}"
+                )));
+            };
+            if store.get(path).landmark_router() != landmark_routers[landmark as usize] {
+                return Err(PersistError::Corrupt(format!(
+                    "stored path {slot} of landmark {landmark} does not end at its router"
+                )));
+            }
+            Ok(Lease { path, landmark })
+        })?;
+        // Each live lease holds one reference to its path.
+        let mut refs = vec![0u64; n];
+        for (_, _, l) in leases.iter() {
+            refs[l.landmark as usize] += 1;
+        }
+        for (i, store) in stores.iter().enumerate() {
+            if store.total_refs() != refs[i] {
+                return Err(PersistError::Corrupt(format!(
+                    "landmark {i}'s path store holds {} refs for {} live leases",
+                    store.total_refs(),
+                    refs[i]
                 ))
                 .into());
             }
-            peer_shard.extend(shard.peers().map(|p| (p, i as u32)));
-            shard.index_into(&mut index);
-            shards.push(shard);
         }
+        let adaptive = match (r.u8()?, adaptive_leases) {
+            (0, None) => None,
+            (1, Some(cfg)) => Some(AdaptiveLeases::persist_decode(cfg, &mut r)?),
+            (flag, _) => {
+                return Err(PersistError::Corrupt(format!(
+                    "adaptive flag {flag} disagrees with the snapshot config"
+                ))
+                .into())
+            }
+        };
         if r.remaining() != 0 {
             return Err(PersistError::Corrupt(format!(
-                "{} trailing bytes after the last shard section",
+                "{} trailing bytes after the adaptive section",
                 r.remaining()
             ))
             .into());
         }
+        // The index is not in the snapshot: it rebuilds from the restored
+        // leases.
+        let mut index = EntryMap::default();
+        for (peer, _, l) in leases.iter() {
+            router_index::index_path(&mut index, peer, stores[l.landmark as usize].get(l.path));
+        }
         let mut server = Self::new(landmark_routers, landmark_dist, config);
-        server.shards = shards;
+        server.leases = leases;
+        server.stores = stores;
+        server.adaptive = adaptive;
         server.index = index;
-        server.peer_shard = peer_shard;
+        server.inserts = inserts;
+        server.removals = removals;
         server.epoch = epoch;
         server.handovers = handovers;
         server.counters.queries.set(queries);
@@ -1141,7 +1314,7 @@ impl<'a> DirectoryView<'a> {
 
     /// Whether the peer is registered.
     pub fn contains(&self, peer: PeerId) -> bool {
-        self.server.shard_idx_of(peer).is_some()
+        self.server.leases.contains(peer)
     }
 
     /// The stored path of a peer.
@@ -1149,9 +1322,9 @@ impl<'a> DirectoryView<'a> {
         self.server.path_of(peer)
     }
 
-    /// Iterator over all registered peers (shard by shard).
+    /// Iterator over all registered peers (lease slot order).
     pub fn peers(&self) -> impl Iterator<Item = PeerId> + '_ {
-        self.server.shards.iter().flat_map(|s| s.peers())
+        self.server.leases.iter().map(|(peer, _, _)| peer)
     }
 
     /// Number of distinct routers referenced by stored paths.
@@ -1540,11 +1713,8 @@ mod tests {
                 bat.neighbors_of(p, 3).unwrap(),
                 seq.neighbors_of(p, 3).unwrap()
             );
-            let lease = |srv: &ManagementServer| {
-                srv.shards()[srv.landmark_of(p).unwrap().index()].last_seen(p)
-            };
-            assert_eq!(lease(&bat), Some(1));
-            assert_eq!(lease(&bat), lease(&seq));
+            assert_eq!(bat.last_seen(p), Some(1));
+            assert_eq!(bat.last_seen(p), seq.last_seen(p));
         }
         // Identical leases: they lapse together.
         for srv in [&mut seq, &mut bat] {
@@ -1556,26 +1726,29 @@ mod tests {
         assert_eq!(seq.expire_stale(1), vec![PeerId(1), PeerId(3), PeerId(4)]);
     }
 
-    /// The facade peer→shard map must give the same answer as probing
-    /// every shard after every kind of churn, on a server built by the
-    /// write paths and on one returned by `recover` (which fills the map
-    /// from the decoded shards, then replays the journal through the same
-    /// write paths).
+    /// A lease's landmark must be the landmark its stored path ends at,
+    /// after every kind of churn, on a server built by the write paths and
+    /// on one returned by `recover` (which decodes the lease table, then
+    /// replays the journal through the same write paths).
     #[test]
-    fn peer_shard_map_agrees_with_probe() {
+    fn landmark_of_agrees_with_the_stored_path() {
         use crate::directory::persist::journal::append_op;
-        fn probe(srv: &ManagementServer, p: PeerId) -> Option<usize> {
-            srv.shards().iter().position(|s| s.contains(p))
-        }
         fn check(srv: &ManagementServer, universe: impl Iterator<Item = u64>) {
             for p in universe {
                 let peer = PeerId(p);
+                let by_path = srv
+                    .path_of(peer)
+                    .and_then(|path| srv.landmark_at_router(path.landmark_router()));
                 assert_eq!(
                     srv.landmark_of(peer),
-                    probe(srv, peer).map(|i| LandmarkId(i as u32)),
-                    "map and probe disagree on peer {p}"
+                    by_path,
+                    "lease and path disagree on peer {p}"
                 );
             }
+            let in_trees: usize = (0..srv.landmarks().len() as u32)
+                .map(|l| srv.tree(LandmarkId(l)).unwrap().n_peers())
+                .sum();
+            assert_eq!(in_trees, srv.peer_count());
         }
 
         let mut srv = two_landmark_server(ServerConfig::default());
@@ -1602,7 +1775,7 @@ mod tests {
             (PeerId(50), path(&[998, 2, 1, 0])), // renewal
         ]);
         // Taken while most peers are still leased, so `recover` has a
-        // populated map to fill.
+        // populated lease table to decode.
         let snapshot = srv.snapshot_bytes().unwrap();
         for _ in 0..6 {
             srv.advance_epoch();
@@ -1633,7 +1806,7 @@ mod tests {
         assert_eq!(back.landmark_of(PeerId(7)), Some(LandmarkId(0)));
         assert_eq!(back.peer_count(), 22, "5..30 minus 8, 9 and 10");
         check(&back, 0..60);
-        // And the recovered server keeps the map through further churn.
+        // And the recovered server keeps them in step through further churn.
         back.handover(PeerId(11), path(&[991, 2, 1, 0])).unwrap();
         back.advance_epoch();
         back.advance_epoch();
@@ -1641,6 +1814,39 @@ mod tests {
         back.expire_stale(1);
         assert_eq!(back.peer_count(), 1);
         check(&back, 0..60);
+    }
+
+    /// A peer that handed over to another region and comes back under
+    /// *another* landmark of this server replaces its forwarding
+    /// tombstone, as a comeback under the same landmark does: the server
+    /// holds one lease table, so one record per peer.
+    #[test]
+    fn a_comeback_under_another_landmark_replaces_the_tombstone() {
+        let mut srv = two_landmark_server(ServerConfig::default());
+        srv.register(PeerId(1), path(&[4, 2, 1, 0])).unwrap();
+        srv.register(PeerId(2), path(&[5, 2, 1, 0])).unwrap();
+        let tombstones = srv.tombstone_count();
+        srv.advance_epoch();
+        srv.deregister_forwarding(PeerId(1), 7).unwrap();
+        assert_eq!(srv.tombstone_count(), tombstones + 1);
+        let out = srv.register(PeerId(1), path(&[110, 105, 100])).unwrap();
+        assert_eq!(out.landmark, LandmarkId(1));
+        // Live: registered under landmark 1 and in peer 2's answer.
+        assert_eq!(srv.landmark_of(PeerId(1)), Some(LandmarkId(1)));
+        let fill = srv.neighbors_of(PeerId(2), 3).unwrap();
+        assert_eq!(fill.iter().map(|n| n.peer).collect::<Vec<_>>(), [PeerId(1)]);
+        assert_eq!(srv.forwarded_to(PeerId(1)), None);
+        assert_eq!(srv.tombstone_count(), tombstones);
+        // Past the tombstone's retention, the sweep knows nothing of it.
+        for _ in 0..5 {
+            srv.advance_epoch();
+            srv.heartbeat(PeerId(1)).unwrap();
+        }
+        let sweep = srv.expire_stale_full(3);
+        assert_eq!(sweep.moved, vec![], "peer 1 moved nowhere");
+        assert_eq!(sweep.expired, vec![PeerId(2)], "peer 2 was silent");
+        assert_eq!(srv.landmark_of(PeerId(1)), Some(LandmarkId(1)));
+        assert_eq!(srv.tombstone_count(), tombstones);
     }
 
     #[test]
@@ -1698,17 +1904,18 @@ mod tests {
     }
 
     #[test]
-    fn paths_are_interned_per_shard() {
+    fn paths_are_interned_per_landmark() {
         let mut srv = two_landmark_server(ServerConfig::default());
         srv.register(PeerId(1), path(&[4, 2, 1, 0])).unwrap();
         srv.register(PeerId(2), path(&[4, 2, 1, 0])).unwrap();
         srv.register(PeerId(3), path(&[5, 2, 1, 0])).unwrap();
-        let store = srv.shards()[0].path_store();
+        let store = srv.path_store(LandmarkId(0)).unwrap();
         assert_eq!(store.distinct(), 2);
         assert_eq!(store.dedup_hits(), 1);
+        assert!(srv.path_store(LandmarkId(1)).unwrap().is_empty());
         srv.deregister(PeerId(1)).unwrap();
         srv.deregister(PeerId(2)).unwrap();
-        assert_eq!(srv.shards()[0].path_store().distinct(), 1);
+        assert_eq!(srv.path_store(LandmarkId(0)).unwrap().distinct(), 1);
     }
 
     #[test]
@@ -1967,5 +2174,327 @@ mod tests {
             last <= 2 * first,
             "snapshot grew from {first} to {last} bytes at a fixed population"
         );
+    }
+
+    // ---- writes under one landmark ----------------------------------------
+
+    /// Advances `srv`'s heartbeat epoch to `epoch`.
+    fn advance_to(srv: &mut ManagementServer, epoch: u64) {
+        while srv.epoch() < epoch {
+            srv.advance_epoch();
+        }
+    }
+
+    #[test]
+    fn insert_query_remove_roundtrip() {
+        let mut srv = two_landmark_server(ServerConfig::default());
+        srv.register(PeerId(1), path(&[4, 2, 1, 0])).unwrap();
+        srv.register(PeerId(2), path(&[5, 2, 1, 0])).unwrap();
+        assert_eq!(srv.peer_count(), 2);
+        assert_eq!(srv.tree(LandmarkId(0)).unwrap().n_peers(), 2);
+        assert_eq!(srv.path_of(PeerId(1)).unwrap().attach(), RouterId(4));
+        let q = path(&[4, 2, 1, 0]);
+        let res = srv.index().query_nearest(&q, 5, None);
+        assert_eq!(res[0].peer, PeerId(1));
+        assert_eq!(res[0].dtree, 0);
+        assert_eq!(res[1].peer, PeerId(2));
+        assert_eq!(res[1].dtree, 2);
+        srv.deregister(PeerId(1)).unwrap();
+        assert!(srv.deregister(PeerId(1)).is_err());
+        assert_eq!(srv.peer_count(), 1);
+        assert!(srv.path_of(PeerId(1)).is_none());
+        let stats = srv.stats();
+        assert_eq!((stats.joins, stats.leaves), (2, 1));
+    }
+
+    #[test]
+    fn rejects_foreign_and_duplicate() {
+        let mut srv = two_landmark_server(ServerConfig::default());
+        assert!(matches!(
+            srv.register(PeerId(1), path(&[4, 2, 99])),
+            Err(CoreError::UnknownLandmark(_))
+        ));
+        srv.register(PeerId(1), path(&[4, 2, 1, 0])).unwrap();
+        assert!(matches!(
+            srv.register(PeerId(1), path(&[5, 2, 1, 0])),
+            Err(CoreError::DuplicatePeer(_))
+        ));
+    }
+
+    #[test]
+    fn batch_matches_sequential_inserts() {
+        let mut seq = two_landmark_server(ServerConfig::default());
+        let mut bat = two_landmark_server(ServerConfig::default());
+        for srv in [&mut seq, &mut bat] {
+            advance_to(srv, 3);
+        }
+        let paths = [
+            path(&[4, 2, 1, 0]),
+            path(&[5, 2, 1, 0]),
+            path(&[6, 3, 1, 0]),
+            path(&[7, 42]), // unknown landmark, skipped both ways
+            path(&[2, 1, 0]),
+        ];
+        let mut ok = 0;
+        for (i, p) in paths.iter().enumerate() {
+            if seq.register(PeerId(i as u64), p.clone()).is_ok() {
+                ok += 1;
+            }
+        }
+        let items: Vec<(PeerId, PeerPath)> = paths
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (PeerId(i as u64), p.clone()))
+            .collect();
+        let out = bat.register_batch(items);
+        assert_eq!((out.joined, out.renewed, out.rejected), (ok, 0, 1));
+        assert_eq!(bat.peer_count(), seq.peer_count());
+        assert_eq!(bat.index().n_routers(), seq.index().n_routers());
+        let (bt, st) = (
+            bat.tree(LandmarkId(0)).unwrap(),
+            seq.tree(LandmarkId(0)).unwrap(),
+        );
+        assert_eq!(bt.n_peers(), st.n_peers());
+        assert_eq!(bt.n_nodes(), st.n_nodes());
+        assert_eq!(bat.last_seen(PeerId(0)), Some(3));
+        let q = path(&[4, 2, 1, 0]);
+        assert_eq!(
+            bat.index().query_nearest(&q, 5, None),
+            seq.index().query_nearest(&q, 5, None)
+        );
+        assert_eq!(bat.stats().joins, seq.stats().joins);
+    }
+
+    #[test]
+    fn batch_skips_duplicates_within_batch() {
+        let mut srv = two_landmark_server(ServerConfig::default());
+        let out = srv.register_batch(vec![
+            (PeerId(1), path(&[4, 2, 1, 0])),
+            (PeerId(1), path(&[5, 2, 1, 0])),
+        ]);
+        assert_eq!((out.joined, out.renewed), (1, 1));
+        assert_eq!(srv.path_of(PeerId(1)).unwrap().attach(), RouterId(4));
+        assert_eq!(srv.stats().joins, 1);
+    }
+
+    #[test]
+    fn absorb_batch_renews_instead_of_skipping() {
+        let mut srv = two_landmark_server(ServerConfig::default());
+        srv.register(PeerId(1), path(&[4, 2, 1, 0])).unwrap();
+        advance_to(&mut srv, 7);
+        let out = srv.register_batch(vec![
+            (PeerId(1), path(&[5, 2, 1, 0])), // registered: renew, keep path
+            (PeerId(2), path(&[5, 2, 1, 0])), // fresh: join
+            (PeerId(3), path(&[9, 42])),      // unknown landmark: reject
+        ]);
+        assert_eq!(
+            out,
+            BatchOutcome {
+                joined: 1,
+                renewed: 1,
+                rejected: 1
+            }
+        );
+        assert_eq!(srv.peer_count(), 2);
+        assert_eq!(srv.last_seen(PeerId(1)), Some(7), "lease renewed");
+        assert_eq!(
+            srv.path_of(PeerId(1)).unwrap().attach(),
+            RouterId(4),
+            "renewal keeps the stored path"
+        );
+        assert_eq!(srv.stats().joins, 2);
+    }
+
+    #[test]
+    fn remove_batch_ignores_foreign_and_duplicate_ids() {
+        let mut srv = two_landmark_server(ServerConfig::default());
+        srv.register(PeerId(1), path(&[4, 2, 1, 0])).unwrap();
+        srv.register(PeerId(2), path(&[5, 2, 1, 0])).unwrap();
+        let removed = srv.leave_batch(&[PeerId(2), PeerId(9), PeerId(2), PeerId(1)]);
+        assert_eq!(removed, 2);
+        assert_eq!(srv.peer_count(), 0);
+        assert_eq!(srv.stats().leaves, 2);
+    }
+
+    #[test]
+    fn expire_batch_sweeps_and_cleans_indexes() {
+        let mut srv = two_landmark_server(ServerConfig::default());
+        srv.register(PeerId(1), path(&[4, 2, 1, 0])).unwrap();
+        srv.register(PeerId(2), path(&[5, 2, 1, 0])).unwrap();
+        advance_to(&mut srv, 4);
+        srv.heartbeat(PeerId(1)).unwrap();
+        advance_to(&mut srv, 6);
+        assert_eq!(srv.expire_stale(3), vec![PeerId(2)]);
+        assert_eq!(srv.peer_count(), 1);
+        assert_eq!(srv.tree(LandmarkId(0)).unwrap().n_peers(), 1);
+        assert!(srv.path_of(PeerId(2)).is_none());
+        assert_eq!(srv.path_store(LandmarkId(0)).unwrap().distinct(), 1);
+        assert_eq!(srv.index().n_routers(), 4, "router 5 left with peer 2");
+        assert_eq!(srv.stats().leaves, 1);
+    }
+
+    #[test]
+    fn remove_forwarding_leaves_a_swept_tombstone() {
+        let mut srv = two_landmark_server(ServerConfig::default());
+        srv.register(PeerId(1), path(&[4, 2, 1, 0])).unwrap();
+        srv.register(PeerId(2), path(&[5, 2, 1, 0])).unwrap();
+        advance_to(&mut srv, 2);
+        srv.deregister_forwarding(PeerId(1), 3).unwrap();
+        assert!(srv.deregister_forwarding(PeerId(9), 3).is_err());
+        // The peer is gone from every directory structure...
+        assert_eq!(srv.peer_count(), 1);
+        assert!(srv.path_of(PeerId(1)).is_none());
+        assert_eq!(srv.tree(LandmarkId(0)).unwrap().n_peers(), 1);
+        assert_eq!(srv.stats().leaves, 1);
+        // ...but the forwarding record remains until its retention lapses.
+        assert_eq!(srv.forwarded_to(PeerId(1)), Some(3));
+        assert_eq!(srv.tombstone_count(), 1);
+        advance_to(&mut srv, 4);
+        let sweep = srv.expire_stale_full(4);
+        assert!(sweep.expired.is_empty() && sweep.moved.is_empty());
+        advance_to(&mut srv, 7);
+        let sweep = srv.expire_stale_full(4);
+        assert_eq!(sweep.moved, vec![(PeerId(1), 3)]);
+        // Peer 2's lease (last seen 0) lapsed in the same sweep — the two
+        // dispositions stay distinguishable.
+        assert_eq!(sweep.expired, vec![PeerId(2)]);
+        assert_eq!(srv.tombstone_count(), 0);
+        assert_eq!(srv.forwarded_to(PeerId(1)), None);
+    }
+
+    #[test]
+    fn emptied_shard_holds_no_router_and_no_tree_node() {
+        // 1 000 peers, each behind its own access router, leave by every
+        // road out of a landmark; nothing of them may stay behind.
+        let mut srv = two_landmark_server(ServerConfig::default());
+        let ids: Vec<PeerId> = (0..1_000).map(PeerId).collect();
+        let items = ids
+            .iter()
+            .map(|&p| (p, path(&[10_000 + p.0 as u32, 2 + p.0 as u32 % 7, 1, 0])));
+        assert_eq!(srv.register_batch(items.collect()).joined, 1_000);
+        assert_eq!(srv.index().n_routers(), 1_000 + 7 + 2);
+        let tree = srv.tree(LandmarkId(0)).unwrap();
+        assert_eq!(tree.n_nodes(), 1_000 + 7 + 2);
+        assert_eq!(srv.leave_batch(&ids[..400]), 400);
+        for &peer in &ids[400..700] {
+            srv.deregister_forwarding(peer, 1).unwrap();
+        }
+        advance_to(&mut srv, 10);
+        let sweep = srv.expire_stale_full(4);
+        assert_eq!((&sweep.expired[..], sweep.moved.len()), (&ids[700..], 300));
+        let left = (
+            srv.peer_count(),
+            srv.index().n_routers(),
+            srv.tombstone_count(),
+        );
+        assert_eq!(left, (0, 0, 0));
+        let tree = srv.tree(LandmarkId(0)).unwrap();
+        assert_eq!(tree.n_nodes(), 1, "only the landmark's own router");
+        assert_eq!(tree.n_peers(), 0);
+        assert!(srv.path_store(LandmarkId(0)).unwrap().is_empty());
+    }
+
+    #[test]
+    fn expire_epoch_without_adaptive_expires_what_stale_peers_names() {
+        // Uniform leases: a sweep at (now, max_age) retires exactly the
+        // peers last seen before `now - max_age`, at every cutoff.
+        for (now, max_age) in [(3, 3), (5, 3), (6, 3), (9, 3), (6, 0)] {
+            let mut srv = two_landmark_server(ServerConfig::default());
+            srv.register(PeerId(1), path(&[4, 2, 1, 0])).unwrap();
+            advance_to(&mut srv, 2);
+            srv.register(PeerId(2), path(&[5, 2, 1, 0])).unwrap();
+            advance_to(&mut srv, 3);
+            srv.heartbeat(PeerId(1)).unwrap();
+            advance_to(&mut srv, now);
+            let stale: Vec<PeerId> = [PeerId(1), PeerId(2)]
+                .into_iter()
+                .filter(|&p| srv.last_seen(p).unwrap() < now - max_age)
+                .collect();
+            assert_eq!(srv.expire_stale(max_age), stale, "({now}, {max_age})");
+            assert_eq!(srv.peer_count(), 2 - stale.len());
+        }
+    }
+
+    #[test]
+    fn adaptive_shortens_the_lease_of_short_lived_peers() {
+        let cfg = AdaptiveLeaseConfig {
+            ewma_shift: 1,
+            margin: 1,
+            min_age: 1,
+            max_age: 16,
+            max_tracked: 1024,
+        };
+        let mut srv = two_landmark_server(ServerConfig {
+            adaptive_leases: Some(cfg),
+            ..ServerConfig::default()
+        });
+        // Peer 1 lives one epoch, leaves, and rejoins repeatedly: its EWMA
+        // settles near 1, so its lease is derived as ~2 epochs.
+        for round in 0u64..4 {
+            advance_to(&mut srv, round * 10);
+            srv.register(PeerId(1), path(&[4, 2, 1, 0])).unwrap();
+            advance_to(&mut srv, round * 10 + 1);
+            srv.heartbeat(PeerId(1)).unwrap();
+            srv.deregister(PeerId(1)).unwrap();
+        }
+        advance_to(&mut srv, 100);
+        srv.register(PeerId(1), path(&[4, 2, 1, 0])).unwrap();
+        // A fresh peer joins at the same epoch with no history.
+        srv.register(PeerId(2), path(&[5, 2, 1, 0])).unwrap();
+        // Sweep at epoch 106 with the default lease of 16: the adapted
+        // peer (ttl ≈ 2) is expired ~8 epochs sooner than the default
+        // would allow; the history-less peer keeps the full lease.
+        advance_to(&mut srv, 106);
+        assert_eq!(srv.expire_stale(16), vec![PeerId(1)]);
+        assert!(srv.index().contains(PeerId(2)));
+        assert_eq!(srv.config().adaptive_leases, Some(cfg));
+    }
+
+    #[test]
+    fn adaptive_lease_never_exceeds_the_configured_cap() {
+        let cfg = AdaptiveLeaseConfig {
+            ewma_shift: 0, // take each session whole
+            margin: 0,
+            min_age: 1,
+            max_age: 4,
+            max_tracked: 1024,
+        };
+        let mut srv = two_landmark_server(ServerConfig {
+            adaptive_leases: Some(cfg),
+            ..ServerConfig::default()
+        });
+        // One very long session: the estimate caps out, so the peer is
+        // untracked and rides the default lease on rejoin (= the
+        // configured cap in a consistent deployment).
+        srv.register(PeerId(1), path(&[4, 2, 1, 0])).unwrap();
+        advance_to(&mut srv, 50);
+        srv.heartbeat(PeerId(1)).unwrap();
+        srv.deregister(PeerId(1)).unwrap();
+        advance_to(&mut srv, 60);
+        srv.register(PeerId(1), path(&[4, 2, 1, 0])).unwrap();
+        advance_to(&mut srv, 65);
+        assert_eq!(
+            srv.expire_stale(cfg.max_age as u64),
+            vec![PeerId(1)],
+            "never more than the 4-epoch cap, however long the EWMA history"
+        );
+    }
+
+    #[test]
+    fn interning_shares_identical_paths() {
+        let mut srv = two_landmark_server(ServerConfig::default());
+        // Two peers behind the same NAT report the same router path.
+        srv.register(PeerId(1), path(&[4, 2, 1, 0])).unwrap();
+        srv.register(PeerId(2), path(&[4, 2, 1, 0])).unwrap();
+        let store = |srv: &ManagementServer| srv.path_store(LandmarkId(0)).unwrap().distinct();
+        assert_eq!(store(&srv), 1);
+        assert_eq!(srv.path_store(LandmarkId(0)).unwrap().dedup_hits(), 1);
+        // Both peers are individually indexed and removable.
+        assert_eq!(srv.index().peers_through(RouterId(4)).count(), 2);
+        srv.deregister(PeerId(1)).unwrap();
+        assert_eq!(store(&srv), 1);
+        assert_eq!(srv.path_of(PeerId(2)).unwrap().attach(), RouterId(4));
+        srv.deregister(PeerId(2)).unwrap();
+        assert!(srv.path_store(LandmarkId(0)).unwrap().is_empty());
     }
 }

@@ -45,13 +45,12 @@
 //!   fanout.
 
 use crate::error::CoreError;
-use crate::ids::{LandmarkId, PeerId};
+use crate::ids::{IdMap, LandmarkId, PeerId};
 use crate::path::PeerPath;
 use crate::router_index::Neighbor;
 use crate::telemetry::{Counter, Gauge, TelemetryRegistry};
 use nearpeer_topology::RouterId;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Delivery priority of a delta, ordered `Join < Expiry < Handover`:
@@ -302,19 +301,19 @@ struct Counters {
 pub struct SubscriptionRegistry {
     subs: Vec<Option<SubState>>,
     free: Vec<u32>,
-    by_peer: HashMap<PeerId, u32>,
+    by_peer: IdMap<PeerId, u32>,
     /// Reverse membership: last-sent answer member → subscriptions
     /// holding it.
-    members: HashMap<PeerId, Vec<u32>>,
+    members: IdMap<PeerId, Vec<u32>>,
     /// Watch-path router index: router → posting list. An added peer
     /// walks its own path through this to find every subscription it
     /// could be an exact candidate for (pruned by each posting's
     /// admission bound).
-    routers: HashMap<RouterId, Posting>,
+    routers: IdMap<RouterId, Posting>,
     /// Subscriptions whose exact section is short of `k` — the only ones
     /// an added peer can enter through the cross-landmark fill.
     hungry: Vec<u32>,
-    clients: HashMap<u64, Vec<u32>>,
+    clients: IdMap<u64, Vec<u32>>,
     next_client: u64,
     /// Number of the last observed event.
     events: u64,
@@ -764,7 +763,7 @@ fn unlist(hungry: &mut Vec<u32>, sid: u32) {
 }
 
 /// Posts `sid` as a watcher of every router along `path`.
-fn post(routers: &mut HashMap<RouterId, Posting>, sid: u32, path: &PeerPath) {
+fn post(routers: &mut IdMap<RouterId, Posting>, sid: u32, path: &PeerPath) {
     for (r, off) in path.with_depths() {
         let posting = routers.entry(r).or_insert_with(|| Posting {
             watchers: Vec::new(),
@@ -775,7 +774,7 @@ fn post(routers: &mut HashMap<RouterId, Posting>, sid: u32, path: &PeerPath) {
 }
 
 /// Removes `sid`'s postings along `path`, dropping emptied routers.
-fn unpost(routers: &mut HashMap<RouterId, Posting>, sid: u32, path: &PeerPath) {
+fn unpost(routers: &mut IdMap<RouterId, Posting>, sid: u32, path: &PeerPath) {
     for r in path.routers() {
         if let Some(posting) = routers.get_mut(r) {
             posting.watchers.retain(|&(x, _)| x != sid);
@@ -881,8 +880,9 @@ mod tests {
     }
 
     /// A peer that moved away and came back under another landmark is
-    /// live: sweeping its old forwarding tombstone must not remove it
-    /// from the answers it is in.
+    /// live: its comeback replaced its forwarding tombstone, so the sweep
+    /// past the tombstone's retention retires nothing and must not remove
+    /// it from the answers it is in.
     #[test]
     fn a_swept_tombstone_does_not_remove_a_returned_peer() {
         let mut srv = server();
@@ -900,7 +900,7 @@ mod tests {
             srv.heartbeat(PeerId(2)).unwrap();
         }
         let sweep = srv.expire_stale_full(2);
-        assert_eq!((sweep.moved.len(), sweep.expired.len()), (1, 0));
+        assert_eq!((sweep.moved.len(), sweep.expired.len()), (0, 0));
         let mut deltas = Vec::new();
         srv.drain_deltas(client, 16, &mut deltas);
         for d in &deltas {

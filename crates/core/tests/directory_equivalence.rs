@@ -453,7 +453,7 @@ proptest! {
                 // Lease parity: the slab arena's last-seen epoch matches
                 // the reference's per-peer map.
                 prop_assert_eq!(
-                    server.shards().iter().find_map(|s| s.last_seen(peer)),
+                    server.last_seen(peer),
                     reference.last_seen.get(&peer).copied()
                 );
             }

@@ -247,6 +247,5 @@ fn expired_slot_reuse_does_not_resurrect_the_departed_peer() {
     // The returning peer 7 is a fresh join, not a renewal of the dead
     // lease: its lease starts at the *current* epoch.
     srv.register(PeerId(7), lease_path(&[5, 2, 1, 0])).unwrap();
-    let shard = &srv.shards()[0];
-    assert_eq!(shard.last_seen(PeerId(7)), Some(srv.epoch()));
+    assert_eq!(srv.last_seen(PeerId(7)), Some(srv.epoch()));
 }

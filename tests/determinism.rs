@@ -172,8 +172,8 @@ fn churn_replay_modes_produce_identical_directories() {
             let peer = PeerId(p);
             assert_eq!(server.path_of(peer), seq_server.path_of(peer), "{label}");
             assert_eq!(
-                server.shards().iter().find_map(|sh| sh.last_seen(peer)),
-                seq_server.shards().iter().find_map(|sh| sh.last_seen(peer)),
+                server.last_seen(peer),
+                seq_server.last_seen(peer),
                 "{label}: lease of peer {p}"
             );
         }
