@@ -66,11 +66,11 @@ fn print(r: &Report) {
     );
     if let Some(sr) = &r.subs {
         println!(
-            "  {} deltas verified, {} mismatches / {} / latency p50,p90,p99,max {:?} ms",
+            "  {} deltas verified, {} mismatches / {} / {}",
             sr.deltas_verified,
             sr.mismatches,
             subs_stats_line(&sr.stats),
-            sr.latency_ms
+            sr.latency_line()
         );
     }
 }

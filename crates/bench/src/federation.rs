@@ -41,7 +41,7 @@ impl FederatedSwarm {
             .peers
             .iter()
             .map(|&p| {
-                let path = swarm.server.path_of(p).expect("registered").clone();
+                let path = swarm.server.path_of(p).expect("registered").to_path();
                 (p, path)
             })
             .collect();

@@ -392,6 +392,37 @@ pub struct SubsReport {
     /// Queue latency of the drained deltas, trace milliseconds: p50, p90,
     /// p99 and max.
     pub latency_ms: Vec<u64>,
+    /// Trace milliseconds between drains: one epoch window.
+    pub drain_every_ms: u64,
+    /// The watchers' rate limit, milliseconds.
+    pub rate_limit_ms: u64,
+}
+
+impl SubsReport {
+    /// Whether drains come a rate limit or more apart: then every delta
+    /// waits for the end of its window, and the latency figures measure
+    /// the window width rather than the engine.
+    pub fn window_bound(&self) -> bool {
+        self.drain_every_ms >= self.rate_limit_ms
+    }
+
+    /// The delta-latency line `soak` prints: the CDF beside the drain
+    /// cadence, or, when the cadence bounds it, that instead of a CDF.
+    pub fn latency_line(&self) -> String {
+        let max = self.latency_ms.last().copied().unwrap_or(0);
+        if self.window_bound() {
+            format!(
+                "latency window-bound: a drain every {} ms against a {} ms rate limit \
+                 (max {max} ms)",
+                self.drain_every_ms, self.rate_limit_ms
+            )
+        } else {
+            format!(
+                "latency p50,p90,p99,max {:?} ms, a drain every {} ms",
+                self.latency_ms, self.drain_every_ms
+            )
+        }
+    }
 }
 
 /// One run's outcome.
@@ -784,7 +815,7 @@ impl<'s> Driver<'s> {
         }
         let left = from == to || self.fed.region(from).server().landmark_of(peer).is_none();
         ensure!(
-            left && self.fed.locate(peer) == Some((to, &path)),
+            left && self.fed.locate(peer) == Some((to, path.view())),
             "moving {peer} from {from} to {to}: found at {:?}",
             self.fed.locate(peer).map(|(r, _)| r)
         );
@@ -840,11 +871,12 @@ impl<'s> Driver<'s> {
 
     /// Advances the cluster clock; the victim's tick is journaled as the
     /// op its recovered server replays.
-    fn advance_epoch(&mut self) {
-        self.fed.advance_epoch();
+    fn advance_epoch(&mut self) -> Result<(), String> {
+        self.fed.advance_epoch().map_err(|e| e.to_string())?;
         if let Some((writer, _)) = &self.durable {
             writer.append(JournalOp::AdvanceEpoch);
         }
+        Ok(())
     }
 
     /// Marks a peer live in `region` and enrolls it in its heartbeat group.
@@ -871,7 +903,7 @@ impl<'s> Driver<'s> {
                     return Ok(());
                 }
                 let lm = synthetic_move_landmark(&self.fed, peer.0, home);
-                match self.fed.locate(peer).map(|(r, path)| (r, path.clone())) {
+                match self.fed.locate(peer).map(|(r, path)| (r, path.to_path())) {
                     // The last session's lease is live elsewhere: the
                     // rejoin is a move home.
                     Some((from, _)) if from != home => {
@@ -1116,7 +1148,7 @@ impl<'s> Driver<'s> {
         home: &[u32],
         ms: (u64, u64),
     ) -> Result<(), String> {
-        self.advance_epoch();
+        self.advance_epoch()?;
         self.c.epochs += 1;
         self.c.events += events.len() as u64;
         let (epoch, s) = (self.c.epochs, self.s);
@@ -1221,13 +1253,15 @@ impl<'s> Driver<'s> {
                 mismatches: w.mismatches,
                 stats: self.fed.region(WATCH_REGION).server().subscription_stats(),
                 latency_ms: vec![at(0.5), at(0.9), at(0.99), at(1.0)],
+                drain_every_ms: width / 1_000,
+                rate_limit_ms: min_interval,
             });
             verify = w.verify;
         }
         // Drain: nobody renews; one lease length retires every lease and
         // tombstone. A leaked tombstone survives this and fails the check.
         for _ in 0..=(s.churn.max_age + s.churn.expire_every) {
-            self.advance_epoch();
+            self.advance_epoch()?;
         }
         self.sweep();
         self.close_writer();
@@ -1506,6 +1540,32 @@ mod tests {
         assert_eq!(sr.stats.active, 40, "a watcher was dropped");
     }
 
+    /// Windows a rate limit or more wide leave every delta one window's
+    /// wait: the line names the bound and prints no CDF.
+    #[test]
+    fn a_window_bound_latency_prints_no_cdf() {
+        let report = |drain_every_ms| SubsReport {
+            deltas_verified: 1,
+            mismatches: 0,
+            stats: SubscriptionStats::default(),
+            latency_ms: vec![2_927, 2_927, 2_927, 2_927],
+            drain_every_ms,
+            rate_limit_ms: 2_000,
+        };
+        let wide = report(2_000);
+        assert!(wide.window_bound());
+        assert_eq!(
+            wide.latency_line(),
+            "latency window-bound: a drain every 2000 ms against a 2000 ms rate limit \
+             (max 2927 ms)"
+        );
+        let narrow = report(1_999);
+        assert!(!narrow.window_bound());
+        assert!(narrow
+            .latency_line()
+            .contains("p50,p90,p99,max [2927, 2927, 2927, 2927]"));
+    }
+
     #[test]
     fn storm_coalesces_with_bounded_queue() {
         // A storm's one delta per watcher compares the trace's end with
@@ -1529,10 +1589,14 @@ mod tests {
     #[test]
     fn all_scenario_passes_every_check() {
         let s = quick("all");
-        for s in [s.clone(), s.storm().expect("storm twin")] {
+        for (s, storm) in [(s.clone(), false), (s.storm().expect("storm twin"), true)] {
             let (r, fed) = checked(&s, 23);
             let c = r.counters;
-            assert!(r.killed && r.subs.is_some());
+            assert!(r.killed);
+            // 64 windows wider than the rate limit: the latency is the
+            // window's.
+            let sr = r.subs.expect("watchers");
+            assert_eq!(sr.window_bound(), !storm, "{}", sr.latency_line());
             // Moves between live regions go through the front door.
             let handovers = fed.stats().handovers;
             assert!(handovers > 0 && handovers < c.moves + c.comebacks);

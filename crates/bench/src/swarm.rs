@@ -647,7 +647,7 @@ mod tests {
         let out = server.register_batch(joins.clone());
         assert_eq!((out.joined, out.renewed, out.rejected), (60, 0, 0));
         // Paths are pure functions of the id: every rejoin renews.
-        server.advance_epoch();
+        server.advance_epoch().unwrap();
         let again = server.register_batch(joins);
         assert_eq!((again.joined, again.renewed), (0, 60));
         for i in 0..60u64 {

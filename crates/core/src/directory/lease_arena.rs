@@ -10,7 +10,9 @@
 //! The arena replaces all three maps with:
 //!
 //! * a **slab** of leases stored contiguously (`Vec`), addressed by dense
-//!   slot index, with a free list so register/leave cycles reuse slots;
+//!   slot index, with a free list so register/leave cycles reuse slots.
+//!   A slot holds its epochs as `u32` offsets from the arena's origin and
+//!   the peer id as two `u32` halves: 36 bytes for the server's lease;
 //! * a **generation counter** per slot — a [`PeerSlot`] handle captured
 //!   before a departure can never resurrect the peer that now occupies the
 //!   reused slot (the generation no longer matches);
@@ -75,18 +77,32 @@ impl PeerSlot {
 /// by a cross-region handover (the `u32` is the destination region), or
 /// nothing. A vacant slot is a link of the free chain: it names the slot
 /// freed before it, if any, so freeing a slot never allocates.
+///
+/// The peer id is held as two `u32` halves, high first, as
+/// [`crate::router_index`] packs its entries: at 4-byte alignment it
+/// leaves no padding beside the payload.
 #[derive(Debug)]
 enum Occupant<T> {
-    Live(PeerId, T),
-    Moved(PeerId, u32),
+    Live([u32; 2], T),
+    Moved([u32; 2], u32),
     Vacant(Option<u32>),
+}
+
+/// `peer` as the two halves an [`Occupant`] holds.
+fn pack(peer: PeerId) -> [u32; 2] {
+    [(peer.0 >> 32) as u32, peer.0 as u32]
+}
+
+/// The peer id [`pack`] split.
+fn unpack([high, low]: [u32; 2]) -> PeerId {
+    PeerId(u64::from(high) << 32 | u64::from(low))
 }
 
 impl<T> Occupant<T> {
     /// The peer of a lease or a tombstone.
     fn peer(&self) -> Option<PeerId> {
         match self {
-            Occupant::Live(p, _) | Occupant::Moved(p, _) => Some(*p),
+            Occupant::Live(p, _) | Occupant::Moved(p, _) => Some(unpack(*p)),
             Occupant::Vacant(_) => None,
         }
     }
@@ -106,20 +122,28 @@ const TTL_DEFAULT: u32 = u32::MAX;
 /// handles issued before the removal go stale). `opened` is the epoch the
 /// current occupancy began (session-length bookkeeping for adaptive
 /// leases); `ttl` is the per-lease length, [`TTL_DEFAULT`] = whatever the
-/// sweep passes.
+/// sweep passes. The three epochs are `u32` offsets from the arena's
+/// `origin`.
 #[derive(Debug)]
 struct Slot<T> {
     generation: u32,
-    last_seen: u64,
-    opened: u64,
+    last_seen: u32,
+    opened: u32,
     ttl: u32,
     /// The newest bucket epoch holding a note for this occupancy. A sweep
     /// examining an **older** note skips re-noting (the newer note already
     /// keeps the lease findable) — without this, renewals would leave
     /// chains of stale notes that each sweep re-examines and re-notes,
-    /// breaking the linear-in-activity cost bound.
-    noted: u64,
+    /// breaking the linear-in-activity cost bound. A note past the window
+    /// is held at its last epoch, which only costs one extra re-note.
+    noted: u32,
     occupant: Occupant<T>,
+}
+
+/// The bytes of one slab slot holding a `T`: a server const-asserts its
+/// lease slot's size with it.
+pub(crate) const fn slot_size<T>() -> usize {
+    std::mem::size_of::<Slot<T>>()
 }
 
 /// Cumulative sweep-cost counters, exposed so tests (and the churn soak)
@@ -180,6 +204,9 @@ const EMPTY: u32 = u32::MAX;
 #[derive(Debug)]
 pub struct LeaseArena<T> {
     slots: Vec<Slot<T>>,
+    /// The epoch slot offset 0 stands for: the slab holds epochs
+    /// `origin ..= origin + u32::MAX` ([`Self::holds_epoch`]).
+    origin: u64,
     /// The last slot freed, the head of the free chain.
     free: Option<u32>,
     /// Open-addressed peer-id → slot index table (capacity a power of two;
@@ -215,6 +242,7 @@ impl<T> LeaseArena<T> {
         let table_cap = (capacity * 4 / 3 + 1).next_power_of_two().max(8);
         Self {
             slots: Vec::with_capacity(capacity),
+            origin: 0,
             free: None,
             table: vec![EMPTY; table_cap],
             shift: 64 - table_cap.trailing_zeros(),
@@ -244,6 +272,21 @@ impl<T> LeaseArena<T> {
     /// Cumulative expiry-sweep cost counters.
     pub fn sweep_stats(&self) -> SweepStats {
         self.sweep
+    }
+
+    /// Heap bytes held, by part: the slab, the peer table, and the epoch
+    /// buckets (the ring and the notes).
+    pub(crate) fn heap_parts(&self) -> [(&'static str, usize); 3] {
+        let ring = self.buckets.capacity() * std::mem::size_of::<Vec<(u32, u32)>>();
+        let notes: usize = self.buckets.iter().map(|b| b.capacity() * 8).sum();
+        [
+            (
+                "lease slab",
+                self.slots.capacity() * std::mem::size_of::<Slot<T>>(),
+            ),
+            ("lease peer table", self.table.capacity() * 4),
+            ("lease epoch buckets", ring + notes),
+        ]
     }
 
     /// Slab slots allocated (live + free); diagnostics.
@@ -366,12 +409,41 @@ impl<T> LeaseArena<T> {
             });
         }
         let clamped = self.base_epoch + idx as u64;
+        let noted = u32::try_from(clamped.saturating_sub(self.origin)).unwrap_or(u32::MAX);
         let s = &mut self.slots[slot as usize];
-        s.noted = s.noted.max(clamped);
+        s.noted = s.noted.max(noted);
+    }
+
+    /// Whether the slab can hold `epoch`: it keeps epochs as `u32`
+    /// offsets, so it holds `origin ..= origin + u32::MAX`, where `origin`
+    /// is 0 for a new arena and the oldest epoch a restored snapshot
+    /// holds. The epochs passed to [`Self::insert`],
+    /// [`Self::insert_tombstone`], [`Self::renew`] and
+    /// [`Self::renew_with_ttl`] must lie in it; a server checks each
+    /// epoch it advances to.
+    pub fn holds_epoch(&self, epoch: u64) -> bool {
+        epoch
+            .checked_sub(self.origin)
+            .is_some_and(|off| off <= u64::from(u32::MAX))
+    }
+
+    /// `epoch` as a slot offset.
+    ///
+    /// # Panics
+    /// On an epoch outside [`Self::holds_epoch`]: the caller broke the
+    /// arena's contract.
+    fn offset(&self, epoch: u64) -> u32 {
+        assert!(
+            self.holds_epoch(epoch),
+            "epoch {epoch} lies outside the lease window from {}",
+            self.origin
+        );
+        (epoch - self.origin) as u32
     }
 
     /// Takes a slot off the free list (or grows the slab) and fills it.
     fn alloc_slot(&mut self, occupant: Occupant<T>, epoch: u64) -> u32 {
+        let epoch = self.offset(epoch);
         match self.free {
             Some(idx) => {
                 let s = &mut self.slots[idx as usize];
@@ -430,7 +502,7 @@ impl<T> LeaseArena<T> {
                 Occupant::Vacant(_) => unreachable!("probed slots are occupied"),
             }
         }
-        let slot = self.alloc_slot(Occupant::Live(peer, value), epoch);
+        let slot = self.alloc_slot(Occupant::Live(pack(peer), value), epoch);
         self.table_insert(peer, slot);
         self.len += 1;
         let generation = self.slots[slot as usize].generation;
@@ -451,7 +523,7 @@ impl<T> LeaseArena<T> {
         if self.probe(peer).is_some() {
             return false;
         }
-        let slot = self.alloc_slot(Occupant::Moved(peer, to), epoch);
+        let slot = self.alloc_slot(Occupant::Moved(pack(peer), to), epoch);
         self.table_insert(peer, slot);
         self.tombstones += 1;
         let generation = self.slots[slot as usize].generation;
@@ -513,7 +585,7 @@ impl<T> LeaseArena<T> {
             return None;
         }
         match &slot.occupant {
-            Occupant::Live(p, v) => Some((*p, v)),
+            Occupant::Live(p, v) => Some((unpack(*p), v)),
             _ => None,
         }
     }
@@ -521,13 +593,13 @@ impl<T> LeaseArena<T> {
     /// The epoch `peer` last opened or renewed its lease.
     pub fn last_seen(&self, peer: PeerId) -> Option<u64> {
         let pos = self.probe_live(peer)?;
-        Some(self.slots[self.table[pos] as usize].last_seen)
+        Some(self.origin + u64::from(self.slots[self.table[pos] as usize].last_seen))
     }
 
     /// The epoch `peer`'s current lease was opened (session bookkeeping).
     pub fn opened(&self, peer: PeerId) -> Option<u64> {
         let pos = self.probe_live(peer)?;
-        Some(self.slots[self.table[pos] as usize].opened)
+        Some(self.origin + u64::from(self.slots[self.table[pos] as usize].opened))
     }
 
     /// `peer`'s own lease length, if one was set ([`Self::set_ttl`]).
@@ -558,11 +630,12 @@ impl<T> LeaseArena<T> {
             return false;
         };
         let idx = self.table[pos];
+        let at = self.offset(epoch);
         let slot = &mut self.slots[idx as usize];
-        if slot.last_seen == epoch {
+        if slot.last_seen == at {
             return true;
         }
-        slot.last_seen = epoch;
+        slot.last_seen = at;
         let generation = slot.generation;
         self.note(idx, generation, epoch);
         true
@@ -575,12 +648,13 @@ impl<T> LeaseArena<T> {
             return false;
         };
         let idx = self.table[pos];
+        let at = self.offset(epoch);
         let slot = &mut self.slots[idx as usize];
         slot.ttl = ttl;
-        if slot.last_seen == epoch {
+        if slot.last_seen == at {
             return true;
         }
-        slot.last_seen = epoch;
+        slot.last_seen = at;
         let generation = slot.generation;
         self.note(idx, generation, epoch);
         true
@@ -598,7 +672,8 @@ impl<T> LeaseArena<T> {
         let pos = self.probe_live(peer)?;
         let idx = self.table[pos] as usize;
         let slot = &mut self.slots[idx];
-        let (opened, last_seen) = (slot.opened, slot.last_seen);
+        let opened = self.origin + u64::from(slot.opened);
+        let last_seen = self.origin + u64::from(slot.last_seen);
         let Occupant::Live(_, value) = slot.occupant.take() else {
             unreachable!("probe_live found a live occupant");
         };
@@ -610,7 +685,7 @@ impl<T> LeaseArena<T> {
     /// Iterator over live leases in slot order: `(peer, last_seen, &T)`.
     pub fn iter(&self) -> impl Iterator<Item = (PeerId, u64, &T)> + '_ {
         self.slots.iter().filter_map(|s| match &s.occupant {
-            Occupant::Live(p, v) => Some((*p, s.last_seen, v)),
+            Occupant::Live(p, v) => Some((unpack(*p), self.origin + u64::from(s.last_seen), v)),
             _ => None,
         })
     }
@@ -683,21 +758,23 @@ impl<T> LeaseArena<T> {
                     // Tombstone retention matches the default lease length.
                     _ => default_ttl,
                 };
-                let due = slot.last_seen.saturating_add(ttl);
+                let due = (self.origin + u64::from(slot.last_seen)).saturating_add(ttl);
                 if due >= now {
                     // Not yet due. If a newer note for this occupancy
                     // exists (a renewal, or an earlier sweep's re-note),
                     // it keeps the lease findable — re-noting here too
                     // would build chains of stale notes that every sweep
                     // re-examines. Only the newest note re-notes forward.
-                    if slot.noted <= bucket_epoch {
+                    if self.origin + u64::from(slot.noted) <= bucket_epoch {
                         renote.push((idx, generation, due - min_ttl));
                     }
                     continue;
                 }
-                let (opened, last_seen) = (slot.opened, slot.last_seen);
+                let opened = self.origin + u64::from(slot.opened);
+                let last_seen = self.origin + u64::from(slot.last_seen);
                 match slot.occupant.take() {
                     Occupant::Live(peer, value) => {
+                        let peer = unpack(peer);
                         let pos = self
                             .probe_vacated(peer, idx)
                             .expect("expired lease was in the table");
@@ -711,6 +788,7 @@ impl<T> LeaseArena<T> {
                         });
                     }
                     Occupant::Moved(peer, to) => {
+                        let peer = unpack(peer);
                         let pos = self
                             .probe_vacated(peer, idx)
                             .expect("swept tombstone was in the table");
@@ -764,20 +842,20 @@ impl<T> LeaseArena<T> {
         put_u64(out, self.slots.len() as u64);
         for s in &self.slots {
             put_u32(out, s.generation);
-            put_u64(out, s.last_seen);
-            put_u64(out, s.opened);
+            put_u64(out, self.origin + u64::from(s.last_seen));
+            put_u64(out, self.origin + u64::from(s.opened));
             put_u32(out, s.ttl);
-            put_u64(out, s.noted);
+            put_u64(out, self.origin + u64::from(s.noted));
             match &s.occupant {
                 Occupant::Vacant(_) => put_u8(out, 0),
                 Occupant::Live(peer, value) => {
                     put_u8(out, 1);
-                    put_u64(out, peer.0);
+                    put_u64(out, unpack(*peer).0);
                     enc_t(value, out);
                 }
                 Occupant::Moved(peer, to) => {
                     put_u8(out, 2);
-                    put_u64(out, peer.0);
+                    put_u64(out, unpack(*peer).0);
                     put_u32(out, *to);
                 }
             }
@@ -813,8 +891,10 @@ impl<T> LeaseArena<T> {
     /// the probe table from the slab. Fails closed on any structural
     /// violation: duplicate occupant peers, a free list that does not
     /// cover exactly the vacant slots, a table capacity that is not a
-    /// power of two or cannot hold the occupants, or bucket notes pointing
-    /// outside the slab.
+    /// power of two or cannot hold the occupants, bucket notes pointing
+    /// outside the slab, or epochs (with the buckets' base) spanning more
+    /// than the `u32` offsets a slot holds. The restored arena's origin is
+    /// the oldest of those epochs.
     pub(crate) fn persist_decode(
         r: &mut Reader<'_>,
         mut dec_t: impl FnMut(&mut Reader<'_>) -> Result<T, PersistError>,
@@ -824,12 +904,16 @@ impl<T> LeaseArena<T> {
         let mut len = 0usize;
         let mut tombstones = 0usize;
         let mut peers_seen = std::collections::HashSet::with_capacity(n_slots);
+        // `[last_seen, opened, noted]` per slot, offset once the origin is
+        // known.
+        let mut epochs: Vec<[u64; 3]> = Vec::with_capacity(n_slots);
         for i in 0..n_slots {
             let generation = r.u32()?;
             let last_seen = r.u64()?;
             let opened = r.u64()?;
             let ttl = r.u32()?;
             let noted = r.u64()?;
+            epochs.push([last_seen, opened, noted]);
             let occupant = match r.u8()? {
                 0 => Occupant::Vacant(None),
                 1 => {
@@ -840,7 +924,7 @@ impl<T> LeaseArena<T> {
                         )));
                     }
                     len += 1;
-                    Occupant::Live(peer, dec_t(r)?)
+                    Occupant::Live(pack(peer), dec_t(r)?)
                 }
                 2 => {
                     let peer = PeerId(r.u64()?);
@@ -850,7 +934,7 @@ impl<T> LeaseArena<T> {
                         )));
                     }
                     tombstones += 1;
-                    Occupant::Moved(peer, r.u32()?)
+                    Occupant::Moved(pack(peer), r.u32()?)
                 }
                 t => {
                     return Err(PersistError::Corrupt(format!(
@@ -860,10 +944,10 @@ impl<T> LeaseArena<T> {
             };
             slots.push(Slot {
                 generation,
-                last_seen,
-                opened,
+                last_seen: 0,
+                opened: 0,
                 ttl,
-                noted,
+                noted: 0,
                 occupant,
             });
         }
@@ -896,6 +980,18 @@ impl<T> LeaseArena<T> {
             )));
         }
         let base_epoch = r.u64()?;
+        let all = || epochs.iter().flatten().copied().chain([base_epoch]);
+        let (origin, newest) = (all().min().unwrap_or(0), all().max().unwrap_or(0));
+        if newest - origin > u64::from(u32::MAX) {
+            return Err(PersistError::Corrupt(format!(
+                "lease epochs span {origin} to {newest}, more than a slot's 2^32"
+            )));
+        }
+        for (s, [last_seen, opened, noted]) in slots.iter_mut().zip(epochs) {
+            s.last_seen = (last_seen - origin) as u32;
+            s.opened = (opened - origin) as u32;
+            s.noted = (noted - origin) as u32;
+        }
         let n_buckets = r.len_prefix(8)?;
         let mut buckets = VecDeque::with_capacity(n_buckets);
         for _ in 0..n_buckets {
@@ -936,6 +1032,7 @@ impl<T> LeaseArena<T> {
         }
         Ok(LeaseArena {
             slots,
+            origin,
             free,
             table,
             shift,
@@ -1013,6 +1110,91 @@ mod tests {
         }
         assert_eq!(b.len(), a.len());
         assert_eq!(b.sweep_stats(), a.sweep_stats());
+    }
+
+    /// An arena whose slot offsets start at `origin` and whose buckets
+    /// start at `base`, as one restored from a snapshot whose oldest
+    /// epoch is `origin` would.
+    fn arena_from(origin: u64, base: u64) -> LeaseArena<u32> {
+        let mut a = arena();
+        a.origin = origin;
+        a.base_epoch = base;
+        a
+    }
+
+    #[test]
+    fn a_slot_packs_its_epochs_and_peer_into_36_bytes() {
+        assert_eq!(slot_size::<u32>(), 36);
+    }
+
+    #[test]
+    fn epochs_at_the_window_edge_register_renew_and_expire() {
+        let origin = 3 << 32;
+        let edge = origin + u64::from(u32::MAX) - 1;
+        let mut a = arena_from(origin, edge - 1);
+        assert!(a.holds_epoch(edge + 1));
+        assert!(!a.holds_epoch(edge + 2) && !a.holds_epoch(origin - 1));
+        a.insert(PeerId(1), 10, edge).unwrap();
+        a.insert(PeerId(2), 20, edge).unwrap();
+        a.insert(PeerId(u64::MAX), 30, edge).unwrap();
+        assert_eq!(
+            (a.opened(PeerId(1)), a.last_seen(PeerId(1))),
+            (Some(edge), Some(edge))
+        );
+        assert!(a.renew(PeerId(1), edge + 1));
+        assert!(a.renew_with_ttl(PeerId(u64::MAX), edge + 1, 40));
+        assert_eq!(a.last_seen(PeerId(1)), Some(edge + 1));
+        // Peer 2 was last seen at `edge`.
+        let out = a.take_due(edge + 2, 1, 1);
+        assert_eq!(out.expired.len(), 1);
+        assert_eq!(out.expired[0].peer, PeerId(2));
+        assert_eq!(
+            (out.expired[0].opened, out.expired[0].last_seen),
+            (edge, edge)
+        );
+        // Peer 1 lapses next; peer `u64::MAX` is re-noted 40 epochs past
+        // the window's end, which its note mark holds at the end.
+        let out = a.take_due(edge + 3, 1, 1);
+        assert_eq!(out.expired.len(), 1);
+        assert_eq!(out.expired[0].peer, PeerId(1));
+        let b = persist_roundtrip(&a);
+        for x in [&a, &b] {
+            assert_eq!(x.opened(PeerId(u64::MAX)), Some(edge));
+            assert_eq!(x.last_seen(PeerId(u64::MAX)), Some(edge + 1));
+            assert_eq!(x.get(PeerId(u64::MAX)), Some(&30));
+            assert_eq!(x.ttl_of(PeerId(u64::MAX)), Some(40));
+        }
+        let mut b = b;
+        for x in [&mut a, &mut b] {
+            assert!(x.take_due(edge + 41, 1, 1).expired.is_empty());
+            let out = x.take_due(edge + 42, 1, 1);
+            assert_eq!(out.expired.len(), 1);
+            assert!(x.is_empty());
+        }
+    }
+
+    #[test]
+    fn a_snapshot_spanning_more_than_the_window_is_refused() {
+        let mut a = arena();
+        a.insert(PeerId(5), 50, 0).unwrap();
+        let mut bytes = Vec::new();
+        a.persist_encode(&mut bytes, |v, out| super::put_u32(out, *v));
+        let decode = |bytes: &[u8]| {
+            LeaseArena::<u32>::persist_decode(&mut super::Reader::new(bytes), |r| r.u32())
+        };
+        // Slot 0's `last_seen` follows n_slots (8) and its generation (4).
+        let at = |epoch: u64| {
+            let mut forged = bytes.clone();
+            forged[12..20].copy_from_slice(&epoch.to_le_bytes());
+            forged
+        };
+        // `opened` stays 0: a `last_seen` of 2^32 - 1 fits, 2^32 does not.
+        let b = decode(&at(u64::from(u32::MAX))).unwrap();
+        assert_eq!(b.last_seen(PeerId(5)), Some(u64::from(u32::MAX)));
+        assert!(matches!(
+            decode(&at(1 << 32)),
+            Err(super::PersistError::Corrupt(_))
+        ));
     }
 
     #[test]

@@ -4,14 +4,22 @@
 //! every structure that mentioned the peer (registry, router index, query
 //! answers). The store keeps exactly one copy per *distinct* path and hands
 //! out copyable [`PathRef`] handles; structures store the 4-byte handle and
-//! resolve it on demand. Distinct peers tracing from the same access chain
-//! (mobile peers re-joining, synthetic workloads, NAT'd households) share
-//! one arena slot via reference counting.
+//! resolve it on demand to a borrowed [`PathView`]. Distinct peers tracing
+//! from the same access chain (mobile peers re-joining, synthetic
+//! workloads, NAT'd households) share one slot via reference counting.
+//!
+//! The routers of every stored path live in one flat `Vec<RouterId>`, a
+//! run per path, so a path costs its routers and a 16-byte slot, with no
+//! heap block (and no allocator header) of its own. A freed run waits on
+//! the free chain of its length, threaded through the runs themselves,
+//! and the next path of that length takes it: a leave never allocates and
+//! a same-length rejoin never grows the arena.
 
 use super::persist::wire::{put_path, put_u32, put_u64, put_u8, Reader};
 use super::persist::PersistError;
-use crate::ids::{IdHash, IdMap};
-use crate::path::PeerPath;
+use crate::ids::IdHash;
+use crate::path::PathView;
+use nearpeer_topology::RouterId;
 use std::hash::BuildHasher;
 
 /// A handle into a [`PathStore`] arena. Only meaningful for the store that
@@ -33,49 +41,82 @@ impl PathRef {
     }
 }
 
-#[derive(Debug)]
-enum Slot {
-    /// On the free chain; `next` is the slot freed before it, if any.
-    Vacant { next: Option<u32> },
-    /// A live path; `next` links the next slot whose path has the same
-    /// content hash ([`NO_SLOT`] ends the chain).
-    Occupied {
-        path: PeerPath,
-        refs: u32,
-        next: u32,
-    },
+/// One stored path: its run `routers[start..start + len]`, its reference
+/// count, and the high half of its content hash, so the table finds its
+/// home, grows and deletes without hashing a run again. A vacant slot has
+/// `refs == 0` and `start` names the slot freed before it ([`NONE`] ends
+/// the chain).
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    start: u32,
+    len: u32,
+    refs: u32,
+    hash: u32,
 }
 
-/// The end of a hash chain.
-const NO_SLOT: u32 = u32::MAX;
+const _: () = assert!(std::mem::size_of::<Slot>() == 16);
 
-/// An arena of interned [`PeerPath`]s with per-entry reference counts and a
-/// free list, so churn (register/deregister cycles) does not grow the
-/// arena without bound. The free list is a chain threaded through the
-/// vacant slots, last freed first reused, so freeing never allocates.
-#[derive(Debug, Default)]
+/// The end of a free chain, and an empty table position.
+const NONE: u32 = u32::MAX;
+
+/// An arena of interned paths with per-entry reference counts and free
+/// chains, so churn (register/deregister cycles) does not grow the arena
+/// without bound. Freed slots chain through themselves, last freed first
+/// reused, and freed runs chain through their first router, one chain per
+/// length, so freeing never allocates.
+#[derive(Debug)]
 pub struct PathStore {
+    /// Every stored path's routers, one run per live slot (freed runs wait
+    /// on `free_runs`).
+    routers: Vec<RouterId>,
     slots: Vec<Slot>,
-    /// Content hash → the first slot of the chain of paths with that
-    /// hash (collisions resolved by comparison along the chain).
-    by_hash: IdMap<u64, u32>,
+    /// Open-addressed table of live slot indices (linear probing,
+    /// backward-shift deletion), keyed by the content hash of the slot's
+    /// run: it stores indices only. Empty, or a power of two at most 3/4
+    /// full.
+    table: Vec<u32>,
+    /// `free_runs[len]`: the start of a freed run of `len` routers, whose
+    /// first router holds the start of the next ([`NONE`] ends it). Sized
+    /// past every length interned, so a release never grows it.
+    free_runs: Vec<u32>,
     /// The last slot freed, the head of the free chain.
-    free: Option<u32>,
+    free: u32,
     live: usize,
     hits: u64,
+    hash: fn(&[RouterId]) -> u64,
+}
+
+impl Default for PathStore {
+    fn default() -> Self {
+        Self::with_hash(content_hash)
+    }
 }
 
 /// A path's content hash, under the process-keyed [`IdHash`]: router ids
 /// come from clients' traces, so a fixed hash would let them aim paths at
-/// one chain. No hash is persisted.
-fn content_hash(path: &PeerPath) -> u64 {
-    IdHash::default().hash_one(path.routers())
+/// one probe chain. No hash is persisted.
+fn content_hash(routers: &[RouterId]) -> u64 {
+    IdHash::default().hash_one(routers)
 }
 
 impl PathStore {
     /// Creates an empty store.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty store hashing contents with `hash`.
+    fn with_hash(hash: fn(&[RouterId]) -> u64) -> Self {
+        Self {
+            routers: Vec::new(),
+            slots: Vec::new(),
+            table: Vec::new(),
+            free_runs: Vec::new(),
+            free: NONE,
+            live: 0,
+            hits: 0,
+            hash,
+        }
     }
 
     /// Number of distinct live paths in the arena.
@@ -94,60 +135,128 @@ impl PathStore {
         self.hits
     }
 
-    /// Pre-sizes the arena for `additional` interns beyond the current
-    /// live count (batch absorption at churn scale would otherwise grow
-    /// the slot vector doubling-step by doubling-step mid-batch). Vacant
-    /// slots count towards the headroom.
-    pub fn reserve(&mut self, additional: usize) {
-        let needed = additional.saturating_sub(self.slots.len() - self.live);
-        self.slots.reserve(needed);
+    /// Heap bytes held, by part: the slots (with the free-run heads), the
+    /// table, and the routers.
+    pub(crate) fn heap_parts(&self) -> [(&'static str, usize); 3] {
+        [
+            (
+                "path slots",
+                self.slots.capacity() * std::mem::size_of::<Slot>() + self.free_runs.capacity() * 4,
+            ),
+            ("path table", self.table.capacity() * 4),
+            (
+                "path routers",
+                self.routers.capacity() * std::mem::size_of::<RouterId>(),
+            ),
+        ]
+    }
+
+    /// The run of slot `i`.
+    fn run(&self, i: u32) -> &[RouterId] {
+        let s = self.slots[i as usize];
+        &self.routers[s.start as usize..(s.start + s.len) as usize]
+    }
+
+    /// The stored half of `routers`' content hash.
+    fn hash_of(&self, routers: &[RouterId]) -> u32 {
+        ((self.hash)(routers) >> 32) as u32
+    }
+
+    /// The table position a path of stored hash `hash` starts probing at.
+    fn home(&self, hash: u32) -> usize {
+        ((u64::from(hash) << 32) >> (64 - self.table.len().trailing_zeros())) as usize
+    }
+
+    /// The live slot holding `routers` (of stored hash `hash`), if any,
+    /// else the empty table position where it would go. The table must
+    /// not be empty.
+    fn find(&self, routers: &[RouterId], hash: u32) -> Result<u32, usize> {
+        let mask = self.table.len() - 1;
+        let mut i = self.home(hash);
+        loop {
+            match self.table[i] {
+                NONE => return Err(i),
+                at if self.slots[at as usize].hash == hash && self.run(at) == routers => {
+                    return Ok(at)
+                }
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    /// The first empty table position from `hash`'s home.
+    fn vacancy(&self, hash: u32) -> usize {
+        let mask = self.table.len() - 1;
+        let mut i = self.home(hash);
+        while self.table[i] != NONE {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    /// Doubles the table (from 8 when empty) and re-files every live slot.
+    fn grow_table(&mut self) {
+        let cap = (self.table.len() * 2).max(8);
+        let old = std::mem::replace(&mut self.table, vec![NONE; cap]);
+        for at in old.into_iter().filter(|&at| at != NONE) {
+            let pos = self.vacancy(self.slots[at as usize].hash);
+            self.table[pos] = at;
+        }
     }
 
     /// Interns a path, returning a handle. Identical paths (same router
     /// sequence) share a slot; the slot's reference count is bumped.
-    pub fn intern(&mut self, path: PeerPath) -> PathRef {
-        self.intern_hashed(content_hash(&path), path)
-    }
-
-    /// [`Self::intern`] with the content hash `h` given.
-    fn intern_hashed(&mut self, h: u64, path: PeerPath) -> PathRef {
-        let head = self.by_hash.get(&h).copied().unwrap_or(NO_SLOT);
-        let mut at = head;
-        while let Some(Slot::Occupied {
-            path: stored,
-            refs,
-            next,
-        }) = self.slots.get_mut(at as usize)
-        {
-            if *stored == path {
-                *refs += 1;
+    pub fn intern(&mut self, path: PathView<'_>) -> PathRef {
+        let routers = path.routers();
+        // Grown before the lookup, so one probe serves a hit or a miss.
+        if (self.live + 1) * 4 > self.table.len() * 3 {
+            self.grow_table();
+        }
+        let hash = self.hash_of(routers);
+        let pos = match self.find(routers, hash) {
+            Ok(at) => {
+                self.slots[at as usize].refs += 1;
                 self.hits += 1;
                 return PathRef(at);
             }
-            at = *next;
-        }
-        let occupied = Slot::Occupied {
-            path,
-            refs: 1,
-            next: head,
+            Err(pos) => pos,
         };
-        let slot = match self.free {
-            Some(idx) => {
-                let Slot::Vacant { next } = self.slots[idx as usize] else {
-                    unreachable!("the free chain links vacant slots");
-                };
-                self.free = next;
-                self.slots[idx as usize] = occupied;
-                idx
+        let len = routers.len();
+        if self.free_runs.len() <= len {
+            self.free_runs.resize(len + 1, NONE);
+        }
+        let start = match self.free_runs[len] {
+            NONE => {
+                self.routers.extend_from_slice(routers);
+                self.routers.len() - len
             }
-            None => {
-                self.slots.push(occupied);
+            start => {
+                let run = start as usize..start as usize + len;
+                self.free_runs[len] = self.routers[start as usize].0;
+                self.routers[run].copy_from_slice(routers);
+                start as usize
+            }
+        };
+        let slot = Slot {
+            start: u32::try_from(start).expect("a store holds under 2^32 routers"),
+            len: len as u32,
+            refs: 1,
+            hash,
+        };
+        let at = match self.free {
+            NONE => {
+                self.slots.push(slot);
                 (self.slots.len() - 1) as u32
             }
+            at => {
+                self.free = self.slots[at as usize].start;
+                self.slots[at as usize] = slot;
+                at
+            }
         };
-        self.by_hash.insert(h, slot);
+        self.table[pos] = at;
         self.live += 1;
-        PathRef(slot)
+        PathRef(at)
     }
 
     /// Resolves a handle.
@@ -155,101 +264,110 @@ impl PathStore {
     /// # Panics
     /// On a handle whose entry was fully released (a dangling `PathRef`) —
     /// that is a directory bookkeeping bug, not a user error.
-    pub fn get(&self, r: PathRef) -> &PeerPath {
-        match &self.slots[r.0 as usize] {
-            Slot::Occupied { path, .. } => path,
-            Slot::Vacant { .. } => panic!("dangling PathRef({})", r.0),
-        }
+    pub fn get(&self, r: PathRef) -> PathView<'_> {
+        assert!(self.is_live(r), "dangling PathRef({})", r.0);
+        PathView::new(self.run(r.0))
     }
 
-    /// Drops one reference to the entry; frees the slot when the last
-    /// reference goes.
+    /// Drops one reference to the entry; frees the slot and its run when
+    /// the last reference goes.
     pub fn release(&mut self, r: PathRef) {
-        self.release_hashed(r, content_hash)
-    }
-
-    /// [`Self::release`], with `hash` giving the freed path's content
-    /// hash (called only when the last reference goes).
-    fn release_hashed(&mut self, r: PathRef, hash: impl FnOnce(&PeerPath) -> u64) {
-        let (h, after) = match &mut self.slots[r.0 as usize] {
-            Slot::Occupied { refs, .. } if *refs > 1 => {
-                *refs -= 1;
+        let slot = &mut self.slots[r.0 as usize];
+        match slot.refs {
+            0 => panic!("releasing dangling PathRef({})", r.0),
+            1 => {}
+            _ => {
+                slot.refs -= 1;
                 return;
             }
-            Slot::Occupied { path, next, .. } => (hash(path), *next),
-            Slot::Vacant { .. } => panic!("releasing dangling PathRef({})", r.0),
+        }
+        let pos = self.position_of(r.0);
+        self.table_remove(pos);
+        let Slot { start, len, .. } = self.slots[r.0 as usize];
+        self.routers[start as usize] = RouterId(self.free_runs[len as usize]);
+        self.free_runs[len as usize] = start;
+        self.slots[r.0 as usize] = Slot {
+            start: self.free,
+            len: 0,
+            refs: 0,
+            hash: 0,
         };
-        self.slots[r.0 as usize] = Slot::Vacant { next: self.free };
-        // Unlink the slot: its predecessor on the chain, or the chain's
-        // entry in `by_hash`, takes over its `next`.
-        let head = self.by_hash.get_mut(&h).expect("a live path is chained");
-        if *head == r.0 {
-            if after == NO_SLOT {
-                self.by_hash.remove(&h);
-            } else {
-                *head = after;
+        self.free = r.0;
+        self.live -= 1;
+    }
+
+    /// The table position holding live slot `at`.
+    fn position_of(&self, at: u32) -> usize {
+        let mask = self.table.len() - 1;
+        let mut i = self.home(self.slots[at as usize].hash);
+        while self.table[i] != at {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    /// Empties table position `pos` by backward-shift deletion (no
+    /// deletion markers, so probe chains never rot under churn).
+    fn table_remove(&mut self, pos: usize) {
+        let mask = self.table.len() - 1;
+        let mut hole = pos;
+        let mut j = pos;
+        loop {
+            j = (j + 1) & mask;
+            let at = self.table[j];
+            if at == NONE {
+                break;
             }
-        } else {
-            let mut at = *head;
-            loop {
-                let Slot::Occupied { next, .. } = &mut self.slots[at as usize] else {
-                    unreachable!("a chain links live slots");
-                };
-                if *next == r.0 {
-                    *next = after;
-                    break;
-                }
-                at = *next;
+            let home = self.home(self.slots[at as usize].hash);
+            // `j`'s entry may fill the hole iff its home does not lie
+            // cyclically in (hole, j].
+            let between = if hole <= j {
+                hole < home && home <= j
+            } else {
+                home > hole || home <= j
+            };
+            if !between {
+                self.table[hole] = at;
+                hole = j;
             }
         }
-        self.free = Some(r.0);
-        self.live -= 1;
+        self.table[hole] = NONE;
     }
 
     /// Whether `r` currently points at an occupied slot (snapshot decoding
     /// validates minted refs through this before any [`Self::get`]).
     pub(crate) fn is_live(&self, r: PathRef) -> bool {
-        matches!(self.slots.get(r.0 as usize), Some(Slot::Occupied { .. }))
+        self.slots.get(r.0 as usize).is_some_and(|s| s.refs > 0)
     }
 
-    /// Sum of reference counts over occupied slots. The shard decoder
+    /// Sum of reference counts over occupied slots. The snapshot decoder
     /// cross-checks this against the number of live leases (each live
     /// lease holds exactly one reference).
     pub(crate) fn total_refs(&self) -> u64 {
-        self.slots
-            .iter()
-            .map(|s| match s {
-                Slot::Occupied { refs, .. } => u64::from(*refs),
-                Slot::Vacant { .. } => 0,
-            })
-            .sum()
+        self.slots.iter().map(|s| u64::from(s.refs)).sum()
     }
 
     /// Streams the arena into `out`: slots (tag + refcount + path), the
     /// free list in the order its slots were freed, so the last one
     /// written is reused first (slot-reuse order is part of future
-    /// behaviour), and the dedup-hit counter. The hash chains are
-    /// derivable and not persisted.
+    /// behaviour), and the dedup-hit counter. The table and the runs'
+    /// placement are derivable and not persisted.
     pub(crate) fn persist_encode(&self, out: &mut Vec<u8>) {
         put_u64(out, self.slots.len() as u64);
-        for slot in &self.slots {
-            match slot {
-                Slot::Vacant { .. } => put_u8(out, 0),
-                Slot::Occupied { path, refs, .. } => {
-                    put_u8(out, 1);
-                    put_u32(out, *refs);
-                    put_path(out, path);
-                }
+        for (i, slot) in self.slots.iter().enumerate() {
+            if slot.refs == 0 {
+                put_u8(out, 0);
+            } else {
+                put_u8(out, 1);
+                put_u32(out, slot.refs);
+                put_path(out, PathView::new(self.run(i as u32)));
             }
         }
         let mut free = Vec::new();
         let mut at = self.free;
-        while let Some(idx) = at {
-            free.push(idx);
-            let Slot::Vacant { next } = self.slots[idx as usize] else {
-                unreachable!("the free chain links vacant slots");
-            };
-            at = next;
+        while at != NONE {
+            free.push(at);
+            at = self.slots[at as usize].start;
         }
         put_u64(out, free.len() as u64);
         for &f in free.iter().rev() {
@@ -258,25 +376,30 @@ impl PathStore {
         put_u64(out, self.hits);
     }
 
-    /// Rebuilds a store written by [`Self::persist_encode`], re-deriving
-    /// the hash chains and live count and validating the free list (every
-    /// entry in bounds and vacant, no duplicates). Fails closed.
+    /// Rebuilds a store written by [`Self::persist_encode`], laying the
+    /// runs out back to back, re-deriving the table and live count and
+    /// validating the free list (every entry in bounds and vacant, no
+    /// duplicates) and the paths (no path stored twice). Fails closed.
     pub(crate) fn persist_decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Self::persist_decode_hashed(r, content_hash)
+        Self::persist_decode_with(r, content_hash)
     }
 
-    /// [`Self::persist_decode`], chaining each path under `hash(path)`.
-    fn persist_decode_hashed(
+    /// [`Self::persist_decode`] into a store hashing with `hash`.
+    fn persist_decode_with(
         r: &mut Reader<'_>,
-        hash: impl Fn(&PeerPath) -> u64,
+        hash: fn(&[RouterId]) -> u64,
     ) -> Result<Self, PersistError> {
         let n_slots = r.len_prefix(1)?;
-        let mut slots = Vec::with_capacity(n_slots);
-        let mut by_hash: IdMap<u64, u32> = IdMap::default();
-        let mut live = 0usize;
+        let mut store = Self::with_hash(hash);
+        store.slots.reserve_exact(n_slots);
         for i in 0..n_slots {
-            match r.u8()? {
-                0 => slots.push(Slot::Vacant { next: None }),
+            let slot = match r.u8()? {
+                0 => Slot {
+                    start: NONE,
+                    len: 0,
+                    refs: 0,
+                    hash: 0,
+                },
                 1 => {
                     let refs = r.u32()?;
                     if refs == 0 {
@@ -285,56 +408,80 @@ impl PathStore {
                         )));
                     }
                     let path = r.path()?;
-                    let next = by_hash.insert(hash(&path), i as u32).unwrap_or(NO_SLOT);
-                    slots.push(Slot::Occupied { path, refs, next });
-                    live += 1;
+                    let routers = path.routers();
+                    if (store.live + 1) * 4 > store.table.len() * 3 {
+                        store.grow_table();
+                    }
+                    let hash = store.hash_of(routers);
+                    let Err(pos) = store.find(routers, hash) else {
+                        return Err(PersistError::Corrupt(format!(
+                            "path slot {i} repeats a stored path"
+                        )));
+                    };
+                    store.table[pos] = i as u32;
+                    store.live += 1;
+                    if store.free_runs.len() <= routers.len() {
+                        store.free_runs.resize(routers.len() + 1, NONE);
+                    }
+                    store.routers.extend_from_slice(routers);
+                    Slot {
+                        start: (store.routers.len() - routers.len()) as u32,
+                        len: routers.len() as u32,
+                        refs,
+                        hash,
+                    }
                 }
                 t => {
                     return Err(PersistError::Corrupt(format!(
                         "path slot {i} has unknown tag {t}"
                     )))
                 }
-            }
+            };
+            store.slots.push(slot);
         }
         let n_free = r.len_prefix(4)?;
-        let mut free = None;
         let mut seen = vec![false; n_slots];
         for _ in 0..n_free {
             let f = r.u32()?;
             let idx = f as usize;
-            if idx >= n_slots || !matches!(slots[idx], Slot::Vacant { .. }) || seen[idx] {
+            if idx >= n_slots || store.slots[idx].refs != 0 || seen[idx] {
                 return Err(PersistError::Corrupt(format!(
                     "path free-list entry {f} is out of bounds, live, or duplicated"
                 )));
             }
             seen[idx] = true;
-            slots[idx] = Slot::Vacant { next: free };
-            free = Some(f);
+            store.slots[idx].start = store.free;
+            store.free = f;
         }
-        let hits = r.u64()?;
-        Ok(PathStore {
-            slots,
-            by_hash,
-            free,
-            live,
-            hits,
-        })
+        store.hits = r.u64()?;
+        Ok(store)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nearpeer_topology::RouterId;
+    use crate::path::PeerPath;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
 
     fn path(ids: &[u32]) -> PeerPath {
         PeerPath::new(ids.iter().map(|&i| RouterId(i)).collect()).unwrap()
     }
 
+    fn roundtrip(store: &PathStore) -> PathStore {
+        let mut bytes = Vec::new();
+        store.persist_encode(&mut bytes);
+        let mut reader = Reader::new(&bytes);
+        let restored = PathStore::persist_decode_with(&mut reader, store.hash).unwrap();
+        assert_eq!(reader.remaining(), 0);
+        restored
+    }
+
     #[test]
     fn interns_and_resolves() {
         let mut store = PathStore::new();
-        let a = store.intern(path(&[1, 2, 3]));
+        let a = store.intern(path(&[1, 2, 3]).view());
         assert_eq!(store.get(a).routers().len(), 3);
         assert_eq!(store.distinct(), 1);
         assert_eq!(store.dedup_hits(), 0);
@@ -343,9 +490,9 @@ mod tests {
     #[test]
     fn identical_paths_share_a_slot() {
         let mut store = PathStore::new();
-        let a = store.intern(path(&[1, 2, 3]));
-        let b = store.intern(path(&[1, 2, 3]));
-        let c = store.intern(path(&[4, 2, 3]));
+        let a = store.intern(path(&[1, 2, 3]).view());
+        let b = store.intern(path(&[1, 2, 3]).view());
+        let c = store.intern(path(&[4, 2, 3]).view());
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_eq!(store.distinct(), 2);
@@ -355,28 +502,34 @@ mod tests {
     #[test]
     fn release_refcounts_and_reuses_slots() {
         let mut store = PathStore::new();
-        let a = store.intern(path(&[1, 2, 3]));
-        let b = store.intern(path(&[1, 2, 3]));
+        let a = store.intern(path(&[1, 2, 3]).view());
+        let b = store.intern(path(&[1, 2, 3]).view());
         store.release(a);
         // One reference remains: still resolvable.
         assert_eq!(store.get(b).attach(), RouterId(1));
         store.release(b);
         assert!(store.is_empty());
-        // The freed slot is recycled for the next intern.
-        let c = store.intern(path(&[9, 8]));
+        // The freed slot is recycled for the next intern; a path of
+        // another length appends a run, one of the same length takes the
+        // freed run.
+        let c = store.intern(path(&[9, 8]).view());
         assert_eq!(c.slot(), a.slot());
-        assert_eq!(store.distinct(), 1);
+        assert_eq!(store.routers.len(), 5);
+        let d = store.intern(path(&[7, 6, 5]).view());
+        assert_eq!(store.routers.len(), 5);
+        assert_eq!(store.get(d), path(&[7, 6, 5]).view());
+        assert_eq!(store.get(c), path(&[9, 8]).view());
+        assert_eq!(store.distinct(), 2);
     }
 
-    /// Distinct paths forced under one hash: releasing the chain's head,
-    /// middle and tail in each order leaves the others resolvable and
-    /// deduplicating, hands the freed slot to the next intern, and a
-    /// snapshot rebuilds a chain that answers the same.
+    /// Distinct paths forced under one hash, so they share a home and
+    /// one probe chain: releasing the chain's head, middle and tail in
+    /// each order leaves the others resolvable and deduplicating, hands
+    /// the freed slot to the next intern, and a snapshot rebuilds a table
+    /// that answers the same.
     #[test]
     fn a_collision_chain_survives_every_release_order() {
-        const H: u64 = 7;
-        let same = |_: &PeerPath| H;
-        // Interned in this order, the chain runs 2 → 1 → 0: head, middle,
+        // Interned in this order, the chain runs 0 → 1 → 2: head, middle,
         // tail.
         let paths = [path(&[1, 2, 3]), path(&[4, 2, 3]), path(&[5, 6])];
         let orders = [
@@ -388,42 +541,35 @@ mod tests {
             [2, 1, 0],
         ];
         for order in orders {
-            let mut store = PathStore::new();
-            let refs: Vec<PathRef> = paths
-                .iter()
-                .map(|p| store.intern_hashed(H, p.clone()))
-                .collect();
+            let mut store = PathStore::with_hash(|_| 7);
+            let refs: Vec<PathRef> = paths.iter().map(|p| store.intern(p.view())).collect();
             let mut live = [true; 3];
             for gone in order {
-                store.release_hashed(refs[gone], same);
+                store.release(refs[gone]);
                 live[gone] = false;
                 let survivors: Vec<usize> = (0..3).filter(|&i| live[i]).collect();
                 assert_eq!(store.distinct(), survivors.len(), "{order:?}");
                 assert!(!store.is_live(refs[gone]));
 
-                let mut bytes = Vec::new();
-                store.persist_encode(&mut bytes);
-                let mut restored =
-                    PathStore::persist_decode_hashed(&mut super::Reader::new(&bytes), same)
-                        .unwrap();
+                let mut restored = roundtrip(&store);
                 for s in [&mut store, &mut restored] {
                     // The freed slot goes to the next path, which joins
-                    // the chain at its head.
-                    let fresh = s.intern_hashed(H, path(&[9, 8]));
+                    // the chain.
+                    let fresh = s.intern(path(&[9, 8]).view());
                     assert_eq!(fresh.slot(), refs[gone].slot(), "{order:?}");
                     for &i in &survivors {
-                        assert_eq!(s.get(refs[i]), &paths[i]);
-                        let again = s.intern_hashed(H, paths[i].clone());
+                        assert_eq!(s.get(refs[i]), paths[i].view());
+                        let again = s.intern(paths[i].view());
                         assert_eq!(again, refs[i], "{order:?}: path {i} deduplicates");
-                        s.release_hashed(again, same);
+                        s.release(again);
                     }
-                    s.release_hashed(fresh, same);
+                    s.release(fresh);
                 }
                 assert_eq!(restored.distinct(), store.distinct());
                 assert_eq!(restored.total_refs(), store.total_refs());
             }
             assert!(store.is_empty());
-            assert!(store.by_hash.is_empty());
+            assert!(store.table.iter().all(|&at| at == NONE));
         }
     }
 
@@ -431,7 +577,7 @@ mod tests {
     #[should_panic(expected = "dangling PathRef")]
     fn dangling_ref_panics() {
         let mut store = PathStore::new();
-        let a = store.intern(path(&[1, 2]));
+        let a = store.intern(path(&[1, 2]).view());
         store.release(a);
         let _ = store.get(a);
     }
@@ -439,19 +585,14 @@ mod tests {
     #[test]
     fn persist_roundtrip_preserves_slots_free_order_and_hits() {
         let mut store = PathStore::new();
-        let a = store.intern(path(&[1, 2, 3]));
-        let _b = store.intern(path(&[1, 2, 3]));
-        let c = store.intern(path(&[4, 2, 3]));
-        let d = store.intern(path(&[9, 8]));
+        let a = store.intern(path(&[1, 2, 3]).view());
+        let _b = store.intern(path(&[1, 2, 3]).view());
+        let c = store.intern(path(&[4, 2, 3]).view());
+        let d = store.intern(path(&[9, 8]).view());
         store.release(c);
         store.release(d);
 
-        let mut bytes = Vec::new();
-        store.persist_encode(&mut bytes);
-        let mut reader = super::Reader::new(&bytes);
-        let mut restored = PathStore::persist_decode(&mut reader).unwrap();
-        assert_eq!(reader.remaining(), 0);
-
+        let mut restored = roundtrip(&store);
         assert_eq!(restored.distinct(), store.distinct());
         assert_eq!(restored.dedup_hits(), store.dedup_hits());
         assert_eq!(restored.total_refs(), store.total_refs());
@@ -461,27 +602,114 @@ mod tests {
         // Future behaviour: the next intern reuses the same freed slot the
         // live store would.
         assert_eq!(
-            restored.intern(path(&[7, 6, 0])).slot(),
-            store.intern(path(&[7, 6, 0])).slot()
+            restored.intern(path(&[7, 6, 0]).view()).slot(),
+            store.intern(path(&[7, 6, 0]).view()).slot()
         );
     }
 
     #[test]
     fn persist_decode_rejects_live_free_list_entry() {
         let mut store = PathStore::new();
-        let _ = store.intern(path(&[1, 2]));
+        let _ = store.intern(path(&[1, 2]).view());
         let mut bytes = Vec::new();
         store.persist_encode(&mut bytes);
         // The free list is empty; forge one pointing at the live slot 0.
         // Layout: ... | u64 free_len | entries | u64 hits.
         let hits_at = bytes.len() - 8;
         let free_len_at = hits_at - 8;
-        bytes.splice(free_len_at..hits_at, 1u64.to_le_bytes());
-        bytes.splice(hits_at..hits_at, 0u32.to_le_bytes());
-        let mut reader = super::Reader::new(&bytes);
+        let mut forged = bytes.clone();
+        forged.splice(free_len_at..hits_at, 1u64.to_le_bytes());
+        forged.splice(hits_at..hits_at, 0u32.to_le_bytes());
         assert!(matches!(
-            PathStore::persist_decode(&mut reader),
-            Err(super::PersistError::Corrupt(_))
+            PathStore::persist_decode(&mut Reader::new(&forged)),
+            Err(PersistError::Corrupt(_))
         ));
+        // Slot 0 written twice: u64 n_slots | tag | refs | path.
+        let slot = bytes[8..free_len_at].to_vec();
+        let mut twice = 2u64.to_le_bytes().to_vec();
+        twice.extend_from_slice(&slot);
+        twice.extend_from_slice(&slot);
+        twice.extend_from_slice(&bytes[free_len_at..]);
+        assert!(matches!(
+            PathStore::persist_decode(&mut Reader::new(&twice)),
+            Err(PersistError::Corrupt(_))
+        ));
+    }
+
+    /// A hash with four values, so most distinct paths collide.
+    fn coarse(routers: &[RouterId]) -> u64 {
+        u64::from(routers[0].0 % 4).rotate_right(2)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The store against a `HashMap<Vec<RouterId>, refs>` model, over
+        /// intern/release sequences of 1- to 16-router paths drawn from a
+        /// small pool (so duplicates are common) under a hash with four
+        /// values.
+        #[test]
+        fn flat_arena_matches_a_refcount_model(
+            pool in prop::collection::vec((1u32..17, 0u32..6), 2..24),
+            ops in prop::collection::vec((any::<bool>(), any::<u8>()), 1..160),
+        ) {
+            // Runs of consecutive ids: a pool entry is a duplicate of
+            // another when both its length and its start match.
+            let pool: Vec<PeerPath> = pool
+                .into_iter()
+                .map(|(len, start)| PeerPath::new((start..start + len).map(RouterId).collect()).unwrap())
+                .collect();
+            let mut store = PathStore::with_hash(coarse);
+            let mut model: HashMap<Vec<RouterId>, u32> = HashMap::new();
+            let mut held: Vec<(PathRef, usize)> = Vec::new();
+            // Peak live paths per length.
+            let mut peak = [0usize; 17];
+            for (join, pick) in ops {
+                if join || held.is_empty() {
+                    let i = pick as usize % pool.len();
+                    let routers = pool[i].routers();
+                    let r = store.intern(pool[i].view());
+                    *model.entry(routers.to_vec()).or_default() += 1;
+                    // Duplicates share a slot.
+                    for &(other, j) in &held {
+                        prop_assert_eq!(other == r, pool[j] == pool[i]);
+                    }
+                    held.push((r, i));
+                } else {
+                    let (r, i) = held.swap_remove(pick as usize % held.len());
+                    store.release(r);
+                    let refs = model.get_mut(pool[i].routers()).unwrap();
+                    *refs -= 1;
+                    if *refs == 0 {
+                        model.remove(pool[i].routers());
+                    }
+                }
+                let mut live_by_len = [0usize; 17];
+                for routers in model.keys() {
+                    live_by_len[routers.len()] += 1;
+                }
+                for (p, n) in peak.iter_mut().zip(live_by_len) {
+                    *p = (*p).max(n);
+                }
+                // Handles resolve to their paths.
+                for &(r, i) in &held {
+                    prop_assert_eq!(store.get(r), pool[i].view());
+                }
+                prop_assert_eq!(store.distinct(), model.len());
+                prop_assert_eq!(store.total_refs(), model.values().map(|&n| u64::from(n)).sum::<u64>());
+                // Runs are reused by length: the arena never outgrows the
+                // peak live population of each length.
+                let bound: usize = peak.iter().enumerate().map(|(len, &n)| len * n).sum();
+                prop_assert!(store.routers.len() <= bound, "{} > {}", store.routers.len(), bound);
+                // A snapshot round-trips and re-interns to the same slots.
+                let mut restored = roundtrip(&store);
+                prop_assert_eq!(restored.distinct(), store.distinct());
+                prop_assert_eq!(restored.dedup_hits(), store.dedup_hits());
+                for &(r, i) in &held {
+                    prop_assert_eq!(restored.get(r), pool[i].view());
+                    prop_assert_eq!(restored.intern(pool[i].view()), r);
+                }
+            }
+        }
     }
 }

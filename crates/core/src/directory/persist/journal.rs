@@ -70,7 +70,7 @@ impl JournalOp {
                 put_u64(out, items.len() as u64);
                 for (peer, path) in items {
                     put_u64(out, peer.0);
-                    put_path(out, path);
+                    put_path(out, path.view());
                 }
             }
             JournalOp::RenewBatch(peers) => {
@@ -90,7 +90,7 @@ impl JournalOp {
             JournalOp::Handover { peer, path } => {
                 out.push(OP_HANDOVER);
                 put_u64(out, peer.0);
-                put_path(out, path);
+                put_path(out, path.view());
             }
             JournalOp::DeregisterForwarding { peer, to_region } => {
                 out.push(OP_DEREGISTER_FORWARDING);

@@ -5,7 +5,7 @@
 //! panicking, so decoding arbitrary (fuzzed, faulted) bytes is safe.
 
 use super::PersistError;
-use crate::path::PeerPath;
+use crate::path::{PathView, PeerPath};
 use nearpeer_topology::RouterId;
 
 pub(crate) fn put_u8(out: &mut Vec<u8>, v: u8) {
@@ -25,7 +25,7 @@ pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
 }
 
 /// Writes a peer path as `u16 len | len × u32 router`.
-pub(crate) fn put_path(out: &mut Vec<u8>, path: &PeerPath) {
+pub(crate) fn put_path(out: &mut Vec<u8>, path: PathView<'_>) {
     let routers = path.routers();
     debug_assert!(routers.len() <= u16::MAX as usize);
     put_u16(out, routers.len() as u16);
@@ -121,7 +121,7 @@ mod tests {
     fn roundtrip_path() {
         let path = PeerPath::new(vec![RouterId(5), RouterId(3), RouterId(0)]).unwrap();
         let mut buf = Vec::new();
-        put_path(&mut buf, &path);
+        put_path(&mut buf, path.view());
         let mut r = Reader::new(&buf);
         assert_eq!(r.path().unwrap(), path);
     }

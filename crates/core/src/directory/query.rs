@@ -116,7 +116,7 @@ pub(crate) fn merge_fill<I: Iterator<Item = (PeerId, u32)>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::path::PeerPath;
+    use crate::path::{PathView, PeerPath};
     use crate::router_index::query_nearest_entries;
     use proptest::prelude::*;
 
@@ -164,7 +164,7 @@ mod tests {
     /// top-`k`, concatenated, re-sorted, truncated.
     fn per_shard_plan(
         tables: &[EntryMap],
-        query: &PeerPath,
+        query: PathView<'_>,
         k: usize,
         exclude: Option<PeerId>,
     ) -> Vec<Neighbor> {
@@ -197,7 +197,7 @@ mod tests {
             // with one landmark per region holds them.
             let mut tables = vec![EntryMap::default(); LANDMARKS as usize];
             for (i, (landmark, path)) in peers.iter().enumerate() {
-                router_index::index_path(&mut tables[*landmark as usize], PeerId(i as u64), path);
+                router_index::index_path(&mut tables[*landmark as usize], PeerId(i as u64), path.view());
             }
             let paths: Vec<&PeerPath> = peers.iter().map(|(_, p)| p).collect();
             // Peer 0's access router when it exists, so depth-0 meets occur.
@@ -205,9 +205,9 @@ mod tests {
             let k = [0, 1, 5, paths.len() + 7][k];
             let exclude = [None, Some(PeerId(0)), Some(PeerId(u64::MAX))][exclude];
 
-            let merged = query_nearest_entries([&index], &query, k, exclude);
-            prop_assert_eq!(&merged, &query_nearest_entries(&tables, &query, k, exclude));
-            prop_assert_eq!(&merged, &per_shard_plan(&tables, &query, k, exclude));
+            let merged = query_nearest_entries([&index], query.view(), k, exclude);
+            prop_assert_eq!(&merged, &query_nearest_entries(&tables, query.view(), k, exclude));
+            prop_assert_eq!(&merged, &per_shard_plan(&tables, query.view(), k, exclude));
 
             // And all equal the definition: every peer's dtree, sorted.
             let mut brute: Vec<Neighbor> = paths
@@ -234,8 +234,11 @@ mod tests {
         let index = server_index(&peers);
         let query = path_to(0, 0, &[5]);
         let huge = usize::from(u16::MAX);
-        let exact = query_nearest_entries([&index], &query, huge, None);
-        assert_eq!(exact, query_nearest_entries([&index], &query, 3, None));
+        let exact = query_nearest_entries([&index], query.view(), huge, None);
+        assert_eq!(
+            exact,
+            query_nearest_entries([&index], query.view(), 3, None)
+        );
         assert_eq!(exact.len(), 3, "router 15 is on all three paths");
         assert!(exact.capacity() <= 16, "capacity {}", exact.capacity());
 

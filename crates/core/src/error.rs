@@ -30,6 +30,9 @@ pub enum CoreError {
     /// The addressed region is crashed/down; callers should fall back to
     /// fanout (reads) or retry after rejoin (writes).
     RegionUnavailable(u32),
+    /// The heartbeat epoch cannot advance past this one: the lease table
+    /// holds epochs as 32-bit offsets from the oldest it keeps.
+    EpochWindow(u64),
 }
 
 impl fmt::Display for CoreError {
@@ -44,6 +47,12 @@ impl fmt::Display for CoreError {
             CoreError::InvalidConfig(msg) => write!(f, "invalid config: {msg}"),
             CoreError::Persist(e) => write!(f, "persistence error: {e}"),
             CoreError::RegionUnavailable(r) => write!(f, "region {r} is unavailable"),
+            CoreError::EpochWindow(e) => {
+                write!(
+                    f,
+                    "epoch {e} is the last the lease table's 32-bit offsets hold"
+                )
+            }
         }
     }
 }

@@ -6,7 +6,7 @@ use crate::directory::persist::RecoveryReport;
 use crate::directory::query;
 use crate::error::CoreError;
 use crate::ids::{IdMap, LandmarkId, PeerId};
-use crate::path::PeerPath;
+use crate::path::{PathView, PeerPath};
 use crate::router_index::{query_nearest_entries, Neighbor};
 use crate::server::{BatchOutcome, ManagementServer, ServerConfig};
 use nearpeer_routing::RouteOracle;
@@ -345,7 +345,7 @@ impl Federation {
 
     /// The home `(region, global landmark)` of a path, by its terminal
     /// router.
-    pub(crate) fn home_of_path(&self, path: &PeerPath) -> Result<(RegionId, u32), CoreError> {
+    pub(crate) fn home_of_path(&self, path: PathView<'_>) -> Result<(RegionId, u32), CoreError> {
         self.router_landmark
             .get(&path.landmark_router())
             .map(|&g| (self.landmark_region[g as usize], g))
@@ -366,7 +366,7 @@ impl Federation {
     }
 
     /// The peer's current region and stored path, if registered.
-    pub fn locate(&self, peer: PeerId) -> Option<(RegionId, &PeerPath)> {
+    pub fn locate(&self, peer: PeerId) -> Option<(RegionId, PathView<'_>)> {
         self.regions
             .iter()
             .find_map(|r| r.server().path_of(peer).map(|p| (r.id(), p)))
@@ -394,19 +394,22 @@ impl Federation {
     }
 
     /// Advances every region's heartbeat epoch in lockstep and returns
-    /// the new federation epoch.
-    pub fn advance_epoch(&mut self) -> u64 {
+    /// the new federation epoch. Fails with [`CoreError::EpochWindow`],
+    /// advancing no region, if any live region's lease table cannot hold
+    /// the next epoch ([`ManagementServer::advance_epoch`]).
+    pub fn advance_epoch(&mut self) -> Result<u64, CoreError> {
+        // A crashed region's stand-in does not tick; the recovered server
+        // fast-forwards to the federation epoch at rejoin.
+        let live = |r: &&mut Region| !self.down[r.id().index()];
+        for region in self.regions.iter_mut().filter(live) {
+            region.server().next_epoch()?;
+        }
         self.epoch += 1;
-        for region in &mut self.regions {
-            if self.down[region.id().index()] {
-                // A crashed region's stand-in does not tick; the recovered
-                // server fast-forwards to the federation epoch at rejoin.
-                continue;
-            }
-            let e = region.server_mut().advance_epoch();
+        for region in self.regions.iter_mut().filter(live) {
+            let e = region.server_mut().advance_epoch()?;
             debug_assert_eq!(e, self.epoch, "regions advance in lockstep");
         }
-        self.epoch
+        Ok(self.epoch)
     }
 
     /// Registers a newcomer: the path routes it to its home region
@@ -415,7 +418,7 @@ impl Federation {
     /// consulted region, not just the home one. A peer already registered
     /// anywhere in the federation is rejected as a duplicate.
     pub fn register(&mut self, peer: PeerId, path: PeerPath) -> Result<FederatedJoin, CoreError> {
-        let (region, global) = self.home_of_path(&path)?;
+        let (region, global) = self.home_of_path(path.view())?;
         if self.down[region.index()] {
             return Err(CoreError::RegionUnavailable(region.0));
         }
@@ -452,7 +455,7 @@ impl Federation {
         // region but must not register the peer into a second one.
         let mut pending: IdMap<PeerId, RegionId> = IdMap::default();
         for (peer, path) in batch {
-            let Ok((region, _)) = self.home_of_path(&path) else {
+            let Ok((region, _)) = self.home_of_path(path.view()) else {
                 out.rejected += 1;
                 continue;
             };
@@ -525,7 +528,7 @@ impl Federation {
         let Some(from) = self.region_of_peer(peer) else {
             return Err(CoreError::UnknownPeer(peer));
         };
-        let (dest, global) = self.home_of_path(&new_path)?;
+        let (dest, global) = self.home_of_path(new_path.view())?;
         if self.down[dest.index()] {
             // Validation precedes teardown: the peer stays where it is.
             return Err(CoreError::RegionUnavailable(dest.0));
@@ -606,12 +609,13 @@ impl Federation {
     /// global landmark distance matrix. With `fanout = None` this is the
     /// answer one big server over all landmarks would give. `&self`, like
     /// the underlying servers' read paths.
-    pub fn closest_to_path(
+    pub fn closest_to_path<'p>(
         &self,
-        path: &PeerPath,
+        path: impl Into<PathView<'p>>,
         k: usize,
         exclude: Option<PeerId>,
     ) -> Vec<Neighbor> {
+        let path = path.into();
         self.counters.queries.fetch_add(1, Ordering::Relaxed);
         let home = self.home_of_path(path).ok();
         // No home landmark: exact answers only, from every live region.
@@ -646,7 +650,7 @@ impl Federation {
     /// distance matrix supplying the bridges.
     fn bridge_fill(
         &self,
-        path: &PeerPath,
+        path: PathView<'_>,
         own_global: u32,
         k: usize,
         consulted: &[RegionId],
@@ -776,7 +780,7 @@ impl Federation {
         // recovered server up so leases age consistently (a peer that
         // could not renew during the outage expires on schedule).
         while server.epoch() < self.epoch {
-            server.advance_epoch();
+            server.advance_epoch()?;
         }
         self.regions[id.index()].replace_server(server);
         self.down[id.index()] = false;
@@ -947,7 +951,7 @@ mod tests {
         let mut fed = federation(2, None);
         fed.register(PeerId(1), path(&[4, 2, 1, 0])).unwrap();
         fed.register(PeerId(2), path(&[110, 105, 100])).unwrap();
-        fed.advance_epoch();
+        fed.advance_epoch().unwrap();
         // Peer 1 moves from landmark 0 (region 0) to landmark 1 (region 1).
         let out = fed.handover(PeerId(1), path(&[111, 105, 100])).unwrap();
         assert_eq!(out.region, RegionId(1));
@@ -966,7 +970,7 @@ mod tests {
         // for both the tombstone and peer 2's untouched lease to lapse,
         // while peer 1 keeps heartbeating in its new region.
         for _ in 0..3 {
-            fed.advance_epoch();
+            fed.advance_epoch().unwrap();
             assert_eq!(fed.renew_batch(&[PeerId(1)]), 1);
         }
         let sweep = fed.expire_stale(2);
@@ -994,7 +998,7 @@ mod tests {
         assert_eq!(fed.tombstone_count(), 1, "region 1's only");
         assert_eq!(fed.resolve(RegionId(1), PeerId(1)), Some(RegionId(0)));
         for _ in 0..3 {
-            fed.advance_epoch();
+            fed.advance_epoch().unwrap();
             assert_eq!(fed.renew_batch(&[PeerId(1)]), 1);
         }
         let sweep = fed.expire_stale(2);
@@ -1045,7 +1049,7 @@ mod tests {
             (PeerId(3), path(&[7, 8, 999])), // unknown landmark
         ]);
         assert_eq!((out.joined, out.renewed, out.rejected), (2, 0, 1));
-        fed.advance_epoch();
+        fed.advance_epoch().unwrap();
         let out = fed.register_batch(vec![
             (PeerId(1), path(&[4, 2, 1, 0])),    // rejoin: renew
             (PeerId(2), path(&[210, 205, 200])), // different region: handover material
@@ -1117,7 +1121,7 @@ mod tests {
         let mut fed = federation(2, None);
         fed.register(PeerId(1), path(&[4, 2, 1, 0])).unwrap();
         fed.register(PeerId(2), path(&[110, 105, 100])).unwrap();
-        fed.advance_epoch();
+        fed.advance_epoch().unwrap();
         // Durable state: a snapshot, then journaled ops applied after it.
         let snapshot = fed.snapshot_region(RegionId(0)).unwrap();
         let mut journal = Vec::new();
@@ -1128,8 +1132,8 @@ mod tests {
             .apply_journal_op(op);
         fed.crash_region(RegionId(0)).unwrap();
         // The cluster keeps ticking while the region is down.
-        fed.advance_epoch();
-        fed.advance_epoch();
+        fed.advance_epoch().unwrap();
+        fed.advance_epoch().unwrap();
         // Rejoining a live region is refused.
         assert!(matches!(
             fed.rejoin_region(RegionId(1), &snapshot, &journal),

@@ -4,7 +4,8 @@
 //! (Simon, Chen, Boudani, Straub — CoNEXT 2007) as a reusable library:
 //!
 //! * [`PeerPath`] — the router path a newcomer discovers with its
-//!   traceroute-like tool (round 1 of the protocol);
+//!   traceroute-like tool (round 1 of the protocol), and [`PathView`],
+//!   the same path borrowed from wherever the server stores it;
 //! * [`RouterIndex`] — the paper's data structure: a hash table keyed by
 //!   router whose entries are ordered lists of peers, giving `O(d·log n)`
 //!   insertion (`d` = path length, bounded by the topology diameter — the
@@ -79,7 +80,7 @@ pub use federation::{
     FederatedJoin, Federation, FederationConfig, FederationStats, FederationSweep, Region, RegionId,
 };
 pub use ids::{LandmarkId, PeerId};
-pub use path::PeerPath;
+pub use path::{PathView, PeerPath};
 pub use path_tree::PathTree;
 pub use router_index::{Neighbor, RouterIndex};
 pub use runtime::{ActorFederation, ActorServer, Outbound, WireService};

@@ -37,19 +37,26 @@ impl PeerPath {
         Ok(Self { routers })
     }
 
+    /// The borrowed read view of this path.
+    pub fn view(&self) -> PathView<'_> {
+        PathView {
+            routers: &self.routers,
+        }
+    }
+
     /// The peer's access router (position 0).
     pub fn attach(&self) -> RouterId {
-        self.routers[0]
+        self.view().attach()
     }
 
     /// The landmark's router (last position).
     pub fn landmark_router(&self) -> RouterId {
-        *self.routers.last().expect("paths are non-empty")
+        self.view().landmark_router()
     }
 
     /// Number of hops from the access router to the landmark.
     pub fn depth(&self) -> u32 {
-        (self.routers.len() - 1) as u32
+        self.view().depth()
     }
 
     /// The routers, access-first.
@@ -59,11 +66,75 @@ impl PeerPath {
 
     /// Iterator of `(router, hops_from_peer)` pairs, access-first.
     pub fn with_depths(&self) -> impl Iterator<Item = (RouterId, u32)> + '_ {
-        self.routers.iter().enumerate().map(|(i, &r)| (r, i as u32))
+        self.view().with_depths()
     }
 
     /// Hops from the peer to `router`, if the router is on the path.
     pub fn depth_of(&self, router: RouterId) -> Option<u32> {
+        self.view().depth_of(router)
+    }
+
+    /// [`PathView::dtree`] between two owned paths.
+    pub fn dtree(&self, other: &PeerPath) -> Option<(RouterId, u32)> {
+        self.view().dtree(other.view())
+    }
+}
+
+/// A validated path borrowed from wherever it is stored: a [`PeerPath`],
+/// or a run of a [`crate::PathStore`]'s flat router arena. `Copy`, so the
+/// read paths pass it by value and never clone a path.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct PathView<'a> {
+    routers: &'a [RouterId],
+}
+
+impl<'a> From<&'a PeerPath> for PathView<'a> {
+    fn from(path: &'a PeerPath) -> Self {
+        path.view()
+    }
+}
+
+impl<'a> PathView<'a> {
+    /// Wraps routers already validated as a path (non-empty, loop-free).
+    pub(crate) fn new(routers: &'a [RouterId]) -> Self {
+        debug_assert!(!routers.is_empty());
+        Self { routers }
+    }
+
+    /// An owned copy of the path.
+    pub fn to_path(self) -> PeerPath {
+        PeerPath {
+            routers: self.routers.to_vec(),
+        }
+    }
+
+    /// The peer's access router (position 0).
+    pub fn attach(self) -> RouterId {
+        self.routers[0]
+    }
+
+    /// The landmark's router (last position).
+    pub fn landmark_router(self) -> RouterId {
+        *self.routers.last().expect("paths are non-empty")
+    }
+
+    /// Number of hops from the access router to the landmark.
+    pub fn depth(self) -> u32 {
+        (self.routers.len() - 1) as u32
+    }
+
+    /// The routers, access-first.
+    pub fn routers(self) -> &'a [RouterId] {
+        self.routers
+    }
+
+    /// Iterator of `(router, hops_from_peer)` pairs, access-first.
+    pub fn with_depths(self) -> impl Iterator<Item = (RouterId, u32)> + 'a {
+        self.routers.iter().enumerate().map(|(i, &r)| (r, i as u32))
+    }
+
+    /// Hops from the peer to `router`, if the router is on the path.
+    pub fn depth_of(self, router: RouterId) -> Option<u32> {
         self.routers
             .iter()
             .position(|&r| r == router)
@@ -78,7 +149,7 @@ impl PeerPath {
     /// so the quadratic scan beats building a hash map per comparison —
     /// this is the inner loop of every brute-force baseline and accuracy
     /// study, called `O(n²)` times per experiment.
-    pub fn dtree(&self, other: &PeerPath) -> Option<(RouterId, u32)> {
+    pub fn dtree(self, other: PathView<'_>) -> Option<(RouterId, u32)> {
         self.with_depths()
             .filter_map(|(r, d_self)| other.depth_of(r).map(|d_other| (r, d_self + d_other)))
             .min_by_key(|&(_, d)| d)

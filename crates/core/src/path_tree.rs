@@ -1,7 +1,7 @@
 //! The per-landmark path tree (trie of reversed routes).
 
 use crate::ids::PeerId;
-use crate::path::PeerPath;
+use crate::path::PathView;
 use nearpeer_topology::RouterId;
 use std::collections::HashMap;
 
@@ -81,7 +81,8 @@ impl PathTree {
     /// Inserts a peer's path. The path must terminate at this tree's root;
     /// returns `false` (and stores nothing) otherwise or if the peer is
     /// already present.
-    pub fn insert(&mut self, peer: PeerId, path: &PeerPath) -> bool {
+    pub fn insert<'p>(&mut self, peer: PeerId, path: impl Into<PathView<'p>>) -> bool {
+        let path = path.into();
         if path.landmark_router() != self.root() || self.peer_node.contains_key(&peer) {
             return false;
         }
@@ -222,6 +223,7 @@ impl PathTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::path::PeerPath;
 
     fn path(ids: &[u32]) -> PeerPath {
         PeerPath::new(ids.iter().map(|&i| RouterId(i)).collect()).unwrap()

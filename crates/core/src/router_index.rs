@@ -26,7 +26,7 @@
 
 use crate::error::CoreError;
 use crate::ids::{IdMap, IdSet, PeerId};
-use crate::path::PeerPath;
+use crate::path::{PathView, PeerPath};
 use nearpeer_topology::RouterId;
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
@@ -408,6 +408,59 @@ impl EntryMap {
     pub(crate) fn len(&self) -> usize {
         self.segments.iter().map(HashMap::len).sum()
     }
+
+    /// Heap bytes held, by part: the segments' hash buckets, the `Vec` of
+    /// lists, the arrays, and the chunked lists (headers and entries).
+    pub(crate) fn heap_parts(&self) -> [(&'static str, usize); 4] {
+        let entry = std::mem::size_of::<Packed>();
+        let (mut arrays, mut chunks) = (0, 0);
+        for list in &self.lists {
+            match list {
+                List::Array(array) => arrays += array.capacity() * entry,
+                List::Chunked(list) => {
+                    chunks += list.chunks.capacity() * std::mem::size_of::<Chunk>();
+                    chunks += list
+                        .chunks
+                        .iter()
+                        .map(|c| c.entries.capacity() * entry)
+                        .sum::<usize>();
+                }
+                List::Free(_) => {}
+            }
+        }
+        [
+            ("index buckets", self.segments.iter().map(table_bytes).sum()),
+            (
+                "index lists",
+                self.lists.capacity() * std::mem::size_of::<List>(),
+            ),
+            ("index arrays", arrays),
+            ("index chunks", chunks),
+        ]
+    }
+}
+
+/// The bytes the standard library's hash table allocates for `map`:
+/// `(K, V)` buckets padded to the control bytes' alignment, then a control
+/// byte per bucket and one more group of them. Exact for a map that only
+/// grew: a removal leaves a marker that lowers `capacity()` until the next
+/// rehash.
+fn table_bytes<K, V, S>(map: &HashMap<K, V, S>) -> usize {
+    const GROUP: usize = if cfg!(all(
+        any(target_arch = "x86", target_arch = "x86_64"),
+        target_feature = "sse2"
+    )) {
+        16
+    } else {
+        8
+    };
+    let buckets = match map.capacity() {
+        0 => return 0,
+        cap if cap < 8 => cap + 1,
+        cap => cap / 7 * 8,
+    };
+    let align = std::mem::align_of::<(K, V)>().max(GROUP);
+    (std::mem::size_of::<(K, V)>() * buckets).next_multiple_of(align) + buckets + GROUP
 }
 
 /// One router's peers, ascending by `(depth below the router, peer)`, as
@@ -483,7 +536,7 @@ impl Iterator for ListIter<'_> {
 }
 
 /// Files `peer` under every router of `path`, at its depth below each.
-pub(crate) fn index_path(entries: &mut EntryMap, peer: PeerId, path: &PeerPath) {
+pub(crate) fn index_path(entries: &mut EntryMap, peer: PeerId, path: PathView<'_>) {
     for (router, depth) in path.with_depths() {
         entries.insert(router, (depth, peer));
     }
@@ -502,7 +555,7 @@ pub(crate) fn peers_through(
 }
 
 /// Undoes [`index_path`], dropping every router whose list empties.
-pub(crate) fn unindex_path(entries: &mut EntryMap, peer: PeerId, path: &PeerPath) {
+pub(crate) fn unindex_path(entries: &mut EntryMap, peer: PeerId, path: PathView<'_>) {
     for (router, depth) in path.with_depths() {
         entries.remove(router, (depth, peer));
     }
@@ -521,7 +574,7 @@ pub(crate) fn unindex_path(entries: &mut EntryMap, peer: PeerId, path: &PeerPath
 /// never by `k` alone: `k` comes off the wire.
 pub(crate) fn query_nearest_entries<'a>(
     tables: impl IntoIterator<Item = &'a EntryMap>,
-    query: &PeerPath,
+    query: PathView<'_>,
     k: usize,
     exclude: Option<PeerId>,
 ) -> Vec<Neighbor> {
@@ -654,7 +707,7 @@ impl RouterIndex {
         if self.paths.contains_key(&peer) {
             return Err(CoreError::DuplicatePeer(peer));
         }
-        index_path(&mut self.entries, peer, &path);
+        index_path(&mut self.entries, peer, path.view());
         self.paths.insert(peer, path);
         Ok(())
     }
@@ -662,7 +715,7 @@ impl RouterIndex {
     /// Deregisters a peer, returning its stored path.
     pub fn remove(&mut self, peer: PeerId) -> Option<PeerPath> {
         let path = self.paths.remove(&peer)?;
-        unindex_path(&mut self.entries, peer, &path);
+        unindex_path(&mut self.entries, peer, path.view());
         Some(path)
     }
 
@@ -683,7 +736,7 @@ impl RouterIndex {
         k: usize,
         exclude: Option<PeerId>,
     ) -> Vec<Neighbor> {
-        query_nearest_entries([&self.entries], query, k, exclude)
+        query_nearest_entries([&self.entries], query.view(), k, exclude)
     }
 }
 
@@ -897,23 +950,23 @@ mod tests {
     fn peer_list_walks_inline_array_chunks_and_back_in_order() {
         let mut table = EntryMap::default();
         let (far, near) = (path(&[9, 1, 0]), path(&[1, 0]));
-        index_path(&mut table, PeerId(5), &far);
+        index_path(&mut table, PeerId(5), far.view());
         fn at_1(table: &EntryMap) -> Option<PeerList<'_>> {
             table.get(&RouterId(1))
         }
         assert!(matches!(at_1(&table), Some(PeerList::One((1, PeerId(5))))));
         // The second entry sorts first: (depth 0) < (depth 1).
-        index_path(&mut table, PeerId(3), &near);
+        index_path(&mut table, PeerId(3), near.view());
         assert!(matches!(at_1(&table), Some(PeerList::Array(_))));
         assert_eq!(
             list_at(&table, 1),
             Some(vec![(0, PeerId(3)), (1, PeerId(5))])
         );
-        unindex_path(&mut table, PeerId(3), &near);
+        unindex_path(&mut table, PeerId(3), near.view());
         assert!(matches!(at_1(&table), Some(PeerList::One((1, PeerId(5))))));
         assert_eq!(list_at(&table, 0), Some(vec![(2, PeerId(5))]));
         // Removing an entry a list does not hold changes nothing.
-        unindex_path(&mut table, PeerId(3), &near);
+        unindex_path(&mut table, PeerId(3), near.view());
         assert_eq!(list_at(&table, 1), Some(vec![(1, PeerId(5))]));
 
         // 1 → 2 → CHUNK entries: an array; CHUNK + 1: chunks, in the same
@@ -928,21 +981,21 @@ mod tests {
                 _ => 2,
             };
             assert_eq!(check_list(at_1(&table).expect("indexed")), kind);
-            index_path(&mut table, PeerId(p), &edge(p));
+            index_path(&mut table, PeerId(p), edge(p).view());
             want.push((1, PeerId(p)));
             assert_eq!(at_1(&table).map(PeerList::len), Some(want.len()));
         }
         // Peer 5 re-files its entry: a duplicate changes nothing.
-        index_path(&mut table, PeerId(5), &far);
+        index_path(&mut table, PeerId(5), far.view());
         assert_eq!(list_at(&table, 1), Some(want.clone()));
         assert_eq!(chunk_lens(&table, 1), [CHUNK, CHUNK, CHUNK, CHUNK, 1]);
         assert_eq!((table.lists.len(), live_lists(&table)), (2, 2));
 
         // An entry before a full first chunk starts a chunk of its own;
         // one inside a full chunk splits it in halves.
-        index_path(&mut table, PeerId(3), &near);
+        index_path(&mut table, PeerId(3), near.view());
         assert_eq!(chunk_lens(&table, 1), [1, CHUNK, CHUNK, CHUNK, CHUNK, 1]);
-        index_path(&mut table, PeerId(11), &edge(11));
+        index_path(&mut table, PeerId(11), edge(11).view());
         let (half, full) = (CHUNK / 2, CHUNK);
         assert_eq!(
             chunk_lens(&table, 1),
@@ -961,7 +1014,7 @@ mod tests {
         leaving.extend(evens.iter().skip(1).step_by(2).map(|&p| (p, edge(p))));
         let mut seen = [false; 3];
         for (p, path) in leaving {
-            unindex_path(&mut table, PeerId(p), &path);
+            unindex_path(&mut table, PeerId(p), path.view());
             want.retain(|&(_, peer)| peer != PeerId(p));
             assert_eq!(list_at(&table, 1), Some(want.clone()));
             seen[check_list(at_1(&table).expect("peer 5 stays"))] = true;
@@ -971,12 +1024,12 @@ mod tests {
         assert_eq!(list_at(&table, 0), Some(vec![(2, PeerId(5))]));
         // Both places are free, and the next list takes one back.
         assert_eq!((table.lists.len(), live_lists(&table)), (2, 0));
-        index_path(&mut table, PeerId(3), &near);
+        index_path(&mut table, PeerId(3), near.view());
         assert_eq!((table.lists.len(), live_lists(&table)), (2, 2));
-        unindex_path(&mut table, PeerId(3), &near);
+        unindex_path(&mut table, PeerId(3), near.view());
 
         // Emptying a list removes its router.
-        unindex_path(&mut table, PeerId(5), &far);
+        unindex_path(&mut table, PeerId(5), far.view());
         assert_eq!(table.len(), 0);
         assert_eq!(live_lists(&table), 0);
     }
@@ -1095,27 +1148,27 @@ mod tests {
                 let (peer, path) = (PeerId(peer), model_path(&mids));
                 match kind {
                     0..=2 => {
-                        index_path(&mut table, peer, &path);
+                        index_path(&mut table, peer, path.view());
                         model_index(&mut model, peer, &path);
                         joined.push((peer, path));
                     }
                     3 => {
-                        unindex_path(&mut table, peer, &path);
+                        unindex_path(&mut table, peer, path.view());
                         model_unindex(&mut model, peer, &path);
                     }
                     4 if !joined.is_empty() => {
                         let (peer, path) = joined.swap_remove(pick % joined.len());
-                        unindex_path(&mut table, peer, &path);
+                        unindex_path(&mut table, peer, path.view());
                         model_unindex(&mut model, peer, &path);
                     }
                     5 if !joined.is_empty() => {
                         // A leave and a rejoin take back the places they free.
                         let (peer, path) = joined[pick % joined.len()].clone();
-                        index_path(&mut table, peer, &path);
+                        index_path(&mut table, peer, path.view());
                         model_index(&mut model, peer, &path);
                         let places = table.lists.len();
-                        unindex_path(&mut table, peer, &path);
-                        index_path(&mut table, peer, &path);
+                        unindex_path(&mut table, peer, path.view());
+                        index_path(&mut table, peer, path.view());
                         prop_assert_eq!(table.lists.len(), places);
                     }
                     6 => {
@@ -1124,7 +1177,7 @@ mod tests {
                         let (start, stride) = (100 + pick as u64, 1 + peer.0 % 7);
                         for i in 0..8 + (pick % 64) as u64 {
                             let peer = PeerId(start + i * stride);
-                            index_path(&mut table, peer, &path);
+                            index_path(&mut table, peer, path.view());
                             model_index(&mut model, peer, &path);
                             joined.push((peer, path.clone()));
                         }
@@ -1170,7 +1223,7 @@ mod tests {
             let mut seen = [false; 3];
             let start = kind_at_0(&table);
             for (peer, path) in joined {
-                unindex_path(&mut table, peer, &path);
+                unindex_path(&mut table, peer, path.view());
                 model_unindex(&mut model, peer, &path);
                 check_model(&table, &model, Some(RouterId(0)))?;
                 if let Some(kind) = kind_at_0(&table) {

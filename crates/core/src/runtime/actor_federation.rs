@@ -31,7 +31,7 @@ use crate::error::CoreError;
 use crate::federation::{FederatedJoin, FederationStats, FederationSweep};
 use crate::federation::{Federation, FederationConfig, RegionId};
 use crate::ids::{LandmarkId, PeerId};
-use crate::path::PeerPath;
+use crate::path::{PathView, PeerPath};
 use crate::protocol::{Message, WireNeighbor};
 use crate::router_index::Neighbor;
 use crate::server::ManagementServer;
@@ -151,7 +151,7 @@ impl ActorFederation {
     }
 
     /// [`Federation::advance_epoch`].
-    pub fn advance_epoch(&self) -> u64 {
+    pub fn advance_epoch(&self) -> Result<u64, CoreError> {
         self.write().advance_epoch()
     }
 
@@ -192,19 +192,19 @@ impl ActorFederation {
     /// answered by every consulted region in consult order; replies merge
     /// by `(dtree, peer)`; bridge fills arrive as `FillReply` prefixes and
     /// merge with per-cursor bases, exactly like the synchronous merge.
-    pub fn closest_to_path(
+    pub fn closest_to_path<'p>(
         &self,
-        path: &PeerPath,
+        path: impl Into<PathView<'p>>,
         k: usize,
         exclude: Option<PeerId>,
     ) -> Vec<Neighbor> {
-        self.closest_in(&self.read(), path, k, exclude)
+        self.closest_in(&self.read(), path.into(), k, exclude)
     }
 
     fn closest_in(
         &self,
         fed: &Federation,
-        path: &PeerPath,
+        path: PathView<'_>,
         k: usize,
         exclude: Option<PeerId>,
     ) -> Vec<Neighbor> {
@@ -221,7 +221,7 @@ impl ActorFederation {
         let mut frames = Frames::default();
         frames.request(&Message::QueryRequest {
             nonce,
-            path: path.clone(),
+            path: path.to_path(),
             k: k.min(u16::MAX as usize) as u16,
             exclude,
         });
@@ -288,7 +288,7 @@ impl ActorFederation {
         &self,
         fed: &Federation,
         frames: &mut Frames,
-        path: &PeerPath,
+        path: PathView<'_>,
         own_global: u32,
         missing: usize,
         consulted: &[RegionId],
@@ -476,14 +476,14 @@ mod tests {
         let f = fed(2);
         f.register(PeerId(1), path(&[4, 2, 1, 0])).unwrap();
         f.register(PeerId(2), path(&[110, 105, 100])).unwrap();
-        f.advance_epoch();
+        f.advance_epoch().unwrap();
         let out = f.handover(PeerId(1), path(&[111, 105, 100])).unwrap();
         assert_eq!(out.region, RegionId(1));
         assert_eq!(out.neighbors[0].peer, PeerId(2));
         assert_eq!(f.region_of_peer(PeerId(1)), Some(RegionId(1)));
         assert_eq!(f.tombstone_count(), 1);
         for _ in 0..3 {
-            f.advance_epoch();
+            f.advance_epoch().unwrap();
             assert_eq!(f.renew_batch(&[PeerId(1)]), 1);
         }
         let sweep = f.expire_stale(2);
@@ -506,7 +506,7 @@ mod tests {
         f.handover(PeerId(1), path(&[210, 205, 200])).unwrap();
         assert_eq!(f.tombstone_count(), 1);
         for _ in 0..3 {
-            f.advance_epoch();
+            f.advance_epoch().unwrap();
             assert_eq!(f.renew_batch(&[PeerId(1)]), 1);
         }
         assert_eq!(

@@ -98,7 +98,7 @@ impl ActorServer {
     }
 
     /// [`ManagementServer::advance_epoch`].
-    pub fn advance_epoch(&self) -> u64 {
+    pub fn advance_epoch(&self) -> Result<u64, CoreError> {
         self.write().advance_epoch()
     }
 
@@ -504,7 +504,7 @@ mod tests {
         srv.register(PeerId(1), path(&[4, 2, 1, 0])).unwrap();
         srv.register(PeerId(2), path(&[110, 105, 100])).unwrap();
         for _ in 0..3 {
-            srv.advance_epoch();
+            srv.advance_epoch().unwrap();
             srv.heartbeat(PeerId(1)).unwrap();
         }
         assert_eq!(srv.expire_stale(2), vec![PeerId(2)]);

@@ -11,11 +11,12 @@ use crate::directory::persist::journal::{JournalOp, JournalReader};
 use crate::directory::persist::{self, wire, PersistError, RecoveryReport};
 use crate::directory::query;
 use crate::directory::{
-    AdaptiveLeaseConfig, AdaptiveLeases, LeaseArena, PathRef, PathStore, SweepStats,
+    lease_slot_size, AdaptiveLeaseConfig, AdaptiveLeases, LeaseArena, PathRef, PathStore,
+    SweepStats,
 };
 use crate::error::CoreError;
 use crate::ids::{IdMap, LandmarkId, PeerId};
-use crate::path::PeerPath;
+use crate::path::{PathView, PeerPath};
 use crate::path_tree::PathTree;
 use crate::router_index::{self, query_nearest_entries, EntryMap, Neighbor};
 use crate::subscription::{
@@ -126,9 +127,10 @@ pub struct ExpirySweep {
 
 /// A live lease's payload: the landmark the peer registered under and its
 /// path in that landmark's [`PathStore`]. Six bytes at alignment 2, so
-/// they fit beside the peer id in the 16 bytes a lease slot's occupant
-/// already took for a bare [`PathRef`] (a slot stays 48 bytes); the price
-/// is at most 65 536 landmarks per server ([`MAX_LANDMARKS`]).
+/// they fit beside the two halves of the peer id in a lease slot's
+/// 16-byte occupant, and the slot, epochs held as `u32` offsets, takes 36
+/// bytes; the price is at most 65 536 landmarks per server
+/// ([`MAX_LANDMARKS`]).
 #[derive(Debug, Clone, Copy)]
 #[repr(C, packed(2))]
 struct Lease {
@@ -143,6 +145,7 @@ impl Lease {
 }
 
 const _: () = assert!(std::mem::size_of::<Lease>() == 6 && std::mem::align_of::<Lease>() == 2);
+const _: () = assert!(lease_slot_size::<Lease>() <= 36);
 
 /// The most landmarks one server holds: a lease names its landmark in 16
 /// bits.
@@ -454,7 +457,7 @@ impl ManagementServer {
 
     /// The stored path of a peer: one probe of the lease table, then the
     /// landmark's store.
-    pub fn path_of(&self, peer: PeerId) -> Option<&PeerPath> {
+    pub fn path_of(&self, peer: PeerId) -> Option<PathView<'_>> {
         let lease = *self.leases.get(peer)?;
         Some(self.stores[lease.landmark as usize].get(lease.path))
     }
@@ -469,6 +472,24 @@ impl ManagementServer {
     /// distinct paths).
     pub fn path_store(&self, landmark: LandmarkId) -> Option<&PathStore> {
         self.stores.get(landmark.index())
+    }
+
+    /// Heap bytes of the tables that grow with the population, by part:
+    /// the lease table, the path stores (summed over landmarks) and the
+    /// router index, each counted at capacity. The construction-time
+    /// rest (landmark tables, counters) is not listed.
+    #[doc(hidden)]
+    pub fn heap_parts(&self) -> Vec<(&'static str, usize)> {
+        let mut paths = PathStore::new().heap_parts();
+        for store in &self.stores {
+            for (sum, (_, bytes)) in paths.iter_mut().zip(store.heap_parts()) {
+                sum.1 += bytes;
+            }
+        }
+        let mut parts = self.leases.heap_parts().to_vec();
+        parts.extend(paths);
+        parts.extend(self.index.heap_parts());
+        parts
     }
 
     /// The lease table's cumulative expiry-sweep cost.
@@ -507,7 +528,7 @@ impl ManagementServer {
         &self.index
     }
 
-    fn landmark_for_path(&self, path: &PeerPath) -> Result<LandmarkId, CoreError> {
+    fn landmark_for_path(&self, path: PathView<'_>) -> Result<LandmarkId, CoreError> {
         self.landmark_by_router
             .get(&path.landmark_router())
             .copied()
@@ -531,7 +552,7 @@ impl ManagementServer {
     /// reuses the insertion but fires a single `Handover`-class event for
     /// the whole move instead of a spurious join.
     fn register_with(&mut self, peer: PeerId, path: PeerPath) -> Result<JoinOutcome, CoreError> {
-        let landmark = self.landmark_for_path(&path)?;
+        let landmark = self.landmark_for_path(path.view())?;
         if self.leases.contains(peer) {
             return Err(CoreError::DuplicatePeer(peer));
         }
@@ -556,7 +577,7 @@ impl ManagementServer {
     /// lease.
     fn admit(&mut self, peer: PeerId, landmark: LandmarkId, path: PeerPath) -> PathRef {
         let store = &mut self.stores[landmark.index()];
-        let r = store.intern(path);
+        let r = store.intern(path.view());
         router_index::index_path(&mut self.index, peer, store.get(r));
         let lease = Lease {
             path: r,
@@ -666,9 +687,23 @@ impl ManagementServer {
 
     /// Advances the server's heartbeat epoch and returns it. Applications
     /// call this once per heartbeat round.
-    pub fn advance_epoch(&mut self) -> u64 {
-        self.epoch += 1;
+    ///
+    /// The lease table keeps epochs as 32-bit offsets, 2^32 rounds from
+    /// the oldest epoch it holds ([`LeaseArena::holds_epoch`]). Past that
+    /// the epoch stays where it is and the call fails with
+    /// [`CoreError::EpochWindow`].
+    pub fn advance_epoch(&mut self) -> Result<u64, CoreError> {
+        self.epoch = self.next_epoch()?;
+        Ok(self.epoch)
+    }
+
+    /// The epoch [`Self::advance_epoch`] would move to, if the lease table
+    /// can hold it.
+    pub(crate) fn next_epoch(&self) -> Result<u64, CoreError> {
         self.epoch
+            .checked_add(1)
+            .filter(|&next| self.leases.holds_epoch(next))
+            .ok_or(CoreError::EpochWindow(self.epoch))
     }
 
     /// The current heartbeat epoch.
@@ -760,7 +795,7 @@ impl ManagementServer {
         let mut out = BatchOutcome::default();
         let mut joined: Vec<PeerId> = Vec::new();
         for (peer, path) in batch {
-            let Ok(landmark) = self.landmark_for_path(&path) else {
+            let Ok(landmark) = self.landmark_for_path(path.view()) else {
                 out.rejected += 1;
                 continue;
             };
@@ -787,7 +822,7 @@ impl ManagementServer {
     /// torn down, so a handover to an unknown landmark leaves the peer
     /// registered where it was.
     pub fn handover(&mut self, peer: PeerId, new_path: PeerPath) -> Result<JoinOutcome, CoreError> {
-        let landmark = match self.landmark_for_path(&new_path) {
+        let landmark = match self.landmark_for_path(new_path.view()) {
             Ok(landmark) => landmark,
             // An unknown peer is the first error either way.
             Err(_) if !self.leases.contains(peer) => return Err(CoreError::UnknownPeer(peer)),
@@ -816,9 +851,9 @@ impl ManagementServer {
     /// query-path router, and one merge of the hits' ordered lists. Takes
     /// `&self` and the query counters are atomic, so this can run
     /// concurrently from many threads.
-    pub fn closest_to_path(
+    pub fn closest_to_path<'p>(
         &self,
-        path: &PeerPath,
+        path: impl Into<PathView<'p>>,
         k: usize,
         exclude: Option<PeerId>,
     ) -> Vec<Neighbor> {
@@ -829,12 +864,13 @@ impl ManagementServer {
     /// list plus the length of its exact section (the cross-landmark fill
     /// section, if any, follows it). The subscription engine needs the
     /// split to maintain answers incrementally.
-    pub fn closest_split(
+    pub fn closest_split<'p>(
         &self,
-        path: &PeerPath,
+        path: impl Into<PathView<'p>>,
         k: usize,
         exclude: Option<PeerId>,
     ) -> (Vec<Neighbor>, usize) {
+        let path = path.into();
         self.counters.queries.inc();
         // Clock calls only when a registry is bound with timing on — the
         // untelemetered read path stays exactly as cheap as before.
@@ -1170,6 +1206,12 @@ impl ManagementServer {
             }
             Ok(Lease { path, landmark })
         })?;
+        if !leases.holds_epoch(epoch) {
+            return Err(PersistError::Corrupt(format!(
+                "snapshot epoch {epoch} lies outside its lease table's window"
+            ))
+            .into());
+        }
         // Each live lease holds one reference to its path.
         let mut refs = vec![0u64; n];
         for (_, _, l) in leases.iter() {
@@ -1261,7 +1303,7 @@ impl ManagementServer {
                 let _ = self.deregister(peer);
             }
             JournalOp::AdvanceEpoch => {
-                self.advance_epoch();
+                let _ = self.advance_epoch();
             }
             JournalOp::ExpireStale { max_age } => {
                 let _ = self.expire_stale_full(max_age);
@@ -1271,7 +1313,7 @@ impl ManagementServer {
 }
 
 impl SubscriptionHost for ManagementServer {
-    fn path_of(&self, peer: PeerId) -> Option<&PeerPath> {
+    fn path_of(&self, peer: PeerId) -> Option<PathView<'_>> {
         ManagementServer::path_of(self, peer)
     }
 
@@ -1288,7 +1330,7 @@ impl SubscriptionHost for ManagementServer {
         self.config.cross_landmark_fallback
     }
 
-    fn query_split(&self, path: &PeerPath, k: usize, exclude: PeerId) -> (Vec<Neighbor>, usize) {
+    fn query_split(&self, path: PathView<'_>, k: usize, exclude: PeerId) -> (Vec<Neighbor>, usize) {
         self.closest_split(path, k, Some(exclude))
     }
 }
@@ -1318,7 +1360,7 @@ impl<'a> DirectoryView<'a> {
     }
 
     /// The stored path of a peer.
-    pub fn path_of(&self, peer: PeerId) -> Option<&PeerPath> {
+    pub fn path_of(&self, peer: PeerId) -> Option<PathView<'a>> {
         self.server.path_of(peer)
     }
 
@@ -1350,13 +1392,13 @@ impl<'a> DirectoryView<'a> {
     /// ascending (ties by peer id). Unlike
     /// [`ManagementServer::closest_to_path`] this raw view does not count
     /// stats and never fills cross-landmark.
-    pub fn query_nearest(
+    pub fn query_nearest<'p>(
         &self,
-        query: &PeerPath,
+        query: impl Into<PathView<'p>>,
         k: usize,
         exclude: Option<PeerId>,
     ) -> Vec<Neighbor> {
-        query_nearest_entries([&self.server.index], query, k, exclude)
+        query_nearest_entries([&self.server.index], query.into(), k, exclude)
     }
 }
 
@@ -1552,7 +1594,7 @@ mod tests {
         ));
         // Peer 1 keeps heartbeating; peer 2 fails silently.
         for _ in 0..5 {
-            srv.advance_epoch();
+            srv.advance_epoch().unwrap();
             srv.heartbeat(PeerId(1)).unwrap();
         }
         assert_eq!(srv.epoch(), 5);
@@ -1571,11 +1613,11 @@ mod tests {
     fn expiry_respects_grace_window() {
         let mut srv = two_landmark_server(ServerConfig::default());
         srv.register(PeerId(1), path(&[4, 2, 1, 0])).unwrap();
-        srv.advance_epoch();
-        srv.advance_epoch();
+        srv.advance_epoch().unwrap();
+        srv.advance_epoch().unwrap();
         // Age 2 with max_age 2: still inside the lease.
         assert!(srv.expire_stale(2).is_empty());
-        srv.advance_epoch();
+        srv.advance_epoch().unwrap();
         assert_eq!(srv.expire_stale(2), vec![PeerId(1)]);
     }
 
@@ -1584,7 +1626,7 @@ mod tests {
         let mut srv = two_landmark_server(ServerConfig::default());
         srv.register(PeerId(1), path(&[4, 2, 1, 0])).unwrap();
         srv.register(PeerId(2), path(&[5, 2, 1, 0])).unwrap();
-        srv.advance_epoch();
+        srv.advance_epoch().unwrap();
         srv.deregister_forwarding(PeerId(1), 7).unwrap();
         assert!(matches!(
             srv.deregister_forwarding(PeerId(9), 7),
@@ -1595,7 +1637,7 @@ mod tests {
         assert_eq!(srv.tombstone_count(), 1);
         // The moved peer never shows up as silently expired.
         for _ in 0..5 {
-            srv.advance_epoch();
+            srv.advance_epoch().unwrap();
         }
         let sweep = srv.expire_stale_full(3);
         assert_eq!(sweep.expired, vec![PeerId(2)], "peer 2 was silent");
@@ -1622,14 +1664,14 @@ mod tests {
         // Peer 1's first session lasts one epoch, then it leaves and
         // rejoins: its lease is now sized ~2 epochs, not the default 10.
         srv.register(PeerId(1), path(&[4, 2, 1, 0])).unwrap();
-        srv.advance_epoch();
+        srv.advance_epoch().unwrap();
         srv.heartbeat(PeerId(1)).unwrap();
         srv.deregister(PeerId(1)).unwrap();
         srv.register(PeerId(1), path(&[4, 2, 1, 0])).unwrap();
         // A history-less peer joins at the same epoch.
         srv.register(PeerId(2), path(&[5, 2, 1, 0])).unwrap();
         for _ in 0..5 {
-            srv.advance_epoch();
+            srv.advance_epoch().unwrap();
         }
         let expired = srv.expire_stale(10);
         assert_eq!(
@@ -1695,8 +1737,8 @@ mod tests {
         ];
         let mut seq = two_landmark_server(ServerConfig::default());
         let mut bat = two_landmark_server(ServerConfig::default());
-        seq.advance_epoch();
-        bat.advance_epoch();
+        seq.advance_epoch().unwrap();
+        bat.advance_epoch().unwrap();
         for (p, path) in joins.clone() {
             seq.register(p, path).unwrap();
         }
@@ -1718,9 +1760,9 @@ mod tests {
         }
         // Identical leases: they lapse together.
         for srv in [&mut seq, &mut bat] {
-            srv.advance_epoch();
+            srv.advance_epoch().unwrap();
             srv.heartbeat(PeerId(2)).unwrap();
-            srv.advance_epoch();
+            srv.advance_epoch().unwrap();
         }
         assert_eq!(bat.expire_stale(1), vec![PeerId(1), PeerId(3), PeerId(4)]);
         assert_eq!(seq.expire_stale(1), vec![PeerId(1), PeerId(3), PeerId(4)]);
@@ -1778,7 +1820,7 @@ mod tests {
         // populated lease table to decode.
         let snapshot = srv.snapshot_bytes().unwrap();
         for _ in 0..6 {
-            srv.advance_epoch();
+            srv.advance_epoch().unwrap();
             srv.renew_batch(&[PeerId(5), PeerId(6)]);
         }
         srv.expire_stale(3);
@@ -1808,8 +1850,8 @@ mod tests {
         check(&back, 0..60);
         // And the recovered server keeps them in step through further churn.
         back.handover(PeerId(11), path(&[991, 2, 1, 0])).unwrap();
-        back.advance_epoch();
-        back.advance_epoch();
+        back.advance_epoch().unwrap();
+        back.advance_epoch().unwrap();
         back.renew_batch(&[PeerId(11)]);
         back.expire_stale(1);
         assert_eq!(back.peer_count(), 1);
@@ -1826,7 +1868,7 @@ mod tests {
         srv.register(PeerId(1), path(&[4, 2, 1, 0])).unwrap();
         srv.register(PeerId(2), path(&[5, 2, 1, 0])).unwrap();
         let tombstones = srv.tombstone_count();
-        srv.advance_epoch();
+        srv.advance_epoch().unwrap();
         srv.deregister_forwarding(PeerId(1), 7).unwrap();
         assert_eq!(srv.tombstone_count(), tombstones + 1);
         let out = srv.register(PeerId(1), path(&[110, 105, 100])).unwrap();
@@ -1839,7 +1881,7 @@ mod tests {
         assert_eq!(srv.tombstone_count(), tombstones);
         // Past the tombstone's retention, the sweep knows nothing of it.
         for _ in 0..5 {
-            srv.advance_epoch();
+            srv.advance_epoch().unwrap();
             srv.heartbeat(PeerId(1)).unwrap();
         }
         let sweep = srv.expire_stale_full(3);
@@ -1996,16 +2038,16 @@ mod tests {
             };
             srv.register(PeerId(i), p).unwrap();
         }
-        srv.advance_epoch();
+        srv.advance_epoch().unwrap();
         let renew: Vec<PeerId> = (0..30).map(PeerId).collect();
         srv.renew_batch(&renew);
-        srv.advance_epoch();
+        srv.advance_epoch().unwrap();
         srv.handover(PeerId(0), path(&[310, 105, 100])).unwrap();
         srv.deregister_forwarding(PeerId(1), 3).unwrap();
         srv.deregister(PeerId(2)).unwrap();
         srv.leave_batch(&[PeerId(3), PeerId(5)]);
         for _ in 0..4 {
-            srv.advance_epoch();
+            srv.advance_epoch().unwrap();
         }
         srv.expire_stale(3);
         srv
@@ -2025,8 +2067,8 @@ mod tests {
         let mut live = srv;
         let mut back = restored;
         for _ in 0..6 {
-            live.advance_epoch();
-            back.advance_epoch();
+            live.advance_epoch().unwrap();
+            back.advance_epoch().unwrap();
             assert_eq!(live.expire_stale(3), back.expire_stale(3));
         }
         assert_same_directory(&live, &back);
@@ -2145,6 +2187,55 @@ mod tests {
         assert_same_directory(&live, &recovered);
     }
 
+    /// The snapshot of a one-landmark server that held one lease at epoch
+    /// 0, with its epoch and its lease buckets' base moved to `epoch`: the
+    /// vacant slot keeps the lease table's origin at 0.
+    fn snapshot_at_epoch(epoch: u64) -> Vec<u8> {
+        let mut srv =
+            ManagementServer::new(vec![RouterId(0)], vec![vec![0]], ServerConfig::default());
+        srv.register(PeerId(9), path(&[7, 0])).unwrap();
+        srv.deregister(PeerId(9)).unwrap();
+        let mut bytes = srv.snapshot_bytes().unwrap();
+        let end = bytes.len();
+        // The epoch follows the header (8), neighbor count (8) and the two
+        // config flags; the base follows it by the bucket count, one
+        // bucket of one note, the two sweep counters, the adaptive flag
+        // and the checksum.
+        for at in [18, end - 57] {
+            assert_eq!(bytes[at..at + 8], [0; 8]);
+            bytes[at..at + 8].copy_from_slice(&epoch.to_le_bytes());
+        }
+        let sum = persist::checksum(&bytes[..end - 8]);
+        bytes[end - 8..].copy_from_slice(&sum.to_le_bytes());
+        bytes
+    }
+
+    /// At the last epochs its lease table's `u32` offsets hold, a server
+    /// registers, renews and expires; it refuses to advance past them,
+    /// and a snapshot whose epoch lies past them.
+    #[test]
+    fn the_epoch_stops_at_the_edge_of_the_lease_window() {
+        let last = u64::from(u32::MAX);
+        let (mut srv, _) = ManagementServer::recover(&snapshot_at_epoch(last - 1), &[]).unwrap();
+        assert_eq!(srv.epoch(), last - 1);
+        srv.register(PeerId(1), path(&[4, 0])).unwrap();
+        srv.register(PeerId(2), path(&[5, 0])).unwrap();
+        assert_eq!(srv.advance_epoch(), Ok(last));
+        srv.heartbeat(PeerId(1)).unwrap();
+        assert_eq!(srv.last_seen(PeerId(1)), Some(last));
+        assert_eq!(srv.advance_epoch(), Err(CoreError::EpochWindow(last)));
+        assert_eq!(srv.epoch(), last);
+        assert_eq!(srv.expire_stale(0), vec![PeerId(2)]);
+        assert_eq!(srv.peer_count(), 1);
+        let (back, _) = ManagementServer::recover(&srv.snapshot_bytes().unwrap(), &[]).unwrap();
+        assert_eq!(back.last_seen(PeerId(1)), Some(last));
+
+        assert!(matches!(
+            ManagementServer::recover(&snapshot_at_epoch(last + 1), &[]),
+            Err(CoreError::Persist(PersistError::Corrupt(_)))
+        ));
+    }
+
     #[test]
     fn leave_join_cycles_within_one_epoch_keep_the_snapshot_bounded() {
         const PEERS: u64 = 1_000;
@@ -2181,7 +2272,7 @@ mod tests {
     /// Advances `srv`'s heartbeat epoch to `epoch`.
     fn advance_to(srv: &mut ManagementServer, epoch: u64) {
         while srv.epoch() < epoch {
-            srv.advance_epoch();
+            srv.advance_epoch().unwrap();
         }
     }
 

@@ -46,7 +46,7 @@
 
 use crate::error::CoreError;
 use crate::ids::{IdMap, LandmarkId, PeerId};
-use crate::path::PeerPath;
+use crate::path::{PathView, PeerPath};
 use crate::router_index::Neighbor;
 use crate::telemetry::{Counter, Gauge, TelemetryRegistry};
 use nearpeer_topology::RouterId;
@@ -146,7 +146,7 @@ pub struct SubscriptionStats {
 /// the directory mutation completed, so these reads see final state.
 pub trait SubscriptionHost {
     /// The stored path of a registered peer.
-    fn path_of(&self, peer: PeerId) -> Option<&PeerPath>;
+    fn path_of(&self, peer: PeerId) -> Option<PathView<'_>>;
     /// The landmark whose router this is, if any.
     fn landmark_at(&self, router: RouterId) -> Option<LandmarkId>;
     /// Bootstrap hop distance between two landmarks (`None` = unknown).
@@ -155,7 +155,7 @@ pub trait SubscriptionHost {
     fn fills_enabled(&self) -> bool;
     /// `closest_to_path(path, k, exclude)` split into the full answer
     /// and the length of its exact section (the fill section follows).
-    fn query_split(&self, path: &PeerPath, k: usize, exclude: PeerId) -> (Vec<Neighbor>, usize);
+    fn query_split(&self, path: PathView<'_>, k: usize, exclude: PeerId) -> (Vec<Neighbor>, usize);
 }
 
 /// A subscription that churn may have changed since its last push.
@@ -411,7 +411,7 @@ impl SubscriptionRegistry {
             k: sub.k,
             min_interval_ms: sub.min_interval_ms,
             client,
-            path: path.clone(),
+            path: path.to_path(),
             own_lm: host.landmark_at(path.landmark_router()),
             answer: answer.clone(),
             exact_len,
@@ -585,7 +585,7 @@ impl SubscriptionRegistry {
         &mut self,
         host: &H,
         p: PeerId,
-        path: &PeerPath,
+        path: PathView<'_>,
         ev: Event,
     ) {
         // Exact pass: a shared router at offsets (q, d) witnesses a
@@ -637,15 +637,15 @@ impl SubscriptionRegistry {
 
     /// The subscriber itself moved: re-post the watch path. The caller
     /// marks the subscription; its re-query settles the postings' bounds.
-    fn rewatch<H: SubscriptionHost>(&mut self, host: &H, sid: u32, new_path: &PeerPath) {
+    fn rewatch<H: SubscriptionHost>(&mut self, host: &H, sid: u32, new_path: PathView<'_>) {
         let s = self.subs[sid as usize].as_mut().expect("sub alive");
-        if s.path == *new_path {
+        if s.path.view() == new_path {
             return;
         }
-        unpost(&mut self.routers, sid, &s.path);
+        unpost(&mut self.routers, sid, s.path.view());
         post(&mut self.routers, sid, new_path);
         s.own_lm = host.landmark_at(new_path.landmark_router());
-        s.path = new_path.clone();
+        s.path = new_path.to_path();
     }
 
     /// Re-queries dirty subscription `sid` and diffs the answer against
@@ -661,7 +661,7 @@ impl SubscriptionRegistry {
         let dirty = s.dirty.take().expect("due sub is dirty");
         self.counters.queue_depth.sub(1);
         self.counters.refills.inc();
-        let (new, exact_len) = host.query_split(&s.path, s.k, s.peer);
+        let (new, exact_len) = host.query_split(s.path.view(), s.k, s.peer);
         let removed: Vec<PeerId> = s
             .answer
             .iter()
@@ -737,7 +737,7 @@ impl SubscriptionRegistry {
         if let Some(sids) = self.clients.get_mut(&s.client) {
             sids.retain(|&x| x != sid);
         }
-        unpost(&mut self.routers, sid, &s.path);
+        unpost(&mut self.routers, sid, s.path.view());
         for n in &s.answer {
             if let Some(holders) = self.members.get_mut(&n.peer) {
                 holders.retain(|&x| x != sid);
@@ -763,7 +763,7 @@ fn unlist(hungry: &mut Vec<u32>, sid: u32) {
 }
 
 /// Posts `sid` as a watcher of every router along `path`.
-fn post(routers: &mut IdMap<RouterId, Posting>, sid: u32, path: &PeerPath) {
+fn post(routers: &mut IdMap<RouterId, Posting>, sid: u32, path: PathView<'_>) {
     for (r, off) in path.with_depths() {
         let posting = routers.entry(r).or_insert_with(|| Posting {
             watchers: Vec::new(),
@@ -774,7 +774,7 @@ fn post(routers: &mut IdMap<RouterId, Posting>, sid: u32, path: &PeerPath) {
 }
 
 /// Removes `sid`'s postings along `path`, dropping emptied routers.
-fn unpost(routers: &mut IdMap<RouterId, Posting>, sid: u32, path: &PeerPath) {
+fn unpost(routers: &mut IdMap<RouterId, Posting>, sid: u32, path: PathView<'_>) {
     for r in path.routers() {
         if let Some(posting) = routers.get_mut(r) {
             posting.watchers.retain(|&(x, _)| x != sid);
@@ -890,12 +890,12 @@ mod tests {
         srv.register(PeerId(2), path(&[5, 2, 1, 0])).unwrap();
         let client = srv.open_sub_client();
         let mut view = srv.subscribe(client, watch(PeerId(1), 3)).unwrap();
-        srv.advance_epoch();
+        srv.advance_epoch().unwrap();
         srv.deregister_forwarding(PeerId(2), 7).unwrap();
         // Back under landmark 100: a fill of peer 1's short answer.
         srv.register(PeerId(2), path(&[9, 101, 100])).unwrap();
         for _ in 0..4 {
-            srv.advance_epoch();
+            srv.advance_epoch().unwrap();
             srv.heartbeat(PeerId(1)).unwrap();
             srv.heartbeat(PeerId(2)).unwrap();
         }

@@ -410,7 +410,7 @@ proptest! {
                     prop_assert_eq!(server.renew_batch(&ids), reference.renew_batch(&ids));
                 }
                 Op::AdvanceEpoch => {
-                    server.advance_epoch();
+                    server.advance_epoch().unwrap();
                     reference.epoch += 1;
                 }
                 Op::ExpireStale { max_age } => {
@@ -449,7 +449,7 @@ proptest! {
                     server.landmark_of(peer),
                     reference.peer_landmark.get(&peer).copied()
                 );
-                prop_assert_eq!(server.path_of(peer), reference.index.path_of(peer));
+                prop_assert_eq!(server.path_of(peer), reference.index.path_of(peer).map(PeerPath::view));
                 // Lease parity: the slab arena's last-seen epoch matches
                 // the reference's per-peer map.
                 prop_assert_eq!(

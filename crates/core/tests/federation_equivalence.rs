@@ -219,8 +219,8 @@ proptest! {
                     prop_assert_eq!(fed.renew_batch(&ids), single.renew_batch(&ids));
                 }
                 Op::AdvanceEpoch => {
-                    fed.advance_epoch();
-                    single.advance_epoch();
+                    fed.advance_epoch().unwrap();
+                    single.advance_epoch().unwrap();
                     prop_assert_eq!(fed.epoch(), single.epoch());
                 }
                 Op::Expire { max_age } => {

@@ -214,8 +214,8 @@ proptest! {
         let mut live = live;
         let mut recovered = recovered;
         for _ in 0..8 {
-            live.advance_epoch();
-            recovered.advance_epoch();
+            live.advance_epoch().unwrap();
+            recovered.advance_epoch().unwrap();
             prop_assert_eq!(live.expire_stale(2), recovered.expire_stale(2));
         }
         assert_same_directory(&live, &recovered);

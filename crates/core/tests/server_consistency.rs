@@ -116,7 +116,7 @@ proptest! {
                     prop_assert_eq!(res.is_ok(), model.contains_key(&peer));
                 }
                 Op::AdvanceEpoch => {
-                    server.advance_epoch();
+                    server.advance_epoch().unwrap();
                 }
                 Op::ExpireStale { max_age } => {
                     for peer in server.expire_stale(max_age as u64) {
@@ -163,7 +163,7 @@ proptest! {
                 .sum();
             prop_assert_eq!(tree_total, model.len());
             for (&peer, path) in &model {
-                prop_assert_eq!(server.path_of(peer), Some(path));
+                prop_assert_eq!(server.path_of(peer), Some(path.view()));
                 let lm = server.landmark_of(peer).expect("registered");
                 prop_assert_eq!(
                     server.landmarks()[lm.index()],
@@ -206,7 +206,7 @@ fn emptied_server_holds_no_router_and_no_tree_node() {
     }
     assert_eq!(server.leave_batch(&ids[300..600]), 300);
     for _ in 0..5 {
-        server.advance_epoch();
+        server.advance_epoch().unwrap();
     }
     assert_eq!(server.expire_stale(2), ids[600..]);
     assert_eq!(server.index().n_routers(), 0);

@@ -272,7 +272,7 @@ proptest! {
                     let _ = server.handover(PeerId(spec.peer as u64), spec_path(spec));
                 }
                 Op::AdvanceEpoch => {
-                    server.advance_epoch();
+                    server.advance_epoch().unwrap();
                 }
                 Op::ExpireStale { max_age } => {
                     server.expire_stale(max_age as u64);

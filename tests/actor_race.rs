@@ -59,8 +59,8 @@ fn handovers_racing_expiry_conserve_the_population() {
             }
             start.wait();
             for _ in 0..3 {
-                srv.advance_epoch();
-                srv.advance_epoch();
+                srv.advance_epoch().unwrap();
+                srv.advance_epoch().unwrap();
                 srv.expire_stale(1);
             }
             stop.store(true, Ordering::Release);
@@ -124,8 +124,8 @@ fn federation_handovers_racing_expiry() {
             }
             start.wait();
             for _ in 0..3 {
-                fed.advance_epoch();
-                fed.advance_epoch();
+                fed.advance_epoch().unwrap();
+                fed.advance_epoch().unwrap();
                 fed.expire_stale(1);
             }
             stop.store(true, Ordering::Release);

@@ -137,7 +137,7 @@ fn churn_trace_replay_through_the_wire() {
     {
         let mut srv = server.borrow_mut();
         for _ in 0..3 {
-            srv.advance_epoch();
+            srv.advance_epoch().unwrap();
         }
         let expired = srv.expire_stale(2);
         assert_eq!(expired.len() as u64, silent_failures);
@@ -195,7 +195,7 @@ fn lease_renewed_in_its_opening_epoch_expires_on_schedule() {
     let max_age = 3u64;
     // Ages 1..=max_age: both leases are inside the window.
     for _ in 0..max_age {
-        srv.advance_epoch();
+        srv.advance_epoch().unwrap();
         assert!(
             srv.expire_stale(max_age).is_empty(),
             "epoch {}: lease age <= max_age must survive",
@@ -204,7 +204,7 @@ fn lease_renewed_in_its_opening_epoch_expires_on_schedule() {
     }
     // One epoch past the window both expire together — the renewed lease
     // neither earlier nor later than the untouched one, and exactly once.
-    srv.advance_epoch();
+    srv.advance_epoch().unwrap();
     assert_eq!(srv.expire_stale(max_age), vec![PeerId(1), PeerId(2)]);
     assert!(srv.expire_stale(max_age).is_empty(), "no double expiry");
     assert_eq!(srv.peer_count(), 0);
@@ -215,7 +215,7 @@ fn renewal_in_the_expiry_epoch_survives_the_sweep() {
     let mut srv = lease_server();
     srv.register(PeerId(1), lease_path(&[4, 2, 1, 0])).unwrap();
     for _ in 0..4 {
-        srv.advance_epoch();
+        srv.advance_epoch().unwrap();
     }
     // The heartbeat lands in the same epoch the sweep runs: the renewed
     // lease must survive even though its *original* bucket note sits
@@ -225,7 +225,7 @@ fn renewal_in_the_expiry_epoch_survives_the_sweep() {
     assert_eq!(srv.peer_count(), 1);
     // And it still expires once the renewed epoch itself lapses.
     for _ in 0..3 {
-        srv.advance_epoch();
+        srv.advance_epoch().unwrap();
     }
     assert_eq!(srv.expire_stale(2), vec![PeerId(1)]);
 }
@@ -235,7 +235,7 @@ fn expired_slot_reuse_does_not_resurrect_the_departed_peer() {
     let mut srv = lease_server();
     srv.register(PeerId(7), lease_path(&[4, 2, 1, 0])).unwrap();
     for _ in 0..5 {
-        srv.advance_epoch();
+        srv.advance_epoch().unwrap();
     }
     assert_eq!(srv.expire_stale(2), vec![PeerId(7)]);
     // A different peer reuses the freed lease slot; the departed id must

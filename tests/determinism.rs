@@ -215,8 +215,8 @@ fn federated_replays_are_deterministic_across_seeds_and_region_counts() {
             for p in 0..cfg.churn.peers as u64 {
                 let peer = PeerId(p);
                 assert_eq!(
-                    fed_a.locate(peer).map(|(r, path)| (r, path.clone())),
-                    fed_b.locate(peer).map(|(r, path)| (r, path.clone())),
+                    fed_a.locate(peer),
+                    fed_b.locate(peer),
                     "{label}: location of peer {p}"
                 );
             }

@@ -21,11 +21,16 @@
 //!   chunks of at most 64. Chunk fill depends on the order of the joins,
 //!   so the benchmark's population is measured in ascending order and in
 //!   the order `perf`'s 8 set-up connections deliver it;
-//! * an interned path costs its slot, its routers and one 16-byte hash
-//!   bucket, with no `Vec` of candidate slots per hash.
+//! * an interned path costs a 16-byte slot, a 4-byte table entry and its
+//!   run in its store's one router `Vec`: no heap block of its own;
+//! * a lease is one 36-byte slot: its epochs are `u32` offsets and its
+//!   peer id two `u32` halves.
 //!
-//! Boxing a one-entry list again, padding entries back to 16 bytes, or
-//! giving a list tree nodes fails the bounds. The traced case (a `mapper`
+//! Boxing a one-entry list or a stored path again, padding entries back to
+//! 16 bytes, widening the lease slot, or giving a list tree nodes fails
+//! the bounds. In the benchmark's ascending case the server's
+//! `heap_parts` must add up to the counted bytes exactly, and a failed
+//! bound prints them. The traced case (a `mapper`
 //! topology, whose peers share access routers) keeps the gain from being
 //! an artefact of `SyntheticJoins`.
 //!
@@ -45,7 +50,7 @@
 //! `mremap`, and neither moves the threshold), so `realloc` is forwarded
 //! and not counted as one.
 
-use nearpeer::core::ServerConfig;
+use nearpeer::core::{ManagementServer, ServerConfig};
 use nearpeer_bench::{Swarm, SwarmConfig, SyntheticJoins};
 use nearpeer_topology::generators::{mapper, MapperConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -92,28 +97,59 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Live heap bytes per peer of a `SyntheticJoins` server at `landmarks`
-/// landmarks after registering peers `0..peers` in `lanes` contiguous id
-/// ranges taken round-robin, one join from each in turn: 1 lane is
-/// ascending order, 8 the order `perf`'s 8 set-up connections deliver.
-/// Also the largest block freed during the build.
-fn synthetic_bytes_per_peer(peers: u64, landmarks: usize, lanes: u64) -> (f64, usize) {
+/// One build's figures: heap bytes per peer, the largest block freed
+/// while it grew, and the server's [`ManagementServer::heap_parts`] with
+/// the bytes its construction held as a first part.
+struct Build {
+    per_peer: f64,
+    largest_free: usize,
+    parts: Vec<(&'static str, usize)>,
+    held: usize,
+}
+
+impl Build {
+    /// The parts, bytes per peer, one line each.
+    fn table(&self) -> String {
+        let peers = self.held as f64 / self.per_peer;
+        self.parts
+            .iter()
+            .map(|(name, bytes)| format!("  {name:<20} {:>6.1}\n", *bytes as f64 / peers))
+            .collect()
+    }
+}
+
+/// Live heap bytes of a `SyntheticJoins` server at `landmarks` landmarks
+/// after registering peers `0..peers` in `lanes` contiguous id ranges
+/// taken round-robin, one join from each in turn: 1 lane is ascending
+/// order, 8 the order `perf`'s 8 set-up connections deliver.
+fn synthetic_build(peers: u64, landmarks: usize, lanes: u64) -> Build {
     let joins = SyntheticJoins::new(landmarks);
     let per_lane = peers / lanes;
     assert_eq!(per_lane * lanes, peers, "lanes split the ids evenly");
     LARGEST_FREE.store(0, Ordering::Relaxed);
     let before = LIVE.load(Ordering::Relaxed);
     let mut server = joins.server(ServerConfig::default());
+    let parts_held = |server: &ManagementServer| -> usize {
+        server.heap_parts().iter().map(|&(_, bytes)| bytes).sum()
+    };
+    let construction = (LIVE.load(Ordering::Relaxed) - before) as usize - parts_held(&server);
     for i in 0..per_lane {
         for lane in 0..lanes {
             let (peer, path) = joins.join(lane * per_lane + i);
             server.register(peer, path).expect("fresh peer");
         }
     }
-    let held = LIVE.load(Ordering::Relaxed) - before;
+    let held = (LIVE.load(Ordering::Relaxed) - before) as usize;
     let largest_free = LARGEST_FREE.load(Ordering::Relaxed);
     assert_eq!(server.peer_count(), peers as usize);
-    (held as f64 / peers as f64, largest_free)
+    let mut parts = vec![("construction", construction)];
+    parts.extend(server.heap_parts());
+    Build {
+        per_peer: held as f64 / peers as f64,
+        largest_free,
+        parts,
+        held,
+    }
 }
 
 /// Live heap bytes per peer of the server of a swarm traced over a mapper
@@ -138,34 +174,44 @@ fn traced_bytes_per_peer() -> f64 {
 /// directory's mid-size tables (see the module docs).
 const MAX_FREE: usize = 1 << 20;
 
+/// Fails with the build's parts when `bound` is exceeded.
+fn check(label: &str, build: &Build, bound: f64) {
+    assert!(
+        build.per_peer <= bound,
+        "{label}: {:.1} heap bytes per peer, over {bound}:\n{}",
+        build.per_peer,
+        build.table()
+    );
+}
+
 #[test]
 fn directory_holds_at_most_485_heap_bytes_per_peer() {
-    // 20 k peers at 8 landmarks, ascending: 448.2 bytes per peer.
-    let (small, _) = synthetic_bytes_per_peer(20_000, 8, 1);
-    assert!(small <= 456.0, "20 k peers: {small:.1} heap bytes per peer");
+    // 20 k peers at 8 landmarks, ascending: 404.1 bytes per peer.
+    check("20 k peers", &synthetic_build(20_000, 8, 1), 413.0);
     // The `perf` benchmark's shape, 100 k peers at 8 landmarks,
-    // ascending: 397.3, the largest free the lease table's last growth
-    // (512 KiB).
-    let (bench, freed) = synthetic_bytes_per_peer(100_000, 8, 1);
+    // ascending: 360.0, the largest free the lease table's last growth
+    // (512 KiB). The parts account for every byte.
+    let bench = synthetic_build(100_000, 8, 1);
+    check("100 k peers", &bench, 365.0);
+    let parts: usize = bench.parts.iter().map(|&(_, bytes)| bytes).sum();
+    assert_eq!(parts, bench.held, "100 k peers: parts\n{}", bench.table());
     assert!(
-        bench <= 407.0,
-        "100 k peers: {bench:.1} heap bytes per peer"
+        bench.largest_free < MAX_FREE,
+        "100 k peers: a {}-byte block freed",
+        bench.largest_free
     );
-    assert!(freed < MAX_FREE, "100 k peers: a {freed}-byte block freed");
-    // The same peers in `perf`'s set-up order: 406.3.
-    let (lanes, freed) = synthetic_bytes_per_peer(100_000, 8, 8);
+    // The same peers in `perf`'s set-up order: 369.0.
+    let lanes = synthetic_build(100_000, 8, 8);
+    check("100 k peers in 8 lanes", &lanes, 377.0);
     assert!(
-        lanes <= 416.0,
-        "100 k peers in 8 lanes: {lanes:.1} heap bytes per peer"
+        lanes.largest_free < MAX_FREE,
+        "100 k peers in 8 lanes: a {}-byte block freed",
+        lanes.largest_free
     );
-    assert!(
-        freed < MAX_FREE,
-        "100 k peers in 8 lanes: a {freed}-byte block freed"
-    );
-    // 2 000 traced peers at 8 landmarks: 352.2.
+    // 2 000 traced peers at 8 landmarks: 304.9.
     let traced = traced_bytes_per_peer();
     assert!(
-        traced <= 360.0,
+        traced <= 312.0,
         "traced swarm: {traced:.1} heap bytes per peer"
     );
 }

@@ -17,8 +17,8 @@ use bytes::BytesMut;
 use nearpeer::core::codec;
 use nearpeer::core::protocol::{Message, WireNeighbor};
 use nearpeer::core::{
-    ActorFederation, ActorServer, FederationConfig, LandmarkId, ManagementServer, PeerId, PeerPath,
-    ServerConfig,
+    ActorFederation, ActorServer, FederationConfig, LandmarkId, ManagementServer, PathRef,
+    PathStore, PeerId, PeerPath, ServerConfig,
 };
 use nearpeer_bench::wire::synthetic_landmarks;
 use nearpeer_bench::SyntheticJoins;
@@ -138,6 +138,34 @@ fn heartbeats_and_leaves_allocate_nothing() {
     register_all();
     assert_eq!(count(leave_all), 0, "{PEERS} leaves after a rejoin");
     assert_eq!(actor.peer_count(), 0);
+}
+
+/// A path store puts a freed run on the free chain of its length, and the
+/// next path of that length takes it: leaves, and rejoins on other paths
+/// of the same length, allocate nothing.
+#[test]
+fn same_length_leaves_and_rejoins_allocate_nothing() {
+    const PATHS: u64 = 2_000;
+    let joins = SyntheticJoins::new(8);
+    let paths: Vec<PeerPath> = (0..2 * PATHS).map(|p| joins.join(p).1).collect();
+    let (first, second) = paths.split_at(PATHS as usize);
+    let mut store = PathStore::new();
+    let refs: Vec<PathRef> = first.iter().map(|p| store.intern(p.view())).collect();
+    assert_eq!(
+        count(|| refs.iter().for_each(|&r| store.release(r))),
+        0,
+        "leaves"
+    );
+    let rejoins = count(|| {
+        for p in second {
+            store.intern(p.view());
+        }
+    });
+    assert_eq!(
+        rejoins, 0,
+        "{PATHS} rejoins on new paths of the same length"
+    );
+    assert_eq!(store.distinct(), PATHS as usize);
 }
 
 #[test]
