@@ -11,8 +11,8 @@
 //!
 //! * a **slab** of leases stored contiguously (`Vec`), addressed by dense
 //!   slot index, with a free list so register/leave cycles reuse slots.
-//!   A slot holds its epochs as `u32` offsets from the arena's origin and
-//!   the peer id as two `u32` halves: 36 bytes for the server's lease;
+//!   A slot holds its epochs as `u32`s and the peer id as two `u32`
+//!   halves: 36 bytes for the server's lease;
 //! * a **generation counter** per slot — a [`PeerSlot`] handle captured
 //!   before a departure can never resurrect the peer that now occupies the
 //!   reused slot (the generation no longer matches);
@@ -122,8 +122,8 @@ const TTL_DEFAULT: u32 = u32::MAX;
 /// handles issued before the removal go stale). `opened` is the epoch the
 /// current occupancy began (session-length bookkeeping for adaptive
 /// leases); `ttl` is the per-lease length, [`TTL_DEFAULT`] = whatever the
-/// sweep passes. The three epochs are `u32` offsets from the arena's
-/// `origin`.
+/// sweep passes. The three epochs are held as `u32`s
+/// ([`LeaseArena::holds_epoch`]).
 #[derive(Debug)]
 struct Slot<T> {
     generation: u32,
@@ -204,9 +204,6 @@ const EMPTY: u32 = u32::MAX;
 #[derive(Debug)]
 pub struct LeaseArena<T> {
     slots: Vec<Slot<T>>,
-    /// The epoch slot offset 0 stands for: the slab holds epochs
-    /// `origin ..= origin + u32::MAX` ([`Self::holds_epoch`]).
-    origin: u64,
     /// The last slot freed, the head of the free chain.
     free: Option<u32>,
     /// Open-addressed peer-id → slot index table (capacity a power of two;
@@ -242,7 +239,6 @@ impl<T> LeaseArena<T> {
         let table_cap = (capacity * 4 / 3 + 1).next_power_of_two().max(8);
         Self {
             slots: Vec::with_capacity(capacity),
-            origin: 0,
             free: None,
             table: vec![EMPTY; table_cap],
             shift: 64 - table_cap.trailing_zeros(),
@@ -409,36 +405,28 @@ impl<T> LeaseArena<T> {
             });
         }
         let clamped = self.base_epoch + idx as u64;
-        let noted = u32::try_from(clamped.saturating_sub(self.origin)).unwrap_or(u32::MAX);
+        let noted = u32::try_from(clamped).unwrap_or(u32::MAX);
         let s = &mut self.slots[slot as usize];
         s.noted = s.noted.max(noted);
     }
 
-    /// Whether the slab can hold `epoch`: it keeps epochs as `u32`
-    /// offsets, so it holds `origin ..= origin + u32::MAX`, where `origin`
-    /// is 0 for a new arena and the oldest epoch a restored snapshot
-    /// holds. The epochs passed to [`Self::insert`],
+    /// Whether the slab can hold `epoch`: it keeps epochs as `u32`s, so
+    /// it holds `0 ..= u32::MAX`. The epochs passed to [`Self::insert`],
     /// [`Self::insert_tombstone`], [`Self::renew`] and
     /// [`Self::renew_with_ttl`] must lie in it; a server checks each
     /// epoch it advances to.
     pub fn holds_epoch(&self, epoch: u64) -> bool {
-        epoch
-            .checked_sub(self.origin)
-            .is_some_and(|off| off <= u64::from(u32::MAX))
+        epoch <= u64::from(u32::MAX)
     }
 
-    /// `epoch` as a slot offset.
+    /// `epoch` as a slot holds it.
     ///
     /// # Panics
     /// On an epoch outside [`Self::holds_epoch`]: the caller broke the
     /// arena's contract.
     fn offset(&self, epoch: u64) -> u32 {
-        assert!(
-            self.holds_epoch(epoch),
-            "epoch {epoch} lies outside the lease window from {}",
-            self.origin
-        );
-        (epoch - self.origin) as u32
+        u32::try_from(epoch)
+            .unwrap_or_else(|_| panic!("epoch {epoch} lies outside the lease window"))
     }
 
     /// Takes a slot off the free list (or grows the slab) and fills it.
@@ -593,13 +581,13 @@ impl<T> LeaseArena<T> {
     /// The epoch `peer` last opened or renewed its lease.
     pub fn last_seen(&self, peer: PeerId) -> Option<u64> {
         let pos = self.probe_live(peer)?;
-        Some(self.origin + u64::from(self.slots[self.table[pos] as usize].last_seen))
+        Some(u64::from(self.slots[self.table[pos] as usize].last_seen))
     }
 
     /// The epoch `peer`'s current lease was opened (session bookkeeping).
     pub fn opened(&self, peer: PeerId) -> Option<u64> {
         let pos = self.probe_live(peer)?;
-        Some(self.origin + u64::from(self.slots[self.table[pos] as usize].opened))
+        Some(u64::from(self.slots[self.table[pos] as usize].opened))
     }
 
     /// `peer`'s own lease length, if one was set ([`Self::set_ttl`]).
@@ -672,8 +660,8 @@ impl<T> LeaseArena<T> {
         let pos = self.probe_live(peer)?;
         let idx = self.table[pos] as usize;
         let slot = &mut self.slots[idx];
-        let opened = self.origin + u64::from(slot.opened);
-        let last_seen = self.origin + u64::from(slot.last_seen);
+        let opened = u64::from(slot.opened);
+        let last_seen = u64::from(slot.last_seen);
         let Occupant::Live(_, value) = slot.occupant.take() else {
             unreachable!("probe_live found a live occupant");
         };
@@ -685,7 +673,7 @@ impl<T> LeaseArena<T> {
     /// Iterator over live leases in slot order: `(peer, last_seen, &T)`.
     pub fn iter(&self) -> impl Iterator<Item = (PeerId, u64, &T)> + '_ {
         self.slots.iter().filter_map(|s| match &s.occupant {
-            Occupant::Live(p, v) => Some((unpack(*p), self.origin + u64::from(s.last_seen), v)),
+            Occupant::Live(p, v) => Some((unpack(*p), u64::from(s.last_seen), v)),
             _ => None,
         })
     }
@@ -758,20 +746,20 @@ impl<T> LeaseArena<T> {
                     // Tombstone retention matches the default lease length.
                     _ => default_ttl,
                 };
-                let due = (self.origin + u64::from(slot.last_seen)).saturating_add(ttl);
+                let due = (u64::from(slot.last_seen)).saturating_add(ttl);
                 if due >= now {
                     // Not yet due. If a newer note for this occupancy
                     // exists (a renewal, or an earlier sweep's re-note),
                     // it keeps the lease findable — re-noting here too
                     // would build chains of stale notes that every sweep
                     // re-examines. Only the newest note re-notes forward.
-                    if self.origin + u64::from(slot.noted) <= bucket_epoch {
+                    if u64::from(slot.noted) <= bucket_epoch {
                         renote.push((idx, generation, due - min_ttl));
                     }
                     continue;
                 }
-                let opened = self.origin + u64::from(slot.opened);
-                let last_seen = self.origin + u64::from(slot.last_seen);
+                let opened = u64::from(slot.opened);
+                let last_seen = u64::from(slot.last_seen);
                 match slot.occupant.take() {
                     Occupant::Live(peer, value) => {
                         let peer = unpack(peer);
@@ -842,10 +830,10 @@ impl<T> LeaseArena<T> {
         put_u64(out, self.slots.len() as u64);
         for s in &self.slots {
             put_u32(out, s.generation);
-            put_u64(out, self.origin + u64::from(s.last_seen));
-            put_u64(out, self.origin + u64::from(s.opened));
+            put_u64(out, u64::from(s.last_seen));
+            put_u64(out, u64::from(s.opened));
             put_u32(out, s.ttl);
-            put_u64(out, self.origin + u64::from(s.noted));
+            put_u64(out, u64::from(s.noted));
             match &s.occupant {
                 Occupant::Vacant(_) => put_u8(out, 0),
                 Occupant::Live(peer, value) => {
@@ -892,9 +880,8 @@ impl<T> LeaseArena<T> {
     /// violation: duplicate occupant peers, a free list that does not
     /// cover exactly the vacant slots, a table capacity that is not a
     /// power of two or cannot hold the occupants, bucket notes pointing
-    /// outside the slab, or epochs (with the buckets' base) spanning more
-    /// than the `u32` offsets a slot holds. The restored arena's origin is
-    /// the oldest of those epochs.
+    /// outside the slab, or a slot epoch past the `u32` a slot holds
+    /// ([`Self::holds_epoch`]).
     pub(crate) fn persist_decode(
         r: &mut Reader<'_>,
         mut dec_t: impl FnMut(&mut Reader<'_>) -> Result<T, PersistError>,
@@ -904,16 +891,12 @@ impl<T> LeaseArena<T> {
         let mut len = 0usize;
         let mut tombstones = 0usize;
         let mut peers_seen = std::collections::HashSet::with_capacity(n_slots);
-        // `[last_seen, opened, noted]` per slot, offset once the origin is
-        // known.
-        let mut epochs: Vec<[u64; 3]> = Vec::with_capacity(n_slots);
         for i in 0..n_slots {
             let generation = r.u32()?;
-            let last_seen = r.u64()?;
-            let opened = r.u64()?;
+            let last_seen = epoch_u32(r)?;
+            let opened = epoch_u32(r)?;
             let ttl = r.u32()?;
-            let noted = r.u64()?;
-            epochs.push([last_seen, opened, noted]);
+            let noted = epoch_u32(r)?;
             let occupant = match r.u8()? {
                 0 => Occupant::Vacant(None),
                 1 => {
@@ -944,10 +927,10 @@ impl<T> LeaseArena<T> {
             };
             slots.push(Slot {
                 generation,
-                last_seen: 0,
-                opened: 0,
+                last_seen,
+                opened,
                 ttl,
-                noted: 0,
+                noted,
                 occupant,
             });
         }
@@ -980,18 +963,6 @@ impl<T> LeaseArena<T> {
             )));
         }
         let base_epoch = r.u64()?;
-        let all = || epochs.iter().flatten().copied().chain([base_epoch]);
-        let (origin, newest) = (all().min().unwrap_or(0), all().max().unwrap_or(0));
-        if newest - origin > u64::from(u32::MAX) {
-            return Err(PersistError::Corrupt(format!(
-                "lease epochs span {origin} to {newest}, more than a slot's 2^32"
-            )));
-        }
-        for (s, [last_seen, opened, noted]) in slots.iter_mut().zip(epochs) {
-            s.last_seen = (last_seen - origin) as u32;
-            s.opened = (opened - origin) as u32;
-            s.noted = (noted - origin) as u32;
-        }
         let n_buckets = r.len_prefix(8)?;
         let mut buckets = VecDeque::with_capacity(n_buckets);
         for _ in 0..n_buckets {
@@ -1032,7 +1003,6 @@ impl<T> LeaseArena<T> {
         }
         Ok(LeaseArena {
             slots,
-            origin,
             free,
             table,
             shift,
@@ -1043,6 +1013,17 @@ impl<T> LeaseArena<T> {
             sweep,
         })
     }
+}
+
+/// Reads a persisted `u64` epoch, refusing one past the `u32` a slot
+/// holds.
+fn epoch_u32(r: &mut Reader<'_>) -> Result<u32, PersistError> {
+    let epoch = r.u64()?;
+    u32::try_from(epoch).map_err(|_| {
+        PersistError::Corrupt(format!(
+            "lease epoch {epoch} lies past the window a slot holds"
+        ))
+    })
 }
 
 #[cfg(test)]
@@ -1112,16 +1093,6 @@ mod tests {
         assert_eq!(b.sweep_stats(), a.sweep_stats());
     }
 
-    /// An arena whose slot offsets start at `origin` and whose buckets
-    /// start at `base`, as one restored from a snapshot whose oldest
-    /// epoch is `origin` would.
-    fn arena_from(origin: u64, base: u64) -> LeaseArena<u32> {
-        let mut a = arena();
-        a.origin = origin;
-        a.base_epoch = base;
-        a
-    }
-
     #[test]
     fn a_slot_packs_its_epochs_and_peer_into_36_bytes() {
         assert_eq!(slot_size::<u32>(), 36);
@@ -1129,11 +1100,13 @@ mod tests {
 
     #[test]
     fn epochs_at_the_window_edge_register_renew_and_expire() {
-        let origin = 3 << 32;
-        let edge = origin + u64::from(u32::MAX) - 1;
-        let mut a = arena_from(origin, edge - 1);
+        let edge = u64::from(u32::MAX) - 1;
+        let mut a = arena();
+        // A sweep of the empty arena moves its buckets' base to `edge - 1`,
+        // so the notes below need no bucket per epoch before it.
+        assert!(a.take_due(edge, 1, 1).expired.is_empty());
         assert!(a.holds_epoch(edge + 1));
-        assert!(!a.holds_epoch(edge + 2) && !a.holds_epoch(origin - 1));
+        assert!(!a.holds_epoch(edge + 2));
         a.insert(PeerId(1), 10, edge).unwrap();
         a.insert(PeerId(2), 20, edge).unwrap();
         a.insert(PeerId(u64::MAX), 30, edge).unwrap();
@@ -1174,7 +1147,7 @@ mod tests {
     }
 
     #[test]
-    fn a_snapshot_spanning_more_than_the_window_is_refused() {
+    fn a_snapshot_epoch_past_the_window_is_refused() {
         let mut a = arena();
         a.insert(PeerId(5), 50, 0).unwrap();
         let mut bytes = Vec::new();
@@ -1188,7 +1161,7 @@ mod tests {
             forged[12..20].copy_from_slice(&epoch.to_le_bytes());
             forged
         };
-        // `opened` stays 0: a `last_seen` of 2^32 - 1 fits, 2^32 does not.
+        // A `last_seen` of 2^32 - 1 fits, 2^32 does not.
         let b = decode(&at(u64::from(u32::MAX))).unwrap();
         assert_eq!(b.last_seen(PeerId(5)), Some(u64::from(u32::MAX)));
         assert!(matches!(

@@ -13,7 +13,11 @@
 //! heap block (and no allocator header) of its own. A freed run waits on
 //! the free chain of its length, threaded through the runs themselves,
 //! and the next path of that length takes it: a leave never allocates and
-//! a same-length rejoin never grows the arena.
+//! a same-length rejoin never grows the arena. A path no freed run fits
+//! appends a run; if the freed runs then hold more routers than the live
+//! ones, the store first lays the live runs out back to back and forgets
+//! the freed ones, so the arena stays within twice the peak live routers
+//! however the lengths of the paths vary.
 
 use super::persist::wire::{put_path, put_u32, put_u64, put_u8, Reader};
 use super::persist::PersistError;
@@ -77,8 +81,10 @@ pub struct PathStore {
     table: Vec<u32>,
     /// `free_runs[len]`: the start of a freed run of `len` routers, whose
     /// first router holds the start of the next ([`NONE`] ends it). Sized
-    /// past every length interned, so a release never grows it.
+    /// past every live length, so a release never grows it.
     free_runs: Vec<u32>,
+    /// Routers in freed runs.
+    spare: usize,
     /// The last slot freed, the head of the free chain.
     free: u32,
     live: usize,
@@ -112,6 +118,7 @@ impl PathStore {
             slots: Vec::new(),
             table: Vec::new(),
             free_runs: Vec::new(),
+            spare: 0,
             free: NONE,
             live: 0,
             hits: 0,
@@ -227,6 +234,9 @@ impl PathStore {
         }
         let start = match self.free_runs[len] {
             NONE => {
+                if self.spare > self.routers.len() - self.spare {
+                    self.compact(len);
+                }
                 self.routers.extend_from_slice(routers);
                 self.routers.len() - len
             }
@@ -234,6 +244,7 @@ impl PathStore {
                 let run = start as usize..start as usize + len;
                 self.free_runs[len] = self.routers[start as usize].0;
                 self.routers[run].copy_from_slice(routers);
+                self.spare -= len;
                 start as usize
             }
         };
@@ -257,6 +268,24 @@ impl PathStore {
         self.table[pos] = at;
         self.live += 1;
         PathRef(at)
+    }
+
+    /// Lays the live runs out back to back in slot order, as a snapshot
+    /// restores them, with room for a run of `len` more, and forgets the
+    /// freed runs. Slots move their `start`; the table holds slot indices
+    /// and stored hashes, so it stays as it is.
+    fn compact(&mut self, len: usize) {
+        let mut routers = Vec::with_capacity(self.routers.len() - self.spare + len);
+        let mut longest = len;
+        for slot in self.slots.iter_mut().filter(|s| s.refs > 0) {
+            let run = slot.start as usize..(slot.start + slot.len) as usize;
+            slot.start = routers.len() as u32;
+            routers.extend_from_slice(&self.routers[run]);
+            longest = longest.max(slot.len as usize);
+        }
+        self.routers = routers;
+        self.free_runs = vec![NONE; longest + 1];
+        self.spare = 0;
     }
 
     /// Resolves a handle.
@@ -286,6 +315,7 @@ impl PathStore {
         let Slot { start, len, .. } = self.slots[r.0 as usize];
         self.routers[start as usize] = RouterId(self.free_runs[len as usize]);
         self.free_runs[len as usize] = start;
+        self.spare += len as usize;
         self.slots[r.0 as usize] = Slot {
             start: self.free,
             len: 0,
@@ -509,15 +539,19 @@ mod tests {
         assert_eq!(store.get(b).attach(), RouterId(1));
         store.release(b);
         assert!(store.is_empty());
-        // The freed slot is recycled for the next intern; a path of
-        // another length appends a run, one of the same length takes the
-        // freed run.
+        // The freed slot is recycled for the next intern. No freed run
+        // fits a 2-router path, and the freed run outnumbers the live
+        // routers, so the store compacts before appending.
         let c = store.intern(path(&[9, 8]).view());
         assert_eq!(c.slot(), a.slot());
-        assert_eq!(store.routers.len(), 5);
+        assert_eq!(store.routers.len(), 2);
         let d = store.intern(path(&[7, 6, 5]).view());
         assert_eq!(store.routers.len(), 5);
-        assert_eq!(store.get(d), path(&[7, 6, 5]).view());
+        // A path of a freed run's length takes that run.
+        store.release(d);
+        let e = store.intern(path(&[4, 5, 6]).view());
+        assert_eq!(store.routers.len(), 5);
+        assert_eq!(store.get(e), path(&[4, 5, 6]).view());
         assert_eq!(store.get(c), path(&[9, 8]).view());
         assert_eq!(store.distinct(), 2);
     }
@@ -570,6 +604,41 @@ mod tests {
             }
             assert!(store.is_empty());
             assert!(store.table.iter().all(|&at| at == NONE));
+        }
+    }
+
+    /// Peers re-registering on paths of ever new lengths: no freed run
+    /// fits a later path, so the store compacts them away instead of
+    /// keeping one per length, and the router count stays within twice
+    /// the live routers (equal to them with one peer).
+    #[test]
+    fn paths_of_ever_new_lengths_do_not_pile_up() {
+        for peers in [1, 8] {
+            let mut store = PathStore::new();
+            let mut held: Vec<PathRef> = Vec::new();
+            for len in 1..=2000u32 {
+                if held.len() == peers {
+                    store.release(held.remove(0));
+                }
+                let ids: Vec<u32> = (0..len).collect();
+                held.push(store.intern(path(&ids).view()));
+                let live: usize = held.iter().map(|&r| store.get(r).routers().len()).sum();
+                assert!(
+                    store.routers.len() <= 2 * live,
+                    "{peers} peers, length {len}: {} routers for {live} live",
+                    store.routers.len()
+                );
+                if peers == 1 {
+                    assert_eq!(store.routers.len(), live);
+                }
+                assert_eq!(store.spare, store.routers.len() - live);
+                assert!(store.free_runs.len() <= len as usize + 1);
+            }
+            // Every live path survives the moves.
+            for (&r, len) in held.iter().zip(2001 - held.len() as u32..) {
+                let ids: Vec<u32> = (0..len).collect();
+                assert_eq!(store.get(r), path(&ids).view());
+            }
         }
     }
 
@@ -662,8 +731,9 @@ mod tests {
             let mut store = PathStore::with_hash(coarse);
             let mut model: HashMap<Vec<RouterId>, u32> = HashMap::new();
             let mut held: Vec<(PathRef, usize)> = Vec::new();
-            // Peak live paths per length.
+            // Peak live paths per length, and peak live routers.
             let mut peak = [0usize; 17];
+            let mut peak_routers = 0;
             for (join, pick) in ops {
                 if join || held.is_empty() {
                     let i = pick as usize % pool.len();
@@ -691,6 +761,8 @@ mod tests {
                 for (p, n) in peak.iter_mut().zip(live_by_len) {
                     *p = (*p).max(n);
                 }
+                let live_routers: usize = model.keys().map(Vec::len).sum();
+                peak_routers = peak_routers.max(live_routers);
                 // Handles resolve to their paths.
                 for &(r, i) in &held {
                     prop_assert_eq!(store.get(r), pool[i].view());
@@ -701,6 +773,10 @@ mod tests {
                 // peak live population of each length.
                 let bound: usize = peak.iter().enumerate().map(|(len, &n)| len * n).sum();
                 prop_assert!(store.routers.len() <= bound, "{} > {}", store.routers.len(), bound);
+                // And compaction keeps it within twice the peak live
+                // routers, whatever the mix of lengths.
+                prop_assert!(store.routers.len() <= 2 * peak_routers);
+                prop_assert_eq!(store.spare, store.routers.len() - live_routers);
                 // A snapshot round-trips and re-interns to the same slots.
                 let mut restored = roundtrip(&store);
                 prop_assert_eq!(restored.distinct(), store.distinct());

@@ -31,7 +31,7 @@ pub enum CoreError {
     /// fanout (reads) or retry after rejoin (writes).
     RegionUnavailable(u32),
     /// The heartbeat epoch cannot advance past this one: the lease table
-    /// holds epochs as 32-bit offsets from the oldest it keeps.
+    /// holds epochs as `u32`s.
     EpochWindow(u64),
 }
 

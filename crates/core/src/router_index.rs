@@ -445,6 +445,13 @@ impl EntryMap {
 /// byte per bucket and one more group of them. Exact for a map that only
 /// grew: a removal leaves a marker that lowers `capacity()` until the next
 /// rehash.
+///
+/// std exposes no allocation size, so this repeats its private layout
+/// (the capacity-to-buckets rule, the control-group width, the padding)
+/// as of the current toolchain. A toolchain that changes that layout
+/// moves this figure with no change to the directory;
+/// `tests/heap_per_peer.rs` compares the parts with a measured count
+/// within a tolerance for that reason.
 fn table_bytes<K, V, S>(map: &HashMap<K, V, S>) -> usize {
     const GROUP: usize = if cfg!(all(
         any(target_arch = "x86", target_arch = "x86_64"),

@@ -688,8 +688,8 @@ impl ManagementServer {
     /// Advances the server's heartbeat epoch and returns it. Applications
     /// call this once per heartbeat round.
     ///
-    /// The lease table keeps epochs as 32-bit offsets, 2^32 rounds from
-    /// the oldest epoch it holds ([`LeaseArena::holds_epoch`]). Past that
+    /// The lease table keeps epochs as `u32`s, so the epoch stops at
+    /// `u32::MAX` ([`LeaseArena::holds_epoch`]). Past that
     /// the epoch stays where it is and the call fails with
     /// [`CoreError::EpochWindow`].
     pub fn advance_epoch(&mut self) -> Result<u64, CoreError> {
@@ -2188,8 +2188,7 @@ mod tests {
     }
 
     /// The snapshot of a one-landmark server that held one lease at epoch
-    /// 0, with its epoch and its lease buckets' base moved to `epoch`: the
-    /// vacant slot keeps the lease table's origin at 0.
+    /// 0, with its epoch and its lease buckets' base moved to `epoch`.
     fn snapshot_at_epoch(epoch: u64) -> Vec<u8> {
         let mut srv =
             ManagementServer::new(vec![RouterId(0)], vec![vec![0]], ServerConfig::default());

@@ -29,7 +29,9 @@
 //! Boxing a one-entry list or a stored path again, padding entries back to
 //! 16 bytes, widening the lease slot, or giving a list tree nodes fails
 //! the bounds. In the benchmark's ascending case the server's
-//! `heap_parts` must add up to the counted bytes exactly, and a failed
+//! `heap_parts` must add up to the counted bytes within 1 % (they match
+//! exactly on the current toolchain; the index's bucket bytes repeat std's
+//! private hash table layout, which a toolchain may change), and a failed
 //! bound prints them. The traced case (a `mapper`
 //! topology, whose peers share access routers) keeps the gain from being
 //! an artefact of `SyntheticJoins`.
@@ -190,11 +192,18 @@ fn directory_holds_at_most_485_heap_bytes_per_peer() {
     check("20 k peers", &synthetic_build(20_000, 8, 1), 413.0);
     // The `perf` benchmark's shape, 100 k peers at 8 landmarks,
     // ascending: 360.0, the largest free the lease table's last growth
-    // (512 KiB). The parts account for every byte.
+    // (512 KiB). The parts account for the counted bytes: the index's
+    // bucket bytes are computed from std's hash table layout, so they are
+    // held to 1 % rather than to the byte.
     let bench = synthetic_build(100_000, 8, 1);
     check("100 k peers", &bench, 365.0);
     let parts: usize = bench.parts.iter().map(|&(_, bytes)| bytes).sum();
-    assert_eq!(parts, bench.held, "100 k peers: parts\n{}", bench.table());
+    assert!(
+        parts.abs_diff(bench.held) * 100 <= bench.held,
+        "100 k peers: parts sum to {parts}, {} counted\n{}",
+        bench.held,
+        bench.table()
+    );
     assert!(
         bench.largest_free < MAX_FREE,
         "100 k peers: a {}-byte block freed",
