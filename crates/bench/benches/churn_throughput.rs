@@ -15,7 +15,7 @@ use nearpeer_bench::wire::{synthetic_landmarks, BATCH_FRAMES};
 use nearpeer_bench::SyntheticJoins;
 use nearpeer_core::protocol::Message;
 use nearpeer_core::subscription::Subscription;
-use nearpeer_core::{ActorServer, LandmarkId, PeerId, ServerConfig, WireService};
+use nearpeer_core::{LandmarkId, ManagementServer, PeerId, ServerConfig, Shared, WireService};
 use std::cell::RefCell;
 
 fn soak_config(peers: usize) -> Scenario {
@@ -42,19 +42,20 @@ fn bench_churn_throughput(c: &mut Criterion) {
 const PEERS: u64 = 100_000;
 const LANDMARKS: usize = 8;
 
-/// An `ActorServer` holding peers `0..PEERS` over `LANDMARKS` landmarks.
-fn populated_server(joins: &SyntheticJoins) -> ActorServer {
+/// A shared server holding peers `0..PEERS` over `LANDMARKS` landmarks.
+fn populated_server(joins: &SyntheticJoins) -> Shared<ManagementServer> {
     let (routers, dist) = synthetic_landmarks(LANDMARKS);
-    let srv = ActorServer::new(routers, dist, ServerConfig::default()).expect("valid config");
+    let mut srv =
+        ManagementServer::new(routers, dist, ServerConfig::default()).expect("valid config");
     for p in 0..PEERS {
         let (peer, path) = joins.join(p);
         srv.register(peer, path).expect("fresh peer");
     }
-    srv
+    Shared::new(srv)
 }
 
-/// One leave, join, heartbeat and handover of one peer, each a separate
-/// call into `ActorServer`, on a 100 k-peer directory over 8 landmarks.
+/// One leave, join, heartbeat and handover of one peer, each under its
+/// own write guard of a [`Shared`] server, on a 100 k-peer directory over 8 landmarks.
 /// The peer leaves from wherever its last handover put it and rejoins at
 /// home, so the population and its shape stay put across iterations.
 fn bench_actor_single_ops(c: &mut Criterion) {
@@ -69,12 +70,12 @@ fn bench_actor_single_ops(c: &mut Criterion) {
             let p = next.wrapping_mul(7_919) % PEERS;
             next += 1;
             let (peer, home) = joins.join(p);
-            srv.deregister(peer).expect("registered");
-            srv.register(peer, home).expect("just left");
-            srv.heartbeat(peer).expect("registered");
+            srv.write().deregister(peer).expect("registered");
+            srv.write().register(peer, home).expect("just left");
+            srv.write().heartbeat(peer).expect("registered");
             let away = LandmarkId(((p + 1) % LANDMARKS as u64) as u32);
             let (_, moved) = joins.join_to(p, away);
-            srv.handover(peer, moved).expect("registered")
+            srv.write().handover(peer, moved).expect("registered")
         });
     });
     group.finish();
@@ -113,7 +114,13 @@ fn bench_actor_two_writers(c: &mut Criterion) {
 
 /// One writer's share of a `two_writers` iteration: `PEERS_PER_WRITER`
 /// peers of parity `half`, their requests handed over `burst` at a time.
-fn churn_half(srv: &ActorServer, joins: &SyntheticJoins, round: u64, half: u64, burst: usize) {
+fn churn_half(
+    srv: &Shared<ManagementServer>,
+    joins: &SyntheticJoins,
+    round: u64,
+    half: u64,
+    burst: usize,
+) {
     let mut requests = Vec::with_capacity(burst);
     let mut out = Vec::new();
     for i in 0..PEERS_PER_WRITER {
@@ -155,10 +162,10 @@ const WATCH_K: usize = 5;
 /// second over the serve loop's 250 ms read tick.
 const TICK_EVENTS: usize = 500;
 
-/// `subs_1r`'s population on one `ActorServer`: the base, the watchers
+/// `subs_1r`'s population on one shared server: the base, the watchers
 /// (each subscribed on one client) and every other churner.
 struct Watched {
-    srv: ActorServer,
+    srv: Shared<ManagementServer>,
     joins: SyntheticJoins,
     client: u64,
     churners: Vec<u64>,
@@ -174,7 +181,7 @@ impl Watched {
             neighbor_count: WATCH_K,
             ..ServerConfig::default()
         };
-        let srv = ActorServer::new(routers, dist, config).expect("valid config");
+        let mut srv = ManagementServer::new(routers, dist, config).expect("valid config");
         let watchers = BASE..BASE + WATCHERS;
         let churners: Vec<u64> = watchers
             .clone()
@@ -202,7 +209,7 @@ impl Watched {
             srv.subscribe(client, sub).expect("registered watcher");
         }
         Watched {
-            srv,
+            srv: Shared::new(srv),
             joins,
             client,
             churners,
@@ -230,13 +237,15 @@ impl Watched {
     /// One complete drain of the client's deltas.
     fn drain(&self) -> usize {
         let mut out = Vec::new();
-        self.srv.drain_deltas(self.client, usize::MAX, &mut out);
+        self.srv
+            .write()
+            .drain_deltas(self.client, usize::MAX, &mut out);
         out.len()
     }
 }
 
 /// `subs_1r`'s subscription load at 100 k peers: one churn event through
-/// `ActorServer::handle` with every subscription drained before it
+/// `WireService::handle` with every subscription drained before it
 /// (`observe_event`), and one complete drain after a tick's worth of
 /// events (`drain_full`).
 fn bench_subscriptions(c: &mut Criterion) {

@@ -37,7 +37,7 @@ fn fresh_server() -> ManagementServer {
     let dist: Vec<Vec<u32>> = (0..LANDMARKS)
         .map(|i| (0..LANDMARKS).map(|j| if i == j { 0 } else { 4 }).collect())
         .collect();
-    ManagementServer::new(routers, dist, ServerConfig::default())
+    ManagementServer::new(routers, dist, ServerConfig::default()).expect("valid server")
 }
 
 fn joins(n: usize) -> Vec<(PeerId, PeerPath)> {

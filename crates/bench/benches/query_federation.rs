@@ -6,15 +6,16 @@
 //! — home region plus bridge-ranked foreign regions, with the
 //! cross-region fill riding the global landmark distance matrix. A
 //! fanout-limited variant shows the recall/fan-out trade, and
-//! `actor_federation_4_full` prices the same full-fanout query through
-//! `ActorFederation`, whose regions answer encoded frames on the calling
-//! thread under the federation's read guard.
+//! `actor_federation_4_full` prices the same full-fanout query as a
+//! `Shared` federation serves a client's: under its read guard, through
+//! `Federation::closest_by_frames`, whose regions answer encoded frames on
+//! the calling thread.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nearpeer_bench::wire::synthetic_landmarks;
 use nearpeer_bench::{FederatedSwarm, SyntheticJoins};
 use nearpeer_core::federation::FederationConfig;
-use nearpeer_core::{ActorFederation, PeerId, ServerConfig};
+use nearpeer_core::{Federation, PeerId, ServerConfig, Shared};
 
 const PEERS: usize = 100_000;
 const LANDMARKS: usize = 8;
@@ -42,12 +43,13 @@ fn bench_query_federation(c: &mut Criterion) {
     )
     .expect("synthetic federation builds");
     let (routers, dist) = synthetic_landmarks(LANDMARKS);
-    let actor_fed = ActorFederation::new(routers, dist, 4, FederationConfig::default())
+    let mut framed = Federation::new(routers, dist, 4, FederationConfig::default())
         .expect("synthetic federation builds");
     for i in 0..PEERS as u64 {
         let (peer, path) = gen.join(i);
-        actor_fed.register(peer, path).expect("fresh peer");
+        framed.register(peer, path).expect("fresh peer");
     }
+    let actor_fed = Shared::new(framed);
 
     let mut group = c.benchmark_group("query_federation");
     group.sample_size(10);
@@ -83,12 +85,14 @@ fn bench_query_federation(c: &mut Criterion) {
     group.bench_with_input(
         BenchmarkId::new("actor_federation_4_full", PEERS),
         &actor_fed,
-        |b, fed| {
+        |b, shared| {
             b.iter(|| {
                 let mut total = 0usize;
                 for q in 0..QUERIES_PER_ITER {
                     let peer = PeerId((q * 97) % PEERS as u64);
-                    total += fed.neighbors_of(peer, K).expect("registered").len();
+                    let fed = shared.read();
+                    let (_, path) = fed.locate(peer).expect("registered");
+                    total += fed.closest_by_frames(path, K, Some(peer)).len();
                 }
                 total
             });

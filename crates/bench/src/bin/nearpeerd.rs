@@ -1,8 +1,8 @@
 //! `nearpeerd` — the discovery server on a real socket.
 //!
-//! Serves the concurrent plane ([`nearpeer_core::ActorServer`], or an
-//! [`nearpeer_core::ActorFederation`] with `--regions > 1`: the
-//! synchronous server or federation behind one `RwLock`) over TCP:
+//! Serves the concurrent plane ([`nearpeer_core::Shared`]: the
+//! synchronous server, or with `--regions > 1` the federation, behind one
+//! `RwLock`) over TCP:
 //! one thread per connection runs a frame-reassembly loop and feeds
 //! decoded messages to the shared [`nearpeer_core::WireService`]. The
 //! world is the synthetic landmark layout (`--landmarks N` routers, all

@@ -189,7 +189,8 @@ pub fn run(config: &ChurnStudyConfig, seed: u64) -> ChurnStudyResult {
                 cross_landmark_fallback: true,
                 adaptive_leases: None,
             },
-        );
+        )
+        .expect("the study config builds a server");
         let mut attach_of: HashMap<usize, RouterId> = HashMap::new();
         let mut dead: HashSet<PeerId> = HashSet::new();
         let mut stale_sum = 0.0f64;
@@ -242,7 +243,8 @@ pub fn run(config: &ChurnStudyConfig, seed: u64) -> ChurnStudyResult {
             cross_landmark_fallback: true,
             adaptive_leases: None,
         },
-    );
+    )
+    .expect("the study config builds a server");
     let mut pool = bed.access.clone();
     pool.shuffle(&mut rng);
     let population = config.n_peers.min(pool.len().saturating_sub(1));

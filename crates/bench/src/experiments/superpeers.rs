@@ -169,7 +169,8 @@ pub fn run(config: &SuperPeerStudyConfig, seed: u64) -> SuperPeerStudyResult {
                     cross_landmark_fallback: true,
                     adaptive_leases: None,
                 },
-            );
+            )
+            .expect("the study config builds a server");
             let mut dir = SuperPeerDirectory::new(SuperPeerConfig {
                 region_depth: config.region_depth,
                 promote_threshold: threshold,
@@ -208,7 +209,8 @@ mod tests {
     #[test]
     fn join_reports_the_delegate_elected_before_it() {
         let mut server =
-            ManagementServer::new(vec![RouterId(0)], vec![vec![0]], ServerConfig::default());
+            ManagementServer::new(vec![RouterId(0)], vec![vec![0]], ServerConfig::default())
+                .unwrap();
         let mut dir = SuperPeerDirectory::new(SuperPeerConfig {
             region_depth: 2,
             promote_threshold: 2,

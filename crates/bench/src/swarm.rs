@@ -217,7 +217,8 @@ impl<'t> Swarm<'t> {
                 cross_landmark_fallback: config.cross_landmark_fallback,
                 adaptive_leases: None,
             },
-        );
+        )
+        .map_err(|e| e.to_string())?;
 
         // Round 2: feed the paths to the server.
         let out = server.register_batch(joins);
@@ -512,7 +513,7 @@ impl SyntheticJoins {
                     .collect()
             })
             .collect();
-        ManagementServer::new(routers, dist, config)
+        ManagementServer::new(routers, dist, config).expect("a valid server config")
     }
 }
 

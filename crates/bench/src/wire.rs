@@ -11,8 +11,8 @@ use bytes::BytesMut;
 use nearpeer_core::codec::{self, CodecError};
 use nearpeer_core::protocol::Message;
 use nearpeer_core::{
-    ActorFederation, ActorServer, CoreError, Counter, FederatedJoin, Federation, FederationConfig,
-    Histogram, JoinOutcome, ManagementServer, Neighbor, Outbound, PeerId, PeerPath, ServerConfig,
+    CoreError, Counter, FederatedJoin, Federation, FederationConfig, Histogram, JoinOutcome,
+    ManagementServer, Neighbor, Outbound, PeerId, PeerPath, ServerConfig, Shared,
     TelemetryRegistry, WireService,
 };
 use nearpeer_topology::RouterId;
@@ -34,9 +34,9 @@ pub fn synthetic_landmarks(n_landmarks: usize) -> (Vec<RouterId>, Vec<Vec<u32>>)
     (routers, dist)
 }
 
-/// Builds the actorized serving plane over the synthetic landmark
-/// layout: one [`ActorServer`] for a single region, an
-/// [`ActorFederation`] (full fanout) otherwise.
+/// Builds the concurrent serving plane over the synthetic landmark
+/// layout, its telemetry bound: a [`Shared`] [`ManagementServer`] for a
+/// single region, a [`Shared`] [`Federation`] (full fanout) otherwise.
 pub fn build_service(
     n_landmarks: usize,
     regions: usize,
@@ -45,11 +45,11 @@ pub fn build_service(
     let reg = Arc::new(TelemetryRegistry::new());
     let (routers, dist) = synthetic_landmarks(n_landmarks);
     if regions <= 1 {
-        let srv = ActorServer::new(routers, dist, config)?;
+        let mut srv = ManagementServer::new(routers, dist, config)?;
         srv.bind_telemetry(reg);
-        Ok(Arc::new(srv))
+        Ok(Arc::new(Shared::new(srv)))
     } else {
-        let fed = ActorFederation::new(
+        let mut fed = Federation::new(
             routers,
             dist,
             regions,
@@ -59,18 +59,18 @@ pub fn build_service(
             },
         )?;
         fed.bind_telemetry(reg);
-        Ok(Arc::new(fed))
+        Ok(Arc::new(Shared::new(fed)))
     }
 }
 
 /// The synchronous twin of what [`build_service`] serves, used by the
-/// load generator to check wire answers bit-for-bit: each concurrent
-/// plane is its twin behind one lock, and `tests/actor_equivalence.rs`
-/// pins the answers equal.
+/// load generator to check wire answers bit-for-bit: the served plane is
+/// its twin behind one lock, and `tests/actor_equivalence.rs` pins the
+/// answers equal.
 pub enum Mirror {
-    /// Single-region twin of an [`ActorServer`].
+    /// Single-region twin.
     Single(Box<ManagementServer>),
-    /// Multi-region twin of an [`ActorFederation`].
+    /// Multi-region twin.
     Federated(Box<Federation>),
 }
 
@@ -86,7 +86,7 @@ impl Mirror {
         if regions <= 1 {
             Ok(Mirror::Single(Box::new(ManagementServer::new(
                 routers, dist, config,
-            ))))
+            )?)))
         } else {
             Ok(Mirror::Federated(Box::new(Federation::new(
                 routers,

@@ -248,11 +248,14 @@ mod tests {
     }
 
     fn shared_server() -> Rc<RefCell<ManagementServer>> {
-        Rc::new(RefCell::new(ManagementServer::new(
-            vec![RouterId(0), RouterId(100)],
-            vec![vec![0, 4], vec![4, 0]],
-            ServerConfig::default(),
-        )))
+        Rc::new(RefCell::new(
+            ManagementServer::new(
+                vec![RouterId(0), RouterId(100)],
+                vec![vec![0, 4], vec![4, 0]],
+                ServerConfig::default(),
+            )
+            .unwrap(),
+        ))
     }
 
     #[test]

@@ -193,6 +193,10 @@ impl<T> Default for SweepOutcome<T> {
 
 const EMPTY: u32 = u32::MAX;
 
+/// The peer table's first capacity. It doubles only when an insert would
+/// fill 3/4 of it ([`LeaseArena::table_insert`]).
+const TABLE_MIN: usize = 8;
+
 /// The slab-backed lease table: peer membership, payload and last-seen
 /// epoch in one contiguous arena, with epoch-bucketed expiry.
 ///
@@ -215,9 +219,12 @@ pub struct LeaseArena<T> {
     len: usize,
     /// Forwarding tombstones currently held.
     tombstones: usize,
-    /// `buckets[i]` holds `(slot, generation)` entries noted at epoch
-    /// `base_epoch + i`.
-    buckets: VecDeque<Vec<(u32, u32)>>,
+    /// `(epoch, notes)` for every epoch that holds `(slot, generation)`
+    /// notes, ascending, none below `base_epoch`: a note allocates for the
+    /// epochs that hold notes, never for a gap before one.
+    buckets: VecDeque<(u64, Vec<(u32, u32)>)>,
+    /// The sweeps' position: every epoch below it was swept, and a note
+    /// for one lands in this epoch's bucket.
     base_epoch: u64,
     sweep: SweepStats,
 }
@@ -231,17 +238,11 @@ impl<T> Default for LeaseArena<T> {
 impl<T> LeaseArena<T> {
     /// Creates an empty arena.
     pub fn new() -> Self {
-        Self::with_capacity(0)
-    }
-
-    /// Creates an arena pre-sized for `capacity` leases.
-    pub fn with_capacity(capacity: usize) -> Self {
-        let table_cap = (capacity * 4 / 3 + 1).next_power_of_two().max(8);
         Self {
-            slots: Vec::with_capacity(capacity),
+            slots: Vec::new(),
             free: None,
-            table: vec![EMPTY; table_cap],
-            shift: 64 - table_cap.trailing_zeros(),
+            table: vec![EMPTY; TABLE_MIN],
+            shift: 64 - TABLE_MIN.trailing_zeros(),
             len: 0,
             tombstones: 0,
             buckets: VecDeque::new(),
@@ -273,8 +274,8 @@ impl<T> LeaseArena<T> {
     /// Heap bytes held, by part: the slab, the peer table, and the epoch
     /// buckets (the ring and the notes).
     pub(crate) fn heap_parts(&self) -> [(&'static str, usize); 3] {
-        let ring = self.buckets.capacity() * std::mem::size_of::<Vec<(u32, u32)>>();
-        let notes: usize = self.buckets.iter().map(|b| b.capacity() * 8).sum();
+        let ring = self.buckets.capacity() * std::mem::size_of::<(u64, Vec<(u32, u32)>)>();
+        let notes: usize = self.buckets.iter().map(|(_, b)| b.capacity() * 8).sum();
         [
             (
                 "lease slab",
@@ -380,10 +381,11 @@ impl<T> LeaseArena<T> {
         self.table[hole] = EMPTY;
     }
 
-    /// Appends a `(slot, generation)` note to `epoch`'s bucket. Epochs
-    /// below the swept base are clamped into the oldest live bucket — the
-    /// sweep re-checks actual staleness, so the clamp only affects *when*
-    /// the note is examined, never the verdict.
+    /// Appends a `(slot, generation)` note to `epoch`'s bucket, opening
+    /// the bucket if the epoch holds no note yet. Epochs below the swept
+    /// base are clamped to it — the sweep re-checks actual staleness, so
+    /// the clamp only affects *when* the note is examined, never the
+    /// verdict.
     ///
     /// A bucket that outgrows `2 × (live + tombstones) + 64` notes drops
     /// the notes the sweep would skip (generation moved on, or slot
@@ -391,11 +393,12 @@ impl<T> LeaseArena<T> {
     /// bucket, and the snapshot, with every write ever served; with it the
     /// compaction is amortised O(1) per note.
     fn note(&mut self, slot: u32, generation: u32, epoch: u64) {
-        let idx = epoch.saturating_sub(self.base_epoch) as usize;
-        while self.buckets.len() <= idx {
-            self.buckets.push_back(Vec::new());
+        let epoch = epoch.max(self.base_epoch);
+        let at = self.buckets.partition_point(|&(e, _)| e < epoch);
+        if self.buckets.get(at).is_none_or(|&(e, _)| e != epoch) {
+            self.buckets.insert(at, (epoch, Vec::new()));
         }
-        let bucket = &mut self.buckets[idx];
+        let bucket = &mut self.buckets[at].1;
         bucket.push((slot, generation));
         if bucket.len() > 2 * (self.len + self.tombstones) + 64 {
             let slots = &self.slots;
@@ -404,8 +407,7 @@ impl<T> LeaseArena<T> {
                 s.generation == g && s.occupant.peer().is_some()
             });
         }
-        let clamped = self.base_epoch + idx as u64;
-        let noted = u32::try_from(clamped).unwrap_or(u32::MAX);
+        let noted = u32::try_from(epoch).unwrap_or(u32::MAX);
         let s = &mut self.slots[slot as usize];
         s.noted = s.noted.max(noted);
     }
@@ -726,15 +728,16 @@ impl<T> LeaseArena<T> {
         let pop_cutoff = now.saturating_sub(min_ttl);
         let mut out = SweepOutcome::default();
         let mut renote: Vec<(u32, u32, u64)> = Vec::new();
-        while self.base_epoch < pop_cutoff {
-            let Some(bucket) = self.buckets.pop_front() else {
-                // Nothing was ever noted this far back; skip ahead.
-                self.base_epoch = pop_cutoff;
+        // Every epoch from the base to the last note counts as a bucket,
+        // whether it holds notes or not, as a snapshot lays them out.
+        let end = self.buckets.back().map_or(self.base_epoch, |&(e, _)| e + 1);
+        self.sweep.buckets_swept += pop_cutoff.min(end).saturating_sub(self.base_epoch);
+        self.base_epoch = self.base_epoch.max(pop_cutoff);
+        while let Some(&(bucket_epoch, _)) = self.buckets.front() {
+            if bucket_epoch >= pop_cutoff {
                 break;
-            };
-            let bucket_epoch = self.base_epoch;
-            self.base_epoch += 1;
-            self.sweep.buckets_swept += 1;
+            }
+            let (_, bucket) = self.buckets.pop_front().expect("front checked");
             for (idx, generation) in bucket {
                 self.sweep.entries_swept += 1;
                 let slot = &mut self.slots[idx as usize];
@@ -819,8 +822,9 @@ impl<T> LeaseArena<T> {
     /// Streams the arena into `out`: the slab verbatim (generations, lease
     /// clocks, per-lease TTLs, note high-water marks, occupants — payloads
     /// written by `enc_t`), the free list in reuse order, the table
-    /// *capacity* (its layout is derivable), the epoch buckets verbatim
-    /// (stale notes included — they are part of future sweep cost), and
+    /// *capacity* (its layout is derivable), the epoch buckets (stale
+    /// notes included — they are part of future sweep cost) as one bucket
+    /// per epoch from the base to the last note, empty ones included, and
     /// the sweep counters.
     pub(crate) fn persist_encode(
         &self,
@@ -863,8 +867,14 @@ impl<T> LeaseArena<T> {
         }
         put_u64(out, self.table.len() as u64);
         put_u64(out, self.base_epoch);
-        put_u64(out, self.buckets.len() as u64);
-        for bucket in &self.buckets {
+        let end = self.buckets.back().map_or(self.base_epoch, |&(e, _)| e + 1);
+        put_u64(out, end - self.base_epoch);
+        let mut next = self.base_epoch;
+        for (epoch, bucket) in &self.buckets {
+            for _ in next..*epoch {
+                put_u64(out, 0);
+            }
+            next = epoch + 1;
             put_u64(out, bucket.len() as u64);
             for &(slot, generation) in bucket {
                 put_u32(out, slot);
@@ -879,9 +889,11 @@ impl<T> LeaseArena<T> {
     /// the probe table from the slab. Fails closed on any structural
     /// violation: duplicate occupant peers, a free list that does not
     /// cover exactly the vacant slots, a table capacity that is not a
-    /// power of two or cannot hold the occupants, bucket notes pointing
-    /// outside the slab, or a slot epoch past the `u32` a slot holds
-    /// ([`Self::holds_epoch`]).
+    /// power of two, cannot hold the occupants, or is larger than the
+    /// slab could have grown it, bucket notes pointing outside the slab,
+    /// or a slot epoch past the `u32` a slot holds ([`Self::holds_epoch`]).
+    /// Empty buckets are not kept: [`Self::persist_encode`] writes them
+    /// back from the epochs of the others.
     pub(crate) fn persist_decode(
         r: &mut Reader<'_>,
         mut dec_t: impl FnMut(&mut Reader<'_>) -> Result<T, PersistError>,
@@ -955,18 +967,33 @@ impl<T> LeaseArena<T> {
             slots[idx].occupant = Occupant::Vacant(free);
             free = Some(f);
         }
-        let table_cap = r.u64()? as usize;
-        if !table_cap.is_power_of_two() || table_cap < 8 || len + tombstones >= table_cap {
+        // The table starts at `TABLE_MIN` and doubles from `c` only on an
+        // insert that brings the occupants, each in a slot of the slab, to
+        // 3/4 of `c`: a table of `C > TABLE_MIN` needs `8 × n_slots ≥ 3C`.
+        // Anything larger is refused before it is allocated.
+        let table_cap = r.u64()?;
+        if !table_cap.is_power_of_two()
+            || table_cap < TABLE_MIN as u64
+            || (len + tombstones) as u64 >= table_cap
+            || (table_cap > TABLE_MIN as u64 && u128::from(table_cap) * 3 > n_slots as u128 * 8)
+        {
             return Err(PersistError::Corrupt(format!(
-                "lease table capacity {table_cap} cannot hold {} occupants",
+                "lease table capacity {table_cap} does not fit {} occupants in {n_slots} slots",
                 len + tombstones
             )));
         }
+        let table_cap = table_cap as usize;
         let base_epoch = r.u64()?;
         let n_buckets = r.len_prefix(8)?;
-        let mut buckets = VecDeque::with_capacity(n_buckets);
-        for _ in 0..n_buckets {
+        let mut buckets = VecDeque::new();
+        for i in 0..n_buckets {
             let n_entries = r.len_prefix(8)?;
+            if n_entries == 0 {
+                continue;
+            }
+            let epoch = base_epoch.checked_add(i as u64).ok_or_else(|| {
+                PersistError::Corrupt(format!("epoch bucket {i} lies past epoch {}", u64::MAX))
+            })?;
             let mut bucket = Vec::with_capacity(n_entries);
             for _ in 0..n_entries {
                 let slot = r.u32()?;
@@ -978,7 +1005,7 @@ impl<T> LeaseArena<T> {
                 }
                 bucket.push((slot, generation));
             }
-            buckets.push_back(bucket);
+            buckets.push_back((epoch, bucket));
         }
         let sweep = SweepStats {
             entries_swept: r.u64()?,
@@ -1197,6 +1224,69 @@ mod tests {
     }
 
     #[test]
+    fn a_table_larger_than_the_slab_could_grow_is_refused() {
+        let decode = |bytes: &[u8]| {
+            LeaseArena::<u32>::persist_decode(&mut super::Reader::new(bytes), |r| r.u32())
+        };
+        let mut a = arena();
+        a.insert(PeerId(5), 50, 0).unwrap();
+        let mut bytes = Vec::new();
+        a.persist_encode(&mut bytes, |v, out| super::put_u32(out, *v));
+        // The table capacity follows the slab (its length and one 45-byte
+        // slot holding a `u32` payload) and the empty free list.
+        let at = 8 + 45 + 8;
+        assert_eq!(bytes[at..at + 8], 8u64.to_le_bytes());
+        for cap in [16u64, 1 << 40] {
+            let mut forged = bytes.clone();
+            forged[at..at + 8].copy_from_slice(&cap.to_le_bytes());
+            assert!(
+                matches!(decode(&forged), Err(super::PersistError::Corrupt(_))),
+                "one slot cannot have grown a table of {cap}"
+            );
+        }
+        // Every table the growth rule reaches is accepted: six occupants
+        // grow it to 16, twelve to 32.
+        for (n, cap) in [(6u64, 16usize), (12, 32)] {
+            let mut a = arena();
+            for p in 0..n {
+                a.insert(PeerId(p), p as u32, 0).unwrap();
+            }
+            assert_eq!(a.table.len(), cap);
+            assert_eq!(persist_roundtrip(&a).table.len(), cap);
+        }
+    }
+
+    #[test]
+    fn a_note_far_past_the_base_opens_one_bucket() {
+        const FAR: u64 = 1_000_000;
+        let mut a = arena();
+        a.insert(PeerId(1), 10, FAR).unwrap();
+        a.insert(PeerId(2), 20, FAR).unwrap();
+        assert!(a.renew(PeerId(2), FAR + 1));
+        assert_eq!(a.buckets.len(), 2, "one bucket per noted epoch");
+        let [.., (_, bucket_bytes)] = a.heap_parts();
+        assert!(bucket_bytes <= 256, "epoch buckets hold {bucket_bytes} B");
+        // A snapshot still lays out one bucket per epoch from the base,
+        // and decoding keeps only the noted ones.
+        let mut bytes = Vec::new();
+        a.persist_encode(&mut bytes, |v, out| super::put_u32(out, *v));
+        let mut b = persist_roundtrip(&a);
+        assert_eq!(b.buckets.len(), 2);
+        let mut again = Vec::new();
+        b.persist_encode(&mut again, |v, out| super::put_u32(out, *v));
+        assert!(again == bytes, "re-encoding writes the same bytes");
+        // Sweeps count every epoch up to the cutoff as a bucket, as the
+        // snapshot's layout does, and expire on schedule.
+        for x in [&mut a, &mut b] {
+            let out = x.take_expired(FAR + 1);
+            assert_eq!(out.len(), 1);
+            assert_eq!(out[0].0, PeerId(1));
+            assert_eq!(x.sweep_stats().buckets_swept, FAR + 1);
+            assert_eq!(x.buckets.len(), 1);
+        }
+    }
+
+    #[test]
     fn insert_get_remove_roundtrip() {
         let mut a = arena();
         let h = a.insert(PeerId(7), 70, 1).unwrap();
@@ -1345,7 +1435,7 @@ mod tests {
         // Keys crafted to share a home bucket (same high bits after the
         // fibonacci multiply is hard to force; instead use a tiny table and
         // enough keys that chains necessarily overlap and wrap).
-        let mut a: LeaseArena<u8> = LeaseArena::with_capacity(0);
+        let mut a: LeaseArena<u8> = LeaseArena::new();
         for p in 0..64u64 {
             a.insert(PeerId(p), p as u8, 0).unwrap();
         }

@@ -12,7 +12,7 @@
 //! The landmark's [`crate::PathTree`] is a view built on demand from the
 //! stored paths.
 //!
-//! [`crate::runtime::ActorServer`] puts the whole server behind one
+//! [`crate::runtime::Shared`] puts the whole server behind one
 //! `RwLock` and writes it from the calling thread. Parallel writes, if
 //! ever wanted, partition by region (a [`crate::Federation`]), not by
 //! landmark.

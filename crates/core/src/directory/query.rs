@@ -150,7 +150,8 @@ mod tests {
             (0..LANDMARKS).map(RouterId).collect(),
             vec![vec![0; n]; n],
             crate::ServerConfig::default(),
-        );
+        )
+        .unwrap();
         let batch = peers
             .iter()
             .enumerate()

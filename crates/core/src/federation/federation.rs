@@ -9,9 +9,10 @@ use crate::ids::{IdMap, LandmarkId, PeerId};
 use crate::path::{PathView, PeerPath};
 use crate::router_index::{query_nearest_entries, Neighbor};
 use crate::server::{BatchOutcome, ManagementServer, ServerConfig};
+use crate::telemetry::{Counter, Histogram, TelemetryRegistry};
 use nearpeer_routing::RouteOracle;
 use nearpeer_topology::{RouterId, Topology};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Federation tuning.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -44,7 +45,9 @@ pub struct FederatedJoin {
 /// server keeps its own [`ManagementServer::stats`] underneath).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FederationStats {
-    /// Federated queries answered ([`Federation::closest_to_path`]).
+    /// Federated queries answered: [`Federation::closest_to_path`] (join
+    /// and handover answers included) and
+    /// [`Federation::closest_by_frames`].
     pub queries: u64,
     /// Foreign regions consulted across all queries (fan-out volume).
     pub remote_regions_consulted: u64,
@@ -78,12 +81,16 @@ impl FederationSweep {
 }
 
 /// Read-path counters (interior-mutable, so federated queries stay
-/// `&self` like the underlying servers').
-#[derive(Debug, Default)]
-struct QueryCounters {
-    queries: AtomicU64,
-    remote: AtomicU64,
-    fills: AtomicU64,
+/// `&self` like the underlying servers'), shared by both query paths and
+/// adopted by a bound registry as the `fed_*` series.
+#[derive(Default)]
+pub(crate) struct QueryCounters {
+    pub(crate) queries: Arc<Counter>,
+    pub(crate) remote: Arc<Counter>,
+    pub(crate) fills: Arc<Counter>,
+    /// Latency of [`Federation::closest_by_frames`] queries, recorded
+    /// while a bound registry's timing gate is on.
+    pub(crate) latency_us: Arc<Histogram>,
 }
 
 /// A federation of per-region management servers behind one routing front
@@ -101,9 +108,8 @@ struct QueryCounters {
 /// `locate`, `stats`) take `&self` — the per-region servers' read paths
 /// are already concurrent, and the federation's own counters are atomic.
 /// Writes take `&mut self` and touch at most two regions.
-/// [`crate::ActorFederation`] serves it from many threads behind one
+/// [`crate::runtime::Shared`] serves it from many threads behind one
 /// `RwLock`.
-#[derive(Debug)]
 pub struct Federation {
     regions: Vec<Region>,
     landmark_routers: Vec<RouterId>,
@@ -118,7 +124,10 @@ pub struct Federation {
     fanout: Option<usize>,
     fallback: bool,
     neighbor_count: usize,
-    counters: QueryCounters,
+    pub(crate) counters: QueryCounters,
+    /// Bound registry ([`Self::bind_telemetry`]): gates the frame path's
+    /// query timing and receives its slow-query traces.
+    pub(crate) telemetry: Option<Arc<TelemetryRegistry>>,
     handovers: u64,
     cross_region_handovers: u64,
     epoch: u64,
@@ -127,6 +136,16 @@ pub struct Federation {
     /// [`CoreError::RegionUnavailable`], and queries route around them
     /// until [`Self::rejoin_region`] restores the recovered server.
     down: Vec<bool>,
+}
+
+impl std::fmt::Debug for Federation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Federation")
+            .field("regions", &self.regions.len())
+            .field("peers", &self.peer_count())
+            .field("epoch", &self.epoch)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Federation {
@@ -186,7 +205,7 @@ impl Federation {
                         .collect()
                 })
                 .collect();
-            let server = ManagementServer::new(routers, dist, config.server);
+            let server = ManagementServer::new(routers, dist, config.server)?;
             regions.push(Region::new(id, server, globals));
         }
         let bridge = Self::compute_bridge(&landmark_region, &landmark_dist, n_regions);
@@ -206,6 +225,7 @@ impl Federation {
             fallback: config.server.cross_landmark_fallback,
             neighbor_count: config.server.neighbor_count,
             counters: QueryCounters::default(),
+            telemetry: None,
             handovers: 0,
             cross_region_handovers: 0,
             epoch: 0,
@@ -329,12 +349,36 @@ impl Federation {
     /// Aggregate federation counters.
     pub fn stats(&self) -> FederationStats {
         FederationStats {
-            queries: self.counters.queries.load(Ordering::Relaxed),
-            remote_regions_consulted: self.counters.remote.load(Ordering::Relaxed),
-            cross_region_fills: self.counters.fills.load(Ordering::Relaxed),
+            queries: self.counters.queries.get(),
+            remote_regions_consulted: self.counters.remote.get(),
+            cross_region_fills: self.counters.fills.get(),
             handovers: self.handovers,
             cross_region_handovers: self.cross_region_handovers,
         }
+    }
+
+    /// Binds a telemetry registry: the query counters become scrapeable as
+    /// `fed_queries_total`, `fed_remote_regions_consulted_total` and
+    /// `fed_cross_region_fills_total` (both query paths), the frame path's
+    /// latency as `fed_query_latency_us`, and the frame path starts
+    /// honouring the registry's timing gate and slow-query log. The
+    /// regions' own `dir_*` series stay unbound.
+    pub fn bind_telemetry(&mut self, reg: Arc<TelemetryRegistry>) {
+        let c = &self.counters;
+        reg.adopt_counter("fed_queries_total", "", Arc::clone(&c.queries));
+        reg.adopt_counter(
+            "fed_remote_regions_consulted_total",
+            "",
+            Arc::clone(&c.remote),
+        );
+        reg.adopt_counter("fed_cross_region_fills_total", "", Arc::clone(&c.fills));
+        reg.adopt_histogram("fed_query_latency_us", "", Arc::clone(&c.latency_us));
+        self.telemetry = Some(reg);
+    }
+
+    /// The registry bound by [`Self::bind_telemetry`], if any.
+    pub fn telemetry(&self) -> Option<Arc<TelemetryRegistry>> {
+        self.telemetry.clone()
     }
 
     /// Whether short answers are topped up with cross-region bridge fills
@@ -616,13 +660,13 @@ impl Federation {
         exclude: Option<PeerId>,
     ) -> Vec<Neighbor> {
         let path = path.into();
-        self.counters.queries.fetch_add(1, Ordering::Relaxed);
+        self.counters.queries.inc();
         let home = self.home_of_path(path).ok();
         // No home landmark: exact answers only, from every live region.
         let consulted = self.query_regions(home.map(|(region, _)| region));
         self.counters
             .remote
-            .fetch_add(consulted.len().saturating_sub(1) as u64, Ordering::Relaxed);
+            .add(consulted.len().saturating_sub(1) as u64);
         // A peer is registered in exactly one region, so the consulted
         // regions' router indexes merge like one server's.
         let tables = consulted
@@ -634,9 +678,7 @@ impl Federation {
                 let missing = k - result.len();
                 let fill =
                     self.bridge_fill(path, own_global, missing, &consulted, exclude, &result);
-                self.counters
-                    .fills
-                    .fetch_add(fill.len() as u64, Ordering::Relaxed);
+                self.counters.fills.add(fill.len() as u64);
                 result.extend(fill);
             }
         }
@@ -732,7 +774,7 @@ impl Federation {
         let routers = region.server().landmarks().to_vec();
         let dist = region.server().landmark_distances().to_vec();
         let config = *region.server().config();
-        let stand_in = ManagementServer::new(routers, dist, config);
+        let stand_in = ManagementServer::new(routers, dist, config)?;
         self.down[id.index()] = true;
         Ok(region.replace_server(stand_in))
     }

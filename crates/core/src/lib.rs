@@ -27,10 +27,11 @@
 //!   [`ManagementServer`] per landmark partition behind a routing front
 //!   door ([`Federation`]) with bridge-matrix query fan-out and
 //!   cross-region handover leaving forwarding tombstones;
-//! * [`runtime`] — the concurrent serving plane: the server, or the
-//!   federation, behind one lock and read and written on the caller's
-//!   thread, with the federation's query fan-out carried as codec frames,
-//!   and the [`WireService`] trait the `nearpeerd` TCP server drives;
+//! * [`runtime`] — the concurrent serving plane: [`Shared`], the server
+//!   or the federation behind one lock, read and written on the caller's
+//!   thread, one guard per burst of wire requests, and the
+//!   [`WireService`] trait the `nearpeerd` TCP server drives; a
+//!   federation's client queries fan out as codec frames;
 //! * [`subscription`] — standing "watch my `k` nearest" queries: churn
 //!   entry points push [`subscription::NeighborDelta`]s computed
 //!   incrementally from the touched subtrees, through bounded
@@ -83,7 +84,7 @@ pub use ids::{LandmarkId, PeerId};
 pub use path::{PathView, PeerPath};
 pub use path_tree::PathTree;
 pub use router_index::{Neighbor, RouterIndex};
-pub use runtime::{ActorFederation, ActorServer, Outbound, WireService};
+pub use runtime::{Outbound, Plane, Shared, WireService};
 pub use server::{
     BatchOutcome, DirectoryView, ExpirySweep, JoinOutcome, ManagementServer, ServerConfig,
 };

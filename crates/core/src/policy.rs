@@ -334,7 +334,8 @@ mod tests {
     #[test]
     fn path_tree_selector_round_trips_server() {
         let mut srv =
-            ManagementServer::new(vec![RouterId(0)], vec![vec![0]], ServerConfig::default());
+            ManagementServer::new(vec![RouterId(0)], vec![vec![0]], ServerConfig::default())
+                .unwrap();
         let mk = |ids: &[u32]| PeerPath::new(ids.iter().map(|&i| RouterId(i)).collect()).unwrap();
         srv.register(PeerId(1), mk(&[4, 2, 1, 0])).unwrap();
         srv.register(PeerId(2), mk(&[5, 2, 1, 0])).unwrap();

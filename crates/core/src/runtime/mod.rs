@@ -1,41 +1,42 @@
-//! The concurrent serving plane: each synchronous facade behind one
+//! The concurrent serving plane: a synchronous facade behind one
 //! `RwLock`, every operation applied on the caller's thread, and the
 //! wire-facing service trait `nearpeerd` serves. Nothing here spawns a
 //! thread.
 //!
 //! The synchronous data plane ([`crate::ManagementServer`],
 //! [`crate::Federation`]) reads through `&self` but writes through
-//! `&mut self`. This module makes both halves `&self`, without a second
-//! implementation of any operation:
+//! `&mut self`. [`Shared`] makes both halves `&self` for either of them,
+//! without a second implementation of any operation:
 //!
-//! * [`ActorServer`] — a [`crate::ManagementServer`] behind one `RwLock`:
-//!   a write takes the write guard and calls the facade's method, a read
-//!   takes the read guard. It also owns the wall clock that rate-limits
-//!   subscription pushes. On the wire it takes the lock once per burst of
-//!   requests ([`WireService::handle_batch`]), not once per request;
-//! * [`ActorFederation`] — a [`crate::Federation`] behind one `RwLock`,
-//!   writes the same way; client queries are carried as encoded
-//!   [`crate::codec`] frames (`QueryRequest`/`FillRequest` RPCs), each
-//!   answered by the region-side handler under the read guard and merged
-//!   order-independently;
-//! * [`WireService`] — the trait both planes implement, and the only thing
-//!   the `nearpeerd` TCP server needs to know about.
+//! * [`Shared::read`] and [`Shared::write`] hand out the lock's guards,
+//!   and callers call the facade's own methods under them. The write
+//!   guard first advances the wall clock that rate-limits subscription
+//!   pushes;
+//! * on the wire ([`WireService`]) a burst of requests takes one guard:
+//!   the read guard when every request only reads and no delta waits to
+//!   be pushed, the write guard otherwise. A single request is a burst of
+//!   one;
+//! * [`Plane`] is what differs between the two facades: how a request is
+//!   answered under each guard, and the push channel's hooks. A
+//!   [`crate::Federation`] has no push channel and answers a client's
+//!   `QueryRequest` through [`crate::Federation::closest_by_frames`],
+//!   which carries the fan-out as encoded [`crate::codec`] frames.
 //!
-//! A write excludes that plane's readers for its duration, and an
-//! [`ActorServer`] burst that writes excludes them for the whole burst.
-//! Callers on any number of threads (one per TCP connection in
-//! `nearpeerd`) issue reads and writes without coordinating.
+//! A write excludes the plane's readers for its duration, and a burst that
+//! writes excludes them for the whole burst. Callers on any number of
+//! threads (one per TCP connection in `nearpeerd`) issue reads and writes
+//! without coordinating.
 
 mod actor_federation;
 mod actor_server;
+mod shared;
 
-pub use actor_federation::ActorFederation;
-pub use actor_server::ActorServer;
+pub use shared::Shared;
 
 use crate::protocol::{Message, WireNeighbor};
 use crate::router_index::Neighbor;
 use crate::subscription::NeighborDelta;
-use crate::telemetry::TelemetryRegistry;
+use crate::telemetry::{Gauge, TelemetryRegistry};
 use std::sync::Arc;
 
 /// One frame a burst sends back ([`WireService::handle_batch`]).
@@ -50,7 +51,7 @@ pub enum Outbound {
 
 /// A directory service addressable by protocol messages — the boundary
 /// between the wire (`nearpeerd`'s per-connection frame loops) and the
-/// serving plane behind it ([`ActorServer`] or [`ActorFederation`]).
+/// serving plane behind it ([`Shared`]).
 ///
 /// `handle` consumes one decoded request and returns the reply to send
 /// back, or `None` for fire-and-forget messages ([`Message::Leave`],
@@ -63,79 +64,112 @@ pub enum Outbound {
 /// push channel: `open_client`/`close_client` bracket the connection,
 /// `handle_from` routes requests that need a push channel (subscriptions)
 /// to it, and `drain_pushes` collects server-initiated
-/// [`Message::DeltaPush`] frames ready for that client. The defaults make
-/// all of this opt-in — a service without subscriptions implements
-/// `handle` alone and rejects [`Message::Subscribe`] there.
+/// [`Message::DeltaPush`] frames ready for that client. A service without
+/// subscriptions opens no client and refuses [`Message::Subscribe`].
 ///
 /// A transport that has several requests of one connection in hand at
 /// once passes them to `handle_batch`, which answers them in order with
-/// the pushes that fence each reply; its default is the per-request loop.
+/// the pushes that fence each reply.
 pub trait WireService: Send + Sync {
     /// Handles one request message, returning the reply, if any.
     fn handle(&self, msg: Message) -> Option<Message>;
 
-    /// Registers a connection as a push-capable client. `None` (the
-    /// default) means this service has no push channel and subscription
-    /// requests will be refused by `handle`.
-    fn open_client(&self) -> Option<u64> {
-        None
-    }
+    /// Registers a connection as a push-capable client. `None` means this
+    /// service has no push channel and subscription requests will be
+    /// refused.
+    fn open_client(&self) -> Option<u64>;
 
     /// Tears down a client opened by [`WireService::open_client`],
     /// dropping its subscriptions and queued pushes.
-    fn close_client(&self, _client: u64) {}
+    fn close_client(&self, client: u64);
 
     /// Handles one request on behalf of `client` (the connection's token
-    /// from [`WireService::open_client`], if any). The default ignores
-    /// the client and hands the message to [`WireService::handle`].
-    fn handle_from(&self, _client: Option<u64>, msg: Message) -> Option<Message> {
-        self.handle(msg)
-    }
+    /// from [`WireService::open_client`], if any).
+    fn handle_from(&self, client: Option<u64>, msg: Message) -> Option<Message>;
 
     /// Handles a burst of requests from `client`, draining `requests` in
     /// order. For each request it appends to `out` the pushes ready for
     /// `client` before it, then exactly one [`Outbound::Reply`], so a
-    /// reply still fences every delta queued before its request.
-    ///
-    /// The default is the per-request loop: [`WireService::drain_pushes`],
-    /// then [`WireService::handle_from`]. [`ActorServer`] overrides it to
-    /// take its lock once for the whole burst, which then applies
-    /// atomically with respect to every other caller.
+    /// reply still fences every delta queued before its request. The
+    /// burst applies atomically with respect to every other caller.
     fn handle_batch(
         &self,
         client: Option<u64>,
         requests: &mut Vec<Message>,
         out: &mut Vec<Outbound>,
-    ) {
-        let mut pushes = Vec::new();
-        for msg in requests.drain(..) {
-            if let Some(client) = client {
-                self.drain_pushes(client, usize::MAX, &mut pushes);
-                out.extend(pushes.drain(..).map(Outbound::Push));
-            }
-            out.push(Outbound::Reply(self.handle_from(client, msg)));
-        }
-    }
+    );
 
     /// Drains up to `max` server-initiated push frames ready for
-    /// `client` into `out`. The default pushes nothing.
-    fn drain_pushes(&self, _client: u64, _max: usize, _out: &mut Vec<Message>) {}
+    /// `client` into `out`.
+    fn drain_pushes(&self, client: u64, max: usize, out: &mut Vec<Message>);
 
     /// The telemetry registry backing this service's
-    /// [`Message::StatsRequest`] answers, if one is bound. The default —
-    /// `None` — makes `StatsReply.text` empty, never an error: stats are
-    /// advisory and must not take a connection down.
-    fn telemetry(&self) -> Option<Arc<TelemetryRegistry>> {
-        None
-    }
+    /// [`Message::StatsRequest`] answers, if one is bound. `None` makes
+    /// `StatsReply.text` empty, never an error: stats are advisory and
+    /// must not take a connection down.
+    fn telemetry(&self) -> Option<Arc<TelemetryRegistry>>;
 }
 
-/// The [`Message::StatsRequest`] answer every service shares: render the
-/// bound registry, or an empty exposition when none is bound.
-fn stats_reply(telemetry: Option<Arc<TelemetryRegistry>>, nonce: u64) -> Message {
-    Message::StatsReply {
-        nonce,
-        text: telemetry.map(|t| t.render_text()).unwrap_or_default(),
+/// What differs between the facades [`Shared`] serves: how each answers a
+/// request under either guard, and the hooks of a push channel. The
+/// hooks' defaults are a plane without subscriptions.
+pub trait Plane: Send + Sync {
+    /// Answers one request under the write guard, on behalf of `client`
+    /// (the connection's push channel, if any).
+    fn answer(&mut self, client: Option<u64>, msg: Message) -> Option<Message>;
+
+    /// Answers one request that leaves the plane untouched, under either
+    /// guard.
+    fn answer_read(&self, msg: Message) -> Option<Message>;
+
+    /// The registry behind [`Message::StatsRequest`] answers, if bound.
+    fn telemetry(&self) -> Option<Arc<TelemetryRegistry>>;
+
+    /// The count of subscriptions waiting to push, read without the lock.
+    /// The default is a gauge nothing raises.
+    fn push_depth(&self) -> Arc<Gauge> {
+        Arc::default()
+    }
+
+    /// Advances the clock that rate-limits pushes to `now_ms`.
+    fn set_push_clock_ms(&mut self, _now_ms: u64) {}
+
+    /// Opens a push channel for one connection, if the plane has any.
+    fn open_push(&mut self) -> Option<u64> {
+        None
+    }
+
+    /// Closes a push channel opened by [`Plane::open_push`].
+    fn close_push(&mut self, _client: u64) {}
+
+    /// Drains up to `max` deltas ready for `client` into `out`.
+    fn drain_push(&mut self, _client: u64, _max: usize, _out: &mut Vec<NeighborDelta>) {}
+}
+
+/// The answers every plane gives alike: pings and shutdowns are
+/// acknowledged, stats render the bound registry (empty when none is
+/// bound), and stray replies are dropped.
+fn answer_common(plane: &impl Plane, msg: Message) -> Option<Message> {
+    match msg {
+        Message::ProbePing { nonce } | Message::Shutdown { nonce } => {
+            Some(Message::ProbePong { nonce })
+        }
+        Message::StatsRequest { nonce } => Some(Message::StatsReply {
+            nonce,
+            text: plane
+                .telemetry()
+                .map(|t| t.render_text())
+                .unwrap_or_default(),
+        }),
+        Message::ProbePong { .. }
+        | Message::JoinReply { .. }
+        | Message::JoinError { .. }
+        | Message::QueryReply { .. }
+        | Message::FillReply { .. }
+        | Message::DeltaPush { .. }
+        | Message::SubAck { .. }
+        | Message::StatsReply { .. } => None,
+        write => unreachable!("{} needs the write guard", write.kind_name()),
     }
 }
 
@@ -161,89 +195,28 @@ fn delta_push(d: NeighborDelta) -> Message {
     }
 }
 
-impl WireService for ActorFederation {
-    fn handle(&self, msg: Message) -> Option<Message> {
-        match msg {
-            Message::ProbePing { nonce } => Some(Message::ProbePong { nonce }),
-            Message::JoinRequest { peer, path } => Some(Message::join_reply(
-                peer,
-                self.register(peer, path).map(|out| out.neighbors),
-            )),
-            Message::HandoverRequest { peer, path } => Some(Message::join_reply(
-                peer,
-                self.handover(peer, path).map(|out| out.neighbors),
-            )),
-            Message::Leave { peer } => {
-                self.leave_batch(&[peer]);
-                None
-            }
-            Message::Heartbeat { peer } => {
-                self.renew_batch(&[peer]);
-                None
-            }
-            Message::QueryRequest {
-                nonce,
-                path,
-                k,
-                exclude,
-            } => Some(Message::QueryReply {
-                nonce,
-                // Client-facing queries get the full federated answer
-                // (fan-out + bridge fills); the region-side frame
-                // handler's QueryRequest stays exact-candidates-only.
-                neighbors: to_wire(self.closest_to_path(&path, k as usize, exclude)),
-            }),
-            Message::FillRequest { nonce, .. } => Some(Message::FillReply {
-                nonce,
-                items: Vec::new(),
-            }),
-            Message::Shutdown { nonce } => Some(Message::ProbePong { nonce }),
-            // A federated answer is merged across regions per query; a
-            // standing subscription would have to re-merge on every churn
-            // event in every region. Until that exists, refuse loudly
-            // rather than serve region-local (wrong) deltas.
-            Message::Subscribe { peer, .. } => Some(Message::JoinError {
-                peer,
-                reason: "subscriptions are not supported on a federated front door".into(),
-            }),
-            Message::Unsubscribe { nonce, peer } => Some(Message::SubAck {
-                nonce,
-                peer,
-                neighbors: Vec::new(),
-            }),
-            Message::StatsRequest { nonce } => Some(stats_reply(self.telemetry(), nonce)),
-            Message::ProbePong { .. }
-            | Message::JoinReply { .. }
-            | Message::JoinError { .. }
-            | Message::QueryReply { .. }
-            | Message::FillReply { .. }
-            | Message::DeltaPush { .. }
-            | Message::SubAck { .. }
-            | Message::StatsReply { .. } => None,
-        }
-    }
-
-    fn telemetry(&self) -> Option<Arc<TelemetryRegistry>> {
-        ActorFederation::telemetry(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ids::PeerId;
     use crate::path::PeerPath;
-    use crate::ServerConfig;
+    use crate::{ManagementServer, ServerConfig};
     use nearpeer_topology::RouterId;
 
     fn path(ids: &[u32]) -> PeerPath {
         PeerPath::new(ids.iter().map(|&i| RouterId(i)).collect()).unwrap()
     }
 
+    fn server() -> Shared<ManagementServer> {
+        Shared::new(
+            ManagementServer::new(vec![RouterId(0)], vec![vec![0]], ServerConfig::default())
+                .unwrap(),
+        )
+    }
+
     #[test]
     fn wire_service_maps_requests_to_replies() {
-        let srv =
-            ActorServer::new(vec![RouterId(0)], vec![vec![0]], ServerConfig::default()).unwrap();
+        let srv = server();
         assert_eq!(
             srv.handle(Message::ProbePing { nonce: 7 }),
             Some(Message::ProbePong { nonce: 7 })
@@ -292,7 +265,7 @@ mod tests {
             other => panic!("expected QueryReply, got {}", other.kind_name()),
         }
         assert_eq!(srv.handle(Message::Leave { peer: PeerId(1) }), None);
-        assert_eq!(srv.peer_count(), 0);
+        assert_eq!(srv.read().peer_count(), 0);
         assert_eq!(
             srv.handle(Message::Shutdown { nonce: 3 }),
             Some(Message::ProbePong { nonce: 3 })
@@ -301,8 +274,7 @@ mod tests {
 
     #[test]
     fn subscribe_over_the_wire_acks_then_pushes() {
-        let srv =
-            ActorServer::new(vec![RouterId(0)], vec![vec![0]], ServerConfig::default()).unwrap();
+        let srv = server();
         srv.handle(Message::JoinRequest {
             peer: PeerId(1),
             path: path(&[4, 2, 1, 0]),
@@ -373,20 +345,19 @@ mod tests {
             Some(Message::SubAck { nonce: 3, .. })
         ));
         srv.close_client(client);
-        assert_eq!(srv.subscription_stats().active, 0);
+        assert_eq!(srv.read().subscription_stats().active, 0);
     }
 
     #[test]
     fn stats_request_serves_the_bound_registry() {
-        let srv =
-            ActorServer::new(vec![RouterId(0)], vec![vec![0]], ServerConfig::default()).unwrap();
+        let srv = server();
         // Unbound: an empty exposition, never an error.
         match srv.handle(Message::StatsRequest { nonce: 1 }) {
             Some(Message::StatsReply { nonce: 1, text }) => assert!(text.is_empty()),
             other => panic!("expected StatsReply, got {other:?}"),
         }
         let reg = Arc::new(TelemetryRegistry::new());
-        srv.bind_telemetry(Arc::clone(&reg));
+        srv.write().bind_telemetry(Arc::clone(&reg));
         srv.handle(Message::JoinRequest {
             peer: PeerId(1),
             path: path(&[4, 2, 1, 0]),

@@ -304,23 +304,33 @@ impl std::fmt::Debug for ManagementServer {
 
 impl ManagementServer {
     /// Creates a server from landmark routers and their pairwise hop
-    /// distances (row-major square matrix; `u32::MAX` = unknown).
+    /// distances (row-major square matrix; `u32::MAX` = unknown),
+    /// refusing what the server would only trip over later: no landmark,
+    /// more than 65 536, a distance matrix that is not `n × n`,
+    /// and an invalid [`ServerConfig`].
     pub fn new(
         landmark_routers: Vec<RouterId>,
         landmark_dist: Vec<Vec<u32>>,
         config: ServerConfig,
-    ) -> Self {
-        debug_assert_eq!(landmark_dist.len(), landmark_routers.len());
-        assert!(
-            landmark_routers.len() <= MAX_LANDMARKS,
-            "a server holds at most {MAX_LANDMARKS} landmarks"
-        );
+    ) -> Result<Self, CoreError> {
+        let n = landmark_routers.len();
+        if n == 0 || n > MAX_LANDMARKS {
+            return Err(CoreError::InvalidConfig(format!(
+                "a server holds 1 to {MAX_LANDMARKS} landmarks, not {n}"
+            )));
+        }
+        if landmark_dist.len() != n || landmark_dist.iter().any(|row| row.len() != n) {
+            return Err(CoreError::InvalidConfig(format!(
+                "landmark distance matrix must be {n}x{n}"
+            )));
+        }
+        config.validate()?;
         let landmark_by_router = landmark_routers
             .iter()
             .enumerate()
             .map(|(i, &r)| (r, LandmarkId(i as u32)))
             .collect();
-        Self {
+        Ok(Self {
             config,
             landmark_by_router,
             landmark_dist,
@@ -337,17 +347,17 @@ impl ManagementServer {
             subs: Mutex::new(SubscriptionRegistry::new()),
             sub_clock_ms: 0,
             telemetry: None,
-        }
+        })
     }
 
     /// Convenience constructor measuring landmark-to-landmark hop distances
     /// over the topology (the real system would traceroute between
-    /// landmarks once at startup).
+    /// landmarks once at startup). Refuses what [`Self::new`] refuses.
     pub fn bootstrap(
         topo: &Topology,
         landmark_routers: Vec<RouterId>,
         config: ServerConfig,
-    ) -> Self {
+    ) -> Result<Self, CoreError> {
         // All measured destinations are landmarks, so precompute their
         // trees into the oracle's arena (parallel on multi-core hosts).
         let oracle = RouteOracle::with_destinations(topo, &landmark_routers);
@@ -362,7 +372,7 @@ impl ManagementServer {
         oracle: &RouteOracle<'_>,
         landmark_routers: Vec<RouterId>,
         config: ServerConfig,
-    ) -> Self {
+    ) -> Result<Self, CoreError> {
         let n = landmark_routers.len();
         let mut dist = vec![vec![u32::MAX; n]; n];
         for (i, &a) in landmark_routers.iter().enumerate() {
@@ -1250,7 +1260,7 @@ impl ManagementServer {
         for (peer, _, l) in leases.iter() {
             router_index::index_path(&mut index, peer, stores[l.landmark as usize].get(l.path));
         }
-        let mut server = Self::new(landmark_routers, landmark_dist, config);
+        let mut server = Self::new(landmark_routers, landmark_dist, config)?;
         server.leases = leases;
         server.stores = stores;
         server.adaptive = adaptive;
@@ -1418,6 +1428,7 @@ mod tests {
             vec![vec![0, 5], vec![5, 0]],
             config,
         )
+        .unwrap()
     }
 
     #[test]
@@ -1541,7 +1552,8 @@ mod tests {
                 neighbor_count: 3,
                 ..ServerConfig::default()
             },
-        );
+        )
+        .unwrap();
         srv.register(PeerId(1), path(&[60, 0, 105, 100])).unwrap(); // px
         srv.register(PeerId(2), path(&[70, 1, 0])).unwrap(); // py
                                                              // Newcomer sits on landmark B's own router (query depth 0).
@@ -1575,7 +1587,8 @@ mod tests {
             &fig.topology,
             vec![fig.landmark, ra, rb],
             ServerConfig::default(),
-        );
+        )
+        .unwrap();
         // lmk-ra adjacent, lmk-rb two hops.
         assert_eq!(srv.landmark_dist[0][1], 1);
         assert_eq!(srv.landmark_dist[0][2], 2);
@@ -2155,6 +2168,36 @@ mod tests {
         ));
     }
 
+    /// A snapshot whose checksum holds but whose lease table is larger
+    /// than its slab could have grown is refused before the table is
+    /// allocated (2^40 slots would be 4 TiB).
+    #[test]
+    fn a_forged_lease_table_capacity_is_refused() {
+        let mut srv =
+            ManagementServer::new(vec![RouterId(0)], vec![vec![0]], ServerConfig::default())
+                .unwrap();
+        srv.register(PeerId(1), path(&[3, 2, 1, 0])).unwrap();
+        let good = srv.snapshot_bytes().unwrap();
+        let forge = |cap: u64| {
+            // From the end: checksum (8), adaptive flag (1), sweep
+            // counters (16), the one bucket and its one note (16), the
+            // bucket count (8) and base (8), then the table capacity.
+            let at = good.len() - 8 - 1 - 16 - 16 - 8 - 8 - 8;
+            let mut forged = good.clone();
+            assert_eq!(forged[at..at + 8], 8u64.to_le_bytes());
+            forged[at..at + 8].copy_from_slice(&cap.to_le_bytes());
+            let body = forged.len() - 8;
+            let sum = persist::checksum(&forged[..body]);
+            forged[body..].copy_from_slice(&sum.to_le_bytes());
+            forged
+        };
+        assert_eq!(forge(8), good);
+        assert!(matches!(
+            ManagementServer::recover(&forge(1 << 40), &[]),
+            Err(CoreError::Persist(PersistError::Corrupt(_)))
+        ));
+    }
+
     #[test]
     fn torn_journal_tail_replays_to_last_intact_record() {
         use crate::directory::persist::journal::append_op;
@@ -2191,7 +2234,8 @@ mod tests {
     /// 0, with its epoch and its lease buckets' base moved to `epoch`.
     fn snapshot_at_epoch(epoch: u64) -> Vec<u8> {
         let mut srv =
-            ManagementServer::new(vec![RouterId(0)], vec![vec![0]], ServerConfig::default());
+            ManagementServer::new(vec![RouterId(0)], vec![vec![0]], ServerConfig::default())
+                .unwrap();
         srv.register(PeerId(9), path(&[7, 0])).unwrap();
         srv.deregister(PeerId(9)).unwrap();
         let mut bytes = srv.snapshot_bytes().unwrap();

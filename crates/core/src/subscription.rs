@@ -9,7 +9,7 @@
 //!
 //! The registry is host-agnostic: anything implementing
 //! [`SubscriptionHost`] (the [`crate::ManagementServer`], which
-//! [`crate::ActorServer`] serves behind a lock) feeds it `observe` calls
+//! [`crate::Shared`] serves behind a lock) feeds it `observe` calls
 //! from its churn entry points and drains [`NeighborDelta`]s per client.
 //! It works in two steps:
 //!
@@ -801,6 +801,7 @@ mod tests {
             vec![vec![0, 5], vec![5, 0]],
             ServerConfig::default(),
         )
+        .unwrap()
     }
 
     fn watch(peer: PeerId, k: usize) -> Subscription {
@@ -1180,11 +1181,12 @@ mod tests {
     /// still equal a re-poll.
     #[test]
     fn bridge_near_u32_max_saturates_and_deltas_match_repoll() {
-        use crate::{ActorFederation, Federation, FederationConfig};
+        use crate::{Federation, FederationConfig};
         let routers = vec![RouterId(0), RouterId(100)];
         let bridge = u32::MAX - 1;
         let dist = vec![vec![0, bridge], vec![bridge, 0]];
-        let mut srv = ManagementServer::new(routers.clone(), dist.clone(), ServerConfig::default());
+        let mut srv =
+            ManagementServer::new(routers.clone(), dist.clone(), ServerConfig::default()).unwrap();
         srv.register(PeerId(1), path(&[4, 2, 1, 0])).unwrap();
         let client = srv.open_sub_client();
         // k = 1: the one fill slot goes to the exact-nearest foreign peer,
@@ -1217,17 +1219,16 @@ mod tests {
             fanout: None,
             server: ServerConfig::default(),
         };
-        let mut fed = Federation::new(routers.clone(), dist.clone(), 2, config).unwrap();
-        let framed = ActorFederation::new(routers, dist, 2, config).unwrap();
+        let mut fed = Federation::new(routers, dist, 2, config).unwrap();
         for (peer, p) in [(PeerId(1), path(&[4, 2, 1, 0]))]
             .into_iter()
             .chain(foreign)
         {
-            fed.register(peer, p.clone()).unwrap();
-            framed.register(peer, p).unwrap();
+            fed.register(peer, p).unwrap();
         }
         assert_eq!(fed.neighbors_of(PeerId(1), 3).unwrap(), answer);
-        assert_eq!(framed.neighbors_of(PeerId(1), 3).unwrap(), answer);
+        let (_, own) = fed.locate(PeerId(1)).unwrap();
+        assert_eq!(fed.closest_by_frames(own, 3, Some(PeerId(1))), answer);
     }
 
     #[test]

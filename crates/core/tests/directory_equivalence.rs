@@ -351,7 +351,7 @@ proptest! {
                 cross_landmark_fallback: true,
                 adaptive_leases: None,
             },
-        );
+        ).unwrap();
         let mut reference = ReferenceServer::new();
 
         for op in ops {

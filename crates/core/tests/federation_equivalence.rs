@@ -36,6 +36,7 @@ fn reference() -> ManagementServer {
         LM_DIST.iter().map(|row| row.to_vec()).collect(),
         server_config(),
     )
+    .unwrap()
 }
 
 fn federation(n_regions: usize) -> Federation {

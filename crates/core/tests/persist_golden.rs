@@ -32,7 +32,8 @@ fn server() -> ManagementServer {
         vec![RouterId(0), RouterId(1_000)],
         vec![vec![0, 3], vec![3, 0]],
         config,
-    );
+    )
+    .unwrap();
     // Peers 1 and 2 share one path; 3 and 4 under landmark 0, 5 and 6
     // under landmark 1.
     srv.register(PeerId(1), path(&[10, 11, 0])).unwrap();

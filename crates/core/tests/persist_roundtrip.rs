@@ -139,6 +139,7 @@ fn build_server(adaptive: bool) -> ManagementServer {
             ..ServerConfig::default()
         },
     )
+    .unwrap()
 }
 
 /// Every externally observable facet of the directory must agree.

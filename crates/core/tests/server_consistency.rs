@@ -59,7 +59,7 @@ proptest! {
                 cross_landmark_fallback: true,
                 adaptive_leases: None,
             },
-        );
+        ).unwrap();
         // Reference model: the set of currently registered peers.
         let mut model: HashMap<PeerId, PeerPath> = HashMap::new();
 
@@ -185,7 +185,8 @@ fn emptied_server_holds_no_router_and_no_tree_node() {
         vec![RouterId(0), RouterId(1_000_000)],
         vec![vec![0, 7], vec![7, 0]],
         ServerConfig::default(),
-    );
+    )
+    .unwrap();
     // `path_for` keys the access router on a u8; this test needs 1 000.
     let path = |access: u32, leaf: u64| {
         let mut routers = path_for(0, leaf).routers().to_vec();

@@ -243,7 +243,7 @@ proptest! {
                 cross_landmark_fallback: true,
                 adaptive_leases: None,
             },
-        );
+        ).unwrap();
         let mut client = server.open_sub_client();
         let mut views: HashMap<PeerId, View> = HashMap::new();
 

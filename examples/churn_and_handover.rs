@@ -41,7 +41,8 @@ fn main() {
         },
         seed,
     );
-    let mut server = ManagementServer::bootstrap(&topo, landmarks.clone(), ServerConfig::default());
+    let mut server = ManagementServer::bootstrap(&topo, landmarks.clone(), ServerConfig::default())
+        .expect("the landmarks build a server");
     let mut dead: HashSet<PeerId> = HashSet::new();
     let mut stale_answers = 0usize;
     let mut joins_with_neighbors = 0usize;
@@ -85,7 +86,8 @@ fn main() {
 
     // --- Part 2: mobility handover. ---
     println!("=== mobility: handover restores locality ===");
-    let mut server = ManagementServer::bootstrap(&topo, landmarks.clone(), ServerConfig::default());
+    let mut server = ManagementServer::bootstrap(&topo, landmarks.clone(), ServerConfig::default())
+        .expect("the landmarks build a server");
     let mut attach: HashMap<PeerId, _> = HashMap::new();
     for i in 0..100u64 {
         let router = access[(i as usize * 3) % access.len()];

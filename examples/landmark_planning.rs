@@ -54,7 +54,8 @@ fn main() {
                     neighbor_count: k,
                     ..ServerConfig::default()
                 },
-            );
+            )
+            .expect("the landmarks build a server");
             let mut attach: HashMap<PeerId, _> = HashMap::new();
             let mut probe_total = 0u64;
             for i in 0..peers {

@@ -73,7 +73,8 @@ fn main() {
             neighbor_count: K,
             ..ServerConfig::default()
         },
-    );
+    )
+    .expect("the landmarks build a server");
     let access = topo.access_routers();
     let mut attach = Vec::new();
     for i in 0..args.peers {

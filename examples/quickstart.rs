@@ -26,7 +26,8 @@ fn main() {
     // 2. A few landmarks at medium-degree routers + the management server.
     let landmarks = place_landmarks(&topo, 3, PlacementPolicy::DegreeMedium, 2007);
     println!("landmarks at routers: {landmarks:?}");
-    let mut server = ManagementServer::bootstrap(&topo, landmarks.clone(), ServerConfig::default());
+    let mut server = ManagementServer::bootstrap(&topo, landmarks.clone(), ServerConfig::default())
+        .expect("one landmark builds a server");
 
     // 3. Twenty peers join: each traceroutes to its closest landmark and
     //    registers the discovered path.

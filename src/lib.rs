@@ -30,7 +30,7 @@
 //!     &topo, 1, nearpeer::core::landmarks::PlacementPolicy::DegreeMedium, 42,
 //! )[0];
 //! let mut server =
-//!     ManagementServer::bootstrap(&topo, vec![landmark], ServerConfig::default());
+//!     ManagementServer::bootstrap(&topo, vec![landmark], ServerConfig::default()).unwrap();
 //!
 //! // Round 1: a newcomer traceroutes towards the landmark…
 //! let tracer = Tracer::new(&oracle, TraceConfig::default());

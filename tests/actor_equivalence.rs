@@ -1,23 +1,29 @@
-//! Answer equivalence between the actorized serving plane and the
-//! synchronous data plane it fronts.
+//! Answer equivalence between the concurrent serving plane and the
+//! synchronous data plane it fronts, at the wire.
 //!
-//! The actorization claim is not "roughly the same answers" — it is
-//! **bit-identical behaviour over any op interleaving**: an
-//! [`ActorServer`] fed a sequence of register / leave / heartbeat /
-//! handover / epoch / expiry / query operations must produce exactly the
-//! outcomes of a [`ManagementServer`] fed the same sequence, and an
-//! [`ActorFederation`] must match a [`Federation`] the same way at 1, 2
-//! and 4 regions (home-first fan-out, bridge fills and cross-region
-//! handovers included). Each actor plane is its synchronous twin behind
-//! one lock, so writes agree by construction; what this still pins is the
-//! wrapper (clock, guards) and the federation's frame-carried query path.
+//! The claim is not "roughly the same answers" — it is **bit-identical
+//! behaviour over any op interleaving**: a [`Shared`] [`ManagementServer`]
+//! fed a sequence of register / leave / heartbeat / handover / query
+//! requests through [`WireService::handle_batch`], in bursts of 1 to 8,
+//! must reply exactly what a [`ManagementServer`] fed the same sequence
+//! answers, and a [`Shared`] [`Federation`] must match a [`Federation`]
+//! the same way at 1, 2 and 4 regions (home-first fan-out, bridge fills
+//! and cross-region handovers included). Epoch advances and expiry
+//! sweeps, which have no request, end a burst and run under the write
+//! guard. Each plane is its synchronous twin behind one lock, so writes
+//! agree by construction; what this still pins is the wire dispatch, one
+//! guard per burst, and the federation's frame-carried query path against
+//! [`Federation::closest_to_path`]. After every burst each peer it touched
+//! must sit where the twin holds it (landmark or region, path, last seen):
+//! a leave or heartbeat replies nothing, so that is where they show.
 //! The sequential interleaving pins the semantics; concurrency is
 //! exercised by the crate's unit tests, `actor_race.rs` (writers racing
 //! expiry sweeps) and the `perf` smoke test.
 
+use nearpeer::core::protocol::{Message, WireNeighbor};
 use nearpeer::core::{
-    ActorFederation, ActorServer, CoreError, FederatedJoin, Federation, FederationConfig,
-    JoinOutcome, LandmarkId, Neighbor, PeerId, ServerConfig,
+    CoreError, Federation, FederationConfig, LandmarkId, ManagementServer, Neighbor, Outbound,
+    PeerId, PeerPath, ServerConfig, Shared, WireService,
 };
 use nearpeer_bench::wire::synthetic_landmarks;
 use nearpeer_bench::SyntheticJoins;
@@ -53,6 +59,11 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
     prop::collection::vec(op, 1..60)
 }
 
+/// Burst sizes, used in turn and cycled.
+fn arb_bursts() -> impl Strategy<Value = Vec<usize>> {
+    prop::collection::vec(1usize..9, 1..12)
+}
+
 fn config() -> ServerConfig {
     ServerConfig {
         neighbor_count: 3,
@@ -60,88 +71,199 @@ fn config() -> ServerConfig {
     }
 }
 
-/// Flattens an answer to comparable tuples.
-fn key(neighbors: &[Neighbor]) -> Vec<(u64, u32)> {
-    neighbors.iter().map(|n| (n.peer.0, n.dtree)).collect()
+/// An answer list in its wire form.
+fn wire(neighbors: Vec<Neighbor>) -> Vec<WireNeighbor> {
+    neighbors
+        .into_iter()
+        .map(|n| WireNeighbor {
+            peer: n.peer,
+            dtree: n.dtree,
+        })
+        .collect()
 }
 
-/// `(landmark, answer)` — a join outcome flattened for comparison.
-type JoinKey = Result<(u32, Vec<(u64, u32)>), String>;
-
-/// `(region, landmark, answer)` — a federated join flattened for comparison.
-type FedKey = Result<(u32, u32, Vec<(u64, u32)>), String>;
-
-fn join_key(r: Result<JoinOutcome, CoreError>) -> JoinKey {
-    r.map(|o| (o.landmark.0, key(&o.neighbors)))
-        .map_err(|e| e.to_string())
+/// The reply to a join or handover that answered `outcome`.
+fn join_reply(peer: u64, outcome: Result<Vec<Neighbor>, CoreError>) -> Message {
+    match outcome {
+        Ok(neighbors) => Message::JoinReply {
+            peer: PeerId(peer),
+            neighbors: wire(neighbors),
+            delegate: None,
+        },
+        Err(e) => Message::JoinError {
+            peer: PeerId(peer),
+            reason: e.to_string(),
+        },
+    }
 }
 
-fn fed_key(r: Result<FederatedJoin, CoreError>) -> FedKey {
-    r.map(|o| (o.region.0, o.landmark.0, key(&o.neighbors)))
-        .map_err(|e| e.to_string())
+/// `peer`'s query for its `k` nearest, on `path`.
+fn query(nonce: u64, peer: u64, path: PeerPath, k: usize) -> Message {
+    Message::QueryRequest {
+        nonce,
+        path,
+        k: k as u16,
+        exclude: Some(PeerId(peer)),
+    }
+}
+
+/// `peer` sits where the twin holds it: landmark, path, last seen.
+fn server_placed(
+    sync: &ManagementServer,
+    shared: &Shared<ManagementServer>,
+    p: u64,
+) -> Result<(), TestCaseError> {
+    let peer = PeerId(p);
+    let srv = shared.read();
+    prop_assert_eq!(sync.landmark_of(peer), srv.landmark_of(peer));
+    prop_assert_eq!(sync.path_of(peer), srv.path_of(peer));
+    prop_assert_eq!(sync.last_seen(peer), srv.last_seen(peer));
+    Ok(())
+}
+
+/// `peer` sits where the twin holds it: region, path, last seen.
+fn federation_placed(
+    sync: &Federation,
+    shared: &Shared<Federation>,
+    p: u64,
+) -> Result<(), TestCaseError> {
+    let peer = PeerId(p);
+    let fed = shared.read();
+    let placed = sync.locate(peer);
+    prop_assert_eq!(placed, fed.locate(peer));
+    if let Some((region, _)) = placed {
+        prop_assert_eq!(
+            sync.region(region).server().last_seen(peer),
+            fed.region(region).server().last_seen(peer)
+        );
+    }
+    Ok(())
+}
+
+/// Requests waiting to go out as one burst, the replies the twin gave
+/// them, and the peers they touched.
+struct Burst {
+    sizes: Vec<usize>,
+    next: usize,
+    requests: Vec<Message>,
+    expected: Vec<Outbound>,
+    peers: Vec<u64>,
+}
+
+impl Burst {
+    fn new(sizes: Vec<usize>) -> Self {
+        Burst {
+            sizes,
+            next: 0,
+            requests: Vec::new(),
+            expected: Vec::new(),
+            peers: Vec::new(),
+        }
+    }
+
+    /// Queues `request`, which the twin answered `reply`; says whether
+    /// the burst is full.
+    fn push(&mut self, peer: u64, request: Message, reply: Option<Message>) -> bool {
+        self.requests.push(request);
+        self.expected.push(Outbound::Reply(reply));
+        self.peers.push(peer);
+        self.requests.len() == self.sizes[self.next % self.sizes.len()]
+    }
+
+    /// Sends the burst through `service` and checks every reply, then
+    /// hands `placed` each peer the burst touched.
+    fn flush(
+        &mut self,
+        service: &dyn WireService,
+        mut placed: impl FnMut(u64) -> Result<(), TestCaseError>,
+    ) -> Result<(), TestCaseError> {
+        if self.requests.is_empty() {
+            return Ok(());
+        }
+        self.next += 1;
+        let mut out = Vec::new();
+        service.handle_batch(None, &mut self.requests, &mut out);
+        prop_assert!(self.requests.is_empty(), "the burst drains its requests");
+        prop_assert_eq!(&out, &self.expected);
+        self.expected.clear();
+        for p in self.peers.drain(..) {
+            placed(p)?;
+        }
+        Ok(())
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// [`ActorServer`] ≡ [`ManagementServer`] over arbitrary op sequences.
+    /// A [`Shared`] [`ManagementServer`] at the wire ≡ [`ManagementServer`]
+    /// over arbitrary op sequences and bursts.
     #[test]
-    fn actor_server_matches_sync_server(ops in arb_ops()) {
+    fn actor_server_matches_sync_server(ops in arb_ops(), bursts in arb_bursts()) {
         let joins = SyntheticJoins::new(LANDMARKS);
         let mut sync = joins.server(config());
         let (routers, dist) = synthetic_landmarks(LANDMARKS);
-        let actor = ActorServer::new(routers, dist, config()).expect("builds");
-        for op in ops {
-            match op {
+        let shared = Shared::new(ManagementServer::new(routers, dist, config()).expect("builds"));
+        let mut burst = Burst::new(bursts);
+        for (nonce, op) in ops.into_iter().enumerate() {
+            let full = match op {
                 Op::Register(p) => {
-                    let a = join_key(sync.register(PeerId(p), joins.path(p)));
-                    let b = join_key(actor.register(PeerId(p), joins.path(p)));
-                    prop_assert_eq!(a, b);
+                    let path = joins.path(p);
+                    let a = join_reply(p, sync.register(PeerId(p), path.clone()).map(|o| o.neighbors));
+                    burst.push(p, Message::JoinRequest { peer: PeerId(p), path }, Some(a))
                 }
                 Op::Leave(p) => {
-                    let a = sync.deregister(PeerId(p)).map_err(|e| e.to_string());
-                    let b = actor.deregister(PeerId(p)).map_err(|e| e.to_string());
-                    prop_assert_eq!(a, b);
+                    let _ = sync.deregister(PeerId(p));
+                    burst.push(p, Message::Leave { peer: PeerId(p) }, None)
                 }
                 Op::Handover(p, l) => {
                     let path = joins.path_to(p, LandmarkId(l));
-                    let a = join_key(sync.handover(PeerId(p), path.clone()));
-                    let b = join_key(actor.handover(PeerId(p), path));
-                    prop_assert_eq!(a, b);
+                    let a = join_reply(p, sync.handover(PeerId(p), path.clone()).map(|o| o.neighbors));
+                    burst.push(p, Message::HandoverRequest { peer: PeerId(p), path }, Some(a))
                 }
                 Op::Heartbeat(p) => {
-                    let a = sync.heartbeat(PeerId(p)).map_err(|e| e.to_string());
-                    let b = actor.heartbeat(PeerId(p)).map_err(|e| e.to_string());
-                    prop_assert_eq!(a, b);
+                    let _ = sync.heartbeat(PeerId(p));
+                    burst.push(p, Message::Heartbeat { peer: PeerId(p) }, None)
                 }
                 Op::Advance => {
-                    prop_assert_eq!(sync.advance_epoch(), actor.advance_epoch());
+                    burst.flush(&shared, |p| server_placed(&sync, &shared, p))?;
+                    prop_assert_eq!(sync.advance_epoch(), shared.write().advance_epoch());
+                    false
                 }
                 Op::Expire(age) => {
-                    prop_assert_eq!(sync.expire_stale(age), actor.expire_stale(age));
+                    burst.flush(&shared, |p| server_placed(&sync, &shared, p))?;
+                    prop_assert_eq!(sync.expire_stale(age), shared.write().expire_stale(age));
+                    false
                 }
                 Op::Query(p, k) => {
                     let path = joins.path(p);
-                    let a = key(&sync.closest_to_path(&path, k, Some(PeerId(p))));
-                    let b = key(&actor.closest_to_path(&path, k, Some(PeerId(p))));
-                    prop_assert_eq!(a, b);
+                    let a = Message::QueryReply {
+                        nonce: nonce as u64,
+                        neighbors: wire(sync.closest_to_path(&path, k, Some(PeerId(p)))),
+                    };
+                    burst.push(p, query(nonce as u64, p, path, k), Some(a))
                 }
+            };
+            if full {
+                burst.flush(&shared, |p| server_placed(&sync, &shared, p))?;
             }
         }
-        prop_assert_eq!(sync.peer_count(), actor.peer_count());
+        burst.flush(&shared, |p| server_placed(&sync, &shared, p))?;
+        prop_assert_eq!(sync.peer_count(), shared.read().peer_count());
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// [`ActorFederation`] ≡ [`Federation`] at 1, 2 and 4 regions: the
-    /// RPC-frame fan-out and prefix-cursor bridge fills reproduce the
-    /// nested-call query exactly.
+    /// A [`Shared`] [`Federation`] at the wire ≡ [`Federation`] at 1, 2
+    /// and 4 regions: one guard per burst, and the RPC-frame fan-out and
+    /// prefix-cursor bridge fills reproduce the nested-call query exactly.
     #[test]
     fn actor_federation_matches_sync_federation(
         ops in arb_ops(),
         regions in prop_oneof![Just(1usize), Just(2), Just(4)],
+        bursts in arb_bursts(),
     ) {
         let joins = SyntheticJoins::new(LANDMARKS);
         let fed_config = FederationConfig {
@@ -152,62 +274,56 @@ proptest! {
         let mut sync =
             Federation::new(routers.clone(), dist.clone(), regions, fed_config)
                 .expect("builds");
-        let actor =
-            ActorFederation::new(routers, dist, regions, fed_config).expect("builds");
-        for op in ops {
-            match op {
+        let shared = Shared::new(
+            Federation::new(routers, dist, regions, fed_config).expect("builds"),
+        );
+        let mut burst = Burst::new(bursts);
+        for (nonce, op) in ops.into_iter().enumerate() {
+            let full = match op {
                 Op::Register(p) => {
-                    let a = fed_key(sync.register(PeerId(p), joins.path(p)));
-                    let b = fed_key(actor.register(PeerId(p), joins.path(p)));
-                    prop_assert_eq!(a, b);
+                    let path = joins.path(p);
+                    let a = join_reply(p, sync.register(PeerId(p), path.clone()).map(|o| o.neighbors));
+                    burst.push(p, Message::JoinRequest { peer: PeerId(p), path }, Some(a))
                 }
                 Op::Leave(p) => {
-                    prop_assert_eq!(
-                        sync.leave_batch(&[PeerId(p)]),
-                        actor.leave_batch(&[PeerId(p)])
-                    );
+                    sync.leave_batch(&[PeerId(p)]);
+                    burst.push(p, Message::Leave { peer: PeerId(p) }, None)
                 }
                 Op::Handover(p, l) => {
                     let path = joins.path_to(p, LandmarkId(l));
-                    let a = fed_key(sync.handover(PeerId(p), path.clone()));
-                    let b = fed_key(actor.handover(PeerId(p), path));
-                    prop_assert_eq!(a, b);
+                    let a = join_reply(p, sync.handover(PeerId(p), path.clone()).map(|o| o.neighbors));
+                    burst.push(p, Message::HandoverRequest { peer: PeerId(p), path }, Some(a))
                 }
                 Op::Heartbeat(p) => {
-                    prop_assert_eq!(
-                        sync.renew_batch(&[PeerId(p)]),
-                        actor.renew_batch(&[PeerId(p)])
-                    );
+                    sync.renew_batch(&[PeerId(p)]);
+                    burst.push(p, Message::Heartbeat { peer: PeerId(p) }, None)
                 }
                 Op::Advance => {
-                    prop_assert_eq!(sync.advance_epoch(), actor.advance_epoch());
+                    burst.flush(&shared, |p| federation_placed(&sync, &shared, p))?;
+                    prop_assert_eq!(sync.advance_epoch(), shared.write().advance_epoch());
+                    false
                 }
                 Op::Expire(age) => {
-                    let a = sync.expire_stale(age);
-                    let b = actor.expire_stale(age);
-                    let flat = |s: nearpeer::core::FederationSweep| {
-                        (
-                            s.expired
-                                .iter()
-                                .map(|(r, p)| (r.0, p.0))
-                                .collect::<Vec<_>>(),
-                            s.moved_swept
-                                .iter()
-                                .map(|(r, p)| (r.0, p.0))
-                                .collect::<Vec<_>>(),
-                        )
-                    };
-                    prop_assert_eq!(flat(a), flat(b));
+                    burst.flush(&shared, |p| federation_placed(&sync, &shared, p))?;
+                    prop_assert_eq!(sync.expire_stale(age), shared.write().expire_stale(age));
+                    false
                 }
                 Op::Query(p, k) => {
                     let path = joins.path(p);
-                    let a = key(&sync.closest_to_path(&path, k, Some(PeerId(p))));
-                    let b = key(&actor.closest_to_path(&path, k, Some(PeerId(p))));
-                    prop_assert_eq!(a, b);
+                    let a = Message::QueryReply {
+                        nonce: nonce as u64,
+                        neighbors: wire(sync.closest_to_path(&path, k, Some(PeerId(p)))),
+                    };
+                    burst.push(p, query(nonce as u64, p, path, k), Some(a))
                 }
+            };
+            if full {
+                burst.flush(&shared, |p| federation_placed(&sync, &shared, p))?;
             }
         }
-        prop_assert_eq!(sync.peer_count(), actor.peer_count());
-        prop_assert_eq!(sync.tombstone_count(), actor.tombstone_count());
+        burst.flush(&shared, |p| federation_placed(&sync, &shared, p))?;
+        let fed = shared.read();
+        prop_assert_eq!(sync.peer_count(), fed.peer_count());
+        prop_assert_eq!(sync.tombstone_count(), fed.tombstone_count());
     }
 }

@@ -1,15 +1,16 @@
-//! Writers racing an expiry sweep on `ActorServer` and `ActorFederation`.
-//! A sweep and every handover must each be one critical section over the
-//! whole plane: a handover that lands between a sweep and its membership
-//! cleanup finds the peer recorded in one place but gone from it. On
-//! `ActorServer` the peer would be re-inserted and then forgotten — a peer
-//! that queries still return and `deregister` calls unknown (checked by
-//! conservation: joins − leaves == registered peers). On `ActorFederation`
-//! the cross-region teardown would find nothing to forward (checked by
-//! every peer the federation places in a region being live there).
+//! Writers racing an expiry sweep on a `Shared` server and a `Shared`
+//! federation. A sweep and every handover must each be one critical
+//! section over the whole plane: a handover that lands between a sweep and
+//! its membership cleanup finds the peer recorded in one place but gone
+//! from it. On the server the peer would be re-inserted and then forgotten
+//! — a peer that queries still return and `deregister` calls unknown
+//! (checked by conservation: joins − leaves == registered peers). On the
+//! federation the cross-region teardown would find nothing to forward
+//! (checked by every peer the federation places in a region being live
+//! there).
 
 use nearpeer::core::{
-    ActorFederation, ActorServer, CoreError, FederationConfig, LandmarkId, ServerConfig,
+    CoreError, Federation, FederationConfig, LandmarkId, ManagementServer, ServerConfig, Shared,
 };
 use nearpeer_bench::wire::synthetic_landmarks;
 use nearpeer_bench::SyntheticJoins;
@@ -24,11 +25,12 @@ const ROUNDS: u64 = 40;
 fn handovers_racing_expiry_conserve_the_population() {
     let joins = SyntheticJoins::new(LANDMARKS as usize);
     let (routers, dist) = synthetic_landmarks(LANDMARKS as usize);
-    let srv = ActorServer::new(routers, dist, ServerConfig::default()).expect("builds");
+    let srv =
+        Shared::new(ManagementServer::new(routers, dist, ServerConfig::default()).expect("builds"));
     for round in 0..ROUNDS {
         for p in 0..PEERS {
             let (peer, path) = joins.join(p);
-            match srv.register(peer, path) {
+            match srv.write().register(peer, path) {
                 Ok(_) | Err(CoreError::DuplicatePeer(_)) => {}
                 Err(e) => panic!("register {peer:?}: {e}"),
             }
@@ -48,27 +50,27 @@ fn handovers_racing_expiry_conserve_the_population() {
                             let to = LandmarkId(((p + round) % LANDMARKS) as u32);
                             let (peer, path) = joins.join_to(p, to);
                             // A peer the sweep just took is unknown: fine.
-                            match srv.handover(peer, path) {
+                            match srv.write().handover(peer, path) {
                                 Ok(_) | Err(CoreError::UnknownPeer(_)) => {}
                                 Err(e) => panic!("handover {peer:?}: {e}"),
                             }
-                            let _ = srv.heartbeat(peer);
+                            let _ = srv.write().heartbeat(peer);
                         }
                     }
                 });
             }
             start.wait();
             for _ in 0..3 {
-                srv.advance_epoch().unwrap();
-                srv.advance_epoch().unwrap();
-                srv.expire_stale(1);
+                srv.write().advance_epoch().unwrap();
+                srv.write().advance_epoch().unwrap();
+                srv.write().expire_stale(1);
             }
             stop.store(true, Ordering::Release);
         });
-        let stats = srv.stats();
+        let stats = srv.read().stats();
         assert_eq!(
             stats.joins,
-            stats.leaves + srv.peer_count() as u64,
+            stats.leaves + srv.read().peer_count() as u64,
             "round {round}: joins − leaves must equal the registered peers"
         );
     }
@@ -79,20 +81,22 @@ fn federation_handovers_racing_expiry() {
     const REGIONS: usize = 4;
     let joins = SyntheticJoins::new(LANDMARKS as usize);
     let (routers, dist) = synthetic_landmarks(LANDMARKS as usize);
-    let fed = ActorFederation::new(
-        routers,
-        dist,
-        REGIONS,
-        FederationConfig {
-            fanout: None,
-            server: ServerConfig::default(),
-        },
-    )
-    .expect("builds");
+    let fed = Shared::new(
+        Federation::new(
+            routers,
+            dist,
+            REGIONS,
+            FederationConfig {
+                fanout: None,
+                server: ServerConfig::default(),
+            },
+        )
+        .expect("builds"),
+    );
     for round in 0..ROUNDS {
         for p in 0..PEERS {
             let (peer, path) = joins.join(p);
-            match fed.register(peer, path) {
+            match fed.write().register(peer, path) {
                 Ok(_) | Err(CoreError::DuplicatePeer(_)) => {}
                 Err(e) => panic!("register {peer:?}: {e}"),
             }
@@ -113,30 +117,31 @@ fn federation_handovers_racing_expiry() {
                             // of these moves cross regions.
                             let to = LandmarkId(((p + round) % LANDMARKS) as u32);
                             let (peer, path) = joins.join_to(p, to);
-                            match fed.handover(peer, path) {
+                            match fed.write().handover(peer, path) {
                                 Ok(_) | Err(CoreError::UnknownPeer(_)) => {}
                                 Err(e) => panic!("handover {peer:?}: {e}"),
                             }
-                            fed.renew_batch(&[peer]);
+                            fed.write().renew_batch(&[peer]);
                         }
                     }
                 });
             }
             start.wait();
             for _ in 0..3 {
-                fed.advance_epoch().unwrap();
-                fed.advance_epoch().unwrap();
-                fed.expire_stale(1);
+                fed.write().advance_epoch().unwrap();
+                fed.write().advance_epoch().unwrap();
+                fed.write().expire_stale(1);
             }
             stop.store(true, Ordering::Release);
         });
+        let view = fed.read();
         for p in 0..PEERS {
             let (peer, _) = joins.join(p);
-            if let Some(region) = fed.region_of_peer(peer) {
+            if let Some(region) = view.region_of_peer(peer) {
                 // `neighbors_of` reads the peer's path from its claimed
                 // region; k = 0 keeps the check to that lookup.
                 assert!(
-                    fed.neighbors_of(peer, 0).is_ok(),
+                    view.neighbors_of(peer, 0).is_ok(),
                     "round {round}: {peer:?} claimed by {region:?} but not live there"
                 );
             }

@@ -25,11 +25,9 @@ fn churn_trace_replay_through_the_wire() {
     let tracer = Tracer::new(&oracle, TraceConfig::default());
     let access = topo.access_routers();
 
-    let server = Rc::new(RefCell::new(ManagementServer::bootstrap(
-        &topo,
-        landmarks.clone(),
-        ServerConfig::default(),
-    )));
+    let server = Rc::new(RefCell::new(
+        ManagementServer::bootstrap(&topo, landmarks.clone(), ServerConfig::default()).unwrap(),
+    ));
 
     // A short churn trace: everyone joins, some leave gracefully, some
     // fail silently.
@@ -160,6 +158,7 @@ fn lease_server() -> ManagementServer {
         vec![vec![0, 5], vec![5, 0]],
         ServerConfig::default(),
     )
+    .unwrap()
 }
 
 fn lease_path(ids: &[u32]) -> PeerPath {

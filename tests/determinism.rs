@@ -294,6 +294,7 @@ fn report_depends_on_the_registered_set_not_on_history() {
             bridges,
             ServerConfig::default(),
         )
+        .unwrap()
     };
     let (a, b, c) = (PeerId(1), PeerId(2), PeerId(3));
     let (pa, pc) = (path(&[11, 5, 2, 1, 0]), path(&[13, 5, 2, 1, 0]));

@@ -23,7 +23,8 @@ fn path_tree_selection_beats_random_on_an_internet_like_map() {
     let landmarks = place_landmarks(&topo, 4, PlacementPolicy::DegreeMedium, SEED);
     let oracle = RouteOracle::new(&topo);
     let tracer = Tracer::new(&oracle, TraceConfig::default());
-    let mut server = ManagementServer::bootstrap(&topo, landmarks.clone(), ServerConfig::default());
+    let mut server =
+        ManagementServer::bootstrap(&topo, landmarks.clone(), ServerConfig::default()).unwrap();
 
     let access = topo.access_routers();
     let n = 150usize;
@@ -83,11 +84,9 @@ fn wire_protocol_joins_through_the_simulator() {
     let landmarks = place_landmarks(&topo, 2, PlacementPolicy::DegreeMedium, SEED);
     let oracle = RouteOracle::new(&topo);
     let tracer = Tracer::new(&oracle, TraceConfig::default());
-    let server = Rc::new(RefCell::new(ManagementServer::bootstrap(
-        &topo,
-        landmarks.clone(),
-        ServerConfig::default(),
-    )));
+    let server = Rc::new(RefCell::new(
+        ManagementServer::bootstrap(&topo, landmarks.clone(), ServerConfig::default()).unwrap(),
+    ));
 
     // Server and landmarks attach to real routers; peers behind access
     // routers. Messages travel with topology latencies.
@@ -167,7 +166,8 @@ fn churn_deregistration_keeps_answers_clean() {
     let landmarks = place_landmarks(&topo, 2, PlacementPolicy::DegreeMedium, SEED);
     let oracle = RouteOracle::new(&topo);
     let tracer = Tracer::new(&oracle, TraceConfig::default());
-    let mut server = ManagementServer::bootstrap(&topo, landmarks.clone(), ServerConfig::default());
+    let mut server =
+        ManagementServer::bootstrap(&topo, landmarks.clone(), ServerConfig::default()).unwrap();
     let access = topo.access_routers();
 
     let mk_path = |router, salt: u64| {

@@ -11,7 +11,8 @@ fn joined_server() -> (nearpeer::topology::presets::Figure1, ManagementServer) {
     let oracle = RouteOracle::new(&fig.topology);
     let tracer = Tracer::new(&oracle, TraceConfig::default());
     let mut server =
-        ManagementServer::bootstrap(&fig.topology, vec![fig.landmark], ServerConfig::default());
+        ManagementServer::bootstrap(&fig.topology, vec![fig.landmark], ServerConfig::default())
+            .unwrap();
     for (i, &router) in fig.peers.iter().enumerate() {
         let trace = tracer
             .trace(router, fig.landmark, i as u64)

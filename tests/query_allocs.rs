@@ -5,20 +5,20 @@
 //! grew by several per shard), for a query answered entirely by
 //! cross-landmark fill (one cursor per foreign landmark on the server's
 //! one index; a lazy merge over every shard's list once cost a heap, a
-//! `Vec` and a `Box` per foreign landmark), on the actorized server
-//! (exactly as many: it is the same server behind a lock) and on the
-//! four-region `ActorFederation`, whose regions answer its frames on the
-//! calling thread; decoding a query frame allocates only the message's own
-//! lists; encoding into a warmed buffer and an `ActorServer` heartbeat or
-//! leave make none. Allocation counts on one thread repeat exactly, so
-//! this is a tier-1 test.
+//! `Vec` and a `Box` per foreign landmark), on the `Shared` server
+//! (exactly as many: it is the same server behind a lock) and on a
+//! four-region federation's frame path, whose regions answer its frames
+//! on the calling thread; decoding a query frame allocates only the
+//! message's own lists; encoding into a warmed buffer and a heartbeat or
+//! leave under a `Shared` server's write guard make none. Allocation
+//! counts on one thread repeat exactly, so this is a tier-1 test.
 
 use bytes::BytesMut;
 use nearpeer::core::codec;
 use nearpeer::core::protocol::{Message, WireNeighbor};
 use nearpeer::core::{
-    ActorFederation, ActorServer, FederationConfig, LandmarkId, ManagementServer, PathRef,
-    PathStore, PeerId, PeerPath, ServerConfig,
+    Federation, FederationConfig, LandmarkId, ManagementServer, PathRef, PathStore, PeerId,
+    PeerPath, ServerConfig, Shared,
 };
 use nearpeer_bench::wire::synthetic_landmarks;
 use nearpeer_bench::SyntheticJoins;
@@ -84,14 +84,18 @@ fn per_query(landmarks: usize) -> (u64, u64) {
 
     let mut sync: ManagementServer = joins.server(ServerConfig::default());
     let (routers, dist) = synthetic_landmarks(landmarks);
-    let actor = ActorServer::new(routers, dist, ServerConfig::default()).expect("builds");
+    let actor =
+        Shared::new(ManagementServer::new(routers, dist, ServerConfig::default()).expect("builds"));
     for (peer, path) in population {
-        actor.register(peer, path.clone()).expect("fresh peer");
+        actor
+            .write()
+            .register(peer, path.clone())
+            .expect("fresh peer");
         sync.register(peer, path).expect("fresh peer");
     }
     (
         allocations(|| sync.closest_to_path(&path, K, Some(asker)).len()),
-        allocations(|| actor.closest_to_path(&path, K, Some(asker)).len()),
+        allocations(|| actor.read().closest_to_path(&path, K, Some(asker)).len()),
     )
 }
 
@@ -114,30 +118,31 @@ fn heartbeats_and_leaves_allocate_nothing() {
     const PEERS: u64 = 2_000;
     let joins = SyntheticJoins::new(8);
     let (routers, dist) = synthetic_landmarks(8);
-    let actor = ActorServer::new(routers, dist, ServerConfig::default()).expect("builds");
+    let actor =
+        Shared::new(ManagementServer::new(routers, dist, ServerConfig::default()).expect("builds"));
     let register_all = || {
         for p in 0..PEERS {
             let (peer, path) = joins.join(p);
-            actor.register(peer, path).expect("fresh peer");
+            actor.write().register(peer, path).expect("fresh peer");
         }
     };
     let leave_all = || {
         for p in 0..PEERS {
-            actor.deregister(PeerId(p)).expect("registered");
+            actor.write().deregister(PeerId(p)).expect("registered");
         }
     };
     register_all();
     let heartbeats = count(|| {
         for p in 0..PEERS {
-            actor.heartbeat(PeerId(p)).expect("registered");
+            actor.write().heartbeat(PeerId(p)).expect("registered");
         }
     });
     assert_eq!(heartbeats, 0, "{PEERS} same-epoch heartbeats");
     assert_eq!(count(leave_all), 0, "{PEERS} first leaves");
-    assert_eq!(actor.peer_count(), 0);
+    assert_eq!(actor.read().peer_count(), 0);
     register_all();
     assert_eq!(count(leave_all), 0, "{PEERS} leaves after a rejoin");
-    assert_eq!(actor.peer_count(), 0);
+    assert_eq!(actor.read().peer_count(), 0);
 }
 
 /// A path store puts a freed run on the free chain of its length, and the
@@ -173,10 +178,13 @@ fn allocations_per_query_do_not_grow_with_shards() {
     let (sync_8, actor_8) = per_query(8);
     let (sync_32, actor_32) = per_query(32);
     assert_eq!(sync_8, sync_32, "ManagementServer: 8 vs 32 landmarks");
-    assert_eq!(actor_8, actor_32, "ActorServer: 8 vs 32 landmarks");
+    assert_eq!(actor_8, actor_32, "Shared server: 8 vs 32 landmarks");
     // Cursors, heap, seen set, answer; the actor's read guard adds none.
     assert!(sync_8 <= 4, "ManagementServer allocates {sync_8} per query");
-    assert_eq!(actor_8, sync_8, "ActorServer vs ManagementServer per query");
+    assert_eq!(
+        actor_8, sync_8,
+        "Shared server vs ManagementServer per query"
+    );
 }
 
 /// Allocations per query at `landmarks` shards for a path under landmark
@@ -205,38 +213,41 @@ fn fill_allocations_per_query_do_not_grow_with_shards() {
 }
 
 /// Allocations per federated query at `landmarks` shards over 4 regions
-/// (full fanout: every region answers a frame).
+/// (full fanout: every region answers a frame), through the frame path
+/// under a `Shared` federation's read guard.
 fn per_federated_query(landmarks: usize) -> u64 {
     let joins = SyntheticJoins::new(landmarks);
     let (routers, dist) = synthetic_landmarks(landmarks);
-    let fed = ActorFederation::new(
-        routers,
-        dist,
-        4,
-        FederationConfig {
-            fanout: None,
-            server: ServerConfig::default(),
-        },
-    )
-    .expect("builds");
+    let fed = Shared::new(
+        Federation::new(
+            routers,
+            dist,
+            4,
+            FederationConfig {
+                fanout: None,
+                server: ServerConfig::default(),
+            },
+        )
+        .expect("builds"),
+    );
     for p in 0..PEERS_PER_LANDMARK * landmarks as u64 {
         let (peer, path) = joins.join(p);
-        fed.register(peer, path).expect("fresh peer");
+        fed.write().register(peer, path).expect("fresh peer");
     }
     let (asker, path) = joins.join(0);
-    allocations(|| fed.closest_to_path(&path, K, Some(asker)).len())
+    allocations(|| fed.read().closest_by_frames(&path, K, Some(asker)).len())
 }
 
 #[test]
 fn federated_allocations_per_query_do_not_grow_with_shards() {
     let (fed_8, fed_32) = (per_federated_query(8), per_federated_query(32));
-    assert_eq!(fed_8, fed_32, "ActorFederation: 8 vs 32 landmarks");
+    assert_eq!(fed_8, fed_32, "federation frame path: 8 vs 32 landmarks");
     // Per region: the request's path (router list and loop-check copy),
     // the region's candidates and the decoded reply's neighbor list; plus
     // the query's two frame buffers, the request's path clone, the consult
     // order and the merge. Frames encode in place and decode where they
     // lie, so no frame is copied.
-    assert_eq!(fed_8, 25, "ActorFederation allocations per query");
+    assert_eq!(fed_8, 25, "federation frame-path allocations per query");
 }
 
 #[test]
