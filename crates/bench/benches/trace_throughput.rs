@@ -10,8 +10,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nearpeer_bench::trace_round1;
-use nearpeer_core::landmarks::{place_landmarks, PlacementPolicy};
 use nearpeer_probe::{TraceConfig, Tracer};
+use nearpeer_routing::landmarks::{place_landmarks, PlacementPolicy};
 use nearpeer_routing::RouteOracle;
 use nearpeer_topology::generators::{mapper, MapperConfig};
 use nearpeer_topology::{RouterId, Topology};

@@ -1,5 +1,5 @@
-//! Minimal argument parsing shared by the experiment binaries and the
-//! `soak` binary.
+//! Minimal argument parsing shared by the experiment binaries, `run_all`
+//! and the `soak` binary.
 
 use std::str::FromStr;
 
@@ -57,6 +57,68 @@ impl CommonArgs {
     /// Parses the process arguments, exiting with the message on error.
     pub fn parse() -> Self {
         exit_on_error(Self::parse_from(std::env::args().skip(1)))
+    }
+}
+
+/// Options of `run_all`: the common ones plus `--only NAME[,NAME…]`,
+/// which runs the named experiments alone.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RunAllArgs {
+    /// The options every experiment understands.
+    pub common: CommonArgs,
+    /// The experiments `--only` names, in the order given; `None` runs
+    /// every experiment.
+    pub only: Option<Vec<String>>,
+}
+
+impl RunAllArgs {
+    /// Parses from an iterator of arguments (without the program name).
+    /// Every name after `--only` must be one of `names`.
+    pub fn parse_from<I: IntoIterator<Item = String>>(
+        args: I,
+        names: &[&str],
+    ) -> Result<Self, String> {
+        let mut rest = Vec::new();
+        let mut only: Option<Vec<String>> = None;
+        let mut iter = args.into_iter();
+        while let Some(arg) = iter.next() {
+            match arg.as_str() {
+                "--only" => {
+                    let list: String = value(&mut iter, "--only")?;
+                    for name in list.split(',') {
+                        if !names.contains(&name) {
+                            return Err(format!(
+                                "unknown experiment {name:?} (one of {})",
+                                names.join(", ")
+                            ));
+                        }
+                        only.get_or_insert_with(Vec::new).push(name.to_string());
+                    }
+                }
+                "--help" | "-h" => {
+                    return Err(
+                        "usage: [--quick] [--seeds N] [--threads N] [--only NAME[,NAME...]]".into(),
+                    )
+                }
+                _ => rest.push(arg),
+            }
+        }
+        Ok(Self {
+            common: CommonArgs::parse_from(rest)?,
+            only,
+        })
+    }
+
+    /// Parses the process arguments, exiting with the message on error.
+    pub fn parse(names: &[&str]) -> Self {
+        exit_on_error(Self::parse_from(std::env::args().skip(1), names))
+    }
+
+    /// Whether the experiment `name` runs.
+    pub fn runs(&self, name: &str) -> bool {
+        self.only
+            .as_ref()
+            .is_none_or(|only| only.iter().any(|n| n == name))
     }
 }
 
@@ -155,6 +217,24 @@ mod tests {
         assert!(parse(&["--threads", "0"]).is_err());
         assert!(parse(&["--wat"]).is_err());
         assert!(parse(&["--help"]).is_err());
+    }
+
+    #[test]
+    fn run_all_only_picks_named_experiments() {
+        let names = ["fig2_quality", "superpeers", "setup_delay"];
+        let run_all =
+            |args: &[&str]| RunAllArgs::parse_from(args.iter().map(|s| s.to_string()), &names);
+        let all = run_all(&["--quick"]).unwrap();
+        assert!(all.common.quick);
+        assert!(names.iter().all(|n| all.runs(n)));
+        let some = run_all(&["--only", "superpeers,fig2_quality", "--seeds", "2"]).unwrap();
+        assert_eq!(some.common.seeds, 2);
+        assert!(some.runs("fig2_quality") && some.runs("superpeers"));
+        assert!(!some.runs("setup_delay"));
+        assert!(run_all(&["--only"]).is_err(), "--only needs a value");
+        assert!(run_all(&["--only", "fig2"]).is_err(), "unknown name");
+        assert!(run_all(&["--only", "fig2_quality,"]).is_err(), "empty name");
+        assert!(run_all(&["--only", "fig2_quality", "--wat"]).is_err());
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //! * **handover quality** — after a mobility re-attach + handover, whether
 //!   the fresh neighbor list is as good as a brand-new join's.
 
-use nearpeer_core::landmarks::{place_landmarks, PlacementPolicy};
 use nearpeer_core::{ManagementServer, PeerId, PeerPath, ServerConfig};
 use nearpeer_metrics::Table;
 use nearpeer_probe::{TraceConfig, Tracer};
+use nearpeer_routing::landmarks::{place_landmarks, PlacementPolicy};
 use nearpeer_routing::{bfs_distances, RouteOracle};
 use nearpeer_topology::generators::{mapper, MapperConfig};
 use nearpeer_topology::RouterId;
@@ -181,12 +181,11 @@ pub fn run(config: &ChurnStudyConfig, seed: u64) -> ChurnStudyResult {
             },
             seed,
         );
-        let mut server = ManagementServer::bootstrap_with_oracle(
-            &oracle,
+        let mut server = ManagementServer::new(
             bed.landmarks.clone(),
+            oracle.landmark_hops(&bed.landmarks),
             ServerConfig {
                 neighbor_count: config.k,
-                cross_landmark_fallback: true,
                 adaptive_leases: None,
             },
         )
@@ -235,12 +234,11 @@ pub fn run(config: &ChurnStudyConfig, seed: u64) -> ChurnStudyResult {
     }
 
     // --- Handover quality. ---
-    let mut server = ManagementServer::bootstrap_with_oracle(
-        &oracle,
+    let mut server = ManagementServer::new(
         bed.landmarks.clone(),
+        oracle.landmark_hops(&bed.landmarks),
         ServerConfig {
             neighbor_count: config.k,
-            cross_landmark_fallback: true,
             adaptive_leases: None,
         },
     )

@@ -8,8 +8,8 @@
 use crate::experiments::common::measure_quality;
 use crate::runner::run_parallel;
 use crate::swarm::{sweep_trace_threads, Swarm, SwarmConfig};
-use nearpeer_core::landmarks::PlacementPolicy;
 use nearpeer_metrics::{Series, SeriesSet, Table};
+use nearpeer_routing::landmarks::PlacementPolicy;
 use nearpeer_topology::generators::{mapper, MapperConfig};
 use serde::{Deserialize, Serialize};
 

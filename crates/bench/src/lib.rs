@@ -1,10 +1,11 @@
 //! Experiment harness regenerating every figure/table of the paper.
 //!
-//! Each experiment from DESIGN.md §6 is a function in [`experiments`] plus a
-//! thin binary in `src/bin/`:
+//! Each experiment from DESIGN.md §6 is a function in [`experiments`];
+//! the `run_all` binary runs them all, or those `--only NAME[,NAME…]`
+//! names:
 //!
-//! | id | binary | what it regenerates |
-//! |----|--------|---------------------|
+//! | id | name | what it regenerates |
+//! |----|------|---------------------|
 //! | F2 | `fig2_quality` | `D/Dclosest` and `Drandom/Dclosest` vs number of peers |
 //! | C1/C2 | `complexity_scaling` | insertion/query cost vs population |
 //! | C3 | `convergence_race` | probes-to-accuracy: path-tree vs Vivaldi vs GNP |
@@ -15,13 +16,17 @@
 //! | A1 | `dtree_accuracy` | P[dtree = d] per topology family |
 //! | A2 | `setup_delay` | end-to-end streaming setup delay per policy |
 //! | —  | `internet_mapping` | map-statistics validation (§3 substitution) |
-//! | —  | `soak` | 10⁵–10⁶-peer soaks ([`soak`]): churn, federation mobility, crash/rejoin, subscriptions, or all at once |
-//! | —  | `nearpeerd` | the wire daemon (`wire`); its load generator and oracle live in `crates/perf` |
 //!
-//! Binaries print the paper-style table, an ASCII rendition of the figure,
-//! and write CSV + a JSON manifest under `target/experiments/<name>/`
-//! (override with `NEARPEER_OUT`). All accept `--quick` for a reduced sweep
-//! and `--seeds N` / `--threads N`.
+//! `run_all` prints each paper-style table and writes its `result.json`,
+//! plus the figure's CSV for F2, C3 and W1, under
+//! `target/experiments/<name>/` (override with `NEARPEER_OUT`). It
+//! accepts `--quick` for a reduced sweep and `--seeds N` / `--threads N`.
+//!
+//! The other binaries: `soak` runs the 10⁵–10⁶-peer soaks ([`soak`]):
+//! churn, federation mobility, crash/rejoin, subscriptions, or all at
+//! once; `nearpeerd` is the wire daemon ([`wire`]), whose load generator
+//! and oracle live in `crates/perf`; `scale_smoke`, `churn_preview` and
+//! `map_export` build and inspect large swarms and maps.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -688,7 +688,6 @@ impl<'s> Driver<'s> {
         let gen = SyntheticJoins::new(s.churn.n_landmarks);
         let server = ServerConfig {
             neighbor_count: WATCH_K,
-            cross_landmark_fallback: true,
             adaptive_leases: s.churn.adaptive,
         };
         let fanout = s.fanout;

@@ -19,12 +19,12 @@
 //!   `register` per peer (the paper's protocol) leaves behind — pinned in
 //!   `nearpeer-core`.
 
-use nearpeer_core::landmarks::{place_landmarks, PlacementPolicy};
 use nearpeer_core::{
     LandmarkId, ManagementServer, PeerId, PeerPath, ServerConfig, SubscriptionStats,
     TelemetryRegistry,
 };
 use nearpeer_probe::{TraceConfig, TraceResult, TraceScratch, Tracer};
+use nearpeer_routing::landmarks::{place_landmarks, PlacementPolicy};
 use nearpeer_routing::{OracleStats, RouteOracle};
 use nearpeer_topology::{RouterId, Topology};
 use rand::rngs::StdRng;
@@ -46,8 +46,6 @@ pub struct SwarmConfig {
     pub neighbor_count: usize,
     /// Traceroute behaviour (probe plan, faults).
     pub trace: TraceConfig,
-    /// Enables the server's cross-landmark fallback.
-    pub cross_landmark_fallback: bool,
     /// Worker threads for round-1 tracing; `None` picks
     /// `available_parallelism` (falling back to sequential tracing on
     /// single-core hosts). `Some(1)` forces the sequential path — the
@@ -63,7 +61,6 @@ impl Default for SwarmConfig {
             placement: PlacementPolicy::DegreeMedium,
             neighbor_count: 5,
             trace: TraceConfig::default(),
-            cross_landmark_fallback: true,
             trace_threads: None,
         }
     }
@@ -208,13 +205,12 @@ impl<'t> Swarm<'t> {
 
         let t_register = Instant::now();
         // Reuse the trace oracle: its arena already holds every landmark
-        // tree the bootstrap distance matrix needs.
-        let mut server = ManagementServer::bootstrap_with_oracle(
-            &oracle,
+        // tree the landmark distance matrix needs.
+        let mut server = ManagementServer::new(
             landmarks.clone(),
+            oracle.landmark_hops(&landmarks),
             ServerConfig {
                 neighbor_count: config.neighbor_count,
-                cross_landmark_fallback: config.cross_landmark_fallback,
                 adaptive_leases: None,
             },
         )

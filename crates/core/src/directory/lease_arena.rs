@@ -13,16 +13,16 @@
 //!   slot index, with a free list so register/leave cycles reuse slots.
 //!   A slot holds its epochs as `u32`s and the peer id as two `u32`
 //!   halves: 36 bytes for the server's lease;
-//! * a **generation counter** per slot — a [`PeerSlot`] handle captured
-//!   before a departure can never resurrect the peer that now occupies the
-//!   reused slot (the generation no longer matches);
+//! * a **generation counter** per slot, bumped on every removal — an
+//!   expiry note taken before a departure never applies to the peer that
+//!   now occupies the reused slot (the generation no longer matches);
 //! * a single **open-addressed** peer-id → slot table (linear probing,
 //!   backward-shift deletion, fibonacci hashing) — one flat `Vec<u32>`
 //!   instead of three `HashMap`s, with keys read back through the slab so
 //!   the table itself stores nothing but slot indices;
 //! * **epoch buckets**: every lease open/renewal appends `(slot,
 //!   generation)` to the bucket of its epoch, so an expiry sweep
-//!   ([`LeaseArena::take_expired`]) pops whole buckets below the cutoff and
+//!   ([`LeaseArena::take_due`]) pops whole buckets below the cutoff and
 //!   touches only noted entries — work proportional to the lease activity
 //!   being retired, never a scan of the full table.
 //!
@@ -51,27 +51,6 @@ use super::persist::wire::{put_u32, put_u64, put_u8, Reader};
 use super::persist::PersistError;
 use crate::ids::PeerId;
 use std::collections::VecDeque;
-
-/// A generational handle to a lease slot. Only meaningful for the arena
-/// that produced it; resolving a handle whose slot was freed (and possibly
-/// reused) yields `None`, never another peer's lease.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PeerSlot {
-    index: u32,
-    generation: u32,
-}
-
-impl PeerSlot {
-    /// The raw slab index (diagnostics only).
-    pub fn index(self) -> u32 {
-        self.index
-    }
-
-    /// The slot generation this handle was issued under.
-    pub fn generation(self) -> u32 {
-        self.generation
-    }
-}
 
 /// What a slot holds: a live lease, a forwarding tombstone left behind
 /// by a cross-region handover (the `u32` is the destination region), or
@@ -119,7 +98,7 @@ const TTL_DEFAULT: u32 = u32::MAX;
 
 /// One slab entry. `occupant` is `Vacant` while the slot sits on the free
 /// list; the generation survives vacancy (it is bumped on removal, so
-/// handles issued before the removal go stale). `opened` is the epoch the
+/// bucket notes taken before the removal are skipped). `opened` is the epoch the
 /// current occupancy began (session-length bookkeeping for adaptive
 /// leases); `ttl` is the per-lease length, [`TTL_DEFAULT`] = whatever the
 /// sweep passes. The three epochs are held as `u32`s
@@ -151,7 +130,7 @@ pub(crate) const fn slot_size<T>() -> usize {
 /// than in the table size.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepStats {
-    /// Bucket entries examined across all [`LeaseArena::take_expired`]
+    /// Bucket entries examined across all [`LeaseArena::take_due`]
     /// calls (each entry is one noted open/renewal).
     pub entries_swept: u64,
     /// Epoch buckets retired across all sweeps.
@@ -284,11 +263,6 @@ impl<T> LeaseArena<T> {
             ("lease peer table", self.table.capacity() * 4),
             ("lease epoch buckets", ring + notes),
         ]
-    }
-
-    /// Slab slots allocated (live + free); diagnostics.
-    pub fn slot_capacity(&self) -> usize {
-        self.slots.len()
     }
 
     fn home(&self, peer: PeerId) -> usize {
@@ -474,16 +448,16 @@ impl<T> LeaseArena<T> {
         self.free = Some(slot);
     }
 
-    /// Opens a lease for `peer` at `epoch`. Returns the generational
-    /// handle, or `None` if the peer already holds a live lease (use
+    /// Opens a lease for `peer` at `epoch`. Returns `false` (and does
+    /// nothing) if the peer already holds a live lease (use
     /// [`Self::renew`] for that). A forwarding tombstone left for the same
     /// peer is cleared first — the peer came back, the move record is
     /// obsolete.
-    pub fn insert(&mut self, peer: PeerId, value: T, epoch: u64) -> Option<PeerSlot> {
+    pub fn insert(&mut self, peer: PeerId, value: T, epoch: u64) -> bool {
         if let Some(pos) = self.probe(peer) {
             let idx = self.table[pos];
             match self.slots[idx as usize].occupant {
-                Occupant::Live(..) => return None,
+                Occupant::Live(..) => return false,
                 Occupant::Moved(..) => {
                     self.slots[idx as usize].occupant.take();
                     self.release_slot(pos, idx);
@@ -497,10 +471,7 @@ impl<T> LeaseArena<T> {
         self.len += 1;
         let generation = self.slots[slot as usize].generation;
         self.note(slot, generation, epoch);
-        Some(PeerSlot {
-            index: slot,
-            generation,
-        })
+        true
     }
 
     /// Leaves a forwarding tombstone for `peer`: the peer's registration
@@ -555,48 +526,10 @@ impl<T> LeaseArena<T> {
         }
     }
 
-    /// The current handle for `peer`'s lease.
-    pub fn slot_of(&self, peer: PeerId) -> Option<PeerSlot> {
-        let pos = self.probe_live(peer)?;
-        let index = self.table[pos];
-        Some(PeerSlot {
-            index,
-            generation: self.slots[index as usize].generation,
-        })
-    }
-
-    /// Resolves a generational handle. Returns `None` once the lease it
-    /// was issued for has been removed — even if the slot has since been
-    /// reused by another peer (the generation check; a departed peer can
-    /// never be resurrected through a stale handle).
-    pub fn get_slot(&self, handle: PeerSlot) -> Option<(PeerId, &T)> {
-        let slot = self.slots.get(handle.index as usize)?;
-        if slot.generation != handle.generation {
-            return None;
-        }
-        match &slot.occupant {
-            Occupant::Live(p, v) => Some((unpack(*p), v)),
-            _ => None,
-        }
-    }
-
     /// The epoch `peer` last opened or renewed its lease.
     pub fn last_seen(&self, peer: PeerId) -> Option<u64> {
         let pos = self.probe_live(peer)?;
         Some(u64::from(self.slots[self.table[pos] as usize].last_seen))
-    }
-
-    /// The epoch `peer`'s current lease was opened (session bookkeeping).
-    pub fn opened(&self, peer: PeerId) -> Option<u64> {
-        let pos = self.probe_live(peer)?;
-        Some(u64::from(self.slots[self.table[pos] as usize].opened))
-    }
-
-    /// `peer`'s own lease length, if one was set ([`Self::set_ttl`]).
-    pub fn ttl_of(&self, peer: PeerId) -> Option<u32> {
-        let pos = self.probe_live(peer)?;
-        let ttl = self.slots[self.table[pos] as usize].ttl;
-        (ttl != TTL_DEFAULT).then_some(ttl)
     }
 
     /// Sets `peer`'s per-lease length (epochs of silence before
@@ -651,7 +584,7 @@ impl<T> LeaseArena<T> {
     }
 
     /// Closes `peer`'s lease, returning the payload. The slot's generation
-    /// is bumped, so handles issued before this call go stale.
+    /// is bumped, so the sweeps skip the notes of the closed lease.
     pub fn remove(&mut self, peer: PeerId) -> Option<T> {
         self.remove_full(peer).map(|(v, _, _)| v)
     }
@@ -678,35 +611,6 @@ impl<T> LeaseArena<T> {
             Occupant::Live(p, v) => Some((unpack(*p), u64::from(s.last_seen), v)),
             _ => None,
         })
-    }
-
-    /// Peers whose lease was last seen strictly before `cutoff` —
-    /// **read-only diagnostic**, O(slots). The expiring path is
-    /// [`Self::take_expired`], which is linear in the noted activity
-    /// instead.
-    pub fn stale(&self, cutoff: u64) -> Vec<PeerId> {
-        self.iter()
-            .filter(|&(_, seen, _)| seen < cutoff)
-            .map(|(p, _, _)| p)
-            .collect()
-    }
-
-    /// Closes every lease last seen strictly before `cutoff` and returns
-    /// them sorted by peer id — the uniform-lease sweep every
-    /// non-federated, non-adaptive path uses. Equivalent to
-    /// [`Self::take_due`] with every lease on the same length; forwarding
-    /// tombstones older than the cutoff are retired too (silently — use
-    /// `take_due` to observe them).
-    pub fn take_expired(&mut self, cutoff: u64) -> Vec<(PeerId, T)> {
-        // `take_due(now, default_ttl, min_ttl) = (cutoff + 1, 1, 1)` pops
-        // buckets `< cutoff` and expires `last_seen + 1 < cutoff + 1`,
-        // i.e. exactly `last_seen < cutoff`, re-noting survivors at
-        // `last_seen` — bit-identical to the historical uniform sweep.
-        self.take_due(cutoff.saturating_add(1), 1, 1)
-            .expired
-            .into_iter()
-            .map(|e| (e.peer, e.value))
-            .collect()
     }
 
     /// The generalized epoch-bucket sweep: closes every live lease whose
@@ -1061,6 +965,35 @@ mod tests {
         LeaseArena::new()
     }
 
+    /// Closes every lease last seen strictly before `cutoff`, ascending by
+    /// peer: [`LeaseArena::take_due`] with every lease on one length.
+    fn expire_before(a: &mut LeaseArena<u32>, cutoff: u64) -> Vec<(PeerId, u32)> {
+        a.take_due(cutoff + 1, 1, 1)
+            .expired
+            .into_iter()
+            .map(|e| (e.peer, e.value))
+            .collect()
+    }
+
+    /// `peer`'s live slot as `(index, generation)`.
+    fn slot_of(a: &LeaseArena<u32>, peer: PeerId) -> Option<(u32, u32)> {
+        let idx = a.table[a.probe_live(peer)?];
+        Some((idx, a.slots[idx as usize].generation))
+    }
+
+    /// The epoch `peer`'s live lease was opened.
+    fn opened(a: &LeaseArena<u32>, peer: PeerId) -> Option<u64> {
+        let (idx, _) = slot_of(a, peer)?;
+        Some(u64::from(a.slots[idx as usize].opened))
+    }
+
+    /// `peer`'s own lease length, if one was set.
+    fn ttl_of(a: &LeaseArena<u32>, peer: PeerId) -> Option<u32> {
+        let (idx, _) = slot_of(a, peer)?;
+        let ttl = a.slots[idx as usize].ttl;
+        (ttl != TTL_DEFAULT).then_some(ttl)
+    }
+
     fn persist_roundtrip(a: &LeaseArena<u32>) -> LeaseArena<u32> {
         let mut bytes = Vec::new();
         a.persist_encode(&mut bytes, |v, out| {
@@ -1076,7 +1009,7 @@ mod tests {
     fn persist_restores_leases_tombstones_buckets_and_future_sweeps() {
         let mut a = arena();
         for p in 0..200u64 {
-            a.insert(PeerId(p), p as u32, p % 7).unwrap();
+            assert!(a.insert(PeerId(p), p as u32, p % 7));
         }
         for p in (0..200u64).step_by(3) {
             a.renew(PeerId(p), 8);
@@ -1093,15 +1026,15 @@ mod tests {
         assert_eq!(b.len(), a.len());
         assert_eq!(b.tombstone_count(), a.tombstone_count());
         assert_eq!(b.sweep_stats(), a.sweep_stats());
-        assert_eq!(b.slot_capacity(), a.slot_capacity());
+        assert_eq!(b.slots.len(), a.slots.len());
         for p in 0..200u64 {
             let peer = PeerId(p);
             assert_eq!(b.contains(peer), a.contains(peer), "contains {p}");
             assert_eq!(b.get(peer), a.get(peer), "payload {p}");
             assert_eq!(b.last_seen(peer), a.last_seen(peer), "last_seen {p}");
-            assert_eq!(b.opened(peer), a.opened(peer), "opened {p}");
-            assert_eq!(b.ttl_of(peer), a.ttl_of(peer), "ttl {p}");
-            assert_eq!(b.slot_of(peer), a.slot_of(peer), "slot {p}");
+            assert_eq!(opened(&b, peer), opened(&a, peer), "opened {p}");
+            assert_eq!(ttl_of(&b, peer), ttl_of(&a, peer), "ttl {p}");
+            assert_eq!(slot_of(&b, peer), slot_of(&a, peer), "slot {p}");
             assert_eq!(b.forwarded_to(peer), a.forwarded_to(peer), "moved {p}");
         }
         // Future behaviour must match exactly: run identical sweeps and
@@ -1134,11 +1067,11 @@ mod tests {
         assert!(a.take_due(edge, 1, 1).expired.is_empty());
         assert!(a.holds_epoch(edge + 1));
         assert!(!a.holds_epoch(edge + 2));
-        a.insert(PeerId(1), 10, edge).unwrap();
-        a.insert(PeerId(2), 20, edge).unwrap();
-        a.insert(PeerId(u64::MAX), 30, edge).unwrap();
+        assert!(a.insert(PeerId(1), 10, edge));
+        assert!(a.insert(PeerId(2), 20, edge));
+        assert!(a.insert(PeerId(u64::MAX), 30, edge));
         assert_eq!(
-            (a.opened(PeerId(1)), a.last_seen(PeerId(1))),
+            (opened(&a, PeerId(1)), a.last_seen(PeerId(1))),
             (Some(edge), Some(edge))
         );
         assert!(a.renew(PeerId(1), edge + 1));
@@ -1159,10 +1092,10 @@ mod tests {
         assert_eq!(out.expired[0].peer, PeerId(1));
         let b = persist_roundtrip(&a);
         for x in [&a, &b] {
-            assert_eq!(x.opened(PeerId(u64::MAX)), Some(edge));
+            assert_eq!(opened(x, PeerId(u64::MAX)), Some(edge));
             assert_eq!(x.last_seen(PeerId(u64::MAX)), Some(edge + 1));
             assert_eq!(x.get(PeerId(u64::MAX)), Some(&30));
-            assert_eq!(x.ttl_of(PeerId(u64::MAX)), Some(40));
+            assert_eq!(ttl_of(x, PeerId(u64::MAX)), Some(40));
         }
         let mut b = b;
         for x in [&mut a, &mut b] {
@@ -1176,7 +1109,7 @@ mod tests {
     #[test]
     fn a_snapshot_epoch_past_the_window_is_refused() {
         let mut a = arena();
-        a.insert(PeerId(5), 50, 0).unwrap();
+        assert!(a.insert(PeerId(5), 50, 0));
         let mut bytes = Vec::new();
         a.persist_encode(&mut bytes, |v, out| super::put_u32(out, *v));
         let decode = |bytes: &[u8]| {
@@ -1200,7 +1133,7 @@ mod tests {
     #[test]
     fn persist_decode_rejects_duplicate_peers_and_bad_table() {
         let mut a = arena();
-        a.insert(PeerId(5), 50, 1).unwrap();
+        assert!(a.insert(PeerId(5), 50, 1));
         let mut bytes = Vec::new();
         a.persist_encode(&mut bytes, |v, out| super::put_u32(out, *v));
 
@@ -1229,7 +1162,7 @@ mod tests {
             LeaseArena::<u32>::persist_decode(&mut super::Reader::new(bytes), |r| r.u32())
         };
         let mut a = arena();
-        a.insert(PeerId(5), 50, 0).unwrap();
+        assert!(a.insert(PeerId(5), 50, 0));
         let mut bytes = Vec::new();
         a.persist_encode(&mut bytes, |v, out| super::put_u32(out, *v));
         // The table capacity follows the slab (its length and one 45-byte
@@ -1249,7 +1182,7 @@ mod tests {
         for (n, cap) in [(6u64, 16usize), (12, 32)] {
             let mut a = arena();
             for p in 0..n {
-                a.insert(PeerId(p), p as u32, 0).unwrap();
+                assert!(a.insert(PeerId(p), p as u32, 0));
             }
             assert_eq!(a.table.len(), cap);
             assert_eq!(persist_roundtrip(&a).table.len(), cap);
@@ -1260,8 +1193,8 @@ mod tests {
     fn a_note_far_past_the_base_opens_one_bucket() {
         const FAR: u64 = 1_000_000;
         let mut a = arena();
-        a.insert(PeerId(1), 10, FAR).unwrap();
-        a.insert(PeerId(2), 20, FAR).unwrap();
+        assert!(a.insert(PeerId(1), 10, FAR));
+        assert!(a.insert(PeerId(2), 20, FAR));
         assert!(a.renew(PeerId(2), FAR + 1));
         assert_eq!(a.buckets.len(), 2, "one bucket per noted epoch");
         let [.., (_, bucket_bytes)] = a.heap_parts();
@@ -1278,7 +1211,7 @@ mod tests {
         // Sweeps count every epoch up to the cutoff as a bucket, as the
         // snapshot's layout does, and expire on schedule.
         for x in [&mut a, &mut b] {
-            let out = x.take_expired(FAR + 1);
+            let out = expire_before(x, FAR + 1);
             assert_eq!(out.len(), 1);
             assert_eq!(out[0].0, PeerId(1));
             assert_eq!(x.sweep_stats().buckets_swept, FAR + 1);
@@ -1289,45 +1222,47 @@ mod tests {
     #[test]
     fn insert_get_remove_roundtrip() {
         let mut a = arena();
-        let h = a.insert(PeerId(7), 70, 1).unwrap();
+        assert!(a.insert(PeerId(7), 70, 1));
         assert_eq!(a.len(), 1);
         assert!(a.contains(PeerId(7)));
         assert_eq!(a.get(PeerId(7)), Some(&70));
         assert_eq!(a.last_seen(PeerId(7)), Some(1));
-        assert_eq!(a.opened(PeerId(7)), Some(1));
-        assert_eq!(a.get_slot(h), Some((PeerId(7), &70)));
-        assert_eq!(a.slot_of(PeerId(7)), Some(h));
-        assert!(a.insert(PeerId(7), 71, 2).is_none(), "double insert");
+        assert_eq!(opened(&a, PeerId(7)), Some(1));
+        assert!(!a.insert(PeerId(7), 71, 2), "double insert");
         assert_eq!(a.remove(PeerId(7)), Some(70));
         assert!(a.is_empty());
         assert_eq!(a.remove(PeerId(7)), None);
-        assert_eq!(a.get_slot(h), None, "handle went stale on removal");
+        assert_eq!(a.get(PeerId(7)), None);
     }
 
     #[test]
     fn slot_reuse_never_resurrects() {
         let mut a = arena();
-        let h1 = a.insert(PeerId(1), 10, 0).unwrap();
+        assert!(a.insert(PeerId(1), 10, 0));
+        assert_eq!(slot_of(&a, PeerId(1)), Some((0, 0)));
         a.remove(PeerId(1));
-        let h2 = a.insert(PeerId(2), 20, 0).unwrap();
-        assert_eq!(h1.index(), h2.index(), "slot is recycled");
-        assert_ne!(h1.generation(), h2.generation());
-        assert_eq!(a.get_slot(h1), None, "stale handle must not see peer 2");
-        assert_eq!(a.get_slot(h2), Some((PeerId(2), &20)));
+        assert!(a.insert(PeerId(2), 20, 5));
+        assert_eq!(slot_of(&a, PeerId(2)), Some((0, 1)), "slot 0 is recycled");
+        // Peer 1's note at epoch 0 names the old generation: the sweep
+        // skips it, and peer 2, seen at 5, keeps its lease.
+        assert!(expire_before(&mut a, 3).is_empty());
+        assert_eq!(a.sweep_stats().entries_swept, 1);
+        assert_eq!(a.get(PeerId(2)), Some(&20));
+        assert_eq!(a.get(PeerId(1)), None);
     }
 
     #[test]
     fn renewal_moves_the_lease_between_buckets() {
         let mut a = arena();
-        a.insert(PeerId(1), 1, 0).unwrap();
-        a.insert(PeerId(2), 2, 0).unwrap();
+        assert!(a.insert(PeerId(1), 1, 0));
+        assert!(a.insert(PeerId(2), 2, 0));
         assert!(a.renew(PeerId(1), 3));
         assert!(!a.renew(PeerId(9), 3));
-        let expired = a.take_expired(3);
+        let expired = expire_before(&mut a, 3);
         assert_eq!(expired, vec![(PeerId(2), 2)]);
         assert_eq!(a.last_seen(PeerId(1)), Some(3));
         // The renewed lease expires once its own epoch lapses.
-        let expired = a.take_expired(4);
+        let expired = expire_before(&mut a, 4);
         assert_eq!(expired, vec![(PeerId(1), 1)]);
         assert!(a.is_empty());
     }
@@ -1335,11 +1270,11 @@ mod tests {
     #[test]
     fn same_epoch_renewal_is_a_noop() {
         let mut a = arena();
-        a.insert(PeerId(1), 1, 5).unwrap();
+        assert!(a.insert(PeerId(1), 1, 5));
         assert!(a.renew(PeerId(1), 5));
         assert!(a.renew(PeerId(1), 5));
         // Only the open noted an entry; sweeping past it sees exactly one.
-        let expired = a.take_expired(6);
+        let expired = expire_before(&mut a, 6);
         assert_eq!(expired, vec![(PeerId(1), 1)]);
         assert_eq!(a.sweep_stats().entries_swept, 1);
     }
@@ -1347,20 +1282,20 @@ mod tests {
     #[test]
     fn cutoff_zero_expires_nothing() {
         let mut a = arena();
-        a.insert(PeerId(1), 1, 0).unwrap();
-        assert!(a.take_expired(0).is_empty());
+        assert!(a.insert(PeerId(1), 1, 0));
+        assert!(expire_before(&mut a, 0).is_empty());
         assert_eq!(a.len(), 1);
     }
 
     #[test]
     fn renoted_leases_stay_findable_across_sweeps() {
         let mut a = arena();
-        a.insert(PeerId(1), 1, 0).unwrap();
+        assert!(a.insert(PeerId(1), 1, 0));
         a.renew(PeerId(1), 5);
         // Sweep to 3 pops the epoch-0 note; peer 1 is renewed past the
         // cutoff and must be re-noted, not forgotten.
-        assert!(a.take_expired(3).is_empty());
-        let expired = a.take_expired(6);
+        assert!(expire_before(&mut a, 3).is_empty());
+        let expired = expire_before(&mut a, 6);
         assert_eq!(expired, vec![(PeerId(1), 1)]);
     }
 
@@ -1368,7 +1303,7 @@ mod tests {
     fn sweep_is_linear_in_noted_activity() {
         let mut a = arena();
         for p in 0..1_000u64 {
-            a.insert(PeerId(p), p as u32, 0).unwrap();
+            assert!(a.insert(PeerId(p), p as u32, 0));
         }
         // Renew one peer across many epochs; expire with a cutoff that
         // retires nobody but the sweep still only touches noted entries.
@@ -1376,9 +1311,9 @@ mod tests {
             a.renew(PeerId(0), e);
         }
         let before = a.sweep_stats();
-        assert!(a.take_expired(0).is_empty());
+        assert!(expire_before(&mut a, 0).is_empty());
         assert_eq!(a.sweep_stats(), before, "cutoff 0 sweeps nothing");
-        let expired = a.take_expired(50);
+        let expired = expire_before(&mut a, 50);
         assert_eq!(expired.len(), 999);
         let stats = a.sweep_stats();
         // 1000 opens + 49 effective renewals (+1 re-note examined at most
@@ -1394,11 +1329,18 @@ mod tests {
     fn stale_scan_matches_sweep() {
         let mut a = arena();
         for p in 0..20u64 {
-            a.insert(PeerId(p), p as u32, p % 4).unwrap();
+            assert!(a.insert(PeerId(p), p as u32, p % 4));
         }
-        let mut scan = a.stale(2);
+        let mut scan: Vec<PeerId> = a
+            .iter()
+            .filter(|&(_, seen, _)| seen < 2)
+            .map(|(p, _, _)| p)
+            .collect();
         scan.sort_unstable();
-        let swept: Vec<PeerId> = a.take_expired(2).into_iter().map(|(p, _)| p).collect();
+        let swept: Vec<PeerId> = expire_before(&mut a, 2)
+            .into_iter()
+            .map(|(p, _)| p)
+            .collect();
         assert_eq!(scan, swept);
         assert_eq!(a.len(), 10);
     }
@@ -1411,8 +1353,7 @@ mod tests {
         // probe chains.
         for round in 0u64..6 {
             for p in 0..500u64 {
-                a.insert(PeerId(round * 10_000 + p), p as u32, round)
-                    .unwrap();
+                assert!(a.insert(PeerId(round * 10_000 + p), p as u32, round));
             }
             for p in 0..500u64 {
                 if p % 3 != 0 {
@@ -1437,7 +1378,7 @@ mod tests {
         // enough keys that chains necessarily overlap and wrap).
         let mut a: LeaseArena<u8> = LeaseArena::new();
         for p in 0..64u64 {
-            a.insert(PeerId(p), p as u8, 0).unwrap();
+            assert!(a.insert(PeerId(p), p as u8, 0));
         }
         for p in (0..64u64).step_by(2) {
             assert_eq!(a.remove(PeerId(p)), Some(p as u8));
@@ -1452,7 +1393,7 @@ mod tests {
     #[test]
     fn tombstone_lifecycle() {
         let mut a = arena();
-        a.insert(PeerId(1), 10, 0).unwrap();
+        assert!(a.insert(PeerId(1), 10, 0));
         assert!(!a.insert_tombstone(PeerId(1), 2, 0), "live lease blocks");
         assert_eq!(a.remove(PeerId(1)), Some(10));
         assert!(a.insert_tombstone(PeerId(1), 2, 3));
@@ -1469,22 +1410,22 @@ mod tests {
     #[test]
     fn tombstone_cleared_when_peer_returns() {
         let mut a = arena();
-        a.insert(PeerId(1), 10, 0).unwrap();
+        assert!(a.insert(PeerId(1), 10, 0));
         a.remove(PeerId(1));
         assert!(a.insert_tombstone(PeerId(1), 3, 1));
         // The peer re-registers here: the stale move record must vanish.
-        assert!(a.insert(PeerId(1), 11, 2).is_some());
+        assert!(a.insert(PeerId(1), 11, 2));
         assert_eq!(a.forwarded_to(PeerId(1)), None);
         assert_eq!(a.tombstone_count(), 0);
         assert_eq!(a.get(PeerId(1)), Some(&11));
-        assert_eq!(a.opened(PeerId(1)), Some(2));
+        assert_eq!(opened(&a, PeerId(1)), Some(2));
     }
 
     #[test]
     fn sweeps_retire_tombstones_as_moved() {
         let mut a = arena();
-        a.insert(PeerId(1), 10, 0).unwrap();
-        a.insert(PeerId(2), 20, 0).unwrap();
+        assert!(a.insert(PeerId(1), 10, 0));
+        assert!(a.insert(PeerId(2), 20, 0));
         a.remove(PeerId(1));
         assert!(a.insert_tombstone(PeerId(1), 7, 0));
         // Uniform sweep with default retention 3, at epoch 5: both the
@@ -1497,11 +1438,11 @@ mod tests {
         assert_eq!(out.expired[0].value, 20);
         assert_eq!(a.tombstone_count(), 0);
         assert!(a.is_empty());
-        // take_expired retires tombstones too (silently).
-        a.insert(PeerId(3), 30, 5).unwrap();
+        // The uniform sweep retires tombstones too.
+        assert!(a.insert(PeerId(3), 30, 5));
         a.remove(PeerId(3));
         a.insert_tombstone(PeerId(3), 1, 5);
-        assert!(a.take_expired(9).is_empty());
+        assert!(expire_before(&mut a, 9).is_empty());
         assert_eq!(a.tombstone_count(), 0);
     }
 
@@ -1510,11 +1451,11 @@ mod tests {
     #[test]
     fn custom_ttl_expires_earlier_than_default() {
         let mut a = arena();
-        a.insert(PeerId(1), 10, 0).unwrap();
-        a.insert(PeerId(2), 20, 0).unwrap();
+        assert!(a.insert(PeerId(1), 10, 0));
+        assert!(a.insert(PeerId(2), 20, 0));
         assert!(a.set_ttl(PeerId(1), 2), "short-lived peer gets 2 epochs");
-        assert_eq!(a.ttl_of(PeerId(1)), Some(2));
-        assert_eq!(a.ttl_of(PeerId(2)), None, "default lease");
+        assert_eq!(ttl_of(&a, PeerId(1)), Some(2));
+        assert_eq!(ttl_of(&a, PeerId(2)), None, "default lease");
         // At epoch 4 with default 8: peer 1 (due 0+2) lapsed, peer 2
         // (due 0+8) lives on.
         let out = a.take_due(4, 8, 2);
@@ -1532,13 +1473,13 @@ mod tests {
     #[test]
     fn renew_with_ttl_updates_both_in_one_probe() {
         let mut a = arena();
-        a.insert(PeerId(1), 10, 0).unwrap();
+        assert!(a.insert(PeerId(1), 10, 0));
         assert!(a.renew_with_ttl(PeerId(1), 3, 5));
         assert_eq!(a.last_seen(PeerId(1)), Some(3));
-        assert_eq!(a.ttl_of(PeerId(1)), Some(5));
+        assert_eq!(ttl_of(&a, PeerId(1)), Some(5));
         // Same-epoch renewal still refreshes the TTL without a new note.
         assert!(a.renew_with_ttl(PeerId(1), 3, 6));
-        assert_eq!(a.ttl_of(PeerId(1)), Some(6));
+        assert_eq!(ttl_of(&a, PeerId(1)), Some(6));
         assert!(!a.renew_with_ttl(PeerId(9), 3, 5));
         // Due at 3 + 6 = 9.
         assert!(a.take_due(9, 20, 1).expired.is_empty());
@@ -1552,7 +1493,7 @@ mod tests {
     fn ttl_sweep_stays_linear() {
         let mut a = arena();
         for p in 0..1_000u64 {
-            a.insert(PeerId(p), p as u32, 0).unwrap();
+            assert!(a.insert(PeerId(p), p as u32, 0));
             if p % 2 == 0 {
                 a.set_ttl(PeerId(p), 4);
             }

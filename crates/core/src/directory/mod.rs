@@ -26,5 +26,5 @@ pub(crate) mod query;
 pub use adaptive::AdaptiveLeaseConfig;
 pub(crate) use adaptive::AdaptiveLeases;
 pub(crate) use lease_arena::slot_size as lease_slot_size;
-pub use lease_arena::{ExpiredLease, LeaseArena, PeerSlot, SweepOutcome, SweepStats};
+pub use lease_arena::{ExpiredLease, LeaseArena, SweepOutcome, SweepStats};
 pub use path_store::{PathRef, PathStore};

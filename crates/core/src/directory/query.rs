@@ -23,7 +23,7 @@ use std::collections::BinaryHeap;
 /// `depth(query) + hops(L_query, L_other) + depth(peer)` using the ordered
 /// lists of `index` at the other landmarks' routers.
 ///
-/// `landmark_routers` / `landmark_dist` are the server's bootstrap
+/// `landmark_routers` / `landmark_dist` are the server's startup
 /// measurements; `own` is the query path's landmark (excluded from the
 /// fill); `already` is the exact answer the caller holds before falling
 /// back.

@@ -21,7 +21,7 @@ pub enum CoreError {
     InvalidFederation(String),
     /// Wire-format decoding failed.
     Codec(crate::codec::CodecError),
-    /// A server or federation configuration is degenerate (zero shards,
+    /// A server or federation configuration is degenerate (no landmark,
     /// zero neighbor count, adaptive `min_age > max_age`, …).
     InvalidConfig(String),
     /// Snapshot or journal persistence failed (corrupt bytes, bad

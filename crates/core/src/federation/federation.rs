@@ -10,8 +10,7 @@ use crate::path::{PathView, PeerPath};
 use crate::router_index::{query_nearest_entries, Neighbor};
 use crate::server::{BatchOutcome, ManagementServer, ServerConfig};
 use crate::telemetry::{Counter, Histogram, TelemetryRegistry};
-use nearpeer_routing::RouteOracle;
-use nearpeer_topology::{RouterId, Topology};
+use nearpeer_topology::RouterId;
 use std::sync::Arc;
 
 /// Federation tuning.
@@ -122,7 +121,6 @@ pub struct Federation {
     /// hop distance across the pair (`u32::MAX` = no measured bridge).
     bridge: Vec<Vec<u32>>,
     fanout: Option<usize>,
-    fallback: bool,
     neighbor_count: usize,
     pub(crate) counters: QueryCounters,
     /// Bound registry ([`Self::bind_telemetry`]): gates the frame path's
@@ -222,7 +220,6 @@ impl Federation {
             router_landmark,
             bridge,
             fanout: config.fanout,
-            fallback: config.server.cross_landmark_fallback,
             neighbor_count: config.server.neighbor_count,
             counters: QueryCounters::default(),
             telemetry: None,
@@ -258,30 +255,6 @@ impl Federation {
             }
         }
         bridge
-    }
-
-    /// Convenience constructor measuring the landmark distance matrix
-    /// over the topology (one set of landmark-to-landmark traceroutes at
-    /// startup, exactly like [`ManagementServer::bootstrap`]).
-    pub fn bootstrap(
-        topo: &Topology,
-        landmark_routers: Vec<RouterId>,
-        n_regions: usize,
-        config: FederationConfig,
-    ) -> Result<Self, CoreError> {
-        let oracle = RouteOracle::with_destinations(topo, &landmark_routers);
-        let n = landmark_routers.len();
-        let mut dist = vec![vec![u32::MAX; n]; n];
-        for (i, &a) in landmark_routers.iter().enumerate() {
-            dist[i][i] = 0;
-            for (j, &b) in landmark_routers.iter().enumerate().skip(i + 1) {
-                if let Some(h) = oracle.hops(a, b) {
-                    dist[i][j] = h;
-                    dist[j][i] = h;
-                }
-            }
-        }
-        Self::new(landmark_routers, dist, n_regions, config)
     }
 
     /// The regions, indexed by [`RegionId`].
@@ -379,12 +352,6 @@ impl Federation {
     /// The registry bound by [`Self::bind_telemetry`], if any.
     pub fn telemetry(&self) -> Option<Arc<TelemetryRegistry>> {
         self.telemetry.clone()
-    }
-
-    /// Whether short answers are topped up with cross-region bridge fills
-    /// (the regions' `cross_landmark_fallback`).
-    pub(crate) fn fills_enabled(&self) -> bool {
-        self.fallback
     }
 
     /// The home `(region, global landmark)` of a path, by its terminal
@@ -646,9 +613,8 @@ impl Federation {
     /// The closest registered peers to a query path across the consulted
     /// regions — the federation's routing front door. Exact candidates
     /// (peers sharing a router with the query path) merge by `(dtree,
-    /// peer)` from every consulted region; if the list stays short and
-    /// the fallback is enabled, it is topped up with **cross-region
-    /// bridge fills** ranked by
+    /// peer)` from every consulted region; if the list stays short, it is
+    /// topped up with **cross-region bridge fills** ranked by
     /// `depth(query) + hops(L_query, L_other) + depth(peer)` over the
     /// global landmark distance matrix. With `fanout = None` this is the
     /// answer one big server over all landmarks would give. `&self`, like
@@ -673,7 +639,7 @@ impl Federation {
             .iter()
             .map(|r| self.regions[r.index()].server().entries());
         let mut result = query_nearest_entries(tables, path, k, exclude);
-        if result.len() < k && self.fallback {
+        if result.len() < k {
             if let Some((_, own_global)) = home {
                 let missing = k - result.len();
                 let fill =

@@ -12,14 +12,13 @@
 //!   paper's "`O(log n)`, the cost of inserting a new element in an ordered
 //!   list") and queries that never touch more than the answer (`O(1)` in
 //!   `n` — "accessing a data in a hash table");
-//! * [`PathTree`] — the per-landmark trie view used for analytics, branch
-//!   points (`dtree`) and super-peer regions, built on demand from the
-//!   stored paths ([`ManagementServer::tree`]);
+//! * [`PathTree`] — the per-landmark trie view used for analytics and
+//!   branch points (`dtree`), built on demand from the stored paths
+//!   ([`ManagementServer::tree`]);
 //! * [`ManagementServer`] — round 2: registry, neighbor selection, churn
 //!   removal and mobility handover — one router index and one lease table
-//!   over the [`directory`];
-//! * [`SuperPeerDirectory`] — the W2 study's super-peer promotion policy,
-//!   standalone: the server never consults it;
+//!   over the [`directory`]. It is built from the landmark routers and
+//!   their pairwise hop distances, and never sees a topology;
 //! * [`directory`] — the scalability layer: the server's lease table
 //!   ([`LeaseArena`]), its arena-interned paths (one [`PathStore`] per
 //!   landmark), the adaptive EWMA and the snapshot/journal format;
@@ -37,35 +36,30 @@
 //!   incrementally from the touched subtrees, through bounded
 //!   priority-ordered per-client delivery queues with rate limiting and
 //!   coalescing;
-//! * [`policy`] — the selection baselines the evaluation compares against:
-//!   random (the paper's baseline), brute-force closest (`Dclosest`),
-//!   Vivaldi-distance and landmark-binning;
-//! * [`landmarks`] — placement policies for the W1 study (the paper places
-//!   landmarks at "medium-size degree" routers);
 //! * [`protocol`] / [`codec`] — the join protocol messages and their
-//!   length-prefixed wire format (`bytes`-based, property-tested);
-//! * [`actors`] — adapters running the protocol inside `nearpeer-sim` for
-//!   the end-to-end setup-delay experiments.
+//!   length-prefixed wire format (`bytes`-based, property-tested).
+//!
+//! The crate depends on `nearpeer-topology` for the [`RouterId`] newtype
+//! alone. Landmark placement and the landmark distance matrix
+//! (`RouteOracle::landmark_hops`) live in `nearpeer-routing`.
+//!
+//! [`RouterId`]: nearpeer_topology::RouterId
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod actors;
 pub mod codec;
 pub mod directory;
 mod error;
 pub mod federation;
 mod ids;
-pub mod landmarks;
 mod path;
 mod path_tree;
-pub mod policy;
 pub mod protocol;
 mod router_index;
 pub mod runtime;
 mod server;
 pub mod subscription;
-mod superpeer;
 pub mod telemetry;
 
 pub use directory::persist::fault::FaultPlan;
@@ -75,7 +69,7 @@ pub use directory::persist::writer::{
     WriterStats,
 };
 pub use directory::persist::{PersistError, RecoveryReport};
-pub use directory::{AdaptiveLeaseConfig, LeaseArena, PathRef, PathStore, PeerSlot, SweepStats};
+pub use directory::{AdaptiveLeaseConfig, LeaseArena, PathRef, PathStore, SweepStats};
 pub use error::CoreError;
 pub use federation::{
     FederatedJoin, Federation, FederationConfig, FederationStats, FederationSweep, Region, RegionId,
@@ -92,7 +86,6 @@ pub use subscription::{
     DeltaClass, NeighborDelta, Subscription, SubscriptionHost, SubscriptionRegistry,
     SubscriptionStats,
 };
-pub use superpeer::{SuperPeerConfig, SuperPeerDirectory};
 pub use telemetry::{
     Counter, Gauge, Histogram, HistogramSnapshot, SlowQueryLog, SlowQueryRecord, TelemetryRegistry,
     TelemetrySnapshot, TimerGuard,

@@ -143,7 +143,7 @@ impl Federation {
         result.sort_unstable_by_key(|n| (n.dtree, n.peer));
         result.truncate(k);
         let exact_len = result.len();
-        if result.len() < k && self.fills_enabled() {
+        if result.len() < k {
             if let Some((_, own_global)) = home {
                 let missing = k - result.len();
                 let fill = self.bridge_fill_rpc(

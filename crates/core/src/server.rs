@@ -24,8 +24,7 @@ use crate::subscription::{
     SubscriptionStats,
 };
 use crate::telemetry::{Counter, Gauge, Histogram, SlowQueryRecord, TelemetryRegistry};
-use nearpeer_routing::RouteOracle;
-use nearpeer_topology::{RouterId, Topology};
+use nearpeer_topology::RouterId;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -34,11 +33,7 @@ use std::time::Instant;
 pub struct ServerConfig {
     /// Neighbors returned to a newcomer (the paper's "short list").
     pub neighbor_count: usize,
-    /// When the path-tree search finds fewer than `neighbor_count` peers,
-    /// fill the list with cross-landmark candidates ranked by the bridge
-    /// estimate `depth(p) + hops(L_p, L_q) + depth(q)` (DESIGN.md §5).
-    pub cross_landmark_fallback: bool,
-    /// Enables adaptive lease lengths: each shard tracks an EWMA of every
+    /// Enables adaptive lease lengths: the server tracks an EWMA of every
     /// peer's session length and sizes its lease accordingly at renewal
     /// time, capped to the configured band (see [`AdaptiveLeaseConfig`]).
     /// `None` = one uniform lease length (the `max_age` passed to
@@ -50,7 +45,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             neighbor_count: 5,
-            cross_landmark_fallback: true,
             adaptive_leases: None,
         }
     }
@@ -240,9 +234,13 @@ struct QueryCounters {
 /// landmark.
 ///
 /// The server never sees the topology at runtime — it only consumes router
-/// paths, exactly like the deployed system would. (The [`Self::bootstrap`]
-/// constructor uses the topology once, standing in for the real system's
-/// landmark-to-landmark traceroutes at startup.)
+/// paths, exactly like the deployed system would, and the landmark
+/// distances it is built with (the real system traceroutes between its
+/// landmarks once at startup).
+///
+/// When the path-tree search finds fewer than `neighbor_count` peers, the
+/// server fills the list with cross-landmark candidates ranked by the
+/// bridge estimate `depth(p) + hops(L_p, L_q) + depth(q)` (DESIGN.md §5).
 ///
 /// Concurrency contract: every read (`neighbors_of`, `closest_to_path`,
 /// `report`, the [`Self::index`] view) takes `&self`, so a populated server
@@ -252,7 +250,7 @@ pub struct ManagementServer {
     config: ServerConfig,
     landmark_routers: Vec<RouterId>,
     landmark_by_router: IdMap<RouterId, LandmarkId>,
-    /// Hop distance between landmark routers (bootstrap measurements).
+    /// Hop distance between landmark routers (startup measurements).
     landmark_dist: Vec<Vec<u32>>,
     /// Every peer's lease in one slab behind one peer table: its landmark
     /// and path, last-seen epoch and lease length — or the forwarding
@@ -348,43 +346,6 @@ impl ManagementServer {
             sub_clock_ms: 0,
             telemetry: None,
         })
-    }
-
-    /// Convenience constructor measuring landmark-to-landmark hop distances
-    /// over the topology (the real system would traceroute between
-    /// landmarks once at startup). Refuses what [`Self::new`] refuses.
-    pub fn bootstrap(
-        topo: &Topology,
-        landmark_routers: Vec<RouterId>,
-        config: ServerConfig,
-    ) -> Result<Self, CoreError> {
-        // All measured destinations are landmarks, so precompute their
-        // trees into the oracle's arena (parallel on multi-core hosts).
-        let oracle = RouteOracle::with_destinations(topo, &landmark_routers);
-        Self::bootstrap_with_oracle(&oracle, landmark_routers, config)
-    }
-
-    /// Like [`ManagementServer::bootstrap`], but measures the landmark
-    /// distances through a caller-owned oracle — so a swarm builder that
-    /// already precomputed the landmark trees into its oracle's arena does
-    /// not pay for a second set of identical BFS runs.
-    pub fn bootstrap_with_oracle(
-        oracle: &RouteOracle<'_>,
-        landmark_routers: Vec<RouterId>,
-        config: ServerConfig,
-    ) -> Result<Self, CoreError> {
-        let n = landmark_routers.len();
-        let mut dist = vec![vec![u32::MAX; n]; n];
-        for (i, &a) in landmark_routers.iter().enumerate() {
-            dist[i][i] = 0;
-            for (j, &b) in landmark_routers.iter().enumerate().skip(i + 1) {
-                if let Some(h) = oracle.hops(a, b) {
-                    dist[i][j] = h;
-                    dist[j][i] = h;
-                }
-            }
-        }
-        Self::new(landmark_routers, dist, config)
     }
 
     /// The landmark routers, indexed by [`LandmarkId`].
@@ -594,7 +555,7 @@ impl ManagementServer {
             landmark: landmark.0 as u16,
         };
         let opened = self.leases.insert(peer, lease, self.epoch);
-        debug_assert!(opened.is_some(), "{peer} already held a lease");
+        debug_assert!(opened, "{peer} already held a lease");
         if let Some(ttl) = self.adaptive.as_mut().and_then(|a| a.ttl(peer)) {
             self.leases.set_ttl(peer, ttl);
         }
@@ -891,7 +852,7 @@ impl ManagementServer {
             .map(|_| Instant::now());
         let mut result = query_nearest_entries([&self.index], path, k, exclude);
         let exact_len = result.len();
-        if result.len() < k && self.config.cross_landmark_fallback {
+        if result.len() < k {
             if let Ok(own) = self.landmark_for_path(path) {
                 let fill = query::cross_landmark_candidates(
                     &self.index,
@@ -1058,7 +1019,8 @@ impl ManagementServer {
 
         // Config section.
         wire::put_u64(&mut out, self.config.neighbor_count as u64);
-        wire::put_u8(&mut out, self.config.cross_landmark_fallback as u8);
+        // The cross-landmark fill flag of earlier versions, always on.
+        wire::put_u8(&mut out, 1);
         match self.config.adaptive_leases {
             None => wire::put_u8(&mut out, 0),
             Some(a) => {
@@ -1146,11 +1108,10 @@ impl ManagementServer {
         let mut r = persist::Reader::new(&snapshot[8..body_end]);
         // Config section.
         let neighbor_count = r.u64()? as usize;
-        let cross_landmark_fallback = match r.u8()? {
-            0 => false,
-            1 => true,
+        match r.u8()? {
+            1 => {}
             t => return Err(PersistError::Corrupt(format!("bad cross-landmark flag {t}")).into()),
-        };
+        }
         let adaptive_leases = match r.u8()? {
             0 => None,
             1 => Some(AdaptiveLeaseConfig {
@@ -1164,7 +1125,6 @@ impl ManagementServer {
         };
         let config = ServerConfig {
             neighbor_count,
-            cross_landmark_fallback,
             adaptive_leases,
         };
         config.validate()?;
@@ -1336,10 +1296,6 @@ impl SubscriptionHost for ManagementServer {
         (d != u32::MAX).then_some(d)
     }
 
-    fn fills_enabled(&self) -> bool {
-        self.config.cross_landmark_fallback
-    }
-
     fn query_split(&self, path: PathView<'_>, k: usize, exclude: PeerId) -> (Vec<Neighbor>, usize) {
         self.closest_split(path, k, Some(exclude))
     }
@@ -1415,7 +1371,6 @@ impl<'a> DirectoryView<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nearpeer_topology::presets::figure1;
 
     fn path(ids: &[u32]) -> PeerPath {
         PeerPath::new(ids.iter().map(|&i| RouterId(i)).collect()).unwrap()
@@ -1562,38 +1517,6 @@ mod tests {
         // px via the shared router 100 (dtree 0+3), then py as a bridge
         // fill: query depth 0 + bridge 1 + py's depth 2 below router 0.
         assert_eq!(got, vec![(PeerId(1), 3), (PeerId(2), 3)]);
-    }
-
-    #[test]
-    fn fallback_disabled_returns_short_list() {
-        let mut srv = two_landmark_server(ServerConfig {
-            neighbor_count: 3,
-            cross_landmark_fallback: false,
-            ..ServerConfig::default()
-        });
-        srv.register(PeerId(1), path(&[4, 2, 1, 0])).unwrap();
-        srv.register(PeerId(2), path(&[110, 105, 100])).unwrap();
-        let out = srv.register(PeerId(3), path(&[5, 2, 1, 0])).unwrap();
-        assert_eq!(out.neighbors.len(), 1);
-        assert_eq!(srv.stats().cross_landmark_fills, 0);
-    }
-
-    #[test]
-    fn bootstrap_measures_landmark_distances() {
-        let fig = figure1();
-        let ra = fig.core[0];
-        let rb = fig.core[1];
-        let srv = ManagementServer::bootstrap(
-            &fig.topology,
-            vec![fig.landmark, ra, rb],
-            ServerConfig::default(),
-        )
-        .unwrap();
-        // lmk-ra adjacent, lmk-rb two hops.
-        assert_eq!(srv.landmark_dist[0][1], 1);
-        assert_eq!(srv.landmark_dist[0][2], 2);
-        assert_eq!(srv.landmark_dist[1][2], 1);
-        assert_eq!(srv.landmark_dist[2][0], 2);
     }
 
     #[test]
@@ -2194,6 +2117,32 @@ mod tests {
         assert_eq!(forge(8), good);
         assert!(matches!(
             ManagementServer::recover(&forge(1 << 40), &[]),
+            Err(CoreError::Persist(PersistError::Corrupt(_)))
+        ));
+    }
+
+    #[test]
+    fn a_forged_cross_landmark_flag_is_refused() {
+        let mut srv =
+            ManagementServer::new(vec![RouterId(0)], vec![vec![0]], ServerConfig::default())
+                .unwrap();
+        srv.register(PeerId(1), path(&[3, 2, 1, 0])).unwrap();
+        let good = srv.snapshot_bytes().unwrap();
+        let forge = |flag: u8| {
+            // Header (8), then the neighbor count (8), then the flag.
+            let at = 8 + 8;
+            let mut forged = good.clone();
+            assert_eq!(forged[at], 1);
+            forged[at] = flag;
+            let body = forged.len() - 8;
+            let sum = persist::checksum(&forged[..body]);
+            forged[body..].copy_from_slice(&sum.to_le_bytes());
+            forged
+        };
+        assert_eq!(forge(1), good);
+        assert!(ManagementServer::recover(&forge(1), &[]).is_ok());
+        assert!(matches!(
+            ManagementServer::recover(&forge(0), &[]),
             Err(CoreError::Persist(PersistError::Corrupt(_)))
         ));
     }

@@ -149,10 +149,8 @@ pub trait SubscriptionHost {
     fn path_of(&self, peer: PeerId) -> Option<PathView<'_>>;
     /// The landmark whose router this is, if any.
     fn landmark_at(&self, router: RouterId) -> Option<LandmarkId>;
-    /// Bootstrap hop distance between two landmarks (`None` = unknown).
+    /// Startup hop distance between two landmarks (`None` = unknown).
     fn bridge(&self, from: LandmarkId, to: LandmarkId) -> Option<u32>;
-    /// Whether `closest_to_path` runs the cross-landmark fill fallback.
-    fn fills_enabled(&self) -> bool;
     /// `closest_to_path(path, k, exclude)` split into the full answer
     /// and the length of its exact section (the fill section follows).
     fn query_split(&self, path: PathView<'_>, k: usize, exclude: PeerId) -> (Vec<Neighbor>, usize);
@@ -295,8 +293,8 @@ struct Counters {
 ///
 /// Not a lock or a thread in sight — the registry is plain mutable
 /// state; hosts decide how to serialize access (the facade feeds it from
-/// its `&mut self` churn entry points, which the actor server calls under
-/// its write guard).
+/// its `&mut self` churn entry points, which [`crate::Shared`] calls
+/// under its write guard).
 #[derive(Debug, Default)]
 pub struct SubscriptionRegistry {
     subs: Vec<Option<SubState>>,
@@ -420,7 +418,7 @@ impl SubscriptionRegistry {
             last_push_ms: now_ms,
             last_event: 0,
         };
-        self.settle(host, sid, &mut s);
+        self.settle(sid, &mut s);
         self.subs[sid as usize] = Some(s);
         Ok(answer)
     }
@@ -689,7 +687,7 @@ impl SubscriptionRegistry {
         }
         s.answer = new;
         s.exact_len = exact_len;
-        self.settle(host, sid, &mut s);
+        self.settle(sid, &mut s);
         let delta = if removed.is_empty() && added.is_empty() {
             self.counters.dropped_to_coalesce.inc();
             None
@@ -712,14 +710,14 @@ impl SubscriptionRegistry {
     /// Brings the posting bounds along `s`'s watch path and the hungry
     /// set in line with its (now current) answer. The hungry set is
     /// scanned only when `s` leaves it.
-    fn settle<H: SubscriptionHost>(&mut self, host: &H, sid: u32, s: &mut SubState) {
+    fn settle(&mut self, sid: u32, s: &mut SubState) {
         let thr = s.admission_bound();
         for (r, off) in s.path.with_depths() {
             if let Some(posting) = self.routers.get_mut(&r) {
                 posting.bound = posting.bound.max(thr.saturating_sub(i64::from(off)));
             }
         }
-        let hungry_now = host.fills_enabled() && s.exact_len < s.k;
+        let hungry_now = s.exact_len < s.k;
         if hungry_now != s.hungry {
             s.hungry = hungry_now;
             if hungry_now {

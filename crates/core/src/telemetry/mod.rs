@@ -10,9 +10,9 @@
 //! that exists. Handles can be created through the registry
 //! (get-or-create) or created by a subsystem first and adopted later
 //! ([`TelemetryRegistry::adopt_counter`] and friends), which is how the
-//! pre-existing stats structs (`SubscriptionStats`, `WriterStats`, shard
-//! query counters) became views over the registry without changing their
-//! accessors.
+//! pre-existing stats structs (`SubscriptionStats`, `WriterStats`, the
+//! server's and the federation's query counters) became views over the
+//! registry without changing their accessors.
 //!
 //! Snapshots tolerate concurrent mutation: every value is a single
 //! atomic read, histogram totals derive from the bucket reads, and any

@@ -348,7 +348,6 @@ proptest! {
             LM_DIST.iter().map(|row| row.to_vec()).collect(),
             ServerConfig {
                 neighbor_count: K,
-                cross_landmark_fallback: true,
                 adaptive_leases: None,
             },
         ).unwrap();

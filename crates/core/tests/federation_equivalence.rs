@@ -25,7 +25,6 @@ const LM_DIST: [[u32; 4]; 4] = [[0, 3, 7, 5], [3, 0, 4, 9], [7, 4, 0, 6], [5, 9,
 fn server_config() -> ServerConfig {
     ServerConfig {
         neighbor_count: K,
-        cross_landmark_fallback: true,
         adaptive_leases: None,
     }
 }

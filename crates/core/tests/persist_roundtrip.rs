@@ -136,7 +136,6 @@ fn build_server(adaptive: bool) -> ManagementServer {
                 max_age: 10,
                 ..AdaptiveLeaseConfig::default()
             }),
-            ..ServerConfig::default()
         },
     )
     .unwrap()

@@ -56,7 +56,6 @@ proptest! {
             vec![vec![0, 7], vec![7, 0]],
             ServerConfig {
                 neighbor_count: 4,
-                cross_landmark_fallback: true,
                 adaptive_leases: None,
             },
         ).unwrap();

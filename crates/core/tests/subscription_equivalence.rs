@@ -240,7 +240,6 @@ proptest! {
             LM_DIST.iter().map(|row| row.to_vec()).collect(),
             ServerConfig {
                 neighbor_count: 4,
-                cross_landmark_fallback: true,
                 adaptive_leases: None,
             },
         ).unwrap();

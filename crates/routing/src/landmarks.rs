@@ -5,7 +5,7 @@
 //! question. This module implements the candidate policies the W1
 //! experiment sweeps.
 
-use nearpeer_routing::bfs_distances;
+use crate::bfs_distances;
 use nearpeer_topology::{analysis, RouterId, Topology};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -222,7 +222,7 @@ mod tests {
         // On a line, two spread landmarks must land far apart.
         let lms = place_landmarks(&t, 2, PlacementPolicy::Spread, 2);
         assert_eq!(lms.len(), 2);
-        let dist = nearpeer_routing::hop_distance(&t, lms[0], lms[1]).unwrap();
+        let dist = crate::hop_distance(&t, lms[0], lms[1]).unwrap();
         assert!(dist >= 14, "spread landmarks only {dist} hops apart");
     }
 

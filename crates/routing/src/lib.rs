@@ -28,11 +28,16 @@
 //!   adjacency view, so bulk tree construction stops paying per-build
 //!   allocation churn. Both produce trees bit-identical to the plain
 //!   [`shortest_path_tree`].
+//! * [`RouteOracle::landmark_hops`] — the landmark-to-landmark hop matrix
+//!   a management server is built with.
+//! * [`landmarks`] — landmark placement policies for the W1 study (the
+//!   paper places landmarks at "medium-size degree" routers).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod bfs;
+pub mod landmarks;
 mod oracle;
 mod spt;
 

@@ -475,6 +475,28 @@ impl<'t> RouteOracle<'t> {
         self.tree_to(dst).hops_to_root(src)
     }
 
+    /// The pairwise hop distances between `landmarks`, row-major and
+    /// symmetric, with a zero diagonal and `u32::MAX` for a disconnected
+    /// pair: the matrix a management server ranks cross-landmark fills
+    /// with (the real system traceroutes between its landmarks once at
+    /// startup). Build the oracle with
+    /// [`RouteOracle::with_destinations`] over the same landmarks so that
+    /// every tree read here comes from the arena.
+    pub fn landmark_hops(&self, landmarks: &[RouterId]) -> Vec<Vec<u32>> {
+        let n = landmarks.len();
+        let mut dist = vec![vec![u32::MAX; n]; n];
+        for (i, &a) in landmarks.iter().enumerate() {
+            dist[i][i] = 0;
+            for (j, &b) in landmarks.iter().enumerate().skip(i + 1) {
+                if let Some(h) = self.hops(a, b) {
+                    dist[i][j] = h;
+                    dist[j][i] = h;
+                }
+            }
+        }
+        dist
+    }
+
     /// Round-trip time in microseconds along the (hop-shortest) route, i.e.
     /// twice the accumulated one-way link latency. `None` if disconnected.
     ///
@@ -746,6 +768,27 @@ mod tests {
         // p1 and p3 join in the core (ra): p1 goes rc→ra, p3 goes rb→ra.
         let bp13 = oracle.branch_point(p1, p3, fig.landmark).unwrap();
         assert!(bp13 == ra || bp13 == rb, "unexpected branch point {bp13}");
+    }
+
+    #[test]
+    fn landmark_hops_measures_landmark_distances() {
+        let fig = figure1();
+        let ra = fig.core[0];
+        let rb = fig.core[1];
+        let landmarks = [fig.landmark, ra, rb];
+        let oracle = RouteOracle::with_destinations(&fig.topology, &landmarks);
+        let dist = oracle.landmark_hops(&landmarks);
+        // lmk-ra adjacent, lmk-rb two hops.
+        assert_eq!(dist[0][1], 1);
+        assert_eq!(dist[0][2], 2);
+        assert_eq!(dist[1][2], 1);
+        assert_eq!(dist[2][0], 2);
+        assert!((0..3).all(|i| dist[i][i] == 0), "zero diagonal");
+        assert_eq!(oracle.stats().lazy_trees_built, 0, "arena reads only");
+        // Two routers with no link between them.
+        let t = nearpeer_topology::TopologyBuilder::with_routers(2).build();
+        let dist = RouteOracle::new(&t).landmark_hops(&[RouterId(0), RouterId(1)]);
+        assert_eq!(dist, vec![vec![0, u32::MAX], vec![u32::MAX, 0]]);
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //!
 //! Run with: `cargo run --example churn_and_handover`
 
-use nearpeer::core::landmarks::{place_landmarks, PlacementPolicy};
 use nearpeer::core::{ManagementServer, PeerId, PeerPath, ServerConfig};
 use nearpeer::probe::{TraceConfig, Tracer};
+use nearpeer::routing::landmarks::{place_landmarks, PlacementPolicy};
 use nearpeer::routing::{hop_distance, RouteOracle};
 use nearpeer::topology::generators::{mapper, MapperConfig};
 use nearpeer::workloads::{ArrivalProcess, ChurnConfig, ChurnEventKind, ChurnTrace};
@@ -41,8 +41,12 @@ fn main() {
         },
         seed,
     );
-    let mut server = ManagementServer::bootstrap(&topo, landmarks.clone(), ServerConfig::default())
-        .expect("the landmarks build a server");
+    let mut server = ManagementServer::new(
+        landmarks.clone(),
+        oracle.landmark_hops(&landmarks),
+        ServerConfig::default(),
+    )
+    .expect("the landmarks build a server");
     let mut dead: HashSet<PeerId> = HashSet::new();
     let mut stale_answers = 0usize;
     let mut joins_with_neighbors = 0usize;
@@ -86,8 +90,12 @@ fn main() {
 
     // --- Part 2: mobility handover. ---
     println!("=== mobility: handover restores locality ===");
-    let mut server = ManagementServer::bootstrap(&topo, landmarks.clone(), ServerConfig::default())
-        .expect("the landmarks build a server");
+    let mut server = ManagementServer::new(
+        landmarks.clone(),
+        oracle.landmark_hops(&landmarks),
+        ServerConfig::default(),
+    )
+    .expect("the landmarks build a server");
     let mut attach: HashMap<PeerId, _> = HashMap::new();
     for i in 0..100u64 {
         let router = access[(i as usize * 3) % access.len()];

@@ -26,8 +26,12 @@ fn main() {
 
     let oracle = RouteOracle::new(topo);
     let tracer = Tracer::new(&oracle, TraceConfig::default());
-    let mut server = ManagementServer::bootstrap(topo, vec![fig.landmark], ServerConfig::default())
-        .expect("one landmark builds a server");
+    let mut server = ManagementServer::new(
+        vec![fig.landmark],
+        oracle.landmark_hops(&[fig.landmark]),
+        ServerConfig::default(),
+    )
+    .expect("one landmark builds a server");
 
     // Round 1 + 2 for each peer of the drawing.
     for (i, &peer_router) in fig.peers.iter().enumerate() {

@@ -4,10 +4,9 @@
 //!
 //! Run with: `cargo run --example landmark_planning -- [--peers N] [--seed S]`
 
-use nearpeer::core::landmarks::place_landmarks;
-use nearpeer::core::landmarks::PlacementPolicy;
 use nearpeer::core::{ManagementServer, PeerId, PeerPath, ServerConfig};
 use nearpeer::probe::{TraceConfig, Tracer};
+use nearpeer::routing::landmarks::{place_landmarks, PlacementPolicy};
 use nearpeer::routing::{bfs_distances, RouteOracle};
 use nearpeer::topology::generators::{mapper, MapperConfig};
 use std::collections::HashMap;
@@ -47,9 +46,9 @@ fn main() {
     for policy in PlacementPolicy::all() {
         for n_landmarks in [2usize, 4, 8] {
             let landmarks = place_landmarks(&topo, n_landmarks, policy, seed);
-            let mut server = ManagementServer::bootstrap(
-                &topo,
+            let mut server = ManagementServer::new(
                 landmarks.clone(),
+                oracle.landmark_hops(&landmarks),
                 ServerConfig {
                     neighbor_count: k,
                     ..ServerConfig::default()

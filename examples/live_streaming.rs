@@ -8,10 +8,10 @@
 //! Run with:
 //! `cargo run --example live_streaming -- [--drop-chance PCT] [--jitter-ms MS] [--peers N]`
 
-use nearpeer::core::landmarks::{place_landmarks, PlacementPolicy};
 use nearpeer::core::{ManagementServer, PeerId, PeerPath, ServerConfig};
 use nearpeer::overlay::{OverlayMsg, SourceActor, StreamPeer, StreamStats};
 use nearpeer::probe::{TraceConfig, Tracer};
+use nearpeer::routing::landmarks::{place_landmarks, PlacementPolicy};
 use nearpeer::routing::RouteOracle;
 use nearpeer::sim::links::{Faulty, TopologyLinks};
 use nearpeer::sim::{NodeId, SimTime, Simulator};
@@ -66,9 +66,9 @@ fn main() {
     let landmarks = place_landmarks(&topo, 3, PlacementPolicy::DegreeMedium, 7);
     let oracle = RouteOracle::new(&topo);
     let tracer = Tracer::new(&oracle, TraceConfig::default());
-    let mut server = ManagementServer::bootstrap(
-        &topo,
+    let mut server = ManagementServer::new(
         landmarks.clone(),
+        oracle.landmark_hops(&landmarks),
         ServerConfig {
             neighbor_count: K,
             ..ServerConfig::default()

@@ -6,9 +6,9 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use nearpeer::core::landmarks::{place_landmarks, PlacementPolicy};
 use nearpeer::core::{ManagementServer, PeerId, PeerPath, ServerConfig};
 use nearpeer::probe::{TraceConfig, Tracer};
+use nearpeer::routing::landmarks::{place_landmarks, PlacementPolicy};
 use nearpeer::routing::{hop_distance, RouteOracle};
 use nearpeer::topology::generators::{mapper, MapperConfig};
 
@@ -26,8 +26,12 @@ fn main() {
     // 2. A few landmarks at medium-degree routers + the management server.
     let landmarks = place_landmarks(&topo, 3, PlacementPolicy::DegreeMedium, 2007);
     println!("landmarks at routers: {landmarks:?}");
-    let mut server = ManagementServer::bootstrap(&topo, landmarks.clone(), ServerConfig::default())
-        .expect("one landmark builds a server");
+    let mut server = ManagementServer::new(
+        landmarks.clone(),
+        RouteOracle::with_destinations(&topo, &landmarks).landmark_hops(&landmarks),
+        ServerConfig::default(),
+    )
+    .expect("one landmark builds a server");
 
     // 3. Twenty peers join: each traceroutes to its closest landmark and
     //    registers the discovered path.

@@ -25,12 +25,13 @@
 //! let topo = mapper(&MapperConfig::tiny(), 42).unwrap();
 //! let oracle = RouteOracle::new(&topo);
 //!
-//! // A landmark on some medium-degree router, a server bootstrapped with it.
-//! let landmark = nearpeer::core::landmarks::place_landmarks(
-//!     &topo, 1, nearpeer::core::landmarks::PlacementPolicy::DegreeMedium, 42,
+//! // A landmark on some medium-degree router, and a server built with the
+//! // landmark-to-landmark hop distances (a one-landmark matrix here).
+//! let landmark = nearpeer::routing::landmarks::place_landmarks(
+//!     &topo, 1, nearpeer::routing::landmarks::PlacementPolicy::DegreeMedium, 42,
 //! )[0];
-//! let mut server =
-//!     ManagementServer::bootstrap(&topo, vec![landmark], ServerConfig::default()).unwrap();
+//! let dist = oracle.landmark_hops(&[landmark]);
+//! let mut server = ManagementServer::new(vec![landmark], dist, ServerConfig::default()).unwrap();
 //!
 //! // Round 1: a newcomer traceroutes towards the landmark…
 //! let tracer = Tracer::new(&oracle, TraceConfig::default());

@@ -3,11 +3,12 @@
 //! JoinRequest, leave gracefully via Leave, and the server's view tracks
 //! the trace's population.
 
-use nearpeer::core::actors::{JoinRecord, LandmarkActor, PeerActor, ServerActor};
-use nearpeer::core::landmarks::{place_landmarks, PlacementPolicy};
+mod support;
+
 use nearpeer::core::protocol::Message;
 use nearpeer::core::{ManagementServer, PeerId, PeerPath, ServerConfig};
 use nearpeer::probe::{TraceConfig, Tracer};
+use nearpeer::routing::landmarks::{place_landmarks, PlacementPolicy};
 use nearpeer::routing::RouteOracle;
 use nearpeer::sim::links::Fixed;
 use nearpeer::sim::{SimTime, Simulator};
@@ -15,6 +16,7 @@ use nearpeer::topology::generators::{mapper, MapperConfig};
 use nearpeer::workloads::{ArrivalProcess, ChurnConfig, ChurnEventKind, ChurnTrace};
 use std::cell::RefCell;
 use std::rc::Rc;
+use support::{JoinRecord, LandmarkActor, PeerActor, ServerActor};
 
 #[test]
 fn churn_trace_replay_through_the_wire() {
@@ -26,7 +28,12 @@ fn churn_trace_replay_through_the_wire() {
     let access = topo.access_routers();
 
     let server = Rc::new(RefCell::new(
-        ManagementServer::bootstrap(&topo, landmarks.clone(), ServerConfig::default()).unwrap(),
+        ManagementServer::new(
+            landmarks.clone(),
+            oracle.landmark_hops(&landmarks),
+            ServerConfig::default(),
+        )
+        .unwrap(),
     ));
 
     // A short churn trace: everyone joins, some leave gracefully, some

@@ -2,11 +2,12 @@
 //! public API across every crate — discovery quality, the wire protocol
 //! through the simulator, and churn operations.
 
-use nearpeer::core::actors::{JoinRecord, LandmarkActor, PeerActor, ServerActor};
-use nearpeer::core::landmarks::{place_landmarks, PlacementPolicy};
+mod support;
+
 use nearpeer::core::protocol::Message;
 use nearpeer::core::{ManagementServer, PeerId, PeerPath, ServerConfig};
 use nearpeer::probe::{TraceConfig, Tracer};
+use nearpeer::routing::landmarks::{place_landmarks, PlacementPolicy};
 use nearpeer::routing::{bfs_distances, RouteOracle};
 use nearpeer::sim::links::TopologyLinks;
 use nearpeer::sim::{NodeId, Simulator};
@@ -14,6 +15,7 @@ use nearpeer::topology::generators::{mapper, MapperConfig};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
+use support::{JoinRecord, LandmarkActor, PeerActor, ServerActor};
 
 const SEED: u64 = 20_07;
 
@@ -23,8 +25,12 @@ fn path_tree_selection_beats_random_on_an_internet_like_map() {
     let landmarks = place_landmarks(&topo, 4, PlacementPolicy::DegreeMedium, SEED);
     let oracle = RouteOracle::new(&topo);
     let tracer = Tracer::new(&oracle, TraceConfig::default());
-    let mut server =
-        ManagementServer::bootstrap(&topo, landmarks.clone(), ServerConfig::default()).unwrap();
+    let mut server = ManagementServer::new(
+        landmarks.clone(),
+        oracle.landmark_hops(&landmarks),
+        ServerConfig::default(),
+    )
+    .unwrap();
 
     let access = topo.access_routers();
     let n = 150usize;
@@ -85,7 +91,12 @@ fn wire_protocol_joins_through_the_simulator() {
     let oracle = RouteOracle::new(&topo);
     let tracer = Tracer::new(&oracle, TraceConfig::default());
     let server = Rc::new(RefCell::new(
-        ManagementServer::bootstrap(&topo, landmarks.clone(), ServerConfig::default()).unwrap(),
+        ManagementServer::new(
+            landmarks.clone(),
+            oracle.landmark_hops(&landmarks),
+            ServerConfig::default(),
+        )
+        .unwrap(),
     ));
 
     // Server and landmarks attach to real routers; peers behind access
@@ -166,8 +177,12 @@ fn churn_deregistration_keeps_answers_clean() {
     let landmarks = place_landmarks(&topo, 2, PlacementPolicy::DegreeMedium, SEED);
     let oracle = RouteOracle::new(&topo);
     let tracer = Tracer::new(&oracle, TraceConfig::default());
-    let mut server =
-        ManagementServer::bootstrap(&topo, landmarks.clone(), ServerConfig::default()).unwrap();
+    let mut server = ManagementServer::new(
+        landmarks.clone(),
+        oracle.landmark_hops(&landmarks),
+        ServerConfig::default(),
+    )
+    .unwrap();
     let access = topo.access_routers();
 
     let mk_path = |router, salt: u64| {
@@ -194,5 +209,170 @@ fn churn_deregistration_keeps_answers_clean() {
         for nb in server.neighbors_of(PeerId(i), 5).unwrap() {
             assert!(nb.peer.0 % 2 == 1, "dead peer {} served", nb.peer);
         }
+    }
+}
+
+/// The simulator actors of `support` on their own.
+mod actors {
+    use super::support::{JoinRecord, LandmarkActor, PeerActor, ServerActor};
+    use nearpeer::core::protocol::Message;
+    use nearpeer::core::{ManagementServer, PeerId, PeerPath, ServerConfig};
+    use nearpeer::sim::links::Fixed;
+    use nearpeer::sim::{SimTime, Simulator};
+    use nearpeer::topology::RouterId;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    fn path(ids: &[u32]) -> PeerPath {
+        PeerPath::new(ids.iter().map(|&i| RouterId(i)).collect()).unwrap()
+    }
+
+    fn shared_server() -> Rc<RefCell<ManagementServer>> {
+        Rc::new(RefCell::new(
+            ManagementServer::new(
+                vec![RouterId(0), RouterId(100)],
+                vec![vec![0, 4], vec![4, 0]],
+                ServerConfig::default(),
+            )
+            .unwrap(),
+        ))
+    }
+
+    #[test]
+    fn full_join_sequence() {
+        let server = shared_server();
+        let mut sim: Simulator<Message, Fixed> = Simulator::new(Fixed(1_000), 1);
+        let srv = sim.add_actor(Box::new(ServerActor::new(server.clone())));
+        let lm0 = sim.add_actor(Box::new(LandmarkActor));
+        let lm1 = sim.add_actor(Box::new(LandmarkActor));
+
+        let rec = Rc::new(RefCell::new(JoinRecord::default()));
+        let peer = PeerActor::new(
+            PeerId(1),
+            srv,
+            vec![lm0, lm1],
+            vec![
+                Some((path(&[9, 4, 0]), 5_000)),
+                Some((path(&[9, 104, 100]), 7_000)),
+            ],
+            50_000,
+            rec.clone(),
+        );
+        sim.add_actor(Box::new(peer));
+        sim.run_to_completion();
+
+        let rec = rec.borrow();
+        assert!(!rec.refused);
+        assert_eq!(rec.pongs, 2);
+        // Both landmarks have equal RTT under Fixed links; argmin picks 0.
+        assert_eq!(rec.chosen_landmark, Some(0));
+        // Timeline: pings out at 0, pongs at 2ms, trace 5ms -> 7ms, join
+        // request lands at 8ms, reply at 9ms.
+        assert_eq!(rec.joined_at, Some(SimTime(9_000)));
+        assert_eq!(rec.setup_delay_us(), Some(9_000));
+        assert!(rec.neighbors.is_empty(), "first peer has no neighbors");
+        assert_eq!(server.borrow().peer_count(), 1);
+    }
+
+    #[test]
+    fn second_peer_receives_the_first_as_neighbor() {
+        let server = shared_server();
+        let mut sim: Simulator<Message, Fixed> = Simulator::new(Fixed(500), 1);
+        let srv = sim.add_actor(Box::new(ServerActor::new(server.clone())));
+        let lm0 = sim.add_actor(Box::new(LandmarkActor));
+
+        let rec1 = Rc::new(RefCell::new(JoinRecord::default()));
+        sim.add_actor(Box::new(PeerActor::new(
+            PeerId(1),
+            srv,
+            vec![lm0],
+            vec![Some((path(&[9, 4, 0]), 1_000))],
+            10_000,
+            rec1.clone(),
+        )));
+        sim.run_to_completion();
+
+        let rec2 = Rc::new(RefCell::new(JoinRecord::default()));
+        sim.add_actor(Box::new(PeerActor::new(
+            PeerId(2),
+            srv,
+            vec![lm0],
+            vec![Some((path(&[8, 4, 0]), 1_000))],
+            10_000,
+            rec2.clone(),
+        )));
+        sim.run_to_completion();
+
+        let rec2 = rec2.borrow();
+        assert_eq!(rec2.neighbors.len(), 1);
+        assert_eq!(rec2.neighbors[0].peer, PeerId(1));
+        assert_eq!(rec2.neighbors[0].dtree, 2); // meet at router 4: 1 + 1
+    }
+
+    #[test]
+    fn probe_timeout_still_joins() {
+        let server = shared_server();
+        // Drop everything except... use a link that always drops probe
+        // traffic by killing the landmark first.
+        let mut sim: Simulator<Message, Fixed> = Simulator::new(Fixed(500), 1);
+        let srv = sim.add_actor(Box::new(ServerActor::new(server.clone())));
+        let lm0 = sim.add_actor(Box::new(LandmarkActor));
+        sim.kill_at(SimTime::ZERO, lm0);
+
+        let rec = Rc::new(RefCell::new(JoinRecord::default()));
+        sim.add_actor(Box::new(PeerActor::new(
+            PeerId(1),
+            srv,
+            vec![lm0],
+            vec![Some((path(&[9, 4, 0]), 2_000))],
+            5_000,
+            rec.clone(),
+        )));
+        sim.run_to_completion();
+
+        let rec = rec.borrow();
+        assert_eq!(rec.pongs, 0);
+        assert_eq!(rec.chosen_landmark, Some(0), "fallback landmark used");
+        assert!(rec.joined_at.is_some(), "join completes after timeout");
+        // Timeout 5ms + trace 2ms + request 0.5ms + reply 0.5ms = 8ms.
+        assert_eq!(rec.setup_delay_us(), Some(8_000));
+    }
+
+    #[test]
+    fn duplicate_join_refused_via_wire() {
+        let server = shared_server();
+        let mut sim: Simulator<Message, Fixed> = Simulator::new(Fixed(100), 1);
+        let srv = sim.add_actor(Box::new(ServerActor::new(server.clone())));
+        let lm0 = sim.add_actor(Box::new(LandmarkActor));
+        for _ in 0..2 {
+            let rec = Rc::new(RefCell::new(JoinRecord::default()));
+            sim.add_actor(Box::new(PeerActor::new(
+                PeerId(7), // same id twice
+                srv,
+                vec![lm0],
+                vec![Some((path(&[9, 4, 0]), 1_000))],
+                10_000,
+                rec.clone(),
+            )));
+            sim.run_to_completion();
+            if server.borrow().peer_count() == 1 && rec.borrow().refused {
+                return; // second round: refusal observed
+            }
+        }
+        assert_eq!(server.borrow().peer_count(), 1);
+    }
+
+    #[test]
+    fn leave_message_deregisters() {
+        let server = shared_server();
+        let mut sim: Simulator<Message, Fixed> = Simulator::new(Fixed(100), 1);
+        let srv = sim.add_actor(Box::new(ServerActor::new(server.clone())));
+        server
+            .borrow_mut()
+            .register(PeerId(5), path(&[9, 4, 0]))
+            .unwrap();
+        sim.inject_at(SimTime(10), srv, srv, Message::Leave { peer: PeerId(5) });
+        sim.run_to_completion();
+        assert_eq!(server.borrow().peer_count(), 0);
     }
 }

@@ -10,9 +10,12 @@ fn joined_server() -> (nearpeer::topology::presets::Figure1, ManagementServer) {
     let fig = figure1();
     let oracle = RouteOracle::new(&fig.topology);
     let tracer = Tracer::new(&oracle, TraceConfig::default());
-    let mut server =
-        ManagementServer::bootstrap(&fig.topology, vec![fig.landmark], ServerConfig::default())
-            .unwrap();
+    let mut server = ManagementServer::new(
+        vec![fig.landmark],
+        oracle.landmark_hops(&[fig.landmark]),
+        ServerConfig::default(),
+    )
+    .unwrap();
     for (i, &router) in fig.peers.iter().enumerate() {
         let trace = tracer
             .trace(router, fig.landmark, i as u64)
